@@ -1,26 +1,33 @@
 """Deterministic discrete-event core.
 
-Events are ordered by (time, scheduling sequence); time is held as an exact
-rational number of microseconds so that slot-window airtime accounting is
-exact. Data MPDUs fragment across slot boundaries: a transmitter fills its
-usable window (slot duration minus propagation delay) completely and resumes
-the remainder in its next assigned slot. Receivers acknowledge with one
-delayed BlockAck transmitted exactly at the start of their earliest
-subsequent BASIC transmit slot; a missing sequence triggers at most one
-retransmission.
+Events are ordered by (tick, scheduling sequence) on an exact integer clock.
+Each World fixes `tpu` ticks per microsecond once: the least common multiple
+of the picosecond grid that propagation delays are quantized to and the
+denominators of every frame airtime at every MCS rate and of every CBR gap.
+Bit counts are integers in units of 1/(10**6 * tpu) bit, so a rate of R bit/s
+moves exactly R units per tick and every airtime is an exact integer
+division. Ticks and bit units become microseconds and bits only where values
+leave the engine: the trace, the per-MPDU samples and the metrics.
+
+Data MPDUs fragment across slot boundaries: a transmitter fills its usable
+window (slot duration minus propagation delay) completely and resumes the
+remainder in its next assigned slot. Receivers acknowledge with one delayed
+BlockAck transmitted exactly at the start of their earliest subsequent BASIC
+transmit slot; a missing sequence triggers at most one retransmission.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .channel import (
     LinkBudgetConfig,
+    LinkSample,
     interferes,
     link_snr_db,
     propagation_delay_us,
@@ -42,67 +49,60 @@ from .schedule import Direction, SlotCategory, TddSlotStructure
 from .trace import TraceRecorder, null_recorder
 
 
-class EventKind(Enum):
-    SLOT_BOUNDARY = "slot_boundary"
-    FRAME_TX_START = "frame_tx_start"
-    FRAME_RX_COMPLETE = "frame_rx_complete"
-    TIMER = "timer"
-    MAINTENANCE_TICK = "maintenance_tick"
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time_us: Fraction
-    seq: int
-    kind: EventKind
-    payload: dict
-
-
 class EventQueue:
-    """Heap ordered by (time, scheduling sequence); rejects past scheduling."""
+    """Heap of (tick, seq, handler, args) entries; rejects past scheduling.
+
+    The scheduling sequence breaks ties, so events at equal ticks run in
+    the order they were pushed.
+    """
 
     def __init__(self):
-        self._heap: list[tuple[Fraction, int, SimEvent]] = []
+        self.heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
-        self.now: Fraction = Fraction(0)
+        self.now = 0
 
-    def push(self, time_us, kind: EventKind, payload: dict) -> None:
-        time_us = Fraction(time_us)
-        if time_us < self.now:
+    def push(self, tick: int, handler: Callable, args: tuple) -> None:
+        if tick < self.now:
             raise SimulationError(
-                f"event {kind.value} scheduled at {float(time_us):.3f}us, "
-                f"before current time {float(self.now):.3f}us"
+                f"{handler.__name__} scheduled at tick {tick}, "
+                f"before the current tick {self.now}"
             )
-        event = SimEvent(time_us=time_us, seq=self._seq, kind=kind, payload=payload)
+        heapq.heappush(self.heap, (tick, self._seq, handler, args))
         self._seq += 1
-        heapq.heappush(self._heap, (time_us, event.seq, event))
 
-    def pop(self) -> SimEvent:
-        time_us, _, event = heapq.heappop(self._heap)
-        self.now = time_us
-        return event
-
-    def peek_time(self) -> Optional[Fraction]:
-        return self._heap[0][0] if self._heap else None
+    def pop(self) -> tuple[int, int, Callable, tuple]:
+        entry = heapq.heappop(self.heap)
+        self.now = entry[0]
+        return entry
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
+
+
+def _whole_ticks(units: int, rate: int) -> int:
+    """Ticks to send `units` bit units at `rate` units per tick; never rounds."""
+    ticks, rest = divmod(units, rate)
+    if rest:
+        raise SimulationError(
+            f"{units} bit units at {rate} per tick is not a whole number of ticks"
+        )
+    return ticks
 
 
 # ---------------------------------------------------------------------------
 # Traffic and per-link runtime state.
 
 
-@dataclass
+@dataclass(slots=True)
 class Mpdu:
     seq: int
     size_bits: int
     payload_bits: int
-    eligible_us: Fraction
-    remaining_bits: Fraction
+    eligible: int  # tick
+    remaining: int  # bit units still to send
     corrupted: bool = False
     retried: bool = False
-    tx_complete_us: Optional[Fraction] = None
+    tx_complete: Optional[int] = None  # tick its last fragment ended
 
 
 @dataclass
@@ -121,53 +121,58 @@ class TrafficSource:
 
 @dataclass
 class LinkRuntime:
-    """Mutable simulation state of one directed, demanded link activation."""
+    """Mutable simulation state of one directed, demanded link activation.
+
+    Times are ticks and fragment bit counts are bit units of the owning
+    World; whole-MPDU counters are plain bits.
+    """
 
     vertex: DirectedLink
     mcs: McsEntry
-    prop_us: Fraction
+    prop: int  # ticks
     source: Optional[TrafficSource]
     size_bits: int
     payload_bits: int
+    size_units: int
 
+    vertex_id: str = field(init=False)
     next_seq: int = 0
     queue: deque = field(default_factory=deque)
     pending: dict = field(default_factory=dict)  # seq -> Mpdu awaiting ack
     received: set = field(default_factory=set)  # decoded seqs at the receiver
-    rx_since_ack: list = field(default_factory=list)  # (seq, rx_time)
+    rx_since_ack: list = field(default_factory=list)  # (seq, rx tick)
     control_queue: deque = field(default_factory=deque)
     dead: bool = False
 
     # transmit window of the currently active slot, if any
-    active_until: Fraction = Fraction(0)
+    active_until: int = 0
     chained: bool = False
     interfered_now: bool = False
 
     # counters
     offered_bits: int = 0
-    delivered_fragment_bits: Fraction = Fraction(0)
+    delivered_fragment_units: int = 0
     delivered_mpdu_bits: int = 0
     delivered_payload_bits: int = 0
     dropped_bits: int = 0
-    retx_bits: int = 0
+    retx_units: int = 0
     completed_mpdus: int = 0
     latency_samples_us: list = field(default_factory=list)
     ack_delay_samples_us: list = field(default_factory=list)
     snr_samples: list = field(default_factory=list)  # (t_us, snr_db)
     report_seq: int = 0
 
-    @property
-    def vertex_id(self) -> str:
-        return self.vertex.vertex_id
+    def __post_init__(self):
+        self.vertex_id = self.vertex.vertex_id
 
-    def queued_bits(self) -> Fraction:
+    def queued_bits(self) -> int:
         # An MPDU counts at full size until it is delivered or dropped, so a
         # partially transmitted head still owes its whole frame here.
         backlog = sum(m.size_bits for m in self.queue)
         pending_undelivered = sum(
             m.size_bits for m in self.pending.values() if m.corrupted
         )
-        return Fraction(backlog + pending_undelivered)
+        return backlog + pending_undelivered
 
 
 @dataclass(frozen=True)
@@ -245,6 +250,26 @@ def reverse_vertex_id(vertex: DirectedLink) -> str:
     return f"{vertex.link_id}:{vertex.direction.reverse().value}"
 
 
+def ticks_per_us(
+    mcs_table: Sequence[McsEntry],
+    frame_sizes: FrameSizes,
+    traffic: dict[str, TrafficSource],
+) -> int:
+    """The tick rate on which every delay, airtime and gap is a whole number.
+
+    The least common multiple of the picosecond grid of propagation delays
+    and the denominators, in microseconds, of each data, ack and report
+    frame's airtime at every MCS rate and of every CBR inter-arrival gap.
+    """
+    data_bits = frame_sizes.data_total_bits
+    frame_bits = (data_bits, frame_sizes.ack * 8, frame_sizes.measurement_report * 8)
+    spans = [(bits, e.phy_rate_bps) for bits in frame_bits for e in mcs_table]
+    spans += [(data_bits, s.rate_bps) for s in traffic.values() if s.pattern == "cbr"]
+    return math.lcm(10**6, *(
+        Fraction(bits * 10**6, int(rate)).denominator for bits, rate in spans
+    ))
+
+
 class World:
     """One self-contained simulation universe; shares nothing mutable."""
 
@@ -284,6 +309,14 @@ class World:
         self.trace = trace or null_recorder()
         self.queue = EventQueue()
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
+        self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
+        self.units_per_bit = 10**6 * self.tpu
+
+        # Live link budgets, by (tx node, tx sector, rx node, rx sector), and
+        # control rates, by vertex id; only a transmit power change
+        # (_apply_tpc) alters them.
+        self._samples: dict[tuple[str, int, str, int], LinkSample] = {}
+        self._control_rates: dict[str, float] = {}
 
         self.runtimes: dict[str, LinkRuntime] = {}
         for vid, source in traffic.items():
@@ -293,16 +326,18 @@ class World:
             entry = mcs_from_snr(self.mcs_table, vertex.snr_db)
             if entry is None:
                 raise ValueError(f"{vid} cannot carry traffic below the lowest MCS")
-            tx = nodes[vertex.tx_node]
-            rx = nodes[vertex.rx_node]
-            prop = _quantized_prop_us(tx, rx)
+            # Quantize to integer picoseconds, a whole number of ticks.
+            prop_ps = round(
+                propagation_delay_us(nodes[vertex.tx_node], nodes[vertex.rx_node]) * 10**6
+            )
             self.runtimes[vid] = LinkRuntime(
                 vertex=vertex,
                 mcs=entry,
-                prop_us=prop,
+                prop=prop_ps * (self.tpu // 10**6),
                 source=source,
                 size_bits=self.frame_sizes.data_total_bits,
                 payload_bits=self.frame_sizes.data_payload * 8,
+                size_units=self.frame_sizes.data_total_bits * self.units_per_bit,
             )
 
         # Per-link measurement reporting: emission time -> vertex ids due.
@@ -314,16 +349,16 @@ class World:
                 for t in schedule.emission_times_us:
                     self.report_due.setdefault(t, []).append(vid)
 
-        # keep-alive bookkeeping: (rx_node, tx_node) -> last decoded frame time
-        self.last_rx_us: dict[tuple[str, str], Fraction] = {}
+        # keep-alive bookkeeping: (rx_node, tx_node) -> last decoded frame tick
+        self.last_rx: dict[tuple[str, str], int] = {}
         self.dead_links: set[str] = set()
 
         self.slot_instances = self._expand_instances()
         self._adjacent = self._precompute_conflicts()
 
-        # utilization accounting, per slot category
-        self.used_air_us: dict[str, Fraction] = {c.value: Fraction(0) for c in SlotCategory}
-        self.usable_air_us: dict[str, Fraction] = {c.value: Fraction(0) for c in SlotCategory}
+        # utilization accounting in ticks, per slot category
+        self.used_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
+        self.usable_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
 
     # -- construction helpers ------------------------------------------------
 
@@ -386,30 +421,32 @@ class World:
 
     # -- live channel queries ------------------------------------------------
 
+    def link_sample(self, vertex: DirectedLink) -> LinkSample:
+        key = (vertex.tx_node, vertex.tx_sector, vertex.rx_node, vertex.rx_sector)
+        sample = self._samples.get(key)
+        if sample is None:
+            sample = self._samples[key] = link_snr_db(
+                self.nodes[vertex.tx_node], vertex.tx_sector,
+                self.nodes[vertex.rx_node], vertex.rx_sector, self.channel_cfg,
+            )
+        return sample
+
     def current_snr_db(self, vertex: DirectedLink) -> float:
-        sample = link_snr_db(
-            self.nodes[vertex.tx_node], vertex.tx_sector,
-            self.nodes[vertex.rx_node], vertex.rx_sector, self.channel_cfg,
-        )
-        return sample.snr_db
+        return self.link_sample(vertex).snr_db
 
     def control_rate_bps(self, vertex_id: str) -> float:
-        vertex = self.graph_vertices[vertex_id]
-        entry = mcs_from_snr(self.mcs_table, self.current_snr_db(vertex))
-        return float(entry.phy_rate_bps) if entry else 0.0
-
-
-def _quantized_prop_us(tx: NodeModel, rx: NodeModel) -> Fraction:
-    # Quantize to integer picoseconds so event times stay exact rationals.
-    return Fraction(round(propagation_delay_us(tx, rx) * 10**6), 10**6)
-
-
-def _rate_per_us(rate_bps: float) -> Fraction:
-    return Fraction(int(rate_bps), 10**6)  # bits per microsecond
+        rate = self._control_rates.get(vertex_id)
+        if rate is None:
+            vertex = self.graph_vertices[vertex_id]
+            entry = mcs_from_snr(self.mcs_table, self.current_snr_db(vertex))
+            rate = self._control_rates[vertex_id] = (
+                float(entry.phy_rate_bps) if entry else 0.0
+            )
+        return rate
 
 
 # ---------------------------------------------------------------------------
-# The event loop.
+# The event loop. Every handler is called as handler(world, tick, *args).
 
 
 def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
@@ -418,50 +455,33 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
         t_end_us = world.epoch_us + world.duration_us
     _seed_events(world)
     queue = world.queue
-    while queue:
-        next_time = queue.peek_time()
-        if next_time is None or next_time > t_end_us:
-            break
-        event = queue.pop()
-        _dispatch(world, event)
+    heap = queue.heap
+    t_end = t_end_us * world.tpu
+    while heap and heap[0][0] <= t_end:
+        now, _, handler, args = queue.pop()
+        handler(world, now, *args)
     return collect_metrics(world)
 
 
 def _seed_events(world: World) -> None:
+    tpu = world.tpu
     for instance in world.slot_instances:
-        world.queue.push(
-            instance.start_us, EventKind.SLOT_BOUNDARY, {"instance": instance}
-        )
+        world.queue.push(instance.start_us * tpu, _on_slot_boundary, (instance,))
     interval_us = world.structure.interval_duration_us
     t = world.epoch_us
     t_end = world.epoch_us + world.duration_us
     while t <= t_end:
-        world.queue.push(t, EventKind.MAINTENANCE_TICK, {"t": t})
+        world.queue.push(t * tpu, _on_maintenance_tick, ())
         t += interval_us
-    for vid, rt in world.runtimes.items():
+    for rt in world.runtimes.values():
         if rt.source and rt.source.pattern == "cbr":
             first = max(world.epoch_us + rt.source.start_us, world.epoch_us)
-            world.queue.push(first, EventKind.TIMER, {"what": "arrival", "vertex": vid})
+            world.queue.push(first * tpu, _on_arrival, (rt,))
 
 
-def _dispatch(world: World, event: SimEvent) -> None:
-    if event.kind is EventKind.SLOT_BOUNDARY:
-        _on_slot_boundary(world, event)
-    elif event.kind is EventKind.FRAME_TX_START:
-        _on_frame_tx_start(world, event)
-    elif event.kind is EventKind.FRAME_RX_COMPLETE:
-        _on_frame_rx_complete(world, event)
-    elif event.kind is EventKind.TIMER:
-        _on_timer(world, event)
-    elif event.kind is EventKind.MAINTENANCE_TICK:
-        _on_maintenance_tick(world, event)
-
-
-def _on_slot_boundary(world: World, event: SimEvent) -> None:
-    instance: SlotInstance = event.payload["instance"]
-    now = event.time_us
+def _on_slot_boundary(world: World, now: int, instance: SlotInstance) -> None:
     world.trace.record(
-        now, "slot",
+        instance.start_us, "slot",
         slot_index=instance.slot_index,
         interval=instance.interval_index,
         category=instance.category.value,
@@ -469,6 +489,7 @@ def _on_slot_boundary(world: World, event: SimEvent) -> None:
         links=list(instance.actives) or None,
     )
     interfered = world._adjacent.get(instance.slot_index, frozenset())
+    slot_end = instance.end_us * world.tpu
 
     for vid in instance.actives:
         if instance.category is SlotCategory.BASIC:
@@ -489,44 +510,33 @@ def _on_slot_boundary(world: World, event: SimEvent) -> None:
             if controls:
                 rt.control_queue.extend(controls)
                 rt.interfered_now = vid in interfered
-                window_end = Fraction(instance.end_us) - rt.prop_us
-                world.usable_air_us[instance.category.value] += (
-                    window_end - instance.start_us
-                )
-                world.queue.push(
-                    instance.start_us, EventKind.FRAME_TX_START,
-                    {"vertex": data_id, "category": instance.category,
-                     "window_end": window_end, "slot_start": Fraction(instance.start_us)},
-                )
+                world.usable_air[instance.category.value] += slot_end - rt.prop - now
+                world.queue.push(now, _on_control_tx, (rt, now))
         else:
             rt = world.runtimes.get(vid)
             if rt is None or rt.dead:
                 continue
             rt.interfered_now = vid in interfered
-            window_end = Fraction(instance.end_us) - rt.prop_us
+            window_end = slot_end - rt.prop
             rt.active_until = window_end
-            world.usable_air_us[instance.category.value] += (
-                window_end - instance.start_us
-            )
+            world.usable_air[instance.category.value] += window_end - now
             if not rt.chained:
                 rt.chained = True
                 world.queue.push(
-                    instance.start_us, EventKind.FRAME_TX_START,
-                    {"vertex": vid, "category": instance.category,
-                     "window_end": window_end, "slot_start": Fraction(instance.start_us)},
+                    now, _on_data_tx, (rt, instance.category.value, window_end)
                 )
 
 
-def _head_mpdu(world: World, rt: LinkRuntime, now: Fraction) -> Optional[Mpdu]:
+def _head_mpdu(rt: LinkRuntime, now: int) -> Optional[Mpdu]:
     if rt.queue:
         head = rt.queue[0]
-        if head.eligible_us <= now:
+        if head.eligible <= now:
             return head
         return None
     if rt.source and rt.source.pattern == "saturated":
         mpdu = Mpdu(
             seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-            eligible_us=now, remaining_bits=Fraction(rt.size_bits),
+            eligible=now, remaining=rt.size_units,
         )
         rt.next_seq += 1
         rt.offered_bits += rt.size_bits
@@ -535,104 +545,75 @@ def _head_mpdu(world: World, rt: LinkRuntime, now: Fraction) -> Optional[Mpdu]:
     return None
 
 
-def _on_frame_tx_start(world: World, event: SimEvent) -> None:
-    payload = event.payload
-    rt = world.runtimes[payload["vertex"]]
-    now = event.time_us
-    window_end: Fraction = payload["window_end"]
-    category: SlotCategory = payload["category"]
-
-    if rt.control_queue and category is SlotCategory.BASIC:
-        what = rt.control_queue.popleft()
-        _transmit_control(world, rt, what, now, payload)
-        return
-    if category is SlotCategory.BASIC:
-        return  # BASIC slots carry control traffic only
-
+def _on_data_tx(
+    world: World, now: int, rt: LinkRuntime, category: str, window_end: int
+) -> None:
     if now >= window_end:
         rt.chained = False
         return
-    mpdu = _head_mpdu(world, rt, now)
+    mpdu = _head_mpdu(rt, now)
     if mpdu is None:
         rt.chained = False
         return
 
-    rate = _rate_per_us(rt.mcs.phy_rate_bps)
-    frag_bits = min(mpdu.remaining_bits, (window_end - now) * rate)
-    if frag_bits <= 0:
-        rt.chained = False
-        return
-    airtime = frag_bits / rate
-    snr = world.current_snr_db(rt.vertex)
-    ok = (not rt.interfered_now) and snr >= rt.mcs.min_snr_db
+    rate = int(rt.mcs.phy_rate_bps)
+    frag = min(mpdu.remaining, (window_end - now) * rate)
+    airtime = _whole_ticks(frag, rate)
+    ok = (not rt.interfered_now) and world.current_snr_db(rt.vertex) >= rt.mcs.min_snr_db
     if not ok:
         mpdu.corrupted = True
-    mpdu.remaining_bits -= frag_bits
-    last = mpdu.remaining_bits == 0
+    mpdu.remaining -= frag
+    last = mpdu.remaining == 0
+    end = now + airtime
     if last:
         rt.queue.popleft()
-        mpdu.tx_complete_us = now + airtime
+        mpdu.tx_complete = end
         rt.pending[mpdu.seq] = mpdu
     if mpdu.retried:
-        rt.retx_bits += frag_bits
+        rt.retx_units += frag
 
     world.trace.record(
-        now, "frame_tx", node=rt.vertex.tx_node, frame="data",
-        link=rt.vertex_id, data_seq=mpdu.seq, bits=round(float(frag_bits), 3),
+        now / world.tpu, "frame_tx", node=rt.vertex.tx_node, frame="data",
+        link=rt.vertex_id, data_seq=mpdu.seq, bits=round(frag / world.units_per_bit, 3),
         last_fragment=last, mcs=rt.mcs.mcs_index,
     )
-    world.used_air_us[category.value] += airtime
-    world.queue.push(
-        now + airtime + rt.prop_us, EventKind.FRAME_RX_COMPLETE,
-        {"what": "data", "vertex": rt.vertex_id, "data_seq": mpdu.seq,
-         "bits": frag_bits, "last": last, "ok": ok, "mpdu": mpdu},
-    )
-    if now + airtime < window_end:
-        world.queue.push(
-            now + airtime, EventKind.FRAME_TX_START,
-            {"vertex": rt.vertex_id, "category": category,
-             "window_end": window_end, "slot_start": payload["slot_start"]},
-        )
+    world.used_air[category] += airtime
+    world.queue.push(end + rt.prop, _on_data_rx, (rt, mpdu, frag, last, ok))
+    if end < window_end:
+        world.queue.push(end, _on_data_tx, (rt, category, window_end))
     else:
         rt.chained = False
 
 
-def _transmit_control(world: World, rt: LinkRuntime, what: str, now, payload) -> None:
+def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> None:
     """Send one BlockAck or measurement report on the reverse path."""
+    if not rt.control_queue:
+        return
+    what = rt.control_queue.popleft()
     vertex = rt.vertex
-    rev_id = reverse_vertex_id(vertex)
-    rate_bps = world.control_rate_bps(rev_id)
+    rate_bps = world.control_rate_bps(reverse_vertex_id(vertex))
     if rate_bps <= 0:
         return
-    rate = _rate_per_us(rate_bps)
-    slot_start: Fraction = payload["slot_start"]
+    rate = int(rate_bps)
+    t_us = now / world.tpu
+    ok = not rt.interfered_now
 
     if what == "block_ack":
         covered = tuple(seq for seq, _ in rt.rx_since_ack)
-        for seq, rx_t in rt.rx_since_ack:
-            rt.ack_delay_samples_us.append(float(now - rx_t))
+        for _, rx_t in rt.rx_since_ack:
+            rt.ack_delay_samples_us.append((now - rx_t) / world.tpu)
         rt.rx_since_ack.clear()
-        bits = world.frame_sizes.ack * 8
-        airtime = Fraction(bits) / rate
-        ok = not rt.interfered_now
+        airtime = _whole_ticks(world.frame_sizes.ack * 8 * world.units_per_bit, rate)
         world.trace.record(
-            now, "frame_tx", node=vertex.rx_node, frame="block_ack",
+            t_us, "frame_tx", node=vertex.rx_node, frame="block_ack",
             link=rt.vertex_id, covered=list(covered),
         )
-        world.used_air_us[SlotCategory.BASIC.value] += airtime
         world.queue.push(
-            now + airtime + rt.prop_us, EventKind.FRAME_RX_COMPLETE,
-            {"what": "block_ack", "vertex": rt.vertex_id, "covered": covered,
-             "formed_at": slot_start, "ok": ok},
+            now + airtime + rt.prop, _on_block_ack_rx, (rt, covered, slot_start, ok)
         )
-        next_at = now + airtime
-    elif what == "report":
-        sample = link_snr_db(
-            world.nodes[vertex.tx_node], vertex.tx_sector,
-            world.nodes[vertex.rx_node], vertex.rx_sector, world.channel_cfg,
-        )
+    else:
         report = emit_link_measurement_report(
-            rt.vertex_id, sample, rt.report_seq,
+            rt.vertex_id, world.link_sample(vertex), rt.report_seq,
             TpcFields(
                 tx_power_dbm=world.nodes[vertex.tx_node].tx_power_dbm,
                 target_rsni_db=world.maintenance.tpc_target_rsni_db,
@@ -640,87 +621,73 @@ def _transmit_control(world: World, rt: LinkRuntime, what: str, now, payload) ->
             ),
         )
         rt.report_seq += 1
-        bits = world.frame_sizes.measurement_report * 8
-        airtime = Fraction(bits) / rate
-        ok = not rt.interfered_now
+        airtime = _whole_ticks(
+            world.frame_sizes.measurement_report * 8 * world.units_per_bit, rate
+        )
         world.trace.record(
-            now, "frame_tx", node=vertex.rx_node, frame="link_measurement_report",
+            t_us, "frame_tx", node=vertex.rx_node, frame="link_measurement_report",
             link=rt.vertex_id, report_seq=report.sequence_number,
             rcpi_dbm=round(report.rcpi_dbm, 3), rsni_db=round(report.rsni_db, 3),
         )
-        world.used_air_us[SlotCategory.BASIC.value] += airtime
-        world.queue.push(
-            now + airtime + rt.prop_us, EventKind.FRAME_RX_COMPLETE,
-            {"what": "report", "vertex": rt.vertex_id, "report": report, "ok": ok},
-        )
-        next_at = now + airtime
-    else:
-        return
+        world.queue.push(now + airtime + rt.prop, _on_report_rx, (rt, report, ok))
+    world.used_air[SlotCategory.BASIC.value] += airtime
     if rt.control_queue:
-        world.queue.push(
-            next_at, EventKind.FRAME_TX_START,
-            {"vertex": rt.vertex_id, "category": SlotCategory.BASIC,
-             "window_end": payload["window_end"], "slot_start": slot_start},
-        )
+        world.queue.push(now + airtime, _on_control_tx, (rt, slot_start))
 
 
-def _on_frame_rx_complete(world: World, event: SimEvent) -> None:
-    payload = event.payload
-    what = payload["what"]
-    rt = world.runtimes[payload["vertex"]]
-    now = event.time_us
-
-    if what == "data":
-        mpdu: Mpdu = payload["mpdu"]
-        ok = payload["ok"]
-        if ok:
-            rt.delivered_fragment_bits += payload["bits"]
-        world.trace.record(
-            now, "frame_rx", node=rt.vertex.rx_node, frame="data",
-            link=rt.vertex_id, data_seq=mpdu.seq,
-            bits=round(float(payload["bits"]), 3),
-            last_fragment=payload["last"],
-            outcome="decoded" if ok else "interfered",
-        )
-        if payload["last"]:
-            if not mpdu.corrupted:
-                world.last_rx_us[(rt.vertex.rx_node, rt.vertex.tx_node)] = now
-                if mpdu.seq not in rt.received:
-                    rt.received.add(mpdu.seq)
-                    rt.completed_mpdus += 1
-                    rt.delivered_mpdu_bits += mpdu.size_bits
-                    rt.delivered_payload_bits += mpdu.payload_bits
-                    rt.latency_samples_us.append(float(now - mpdu.eligible_us))
-                rt.rx_since_ack.append((mpdu.seq, now))
-    elif what == "block_ack":
-        ok = payload["ok"]
-        world.trace.record(
-            now, "frame_rx", node=rt.vertex.tx_node, frame="block_ack",
-            link=rt.vertex_id, outcome="decoded" if ok else "interfered",
-        )
-        if ok:
-            world.last_rx_us[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
-            _process_block_ack(world, rt, set(payload["covered"]), payload["formed_at"])
-    elif what == "report":
-        ok = payload["ok"]
-        report = payload["report"]
-        world.trace.record(
-            now, "frame_rx", node=rt.vertex.tx_node, frame="link_measurement_report",
-            link=rt.vertex_id, report_seq=report.sequence_number,
-            outcome="decoded" if ok else "interfered",
-        )
-        if ok:
-            world.last_rx_us[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
-            rt.snr_samples.append((float(now), report.rsni_db))
-            if world.maintenance.tpc_enabled:
-                _apply_tpc(world, rt, report, now)
+def _on_data_rx(
+    world: World, now: int, rt: LinkRuntime, mpdu: Mpdu, frag: int, last: bool, ok: bool
+) -> None:
+    if ok:
+        rt.delivered_fragment_units += frag
+    world.trace.record(
+        now / world.tpu, "frame_rx", node=rt.vertex.rx_node, frame="data",
+        link=rt.vertex_id, data_seq=mpdu.seq,
+        bits=round(frag / world.units_per_bit, 3),
+        last_fragment=last,
+        outcome="decoded" if ok else "interfered",
+    )
+    if last and not mpdu.corrupted:
+        world.last_rx[(rt.vertex.rx_node, rt.vertex.tx_node)] = now
+        if mpdu.seq not in rt.received:
+            rt.received.add(mpdu.seq)
+            rt.completed_mpdus += 1
+            rt.delivered_mpdu_bits += mpdu.size_bits
+            rt.delivered_payload_bits += mpdu.payload_bits
+            rt.latency_samples_us.append((now - mpdu.eligible) / world.tpu)
+        rt.rx_since_ack.append((mpdu.seq, now))
 
 
-def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: Fraction) -> None:
+def _on_block_ack_rx(
+    world: World, now: int, rt: LinkRuntime, covered: tuple, formed_at: int, ok: bool
+) -> None:
+    world.trace.record(
+        now / world.tpu, "frame_rx", node=rt.vertex.tx_node, frame="block_ack",
+        link=rt.vertex_id, outcome="decoded" if ok else "interfered",
+    )
+    if ok:
+        world.last_rx[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
+        _process_block_ack(world, rt, set(covered), formed_at)
+
+
+def _on_report_rx(world: World, now: int, rt: LinkRuntime, report, ok: bool) -> None:
+    world.trace.record(
+        now / world.tpu, "frame_rx", node=rt.vertex.tx_node,
+        frame="link_measurement_report",
+        link=rt.vertex_id, report_seq=report.sequence_number,
+        outcome="decoded" if ok else "interfered",
+    )
+    if ok:
+        world.last_rx[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
+        rt.snr_samples.append((now / world.tpu, report.rsni_db))
+        if world.maintenance.tpc_enabled:
+            _apply_tpc(world, rt, report, now)
+
+
+def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: int) -> None:
     for seq in sorted(rt.pending):
         mpdu = rt.pending[seq]
-        rx_time = mpdu.tx_complete_us + rt.prop_us
-        if rx_time >= formed_at:
+        if mpdu.tx_complete + rt.prop >= formed_at:
             continue  # completed after the ack was formed; next round decides
         if seq in covered:
             del rt.pending[seq]
@@ -733,22 +700,22 @@ def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: F
             if mpdu.retried:
                 rt.dropped_bits += mpdu.size_bits
                 world.trace.record(
-                    float(formed_at), "frame_drop", node=rt.vertex.tx_node,
+                    formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
                     link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
                 )
             else:
                 mpdu.retried = True
                 mpdu.corrupted = False
-                mpdu.remaining_bits = Fraction(mpdu.size_bits)
-                mpdu.tx_complete_us = None
+                mpdu.remaining = rt.size_units
+                mpdu.tx_complete = None
                 # Requeue behind a partially transmitted head, else at the front.
-                if rt.queue and rt.queue[0].remaining_bits < rt.queue[0].size_bits:
+                if rt.queue and rt.queue[0].remaining < rt.size_units:
                     rt.queue.insert(1, mpdu)
                 else:
                     rt.queue.appendleft(mpdu)
 
 
-def _apply_tpc(world: World, rt: LinkRuntime, report, now: Fraction) -> None:
+def _apply_tpc(world: World, rt: LinkRuntime, report, now: int) -> None:
     tx_node = world.nodes[rt.vertex.tx_node]
     new_power = tpc_update(
         tx_node.tx_power_dbm,
@@ -759,74 +726,59 @@ def _apply_tpc(world: World, rt: LinkRuntime, report, now: Fraction) -> None:
     )
     if new_power != tx_node.tx_power_dbm:
         tx_node.set_tx_power(new_power)
+        world._samples.clear()
+        world._control_rates.clear()
         world.trace.record(
-            now, "tpc_update", node=tx_node.node_id, link=rt.vertex_id,
+            now / world.tpu, "tpc_update", node=tx_node.node_id, link=rt.vertex_id,
             power_dbm=round(new_power, 3), measured_rsni_db=round(report.rsni_db, 3),
             target_rsni_db=world.maintenance.tpc_target_rsni_db,
         )
 
 
-def _on_timer(world: World, event: SimEvent) -> None:
-    payload = event.payload
-    if payload.get("what") != "arrival":
-        return
-    rt = world.runtimes[payload["vertex"]]
-    now = event.time_us
-    if rt.source is None or rt.source.pattern != "cbr":
-        return
+def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
     mpdu = Mpdu(
         seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-        eligible_us=now, remaining_bits=Fraction(rt.size_bits),
+        eligible=now, remaining=rt.size_units,
     )
     rt.next_seq += 1
     rt.offered_bits += rt.size_bits
     rt.queue.append(mpdu)
     if not rt.dead and not rt.chained and now < rt.active_until:
         rt.chained = True
-        world.queue.push(
-            now, EventKind.FRAME_TX_START,
-            {"vertex": rt.vertex_id, "category": SlotCategory.DATA,
-             "window_end": rt.active_until, "slot_start": now},
-        )
+        world.queue.push(now, _on_data_tx, (rt, SlotCategory.DATA.value, rt.active_until))
     # Next arrival: one MPDU every size/rate seconds.
-    gap_us = Fraction(rt.size_bits * 10**6, int(rt.source.rate_bps))
-    world.queue.push(
-        now + gap_us, EventKind.TIMER, {"what": "arrival", "vertex": rt.vertex_id}
-    )
+    gap = _whole_ticks(rt.size_units, int(rt.source.rate_bps))
+    world.queue.push(now + gap, _on_arrival, (rt,))
 
 
-def _on_maintenance_tick(world: World, event: SimEvent) -> None:
-    now = event.time_us
+def _on_maintenance_tick(world: World, now: int) -> None:
     settings = world.maintenance
     interval_us = world.structure.interval_duration_us
     for node in world.nodes.values():
         node.clock = advance_clock(node.clock, interval_us, settings.sync_tolerance_us)
 
-    t_int = int(now)
-    heartbeat_due = (t_int - world.epoch_us) % settings.heartbeat_period_us == 0
+    t_us = now // world.tpu  # maintenance ticks fall on whole microseconds
+    heartbeat_due = (t_us - world.epoch_us) % settings.heartbeat_period_us == 0
     ticked_aps = set()
     for vid, rt in world.runtimes.items():
         vertex = rt.vertex
         if heartbeat_due and vertex.ap_id not in ticked_aps:
             ticked_aps.add(vertex.ap_id)
             world.trace.record(
-                now, "announce", node=vertex.ap_id, elements=["heartbeat"],
+                t_us, "announce", node=vertex.ap_id, elements=["heartbeat"],
                 broadcast=True,
             )
         if heartbeat_due:
             # Broadcast heartbeats refresh every served STA's keep-alive.
-            world.last_rx_us[(vertex.sta_id, vertex.ap_id)] = now
-        last = world.last_rx_us.get((vertex.sta_id, vertex.ap_id))
-        if last is None:
-            world.last_rx_us[(vertex.sta_id, vertex.ap_id)] = now
-            last = now
-        state = keepalive_check(float(last), float(now), settings.keepalive_timeout_us)
+            world.last_rx[(vertex.sta_id, vertex.ap_id)] = now
+        last = world.last_rx.setdefault((vertex.sta_id, vertex.ap_id), now)
+        state = keepalive_check(last / world.tpu, t_us, settings.keepalive_timeout_us)
         if state is LinkState.DEAD and not rt.dead:
             rt.dead = True
             world.dead_links.add(vid)
             world.trace.record(
-                now, "link_dead", link=vid, node=vertex.sta_id,
-                last_rx=round(float(last), 3),
+                t_us, "link_dead", link=vid, node=vertex.sta_id,
+                last_rx=round(last / world.tpu, 3),
             )
 
 
@@ -836,21 +788,21 @@ def collect_metrics(world: World) -> Metrics:
         per_link[vid] = LinkMetrics(
             vertex_id=vid,
             offered_bits=float(rt.offered_bits),
-            delivered_bits=float(rt.delivered_fragment_bits),
+            delivered_bits=rt.delivered_fragment_units / world.units_per_bit,
             delivered_mpdu_bits=rt.delivered_mpdu_bits,
             delivered_payload_bits=rt.delivered_payload_bits,
             dropped_bits=rt.dropped_bits,
             queued_bits=float(rt.queued_bits()),
-            retx_bits=float(rt.retx_bits),
+            retx_bits=rt.retx_units / world.units_per_bit,
             completed_mpdus=rt.completed_mpdus,
             latency_us=list(rt.latency_samples_us),
             ack_delay_us=list(rt.ack_delay_samples_us),
             snr_db=list(rt.snr_samples),
         )
     utilization = {}
-    for category, usable in world.usable_air_us.items():
-        used = world.used_air_us[category]
-        utilization[category] = float(used / usable) if usable else 0.0
+    for category, usable in world.usable_air.items():
+        used = world.used_air[category]
+        utilization[category] = used / usable if usable else 0.0
     return Metrics(
         duration_us=world.duration_us,
         per_link=per_link,

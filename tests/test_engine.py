@@ -1,20 +1,25 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 
+from tddsim import engine
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
+from tddsim.domain import DEFAULT_MCS_TABLE, mcs_from_snr
 from tddsim.engine import (
-    EventKind,
     EventQueue,
     MaintenanceSettings,
     TrafficSource,
     World,
     metrics_to_csv,
     run_until,
+    ticks_per_us,
 )
 from tddsim.errors import SimulationError
+from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
 from tddsim.schedule import Direction, ExtendedScheduleEntry, default_slot_structure
 from tddsim.trace import TraceRecorder
@@ -26,6 +31,7 @@ MPDU_BITS = (1500 + 40) * 8
 PROP_100M = Fraction(333564, 10**6)  # 100 m quantized to integer picoseconds
 RATE = Fraction(4_620_000_000, 10**6)  # MCS12 bits per microsecond
 DL = "ap-sta:downlink"
+DEFAULT_TPU = 622_083_000_000  # ticks per us for the default MCS table and frame sizes
 
 
 def build_world(
@@ -66,18 +72,84 @@ def build_world(
     )
 
 
+def _handler(world, now, tag):
+    pass
+
+
 def test_event_queue_orders_and_rejects_past():
     q = EventQueue()
-    q.push(5, EventKind.TIMER, {"tag": "a"})
-    q.push(5, EventKind.TIMER, {"tag": "b"})
-    q.push(3, EventKind.TIMER, {"tag": "c"})
-    assert q.pop().payload["tag"] == "c"
-    # Equal times preserve scheduling order.
-    assert q.pop().payload["tag"] == "a"
-    assert q.pop().payload["tag"] == "b"
+    q.push(5, _handler, ("a",))
+    q.push(5, _handler, ("b",))
+    q.push(3, _handler, ("c",))
+    popped = [q.pop() for _ in range(3)]
+    assert [(tick, args) for tick, _, _, args in popped] == [
+        (3, ("c",)),
+        # Equal ticks preserve scheduling order.
+        (5, ("a",)),
+        (5, ("b",)),
+    ]
+    assert all(handler is _handler for _, _, handler, _ in popped)
     assert not q
     with pytest.raises(SimulationError):
-        q.push(4, EventKind.TIMER, {})
+        q.push(4, _handler, ("d",))
+
+
+def test_tick_rate_of_the_default_table():
+    assert ticks_per_us(DEFAULT_MCS_TABLE, FrameSizes(), {}) == DEFAULT_TPU
+    world = build_world()
+    assert world.tpu == DEFAULT_TPU
+    assert world.runtimes[DL].prop == PROP_100M * DEFAULT_TPU
+
+
+@pytest.mark.parametrize("rate_bps, tpu", [
+    # A 12320-bit gap is 4106 2/3 us at 3 Mbit/s: the table's 1155 Mbit/s
+    # airtimes already need thirds, so the grid stays.
+    (3e6, DEFAULT_TPU),
+    # At 13 Mbit/s it is 947 9/13 us, a denominator the table lacks.
+    (13e6, 13 * DEFAULT_TPU),
+])
+def test_cbr_gap_sets_the_tick_grid(rate_bps, tpu):
+    world = build_world(traffic={DL: TrafficSource("cbr", rate_bps=rate_bps)})
+    assert world.tpu == tpu
+    gap = Fraction(MPDU_BITS * 10**6, int(rate_bps))
+    assert (gap * world.tpu).denominator == 1
+    metrics = run_until(world)
+    # Arrivals at 0, gap, 2 gap, ... through the end of the run at 25600 us.
+    arrivals = math.floor(Fraction(25600) / gap) + 1
+    assert metrics.per_link[DL].offered_bits == arrivals * MPDU_BITS
+    assert metrics.conservation_ok()
+
+
+def test_airtime_off_the_tick_grid_raises():
+    # The grid is derived from the world's own rates, so only a rate changed
+    # after construction can leave it; the engine then refuses to round.
+    world = build_world()
+    rt = world.runtimes[DL]
+    rt.mcs = dataclasses.replace(rt.mcs, phy_rate_bps=4_620_000_007)
+    with pytest.raises(SimulationError, match="whole number of ticks"):
+        run_until(world)
+
+
+def test_cbr_gap_off_the_tick_grid_raises():
+    world = build_world(traffic={DL: TrafficSource("cbr", rate_bps=1e6)})
+    world.runtimes[DL].source.rate_bps = 999_983.0  # prime
+    with pytest.raises(SimulationError, match="whole number of ticks"):
+        run_until(world)
+
+
+def test_link_budget_is_evaluated_once_per_link(monkeypatch):
+    calls = []
+    real = engine.link_snr_db
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "link_snr_db", counting)
+    metrics = run_until(build_world())
+    assert metrics.per_link[DL].completed_mpdus > 0
+    # One budget for the data direction, one for the ack path.
+    assert len(calls) <= 3
 
 
 def test_traffic_source_validation():
@@ -260,6 +332,16 @@ def test_tpc_walks_power_toward_target():
     for later in updates[3:]:
         assert later == pytest.approx(1.0, abs=1e-6)
     assert world.nodes["ap"].tx_power_dbm == pytest.approx(1.0, abs=1e-6)
+    # The power changes invalidated the cached link budgets.
+    for rt in world.runtimes.values():
+        for vertex in (rt.vertex, world.graph_vertices[engine.reverse_vertex_id(rt.vertex)]):
+            fresh = link_snr_db(
+                world.nodes[vertex.tx_node], vertex.tx_sector,
+                world.nodes[vertex.rx_node], vertex.rx_sector, CHANNEL,
+            ).snr_db
+            assert world.current_snr_db(vertex) == fresh
+            entry = mcs_from_snr(world.mcs_table, fresh)
+            assert world.control_rate_bps(vertex.vertex_id) == entry.phy_rate_bps
 
 
 def test_keepalive_kills_silent_link():

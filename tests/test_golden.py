@@ -3,6 +3,9 @@
 The digests in tests/golden/ are written only by tests/golden/regen.py.
 """
 
+import json
+import re
+
 import pytest
 
 from golden.regen import DURATIONS_MS, GOLDEN_DIR, SCENARIOS, digests, run_scenario
@@ -22,3 +25,15 @@ def test_every_scenario_has_a_golden():
 def test_outputs_match_golden(name, golden_outputs):
     expected = (GOLDEN_DIR / f"{name}.sha256").read_text()
     assert digests(golden_outputs[name]) == expected
+
+
+def test_every_written_trace_kind_is_documented(golden_outputs):
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    outputs = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([a-z_]+)`", outputs))
+    written = {
+        json.loads(line)["kind"]
+        for out in golden_outputs.values()
+        for line in out["trace"].splitlines()
+    }
+    assert written - documented == set()

@@ -422,6 +422,7 @@ class World:
     # -- live channel queries ------------------------------------------------
 
     def link_sample(self, vertex: DirectedLink) -> LinkSample:
+        """The live link budget of `vertex`, cached until a power changes."""
         key = (vertex.tx_node, vertex.tx_sector, vertex.rx_node, vertex.rx_sector)
         sample = self._samples.get(key)
         if sample is None:

@@ -18,6 +18,8 @@ import pathlib
 import sys
 import tempfile
 
+from tddsim.cli import main as tddsim_main
+
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 SCENARIOS = GOLDEN_DIR.parent.parent / "scenarios"
 SEED = 1
@@ -38,13 +40,11 @@ OUTPUTS = ("trace", "metrics", "stdout")
 
 def run_scenario(name: str, workdir: pathlib.Path) -> dict[str, bytes]:
     """The trace, metrics CSV and stdout of one golden run, as bytes."""
-    from tddsim.cli import main
-
     trace = workdir / f"{name}.jsonl"
     metrics = workdir / f"{name}.csv"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        rc = main([
+        rc = tddsim_main([
             "run", "--config", str(SCENARIOS / f"{name}.yaml"),
             "--seed", str(SEED), "--duration-ms", str(DURATIONS_MS[name]),
             "--trace", str(trace), "--metrics", str(metrics),

@@ -25,10 +25,11 @@ SCENARIOS = GOLDEN_DIR.parent.parent / "scenarios"
 SEED = 1
 # Short enough to keep the check quick, long enough for every scenario to
 # reach its interesting records: several ack rounds, three trickle arrivals,
-# two periodic reports, every TPC step.
+# all three periodic reports (the last is due at 210 ms, so a shorter
+# `reports` run rejects the request and writes none), every TPC step.
 DURATIONS_MS = {
     "one_ap_two_sta": 8,
-    "reports": 120,
+    "reports": 300,
     "saturated_dl": 8,
     "spatial_reuse": 8,
     "tpc": 25,

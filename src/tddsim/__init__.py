@@ -1,9 +1,10 @@
 """Discrete-event simulator for TDD millimeter-wave fixed wireless access.
 
 The package models the directional TDD machinery of a 60 GHz distribution
-network: slot-structured service periods, sweep-based beamforming training,
-link maintenance over announce frames, and a centralized interference-aware
-slot controller, all driven by an exact-arithmetic event engine.
+network: slot-structured service periods, sweep-based beamforming training, link
+maintenance (heartbeats, keep-alives, periodic measurement reports, power
+control), and a centralized interference-aware slot controller, all driven
+by an exact-arithmetic event engine.
 """
 
 from .beamforming import (
@@ -52,20 +53,15 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
-    NoTxOpportunityError,
     ProtocolError,
     SimulationError,
     StructureError,
 )
-from .frames import FrameKind, FrameSizes
+from .frames import FrameSizes
 from .maintenance import (
-    AnnounceFrame,
-    KeepAlive,
     LinkState,
     PeriodicReportRequest,
     ReportSchedule,
-    TddSynchronization,
-    advance_clock,
     handle_periodic_report_request,
     keepalive_check,
     tpc_update,
@@ -75,17 +71,15 @@ from .schedule import (
     Direction,
     ExtendedScheduleEntry,
     SlotCategory,
-    TddSlotSchedule,
     TddSlotStructure,
     default_slot_structure,
     expand_sp,
-    next_basic_tx_slot,
+    timeline,
 )
 from .trace import TraceRecorder
 
 __all__ = [
     "AbsoluteSlot",
-    "AnnounceFrame",
     "AssignmentResult",
     "BeamMeasurementReport",
     "BeamformingConfig",
@@ -100,17 +94,14 @@ __all__ = [
     "DirectedLink",
     "Direction",
     "ExtendedScheduleEntry",
-    "FrameKind",
     "FrameSizes",
     "GlobalSchedule",
     "InterferenceGraph",
-    "KeepAlive",
     "LinkBudgetConfig",
     "LinkState",
     "MaintenanceSettings",
     "McsEntry",
     "Metrics",
-    "NoTxOpportunityError",
     "NodeModel",
     "PeriodicReportRequest",
     "PowerLimits",
@@ -123,14 +114,11 @@ __all__ = [
     "SlotCategory",
     "StarvedLink",
     "StructureError",
-    "TddSlotSchedule",
     "TddSlotStructure",
-    "TddSynchronization",
     "TraceRecorder",
     "TrafficSource",
     "TrainedLink",
     "World",
-    "advance_clock",
     "assign_slots",
     "build_interference_graph",
     "collect_metrics",
@@ -142,13 +130,13 @@ __all__ = [
     "links_from_trained",
     "load_config",
     "metrics_to_csv",
-    "next_basic_tx_slot",
     "parse_config",
     "propagation_delay_us",
     "run_beamforming",
     "run_until",
     "mcs_from_snr",
     "serialize_config",
+    "timeline",
     "tpc_update",
     "uniform_codebook",
     "verify_global",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .channel import LinkBudgetConfig, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, NodeModel
@@ -491,17 +491,6 @@ def responder_step(state: ResponderState, event: BfEvent) -> tuple[ResponderStat
         if event.purpose == "ack":
             state.pending_ack_at_us = None
     return state, actions
-
-
-def select_best_rx_sector(measurements: Iterable[tuple[int, float]]) -> tuple[int, float]:
-    """Pick (sector, snr) with maximum snr; ties go to the lowest sector index."""
-    best: Optional[tuple[int, float]] = None
-    for sector, snr in measurements:
-        if best is None or snr > best[1] or (snr == best[1] and sector < best[0]):
-            best = (sector, snr)
-    if best is None:
-        raise ValueError("no measurements to select from")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .config import ScenarioConfig, load_config, serialize_config
 from .controller import (
     AssignmentResult,
     DemandSpec,
+    InterferenceGraph,
     assign_slots,
     build_interference_graph,
     verify_global,
@@ -36,7 +37,7 @@ from .controller import (
 from .engine import World, collect_metrics, metrics_to_csv, run_until
 from .errors import ConfigError, ProtocolError, SimulationError, StructureError
 from .maintenance import PeriodicReportRequest, ReportSchedule, handle_periodic_report_request
-from .schedule import Direction, ExtendedScheduleEntry, SlotCategory, expand_sp
+from .schedule import Direction, SlotCategory, expand_sp, timeline
 from .trace import TraceRecorder
 
 EXIT_OK = 0
@@ -59,6 +60,7 @@ class Prepared:
     bf_results: list = field(default_factory=list)
     bf_sweep_counts: dict = field(default_factory=dict)
     epoch_us: int = 0
+    graph: Optional[InterferenceGraph] = None  # set by plan_scenario
 
 
 def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None) -> Prepared:
@@ -94,12 +96,7 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
 
     bf_cfg = cfg.build_bf_config()
     for k, run in enumerate(cfg.beamforming.runs):
-        entry = ExtendedScheduleEntry(
-            allocation_id=cfg.slot_structure.allocation_id,
-            start_time_us=k * cfg.sim.beacon_interval_us + cfg.sim.sp_offset_us,
-            duration_us=cfg.sim.sp_duration_us,
-        )
-        sp_slots = expand_sp(entry, prep.structure)
+        sp_slots = expand_sp(cfg.build_sp_entry(k * cfg.sim.beacon_interval_us), prep.structure)
         initiator = prep.nodes[run.initiator]
         responders = [prep.nodes[r] for r in run.responders]
         result = run_beamforming(
@@ -125,7 +122,7 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
 
 
 def plan_scenario(prep: Prepared) -> AssignmentResult:
-    graph = build_interference_graph(
+    graph = prep.graph = build_interference_graph(
         prep.nodes, prep.trained, prep.reports, prep.channel
     )
     demands = [
@@ -149,8 +146,9 @@ def build_report_schedules(
     """Map each periodic report request onto the reporter's BASIC tx slots.
 
     The reporter is the data receiver, so its transmit opportunities are the
-    BASIC slots granted to the reverse-direction activation. Rejected
-    requests (no covering slot) are returned as warnings, not errors.
+    BASIC slots granted to the reverse-direction activation, among the slots
+    the engine runs. Rejected requests (no covering slot) are returned as
+    warnings, not errors.
     """
     cfg = prep.cfg
     schedules: dict[str, ReportSchedule] = {}
@@ -158,27 +156,17 @@ def build_report_schedules(
     if not cfg.maintenance.periodic_reports:
         return schedules, warnings
 
-    t_end = prep.epoch_us + cfg.sim.duration_us
-    bi = cfg.sim.beacon_interval_us
-    instances = []
-    k = prep.epoch_us // bi
-    while k * bi + cfg.sim.sp_offset_us < t_end:
-        entry = ExtendedScheduleEntry(
-            allocation_id=cfg.slot_structure.allocation_id,
-            start_time_us=k * bi + cfg.sim.sp_offset_us,
-            duration_us=cfg.sim.sp_duration_us,
+    basic = [
+        s for s in timeline(
+            cfg.build_sp_entry(prep.epoch_us), prep.structure,
+            cfg.sim.beacon_interval_us, prep.epoch_us + cfg.sim.duration_us,
         )
-        instances.extend(s for s in expand_sp(entry, prep.structure) if s.start_us < t_end)
-        k += 1
-
+        if s.category is SlotCategory.BASIC
+    ]
     for r in cfg.maintenance.periodic_reports:
         vid = f"{r.link}:{r.direction}"
-        rev = f"{r.link}:{Direction(r.direction).reverse().value}"
-        tx_slots = [
-            s for s in instances
-            if s.category is SlotCategory.BASIC
-            and rev in plan.schedule.slot_links.get(s.slot_index, ())
-        ]
+        rev = plan.vertices[vid].reverse_id
+        tx_slots = [s for s in basic if rev in plan.schedule.slot_links.get(s.slot_index, ())]
         req = PeriodicReportRequest(
             start_time_us=r.start_us, interval_us=r.interval_us, count=r.count
         )
@@ -238,8 +226,7 @@ def _plan_payload(prep: Prepared, plan: AssignmentResult) -> dict:
             "direction": direction.value if direction else None,
             "links": list(plan.schedule.slot_links.get(spec_index, ())),
         })
-    violations = verify_global(plan.schedule, build_interference_graph(
-        prep.nodes, prep.trained, prep.reports, prep.channel), prep.mcs_table)
+    violations = verify_global(plan.schedule, prep.graph, prep.mcs_table)
     return {
         "feasible": not plan.infeasible,
         "granted_rate_bps": dict(sorted(plan.granted_rate_bps.items())),

@@ -245,7 +245,6 @@ class ScenarioConfig:
             keepalive_period_us=m.keepalive_period_us,
             keepalive_timeout_us=m.keepalive_timeout_us,
             heartbeat_period_us=m.heartbeat_period_us,
-            sync_tolerance_us=m.sync_tolerance_us,
             tpc_enabled=m.tpc.enabled,
             tpc_target_rsni_db=m.tpc.target_rsni_db,
             tpc_max_step_db=m.tpc.max_step_db,

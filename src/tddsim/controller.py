@@ -12,8 +12,8 @@ direction-disjoint slot pools, validated by verify_global.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from .beamforming import BeamMeasurementReport, TrainedLink
 from .channel import (
@@ -27,9 +27,7 @@ from .schedule import (
     Direction,
     ExtendedScheduleEntry,
     ScheduleViolation,
-    SlotAssignment,
     SlotCategory,
-    TddSlotSchedule,
     TddSlotStructure,
 )
 
@@ -51,6 +49,11 @@ class DirectedLink:
     @property
     def vertex_id(self) -> str:
         return f"{self.link_id}:{self.direction.value}"
+
+    @property
+    def reverse_id(self) -> str:
+        """The vertex id of the same link's other direction."""
+        return f"{self.link_id}:{self.direction.reverse().value}"
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -194,28 +197,15 @@ def build_interference_graph(
 # Slot assignment.
 
 
-@dataclass(frozen=True)
-class ApSchedule:
-    ap_id: str
-    entry: ExtendedScheduleEntry
-    structure: TddSlotStructure
-    schedule: TddSlotSchedule
-
-
 @dataclass
 class GlobalSchedule:
-    """Per-AP schedules over one shared slot grid, plus the global slot map."""
+    """The slot map every AP follows: per slot index of the shared grid,
+    its direction and the activations that transmit in it."""
 
-    aps: tuple[ApSchedule, ...]
+    structure: TddSlotStructure
+    entry: ExtendedScheduleEntry
     slot_directions: dict[int, Direction]
     slot_links: dict[int, tuple[str, ...]]  # slot index -> active vertex ids
-    interval_duration_us: int
-
-    def ap(self, ap_id: str) -> ApSchedule:
-        for entry in self.aps:
-            if entry.ap_id == ap_id:
-                return entry
-        raise KeyError(ap_id)
 
 
 @dataclass(frozen=True)
@@ -292,9 +282,7 @@ def assign_slots(
     # responding node transmits in (DL data acks travel uplink, and vice versa).
     basic_need: dict[Direction, list[str]] = {Direction.UPLINK: [], Direction.DOWNLINK: []}
     for vid in active:
-        v = by_id[vid]
-        reverse = Direction.UPLINK if v.direction is Direction.DOWNLINK else Direction.DOWNLINK
-        basic_need[reverse].append(vid)
+        basic_need[by_id[vid].direction.reverse()].append(vid)
 
     n_basic = len(basic_slots)
     if basic_need[Direction.UPLINK] and basic_need[Direction.DOWNLINK]:
@@ -311,19 +299,15 @@ def assign_slots(
     basic_grant: dict[str, int] = {}  # data vertex id -> basic slot index
     basic_members: dict[int, list[str]] = {i: [] for i in basic_indices}
 
-    def reverse_vertex(vid: str) -> str:
-        v = by_id[vid]
-        rev = Direction.UPLINK if v.direction is Direction.DOWNLINK else Direction.DOWNLINK
-        return f"{v.link_id}:{rev.value}"
-
     for direction in (Direction.UPLINK, Direction.DOWNLINK):
         for vid in basic_need[direction]:
-            rev_id = reverse_vertex(vid)
+            rev_id = by_id[vid].reverse_id
             placed = False
             for idx in basic_pool[direction]:
                 members = basic_members[idx]
                 if all(
-                    not graph.conflicts(rev_id, reverse_vertex(other)) and rev_id != reverse_vertex(other)
+                    not graph.conflicts(rev_id, by_id[other].reverse_id)
+                    and rev_id != by_id[other].reverse_id
                     for other in members
                 ):
                     members.append(vid)
@@ -419,10 +403,9 @@ def assign_slots(
 
     scheduled = [vid for vid in schedulable if granted[vid] > 0.0]
 
-    # Materialize per-AP schedules over the shared grid.
+    # Materialize the slot map over the shared grid.
     slot_directions: dict[int, Direction] = {}
     slot_links: dict[int, tuple[str, ...]] = {}
-    per_ap_assignments: dict[str, list[SlotAssignment]] = {}
 
     for direction in (Direction.DOWNLINK, Direction.UPLINK):
         for idx in data_pool[direction]:
@@ -431,46 +414,21 @@ def assign_slots(
                 continue
             slot_directions[idx] = direction
             slot_links[idx] = tuple(sorted(members))
-            for vid in members:
-                v = by_id[vid]
-                per_ap_assignments.setdefault(v.ap_id, []).append(
-                    SlotAssignment(slot_index=idx, assignee=v.sta_id, direction=direction)
-                )
     for vid in scheduled:
         idx = basic_grant[vid]
         v = by_id[vid]
-        reverse = Direction.UPLINK if v.direction is Direction.DOWNLINK else Direction.DOWNLINK
-        rev_id = reverse_vertex(vid)
-        slot_directions[idx] = reverse
-        slot_links[idx] = tuple(sorted(set(slot_links.get(idx, ())) | {rev_id}))
-        assignment = SlotAssignment(slot_index=idx, assignee=v.sta_id, direction=reverse)
-        if assignment not in per_ap_assignments.get(v.ap_id, []):
-            per_ap_assignments.setdefault(v.ap_id, []).append(assignment)
+        slot_directions[idx] = v.direction.reverse()
+        slot_links[idx] = tuple(sorted(set(slot_links.get(idx, ())) | {v.reverse_id}))
 
-    entry = sp_entry or ExtendedScheduleEntry(
-        allocation_id=structure_template.allocation_id,
-        start_time_us=0,
-        duration_us=16 * interval_us,
-    )
-    aps = tuple(
-        ApSchedule(
-            ap_id=ap_id,
-            entry=entry,
-            structure=structure_template,
-            schedule=TddSlotSchedule(
-                allocation_id=structure_template.allocation_id,
-                assignments=tuple(sorted(
-                    assignments, key=lambda a: (a.slot_index, a.assignee)
-                )),
-            ),
-        )
-        for ap_id, assignments in sorted(per_ap_assignments.items())
-    )
     schedule = GlobalSchedule(
-        aps=aps,
+        structure=structure_template,
+        entry=sp_entry or ExtendedScheduleEntry(
+            allocation_id=structure_template.allocation_id,
+            start_time_us=0,
+            duration_us=16 * interval_us,
+        ),
         slot_directions=slot_directions,
         slot_links=slot_links,
-        interval_duration_us=interval_us,
     )
     return AssignmentResult(
         schedule=schedule,
@@ -527,34 +485,22 @@ def verify_global(
                     detail=f"slot {idx} activates {link.vertex_id} below the lowest MCS",
                 ))
 
-    # Reverse-path BASIC coverage per activation that carries data.
-    basic_by_ap: dict[str, set[tuple[str, Direction]]] = {}
-    data_active: list[DirectedLink] = []
-    for entry in schedule.aps:
-        structure_slots = entry.structure.slots
-        for assignment in entry.schedule.assignments:
-            category = structure_slots[assignment.slot_index].category
-            if category is SlotCategory.BASIC:
-                basic_by_ap.setdefault(entry.ap_id, set()).add(
-                    (assignment.assignee, assignment.direction)
-                )
+    # Every activation in a DATA slot needs its reverse path in a BASIC slot.
+    slots = schedule.structure.slots
+    basic = {
+        vid for idx, vids in schedule.slot_links.items()
+        if slots[idx].category is SlotCategory.BASIC for vid in vids
+    }
     for idx, vids in schedule.slot_links.items():
-        for vid in vids:
-            link = by_id.get(vid)
-            if link is None:
-                continue
-            # Only DATA-slot activations require reverse BASIC coverage.
-            entry = schedule.ap(link.ap_id)
-            if entry.structure.slots[idx].category is SlotCategory.DATA:
-                data_active.append(link)
-    for link in data_active:
-        reverse = Direction.UPLINK if link.direction is Direction.DOWNLINK else Direction.DOWNLINK
-        if (link.sta_id, reverse) not in basic_by_ap.get(link.ap_id, set()):
-            violations.append(ScheduleViolation(
-                kind="missing-basic-slot",
-                detail=(
-                    f"{link.vertex_id} carries data but {link.sta_id} holds no "
-                    f"{reverse.value} BASIC slot in the interval"
-                ),
-            ))
+        if slots[idx].category is not SlotCategory.DATA:
+            continue
+        for link in (by_id[v] for v in vids if v in by_id):
+            if link.reverse_id not in basic:
+                violations.append(ScheduleViolation(
+                    kind="missing-basic-slot",
+                    detail=(
+                        f"{link.vertex_id} carries data but {link.sta_id} holds no "
+                        f"{link.direction.reverse().value} BASIC slot in the interval"
+                    ),
+                ))
     return violations

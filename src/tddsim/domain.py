@@ -163,18 +163,6 @@ def mcs_from_snr(table: Sequence[McsEntry], snr_db: float) -> Optional[McsEntry]
 
 
 @dataclass(frozen=True)
-class Requirements:
-    """Service targets used as scenario parameters and validators."""
-
-    max_hop_m: float = 300.0
-    min_dl_rate_bps: float = 4e9
-    max_latency_s: float = 15e-3
-
-
-REQUIREMENTS = Requirements()
-
-
-@dataclass(frozen=True)
 class PowerLimits:
     min_dbm: float = -10.0
     max_dbm: float = 20.0

@@ -32,7 +32,7 @@ from .channel import (
     link_snr_db,
     propagation_delay_us,
 )
-from .controller import AssignmentResult, DirectedLink, InterferenceGraph
+from .controller import AssignmentResult, DirectedLink
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .errors import SimulationError
 from .frames import FrameSizes
@@ -40,12 +40,17 @@ from .maintenance import (
     LinkState,
     ReportSchedule,
     TpcFields,
-    advance_clock,
     emit_link_measurement_report,
     keepalive_check,
     tpc_update,
 )
-from .schedule import Direction, SlotCategory, TddSlotStructure
+from .schedule import (
+    AbsoluteSlot,
+    ExtendedScheduleEntry,
+    SlotCategory,
+    TddSlotStructure,
+    timeline,
+)
 from .trace import TraceRecorder, null_recorder
 
 
@@ -175,23 +180,11 @@ class LinkRuntime:
         return backlog + pending_undelivered
 
 
-@dataclass(frozen=True)
-class SlotInstance:
-    start_us: int
-    end_us: int
-    slot_index: int
-    interval_index: int
-    category: SlotCategory
-    direction: Optional[Direction]
-    actives: tuple[str, ...]  # vertex ids transmitting in this slot
-
-
 @dataclass
 class MaintenanceSettings:
     keepalive_period_us: int = 25600
     keepalive_timeout_us: int = 1_000_000
     heartbeat_period_us: int = 25600
-    sync_tolerance_us: float = 1.0
     tpc_enabled: bool = False
     tpc_target_rsni_db: float = 20.0
     tpc_max_step_db: float = 3.0
@@ -244,10 +237,6 @@ class Metrics:
 
 # ---------------------------------------------------------------------------
 # World.
-
-
-def reverse_vertex_id(vertex: DirectedLink) -> str:
-    return f"{vertex.link_id}:{vertex.direction.reverse().value}"
 
 
 def ticks_per_us(
@@ -353,7 +342,6 @@ class World:
         self.last_rx: dict[tuple[str, str], int] = {}
         self.dead_links: set[str] = set()
 
-        self.slot_instances = self._expand_instances()
         self._adjacent = self._precompute_conflicts()
 
         # utilization accounting in ticks, per slot category
@@ -361,36 +349,6 @@ class World:
         self.usable_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
 
     # -- construction helpers ------------------------------------------------
-
-    def _expand_instances(self) -> list[SlotInstance]:
-        instances: list[SlotInstance] = []
-        t_end = self.epoch_us + self.duration_us
-        interval_us = self.structure.interval_duration_us
-        n_intervals = self.sp_duration_us // interval_us
-        slot_dirs = self.plan.schedule.slot_directions
-        slot_links = self.plan.schedule.slot_links
-        bi_start = self.epoch_us
-        interval_counter = 0
-        while bi_start < t_end:
-            sp_start = bi_start + self.sp_offset_us
-            for i in range(n_intervals):
-                base = sp_start + i * interval_us
-                if base + interval_us > t_end:
-                    break
-                for idx, slot in enumerate(self.structure.slots):
-                    start = base + slot.start_offset_us
-                    instances.append(SlotInstance(
-                        start_us=start,
-                        end_us=start + slot.duration_us,
-                        slot_index=idx,
-                        interval_index=interval_counter,
-                        category=slot.category,
-                        direction=slot_dirs.get(idx),
-                        actives=slot_links.get(idx, ()),
-                    ))
-                interval_counter += 1
-            bi_start += self.beacon_interval_us
-        return instances
 
     def _precompute_conflicts(self) -> dict[int, frozenset[str]]:
         """Per slot index, the vertex ids whose decode fails from interference."""
@@ -466,11 +424,15 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
 
 def _seed_events(world: World) -> None:
     tpu = world.tpu
-    for instance in world.slot_instances:
-        world.queue.push(instance.start_us * tpu, _on_slot_boundary, (instance,))
+    t_end = world.epoch_us + world.duration_us
+    first_sp = ExtendedScheduleEntry(
+        world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
+        world.sp_duration_us,
+    )
+    for slot in timeline(first_sp, world.structure, world.beacon_interval_us, t_end):
+        world.queue.push(slot.start_us * tpu, _on_slot_boundary, (slot,))
     interval_us = world.structure.interval_duration_us
     t = world.epoch_us
-    t_end = world.epoch_us + world.duration_us
     while t <= t_end:
         world.queue.push(t * tpu, _on_maintenance_tick, ())
         t += interval_us
@@ -480,38 +442,41 @@ def _seed_events(world: World) -> None:
             world.queue.push(first * tpu, _on_arrival, (rt,))
 
 
-def _on_slot_boundary(world: World, now: int, instance: SlotInstance) -> None:
+def _on_slot_boundary(world: World, now: int, slot: AbsoluteSlot) -> None:
+    schedule = world.plan.schedule
+    direction = schedule.slot_directions.get(slot.slot_index)
+    actives = schedule.slot_links.get(slot.slot_index, ())
     world.trace.record(
-        instance.start_us, "slot",
-        slot_index=instance.slot_index,
-        interval=instance.interval_index,
-        category=instance.category.value,
-        direction=instance.direction.value if instance.direction else None,
-        links=list(instance.actives) or None,
+        slot.start_us, "slot",
+        slot_index=slot.slot_index,
+        interval=slot.interval_index,
+        category=slot.category.value,
+        direction=direction.value if direction else None,
+        links=list(actives) or None,
     )
-    interfered = world._adjacent.get(instance.slot_index, frozenset())
-    slot_end = instance.end_us * world.tpu
+    interfered = world._adjacent.get(slot.slot_index, frozenset())
+    slot_end = slot.end_us * world.tpu
 
-    for vid in instance.actives:
-        if instance.category is SlotCategory.BASIC:
+    for vid in actives:
+        if slot.category is SlotCategory.BASIC:
             # The BASIC active is the reverse path of a data activation.
-            data_vertex = world.graph_vertices.get(vid)
-            if data_vertex is None:
+            reverse_vertex = world.graph_vertices.get(vid)
+            if reverse_vertex is None:
                 continue
-            data_id = reverse_vertex_id(data_vertex)
+            data_id = reverse_vertex.reverse_id
             rt = world.runtimes.get(data_id)
             if rt is None or rt.dead:
                 continue
             controls = []
             if rt.rx_since_ack:
                 controls.append("block_ack")
-            for report_vid in world.report_due.get(instance.start_us, []):
+            for report_vid in world.report_due.get(slot.start_us, []):
                 if report_vid == data_id:
                     controls.append("report")
             if controls:
                 rt.control_queue.extend(controls)
                 rt.interfered_now = vid in interfered
-                world.usable_air[instance.category.value] += slot_end - rt.prop - now
+                world.usable_air[slot.category.value] += slot_end - rt.prop - now
                 world.queue.push(now, _on_control_tx, (rt, now))
         else:
             rt = world.runtimes.get(vid)
@@ -520,11 +485,11 @@ def _on_slot_boundary(world: World, now: int, instance: SlotInstance) -> None:
             rt.interfered_now = vid in interfered
             window_end = slot_end - rt.prop
             rt.active_until = window_end
-            world.usable_air[instance.category.value] += window_end - now
+            world.usable_air[slot.category.value] += window_end - now
             if not rt.chained:
                 rt.chained = True
                 world.queue.push(
-                    now, _on_data_tx, (rt, instance.category.value, window_end)
+                    now, _on_data_tx, (rt, slot.category.value, window_end)
                 )
 
 
@@ -592,7 +557,7 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
         return
     what = rt.control_queue.popleft()
     vertex = rt.vertex
-    rate_bps = world.control_rate_bps(reverse_vertex_id(vertex))
+    rate_bps = world.control_rate_bps(vertex.reverse_id)
     if rate_bps <= 0:
         return
     rate = int(rate_bps)
@@ -754,10 +719,6 @@ def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
 
 def _on_maintenance_tick(world: World, now: int) -> None:
     settings = world.maintenance
-    interval_us = world.structure.interval_duration_us
-    for node in world.nodes.values():
-        node.clock = advance_clock(node.clock, interval_us, settings.sync_tolerance_us)
-
     t_us = now // world.tpu  # maintenance ticks fall on whole microseconds
     heartbeat_due = (t_us - world.epoch_us) % settings.heartbeat_period_us == 0
     ticked_aps = set()

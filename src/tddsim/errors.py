@@ -9,10 +9,6 @@ class ProtocolError(Exception):
     """A node received an event its protocol state cannot accept."""
 
 
-class NoTxOpportunityError(Exception):
-    """No transmit slot exists for the request within the search horizon."""
-
-
 class SimulationError(AssertionError):
     """Internal engine invariant broken (a bug, not a scenario problem)."""
 

@@ -1,26 +1,8 @@
-"""MAC frame kinds and size defaults used across scheduling and the engine."""
+"""MAC frame size defaults used by the engine and the configuration."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-
-
-class FrameKind(Enum):
-    DATA = "data"
-    ACK = "ack"
-    BLOCK_ACK = "block_ack"
-    ANNOUNCE = "announce"
-    TDD_SSW = "tdd_ssw"
-    TDD_SSW_FEEDBACK = "tdd_ssw_feedback"
-    TDD_SSW_ACK = "tdd_ssw_ack"
-    LINK_MEASUREMENT_REQUEST = "link_measurement_request"
-    LINK_MEASUREMENT_REPORT = "link_measurement_report"
-    # Immediate-response exchanges, prohibited inside TDD slots.
-    RTS = "rts"
-    DMG_CTS = "dmg_cts"
-    GRANT = "grant"
-    GRANT_ACK = "grant_ack"
 
 
 @dataclass(frozen=True)

@@ -1,73 +1,27 @@
-"""Link maintenance: announce-carried control elements, keep-alive tracking,
-clock quality, unsolicited periodic link measurement, and transmit power
-control.
+"""Link maintenance: keep-alive tracking, unsolicited periodic link
+measurement, and transmit power control.
 
-Heartbeat, Keep Alive and Bandwidth Request are payload elements inside
-Announce frames rather than standalone frame types. Periodic link
-measurement is negotiated once by a request element and then runs
+Periodic link measurement is negotiated once by a request and then runs
 unsolicited on the agreed schedule; each emission is aligned to the start
 of the covering transmit slot of the reporting node.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .channel import LinkSample
-from .domain import ClockModel, ClockQuality, PowerLimits
+from .domain import PowerLimits
 from .errors import ProtocolError
-from .schedule import AbsoluteSlot, SlotAssignment
+from .schedule import AbsoluteSlot
 
-BROADCAST = "*"
-
-DEFAULT_SYNC_TOLERANCE_US = 1.0
 DEFAULT_TPC_MAX_STEP_DB = 3.0
 
 
 # ---------------------------------------------------------------------------
-# Announce frame and its element payloads.
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """Periodic AP presence beacon carrying parameter and slot-grant updates."""
-
-    updated_params: dict = field(default_factory=dict)
-    tx_rx_slot_grants: tuple[SlotAssignment, ...] = ()
-
-
-@dataclass(frozen=True)
-class KeepAlive:
-    period_us: int
-    negotiated_rx_slots: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.period_us <= 0:
-            raise ValueError("keep-alive period must be positive")
-
-
-@dataclass(frozen=True)
-class TddBandwidthRequest:
-    queue_size_bytes: int
-    arrival_rate_bps: float
-    traffic_id: int
-
-    def __post_init__(self):
-        if self.queue_size_bytes < 0 or self.arrival_rate_bps < 0:
-            raise ValueError("bandwidth request fields must be non-negative")
-
-
-@dataclass(frozen=True)
-class PerChainParams:
-    """PHY counters per chain; carried structurally and zero-filled."""
-
-    ppdus: int = 0
-    ldpc_codewords: int = 0
-    sc_blocks: int = 0
-    ofdm_symbols: int = 0
+# Periodic link measurement.
 
 
 @dataclass(frozen=True)
@@ -75,22 +29,6 @@ class TpcFields:
     tx_power_dbm: float
     target_rsni_db: float
     max_step_db: float = DEFAULT_TPC_MAX_STEP_DB
-
-
-@dataclass(frozen=True)
-class DmgLinkMargin:
-    per_chain_params: tuple[PerChainParams, ...]
-    tpc_fields: TpcFields
-
-
-@dataclass(frozen=True)
-class TddSynchronization:
-    clock_quality: ClockQuality
-    accuracy_us: float
-
-    def __post_init__(self):
-        if self.accuracy_us < 0:
-            raise ValueError("accuracy must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -107,47 +45,6 @@ class PeriodicReportRequest:
 
     def nominal_times(self) -> tuple[int, ...]:
         return tuple(self.start_time_us + k * self.interval_us for k in range(self.count))
-
-
-MaintenanceElement = Union[
-    Heartbeat, KeepAlive, TddBandwidthRequest, DmgLinkMargin,
-    TddSynchronization, PeriodicReportRequest,
-]
-
-
-@dataclass(frozen=True)
-class AnnounceFrame:
-    sender: str
-    receiver: str  # BROADCAST for broadcast delivery
-    needs_ack: bool
-    elements: tuple[MaintenanceElement, ...]
-    encrypted: bool = False
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.receiver == BROADCAST
-
-
-def build_announce(
-    sender: str,
-    receiver: str,
-    elements: Sequence[MaintenanceElement],
-    needs_ack: bool,
-    encrypted: bool = False,
-) -> AnnounceFrame:
-    """Assemble an Announce frame carrying one or more maintenance elements."""
-    if not elements:
-        raise ValueError("announce frame needs at least one element")
-    if receiver == BROADCAST and needs_ack:
-        raise ValueError("broadcast announce cannot require acknowledgement")
-    return AnnounceFrame(
-        sender=sender, receiver=receiver, needs_ack=needs_ack,
-        elements=tuple(elements), encrypted=encrypted,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Periodic link measurement.
 
 
 @dataclass(frozen=True)
@@ -248,32 +145,3 @@ def tpc_update(
     error = measured_rsni_db - target_rsni_db
     step = max(-max_step_db, min(max_step_db, error))
     return limits.clamp(current_dbm - step)
-
-
-def tpc_rounds_to_converge(initial_error_db: float, max_step_db: float) -> int:
-    """Upper bound on update rounds until |error| < max_step."""
-    return math.ceil(abs(initial_error_db) / max_step_db) + 1
-
-
-# ---------------------------------------------------------------------------
-# Clock model.
-
-
-def advance_clock(
-    clock: ClockModel,
-    dt_us: float,
-    sync_tolerance_us: float = DEFAULT_SYNC_TOLERANCE_US,
-) -> ClockModel:
-    """Accumulate drift over dt; demote to HOLDOVER past the sync tolerance."""
-    if dt_us < 0:
-        raise ValueError("dt_us must be non-negative")
-    offset = clock.offset_us + clock.drift_ppm * dt_us / 1e6
-    quality = clock.quality
-    if quality is ClockQuality.GLOBAL_SYNC and abs(offset) > sync_tolerance_us:
-        quality = ClockQuality.HOLDOVER
-    return replace(clock, offset_us=offset, quality=quality)
-
-
-def resync_clock(clock: ClockModel) -> ClockModel:
-    """Snap back to global time; the sync protocol itself is out of scope."""
-    return replace(clock, offset_us=0.0, quality=ClockQuality.GLOBAL_SYNC)

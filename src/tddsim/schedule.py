@@ -1,27 +1,20 @@
-"""TDD service-period scheduling: slot structures, access assignment and
-the delayed-acknowledgement rule.
+"""TDD service-period scheduling: slot structures and the run's slot timeline.
 
-Time hierarchy: a TDD SP (one extended-schedule entry) is a run of
-consecutive, adjacent TDD intervals; each interval holds the same ordered
-list of TDD slots. Slots carry unidirectional traffic; a station never
-both transmits and receives within one slot. Acks are deferred to the
-start of the acker's earliest BASIC transmit slot.
+Time hierarchy: a beacon interval carries one TDD SP (one extended-schedule
+entry); an SP is a run of consecutive, adjacent TDD intervals; each interval
+holds the same ordered list of TDD slots. Slots carry unidirectional
+traffic; a station never both transmits and receives within one slot.
 
 All times are integer microseconds.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator
 
-from .domain import NodeModel
-from .errors import NoTxOpportunityError, StructureError
-from .frames import FrameKind
-
-UNASSIGNED = "__unassigned__"
+from .errors import StructureError
 
 
 class SlotCategory(Enum):
@@ -67,23 +60,7 @@ class TddSlotStructure:
     slots: tuple[SlotSpec, ...]
 
 
-@dataclass(frozen=True)
-class SlotAssignment:
-    slot_index: int
-    assignee: str  # STA id, or UNASSIGNED
-    direction: Direction
-
-
-@dataclass(frozen=True)
-class TddSlotSchedule:
-    allocation_id: int
-    assignments: tuple[SlotAssignment, ...]
-
-    def by_slot(self) -> dict[int, SlotAssignment]:
-        return {a.slot_index: a for a in self.assignments}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsoluteSlot:
     """One concrete slot instance on the simulation timeline."""
 
@@ -93,21 +70,10 @@ class AbsoluteSlot:
     start_us: int
     duration_us: int
     category: SlotCategory
-    assignee: str
-    direction: Optional[Direction]
-    owner_ap: str = ""
 
     @property
     def end_us(self) -> int:
         return self.start_us + self.duration_us
-
-    @property
-    def is_assigned(self) -> bool:
-        return self.assignee != UNASSIGNED
-
-    def transmitter_is_assignee(self) -> bool:
-        """In UPLINK slots the assignee STA transmits; in DOWNLINK the AP does."""
-        return self.direction is Direction.UPLINK
 
 
 def default_slot_structure(allocation_id: int = 0) -> TddSlotStructure:
@@ -168,140 +134,49 @@ def validate_structure(structure: TddSlotStructure) -> list[ScheduleViolation]:
     return violations
 
 
-def validate_schedule(
-    structure: TddSlotStructure, schedule: TddSlotSchedule
-) -> list[ScheduleViolation]:
-    """All structural violations of the pair; empty list means well-formed."""
-    violations = validate_structure(structure)
-    if schedule.allocation_id != structure.allocation_id:
-        violations.append(
-            ScheduleViolation(
-                "allocation-mismatch",
-                f"schedule allocation {schedule.allocation_id} != structure {structure.allocation_id}",
-            )
-        )
-    n_slots = len(structure.slots)
-    seen: dict[int, SlotAssignment] = {}
-    for a in schedule.assignments:
-        if not 0 <= a.slot_index < n_slots:
-            violations.append(
-                ScheduleViolation("dangling-slot-index", f"assignment references slot {a.slot_index}")
-            )
-            continue
-        if a.slot_index in seen:
-            prev = seen[a.slot_index]
-            if prev.direction is not a.direction:
-                violations.append(
-                    ScheduleViolation("dual-direction-slot", f"slot {a.slot_index} assigned both directions")
-                )
-            else:
-                violations.append(
-                    ScheduleViolation("duplicate-assignment", f"slot {a.slot_index} assigned twice")
-                )
-        else:
-            seen[a.slot_index] = a
-    return violations
-
-
-def expand_sp(
-    entry: ExtendedScheduleEntry,
+def timeline(
+    first_sp: ExtendedScheduleEntry,
     structure: TddSlotStructure,
-    schedule: Optional[TddSlotSchedule] = None,
-    owner_ap: str = "",
-) -> list[AbsoluteSlot]:
-    """Expand one TDD SP into absolute slots: intervals x slots-per-interval.
+    beacon_interval_us: int,
+    t_end_us: int,
+) -> Iterator[AbsoluteSlot]:
+    """Every slot of a run, in time order.
 
-    The SP duration must be an integer multiple of the interval duration;
-    intervals are adjacent and consecutive. Assignments annotate every
-    interval identically.
+    The TDD SP `first_sp` recurs once per beacon interval, and each SP is a
+    whole number of adjacent TDD intervals. Only intervals that end by
+    `t_end_us` run; a partial final interval is dropped. `interval_index`
+    counts intervals across the whole run, from 0.
     """
-    if not entry.is_tdd:
+    if not first_sp.is_tdd:
         raise ValueError("entry is not a TDD SP")
-    if structure.allocation_id != entry.allocation_id:
+    if structure.allocation_id != first_sp.allocation_id:
         raise ValueError(
-            f"structure allocation {structure.allocation_id} != entry {entry.allocation_id}"
+            f"structure allocation {structure.allocation_id} != entry {first_sp.allocation_id}"
         )
-    if schedule is not None and schedule.allocation_id != entry.allocation_id:
-        raise ValueError(
-            f"schedule allocation {schedule.allocation_id} != entry {entry.allocation_id}"
-        )
-    if entry.duration_us % structure.interval_duration_us != 0:
+    interval_us = structure.interval_duration_us
+    if first_sp.duration_us % interval_us != 0:
         raise StructureError(
-            f"SP duration {entry.duration_us} is not a multiple of interval "
-            f"{structure.interval_duration_us}"
+            f"SP duration {first_sp.duration_us} is not a multiple of interval {interval_us}"
         )
-    n_intervals = entry.duration_us // structure.interval_duration_us
-    by_slot = schedule.by_slot() if schedule is not None else {}
-    out: list[AbsoluteSlot] = []
-    for interval in range(n_intervals):
-        interval_start = entry.start_time_us + interval * structure.interval_duration_us
-        for idx, spec in enumerate(structure.slots):
-            assignment = by_slot.get(idx)
-            out.append(
-                AbsoluteSlot(
-                    sp_allocation_id=entry.allocation_id,
-                    interval_index=interval,
-                    slot_index=idx,
-                    start_us=interval_start + spec.start_offset_us,
-                    duration_us=spec.duration_us,
-                    category=spec.category,
-                    assignee=assignment.assignee if assignment else UNASSIGNED,
-                    direction=assignment.direction if assignment else None,
-                    owner_ap=owner_ap,
+    if beacon_interval_us < first_sp.duration_us:
+        raise ValueError("the SP does not fit in the beacon interval")
+    n_intervals = first_sp.duration_us // interval_us
+    interval_index = 0
+    sp_start = first_sp.start_time_us
+    while True:
+        for k in range(n_intervals):
+            base = sp_start + k * interval_us
+            if base + interval_us > t_end_us:
+                return
+            for slot_index, spec in enumerate(structure.slots):
+                yield AbsoluteSlot(
+                    first_sp.allocation_id, interval_index, slot_index,
+                    base + spec.start_offset_us, spec.duration_us, spec.category,
                 )
-            )
-    return out
+            interval_index += 1
+        sp_start += beacon_interval_us
 
 
-def next_basic_tx_slot(
-    slots: Sequence[AbsoluteSlot],
-    sta: str,
-    after_us: int,
-    direction: Direction = Direction.UPLINK,
-) -> AbsoluteSlot:
-    """Earliest BASIC slot starting strictly after `after_us` in which the
-    pending frame's sender transmits.
-
-    With direction UPLINK the assignee STA itself transmits; with DOWNLINK
-    the slot is the AP's transmit opportunity toward that STA. `slots` must
-    be sorted by start time.
-    """
-    starts = [s.start_us for s in slots]
-    i = bisect.bisect_right(starts, after_us)
-    for slot in slots[i:]:
-        if (
-            slot.category is SlotCategory.BASIC
-            and slot.assignee == sta
-            and slot.direction is direction
-        ):
-            return slot
-    raise NoTxOpportunityError(
-        f"no BASIC {direction.value} transmit slot for {sta} after t={after_us}us"
-    )
-
-
-# Frame exchanges that solicit an immediate response serve no purpose when
-# delayed, so they are barred from TDD slots entirely.
-_PROHIBITED_IN_TDD_SLOT = frozenset(
-    {FrameKind.RTS, FrameKind.DMG_CTS, FrameKind.GRANT, FrameKind.GRANT_ACK}
-)
-
-
-def is_frame_allowed_in_tdd_slot(frame_kind: FrameKind) -> bool:
-    return frame_kind not in _PROHIBITED_IN_TDD_SLOT
-
-
-def can_access_tdd_sp(sta: NodeModel, entry: ExtendedScheduleEntry) -> bool:
-    """Only TDD-capable stations may access a TDD SP; others treat it as a
-    foreign conventional SP. Conventional SPs are out of scope here."""
-    return sta.tdd_capable and entry.is_tdd
-
-
-def entries_overlap(entries: Sequence[ExtendedScheduleEntry]) -> list[tuple[int, int]]:
-    """Pairs of allocation_ids whose SP windows overlap in time."""
-    ordered = sorted(entries, key=lambda e: e.start_time_us)
-    clashes = []
-    for a, b in zip(ordered, ordered[1:]):
-        if a.end_time_us > b.start_time_us:
-            clashes.append((a.allocation_id, b.allocation_id))
-    return clashes
+def expand_sp(entry: ExtendedScheduleEntry, structure: TddSlotStructure) -> list[AbsoluteSlot]:
+    """The slots of one TDD SP: intervals x slots-per-interval."""
+    return list(timeline(entry, structure, entry.duration_us, entry.end_time_us))

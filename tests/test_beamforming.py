@@ -8,7 +8,6 @@ from tddsim.beamforming import (
     TddSswFrame,
     make_sweep_plan,
     run_beamforming,
-    select_best_rx_sector,
 )
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.errors import ProtocolError
@@ -93,12 +92,6 @@ def test_ssw_frame_validation():
                     ack_offset_us={"a": 8, "b": 12})
     ok = TddSswFrame("i", 2, 5, True, feedback_offset_us={"a": 4}, ack_offset_us={"a": 8})
     assert ok.tx_sector_index == 2 and ok.end_of_training
-
-
-def test_select_best_rx_sector_tie_breaks_low():
-    assert select_best_rx_sector([(3, 10.0), (1, 12.0), (2, 12.0)]) == (1, 12.0)
-    with pytest.raises(ValueError):
-        select_best_rx_sector([])
 
 
 def test_individual_training_matches_brute_force():

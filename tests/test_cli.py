@@ -5,7 +5,15 @@ import sys
 import pytest
 import yaml
 
-from tddsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from tddsim.cli import (
+    EXIT_CONFIG,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    build_report_schedules,
+    main,
+    plan_scenario,
+    prepare_scenario,
+)
 from tddsim.config import load_config, serialize_config
 
 from conftest import SCENARIOS
@@ -191,3 +199,50 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+@pytest.mark.parametrize("duration_ms", range(205, 216))
+def test_report_emissions_fall_on_basic_slots_the_engine_runs(duration_ms, tmp_path, capsys):
+    """The third report of reports.yaml is due at 210 ms, near the run's end.
+
+    Report scheduling and the engine must agree on which slots exist there:
+    a report accepted into a slot the engine never runs would be lost.
+    """
+    path = SCENARIOS / "reports.yaml"
+    trace_path = tmp_path / "trace.jsonl"
+    assert run_cli(
+        "run", "--config", str(path), "--duration-ms", str(duration_ms),
+        "--trace", str(trace_path),
+    ) == EXIT_OK
+    err = capsys.readouterr().err
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    basic_starts = {
+        r["t"] for r in records if r["kind"] == "slot" and r["category"] == "basic"
+    }
+    sent = [
+        r["t"] for r in records
+        if r["kind"] == "frame_tx" and r["frame"] == "link_measurement_report"
+    ]
+
+    cfg = load_config(str(path))
+    cfg.sim.duration_us = duration_ms * 1000
+    prep = prepare_scenario(cfg)
+    schedules, warnings = build_report_schedules(prep, plan_scenario(prep))
+    emitted = sorted(t for s in schedules.values() for t in s.emission_times_us)
+    assert set(emitted) <= basic_starts
+    assert sent == emitted
+    assert err == "".join(f"{w}\n" for w in warnings)
+
+
+def test_report_request_past_the_last_whole_interval_is_rejected(capsys):
+    # At 212 ms the slot covering the 210 ms report (211.2 ms) lies in a
+    # partial final interval, which the engine does not run.
+    path = str(SCENARIOS / "reports.yaml")
+    errs = []
+    for duration_ms in ("211", "212"):
+        assert run_cli("run", "--config", path, "--duration-ms", duration_ms) == EXIT_OK
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "report request for dn1-cn1:downlink rejected: "
+        "no transmit slot covers report time 210000us\n"
+    )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
@@ -5,14 +7,13 @@ from tddsim.channel import LinkBudgetConfig
 from tddsim.controller import (
     AssignmentResult,
     DemandSpec,
-    GlobalSchedule,
     InterferenceGraph,
     assign_slots,
     build_interference_graph,
     links_from_trained,
     verify_global,
 )
-from tddsim.schedule import Direction, SlotCategory, default_slot_structure
+from tddsim.schedule import Direction, default_slot_structure
 
 from conftest import make_ap, make_node
 
@@ -177,8 +178,7 @@ def test_assign_slots_single_downlink():
     assert result.schedule.slot_directions[0] is Direction.UPLINK
     # The second BASIC slot stays unassigned.
     assert 12 not in result.schedule.slot_links
-    ap_sched = result.schedule.ap("ap")
-    assert len(ap_sched.schedule.assignments) == 23
+    assert len(result.schedule.slot_links) == 23
     assert verify_global(result.schedule, graph) == []
 
 
@@ -314,32 +314,26 @@ def test_verify_global_flags_planted_conflicts():
     result = assign_slots(graph, demands, default_slot_structure(1))
     assert verify_global(result.schedule, graph) == []
     # Plant both conflicting links into one slot.
-    broken = GlobalSchedule(
-        aps=result.schedule.aps,
-        slot_directions=dict(result.schedule.slot_directions),
+    broken = replace(
+        result.schedule,
         slot_links={**result.schedule.slot_links,
                     1: ("ap-sta:downlink", "ap-sta2:downlink")},
-        interval_duration_us=result.schedule.interval_duration_us,
     )
     kinds = {v.kind for v in verify_global(broken, graph)}
     assert "interference-conflict" in kinds
     assert "tx-rx-overlap" not in kinds  # both transmit from the AP
     # Mixing directions in a slot is flagged even without interference.
-    mixed = GlobalSchedule(
-        aps=result.schedule.aps,
-        slot_directions=dict(result.schedule.slot_directions),
+    mixed = replace(
+        result.schedule,
         slot_links={**result.schedule.slot_links,
                     2: ("ap-sta:downlink", "ap-sta2:uplink")},
-        interval_duration_us=result.schedule.interval_duration_us,
     )
     kinds = {v.kind for v in verify_global(mixed, graph)}
     assert "duplex-mixing" in kinds
     assert "tx-rx-overlap" in kinds  # the AP would transmit and receive at once
-    unknown = GlobalSchedule(
-        aps=result.schedule.aps,
-        slot_directions=dict(result.schedule.slot_directions),
+    unknown = replace(
+        result.schedule,
         slot_links={**result.schedule.slot_links, 3: ("ghost:downlink",)},
-        interval_duration_us=result.schedule.interval_duration_us,
     )
     kinds = {v.kind for v in verify_global(unknown, graph)}
     assert "unknown-link" in kinds
@@ -349,18 +343,11 @@ def test_verify_global_wants_reverse_basic_coverage():
     graph = single_link_graph()
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 1.0e9)]
     result = assign_slots(graph, demands, default_slot_structure(1))
-    # Strip the BASIC assignments from the AP schedule.
-    entry = result.schedule.aps[0]
-    stripped_assignments = tuple(
-        a for a in entry.schedule.assignments
-        if entry.structure.slots[a.slot_index].category is not SlotCategory.BASIC
-    )
-    from dataclasses import replace
-    stripped = GlobalSchedule(
-        aps=(replace(entry, schedule=replace(entry.schedule, assignments=stripped_assignments)),),
+    # Strip the BASIC slots from the slot map.
+    stripped = replace(
+        result.schedule,
         slot_directions={k: v for k, v in result.schedule.slot_directions.items() if k not in (0, 12)},
         slot_links={k: v for k, v in result.schedule.slot_links.items() if k not in (0, 12)},
-        interval_duration_us=result.schedule.interval_duration_us,
     )
     kinds = {v.kind for v in verify_global(stripped, graph)}
     assert "missing-basic-slot" in kinds

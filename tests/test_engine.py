@@ -334,7 +334,7 @@ def test_tpc_walks_power_toward_target():
     assert world.nodes["ap"].tx_power_dbm == pytest.approx(1.0, abs=1e-6)
     # The power changes invalidated the cached link budgets.
     for rt in world.runtimes.values():
-        for vertex in (rt.vertex, world.graph_vertices[engine.reverse_vertex_id(rt.vertex)]):
+        for vertex in (rt.vertex, world.graph_vertices[rt.vertex.reverse_id]):
             fresh = link_snr_db(
                 world.nodes[vertex.tx_node], vertex.tx_sector,
                 world.nodes[vertex.rx_node], vertex.rx_sector, CHANNEL,

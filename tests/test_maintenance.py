@@ -1,84 +1,37 @@
 import pytest
 
 from tddsim.channel import LinkSample
-from tddsim.domain import ClockModel, ClockQuality, PowerLimits
+from tddsim.domain import PowerLimits
 from tddsim.errors import ProtocolError
 from tddsim.maintenance import (
-    BROADCAST,
-    AnnounceFrame,
-    Heartbeat,
-    KeepAlive,
     LinkState,
     PeriodicReportRequest,
-    TddBandwidthRequest,
-    TddSynchronization,
     TpcFields,
-    advance_clock,
-    build_announce,
     emit_link_measurement_report,
     handle_periodic_report_request,
     keepalive_check,
-    resync_clock,
-    tpc_rounds_to_converge,
     tpc_update,
 )
 from tddsim.schedule import (
-    Direction,
     ExtendedScheduleEntry,
-    SlotAssignment,
     SlotCategory,
-    TddSlotSchedule,
     default_slot_structure,
     expand_sp,
 )
 
 
 def responder_tx_slots(duration_us=25600):
-    """BASIC uplink slots of one SP: the STA's transmit opportunities."""
-    schedule = TddSlotSchedule(
-        1,
-        (
-            SlotAssignment(0, "sta", Direction.UPLINK),
-            SlotAssignment(12, "sta", Direction.UPLINK),
-        ),
-    )
+    """The BASIC slots of one SP, all the STA's transmit opportunities."""
     entry = ExtendedScheduleEntry(1, 0, duration_us)
-    slots = expand_sp(entry, default_slot_structure(1), schedule)
-    return [
-        s for s in slots
-        if s.category is SlotCategory.BASIC and s.assignee == "sta"
-        and s.direction is Direction.UPLINK
-    ]
-
-
-def test_announce_assembly_and_broadcast_rule():
-    hb = Heartbeat(updated_params={"power": 10})
-    frame = build_announce("ap", BROADCAST, [hb], needs_ack=False)
-    assert frame.is_broadcast and not frame.needs_ack
-    assert frame.elements == (hb,)
-    directed = build_announce("ap", "sta", [KeepAlive(period_us=1000)], needs_ack=True)
-    assert not directed.is_broadcast and directed.needs_ack
-    with pytest.raises(ValueError):
-        build_announce("ap", BROADCAST, [hb], needs_ack=True)
-    with pytest.raises(ValueError):
-        build_announce("ap", "sta", [], needs_ack=False)
+    slots = expand_sp(entry, default_slot_structure(1))
+    return [s for s in slots if s.category is SlotCategory.BASIC]
 
 
 def test_element_validation():
     with pytest.raises(ValueError):
-        KeepAlive(period_us=0)
-    with pytest.raises(ValueError):
-        TddBandwidthRequest(queue_size_bytes=-1, arrival_rate_bps=0, traffic_id=0)
-    with pytest.raises(ValueError):
-        TddSynchronization(clock_quality=ClockQuality.GLOBAL_SYNC, accuracy_us=-0.1)
-    with pytest.raises(ValueError):
         PeriodicReportRequest(start_time_us=0, interval_us=0, count=1)
     with pytest.raises(ValueError):
         PeriodicReportRequest(start_time_us=0, interval_us=100, count=0)
-    # A bandwidth request rides inside an announce like any other element.
-    bw = TddBandwidthRequest(queue_size_bytes=1 << 20, arrival_rate_bps=1e9, traffic_id=3)
-    frame = build_announce("sta", "ap", [bw], needs_ack=True)
-    assert isinstance(frame, AnnounceFrame)
 
 
 def test_report_request_nominal_times():
@@ -160,29 +113,3 @@ def test_tpc_walk_converges_from_nine_db_error():
         history.append(power)
     assert history == [7.0, 4.0, 1.0, 1.0]
     assert abs(rsni - target) <= 3.0
-    assert tpc_rounds_to_converge(9.0, 3.0) == 4
-
-
-def test_advance_clock_drift_and_holdover():
-    clock = ClockModel(drift_ppm=2.0, offset_us=0.0, quality=ClockQuality.GLOBAL_SYNC)
-    # 2 ppm over 100 ms accumulates 0.2 us.
-    moved = advance_clock(clock, 100_000.0)
-    assert moved.offset_us == pytest.approx(0.2)
-    assert moved.quality is ClockQuality.GLOBAL_SYNC
-    # Past the 1 us tolerance the clock demotes to holdover.
-    late = advance_clock(moved, 500_000.0)
-    assert late.offset_us == pytest.approx(1.2)
-    assert late.quality is ClockQuality.HOLDOVER
-    # Negative drift trips the same absolute-value guard.
-    neg = advance_clock(ClockModel(drift_ppm=-3.0), 400_000.0)
-    assert neg.quality is ClockQuality.HOLDOVER
-    with pytest.raises(ValueError):
-        advance_clock(clock, -1.0)
-
-
-def test_resync_restores_global_sync():
-    stale = ClockModel(drift_ppm=5.0, offset_us=4.2, quality=ClockQuality.HOLDOVER)
-    fresh = resync_clock(stale)
-    assert fresh.offset_us == 0.0
-    assert fresh.quality is ClockQuality.GLOBAL_SYNC
-    assert fresh.drift_ppm == 5.0

@@ -1,38 +1,17 @@
 import pytest
 
-from tddsim.errors import NoTxOpportunityError, StructureError
-from tddsim.frames import FrameKind
+from tddsim.errors import StructureError
 from tddsim.schedule import (
-    UNASSIGNED,
     Direction,
     ExtendedScheduleEntry,
-    SlotAssignment,
     SlotCategory,
     SlotSpec,
-    TddSlotSchedule,
     TddSlotStructure,
-    can_access_tdd_sp,
     default_slot_structure,
-    entries_overlap,
     expand_sp,
-    is_frame_allowed_in_tdd_slot,
-    next_basic_tx_slot,
-    validate_schedule,
+    timeline,
     validate_structure,
 )
-
-from conftest import make_node
-
-
-def simple_schedule(alloc=1):
-    return TddSlotSchedule(
-        allocation_id=alloc,
-        assignments=(
-            SlotAssignment(0, "sta", Direction.UPLINK),
-            SlotAssignment(1, "sta", Direction.DOWNLINK),
-            SlotAssignment(12, "sta", Direction.DOWNLINK),
-        ),
-    )
 
 
 def test_direction_reverse():
@@ -82,53 +61,19 @@ def test_validate_structure_rejections():
     assert "no-basic-slot" in kinds
 
 
-def test_validate_schedule_rejections():
-    structure = default_slot_structure(1)
-    assert validate_schedule(structure, simple_schedule()) == []
-
-    mismatch = validate_schedule(structure, simple_schedule(alloc=2))
-    assert any(v.kind == "allocation-mismatch" for v in mismatch)
-
-    dangling = TddSlotSchedule(1, (SlotAssignment(24, "sta", Direction.UPLINK),))
-    assert any(v.kind == "dangling-slot-index" for v in validate_schedule(structure, dangling))
-
-    dual = TddSlotSchedule(
-        1,
-        (
-            SlotAssignment(3, "a", Direction.UPLINK),
-            SlotAssignment(3, "b", Direction.DOWNLINK),
-        ),
-    )
-    assert any(v.kind == "dual-direction-slot" for v in validate_schedule(structure, dual))
-
-    dup = TddSlotSchedule(
-        1,
-        (
-            SlotAssignment(3, "a", Direction.UPLINK),
-            SlotAssignment(3, "b", Direction.UPLINK),
-        ),
-    )
-    assert any(v.kind == "duplicate-assignment" for v in validate_schedule(structure, dup))
-
-
 def test_expand_sp_full_service_period():
     entry = ExtendedScheduleEntry(allocation_id=1, start_time_us=0, duration_us=25600)
     structure = default_slot_structure(1)
-    slots = expand_sp(entry, structure, simple_schedule(), owner_ap="ap")
+    slots = expand_sp(entry, structure)
     # 16 intervals of 24 slots each.
     assert len(slots) == 384
     assert slots[0].start_us == 0
     assert slots[0].category is SlotCategory.BASIC
-    assert slots[0].assignee == "sta" and slots[0].direction is Direction.UPLINK
-    assert slots[1].start_us == 66 and slots[1].direction is Direction.DOWNLINK
-    # Unassigned slots carry the sentinel and no direction.
-    assert slots[2].assignee == UNASSIGNED and slots[2].direction is None
-    assert not slots[2].is_assigned
+    assert slots[1].start_us == 66 and slots[1].category is SlotCategory.DATA
     # Interval boundaries land every 1600 us regardless of the slot gap.
     assert slots[24].start_us == 1600 and slots[24].interval_index == 1
     assert slots[383].start_us == 15 * 1600 + 23 * 66
     assert slots[383].end_us == 24000 + 1584
-    assert all(s.owner_ap == "ap" for s in slots)
     # The second BASIC slot of each interval sits at offset 12 * 66.
     assert slots[12].start_us == 792 and slots[12].category is SlotCategory.BASIC
 
@@ -152,53 +97,28 @@ def test_expand_sp_rejections():
     ragged = ExtendedScheduleEntry(1, 0, 1601)
     with pytest.raises(StructureError):
         expand_sp(ragged, structure)
+
+
+def test_timeline_recurs_per_beacon_interval_and_counts_intervals():
+    # Two 3.2 ms SPs per 10 ms beacon interval offset by 1 ms, run to 22 ms:
+    # SPs start at 1000, 11000 and 21000; the third has no whole interval.
+    first_sp = ExtendedScheduleEntry(allocation_id=1, start_time_us=1000, duration_us=3200)
+    slots = list(timeline(first_sp, default_slot_structure(1), 10_000, 22_000))
+    assert len(slots) == 4 * 24
+    assert [s.start_us for s in slots if s.slot_index == 0] == [1000, 2600, 11000, 12600]
+    assert [s.interval_index for s in slots[::24]] == [0, 1, 2, 3]
+    assert slots[-1].end_us == 12600 + 1584
+
+
+def test_timeline_runs_only_whole_intervals():
+    first_sp = ExtendedScheduleEntry(allocation_id=1, start_time_us=0, duration_us=25600)
+    structure = default_slot_structure(1)
+    # 3199 us holds one whole interval; the second would end at 3200.
+    assert len(list(timeline(first_sp, structure, 25600, 3199))) == 24
+    assert len(list(timeline(first_sp, structure, 25600, 3200))) == 48
+    assert list(timeline(first_sp, structure, 25600, 1599)) == []
+    # The single-SP case is expand_sp.
+    assert list(timeline(first_sp, structure, 25600, 25600)) == expand_sp(first_sp, structure)
+    assert len(list(timeline(first_sp, structure, 25600, 51200))) == 2 * 384
     with pytest.raises(ValueError):
-        expand_sp(ExtendedScheduleEntry(1, 0, 3200), structure, simple_schedule(alloc=3))
-
-
-def test_next_basic_tx_slot_strictly_after():
-    entry = ExtendedScheduleEntry(1, 0, 25600)
-    slots = expand_sp(entry, default_slot_structure(1), simple_schedule())
-    first = next_basic_tx_slot(slots, "sta", after_us=-1)
-    assert first.start_us == 0 and first.slot_index == 0
-    # A frame formed exactly at a slot start must wait for the next one.
-    bumped = next_basic_tx_slot(slots, "sta", after_us=0)
-    assert bumped.start_us == 1600
-    # Downlink acks ride the AP's BASIC slot toward the same STA: slot 12.
-    dl = next_basic_tx_slot(slots, "sta", after_us=0, direction=Direction.DOWNLINK)
-    assert dl.slot_index == 12 and dl.start_us == 792
-    mid = next_basic_tx_slot(slots, "sta", after_us=793, direction=Direction.DOWNLINK)
-    assert mid.start_us == 1600 + 792
-
-
-def test_next_basic_tx_slot_no_opportunity():
-    entry = ExtendedScheduleEntry(1, 0, 1600)
-    slots = expand_sp(entry, default_slot_structure(1), simple_schedule())
-    with pytest.raises(NoTxOpportunityError):
-        next_basic_tx_slot(slots, "sta", after_us=100)
-    with pytest.raises(NoTxOpportunityError):
-        next_basic_tx_slot(slots, "ghost", after_us=-1)
-
-
-def test_frame_prohibition_in_tdd_slots():
-    banned = {FrameKind.RTS, FrameKind.DMG_CTS, FrameKind.GRANT, FrameKind.GRANT_ACK}
-    for kind in FrameKind:
-        assert is_frame_allowed_in_tdd_slot(kind) == (kind not in banned)
-
-
-def test_tdd_sp_access_requires_capability():
-    entry = ExtendedScheduleEntry(1, 0, 1600)
-    capable = make_node("c", position=(1.0, 0.0))
-    legacy = make_node("l", position=(2.0, 0.0), tdd_capable=False)
-    assert can_access_tdd_sp(capable, entry)
-    assert not can_access_tdd_sp(legacy, entry)
-    non_tdd = ExtendedScheduleEntry(1, 0, 1600, is_tdd=False)
-    assert not can_access_tdd_sp(capable, non_tdd)
-
-
-def test_entries_overlap_detection():
-    a = ExtendedScheduleEntry(1, 0, 25600)
-    b = ExtendedScheduleEntry(2, 25600, 25600)
-    assert entries_overlap([a, b]) == []
-    c = ExtendedScheduleEntry(3, 25000, 1600)
-    assert (1, 3) in entries_overlap([a, b, c])
+        next(timeline(first_sp, structure, 1600, 25600))

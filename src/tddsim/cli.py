@@ -97,18 +97,15 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
     bf_cfg = cfg.build_bf_config()
     for k, run in enumerate(cfg.beamforming.runs):
         sp_slots = expand_sp(cfg.build_sp_entry(k * cfg.sim.beacon_interval_us), prep.structure)
-        initiator = prep.nodes[run.initiator]
-        responders = [prep.nodes[r] for r in run.responders]
         result = run_beamforming(
-            BfMode(run.mode), initiator, responders, prep.channel,
+            BfMode(run.mode), prep.nodes[run.initiator],
+            [prep.nodes[r] for r in run.responders], prep.channel,
             sp_slots, bf_cfg, trace,
         )
         prep.bf_results.append(result)
         prep.reports.extend(result.reports)
-        repetitions = bf_cfg.repetitions or max(len(r.codebook) for r in responders)
-        frames = len(initiator.codebook) * repetitions
         prep.bf_sweep_counts[run.initiator] = (
-            prep.bf_sweep_counts.get(run.initiator, 0) + frames
+            prep.bf_sweep_counts.get(run.initiator, 0) + result.sweep_frames
         )
         for link in result.trained_links:
             pair = frozenset((link.initiator_id, link.responder_id))

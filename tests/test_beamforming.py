@@ -5,12 +5,10 @@ import pytest
 from tddsim.beamforming import (
     BeamformingConfig,
     BfMode,
-    TddSswFrame,
     make_sweep_plan,
     run_beamforming,
 )
 from tddsim.channel import LinkBudgetConfig, link_snr_db
-from tddsim.errors import ProtocolError
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, expand_sp
 from tddsim.trace import TraceRecorder
 
@@ -68,30 +66,6 @@ def test_sweep_plan_measurement_mode_has_no_feedback_tail():
     plan = make_sweep_plan(BfMode.MEASUREMENT, ini, [r], BeamformingConfig(), 0)
     assert not plan.with_feedback
     assert plan.end_us == plan.sweep_end_us == 4 * 4 * 4
-
-
-def test_explicit_repetitions_override():
-    ini = make_ap("ap", sectors=4)
-    r = make_node("r", position=(100.0, 0.0), sectors=8)
-    cfg = BeamformingConfig(repetitions=2)
-    plan = make_sweep_plan(BfMode.INDIVIDUAL, ini, [r], cfg, 0)
-    assert plan.repetitions == 2 and plan.n_frames == 8
-
-
-def test_ssw_frame_validation():
-    with pytest.raises(ValueError):
-        TddSswFrame("i", 0, 0, False)  # neither offsets nor countdown
-    with pytest.raises(ValueError):
-        TddSswFrame("i", 0, 0, False, slot_countdown=3, feedback_offset_us={"r": 4},
-                    ack_offset_us={"r": 8})
-    with pytest.raises(ValueError):
-        TddSswFrame("i", 0, 0, False, slot_countdown=-1)
-    with pytest.raises(ValueError):
-        # Colliding feedback offsets would make responders transmit together.
-        TddSswFrame("i", 0, 0, False, feedback_offset_us={"a": 4, "b": 4},
-                    ack_offset_us={"a": 8, "b": 12})
-    ok = TddSswFrame("i", 2, 5, True, feedback_offset_us={"a": 4}, ack_offset_us={"a": 8})
-    assert ok.tx_sector_index == 2 and ok.end_of_training
 
 
 def test_individual_training_matches_brute_force():
@@ -232,18 +206,6 @@ def test_plan_must_fit_service_period():
             BfMode.INDIVIDUAL, ini, [resp], channel,
             sp_slots(duration_us=1600)[:4], BeamformingConfig(),
         )
-
-
-def test_event_outside_window_raises():
-    from tddsim.beamforming import InitiatorState, SlotTick, initiator_step
-
-    ini = make_ap("ap", sectors=4)
-    r = make_node("r", position=(100.0, 0.0), sectors=4)
-    plan = make_sweep_plan(BfMode.INDIVIDUAL, ini, [r], BeamformingConfig(), 0)
-    state = InitiatorState(node=ini, mode=BfMode.INDIVIDUAL, plan=plan,
-                           sp_start_us=0, sp_end_us=500)
-    with pytest.raises(ProtocolError):
-        initiator_step(state, SlotTick(t_us=501, purpose="ssw", frame_index=0))
 
 
 def test_deterministic_trace_repeat():

@@ -31,8 +31,6 @@ from .controller import (
 )
 from .domain import (
     DEFAULT_MCS_TABLE,
-    ClockModel,
-    ClockQuality,
     Codebook,
     McsEntry,
     NodeModel,
@@ -85,8 +83,6 @@ __all__ = [
     "BeamformingConfig",
     "BeamformingResult",
     "BfMode",
-    "ClockModel",
-    "ClockQuality",
     "Codebook",
     "ConfigError",
     "DEFAULT_MCS_TABLE",

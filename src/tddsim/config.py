@@ -17,8 +17,6 @@ from .beamforming import BeamformingConfig, BfMode
 from .channel import LinkBudgetConfig
 from .domain import (
     DEFAULT_MCS_TABLE,
-    ClockModel,
-    ClockQuality,
     McsEntry,
     NodeModel,
     PowerLimits,
@@ -83,7 +81,6 @@ class NodeSection:
     sidelobe_gain_dbi: float = -10.0
     power_min_dbm: float = -10.0
     power_max_dbm: float = 20.0
-    drift_ppm: float = 0.0
 
 
 @dataclass
@@ -139,10 +136,8 @@ class ReportRequestSection:
 
 @dataclass
 class MaintenanceSection:
-    keepalive_period_us: int = 25_600
     keepalive_timeout_us: int = 1_000_000
     heartbeat_period_us: int = 25_600
-    sync_tolerance_us: float = 1.0
     tpc: TpcSection = field(default_factory=TpcSection)
     periodic_reports: list = field(default_factory=list)
 
@@ -176,7 +171,6 @@ class ScenarioConfig:
                 ),
                 tx_power_dbm=n.tx_power_dbm,
                 power_limits=PowerLimits(min_dbm=n.power_min_dbm, max_dbm=n.power_max_dbm),
-                clock=ClockModel(drift_ppm=n.drift_ppm, quality=ClockQuality.GLOBAL_SYNC),
             )
         return out
 
@@ -242,7 +236,6 @@ class ScenarioConfig:
     def maintenance_settings(self) -> MaintenanceSettings:
         m = self.maintenance
         return MaintenanceSettings(
-            keepalive_period_us=m.keepalive_period_us,
             keepalive_timeout_us=m.keepalive_timeout_us,
             heartbeat_period_us=m.heartbeat_period_us,
             tpc_enabled=m.tpc.enabled,
@@ -285,9 +278,7 @@ class ScenarioConfig:
             "frames": {
                 "data_payload": self.frames.data_payload,
                 "data_overhead": self.frames.data_overhead,
-                "ssw": self.frames.ssw,
                 "ack": self.frames.ack,
-                "announce": self.frames.announce,
                 "measurement_report": self.frames.measurement_report,
             },
             "mcs_table": [
@@ -306,10 +297,8 @@ class ScenarioConfig:
                 "trained_links": [vars(t).copy() for t in self.beamforming.trained_links],
             },
             "maintenance": {
-                "keepalive_period_us": self.maintenance.keepalive_period_us,
                 "keepalive_timeout_us": self.maintenance.keepalive_timeout_us,
                 "heartbeat_period_us": self.maintenance.heartbeat_period_us,
-                "sync_tolerance_us": self.maintenance.sync_tolerance_us,
                 "tpc": vars(self.maintenance.tpc).copy(),
                 "periodic_reports": [vars(r).copy() for r in self.maintenance.periodic_reports],
             },
@@ -427,14 +416,10 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     cfg.slot_structure = _fill("slot_structure", SlotStructureSection, data, errors)
 
-    frames_raw = _take(
-        data, "frames",
-        {"data_payload": 0, "data_overhead": 0, "ssw": 0, "ack": 0,
-         "announce": 0, "measurement_report": 0},
-        errors,
-    )
+    frame_keys = ("data_payload", "data_overhead", "ack", "measurement_report")
+    frames_raw = _take(data, "frames", frame_keys, errors)
     frame_kwargs = {}
-    for key in ("data_payload", "data_overhead", "ssw", "ack", "announce", "measurement_report"):
+    for key in frame_keys:
         if key in frames_raw:
             frame_kwargs[key] = _coerce("frames", key, frames_raw[key], 0, errors)
     try:
@@ -644,11 +629,9 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
                 errors.append(f"{path}: exactly one endpoint must be an AP")
 
     m = cfg.maintenance
-    for key in ("keepalive_period_us", "keepalive_timeout_us", "heartbeat_period_us"):
+    for key in ("keepalive_timeout_us", "heartbeat_period_us"):
         if getattr(m, key) <= 0:
             errors.append(f"maintenance.{key}: must be positive")
-    if m.sync_tolerance_us <= 0:
-        errors.append("maintenance.sync_tolerance_us: must be positive")
     if m.tpc.max_step_db <= 0:
         errors.append("maintenance.tpc.max_step_db: must be positive")
     for i, r in enumerate(m.periodic_reports):

@@ -20,12 +20,6 @@ class Role(Enum):
     CN_STA = "cn_sta"
 
 
-class ClockQuality(Enum):
-    GLOBAL_SYNC = "global_sync"
-    HOLDOVER = "holdover"
-    UNSYNCED = "unsynced"
-
-
 def normalize_angle_deg(angle: float) -> float:
     """Wrap an angle in degrees into (-180, 180]."""
     a = math.fmod(angle, 360.0)
@@ -176,15 +170,6 @@ class PowerLimits:
 
 
 @dataclass
-class ClockModel:
-    """Local clock versus global time: fixed offset plus linear drift."""
-
-    offset_us: float = 0.0
-    drift_ppm: float = 0.0
-    quality: ClockQuality = ClockQuality.GLOBAL_SYNC
-
-
-@dataclass
 class NodeModel:
     """A DN sector (AP role) or client node (STA role)."""
 
@@ -195,7 +180,6 @@ class NodeModel:
     tx_power_dbm: float = 10.0
     tdd_capable: bool = True
     power_limits: PowerLimits = field(default_factory=PowerLimits)
-    clock: ClockModel = field(default_factory=ClockModel)
 
     def __post_init__(self):
         if not (self.power_limits.min_dbm <= self.tx_power_dbm <= self.power_limits.max_dbm):

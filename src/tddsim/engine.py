@@ -182,7 +182,6 @@ class LinkRuntime:
 
 @dataclass
 class MaintenanceSettings:
-    keepalive_period_us: int = 25600
     keepalive_timeout_us: int = 1_000_000
     heartbeat_period_us: int = 25600
     tpc_enabled: bool = False

@@ -11,9 +11,7 @@ class FrameSizes:
 
     data_payload: int = 1500
     data_overhead: int = 40
-    ssw: int = 32
     ack: int = 16
-    announce: int = 128
     measurement_report: int = 64
 
     @property

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from tddsim.channel import LinkBudgetConfig
-from tddsim.domain import ClockModel, NodeModel, PowerLimits, Role, uniform_codebook
+from tddsim.domain import NodeModel, PowerLimits, Role, uniform_codebook
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -23,7 +23,6 @@ def make_node(
         codebook=uniform_codebook(sectors),
         tx_power_dbm=tx_power_dbm,
         power_limits=kwargs.pop("power_limits", PowerLimits()),
-        clock=kwargs.pop("clock", ClockModel()),
         **kwargs,
     )
 

@@ -9,7 +9,7 @@ from tddsim.config import (
     parse_config,
     serialize_config,
 )
-from tddsim.domain import DEFAULT_MCS_TABLE, ClockQuality, Role
+from tddsim.domain import DEFAULT_MCS_TABLE, Role
 from tddsim.errors import ConfigError
 from tddsim.schedule import SlotCategory
 
@@ -50,7 +50,6 @@ def test_builders_produce_runtime_objects():
     assert set(nodes) == {"ap", "sta"}
     assert nodes["ap"].role is Role.DN_AP
     assert len(nodes["ap"].codebook) == 8
-    assert nodes["ap"].clock.quality is ClockQuality.GLOBAL_SYNC
     channel = cfg.build_channel()
     assert channel.carrier_hz == 60e9
     structure = cfg.build_structure()
@@ -64,7 +63,7 @@ def test_builders_produce_runtime_objects():
     assert set(sources) == {"ap-sta:downlink"}
     assert sources["ap-sta:downlink"].pattern == "saturated"
     settings = cfg.maintenance_settings()
-    assert settings.tpc_enabled is False and settings.keepalive_period_us == 25600
+    assert settings.tpc_enabled is False
 
 
 def test_custom_mcs_table_and_extra_loss():
@@ -193,6 +192,23 @@ def test_unknown_field_inside_section():
     with pytest.raises(ConfigError) as exc:
         parse_config(data)
     assert "sim.duration_sec: unknown field" in exc.value.problems
+
+
+def test_keys_no_model_reads_are_unknown_fields():
+    data = minimal_config(
+        maintenance={"keepalive_period_us": 25600, "sync_tolerance_us": 1.0},
+        frames={"ssw": 32, "announce": 128},
+    )
+    data["nodes"][0]["drift_ppm"] = 5.0
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert sorted(exc.value.problems) == [
+        "frames.announce: unknown field",
+        "frames.ssw: unknown field",
+        "maintenance.keepalive_period_us: unknown field",
+        "maintenance.sync_tolerance_us: unknown field",
+        "nodes[0].drift_ppm: unknown field",
+    ]
 
 
 def test_type_coercion_errors():

@@ -4,7 +4,6 @@ import pytest
 
 from tddsim.domain import (
     DEFAULT_MCS_TABLE,
-    ClockQuality,
     McsEntry,
     NodeModel,
     PowerLimits,
@@ -127,10 +126,8 @@ def test_set_tx_power_enforces_limits():
         node.set_tx_power(21.0)
 
 
-def test_node_roles_and_clock_defaults():
+def test_node_roles_and_defaults():
     ap = make_node("a", role=Role.DN_AP)
     sta = make_node("b", role=Role.CN_STA, position=(1.0, 0.0))
     assert ap.is_ap and not sta.is_ap
     assert ap.tdd_capable
-    assert ap.clock.quality is ClockQuality.GLOBAL_SYNC
-    assert ap.clock.offset_us == 0.0

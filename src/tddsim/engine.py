@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -281,7 +281,8 @@ class World:
         trace: Optional[TraceRecorder] = None,
         bf_sweep_counts: Optional[dict[str, int]] = None,
     ):
-        self.nodes = nodes
+        # Copies: transmit power control changes a node's power in this World only.
+        self.nodes = {nid: replace(node) for nid, node in nodes.items()}
         self.channel_cfg = channel_cfg
         self.plan = plan
         self.graph_vertices = plan.vertices

@@ -10,11 +10,14 @@ from tddsim.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     build_report_schedules,
+    build_world,
     main,
     plan_scenario,
     prepare_scenario,
 )
 from tddsim.config import load_config, serialize_config
+from tddsim.engine import run_until
+from tddsim.trace import TraceRecorder
 
 from conftest import SCENARIOS
 
@@ -189,6 +192,23 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
             metrics_path.read_bytes(),
         ))
     assert outputs[0] == outputs[1]
+
+
+def test_reused_prep_replays_like_a_fresh_one():
+    # TPC changes the AP's transmit power during the run; that must stay
+    # inside the World and leave the prepared nodes as configured.
+    cfg = load_config(str(SCENARIOS / "tpc.yaml"))
+
+    def run(prep):
+        trace = TraceRecorder()
+        run_until(build_world(prep, plan_scenario(prep), trace))
+        return trace.to_jsonl()
+
+    prep = prepare_scenario(cfg)
+    first = run(prep)
+    assert '"kind": "tpc_update"' in first
+    assert run(prep) == first == run(prepare_scenario(cfg))
+    assert prep.nodes["dn1"].tx_power_dbm == 10.0
 
 
 def test_module_entry_point_runs():

@@ -249,17 +249,27 @@ def assign_slots(
     each slot hosts a pairwise non-conflicting set of same-direction
     activations. Every scheduled activation also receives one BASIC slot
     per interval for the reverse path, carrying its delayed acks and
-    control responses. Activations that cannot be granted any slot are
-    excluded from the schedule and listed as starved.
+    control responses. Activations that cannot be granted any slot, and
+    demands on links that were never trained, are excluded from the
+    schedule and listed as starved.
     """
     by_id = graph.by_id()
     demand_by_vertex: dict[str, DemandSpec] = {}
+    starved: list[StarvedLink] = []
     for demand in demands:
+        if demand.demanded_rate_bps <= 0:
+            continue
         vid = f"{demand.link_id}:{demand.direction.value}"
-        if vid not in by_id:
-            raise ValueError(f"demand references unknown link activation {vid}")
-        if demand.demanded_rate_bps > 0:
+        if vid in by_id:
             demand_by_vertex[vid] = demand
+            continue
+        ends = demand.link_id.split("-")
+        if len(ends) != 2 or not all(ends):
+            raise ValueError(f"demand link id {demand.link_id!r} is not of the form <ap>-<sta>")
+        starved.append(StarvedLink(
+            link_id=demand.link_id, direction=demand.direction,
+            demanded_rate_bps=demand.demanded_rate_bps, reason="link not trained",
+        ))
 
     interval_us = structure_template.interval_duration_us
     data_slots = [s for s in structure_template.slots if s.category is SlotCategory.DATA]
@@ -317,7 +327,6 @@ def assign_slots(
             if not placed:
                 basic_grant[vid] = -1  # marks starvation below
 
-    starved: list[StarvedLink] = []
     for vid in unservable:
         demand = demand_by_vertex[vid]
         starved.append(StarvedLink(

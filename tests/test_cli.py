@@ -126,6 +126,31 @@ def test_plan_infeasible_exits_3(tmp_path, capsys):
     assert payload["error"] == "infeasible plan"
 
 
+def test_untrained_demanded_link_is_infeasible(tmp_path, capsys):
+    # 5 km apart, no sector pair decodes, so training leaves the demanded
+    # link untrained.
+    scenario = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
+    for node in scenario["nodes"]:
+        if node["id"] == "cn1":
+            node["position"] = [5000.0, 0.0]
+    path = tmp_path / "untrained.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    starved = [{
+        "link_id": "dn1-cn1", "direction": "downlink",
+        "demanded_rate_bps": 4.2e9, "reason": "link not trained",
+    }]
+
+    assert run_cli("plan", "--config", str(path)) == EXIT_INFEASIBLE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["feasible"] is False
+    assert payload["starved"] == starved
+
+    assert run_cli("run", "--config", str(path)) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "infeasible plan", "starved": starved}
+    assert captured.err == ""
+
+
 def test_run_writes_trace_and_metrics(tmp_path, capsys):
     path = str(SCENARIOS / "trickle.yaml")
     trace_path = tmp_path / "trace.jsonl"

@@ -9,7 +9,7 @@ form that survives load -> serialize -> load unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Collection, Optional
 
 import yaml
 
@@ -309,7 +309,7 @@ class ScenarioConfig:
 # Parsing with exhaustive error collection.
 
 
-def _take(data: dict, section: str, known: dict, errors: list) -> dict:
+def _take(data: dict, section: str, known: Collection[str], errors: list) -> dict:
     sub = data.get(section, {})
     if sub is None:
         sub = {}

@@ -258,12 +258,11 @@ def run_beamforming(
             t_ack, "frame_tx", node=ini_id, frame="tdd_ssw_ack", sector=tx,
             responder=rid, end_of_training=True,
         )
-        ack_snr = link_snr_db(initiator, tx, r, rx, channel_cfg).snr_db
-        if ack_snr < threshold:
-            continue
+        # The ack crosses the best sweep sample's sector pair in the sweep's
+        # direction, so it decodes at that sample's SNR.
         trace.record(
             t_ack, "frame_rx", node=rid, frame="tdd_ssw_ack", sector=rx,
-            snr_db=round(ack_snr, 3), outcome="decoded",
+            snr_db=round(snr, 3), outcome="decoded",
         )
         t_dl, t_ul = plan.announce_time(k, 0), plan.announce_time(k, 1)
         trace.record(t_dl, "frame_tx", node=ini_id, frame="announce", sector=tx)

@@ -7,16 +7,19 @@ Subcommands:
   run       full pipeline: training, planning, then event simulation
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible plan
-(starved links), 4 runtime protocol violation.
+(starved links), 4 runtime protocol violation (including a trace record
+stamped behind what was already written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .beamforming import (
     BeamMeasurementReport,
@@ -67,8 +70,9 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
     """Resolve nodes and channel, then run every configured training pass.
 
     Each beamforming run occupies the service period of its own beacon
-    interval, so data traffic starts after the last one. Pre-trained links
-    from the config are taken as-is with channel-model SNR.
+    interval, so data traffic starts after the last one, and each run's trace
+    records are written once it ends. Pre-trained links from the config are
+    taken as-is with channel-model SNR.
     """
     prep = Prepared(
         cfg=cfg,
@@ -103,6 +107,8 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
             sp_slots, bf_cfg, trace,
         )
         prep.bf_results.append(result)
+        if trace is not None:
+            trace.advance(result.end_us)  # later runs use later service periods
         prep.reports.extend(result.reports)
         prep.bf_sweep_counts[run.initiator] = (
             prep.bf_sweep_counts.get(run.initiator, 0) + result.sweep_frames
@@ -301,20 +307,47 @@ def _load(path: str, seed: Optional[int], duration_ms: Optional[int]) -> Scenari
     return cfg
 
 
-def _new_trace(cfg: ScenarioConfig) -> TraceRecorder:
-    trace = TraceRecorder()
+def _new_trace(
+    cfg: ScenarioConfig, write: Optional[Callable[[str], object]] = None
+) -> TraceRecorder:
+    trace = TraceRecorder(write=write)
     trace.record(0.0, "run_header", scenario=cfg.name, seed=cfg.sim.seed,
                  duration_us=cfg.sim.duration_us)
     return trace
 
 
-def _write_outputs(trace: TraceRecorder, trace_path: Optional[str],
-                   metrics=None, metrics_path: Optional[str] = None) -> None:
-    if trace_path:
-        trace.write_jsonl(trace_path)
-    if metrics_path and metrics is not None:
-        with open(metrics_path, "w") as fh:
-            fh.write(metrics_to_csv(metrics))
+@contextmanager
+def _trace_output(cfg: ScenarioConfig, path: Optional[str]) -> Iterator[TraceRecorder]:
+    """A recorder holding the run header, for the body of one command.
+
+    Without `path` the trace stays in memory. With it, records stream into a
+    temporary file beside `path` that replaces `path` only if the command
+    closed the recorder, so a failed run leaves `path` as it was.
+    """
+    if not path:
+        yield _new_trace(cfg)
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
+    fh = None
+
+    def write(text: str) -> None:
+        nonlocal fh
+        if fh is None:  # created at the first write, not during set-up
+            fh = open(partial, "w")
+        fh.write(text)
+
+    try:
+        trace = _new_trace(cfg, write)
+        yield trace
+        if trace.closed:
+            fh.close()
+            os.replace(partial, path)
+    finally:
+        if fh is not None:
+            fh.close()
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def cmd_validate(args) -> int:
@@ -328,19 +361,19 @@ def cmd_validate(args) -> int:
 
 def cmd_bf(args) -> int:
     cfg = _load(args.config, args.seed, None)
-    trace = _new_trace(cfg)
-    prep = prepare_scenario(cfg, trace)
-    _write_outputs(trace, args.trace)
+    with _trace_output(cfg, args.trace) as trace:
+        prep = prepare_scenario(cfg, trace)
+        trace.close()
     print(json.dumps(_bf_payload(prep), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
     cfg = _load(args.config, args.seed, None)
-    trace = _new_trace(cfg)
-    prep = prepare_scenario(cfg, trace)
-    plan = plan_scenario(prep)
-    _write_outputs(trace, args.trace)
+    with _trace_output(cfg, args.trace) as trace:
+        prep = prepare_scenario(cfg, trace)
+        plan = plan_scenario(prep)
+        trace.close()
     print(json.dumps(_plan_payload(prep, plan), indent=2, sort_keys=True))
     return EXIT_INFEASIBLE if plan.infeasible else EXIT_OK
 
@@ -350,18 +383,21 @@ def cmd_run(args) -> int:
     if args.validate_only:
         print(f"{args.config}: ok")
         return EXIT_OK
-    trace = _new_trace(cfg)
-    prep = prepare_scenario(cfg, trace)
-    plan = plan_scenario(prep)
-    if plan.infeasible:
-        print(json.dumps(
-            {"error": "infeasible plan", "starved": _starved_payload(plan)},
-            indent=2, sort_keys=True,
-        ))
-        return EXIT_INFEASIBLE
-    world = build_world(prep, plan, trace)
-    metrics = run_until(world)
-    _write_outputs(trace, args.trace, metrics, args.metrics)
+    with _trace_output(cfg, args.trace) as trace:
+        prep = prepare_scenario(cfg, trace)
+        plan = plan_scenario(prep)
+        if plan.infeasible:
+            print(json.dumps(
+                {"error": "infeasible plan", "starved": _starved_payload(plan)},
+                indent=2, sort_keys=True,
+            ))
+            return EXIT_INFEASIBLE
+        world = build_world(prep, plan, trace)
+        metrics = run_until(world)
+        trace.close()
+    if args.metrics:
+        with open(args.metrics, "w") as fh:
+            fh.write(metrics_to_csv(metrics))
     print(json.dumps(_run_payload(prep, metrics), indent=2, sort_keys=True))
     return EXIT_OK
 

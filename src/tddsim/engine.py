@@ -720,6 +720,10 @@ def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
 def _on_maintenance_tick(world: World, now: int) -> None:
     settings = world.maintenance
     t_us = now // world.tpu  # maintenance ticks fall on whole microseconds
+    # Every record still to come is stamped at most one slot behind `now`
+    # (a frame_drop carries the BASIC slot its ack was formed in), so all
+    # records a whole interval back are final.
+    world.trace.advance(t_us - world.structure.interval_duration_us)
     heartbeat_due = (t_us - world.epoch_us) % settings.heartbeat_period_us == 0
     ticked_aps = set()
     for vid, rt in world.runtimes.items():

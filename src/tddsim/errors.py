@@ -9,7 +9,7 @@ class ProtocolError(Exception):
     """A node received an event its protocol state cannot accept."""
 
 
-class SimulationError(AssertionError):
+class SimulationError(Exception):
     """Internal engine invariant broken (a bug, not a scenario problem)."""
 
 

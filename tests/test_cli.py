@@ -9,12 +9,14 @@ from tddsim.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_RUNTIME,
     build_report_schedules,
     build_world,
     main,
     plan_scenario,
     prepare_scenario,
 )
+from tddsim import engine
 from tddsim.config import load_config, serialize_config
 from tddsim.engine import run_until
 from tddsim.trace import TraceRecorder
@@ -126,7 +128,7 @@ def test_plan_infeasible_exits_3(tmp_path, capsys):
     assert payload["error"] == "infeasible plan"
 
 
-def test_untrained_demanded_link_is_infeasible(tmp_path, capsys):
+def _untrained_scenario(tmp_path):
     # 5 km apart, no sector pair decodes, so training leaves the demanded
     # link untrained.
     scenario = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
@@ -135,6 +137,11 @@ def test_untrained_demanded_link_is_infeasible(tmp_path, capsys):
             node["position"] = [5000.0, 0.0]
     path = tmp_path / "untrained.yaml"
     path.write_text(yaml.safe_dump(scenario))
+    return path
+
+
+def test_untrained_demanded_link_is_infeasible(tmp_path, capsys):
+    path = _untrained_scenario(tmp_path)
     starved = [{
         "link_id": "dn1-cn1", "direction": "downlink",
         "demanded_rate_bps": 4.2e9, "reason": "link not trained",
@@ -149,6 +156,50 @@ def test_untrained_demanded_link_is_infeasible(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": "infeasible plan", "starved": starved}
     assert captured.err == ""
+
+
+def test_failed_run_writes_no_trace_file(tmp_path, capsys):
+    config = _untrained_scenario(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    trace_path = out / "trace.jsonl"
+    assert run_cli("run", "--config", str(config), "--trace", str(trace_path)) == EXIT_INFEASIBLE
+    assert list(out.iterdir()) == []
+
+    trace_path.write_text("earlier trace\n")
+    assert run_cli("run", "--config", str(config), "--trace", str(trace_path)) == EXIT_INFEASIBLE
+    assert trace_path.read_text() == "earlier trace\n"
+    assert list(out.iterdir()) == [trace_path]
+
+    # An infeasible plan is what `plan` reports, so its trace is written.
+    capsys.readouterr()
+    assert run_cli("plan", "--config", str(config), "--trace", str(trace_path)) == EXIT_INFEASIBLE
+    assert json.loads(trace_path.read_text().split("\n")[0])["kind"] == "run_header"
+    assert list(out.iterdir()) == [trace_path]
+
+
+def test_late_trace_record_exits_4_and_keeps_the_old_trace(tmp_path, capsys, monkeypatch):
+    # A handler that stamps a record two intervals behind the clock breaks
+    # the trace's order promise; the run stops instead of writing it.
+    tick = engine._on_maintenance_tick
+
+    def late_tick(world, now):
+        tick(world, now)
+        lag = 2 * world.structure.interval_duration_us
+        world.trace.record(now / world.tpu - lag, "announce", node="late")
+
+    monkeypatch.setattr(engine, "_on_maintenance_tick", late_tick)
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("earlier trace\n")
+    code = run_cli(
+        "run", "--config", str(SCENARIOS / "trickle.yaml"), "--duration-ms", "10",
+        "--trace", str(trace_path),
+    )
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime violation: trace record 'announce'")
+    assert trace_path.read_text() == "earlier trace\n"
+    assert list(tmp_path.iterdir()) == [trace_path]
 
 
 def test_run_writes_trace_and_metrics(tmp_path, capsys):

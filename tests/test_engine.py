@@ -273,14 +273,15 @@ def test_single_dirty_slot_retries_recover_everything():
     assert metrics.conservation_ok()
 
 
-def test_mostly_dirty_slots_exhaust_retries_into_drops():
-    def doctor(plan):
-        for idx, links in list(plan.schedule.slot_links.items()):
-            if links == (DL,) and idx != 13:
-                plan.schedule.slot_links[idx] = (DL, "ap2-sta2:downlink")
+def dirty_all_but_slot_13(plan):
+    for idx, links in list(plan.schedule.slot_links.items()):
+        if links == (DL,) and idx != 13:
+            plan.schedule.slot_links[idx] = (DL, "ap2-sta2:downlink")
 
+
+def test_mostly_dirty_slots_exhaust_retries_into_drops():
     trace = TraceRecorder()
-    world = build_world(doctor=doctor, trace=trace)
+    world = build_world(doctor=dirty_all_but_slot_13, trace=trace)
     metrics = run_until(world)
     link = metrics.per_link[DL]
     # Only slot 13 decodes; retries land back in dirty slots and get dropped
@@ -292,6 +293,19 @@ def test_mostly_dirty_slots_exhaust_retries_into_drops():
     drops = trace.iter_kind("frame_drop")
     assert drops and all(d["reason"] == "retry exhausted" for d in drops)
     assert link.dropped_bits == len(drops) * MPDU_BITS
+
+
+def test_frame_drops_stamped_behind_now_stream_in_order():
+    # A frame_drop carries the BASIC slot its ack was formed in, behind the
+    # time it is recorded; the interval-lagged flush must still place it
+    # exactly where sorting the whole run would.
+    streamed, whole = TraceRecorder(), TraceRecorder()
+    whole.advance = lambda watermark_us: None
+    for trace in (streamed, whole):
+        run_until(build_world(doctor=dirty_all_but_slot_13, trace=trace))
+        trace.close()
+    assert streamed.iter_kind("frame_drop")
+    assert streamed.to_jsonl() == whole.to_jsonl()
 
 
 def test_report_emissions_ride_the_reverse_basic_slot():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .channel import LinkBudgetConfig, link_snr_db
+from .channel import LinkBudgetConfig, LinkTable, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, NodeModel
 from .schedule import AbsoluteSlot
 from .trace import TraceRecorder, null_recorder
@@ -194,6 +194,7 @@ def run_beamforming(
         )
     ini_id = initiator.node_id
     threshold = cfg.decode_min_snr_db
+    links = LinkTable(channel_cfg)
 
     trace.record(
         sp_start, "bf_start", mode=mode.value, initiator=ini_id,
@@ -216,7 +217,7 @@ def run_beamforming(
         )
         for r in responders:
             rx = i % len(r.codebook)
-            snr = link_snr_db(initiator, tx, r, rx, channel_cfg).snr_db
+            snr = links.snr_db(initiator, tx, r, rx)
             decoded = snr >= threshold
             trace.record(
                 t, "frame_rx", node=r.node_id, frame="tdd_ssw", sector=rx, tx_sector=tx,

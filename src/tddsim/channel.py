@@ -65,6 +65,81 @@ def propagation_delay_us(a: NodeModel, b: NodeModel) -> float:
     return distance_m(a, b) / SPEED_OF_LIGHT_M_PER_US
 
 
+class _SectorGains(dict):
+    """Gain of each sector of a codebook toward one bearing, computed the
+    first time the sector is asked for. An unknown sector index, negative
+    ones included, raises ValueError and is not stored."""
+
+    __slots__ = ("codebook", "bearing")
+
+    def __init__(self, codebook: Codebook, bearing: float):
+        super().__init__()
+        self.codebook = codebook
+        self.bearing = bearing
+
+    def __missing__(self, sector: int) -> float:
+        gain = self[sector] = sector_gain_dbi(self.codebook, sector, self.bearing)
+        return gain
+
+
+class LinkTable:
+    """Link budgets between nodes, one entry per ordered (tx, rx) node pair,
+    built on first use.
+
+    An entry is what geometry fixes: `(loss, tx_gain, rx_gain)`, the loss and
+    each end's gain per sector toward the other. Transmit power is read from
+    the transmitting node on every query, so a power change never makes an
+    entry stale. Node ids key the table, so one table serves one set of nodes.
+    """
+
+    def __init__(self, cfg: LinkBudgetConfig):
+        self.cfg = cfg
+        self.noise_floor_dbm = noise_floor_dbm(cfg)
+        self._entries: dict[tuple[str, str], tuple[float, _SectorGains, _SectorGains]] = {}
+
+    def entry(self, tx: NodeModel, rx: NodeModel) -> tuple[float, _SectorGains, _SectorGains]:
+        key = (tx.node_id, rx.node_id)
+        found = self._entries.get(key)
+        if found is None:
+            d = distance_m(tx, rx)
+            if d == 0.0:
+                raise ValueError(f"nodes {tx.node_id} and {rx.node_id} are coincident")
+            cfg = self.cfg
+            loss = path_loss_db(d, cfg.carrier_hz) + cfg.pair_loss_db(tx.node_id, rx.node_id)
+            found = self._entries[key] = (
+                loss,
+                _SectorGains(tx.codebook, bearing_deg(tx.position, rx.position)),
+                _SectorGains(rx.codebook, bearing_deg(rx.position, tx.position)),
+            )
+        return found
+
+    def power_dbm(self, tx: NodeModel, tx_sector: int, rx: NodeModel, rx_sector: int) -> float:
+        """Power of tx's signal at rx for the given sector pair, in dBm."""
+        loss, tx_gain, rx_gain = self.entry(tx, rx)
+        return tx.tx_power_dbm + tx_gain[tx_sector] + rx_gain[rx_sector] - loss
+
+    def snr_db(self, tx: NodeModel, tx_sector: int, rx: NodeModel, rx_sector: int) -> float:
+        return self.power_dbm(tx, tx_sector, rx, rx_sector) - self.noise_floor_dbm
+
+    def sample(self, tx: NodeModel, tx_sector: int, rx: NodeModel, rx_sector: int) -> LinkSample:
+        """Full link-budget evaluation for one directed (sector, sector) link.
+
+        RSNI equals SNR under this deterministic model; RCPI is the received
+        power itself.
+        """
+        rcpi = self.power_dbm(tx, tx_sector, rx, rx_sector)
+        snr = rcpi - self.noise_floor_dbm
+        return LinkSample(
+            tx_node=tx.node_id,
+            rx_node=rx.node_id,
+            tx_sector=tx_sector,
+            rx_sector=rx_sector,
+            snr_db=snr,
+            rcpi_dbm=rcpi,
+            rsni_db=snr,
+        )
+
+
 def received_power_dbm(
     tx: NodeModel,
     tx_sector: int,
@@ -73,13 +148,7 @@ def received_power_dbm(
     cfg: LinkBudgetConfig,
 ) -> float:
     """Power of tx's signal at rx for the given sector pair, in dBm."""
-    d = distance_m(tx, rx)
-    if d == 0.0:
-        raise ValueError(f"nodes {tx.node_id} and {rx.node_id} are coincident")
-    tx_gain = sector_gain_dbi(tx.codebook, tx_sector, bearing_deg(tx.position, rx.position))
-    rx_gain = sector_gain_dbi(rx.codebook, rx_sector, bearing_deg(rx.position, tx.position))
-    loss = path_loss_db(d, cfg.carrier_hz) + cfg.pair_loss_db(tx.node_id, rx.node_id)
-    return tx.tx_power_dbm + tx_gain + rx_gain - loss
+    return LinkTable(cfg).power_dbm(tx, tx_sector, rx, rx_sector)
 
 
 def link_snr_db(
@@ -89,32 +158,5 @@ def link_snr_db(
     rx_sector: int,
     cfg: LinkBudgetConfig,
 ) -> LinkSample:
-    """Full link-budget evaluation for one directed (sector, sector) link.
-
-    RSNI equals SNR under this deterministic model; RCPI is the received
-    power itself.
-    """
-    rcpi = received_power_dbm(tx, tx_sector, rx, rx_sector, cfg)
-    snr = rcpi - noise_floor_dbm(cfg)
-    return LinkSample(
-        tx_node=tx.node_id,
-        rx_node=rx.node_id,
-        tx_sector=tx_sector,
-        rx_sector=rx_sector,
-        snr_db=snr,
-        rcpi_dbm=rcpi,
-        rsni_db=snr,
-    )
-
-
-def interferes(
-    tx: NodeModel,
-    tx_sector: int,
-    victim_rx: NodeModel,
-    victim_rx_sector: int,
-    cfg: LinkBudgetConfig,
-) -> bool:
-    """True when tx's unintended power at the victim receiver exceeds the
-    protection threshold above the noise floor."""
-    power = received_power_dbm(tx, tx_sector, victim_rx, victim_rx_sector, cfg)
-    return power > noise_floor_dbm(cfg) + cfg.interference_threshold_db
+    """Full link-budget evaluation for one directed (sector, sector) link."""
+    return LinkTable(cfg).sample(tx, tx_sector, rx, rx_sector)

@@ -32,7 +32,6 @@ from .config import ScenarioConfig, load_config, serialize_config
 from .controller import (
     AssignmentResult,
     DemandSpec,
-    InterferenceGraph,
     assign_slots,
     build_interference_graph,
     verify_global,
@@ -63,7 +62,6 @@ class Prepared:
     bf_results: list = field(default_factory=list)
     bf_sweep_counts: dict = field(default_factory=dict)
     epoch_us: int = 0
-    graph: Optional[InterferenceGraph] = None  # set by plan_scenario
 
 
 def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None) -> Prepared:
@@ -125,7 +123,7 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
 
 
 def plan_scenario(prep: Prepared) -> AssignmentResult:
-    graph = prep.graph = build_interference_graph(
+    graph = build_interference_graph(
         prep.nodes, prep.trained, prep.reports, prep.channel
     )
     demands = [
@@ -166,9 +164,10 @@ def build_report_schedules(
         )
         if s.category is SlotCategory.BASIC
     ]
+    vertices = plan.graph.by_id()
     for r in cfg.maintenance.periodic_reports:
         vid = f"{r.link}:{r.direction}"
-        rev = plan.vertices[vid].reverse_id
+        rev = vertices[vid].reverse_id
         tx_slots = [s for s in basic if rev in plan.schedule.slot_links.get(s.slot_index, ())]
         req = PeriodicReportRequest(
             start_time_us=r.start_us, interval_us=r.interval_us, count=r.count
@@ -229,7 +228,7 @@ def _plan_payload(prep: Prepared, plan: AssignmentResult) -> dict:
             "direction": direction.value if direction else None,
             "links": list(plan.schedule.slot_links.get(spec_index, ())),
         })
-    violations = verify_global(plan.schedule, prep.graph, prep.mcs_table)
+    violations = verify_global(plan.schedule, plan.graph, prep.mcs_table)
     return {
         "feasible": not plan.infeasible,
         "granted_rate_bps": dict(sorted(plan.granted_rate_bps.items())),
@@ -452,12 +451,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # Before ValueError, which StructureError subclasses.
     except (ProtocolError, StructureError, SimulationError) as exc:
         print(f"runtime violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

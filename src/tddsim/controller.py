@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .beamforming import BeamMeasurementReport, TrainedLink
-from .channel import (
-    LinkBudgetConfig,
-    link_snr_db,
-    noise_floor_dbm,
-    received_power_dbm,
-)
+from .channel import LinkBudgetConfig, LinkTable, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .schedule import (
     Direction,
@@ -93,13 +88,6 @@ class InterferenceGraph:
     def conflicts(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.edges
 
-    def neighbors(self, vertex_id: str) -> set[str]:
-        out = set()
-        for edge in self.edges:
-            if vertex_id in edge:
-                out |= edge - {vertex_id}
-        return out
-
 
 def links_from_trained(
     trained: TrainedLink,
@@ -156,8 +144,8 @@ def build_interference_graph(
             key = (report.initiator_id, tx_sector, report.responder_id, rx_sector)
             reported[key] = snr
 
-    noise = noise_floor_dbm(channel_cfg)
-    threshold = noise + channel_cfg.interference_threshold_db
+    links = LinkTable(channel_cfg)
+    threshold = links.noise_floor_dbm + channel_cfg.interference_threshold_db
 
     edges: set[frozenset[str]] = set()
     model_derived: set[tuple[str, str]] = set()
@@ -168,9 +156,8 @@ def build_interference_graph(
         if key in reported:
             # Reported SNR is referenced to the same noise floor.
             return reported[key] > channel_cfg.interference_threshold_db, False
-        power = received_power_dbm(
-            nodes[tx.tx_node], tx.tx_sector, nodes[victim.rx_node], victim.rx_sector,
-            channel_cfg,
+        power = links.power_dbm(
+            nodes[tx.tx_node], tx.tx_sector, nodes[victim.rx_node], victim.rx_sector
         )
         return power > threshold, True
 
@@ -221,7 +208,7 @@ class AssignmentResult:
     schedule: GlobalSchedule
     granted_rate_bps: dict[str, float]  # vertex id -> granted rate
     starved: tuple[StarvedLink, ...]
-    vertices: dict[str, DirectedLink]
+    graph: InterferenceGraph  # the conflicts the schedule was built to avoid
 
     @property
     def infeasible(self) -> bool:
@@ -443,7 +430,7 @@ def assign_slots(
         schedule=schedule,
         granted_rate_bps=granted,
         starved=tuple(starved),
-        vertices={vid: by_id[vid] for vid in by_id},
+        graph=graph,
     )
 
 

@@ -25,13 +25,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .channel import (
-    LinkBudgetConfig,
-    LinkSample,
-    interferes,
-    link_snr_db,
-    propagation_delay_us,
-)
+from .channel import LinkBudgetConfig, LinkSample, LinkTable, propagation_delay_us
+from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
 from .controller import AssignmentResult, DirectedLink
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .errors import SimulationError
@@ -283,9 +278,9 @@ class World:
     ):
         # Copies: transmit power control changes a node's power in this World only.
         self.nodes = {nid: replace(node) for nid, node in nodes.items()}
-        self.channel_cfg = channel_cfg
+        self.links = LinkTable(channel_cfg)
         self.plan = plan
-        self.graph_vertices = plan.vertices
+        self.graph_vertices = plan.graph.by_id()
         self.structure = structure
         self.frame_sizes = frame_sizes or FrameSizes()
         self.mcs_table = list(mcs_table)
@@ -300,12 +295,6 @@ class World:
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
-
-        # Live link budgets, by (tx node, tx sector, rx node, rx sector), and
-        # control rates, by vertex id; only a transmit power change
-        # (_apply_tpc) alters them.
-        self._samples: dict[tuple[str, int, str, int], LinkSample] = {}
-        self._control_rates: dict[str, float] = {}
 
         self.runtimes: dict[str, LinkRuntime] = {}
         for vid, source in traffic.items():
@@ -342,66 +331,37 @@ class World:
         self.last_rx: dict[tuple[str, str], int] = {}
         self.dead_links: set[str] = set()
 
-        self._adjacent = self._precompute_conflicts()
+        # Per slot index, the activations whose decode fails from
+        # interference: those with a conflict-graph edge to another
+        # activation of the same slot.
+        conflicts = plan.graph.conflicts
+        self._adjacent = {
+            idx: frozenset(a for a in vids for b in vids if a != b and conflicts(a, b))
+            for idx, vids in plan.schedule.slot_links.items()
+        }
 
         # utilization accounting in ticks, per slot category
         self.used_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
         self.usable_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
 
-    # -- construction helpers ------------------------------------------------
-
-    def _precompute_conflicts(self) -> dict[int, frozenset[str]]:
-        """Per slot index, the vertex ids whose decode fails from interference."""
-        out: dict[int, frozenset[str]] = {}
-        for idx, vids in self.plan.schedule.slot_links.items():
-            hit: set[str] = set()
-            for i, a in enumerate(vids):
-                for b in vids[i + 1:]:
-                    if self._conflicting(a, b):
-                        hit.add(a)
-                        hit.add(b)
-            out[idx] = frozenset(hit)
-        return out
-
-    def _conflicting(self, a_id: str, b_id: str) -> bool:
-        a = self.graph_vertices.get(a_id)
-        b = self.graph_vertices.get(b_id)
-        if a is None or b is None:
-            return False
-        if a.nodes & b.nodes:
-            return True
-        return (
-            interferes(self.nodes[a.tx_node], a.tx_sector,
-                       self.nodes[b.rx_node], b.rx_sector, self.channel_cfg)
-            or interferes(self.nodes[b.tx_node], b.tx_sector,
-                          self.nodes[a.rx_node], a.rx_sector, self.channel_cfg)
-        )
-
     # -- live channel queries ------------------------------------------------
 
     def link_sample(self, vertex: DirectedLink) -> LinkSample:
-        """The live link budget of `vertex`, cached until a power changes."""
-        key = (vertex.tx_node, vertex.tx_sector, vertex.rx_node, vertex.rx_sector)
-        sample = self._samples.get(key)
-        if sample is None:
-            sample = self._samples[key] = link_snr_db(
-                self.nodes[vertex.tx_node], vertex.tx_sector,
-                self.nodes[vertex.rx_node], vertex.rx_sector, self.channel_cfg,
-            )
-        return sample
+        """The link budget of `vertex` at its transmitter's current power."""
+        return self.links.sample(
+            self.nodes[vertex.tx_node], vertex.tx_sector,
+            self.nodes[vertex.rx_node], vertex.rx_sector,
+        )
 
     def current_snr_db(self, vertex: DirectedLink) -> float:
-        return self.link_sample(vertex).snr_db
+        return self.links.snr_db(
+            self.nodes[vertex.tx_node], vertex.tx_sector,
+            self.nodes[vertex.rx_node], vertex.rx_sector,
+        )
 
     def control_rate_bps(self, vertex_id: str) -> float:
-        rate = self._control_rates.get(vertex_id)
-        if rate is None:
-            vertex = self.graph_vertices[vertex_id]
-            entry = mcs_from_snr(self.mcs_table, self.current_snr_db(vertex))
-            rate = self._control_rates[vertex_id] = (
-                float(entry.phy_rate_bps) if entry else 0.0
-            )
-        return rate
+        entry = mcs_from_snr(self.mcs_table, self.current_snr_db(self.graph_vertices[vertex_id]))
+        return float(entry.phy_rate_bps) if entry else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +652,6 @@ def _apply_tpc(world: World, rt: LinkRuntime, report, now: int) -> None:
     )
     if new_power != tx_node.tx_power_dbm:
         tx_node.set_tx_power(new_power)
-        world._samples.clear()
-        world._control_rates.clear()
         world.trace.record(
             now / world.tpu, "tpc_update", node=tx_node.node_id, link=rt.vertex_id,
             power_dbm=round(new_power, 3), measured_rsni_db=round(report.rsni_db, 3),

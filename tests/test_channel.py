@@ -1,18 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tddsim.channel import (
     LinkBudgetConfig,
+    LinkTable,
     SPEED_OF_LIGHT_M_PER_US,
     distance_m,
-    interferes,
     link_snr_db,
     noise_floor_dbm,
     path_loss_db,
     propagation_delay_us,
     received_power_dbm,
 )
+from tddsim.domain import bearing_deg, sector_gain_dbi
 
 from conftest import make_ap, make_node
 
@@ -73,6 +75,22 @@ def test_received_power_rejects_coincident_nodes():
     b = make_node("b", position=(1.0, 1.0))
     with pytest.raises(ValueError):
         received_power_dbm(a, 0, b, 0, cfg)
+    # The table refuses the pair when it builds the entry, before any sector.
+    with pytest.raises(ValueError, match="coincident"):
+        LinkTable(cfg).entry(a, b)
+
+
+@pytest.mark.parametrize("tx_sector, rx_sector", [(8, 4), (0, 8), (-1, 4), (0, -1), (-8, 4)])
+def test_unknown_sector_index_raises_and_never_wraps(tx_sector, rx_sector):
+    ap = make_ap("ap")  # 8 sectors
+    sta = make_node("sta", position=(100.0, 0.0))
+    table = LinkTable(LinkBudgetConfig())
+    with pytest.raises(ValueError, match="unknown sector index"):
+        table.power_dbm(ap, tx_sector, sta, rx_sector)
+    with pytest.raises(ValueError, match="unknown sector index"):
+        received_power_dbm(ap, tx_sector, sta, rx_sector, LinkBudgetConfig())
+    # The failed query leaves the entry intact for valid sectors.
+    assert table.power_dbm(ap, 0, sta, 4) == received_power_dbm(ap, 0, sta, 4, LinkBudgetConfig())
 
 
 def test_extra_pair_loss_is_applied():
@@ -99,23 +117,43 @@ def test_link_sample_fields_are_consistent():
     assert sample.snr_db == pytest.approx(22.6419, abs=1e-3)
 
 
-def test_interferes_threshold_semantics():
-    cfg = LinkBudgetConfig(interference_threshold_db=0.0)
-    ap = make_ap("ap")
-    victim = make_node("v", position=(100.0, 0.0))
-    # Aligned mainlobes at 100 m: far above the noise floor.
-    assert interferes(ap, 0, victim, 4, cfg)
-    # Sidelobe-to-sidelobe at 100 m: 10 - 10 - 10 - 108 = -118 dBm, below floor.
-    assert not interferes(ap, 2, victim, 2, cfg)
-    # Raising the threshold above the link margin silences even the mainlobe.
-    strict = LinkBudgetConfig(interference_threshold_db=40.0)
-    assert not interferes(ap, 0, victim, 4, strict)
+coordinate = st.floats(min_value=-2000.0, max_value=2000.0, allow_nan=False)
 
 
-def test_interferes_is_exactly_power_above_floor_plus_threshold():
-    cfg = LinkBudgetConfig(interference_threshold_db=5.0)
-    ap = make_ap("ap")
-    victim = make_node("v", position=(100.0, 0.0))
-    p = received_power_dbm(ap, 0, victim, 4, cfg)
-    floor = noise_floor_dbm(cfg)
-    assert interferes(ap, 0, victim, 4, cfg) == (p > floor + 5.0)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    tx_xy=st.tuples(coordinate, coordinate),
+    rx_xy=st.tuples(coordinate, coordinate),
+    tx_sectors=st.integers(1, 32),
+    rx_sectors=st.integers(1, 32),
+    data=st.data(),
+    powers=st.lists(st.floats(min_value=-10.0, max_value=20.0), min_size=1, max_size=4),
+    extra_loss=st.one_of(st.none(), st.floats(min_value=0.0, max_value=60.0)),
+)
+def test_table_power_equals_the_budget_composed_directly(
+    tx_xy, rx_xy, tx_sectors, rx_sectors, data, powers, extra_loss
+):
+    """The table returns, bit for bit, the budget built from its parts, and
+    keeps doing so as the transmit power changes under it."""
+    if tx_xy == rx_xy:
+        tx_xy = (tx_xy[0] + 1.0, tx_xy[1])
+    tx = make_ap("tx", position=tx_xy, sectors=tx_sectors)
+    rx = make_node("rx", position=rx_xy, sectors=rx_sectors)
+    cfg = LinkBudgetConfig(
+        extra_loss_db={} if extra_loss is None else {frozenset(("tx", "rx")): extra_loss}
+    )
+    table = LinkTable(cfg)
+    for power in powers:
+        tx.set_tx_power(power)
+        s_tx = data.draw(st.integers(0, tx_sectors - 1))
+        s_rx = data.draw(st.integers(0, rx_sectors - 1))
+        d = math.hypot(rx_xy[0] - tx_xy[0], rx_xy[1] - tx_xy[1])
+        expected = (
+            power
+            + sector_gain_dbi(tx.codebook, s_tx, bearing_deg(tx.position, rx.position))
+            + sector_gain_dbi(rx.codebook, s_rx, bearing_deg(rx.position, tx.position))
+            - (path_loss_db(d, cfg.carrier_hz) + (extra_loss or 0.0))
+        )
+        assert table.power_dbm(tx, s_tx, rx, s_rx) == expected
+        assert table.snr_db(tx, s_tx, rx, s_rx) == expected - noise_floor_dbm(cfg)
+        assert link_snr_db(tx, s_tx, rx, s_rx, cfg).rcpi_dbm == expected

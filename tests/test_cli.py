@@ -16,9 +16,10 @@ from tddsim.cli import (
     plan_scenario,
     prepare_scenario,
 )
-from tddsim import engine
+from tddsim import cli, engine
 from tddsim.config import load_config, serialize_config
 from tddsim.engine import run_until
+from tddsim.errors import StructureError
 from tddsim.trace import TraceRecorder
 
 from conftest import SCENARIOS
@@ -200,6 +201,18 @@ def test_late_trace_record_exits_4_and_keeps_the_old_trace(tmp_path, capsys, mon
     assert err.startswith("runtime violation: trace record 'announce'")
     assert trace_path.read_text() == "earlier trace\n"
     assert list(tmp_path.iterdir()) == [trace_path]
+
+
+def test_structure_error_during_run_exits_4(capsys, monkeypatch):
+    # StructureError subclasses ValueError, yet once the configuration has
+    # been validated it is a runtime fault, not a configuration error.
+    def broken_run(world, t_end_us=None):
+        raise StructureError("slot timeline broke mid-run")
+
+    monkeypatch.setattr(cli, "run_until", broken_run)
+    code = run_cli("run", "--config", str(SCENARIOS / "trickle.yaml"), "--duration-ms", "10")
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime violation: slot timeline broke mid-run\n"
 
 
 def test_run_writes_trace_and_metrics(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
-from tddsim.channel import LinkBudgetConfig
+from tddsim.channel import LinkBudgetConfig, noise_floor_dbm, received_power_dbm
 from tddsim.controller import (
     AssignmentResult,
     DemandSpec,
@@ -81,9 +81,42 @@ def test_graph_same_node_edges_are_complete():
     # Two links through one AP: every activation pair shares a node.
     assert len(graph.edges) == 6
     assert graph.conflicts("ap-sta:downlink", "ap-sta2:downlink")
-    assert graph.neighbors("ap-sta:uplink") == {
+    others = {v.vertex_id for v in graph.vertices} - {"ap-sta:uplink"}
+    assert {v for v in others if graph.conflicts("ap-sta:uplink", v)} == {
         "ap-sta:downlink", "ap-sta2:downlink", "ap-sta2:uplink",
     }
+
+
+def test_graph_edge_is_exactly_power_above_floor_plus_threshold():
+    # Two links 30 m apart, mainlobe to mainlobe across them, and a third
+    # 300 m further south that the first two reach only off their mainlobes.
+    ap1, sta1, t1 = one_pair("1")
+    ap2, sta2, t2 = one_pair("2", origin=(0.0, 30.0))
+    ap3, sta3, t3 = one_pair("3", origin=(0.0, -300.0))
+    nodes = {n.node_id: n for n in (ap1, sta1, ap2, sta2, ap3, sta3)}
+    edges_at = {}
+    for threshold in (0.0, 5.0, 40.0):
+        cfg = LinkBudgetConfig(interference_threshold_db=threshold)
+        floor = noise_floor_dbm(cfg)
+        graph = build_interference_graph(nodes, [t1, t2, t3], [], cfg)
+        for i, a in enumerate(graph.vertices):
+            for b in graph.vertices[i + 1:]:
+                if a.nodes & b.nodes:
+                    continue
+                hits = [
+                    received_power_dbm(
+                        nodes[x.tx_node], x.tx_sector, nodes[y.rx_node], y.rx_sector, cfg
+                    ) > floor + threshold
+                    for x, y in ((a, b), (b, a))
+                ]
+                assert graph.conflicts(a.vertex_id, b.vertex_id) == any(hits), (a, b)
+        edges_at[threshold] = graph.edges
+    downlinks = frozenset({"ap1-sta1:downlink", "ap2-sta2:downlink"})
+    assert downlinks in edges_at[0.0] and downlinks in edges_at[5.0]
+    # Raising the threshold above the cross-link margin removes the edge.
+    assert downlinks not in edges_at[40.0]
+    # Sidelobe paths to the third link stay below the floor.
+    assert frozenset({"ap1-sta1:downlink", "ap3-sta3:downlink"}) not in edges_at[0.0]
 
 
 def test_graph_isolated_pairs_have_no_cross_edges():

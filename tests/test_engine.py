@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tddsim import engine
+from tddsim import channel
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
@@ -21,7 +21,14 @@ from tddsim.engine import (
 from tddsim.errors import SimulationError
 from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
-from tddsim.schedule import Direction, ExtendedScheduleEntry, default_slot_structure
+from tddsim.schedule import (
+    Direction,
+    ExtendedScheduleEntry,
+    SlotCategory,
+    SlotSpec,
+    TddSlotStructure,
+    default_slot_structure,
+)
 from tddsim.trace import TraceRecorder
 
 from conftest import make_ap, make_node
@@ -43,25 +50,29 @@ def build_world(
     trace=None,
     doctor=None,
     demands=None,
+    structure=None,
+    link_m=100.0,
 ):
-    """One AP-STA pair at 100 m, with an optional far conflicting pair whose
-    activations exist in the graph for slot-doctoring experiments."""
+    """One AP-STA pair `link_m` apart, with a parallel pair 30 m away whose
+    activations conflict with it in the graph, for slot-doctoring
+    experiments."""
+    structure = structure or default_slot_structure(1)
     ap = make_ap("ap")
-    sta = make_node("sta", position=(100.0, 0.0))
+    sta = make_node("sta", position=(link_m, 0.0))
     ap2 = make_ap("ap2", position=(0.0, 30.0))
-    sta2 = make_node("sta2", position=(100.0, 30.0))
+    sta2 = make_node("sta2", position=(link_m, 30.0))
     nodes = {n.node_id: n for n in (ap, sta, ap2, sta2)}
     trained = [TrainedLink("ap", "sta", 0, 4, 22.64), TrainedLink("ap2", "sta2", 0, 4, 22.64)]
     graph = build_interference_graph(nodes, trained, [], CHANNEL)
     demands = demands or [DemandSpec("ap-sta", Direction.DOWNLINK, 4.2e9)]
     plan = assign_slots(
-        graph, demands, default_slot_structure(1),
+        graph, demands, structure,
         sp_entry=ExtendedScheduleEntry(1, 0, 25600),
     )
     if doctor:
         doctor(plan)
     return World(
-        nodes, CHANNEL, plan, default_slot_structure(1),
+        nodes, CHANNEL, plan, structure,
         traffic=traffic or {DL: TrafficSource("saturated")},
         maintenance=maintenance,
         report_schedules=report_schedules,
@@ -138,18 +149,26 @@ def test_cbr_gap_off_the_tick_grid_raises():
 
 
 def test_link_budget_is_evaluated_once_per_link(monkeypatch):
-    calls = []
-    real = engine.link_snr_db
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(engine, "link_snr_db", counting)
-    metrics = run_until(build_world())
-    assert metrics.per_link[DL].completed_mpdus > 0
-    # One budget for the data direction, one for the ack path.
-    assert len(calls) <= 3
+    # Each link-table entry computes its path loss once, when it is built.
+    builds = []
+    real = channel.path_loss_db
+    monkeypatch.setattr(
+        channel, "path_loss_db", lambda *args: builds.append(args) or real(*args)
+    )
+    schedules = {DL: ReportSchedule(accepted=True, emission_times_us=(1600, 3200, 4800))}
+    for tpc in (False, True):
+        trace = TraceRecorder()
+        world = build_world(
+            maintenance=MaintenanceSettings(tpc_enabled=tpc, tpc_target_rsni_db=10.0),
+            report_schedules=schedules, trace=trace,
+        )
+        builds.clear()  # planning reads tables of its own
+        metrics = run_until(world)
+        assert metrics.per_link[DL].completed_mpdus > 0
+        assert bool(trace.iter_kind("tpc_update")) == tpc
+        # One entry for the data direction, one for the ack path; power
+        # changes are read through them.
+        assert len(builds) == 2
 
 
 def test_traffic_source_validation():
@@ -308,6 +327,25 @@ def test_frame_drops_stamped_behind_now_stream_in_order():
     assert streamed.to_jsonl() == whole.to_jsonl()
 
 
+def test_frame_drop_formed_before_a_maintenance_tick_is_still_written():
+    # The only BASIC slot is the last microsecond of each interval (1599,
+    # 3199, ... us). At 300 m its block ack arrives after the next
+    # maintenance tick, so a frame_drop it causes, stamped at the slot start,
+    # lands behind that tick; the recorder's watermark must lag the tick.
+    late_basic = TddSlotStructure(1, 1600, tuple(
+        SlotSpec(i * 66, 66, SlotCategory.DATA) for i in range(23)
+    ) + (SlotSpec(1599, 1, SlotCategory.BASIC),))
+    trace = TraceRecorder()
+    world = build_world(
+        structure=late_basic, link_m=300.0, doctor=dirty_all_but_slot_13, trace=trace,
+    )
+    metrics = run_until(world)
+    drops = trace.iter_kind("frame_drop")
+    assert any(d["t"] % 1600 == 1599 and d["t"] >= 1600 for d in drops)
+    assert metrics.per_link[DL].dropped_bits == len(drops) * MPDU_BITS
+    assert metrics.conservation_ok()
+
+
 def test_report_emissions_ride_the_reverse_basic_slot():
     trace = TraceRecorder()
     schedules = {DL: ReportSchedule(accepted=True, emission_times_us=(1600, 8000))}
@@ -346,7 +384,7 @@ def test_tpc_walks_power_toward_target():
     for later in updates[3:]:
         assert later == pytest.approx(1.0, abs=1e-6)
     assert world.nodes["ap"].tx_power_dbm == pytest.approx(1.0, abs=1e-6)
-    # The power changes invalidated the cached link budgets.
+    # Every budget the world reports is at the changed power.
     for rt in world.runtimes.values():
         for vertex in (rt.vertex, world.graph_vertices[rt.vertex.reverse_id]):
             fresh = link_snr_db(

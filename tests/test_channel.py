@@ -14,6 +14,8 @@ from tddsim.channel import (
     propagation_delay_us,
     received_power_dbm,
 )
+from tddsim.beamforming import BeamMeasurementReport, TrainedLink
+from tddsim.controller import build_interference_graph
 from tddsim.domain import bearing_deg, sector_gain_dbi
 
 from conftest import make_ap, make_node
@@ -115,6 +117,56 @@ def test_link_sample_fields_are_consistent():
     # Frozen: 10 + 50 - 108.013 = -48.013 dBm received, 22.64 dB SNR.
     assert sample.rcpi_dbm == pytest.approx(-48.0127, abs=1e-3)
     assert sample.snr_db == pytest.approx(22.6419, abs=1e-3)
+
+
+def interferes_in_graph(ap, tx_sector, victim, rx_sector, cfg):
+    """Whether the interference graph joins ap's downlink on tx_sector to a
+    downlink that victim receives on rx_sector.
+
+    A measurement report keeps the reverse path quiet, so the one path left
+    to the channel model, ap on tx_sector into victim on rx_sector, decides
+    the edge.
+    """
+    partner = make_node("partner", position=(0.0, -500.0))
+    victim_ap = make_ap("vap", position=(100.0, 500.0))
+    nodes = {n.node_id: n for n in (ap, partner, victim, victim_ap)}
+    trained = [
+        TrainedLink(ap.node_id, "partner", tx_sector, 0, 20.0),
+        TrainedLink("vap", victim.node_id, 0, rx_sector, 20.0),
+    ]
+    quiet = BeamMeasurementReport(
+        responder_id="partner", initiator_id="vap", samples=((0, 0, -60.0),),
+    )
+    graph = build_interference_graph(nodes, trained, [quiet], cfg)
+    a, b = f"{ap.node_id}-partner:downlink", f"vap-{victim.node_id}:downlink"
+    assert (a, b) in graph.model_derived_pairs
+    return graph.conflicts(a, b)
+
+
+def test_interferes_threshold_semantics():
+    cfg = LinkBudgetConfig(interference_threshold_db=0.0)
+    ap = make_ap("ap")
+    victim = make_node("v", position=(100.0, 0.0))
+    # Aligned mainlobes at 100 m: far above the noise floor.
+    assert interferes_in_graph(ap, 0, victim, 4, cfg)
+    # Sidelobe-to-sidelobe at 100 m: 10 - 10 - 10 - 108 = -118 dBm, below floor.
+    assert not interferes_in_graph(ap, 2, victim, 2, cfg)
+    # Raising the threshold above the link margin silences even the mainlobe.
+    strict = LinkBudgetConfig(interference_threshold_db=40.0)
+    assert not interferes_in_graph(ap, 0, victim, 4, strict)
+
+
+def test_interferes_is_exactly_power_above_floor_plus_threshold():
+    cfg = LinkBudgetConfig(interference_threshold_db=5.0)
+    ap = make_ap("ap")
+    victim = make_node("v", position=(100.0, 0.0))
+    p = received_power_dbm(ap, 0, victim, 4, cfg)
+    floor = noise_floor_dbm(cfg)
+    assert interferes_in_graph(ap, 0, victim, 4, cfg) == (p > floor + 5.0)
+    # Thresholds just under and just over the margin fall on either side.
+    margin = p - floor
+    assert interferes_in_graph(ap, 0, victim, 4, LinkBudgetConfig(interference_threshold_db=margin - 1e-6))
+    assert not interferes_in_graph(ap, 0, victim, 4, LinkBudgetConfig(interference_threshold_db=margin))
 
 
 coordinate = st.floats(min_value=-2000.0, max_value=2000.0, allow_nan=False)

@@ -1,5 +1,11 @@
 """JSON-lines trace recording shared by the beamforming driver and engine.
 
+Every record kind and the fields it may carry are declared in `KINDS`. A
+record is kept as one flat tuple `(t, order, shape, *values)`: a shape is
+one kind with one list of present fields, numbered per recorder the first
+time it is seen, which is also when an undeclared kind or field raises
+`SimulationError`.
+
 Records wait in a reorder buffer keyed by (time, insertion order). When the
 caller promises that no record earlier than a watermark can still arrive
 (`advance`), the records below it are sorted, numbered with the next `seq`
@@ -7,22 +13,119 @@ values and handed to the sink, so the written trace has strictly increasing
 (t, seq) keys even when a record is stamped behind the current time. The
 sink is either an in-memory list, which the queries read, or a writer,
 such as a text file, that the records stream to as the run proceeds.
+
+Lines are rendered by one formatter per shape, compiled once from `KINDS`,
+and equal what `json.JSONEncoder(sort_keys=True)` writes for the record's
+dict.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Iterator, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import SimulationError
 
+# JSON types of record fields, with the Python types each accepts.
+STRING, NUMBER, BOOL, LIST = "string", "number", "bool", "list"
+_ACCEPTS = {STRING: (str,), NUMBER: (int, float), BOOL: (bool,), LIST: (list,)}
+
+# Every record kind, with every field it may carry. Each record also has
+# `t`, `kind` and `seq`.
+_FRAME = {"node": STRING, "frame": STRING, "link": STRING, "sector": NUMBER}
+KINDS: dict[str, dict[str, str]] = {
+    "run_header": {"scenario": STRING, "seed": NUMBER, "duration_us": NUMBER},
+    "slot": {
+        "slot_index": NUMBER, "interval": NUMBER, "category": STRING,
+        "direction": STRING, "links": LIST,
+    },
+    "announce": {"node": STRING, "elements": LIST, "broadcast": BOOL},
+    "frame_tx": {
+        **_FRAME, "data_seq": NUMBER, "bits": NUMBER, "last_fragment": BOOL,
+        "mcs": NUMBER, "covered": LIST, "report_seq": NUMBER, "rcpi_dbm": NUMBER,
+        "rsni_db": NUMBER, "frame_index": NUMBER, "end_of_training": BOOL,
+        "slot_countdown": NUMBER, "best_tx_sector": NUMBER, "responder": STRING,
+    },
+    "frame_rx": {
+        **_FRAME, "data_seq": NUMBER, "bits": NUMBER, "last_fragment": BOOL,
+        "outcome": STRING, "report_seq": NUMBER, "tx_sector": NUMBER, "snr_db": NUMBER,
+    },
+    "frame_drop": {"node": STRING, "link": STRING, "data_seq": NUMBER, "reason": STRING},
+    "link_dead": {"link": STRING, "node": STRING, "last_rx": NUMBER},
+    "tpc_update": {
+        "node": STRING, "link": STRING, "power_dbm": NUMBER,
+        "measured_rsni_db": NUMBER, "target_rsni_db": NUMBER,
+    },
+    "bf_start": {
+        "mode": STRING, "initiator": STRING, "responders": LIST,
+        "tx_sectors": NUMBER, "repetitions": NUMBER,
+    },
+    "bf_report": {"node": STRING, "samples": NUMBER},
+    "bf_trained": {
+        "initiator": STRING, "responder": STRING, "initiator_sector": NUMBER,
+        "responder_sector": NUMBER, "snr_db": NUMBER,
+    },
+}
+
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
+Record = tuple  # (t, order, shape, *values)
 
-def _jsonl(records: Iterable[dict[str, Any]]) -> str:
-    return "".join(_ENCODER.encode(rec) + "\n" for rec in records)
+
+def _as_dict(kind: str, names: tuple[str, ...], seq: int, rec: Record) -> dict[str, Any]:
+    out = {"t": rec[0], "kind": kind}
+    out.update(zip(names, rec[3:]))
+    out["seq"] = seq
+    return out
+
+
+@functools.cache
+def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record], str]:
+    """The line writer of one shape: `(strings, seq, record) -> line`.
+
+    `strings` maps each string to its JSON encoding. Keys are sorted, and
+    numbers are written with `repr`, as `json` writes them; a record holding
+    NaN or an infinity is handed to the JSON encoder instead.
+    """
+    declared = KINDS[kind]
+    values = {"kind": encode_basestring_ascii(kind), "seq": "{seq}", "t": "{t!r}"}
+    numbers = ["t"]
+    for i, name in enumerate(names):
+        v = f"v{i}"
+        values[name] = {
+            STRING: f"{{S[{v}]}}", NUMBER: f"{{{v}!r}}", BOOL: f"{{B[{v}]}}", LIST: f"{{L({v})}}",
+        }[declared[name]]
+        if declared[name] == NUMBER:
+            numbers.append(v)
+    body = ", ".join(f'"{key}": {values[key]}' for key in sorted(values))
+    source = "\n".join((
+        "def line(S, seq, rec):",
+        "    t, _, _, " + "".join(f"v{i}, " for i in range(len(names))) + "= rec",
+        "    if " + " or ".join(f"{v} - {v}" for v in numbers) + ":",  # NaN or ±inf
+        "        return reference(seq, rec)",
+        "    return f'{{" + body + "}}\\n'",
+    ))
+    namespace = {
+        "B": ("false", "true"),
+        "L": _ENCODER.encode,
+        "reference": lambda seq, rec: _ENCODER.encode(_as_dict(kind, names, seq, rec)) + "\n",
+    }
+    # Named after this file, so that a profile counts the formatters' time
+    # as this module's.
+    exec(compile(source, f"{__file__} (line formatter: {kind})", "exec"), namespace)
+    return namespace["line"]
+
+
+class _JsonStrings(dict):
+    """The JSON encoding of every string written so far, each encoded once."""
+
+    def __missing__(self, s: str) -> str:
+        self[s] = encoded = encode_basestring_ascii(s)
+        return encoded
 
 
 class TraceRecorder:
@@ -36,15 +139,16 @@ class TraceRecorder:
 
     def __init__(self, enabled: bool = True, write: Optional[Callable[[str], Any]] = None):
         self.enabled = enabled
-        self._pending: list[tuple[float, int, dict[str, Any]]] = []
+        self._write = write
+        self._pending: list[Record] = []
         self._order = 0
         self._next_seq = 0
         self._watermark: float = -math.inf
-        self._records: list[dict[str, Any]] = []
-        if write is None:
-            self._sink = self._records.extend
-        else:
-            self._sink = lambda records: write(_jsonl(records))
+        self._records: list[Record] = []  # written records; seq is the index
+        self._shape_ids: dict[tuple[str, ...], int] = {}  # (kind, *names) -> shape
+        self._shapes: list[tuple[str, tuple[str, ...]]] = []  # shape -> (kind, names)
+        self._formatters: list[Callable[[dict, int, Record], str]] = []  # compiled on first write
+        self._strings = _JsonStrings()
 
     def record(self, t_us: float, kind: str, **fields: Any) -> None:
         if not self.enabled:
@@ -55,12 +159,32 @@ class TraceRecorder:
                 f"trace record {kind!r} at t={t} arrived after the trace "
                 f"was written up to t={self._watermark}"
             )
-        rec = {"t": t, "kind": kind}
-        for key, value in fields.items():
-            if value is not None:
-                rec[key] = value
-        self._pending.append((t, self._order, rec))
+        if None in fields.values():
+            fields = {key: value for key, value in fields.items() if value is not None}
+        key = (kind, *fields)
+        shape = self._shape_ids.get(key)
+        if shape is None:
+            shape = self._add_shape(key, fields)
+        self._pending.append((t, self._order, shape, *fields.values()))
         self._order += 1
+
+    def _add_shape(self, key: tuple[str, ...], fields: dict[str, Any]) -> int:
+        """Number a new shape, after checking it and its first values against KINDS."""
+        kind = key[0]
+        declared = KINDS.get(kind)
+        if declared is None:
+            raise SimulationError(f"trace record kind {kind!r} is not declared in trace.KINDS")
+        for name, value in fields.items():
+            if name not in declared:
+                raise SimulationError(f"trace record {kind!r} has undeclared field {name!r}")
+            if type(value) not in _ACCEPTS[declared[name]]:
+                raise SimulationError(
+                    f"trace record {kind!r} field {name!r} is a {type(value).__name__}, "
+                    f"declared {declared[name]}"
+                )
+        self._shape_ids[key] = shape = len(self._shapes)
+        self._shapes.append((kind, key[1:]))
+        return shape
 
     def advance(self, watermark_us: float) -> None:
         """Write every buffered record with t below `watermark_us`.
@@ -71,14 +195,15 @@ class TraceRecorder:
         pending = self._pending
         pending.sort()  # insertion order is unique, so records are never compared
         cut = bisect_left(pending, (watermark_us,))
-        ready = [rec for _, _, rec in pending[:cut]]
+        ready = pending[:cut]
         del pending[:cut]
-        for seq, rec in enumerate(ready, self._next_seq):
-            rec["seq"] = seq
+        if ready:
+            if self._write is None:
+                self._records += ready
+            else:
+                self._write(self._lines(enumerate(ready, self._next_seq)))
         self._next_seq += len(ready)
         self._watermark = max(self._watermark, watermark_us)
-        if ready:
-            self._sink(ready)
 
     def close(self) -> None:
         """Write the rest of the buffer; no record may follow."""
@@ -93,21 +218,32 @@ class TraceRecorder:
         """How many records wait in the reorder buffer."""
         return len(self._pending)
 
-    def _ordered(self) -> Iterator[dict[str, Any]]:
-        """Written records, then buffered ones numbered as they will be."""
-        yield from self._records
+    def _lines(self, numbered: Iterator[tuple[int, Record]]) -> str:
+        formatters, shapes = self._formatters, self._shapes
+        formatters += [_formatter(*shape) for shape in shapes[len(formatters):]]
+        strings = self._strings
+        return "".join([formatters[rec[2]](strings, seq, rec) for seq, rec in numbered])
+
+    def _ordered(self) -> Iterator[tuple[int, Record]]:
+        """(seq, record) of written records, then buffered ones numbered as they will be."""
+        yield from enumerate(self._records)
         self._pending.sort()
-        for seq, (_, _, rec) in enumerate(self._pending, self._next_seq):
-            yield {**rec, "seq": seq}
+        yield from enumerate(self._pending, self._next_seq)
 
     def sorted_records(self) -> list[dict[str, Any]]:
-        return [dict(rec) for rec in self._ordered()]
+        shapes = self._shapes
+        return [_as_dict(*shapes[rec[2]], seq, rec) for seq, rec in self._ordered()]
 
     def iter_kind(self, kind: str) -> list[dict[str, Any]]:
-        return [rec for rec in self._ordered() if rec["kind"] == kind]
+        shapes = self._shapes
+        of_kind = {i for i, (k, _) in enumerate(shapes) if k == kind}
+        return [
+            _as_dict(kind, shapes[rec[2]][1], seq, rec)
+            for seq, rec in self._ordered() if rec[2] in of_kind
+        ]
 
     def to_jsonl(self) -> str:
-        return _jsonl(self._ordered())
+        return self._lines(self._ordered())
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:

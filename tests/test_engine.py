@@ -215,15 +215,16 @@ def test_acks_start_exactly_at_basic_slot_starts():
     # Every decoded MPDU is covered exactly once, in order.
     covered = [seq for ack in acks for seq in ack["covered"]]
     assert covered == sorted(set(covered))
+    rx = trace.iter_kind("frame_rx")
     decoded = {
-        r["data_seq"] for r in trace.iter_kind("frame_rx")
+        r["data_seq"] for r in rx
         if r["frame"] == "data" and r["outcome"] == "decoded" and r["last_fragment"]
     }
     # The final interval's receptions never see another BASIC slot.
     assert set(covered) <= decoded
     missing = decoded - set(covered)
     assert all(
-        any(r["data_seq"] == seq and r["t"] > 24000 for r in trace.iter_kind("frame_rx")
+        any(r["data_seq"] == seq and r["t"] > 24000 for r in rx
             if r["frame"] == "data" and r["last_fragment"])
         for seq in missing
     )

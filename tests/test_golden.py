@@ -8,6 +8,8 @@ import re
 
 import pytest
 
+from tddsim.trace import KINDS
+
 from golden.regen import DURATIONS_MS, GOLDEN_DIR, SCENARIOS, digests, run_scenario
 
 
@@ -28,12 +30,20 @@ def test_outputs_match_golden(name, golden_outputs):
 
 
 def test_every_written_trace_kind_is_documented(golden_outputs):
+    # README's list of record kinds is the declared table, and every kind
+    # the scenarios write is declared.
     readme = (SCENARIOS.parent / "README.md").read_text()
     outputs = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"`([a-z_]+)`", outputs))
+    kind_list = outputs.split("Record kinds:\n", 1)[1].split("\n- ", 1)[0]
+    documented = {
+        kind
+        for heads in re.findall(r"^  - ((?:`[a-z_]+`/?)+):", kind_list, re.M)
+        for kind in re.findall(r"`([a-z_]+)`", heads)
+    }
+    assert documented == set(KINDS)
     written = {
         json.loads(line)["kind"]
         for out in golden_outputs.values()
         for line in out["trace"].splitlines()
     }
-    assert written - documented == set()
+    assert written - set(KINDS) == set()

@@ -1,13 +1,16 @@
+import gc
 import io
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tddsim.cli import build_world, plan_scenario, prepare_scenario
 from tddsim.config import load_config
 from tddsim.engine import run_until
 from tddsim.errors import SimulationError
-from tddsim.trace import TraceRecorder
+from tddsim.trace import BOOL, KINDS, LIST, NUMBER, STRING, TraceRecorder
 
 from conftest import SCENARIOS
 
@@ -33,11 +36,11 @@ def test_out_of_order_records_within_the_lag_come_out_sorted():
     out = io.StringIO()
     trace = TraceRecorder(write=out.write)
     for t in (5.0, 3.0, 4.0, 1.0):
-        trace.record(t, "x", at=t)
+        trace.record(t, "link_dead", last_rx=t)
     trace.advance(4)
     assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [1.0, 3.0]
     assert trace.buffered == 2
-    trace.record(4.5, "x")
+    trace.record(4.5, "link_dead")
     trace.close()
     records = [json.loads(line) for line in out.getvalue().splitlines()]
     assert [r["t"] for r in records] == [1.0, 3.0, 4.0, 4.5, 5.0]
@@ -48,49 +51,49 @@ def test_out_of_order_records_within_the_lag_come_out_sorted():
 def test_equal_times_keep_insertion_order():
     trace = TraceRecorder()
     for name in ("a", "b", "c"):
-        trace.record(2.0, "x", name=name)
-    trace.record(1.0, "x", name="first")
+        trace.record(2.0, "announce", node=name)
+    trace.record(1.0, "announce", node="first")
     trace.advance(2)
-    trace.record(2.0, "x", name="d")
+    trace.record(2.0, "announce", node="d")
     trace.close()
-    assert [(r["name"], r["seq"]) for r in trace.sorted_records()] == [
+    assert [(r["node"], r["seq"]) for r in trace.sorted_records()] == [
         ("first", 0), ("a", 1), ("b", 2), ("c", 3), ("d", 4),
     ]
 
 
 def test_record_below_a_written_watermark_raises():
     trace = TraceRecorder()
-    trace.record(10.0, "x")
+    trace.record(10.0, "announce")
     trace.advance(10)
-    trace.record(10.0, "x")  # at the watermark is still in order
+    trace.record(10.0, "announce")  # at the watermark is still in order
     with pytest.raises(SimulationError, match="t=9.999") as raised:
-        trace.record(9.999, "x")
+        trace.record(9.999, "announce")
     assert not isinstance(raised.value, AssertionError)  # a fault, not a failed assert
     trace.close()
     assert trace.closed
     with pytest.raises(SimulationError):
-        trace.record(1e9, "x")
+        trace.record(1e9, "announce")
     assert [r["t"] for r in trace.sorted_records()] == [10.0, 10.0]
 
 
 def test_queries_mid_run_number_buffered_records_without_writing_them():
     trace = TraceRecorder()
-    trace.record(3.0, "b")
-    trace.record(1.0, "a")
+    trace.record(3.0, "announce")
+    trace.record(1.0, "slot")
     trace.advance(2)
-    trace.record(2.5, "b")
+    trace.record(2.5, "announce")
     assert [(r["t"], r["seq"]) for r in trace.sorted_records()] == [(1.0, 0), (2.5, 1), (3.0, 2)]
-    assert [r["t"] for r in trace.iter_kind("b")] == [2.5, 3.0]
+    assert [r["t"] for r in trace.iter_kind("announce")] == [2.5, 3.0]
     assert trace.buffered == 2
-    trace.record(2.0, "a")  # queries do not move the watermark
-    assert [r["t"] for r in trace.iter_kind("a")] == [1.0, 2.0]
+    trace.record(2.0, "slot")  # queries do not move the watermark
+    assert [r["t"] for r in trace.iter_kind("slot")] == [1.0, 2.0]
 
 
 def test_disabled_recorder_keeps_nothing():
     trace = TraceRecorder(enabled=False)
-    trace.record(1.0, "x")
+    trace.record(1.0, "announce")
     trace.close()
-    trace.record(0.0, "x")
+    trace.record(0.0, "announce")
     assert trace.to_jsonl() == ""
 
 
@@ -144,3 +147,96 @@ def test_buffer_holds_at_most_two_intervals_at_a_flush():
     # So the buffer holds about two intervals' records, not the run's.
     per_interval = len(times) / len(engine_flushes)
     assert max(before for _, _, before, _ in engine_flushes) < 3 * per_interval
+
+
+# The JSON encoder stays the reference for the per-shape line formatters.
+REFERENCE = json.JSONEncoder(sort_keys=True)
+AWKWARD_STRINGS = ['"', "\\", "\x00\n\t\x1f\x7f", "é", "ap-€", "😀", "\ud800", "a\\\"b", "{x}", "'"]
+AWKWARD_NUMBERS = [
+    -0.0, 1e-07, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"),
+    2**63, 2**64 + 1, -(2**70),
+]
+strings = st.sampled_from(AWKWARD_STRINGS) | st.text(max_size=6)
+numbers = st.sampled_from(AWKWARD_NUMBERS) | st.floats() | st.integers()
+VALUES = {
+    STRING: strings,
+    NUMBER: numbers,
+    BOOL: st.booleans(),
+    LIST: st.lists(strings | numbers, max_size=3),
+}
+
+
+@st.composite
+def records(draw):
+    """(t, kind, fields) with each declared field either a value or None."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    fields = {
+        name: draw(st.none() | VALUES[typ]) for name, typ in sorted(KINDS[kind].items())
+    }
+    t = draw(st.sampled_from([0.0, -0.0, 1e-07, 1e16, float("-inf")]) | st.floats(-1e6, 1e6) | st.integers(0, 10**6))
+    return t, kind, fields
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(records(), min_size=1, max_size=4))
+def test_every_shape_writes_what_the_json_encoder_writes(recs):
+    out = io.StringIO()
+    streamed, memory = TraceRecorder(write=out.write), TraceRecorder()
+    for trace in (streamed, memory):
+        for t, kind, fields in recs:
+            trace.record(t, kind, **fields)
+        trace.close()
+    expected = sorted(
+        (
+            {"t": round(float(t), 3), "kind": kind,
+             **{k: v for k, v in fields.items() if v is not None}}
+            for t, kind, fields in recs
+        ),
+        key=lambda rec: rec["t"],  # stable: equal times keep insertion order
+    )
+    reference = "".join(
+        REFERENCE.encode({**rec, "seq": seq}) + "\n" for seq, rec in enumerate(expected)
+    )
+    assert out.getvalue() == memory.to_jsonl() == reference
+
+
+def test_undeclared_kind_or_field_raises():
+    trace = TraceRecorder()
+    with pytest.raises(SimulationError, match="'beacon' is not declared"):
+        trace.record(1.0, "beacon", node="ap")
+    with pytest.raises(SimulationError, match="undeclared field 'colour'"):
+        trace.record(1.0, "announce", node="ap", colour="red")
+    with pytest.raises(SimulationError, match="'node' is a int, declared string"):
+        trace.record(1.0, "announce", node=7)
+    # An omitted field is not checked, and nothing was recorded above.
+    trace.record(1.0, "announce", node="ap", colour=None)
+    assert trace.sorted_records() == [{"t": 1.0, "kind": "announce", "node": "ap", "seq": 0}]
+
+
+def test_written_records_are_compact_untracked_tuples():
+    # 20,000 records of atomic values hold no per-record object that the
+    # garbage collector tracks (such as an object or a reference to one),
+    # and take less memory than a dict per record did (387 B in CPython 3.11).
+    def data_tx(trace, i):
+        trace.record(
+            float(i), "frame_tx", node="ap", frame="data", link="ap->sta",
+            data_seq=i, bits=1.5 * i, last_fragment=i % 2 == 0, mcs=4,
+        )
+
+    trace = TraceRecorder()
+    data_tx(trace, 0)  # the shape exists before counting starts
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 20_001):
+            data_tx(trace, i)
+        trace.advance(20_001)
+        gc.collect()
+        per_record = (tracemalloc.get_traced_memory()[0] - start) / 20_000
+    finally:
+        tracemalloc.stop()
+    assert len(gc.get_objects()) - tracked < 2_000
+    assert per_record < 300
+    assert trace.buffered == 0 and len(trace.sorted_records()) == 20_001

@@ -213,7 +213,7 @@ def run_beamforming(
         trace.record(
             t, "frame_tx", node=ini_id, frame="tdd_ssw", sector=tx, frame_index=i,
             end_of_training=i == last,
-            slot_countdown=None if plan.with_feedback else last - i,
+            **({} if plan.with_feedback else {"slot_countdown": last - i}),
         )
         for r in responders:
             rx = i % len(r.codebook)

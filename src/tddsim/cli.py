@@ -39,7 +39,7 @@ from .controller import (
 from .engine import World, collect_metrics, metrics_to_csv, run_until
 from .errors import ConfigError, ProtocolError, SimulationError, StructureError
 from .maintenance import PeriodicReportRequest, ReportSchedule, handle_periodic_report_request
-from .schedule import Direction, SlotCategory, expand_sp, timeline
+from .schedule import AbsoluteSlot, Direction, SlotCategory, expand_sp, intervals
 from .trace import TraceRecorder
 
 EXIT_OK = 0
@@ -157,18 +157,27 @@ def build_report_schedules(
     if not cfg.maintenance.periodic_reports:
         return schedules, warnings
 
-    basic = [
-        s for s in timeline(
-            cfg.build_sp_entry(prep.epoch_us), prep.structure,
-            cfg.sim.beacon_interval_us, prep.epoch_us + cfg.sim.duration_us,
-        )
-        if s.category is SlotCategory.BASIC
-    ]
+    first_sp = cfg.build_sp_entry(prep.epoch_us)
+    runs = list(intervals(
+        first_sp, prep.structure, cfg.sim.beacon_interval_us,
+        prep.epoch_us + cfg.sim.duration_us,
+    ))
     vertices = plan.graph.by_id()
     for r in cfg.maintenance.periodic_reports:
         vid = f"{r.link}:{r.direction}"
         rev = vertices[vid].reverse_id
-        tx_slots = [s for s in basic if rev in plan.schedule.slot_links.get(s.slot_index, ())]
+        own = [
+            (index, spec) for index, spec in enumerate(prep.structure.slots)
+            if spec.category is SlotCategory.BASIC
+            and rev in plan.schedule.slot_links.get(index, ())
+        ]
+        tx_slots = [
+            AbsoluteSlot(
+                first_sp.allocation_id, interval, index,
+                base + spec.start_offset_us, spec.duration_us, spec.category,
+            )
+            for interval, base in runs for index, spec in own
+        ]
         req = PeriodicReportRequest(
             start_time_us=r.start_us, interval_us=r.interval_us, count=r.count
         )

@@ -654,6 +654,19 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
     return errors
 
 
+# libyaml's parser when PyYAML was built with it; the same safe constructor.
+_FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(text: str) -> Any:
+    try:
+        return yaml.load(text, Loader=_FAST_LOADER)
+    except yaml.YAMLError:
+        # libyaml words some syntax errors differently: re-parse, so that an
+        # error is always reported in the pure-Python parser's words.
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario file; raises ConfigError on any problem."""
     try:
@@ -662,7 +675,7 @@ def load_config(path: str) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError([f"{path}: {exc.strerror or exc}"])
     try:
-        data = yaml.safe_load(text)
+        data = _parse_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

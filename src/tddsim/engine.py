@@ -23,13 +23,14 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkSample, LinkTable, propagation_delay_us
 from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
 from .controller import AssignmentResult, DirectedLink
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
-from .errors import SimulationError
+from .errors import SimulationError, StructureError
 from .frames import FrameSizes
 from .maintenance import (
     LinkState,
@@ -40,11 +41,10 @@ from .maintenance import (
     tpc_update,
 )
 from .schedule import (
-    AbsoluteSlot,
     ExtendedScheduleEntry,
     SlotCategory,
     TddSlotStructure,
-    timeline,
+    intervals,
 )
 from .trace import TraceRecorder, null_recorder
 
@@ -53,7 +53,9 @@ class EventQueue:
     """Heap of (tick, seq, handler, args) entries; rejects past scheduling.
 
     The scheduling sequence breaks ties, so events at equal ticks run in
-    the order they were pushed.
+    the order they were pushed. It holds frames in flight and CBR timers;
+    slot boundaries and maintenance ticks run from the lazy timeline of
+    `run_until` instead.
     """
 
     def __init__(self):
@@ -136,6 +138,8 @@ class LinkRuntime:
     size_units: int
 
     vertex_id: str = field(init=False)
+    saturated: bool = field(init=False)
+    next_arrival: int = -1  # tick of the next CBR arrival
     next_seq: int = 0
     queue: deque = field(default_factory=deque)
     pending: dict = field(default_factory=dict)  # seq -> Mpdu awaiting ack
@@ -164,6 +168,7 @@ class LinkRuntime:
 
     def __post_init__(self):
         self.vertex_id = self.vertex.vertex_id
+        self.saturated = self.source is not None and self.source.pattern == "saturated"
 
     def queued_bits(self) -> int:
         # An MPDU counts at full size until it is delivered or dropped, so a
@@ -253,6 +258,22 @@ def ticks_per_us(
     ))
 
 
+@dataclass(frozen=True, slots=True)
+class SlotRow:
+    """What every boundary of one slot index reads, built once per World."""
+
+    index: int
+    offset_us: int  # from the start of its interval
+    offset: int  # the same, in ticks
+    basic: bool
+    category: str
+    fields: dict  # the slot record's fields after `interval`
+    # (runtime, transmit window in ticks, interfered): the demanded
+    # activations of the slot, for a BASIC slot the data link of each
+    # reverse path, in the plan's order.
+    runtimes: tuple[tuple["LinkRuntime", int, bool], ...]
+
+
 class World:
     """One self-contained simulation universe; shares nothing mutable."""
 
@@ -331,18 +352,50 @@ class World:
         self.last_rx: dict[tuple[str, str], int] = {}
         self.dead_links: set[str] = set()
 
-        # Per slot index, the activations whose decode fails from
-        # interference: those with a conflict-graph edge to another
-        # activation of the same slot.
-        conflicts = plan.graph.conflicts
-        self._adjacent = {
-            idx: frozenset(a for a in vids for b in vids if a != b and conflicts(a, b))
-            for idx, vids in plan.schedule.slot_links.items()
-        }
+        self.slot_rows = self._slot_rows()
 
         # utilization accounting in ticks, per slot category
         self.used_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
         self.usable_air: dict[str, int] = {c.value: 0 for c in SlotCategory}
+
+    def _slot_rows(self) -> list[SlotRow]:
+        """One row per slot index, in the order the slots start in an interval."""
+        structure, schedule = self.structure, self.plan.schedule
+        interval_us = structure.interval_duration_us
+        conflicts = self.plan.graph.conflicts
+        rows = []
+        for index, spec in enumerate(structure.slots):
+            if spec.start_offset_us < 0 or spec.start_offset_us + spec.duration_us > interval_us:
+                raise StructureError(
+                    f"slot {index} (+{spec.duration_us} at {spec.start_offset_us}) "
+                    f"exceeds interval {interval_us}"
+                )
+            actives = schedule.slot_links.get(index, ())
+            # A decode fails from interference on a conflict-graph edge to
+            # another activation of the same slot.
+            interfered = {a for a in actives for b in actives if a != b and conflicts(a, b)}
+            basic = spec.category is SlotCategory.BASIC
+            duration = spec.duration_us * self.tpu
+            runtimes = []
+            for vid in actives:
+                if basic:  # the BASIC active is the reverse path of a data activation
+                    reverse = self.graph_vertices.get(vid)
+                    rt = reverse and self.runtimes.get(reverse.reverse_id)
+                else:
+                    rt = self.runtimes.get(vid)
+                if rt is not None:
+                    runtimes.append((rt, duration - rt.prop, vid in interfered))
+            fields = {"category": spec.category.value}
+            if index in schedule.slot_directions:
+                fields["direction"] = schedule.slot_directions[index].value
+            if actives:
+                fields["links"] = tuple(actives)
+            rows.append(SlotRow(
+                index, spec.start_offset_us, spec.start_offset_us * self.tpu, basic,
+                spec.category.value, fields, tuple(runtimes),
+            ))
+        rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
+        return rows
 
     # -- live channel queries ------------------------------------------------
 
@@ -369,88 +422,90 @@ class World:
 
 
 def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
-    """Process events through t_end (default: the configured duration)."""
+    """Process events through t_end (default: the configured duration).
+
+    Slot boundaries and maintenance ticks come from a lazy timeline, not
+    the heap. At equal ticks a slot boundary runs first, then a
+    maintenance tick, then heap events in the order they were pushed.
+    """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
-    _seed_events(world)
     queue = world.queue
-    heap = queue.heap
+    heap, pop = queue.heap, queue.pop
     t_end = t_end_us * world.tpu
+    _start_arrivals(world)
+    for tick, handler, args in _timeline(world):
+        if tick > t_end:
+            break
+        while heap and heap[0][0] < tick:
+            now, _, event, event_args = pop()
+            event(world, now, *event_args)
+        queue.now = tick
+        handler(world, tick, *args)
     while heap and heap[0][0] <= t_end:
-        now, _, handler, args = queue.pop()
-        handler(world, now, *args)
+        now, _, event, event_args = pop()
+        event(world, now, *event_args)
     return collect_metrics(world)
 
 
-def _seed_events(world: World) -> None:
+def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
+    """(tick, handler, args) of every slot boundary and maintenance tick, in order."""
     tpu = world.tpu
     t_end = world.epoch_us + world.duration_us
     first_sp = ExtendedScheduleEntry(
         world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
         world.sp_duration_us,
     )
-    for slot in timeline(first_sp, world.structure, world.beacon_interval_us, t_end):
-        world.queue.push(slot.start_us * tpu, _on_slot_boundary, (slot,))
+    rows = world.slot_rows
+    slots = (
+        (base * tpu + row.offset, _on_slot_boundary, (base + row.offset_us, interval, row))
+        for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end)
+        for row in rows
+    )
     interval_us = world.structure.interval_duration_us
-    t = world.epoch_us
-    while t <= t_end:
-        world.queue.push(t * tpu, _on_maintenance_tick, ())
-        t += interval_us
+    ticks = (
+        (t * tpu, _on_maintenance_tick, ())
+        for t in range(world.epoch_us, t_end + 1, interval_us)
+    )
+    return heapq.merge(slots, ticks, key=itemgetter(0))  # stable: slots first
+
+
+def _start_arrivals(world: World) -> None:
     for rt in world.runtimes.values():
         if rt.source and rt.source.pattern == "cbr":
             first = max(world.epoch_us + rt.source.start_us, world.epoch_us)
-            world.queue.push(first * tpu, _on_arrival, (rt,))
+            rt.next_arrival = first * world.tpu
+            world.queue.push(rt.next_arrival, _on_arrival, (rt,))
 
 
-def _on_slot_boundary(world: World, now: int, slot: AbsoluteSlot) -> None:
-    schedule = world.plan.schedule
-    direction = schedule.slot_directions.get(slot.slot_index)
-    actives = schedule.slot_links.get(slot.slot_index, ())
-    world.trace.record(
-        slot.start_us, "slot",
-        slot_index=slot.slot_index,
-        interval=slot.interval_index,
-        category=slot.category.value,
-        direction=direction.value if direction else None,
-        links=list(actives) or None,
-    )
-    interfered = world._adjacent.get(slot.slot_index, frozenset())
-    slot_end = slot.end_us * world.tpu
-
-    for vid in actives:
-        if slot.category is SlotCategory.BASIC:
-            # The BASIC active is the reverse path of a data activation.
-            reverse_vertex = world.graph_vertices.get(vid)
-            if reverse_vertex is None:
+def _on_slot_boundary(
+    world: World, now: int, start_us: int, interval: int, row: SlotRow
+) -> None:
+    world.trace.record(start_us, "slot", slot_index=row.index, interval=interval, **row.fields)
+    if row.basic:
+        due = world.report_due.get(start_us, ())
+        for rt, window, interfered in row.runtimes:
+            if rt.dead:
                 continue
-            data_id = reverse_vertex.reverse_id
-            rt = world.runtimes.get(data_id)
-            if rt is None or rt.dead:
-                continue
-            controls = []
-            if rt.rx_since_ack:
-                controls.append("block_ack")
-            for report_vid in world.report_due.get(slot.start_us, []):
-                if report_vid == data_id:
-                    controls.append("report")
+            controls = ["block_ack"] if rt.rx_since_ack else []
+            controls += ["report"] * due.count(rt.vertex_id)
             if controls:
                 rt.control_queue.extend(controls)
-                rt.interfered_now = vid in interfered
-                world.usable_air[slot.category.value] += slot_end - rt.prop - now
+                rt.interfered_now = interfered
+                world.usable_air[row.category] += window
                 world.queue.push(now, _on_control_tx, (rt, now))
-        else:
-            rt = world.runtimes.get(vid)
-            if rt is None or rt.dead:
-                continue
-            rt.interfered_now = vid in interfered
-            window_end = slot_end - rt.prop
-            rt.active_until = window_end
-            world.usable_air[slot.category.value] += window_end - now
-            if not rt.chained:
-                rt.chained = True
-                world.queue.push(
-                    now, _on_data_tx, (rt, slot.category.value, window_end)
-                )
+        return
+    for rt, window, interfered in row.runtimes:
+        if rt.dead:
+            continue
+        rt.interfered_now = interfered
+        rt.active_until = window_end = now + window
+        world.usable_air[row.category] += window
+        # A chain that would find nothing to send is not started; an
+        # arrival on this very tick runs next and finds the chain started.
+        if not rt.chained and (rt.saturated or rt.queue or rt.next_arrival == now):
+            rt.chained = True
+            world.queue.push(now, _on_data_tx, (rt, row.category, window_end))
 
 
 def _head_mpdu(rt: LinkRuntime, now: int) -> Optional[Mpdu]:
@@ -459,7 +514,7 @@ def _head_mpdu(rt: LinkRuntime, now: int) -> Optional[Mpdu]:
         if head.eligible <= now:
             return head
         return None
-    if rt.source and rt.source.pattern == "saturated":
+    if rt.saturated:
         mpdu = Mpdu(
             seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
             eligible=now, remaining=rt.size_units,
@@ -671,8 +726,8 @@ def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
         rt.chained = True
         world.queue.push(now, _on_data_tx, (rt, SlotCategory.DATA.value, rt.active_until))
     # Next arrival: one MPDU every size/rate seconds.
-    gap = _whole_ticks(rt.size_units, int(rt.source.rate_bps))
-    world.queue.push(now + gap, _on_arrival, (rt,))
+    rt.next_arrival = now + _whole_ticks(rt.size_units, int(rt.source.rate_bps))
+    world.queue.push(rt.next_arrival, _on_arrival, (rt,))
 
 
 def _on_maintenance_tick(world: World, now: int) -> None:

@@ -8,8 +8,10 @@ of the covering transmit slot of the reporting node.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .channel import LinkSample
@@ -76,15 +78,18 @@ def handle_periodic_report_request(
     when any nominal time has no covering transmit slot.
     """
     slots = sorted(responder_tx_slots, key=lambda s: s.start_us)
+    # The first slot, in start order, whose running maximum of ends passes
+    # `nominal` is the first that itself ends after it.
+    ends = list(accumulate((s.end_us for s in slots), max))
     times = []
     for nominal in req.nominal_times():
-        covering = next((s for s in slots if s.end_us > nominal), None)
-        if covering is None:
+        i = bisect_right(ends, nominal)
+        if i == len(slots):
             return ReportSchedule(
                 accepted=False,
                 reason=f"no transmit slot covers report time {nominal}us",
             )
-        times.append(covering.start_us)
+        times.append(slots[i].start_us)
     return ReportSchedule(accepted=True, emission_times_us=tuple(times))
 
 

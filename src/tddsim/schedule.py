@@ -134,13 +134,13 @@ def validate_structure(structure: TddSlotStructure) -> list[ScheduleViolation]:
     return violations
 
 
-def timeline(
+def intervals(
     first_sp: ExtendedScheduleEntry,
     structure: TddSlotStructure,
     beacon_interval_us: int,
     t_end_us: int,
-) -> Iterator[AbsoluteSlot]:
-    """Every slot of a run, in time order.
+) -> Iterator[tuple[int, int]]:
+    """`(interval_index, start_us)` of every TDD interval of a run, in time order.
 
     The TDD SP `first_sp` recurs once per beacon interval, and each SP is a
     whole number of adjacent TDD intervals. Only intervals that end by
@@ -168,13 +168,25 @@ def timeline(
             base = sp_start + k * interval_us
             if base + interval_us > t_end_us:
                 return
-            for slot_index, spec in enumerate(structure.slots):
-                yield AbsoluteSlot(
-                    first_sp.allocation_id, interval_index, slot_index,
-                    base + spec.start_offset_us, spec.duration_us, spec.category,
-                )
+            yield interval_index, base
             interval_index += 1
         sp_start += beacon_interval_us
+
+
+def timeline(
+    first_sp: ExtendedScheduleEntry,
+    structure: TddSlotStructure,
+    beacon_interval_us: int,
+    t_end_us: int,
+) -> Iterator[AbsoluteSlot]:
+    """Every slot of a run, in time order: each slot of each of `intervals()`."""
+    allocation_id = first_sp.allocation_id
+    for interval_index, base in intervals(first_sp, structure, beacon_interval_us, t_end_us):
+        for slot_index, spec in enumerate(structure.slots):
+            yield AbsoluteSlot(
+                allocation_id, interval_index, slot_index,
+                base + spec.start_offset_us, spec.duration_us, spec.category,
+            )
 
 
 def expand_sp(entry: ExtendedScheduleEntry, structure: TddSlotStructure) -> list[AbsoluteSlot]:

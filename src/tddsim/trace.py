@@ -32,7 +32,7 @@ from .errors import SimulationError
 
 # JSON types of record fields, with the Python types each accepts.
 STRING, NUMBER, BOOL, LIST = "string", "number", "bool", "list"
-_ACCEPTS = {STRING: (str,), NUMBER: (int, float), BOOL: (bool,), LIST: (list,)}
+_ACCEPTS = {STRING: (str,), NUMBER: (int, float), BOOL: (bool,), LIST: (list, tuple)}
 
 # Every record kind, with every field it may carry. Each record also has
 # `t`, `kind` and `seq`.
@@ -79,17 +79,26 @@ Record = tuple  # (t, order, shape, *values)
 def _as_dict(kind: str, names: tuple[str, ...], seq: int, rec: Record) -> dict[str, Any]:
     out = {"t": rec[0], "kind": kind}
     out.update(zip(names, rec[3:]))
+    for name in _list_fields(kind, names):
+        if type(out[name]) is tuple:
+            out[name] = list(out[name])
     out["seq"] = seq
     return out
+
+
+@functools.cache
+def _list_fields(kind: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(name for name in names if KINDS[kind][name] == LIST)
 
 
 @functools.cache
 def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record], str]:
     """The line writer of one shape: `(strings, seq, record) -> line`.
 
-    `strings` maps each string to its JSON encoding. Keys are sorted, and
-    numbers are written with `repr`, as `json` writes them; a record holding
-    NaN or an infinity is handed to the JSON encoder instead.
+    `strings` maps each string, and each tuple, to its JSON encoding. Keys
+    are sorted, and numbers are written with `repr`, as `json` writes them;
+    a record holding NaN or an infinity is handed to the JSON encoder
+    instead. A list is encoded each time it is written.
     """
     declared = KINDS[kind]
     values = {"kind": encode_basestring_ascii(kind), "seq": "{seq}", "t": "{t!r}"}
@@ -97,7 +106,8 @@ def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record
     for i, name in enumerate(names):
         v = f"v{i}"
         values[name] = {
-            STRING: f"{{S[{v}]}}", NUMBER: f"{{{v}!r}}", BOOL: f"{{B[{v}]}}", LIST: f"{{L({v})}}",
+            STRING: f"{{S[{v}]}}", NUMBER: f"{{{v}!r}}", BOOL: f"{{B[{v}]}}",
+            LIST: f"{{S[{v}] if {v}.__class__ is tuple else L({v})}}",
         }[declared[name]]
         if declared[name] == NUMBER:
             numbers.append(v)
@@ -121,10 +131,21 @@ def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record
 
 
 class _JsonStrings(dict):
-    """The JSON encoding of every string written so far, each encoded once."""
+    """The JSON encoding of every string, and every tuple of strings, written
+    so far, each encoded once.
 
-    def __missing__(self, s: str) -> str:
-        self[s] = encoded = encode_basestring_ascii(s)
+    Any other tuple is encoded each time: one that holds a number could
+    equal another that writes differently, such as `(1,)` and `(1.0,)`. A
+    tuple of strings equals only a tuple of the same strings.
+    """
+
+    def __missing__(self, value: str | tuple) -> str:
+        if value.__class__ is str:
+            self[value] = encoded = encode_basestring_ascii(value)
+        else:
+            encoded = _ENCODER.encode(value)
+            if all(item.__class__ is str for item in value):
+                self[value] = encoded
         return encoded
 
 
@@ -187,14 +208,15 @@ class TraceRecorder:
         return shape
 
     def advance(self, watermark_us: float) -> None:
-        """Write every buffered record with t below `watermark_us`.
+        """Write every buffered record with t below `watermark_us`, or all at +inf.
 
         A record stamped below the watermark afterwards raises
         `SimulationError` instead of being written out of order.
         """
         pending = self._pending
         pending.sort()  # insertion order is unique, so records are never compared
-        cut = bisect_left(pending, (watermark_us,))
+        # At +inf every record is written, those stamped +inf too.
+        cut = bisect_left(pending, (watermark_us,)) if watermark_us < math.inf else len(pending)
         ready = pending[:cut]
         del pending[:cut]
         if ready:

@@ -1,4 +1,6 @@
 import copy
+import importlib.util
+import sys
 
 import pytest
 import yaml
@@ -256,3 +258,50 @@ def test_serialization_is_stable_under_key_order():
     data = minimal_config()
     shuffled = dict(reversed(list(copy.deepcopy(data).items())))
     assert serialize_config(parse_config(data)) == serialize_config(parse_config(shuffled))
+
+
+def _generated_configs() -> list[str]:
+    """The benchmark's generated mesh_train and cbr_long scenarios, seeds 1, 2, 3 and 7."""
+    path = SCENARIOS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [gen(seed) for gen in workloads.GENERATORS.values() for seed in (1, 2, 3, 7)]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_pure_loaders_parse_every_config_alike(scenario_dir):
+    texts = [path.read_text() for path in sorted(scenario_dir.glob("*.yaml"))]
+    texts += _generated_configs()
+    assert len(texts) == 7 + 8
+    for text in texts:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+MALFORMED = [
+    "name: x\nnodes:\n  - id: a\n   role: b\n",
+    "a: [1, 2\n",
+    "a: 'unterminated\n",
+    'a: "bad \\q escape"\n',
+    "a: b: c\n",
+    "a: 1\n\tb: 2\n",
+    "&x a: *y\n",
+    "key: [a, b]]\n",
+    "a: @foo\n",
+    "%YAML 2.0\n---\na: 1\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_errors_keep_the_pure_loaders_words(text, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    mark = pure.value.problem_mark
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(bad))
+    assert exc.value.problems == [
+        f"{bad}: parse error at line {mark.line + 1}, column {mark.column + 1}: "
+        f"{pure.value.problem}"
+    ]

@@ -3,8 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
+import yaml
 
-from tddsim import channel
+from tddsim import channel, cli, schedule
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
@@ -21,7 +22,9 @@ from tddsim.engine import (
 from tddsim.errors import SimulationError
 from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
+from tddsim.config import parse_config
 from tddsim.schedule import (
+    AbsoluteSlot,
     Direction,
     ExtendedScheduleEntry,
     SlotCategory,
@@ -455,3 +458,81 @@ def test_same_seed_worlds_are_byte_identical():
         run_until(world)
         traces.append(t.to_jsonl())
     assert traces[0] and traces[0] == traces[1]
+
+
+def sparse_cbr_config(duration_us):
+    """Like the benchmark's cbr_long: three sparse CBR links on two APs,
+    periodic reports steering power, for the whole run."""
+    return parse_config(yaml.safe_load(f"""
+name: sparse_cbr
+sim: {{duration_us: {duration_us}, beacon_interval_us: 25600, sp_duration_us: 25600}}
+nodes:
+  - {{id: dn0, role: dn_ap, position: [0.0, 0.0], sectors: 8}}
+  - {{id: cn0, role: cn_sta, position: [0.0, 100.0], sectors: 8}}
+  - {{id: cn1, role: cn_sta, position: [-100.0, 0.0], sectors: 8}}
+  - {{id: dn1, role: dn_ap, position: [2000.0, 0.0], sectors: 8}}
+  - {{id: cn2, role: cn_sta, position: [2000.0, 100.0], sectors: 8}}
+beamforming:
+  trained_links:
+    - {{initiator: dn0, responder: cn0, initiator_sector: 2, responder_sector: 6}}
+    - {{initiator: dn0, responder: cn1, initiator_sector: 4, responder_sector: 0}}
+    - {{initiator: dn1, responder: cn2, initiator_sector: 2, responder_sector: 6}}
+traffic:
+  - {{link: dn0-cn0, direction: downlink, demand_bps: 5.0e+7, pattern: cbr, rate_bps: 1.0e+6, start_us: 300}}
+  - {{link: dn0-cn1, direction: downlink, demand_bps: 5.0e+7, pattern: cbr, rate_bps: 3.0e+6, start_us: 70}}
+  - {{link: dn1-cn2, direction: downlink, demand_bps: 5.0e+7, pattern: cbr, rate_bps: 5.0e+6, start_us: 1200}}
+maintenance:
+  tpc: {{enabled: true, target_rsni_db: 30.0, max_step_db: 3.0}}
+  periodic_reports:
+    - {{link: dn0-cn0, direction: downlink, start_us: 100, interval_us: 5000, count: {duration_us // 5000 - 1}}}
+    - {{link: dn1-cn2, direction: downlink, start_us: 7000, interval_us: 12000, count: {duration_us // 12000 - 1}}}
+"""))
+
+
+class PeakQueue(EventQueue):
+    """An event queue that remembers the longest its heap has been."""
+
+    peak = 0
+
+    def push(self, tick, handler, args):
+        super().push(tick, handler, args)
+        self.peak = max(self.peak, len(self.heap))
+
+
+def test_heap_does_not_grow_with_simulated_time():
+    peaks = []
+    for duration_us in (320_000, 1_280_000):
+        prep = cli.prepare_scenario(sparse_cbr_config(duration_us))
+        world = cli.build_world(prep, cli.plan_scenario(prep), TraceRecorder())
+        world.queue = PeakQueue()
+        metrics = run_until(world)
+        assert metrics.conservation_ok()
+        assert len(world.trace.iter_kind("tpc_update")) > 0
+        peaks.append(world.queue.peak)
+    # Frames in flight and one CBR timer per link, not a slot per event.
+    assert peaks[0] == peaks[1] < 20
+
+
+def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return AbsoluteSlot(*args)
+
+    monkeypatch.setattr(cli, "AbsoluteSlot", counted)
+    monkeypatch.setattr(schedule, "AbsoluteSlot", counted)
+    cfg = sparse_cbr_config(320_000)
+    prep = cli.prepare_scenario(cfg)
+    plan = cli.plan_scenario(prep)
+    schedules, warnings = cli.build_report_schedules(prep, plan)
+    assert len(schedules) == 2 and not warnings
+    vertices = plan.graph.by_id()
+    reporters_basic = [
+        index
+        for r in cfg.maintenance.periodic_reports
+        for index in (0, 12)
+        if vertices[f"{r.link}:{r.direction}"].reverse_id in plan.schedule.slot_links[index]
+    ]
+    assert len(reporters_basic) == 2  # one BASIC slot per reverse path
+    assert len(built) == len(reporters_basic) * 320_000 // 1600

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tddsim.channel import LinkSample
 from tddsim.domain import PowerLimits
@@ -13,6 +14,7 @@ from tddsim.maintenance import (
     tpc_update,
 )
 from tddsim.schedule import (
+    AbsoluteSlot,
     ExtendedScheduleEntry,
     SlotCategory,
     default_slot_structure,
@@ -53,6 +55,45 @@ def test_covering_slot_alignment():
     # Frozen walk on the two-BASIC grid: 10000 falls inside interval 6
     # (9600..11200) past its slot 0, and slot 12 starts at 10392 covering it.
     assert schedule.emission_times_us[0] == 10392
+
+
+def linear_scan(req, slots):
+    """The covering rule read literally: the first slot, in start order, that
+    ends after each nominal time."""
+    ordered = sorted(slots, key=lambda s: s.start_us)
+    times = []
+    for nominal in req.nominal_times():
+        covering = next((s for s in ordered if s.end_us > nominal), None)
+        if covering is None:
+            return None
+        times.append(covering.start_us)
+    return tuple(times)
+
+
+@st.composite
+def slots_and_requests(draw):
+    """Slots anywhere, overlapping, nested or tied, and a request among them."""
+    spans = draw(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120)), max_size=12))
+    slots = [
+        AbsoluteSlot(1, 0, i, start, duration, SlotCategory.BASIC)
+        for i, (start, duration) in enumerate(spans)
+    ]
+    req = PeriodicReportRequest(
+        start_time_us=draw(st.integers(0, 500)),
+        interval_us=draw(st.integers(1, 200)),
+        count=draw(st.integers(1, 6)),
+    )
+    return req, slots
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(slots_and_requests())
+def test_bisected_mapping_equals_the_linear_scan(case):
+    req, slots = case
+    schedule = handle_periodic_report_request(req, slots)
+    expected = linear_scan(req, slots)
+    assert schedule.accepted == (expected is not None)
+    assert schedule.emission_times_us == (expected or ())
 
 
 def test_report_request_rejected_without_coverage():

@@ -6,13 +6,16 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tddsim.beamforming import BeamformingConfig, BfMode, run_beamforming
+from tddsim.channel import LinkBudgetConfig
 from tddsim.cli import build_world, plan_scenario, prepare_scenario
 from tddsim.config import load_config
 from tddsim.engine import run_until
 from tddsim.errors import SimulationError
+from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, expand_sp
 from tddsim.trace import BOOL, KINDS, LIST, NUMBER, STRING, TraceRecorder
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, make_ap, make_node
 
 
 def run_scenario(name, trace, duration_ms=None):
@@ -162,7 +165,8 @@ VALUES = {
     STRING: strings,
     NUMBER: numbers,
     BOOL: st.booleans(),
-    LIST: st.lists(strings | numbers, max_size=3),
+    # A tuple is written as a list; one of strings only is encoded once.
+    LIST: st.lists(strings | numbers, max_size=3) | st.lists(strings | numbers, max_size=3).map(tuple),
 }
 
 
@@ -173,7 +177,7 @@ def records(draw):
     fields = {
         name: draw(st.none() | VALUES[typ]) for name, typ in sorted(KINDS[kind].items())
     }
-    t = draw(st.sampled_from([0.0, -0.0, 1e-07, 1e16, float("-inf")]) | st.floats(-1e6, 1e6) | st.integers(0, 10**6))
+    t = draw(st.sampled_from([0.0, -0.0, 1e-07, 1e16, float("-inf"), float("inf")]) | st.floats(-1e6, 1e6) | st.integers(0, 10**6))
     return t, kind, fields
 
 
@@ -198,6 +202,35 @@ def test_every_shape_writes_what_the_json_encoder_writes(recs):
         REFERENCE.encode({**rec, "seq": seq}) + "\n" for seq, rec in enumerate(expected)
     )
     assert out.getvalue() == memory.to_jsonl() == reference
+    # Queries return lists, never the tuples recorded.
+    assert all(type(v) is not tuple for rec in memory.sorted_records() for v in rec.values())
+
+
+def test_close_writes_a_record_stamped_plus_infinity():
+    out = io.StringIO()
+    streamed, memory = TraceRecorder(write=out.write), TraceRecorder()
+    for trace in (streamed, memory):
+        trace.record(float("inf"), "announce", node="late")
+        trace.record(5.0, "announce", node="early")
+        trace.close()
+        assert trace.buffered == 0
+    assert out.getvalue() == memory.to_jsonl() == (
+        '{"kind": "announce", "node": "early", "seq": 0, "t": 5.0}\n'
+        '{"kind": "announce", "node": "late", "seq": 1, "t": Infinity}\n'
+    )
+
+
+def test_equal_tuples_that_write_differently_are_not_shared():
+    # (1,) == (1.0,) == (True,), so only tuples of strings are encoded once.
+    out = io.StringIO()
+    trace = TraceRecorder(write=out.write)
+    for value in ((1,), (1.0,), (True,), ("a",), ("a",)):
+        trace.record(0.0, "announce", elements=value)
+    trace.close()
+    assert out.getvalue() == "".join(
+        f'{{"elements": {elements}, "kind": "announce", "seq": {seq}, "t": 0.0}}\n'
+        for seq, elements in enumerate(("[1]", "[1.0]", "[true]", '["a"]', '["a"]'))
+    )
 
 
 def test_undeclared_kind_or_field_raises():
@@ -240,3 +273,28 @@ def test_written_records_are_compact_untracked_tuples():
     assert len(gc.get_objects()) - tracked < 2_000
     assert per_record < 300
     assert trace.buffered == 0 and len(trace.sorted_records()) == 20_001
+
+
+def test_no_call_site_passes_a_none_field(monkeypatch):
+    # `record` drops a None field for library callers; the program's own
+    # call sites leave an absent field out instead.
+    nones = []
+    real = TraceRecorder.record
+
+    def record(trace, t_us, kind, **fields):
+        nones.extend((kind, name) for name, value in fields.items() if value is None)
+        real(trace, t_us, kind, **fields)
+
+    monkeypatch.setattr(TraceRecorder, "record", record)
+    for name, duration_ms in (("tpc", None), ("reports", None), ("two_node_dl", 8)):
+        run_scenario(name, TraceRecorder(), duration_ms)
+    trace = TraceRecorder()
+    for mode in BfMode:
+        ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
+        run_beamforming(
+            mode, ap, [sta], LinkBudgetConfig(),
+            expand_sp(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            BeamformingConfig(), trace,
+        )
+    assert {r.get("slot_countdown") is None for r in trace.iter_kind("frame_tx")} == {True, False}
+    assert nones == []

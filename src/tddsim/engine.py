@@ -264,7 +264,6 @@ class SlotRow:
 
     index: int
     offset_us: int  # from the start of its interval
-    offset: int  # the same, in ticks
     basic: bool
     category: str
     fields: dict  # the slot record's fields after `interval`
@@ -391,8 +390,7 @@ class World:
             if actives:
                 fields["links"] = tuple(actives)
             rows.append(SlotRow(
-                index, spec.start_offset_us, spec.start_offset_us * self.tpu, basic,
-                spec.category.value, fields, tuple(runtimes),
+                index, spec.start_offset_us, basic, spec.category.value, fields, tuple(runtimes),
             ))
         rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
         return rows
@@ -456,18 +454,19 @@ def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
         world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
         world.sp_duration_us,
     )
-    rows = world.slot_rows
-    slots = (
-        (base * tpu + row.offset, _on_slot_boundary, (base + row.offset_us, interval, row))
-        for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end)
-        for row in rows
-    )
+
+    def slots():
+        for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
+            for row in world.slot_rows:
+                start_us = base + row.offset_us
+                yield start_us * tpu, _on_slot_boundary, (start_us, interval, row)
+
     interval_us = world.structure.interval_duration_us
     ticks = (
         (t * tpu, _on_maintenance_tick, ())
         for t in range(world.epoch_us, t_end + 1, interval_us)
     )
-    return heapq.merge(slots, ticks, key=itemgetter(0))  # stable: slots first
+    return heapq.merge(slots(), ticks, key=itemgetter(0))  # stable: slots first
 
 
 def _start_arrivals(world: World) -> None:

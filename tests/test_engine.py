@@ -8,6 +8,7 @@ import yaml
 from tddsim import channel, cli, schedule
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
+from tddsim.config import parse_config
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
 from tddsim.domain import DEFAULT_MCS_TABLE, mcs_from_snr
 from tddsim.engine import (
@@ -19,10 +20,9 @@ from tddsim.engine import (
     run_until,
     ticks_per_us,
 )
-from tddsim.errors import SimulationError
+from tddsim.errors import SimulationError, StructureError
 from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
-from tddsim.config import parse_config
 from tddsim.schedule import (
     AbsoluteSlot,
     Direction,
@@ -536,3 +536,12 @@ def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):
     ]
     assert len(reporters_basic) == 2  # one BASIC slot per reverse path
     assert len(built) == len(reporters_basic) * 320_000 // 1600
+
+
+def test_slot_outside_its_interval_is_refused():
+    # The timeline runs slot starts in interval order, which a slot past
+    # its interval's end would break.
+    slots = tuple(SlotSpec(i * 66, 66, SlotCategory.DATA) for i in range(23))
+    structure = TddSlotStructure(1, 1600, slots + (SlotSpec(1590, 66, SlotCategory.BASIC),))
+    with pytest.raises(StructureError, match="slot 23 .* exceeds interval 1600"):
+        build_world(structure=structure)

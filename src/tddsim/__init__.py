@@ -72,6 +72,7 @@ from .schedule import (
     TddSlotStructure,
     default_slot_structure,
     expand_sp,
+    sp_window,
     timeline,
 )
 from .trace import TraceRecorder
@@ -132,6 +133,7 @@ __all__ = [
     "run_until",
     "mcs_from_snr",
     "serialize_config",
+    "sp_window",
     "timeline",
     "tpc_update",
     "uniform_codebook",

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkTable, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, NodeModel
-from .schedule import AbsoluteSlot
 from .trace import TraceRecorder, null_recorder
 
 
@@ -136,6 +135,25 @@ def make_sweep_plan(
     )
 
 
+def fit_sweep_plan(
+    mode: BfMode,
+    initiator: NodeModel,
+    responders: Sequence[NodeModel],
+    cfg: BeamformingConfig,
+    window: tuple[int, int],
+) -> SweepPlan:
+    """The run's plan from the first slot of a service period window
+    `(first slot start, last slot end)`; ValueError if it does not fit."""
+    sp_start, sp_end = window
+    plan = make_sweep_plan(mode, initiator, responders, cfg, sp_start)
+    if plan.end_us > sp_end:
+        raise ValueError(
+            f"service period window of {sp_end - sp_start}us cannot fit "
+            f"a {plan.end_us - sp_start}us training plan"
+        )
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # Driver: runs one full training exchange inside a service period window.
 
@@ -149,25 +167,19 @@ class BeamformingResult:
     sweep_frames: int  # sector-sweep frames the initiator transmitted
 
 
-def _sp_window(sp_slots: Sequence[AbsoluteSlot]) -> tuple[int, int]:
-    if not sp_slots:
-        raise ValueError("beamforming needs at least one slot of service period time")
-    starts = [s.start_us for s in sp_slots]
-    ends = [s.end_us for s in sp_slots]
-    return min(starts), max(ends)
-
-
 def run_beamforming(
     mode: BfMode,
     initiator: NodeModel,
     responders: Sequence[NodeModel],
     channel_cfg: LinkBudgetConfig,
-    sp_slots: Sequence[AbsoluteSlot],
+    window: tuple[int, int],
     cfg: Optional[BeamformingConfig] = None,
     trace: Optional[TraceRecorder] = None,
 ) -> BeamformingResult:
     """Execute one deterministic training run and return its outcome.
 
+    `window` is the service period's `(first slot start, last slot end)`,
+    as `schedule.sp_window` gives it; the plan starts at the first slot.
     Individual mode takes exactly one responder; group mode any positive
     number. Measurement mode performs the sweep only: responders never
     transmit and their measurement reports are returned for the controller.
@@ -185,66 +197,35 @@ def run_beamforming(
         if not node.tdd_capable:
             raise ValueError(f"node {node.node_id} cannot participate in TDD training")
 
-    sp_start, sp_end = _sp_window(sp_slots)
-    plan = make_sweep_plan(mode, initiator, responders, cfg, sp_start)
-    if plan.end_us > sp_end:
-        raise ValueError(
-            f"service period window of {sp_end - sp_start}us cannot fit "
-            f"a {plan.end_us - sp_start}us training plan"
-        )
+    plan = fit_sweep_plan(mode, initiator, responders, cfg, window)
     ini_id = initiator.node_id
     threshold = cfg.decode_min_snr_db
     links = LinkTable(channel_cfg)
 
     trace.record(
-        sp_start, "bf_start", mode=mode.value, initiator=ini_id,
+        plan.start_us, "bf_start", mode=mode.value, initiator=ini_id,
         responders=list(plan.responder_ids), tx_sectors=plan.n_tx_sectors,
         repetitions=plan.repetitions,
     )
-
-    # Sweep: one frame per slot; each responder listens on the next receive
-    # sector of its codebook, round robin.
-    samples: dict[str, list[tuple[int, int, float]]] = {rid: [] for rid in ids}
-    best: dict[str, tuple[float, int, int]] = {}  # (snr, tx, rx); ties to lower (tx, rx)
-    last = plan.n_frames - 1
-    for i in range(plan.n_frames):
-        t = plan.ssw_time(i)
-        tx = plan.tx_sector_of_frame(i)
-        trace.record(
-            t, "frame_tx", node=ini_id, frame="tdd_ssw", sector=tx, frame_index=i,
-            end_of_training=i == last,
-            **({} if plan.with_feedback else {"slot_countdown": last - i}),
-        )
-        for r in responders:
-            rx = i % len(r.codebook)
-            snr = links.snr_db(initiator, tx, r, rx)
-            decoded = snr >= threshold
-            trace.record(
-                t, "frame_rx", node=r.node_id, frame="tdd_ssw", sector=rx, tx_sector=tx,
-                snr_db=round(snr, 3), outcome="decoded" if decoded else "below_threshold",
-            )
-            if decoded:
-                samples[r.node_id].append((tx, rx, snr))
-                b = best.get(r.node_id)
-                if b is None or snr > b[0] or (snr == b[0] and (tx, rx) < b[1:]):
-                    best[r.node_id] = (snr, tx, rx)
+    samples = _sweep(plan, initiator, responders, links, threshold, trace)
 
     if not plan.with_feedback:
         reports = []
-        for rid in ids:
-            if samples[rid]:
-                reports.append(BeamMeasurementReport(rid, ini_id, tuple(samples[rid])))
-                trace.record(plan.sweep_end_us, "bf_report", node=rid, samples=len(samples[rid]))
+        for rid, found in zip(ids, samples):
+            if found:
+                reports.append(BeamMeasurementReport(rid, ini_id, tuple(found)))
+                trace.record(plan.sweep_end_us, "bf_report", node=rid, samples=len(found))
         return BeamformingResult(mode, (), tuple(reports), plan.sweep_end_us, plan.n_frames)
 
     # Feedback, ack and announce, in the slots the plan reserves for each
     # responder's best transmit sector.
     trained: list[TrainedLink] = []
-    for k, r in enumerate(responders):
-        rid = r.node_id
-        if rid not in best:
+    for k, (r, found) in enumerate(zip(responders, samples)):
+        if not found:
             continue
-        snr, tx, rx = best[rid]
+        rid = r.node_id
+        # The strongest sample; of equal ones, the lowest (tx, rx).
+        tx, rx, snr = max(found, key=lambda s: (s[2], -s[0], -s[1]))
         t_fb = plan.feedback_time(tx, k)
         trace.record(t_fb, "frame_tx", node=rid, frame="tdd_ssw_feedback", sector=rx, best_tx_sector=tx)
         fb_snr = link_snr_db(r, rx, initiator, tx, channel_cfg).snr_db
@@ -277,3 +258,52 @@ def run_beamforming(
         )
 
     return BeamformingResult(mode, tuple(trained), (), plan.end_us, plan.n_frames)
+
+
+def _sweep(
+    plan: SweepPlan,
+    initiator: NodeModel,
+    responders: Sequence[NodeModel],
+    links: LinkTable,
+    threshold: float,
+    trace: TraceRecorder,
+) -> list[list[tuple[int, int, float]]]:
+    """Run the sweep and return each responder's decoded samples, in frame order.
+
+    One frame per slot; each responder listens on the next receive sector of
+    its codebook, round robin. A sample's SNR is `LinkTable.snr_db`'s sum,
+    term by term in its order, from the link entry read once per responder.
+    """
+    ini_id = initiator.node_id
+    power, noise = initiator.tx_power_dbm, links.noise_floor_dbm
+    last = plan.n_frames - 1
+    countdown = not plan.with_feedback
+    emit_tx = trace.emitter(
+        "frame_tx", node=ini_id, frame="tdd_ssw", sector=0, frame_index=0,
+        end_of_training=False, **({"slot_countdown": last} if countdown else {}),
+    )
+    emit_rx = trace.emitter(
+        "frame_rx", node=ini_id, frame="tdd_ssw", sector=0, tx_sector=0,
+        snr_db=0.0, outcome="decoded",
+    )
+    legs = [
+        (r.node_id, len(r.codebook), *links.entry(initiator, r), [])
+        for r in responders
+    ]
+    reps = plan.repetitions
+    frame_times = range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)
+    for i, t in enumerate(frame_times):
+        tx = i // reps
+        if countdown:
+            emit_tx(t, ini_id, "tdd_ssw", tx, i, i == last, last - i)
+        else:
+            emit_tx(t, ini_id, "tdd_ssw", tx, i, i == last)
+        for rid, n_rx, loss, tx_gain, rx_gain, found in legs:
+            rx = i % n_rx
+            snr = power + tx_gain[tx] + rx_gain[rx] - loss - noise
+            if snr >= threshold:
+                found.append((tx, rx, snr))
+                emit_rx(t, rid, "tdd_ssw", rx, tx, round(snr, 3), "decoded")
+            else:
+                emit_rx(t, rid, "tdd_ssw", rx, tx, round(snr, 3), "below_threshold")
+    return [leg[-1] for leg in legs]

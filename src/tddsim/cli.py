@@ -39,7 +39,8 @@ from .controller import (
 from .engine import World, collect_metrics, metrics_to_csv, run_until
 from .errors import ConfigError, ProtocolError, SimulationError, StructureError
 from .maintenance import PeriodicReportRequest, ReportSchedule, handle_periodic_report_request
-from .schedule import AbsoluteSlot, Direction, SlotCategory, expand_sp, intervals
+from .schedule import AbsoluteSlot, Direction, SlotCategory, intervals, sp_window
+from .schedule import expand_sp  # noqa: F401  perfbench/layers.py hooks this name
 from .trace import TraceRecorder
 
 EXIT_OK = 0
@@ -98,11 +99,11 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
 
     bf_cfg = cfg.build_bf_config()
     for k, run in enumerate(cfg.beamforming.runs):
-        sp_slots = expand_sp(cfg.build_sp_entry(k * cfg.sim.beacon_interval_us), prep.structure)
+        window = sp_window(cfg.build_sp_entry(k * cfg.sim.beacon_interval_us), prep.structure)
         result = run_beamforming(
             BfMode(run.mode), prep.nodes[run.initiator],
             [prep.nodes[r] for r in run.responders], prep.channel,
-            sp_slots, bf_cfg, trace,
+            window, bf_cfg, trace,
         )
         prep.bf_results.append(result)
         if trace is not None:

@@ -13,7 +13,7 @@ from typing import Any, Collection, Optional
 
 import yaml
 
-from .beamforming import BeamformingConfig, BfMode
+from .beamforming import BeamformingConfig, BfMode, fit_sweep_plan
 from .channel import LinkBudgetConfig
 from .domain import (
     DEFAULT_MCS_TABLE,
@@ -33,6 +33,7 @@ from .schedule import (
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
+    sp_window,
     validate_structure,
 )
 
@@ -614,6 +615,10 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
         if run.mode == "individual" and len(run.responders) != 1:
             errors.append(f"{path}.responders: individual mode takes exactly one responder")
 
+    for key in ("ssw_slot_us", "feedback_slot_us", "ack_slot_us", "announce_slot_us"):
+        if getattr(cfg.beamforming, key) <= 0:
+            errors.append(f"beamforming.{key}: must be positive")
+
     sectors_of = {n.id: n.sectors for n in cfg.nodes}
     for i, t in enumerate(cfg.beamforming.trained_links):
         path = f"beamforming.trained_links[{i}]"
@@ -651,6 +656,28 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
     if not errors:
         for violation in validate_structure(cfg.build_structure()):
             errors.append(f"slot_structure: {violation.kind}: {violation.detail}")
+    if not errors and cfg.beamforming.runs:
+        errors.extend(_training_overflows(cfg))
+    return errors
+
+
+def _training_overflows(cfg: ScenarioConfig) -> list[str]:
+    """A problem for each training run whose plan overflows its service period.
+
+    Every run has a service period of the same shape, one beacon interval
+    after the last, so the first one's window stands for all.
+    """
+    errors = []
+    window = sp_window(cfg.build_sp_entry(), cfg.build_structure())
+    nodes, bf_cfg = cfg.build_nodes(), cfg.build_bf_config()
+    for i, run in enumerate(cfg.beamforming.runs):
+        try:
+            fit_sweep_plan(
+                _BF_MODES[run.mode], nodes[run.initiator],
+                [nodes[r] for r in run.responders], bf_cfg, window,
+            )
+        except ValueError as exc:
+            errors.append(f"beamforming.runs[{i}]: {exc}")
     return errors
 
 

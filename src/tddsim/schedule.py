@@ -134,6 +134,23 @@ def validate_structure(structure: TddSlotStructure) -> list[ScheduleViolation]:
     return violations
 
 
+def _intervals_per_sp(sp: ExtendedScheduleEntry, structure: TddSlotStructure) -> int:
+    """How many TDD intervals `sp` holds, after checking that it is a TDD SP
+    of `structure`'s allocation made of whole intervals."""
+    if not sp.is_tdd:
+        raise ValueError("entry is not a TDD SP")
+    if structure.allocation_id != sp.allocation_id:
+        raise ValueError(
+            f"structure allocation {structure.allocation_id} != entry {sp.allocation_id}"
+        )
+    interval_us = structure.interval_duration_us
+    if sp.duration_us % interval_us != 0:
+        raise StructureError(
+            f"SP duration {sp.duration_us} is not a multiple of interval {interval_us}"
+        )
+    return sp.duration_us // interval_us
+
+
 def intervals(
     first_sp: ExtendedScheduleEntry,
     structure: TddSlotStructure,
@@ -147,20 +164,10 @@ def intervals(
     `t_end_us` run; a partial final interval is dropped. `interval_index`
     counts intervals across the whole run, from 0.
     """
-    if not first_sp.is_tdd:
-        raise ValueError("entry is not a TDD SP")
-    if structure.allocation_id != first_sp.allocation_id:
-        raise ValueError(
-            f"structure allocation {structure.allocation_id} != entry {first_sp.allocation_id}"
-        )
-    interval_us = structure.interval_duration_us
-    if first_sp.duration_us % interval_us != 0:
-        raise StructureError(
-            f"SP duration {first_sp.duration_us} is not a multiple of interval {interval_us}"
-        )
+    n_intervals = _intervals_per_sp(first_sp, structure)
     if beacon_interval_us < first_sp.duration_us:
         raise ValueError("the SP does not fit in the beacon interval")
-    n_intervals = first_sp.duration_us // interval_us
+    interval_us = structure.interval_duration_us
     interval_index = 0
     sp_start = first_sp.start_time_us
     while True:
@@ -192,3 +199,20 @@ def timeline(
 def expand_sp(entry: ExtendedScheduleEntry, structure: TddSlotStructure) -> list[AbsoluteSlot]:
     """The slots of one TDD SP: intervals x slots-per-interval."""
     return list(timeline(entry, structure, entry.duration_us, entry.end_time_us))
+
+
+def sp_window(entry: ExtendedScheduleEntry, structure: TddSlotStructure) -> tuple[int, int]:
+    """`(start of the first slot, end of the last)` of one TDD SP.
+
+    The span that `expand_sp`'s slots cover, with the same errors, computed
+    without expanding them: the earliest slot of the first interval and the
+    latest end in the last.
+    """
+    n_intervals = _intervals_per_sp(entry, structure)
+    if not structure.slots:
+        raise ValueError("the slot structure holds no slot")
+    last_base = entry.start_time_us + (n_intervals - 1) * structure.interval_duration_us
+    return (
+        entry.start_time_us + min(s.start_offset_us for s in structure.slots),
+        last_base + max(s.start_offset_us + s.duration_us for s in structure.slots),
+    )

@@ -2,9 +2,16 @@
 
 Every record kind and the fields it may carry are declared in `KINDS`. A
 record is kept as one flat tuple `(t, order, shape, *values)`: a shape is
-one kind with one list of present fields, numbered per recorder the first
-time it is seen, which is also when an undeclared kind or field raises
-`SimulationError`.
+one kind with one list of present fields, numbered per recorder. Records
+reach the buffer through one path, a shape's emitter: `emitter(kind,
+**first)` registers the shape, checking its kind, its field names and the
+types of `first`'s values against `KINDS` (an undeclared kind or field, or
+a wrongly typed value, raises `SimulationError`), and returns
+`emit(t_us, *values)`, which appends one row with its values in `first`'s
+field order. A row is checked only against the watermark, not scanned for
+`None` or keyed by shape, so a hot loop such as the training sweep writes
+its rows through emitters. `record(t_us, kind, **fields)` is the keyword
+form: it drops `None` fields and keeps one emitter per shape it has seen.
 
 Records wait in a reorder buffer keyed by (time, insertion order). When the
 caller promises that no record earlier than a watermark can still arrive
@@ -22,6 +29,7 @@ dict.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from bisect import bisect_left
@@ -162,36 +170,61 @@ class TraceRecorder:
         self.enabled = enabled
         self._write = write
         self._pending: list[Record] = []
-        self._order = 0
+        self._order = itertools.count()  # insertion order, shared by every emitter
+        self._stamp: tuple[Any, float] = (math.nan, math.nan)  # the last row's (t_us, t)
         self._next_seq = 0
         self._watermark: float = -math.inf
         self._records: list[Record] = []  # written records; seq is the index
         self._shape_ids: dict[tuple[str, ...], int] = {}  # (kind, *names) -> shape
+        self._emitters: dict[tuple[str, ...], Callable[..., None]] = {}  # record's, per shape
         self._shapes: list[tuple[str, tuple[str, ...]]] = []  # shape -> (kind, names)
         self._formatters: list[Callable[[dict, int, Record], str]] = []  # compiled on first write
         self._strings = _JsonStrings()
 
     def record(self, t_us: float, kind: str, **fields: Any) -> None:
+        """Record `kind` at `t_us` with `fields`, leaving out any that is None."""
         if not self.enabled:
             return
-        t = round(float(t_us), 3)
-        if t < self._watermark:
-            raise SimulationError(
-                f"trace record {kind!r} at t={t} arrived after the trace "
-                f"was written up to t={self._watermark}"
-            )
         if None in fields.values():
             fields = {key: value for key, value in fields.items() if value is not None}
         key = (kind, *fields)
-        shape = self._shape_ids.get(key)
-        if shape is None:
-            shape = self._add_shape(key, fields)
-        self._pending.append((t, self._order, shape, *fields.values()))
-        self._order += 1
+        emit = self._emitters.get(key)
+        if emit is None:
+            emit = self._emitters[key] = self.emitter(kind, **fields)
+        emit(t_us, *fields.values())
 
-    def _add_shape(self, key: tuple[str, ...], fields: dict[str, Any]) -> int:
-        """Number a new shape, after checking it and its first values against KINDS."""
-        kind = key[0]
+    def emitter(self, kind: str, **first: Any) -> Callable[..., None]:
+        """The positional writer of one shape: `emit(t_us, *values)`.
+
+        `first` names the shape's fields, in the order `emit` takes their
+        values, with a value of each field's type. They are checked against
+        KINDS here, as `record` checks a shape it sees for the first time;
+        rows are not checked again, so each must hold one value of the
+        declared type per field. A row stamped below the watermark raises
+        `SimulationError`. A disabled recorder's emitter records nothing.
+        """
+        if not self.enabled:
+            return _ignore
+        shape = self._add_shape(kind, first)
+        append, order = self._pending.append, self._order
+
+        def emit(t_us: float, *values: Any) -> None:
+            # Rows stamped with the same time object, such as one frame's
+            # transmission and receptions, share one rounded time.
+            if t_us is not self._stamp[0]:
+                self._stamp = (t_us, round(float(t_us), 3))
+            t = self._stamp[1]
+            if t < self._watermark:
+                raise SimulationError(
+                    f"trace record {kind!r} at t={t} arrived after the trace "
+                    f"was written up to t={self._watermark}"
+                )
+            append((t, next(order), shape, *values))
+
+        return emit
+
+    def _add_shape(self, kind: str, fields: dict[str, Any]) -> int:
+        """The number of a shape, after checking it and its values against KINDS."""
         declared = KINDS.get(kind)
         if declared is None:
             raise SimulationError(f"trace record kind {kind!r} is not declared in trace.KINDS")
@@ -203,8 +236,11 @@ class TraceRecorder:
                     f"trace record {kind!r} field {name!r} is a {type(value).__name__}, "
                     f"declared {declared[name]}"
                 )
-        self._shape_ids[key] = shape = len(self._shapes)
-        self._shapes.append((kind, key[1:]))
+        key = (kind, *fields)
+        shape = self._shape_ids.get(key)
+        if shape is None:
+            self._shape_ids[key] = shape = len(self._shapes)
+            self._shapes.append((kind, key[1:]))
         return shape
 
     def advance(self, watermark_us: float) -> None:
@@ -270,6 +306,10 @@ class TraceRecorder:
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_jsonl())
+
+
+def _ignore(*_: Any) -> None:
+    pass
 
 
 def null_recorder() -> TraceRecorder:

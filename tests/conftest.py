@@ -1,4 +1,6 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -6,6 +8,15 @@ from tddsim.channel import LinkBudgetConfig
 from tddsim.domain import NodeModel, PowerLimits, Role, uniform_codebook
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+PERFBENCH = SCENARIOS.parent / "perfbench"
+
+
+def perfbench_workloads():
+    """The benchmark's scenario generators, `perfbench/workloads.py`, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def make_node(

@@ -31,6 +31,7 @@ from tddsim.schedule import (
     SlotCategory,
     default_slot_structure,
     expand_sp,
+    sp_window,
 )
 from tddsim.trace import TraceRecorder
 
@@ -62,6 +63,10 @@ def verdict(label, failures, detail=""):
 
 def sp_slots():
     return expand_sp(ExtendedScheduleEntry(1, 0, 25_600), default_slot_structure(1))
+
+
+def training_window():
+    return sp_window(ExtendedScheduleEntry(1, 0, 25_600), default_slot_structure(1))
 
 
 def brute_force_best_pair(initiator, responder, channel, threshold):
@@ -102,7 +107,7 @@ def test_01_slot_hierarchy_expands_consistently():
 def test_02_individual_training_equals_exhaustive_search():
     failures, need = checker()
     rng = random.Random(31337)
-    slots = sp_slots()
+    window = training_window()
     cfg = BeamformingConfig()
     total = 100
     mismatched = []
@@ -115,7 +120,7 @@ def test_02_individual_training_equals_exhaustive_search():
         resp = make_node(
             "sta", position=(dist * math.cos(ang), dist * math.sin(ang)), sectors=n_rx,
         )
-        result = run_beamforming(BfMode.INDIVIDUAL, ini, [resp], CHANNEL, slots, cfg)
+        result = run_beamforming(BfMode.INDIVIDUAL, ini, [resp], CHANNEL, window, cfg)
         oracle = brute_force_best_pair(ini, resp, CHANNEL, cfg.decode_min_snr_db)
         if oracle is None:
             if result.trained_links:
@@ -141,7 +146,7 @@ def test_03_group_training_and_silent_measurement():
     ]
     cfg = BeamformingConfig()
     trace = TraceRecorder()
-    result = run_beamforming(BfMode.GROUP, ini, responders, CHANNEL, sp_slots(), cfg, trace)
+    result = run_beamforming(BfMode.GROUP, ini, responders, CHANNEL, training_window(), cfg, trace)
     decoded = {
         r["node"] for r in trace.iter_kind("frame_rx")
         if r["frame"] == "tdd_ssw" and r["outcome"] == "decoded"
@@ -158,7 +163,7 @@ def test_03_group_training_and_silent_measurement():
 
     mtrace = TraceRecorder()
     mresult = run_beamforming(
-        BfMode.MEASUREMENT, ini, responders, CHANNEL, sp_slots(), cfg, mtrace,
+        BfMode.MEASUREMENT, ini, responders, CHANNEL, training_window(), cfg, mtrace,
     )
     tx_nodes = {r["node"] for r in mtrace.iter_kind("frame_tx")}
     tx_frames = {r["frame"] for r in mtrace.iter_kind("frame_tx")}

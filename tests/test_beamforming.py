@@ -9,15 +9,15 @@ from tddsim.beamforming import (
     run_beamforming,
 )
 from tddsim.channel import LinkBudgetConfig, link_snr_db
-from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, expand_sp
+from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
 from conftest import make_ap, make_node
 
 
-def sp_slots(duration_us=25600, start_us=0):
+def window(duration_us=25600, start_us=0):
     entry = ExtendedScheduleEntry(1, start_us, duration_us)
-    return expand_sp(entry, default_slot_structure(1))
+    return sp_window(entry, default_slot_structure(1))
 
 
 def brute_force_best_pair(initiator, responder, channel, threshold):
@@ -73,7 +73,7 @@ def test_individual_training_matches_brute_force():
     ini = make_ap("ap", position=(0.0, 0.0), sectors=8)
     resp = make_node("sta", position=(120.0, 35.0), sectors=8)
     cfg = BeamformingConfig()
-    result = run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, sp_slots(), cfg)
+    result = run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, window(), cfg)
     oracle = brute_force_best_pair(ini, resp, channel, cfg.decode_min_snr_db)
     assert len(result.trained_links) == 1
     link = result.trained_links[0]
@@ -96,7 +96,7 @@ def test_individual_training_randomized_geometries():
         ini = make_ap("ap", sectors=n_tx)
         resp = make_node("sta", position=pos, sectors=n_rx)
         cfg = BeamformingConfig()
-        result = run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, sp_slots(), cfg)
+        result = run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, window(), cfg)
         oracle = brute_force_best_pair(ini, resp, channel, cfg.decode_min_snr_db)
         assert oracle is not None
         link = result.trained_links[0]
@@ -113,7 +113,7 @@ def test_group_training_three_responders():
     ]
     cfg = BeamformingConfig()
     trace = TraceRecorder()
-    result = run_beamforming(BfMode.GROUP, ini, responders, channel, sp_slots(), cfg, trace)
+    result = run_beamforming(BfMode.GROUP, ini, responders, channel, window(), cfg, trace)
     # Every responder that decoded at least one sweep frame ends up trained.
     decoded_by = {
         r["node"] for r in trace.iter_kind("frame_rx")
@@ -143,7 +143,7 @@ def test_measurement_mode_is_silent_and_reports():
     ]
     trace = TraceRecorder()
     result = run_beamforming(
-        BfMode.MEASUREMENT, ini, responders, channel, sp_slots(), BeamformingConfig(), trace
+        BfMode.MEASUREMENT, ini, responders, channel, window(), BeamformingConfig(), trace
     )
     assert result.trained_links == ()
     # No responder transmits anything; no ack frame ever goes out.
@@ -173,7 +173,7 @@ def test_undecodable_responder_stays_untrained():
     ini = make_ap("ap", sectors=4)
     # 300 km away: no sector pair clears the decode threshold.
     far = make_node("far", position=(300000.0, 0.0), sectors=4)
-    result = run_beamforming(BfMode.INDIVIDUAL, ini, [far], channel, sp_slots(), BeamformingConfig())
+    result = run_beamforming(BfMode.INDIVIDUAL, ini, [far], channel, window(), BeamformingConfig())
     assert result.trained_links == ()
     assert brute_force_best_pair(ini, far, channel, BeamformingConfig().decode_min_snr_db) is None
 
@@ -184,16 +184,16 @@ def test_run_validation_errors():
     r1 = make_node("r1", position=(100.0, 0.0))
     r2 = make_node("r2", position=(0.0, 100.0))
     with pytest.raises(ValueError):
-        run_beamforming(BfMode.INDIVIDUAL, ini, [r1, r2], channel, sp_slots())
+        run_beamforming(BfMode.INDIVIDUAL, ini, [r1, r2], channel, window())
     with pytest.raises(ValueError):
-        run_beamforming(BfMode.GROUP, ini, [], channel, sp_slots())
+        run_beamforming(BfMode.GROUP, ini, [], channel, window())
     with pytest.raises(ValueError):
-        run_beamforming(BfMode.GROUP, ini, [r1, r1], channel, sp_slots())
+        run_beamforming(BfMode.GROUP, ini, [r1, r1], channel, window())
     legacy = make_node("old", position=(50.0, 0.0), tdd_capable=False)
     with pytest.raises(ValueError):
-        run_beamforming(BfMode.INDIVIDUAL, ini, [legacy], channel, sp_slots())
+        run_beamforming(BfMode.INDIVIDUAL, ini, [legacy], channel, window())
     with pytest.raises(ValueError):
-        run_beamforming(BfMode.GROUP, ini, [r1], channel, [])
+        run_beamforming(BfMode.GROUP, ini, [r1], channel, (0, 0))
 
 
 def test_plan_must_fit_service_period():
@@ -204,7 +204,7 @@ def test_plan_must_fit_service_period():
     with pytest.raises(ValueError):
         run_beamforming(
             BfMode.INDIVIDUAL, ini, [resp], channel,
-            sp_slots(duration_us=1600)[:4], BeamformingConfig(),
+            (0, 4 * 66), BeamformingConfig(),
         )
 
 
@@ -215,6 +215,6 @@ def test_deterministic_trace_repeat():
     traces = []
     for _ in range(2):
         t = TraceRecorder()
-        run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, sp_slots(), BeamformingConfig(), t)
+        run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, window(), BeamformingConfig(), t)
         traces.append(t.to_jsonl())
     assert traces[0] == traces[1]

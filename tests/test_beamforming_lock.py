@@ -11,13 +11,23 @@ record, field or insertion order at equal time fails here.
 import hashlib
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tddsim.beamforming import BeamformingConfig, BfMode, run_beamforming
-from tddsim.channel import LinkBudgetConfig
-from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, expand_sp
+from tddsim.beamforming import (
+    BeamformingConfig,
+    BeamformingResult,
+    BeamMeasurementReport,
+    BfMode,
+    TrainedLink,
+    make_sweep_plan,
+    run_beamforming,
+)
+from tddsim.channel import LinkBudgetConfig, LinkTable
+from tddsim.domain import Role, uniform_codebook
+from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
 from conftest import make_ap, make_node
@@ -95,7 +105,7 @@ def run_case(name):
     trace = TraceRecorder()
     result = run_beamforming(
         mode, initiator, responders, CHANNEL,
-        expand_sp(entry, default_slot_structure(1)), BeamformingConfig(), trace,
+        sp_window(entry, default_slot_structure(1)), BeamformingConfig(), trace,
     )
     return result, trace
 
@@ -166,3 +176,133 @@ def test_feedback_sent_but_not_decoded_leaves_the_pair_untrained():
 def test_trace_and_result_match_pinned_digests(name):
     result, trace = run_case(name)
     assert (sha256(trace.to_jsonl()), sha256(result_text(result))) == DIGESTS[name]
+
+
+def reference_run(mode, initiator, responders, channel_cfg, window, cfg, trace):
+    """run_beamforming with one keyword `record` and one `LinkTable.snr_db`
+    call per sweep sample, frame by frame, as the driver was first written."""
+    plan = make_sweep_plan(mode, initiator, responders, cfg, window[0])
+    assert plan.end_us <= window[1]
+    links = LinkTable(channel_cfg)
+    threshold = cfg.decode_min_snr_db
+    ini_id = initiator.node_id
+    trace.record(
+        plan.start_us, "bf_start", mode=mode.value, initiator=ini_id,
+        responders=list(plan.responder_ids), tx_sectors=plan.n_tx_sectors,
+        repetitions=plan.repetitions,
+    )
+    samples = {r.node_id: [] for r in responders}
+    best = {}
+    last = plan.n_frames - 1
+    for i in range(plan.n_frames):
+        t, tx = plan.ssw_time(i), plan.tx_sector_of_frame(i)
+        countdown = {} if plan.with_feedback else {"slot_countdown": last - i}
+        trace.record(
+            t, "frame_tx", node=ini_id, frame="tdd_ssw", sector=tx, frame_index=i,
+            end_of_training=i == last, **countdown,
+        )
+        for r in responders:
+            rx = i % len(r.codebook)
+            snr = links.snr_db(initiator, tx, r, rx)
+            decoded = snr >= threshold
+            trace.record(
+                t, "frame_rx", node=r.node_id, frame="tdd_ssw", sector=rx, tx_sector=tx,
+                snr_db=round(snr, 3), outcome="decoded" if decoded else "below_threshold",
+            )
+            if decoded:
+                samples[r.node_id].append((tx, rx, snr))
+                b = best.get(r.node_id)
+                if b is None or snr > b[0] or (snr == b[0] and (tx, rx) < b[1:]):
+                    best[r.node_id] = (snr, tx, rx)
+    if not plan.with_feedback:
+        reports = []
+        for r in responders:
+            if samples[r.node_id]:
+                reports.append(BeamMeasurementReport(r.node_id, ini_id, tuple(samples[r.node_id])))
+                trace.record(plan.sweep_end_us, "bf_report", node=r.node_id, samples=len(samples[r.node_id]))
+        return BeamformingResult(mode, (), tuple(reports), plan.sweep_end_us, plan.n_frames)
+    trained = []
+    for k, r in enumerate(responders):
+        rid = r.node_id
+        if rid not in best:
+            continue
+        snr, tx, rx = best[rid]
+        t_fb = plan.feedback_time(tx, k)
+        trace.record(t_fb, "frame_tx", node=rid, frame="tdd_ssw_feedback", sector=rx, best_tx_sector=tx)
+        fb_snr = links.snr_db(r, rx, initiator, tx)
+        if fb_snr < threshold:
+            continue
+        trace.record(
+            t_fb, "frame_rx", node=ini_id, frame="tdd_ssw_feedback", sector=tx,
+            snr_db=round(fb_snr, 3), outcome="decoded",
+        )
+        t_ack = plan.ack_time(tx, k)
+        trace.record(
+            t_ack, "frame_tx", node=ini_id, frame="tdd_ssw_ack", sector=tx,
+            responder=rid, end_of_training=True,
+        )
+        trace.record(
+            t_ack, "frame_rx", node=rid, frame="tdd_ssw_ack", sector=rx,
+            snr_db=round(snr, 3), outcome="decoded",
+        )
+        t_dl, t_ul = plan.announce_time(k, 0), plan.announce_time(k, 1)
+        trace.record(t_dl, "frame_tx", node=ini_id, frame="announce", sector=tx)
+        trace.record(t_dl, "frame_rx", node=rid, frame="announce", sector=rx, outcome="decoded")
+        trace.record(t_ul, "frame_tx", node=rid, frame="announce", sector=rx)
+        trace.record(t_ul, "frame_rx", node=ini_id, frame="announce", sector=tx, outcome="decoded")
+        trained.append(TrainedLink(ini_id, rid, tx, rx, snr))
+        trace.record(
+            t_ul, "bf_trained", initiator=ini_id, responder=rid,
+            initiator_sector=tx, responder_sector=rx, snr_db=round(snr, 3),
+        )
+    return BeamformingResult(mode, tuple(trained), (), plan.end_us, plan.n_frames)
+
+
+# Bearings on the sector boundaries of 1-16 sector codebooks give tied
+# samples; distances beyond about 10 km leave responders undecodable.
+# Fractional powers and antenna gains make sums whose float rounding
+# depends on the order of their terms.
+UNIFORM = (25.0, -10.0)  # make_node's antenna gains, dBi
+angles = st.sampled_from([0.0, 11.25, 22.5, 45.0, 67.5, 90.0, 180.0, 202.5]) | st.floats(0.0, 360.0)
+powers = st.sampled_from([-10.0, 10.0, 20.0]) | st.floats(-10.0, 20.0)
+gains = st.just(UNIFORM) | st.tuples(st.floats(5.0, 30.0), st.floats(-20.0, 0.0))
+antennas = st.tuples(st.integers(1, 16), powers, gains)  # (sectors, tx power, (main, side))
+responder_legs = st.tuples(st.floats(1.0, 5.5).map(lambda e: 10.0 ** e), angles, antennas)
+
+
+def antenna_node(node_id, role, position, sectors, power, gains):
+    node = make_node(node_id, role=role, position=position, sectors=sectors, tx_power_dbm=power)
+    return replace(node, codebook=uniform_codebook(sectors, *gains))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(BfMode)),
+    antennas,
+    st.lists(responder_legs, min_size=1, max_size=4),
+)
+# r1 ties its receive sectors 3 and 0 at its best sample, for transmit
+# sector 3, whose block of 5 frames starts on r1's sector 3: the first of
+# the tied samples in frame order is not the lowest (tx, rx).
+@example(
+    BfMode.GROUP, (8, 10.0, UNIFORM),
+    [(100.0, 0.0, (5, 10.0, UNIFORM)), (100.0, 135.0, (4, 10.0, UNIFORM))],
+)
+def test_sweep_equals_the_per_sample_reference(mode, ini, legs):
+    if mode is BfMode.INDIVIDUAL:
+        legs = legs[:1]
+    initiator = antenna_node("ap", Role.DN_AP, (0.0, 0.0), *ini)
+    responders = [
+        antenna_node(f"r{k}", Role.CN_STA, polar(dist, angle), *antenna)
+        for k, (dist, angle, antenna) in enumerate(legs)
+    ]
+    window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
+    runs = []
+    for run in (run_beamforming, reference_run):
+        trace = TraceRecorder()
+        result = run(mode, initiator, responders, CHANNEL, window, BeamformingConfig(), trace)
+        runs.append((result, result_text(result), trace.to_jsonl()))
+    (got, got_text, got_trace), (want, want_text, want_trace) = runs
+    assert got_text == want_text
+    assert got_trace == want_trace
+    assert got == want

@@ -19,7 +19,7 @@ from tddsim.cli import (
 from tddsim import cli, engine
 from tddsim.config import load_config, serialize_config
 from tddsim.engine import run_until
-from tddsim.errors import StructureError
+from tddsim.errors import ConfigError, StructureError
 from tddsim.trace import TraceRecorder
 
 from conftest import SCENARIOS
@@ -249,6 +249,27 @@ def test_run_validate_only_skips_simulation(capsys):
     path = str(SCENARIOS / "saturated_dl.yaml")
     assert run_cli("run", "--config", path, "--validate-only") == EXIT_OK
     assert capsys.readouterr().out.strip() == f"{path}: ok"
+
+
+def test_training_plan_that_overflows_its_service_period_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # 64 x 64 sectors need a 16,912 us plan; a 1,600 us SP holds 1,584 us of slots.
+    text = (SCENARIOS / "two_node_dl.yaml").read_text()
+    text = text.replace("sectors: 8}", "sectors: 64}").replace("sp_duration_us: 25600", "sp_duration_us: 1600")
+    path = tmp_path / "overflow.yaml"
+    path.write_text(text)
+    problem = "beamforming.runs[0]: service period window of 1584us cannot fit a 16912us training plan"
+    with pytest.raises(ConfigError) as raised:
+        load_config(str(path))
+    assert raised.value.problems == [problem]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on an invalid configuration")
+
+    monkeypatch.setattr(cli, "run_beamforming", no_training)
+    for command in (["run", "--validate-only"], ["run"], ["bf"], ["validate"]):
+        assert run_cli(*command, "--config", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {problem}\n")
 
 
 def test_run_rejects_bad_duration(capsys):

@@ -1,6 +1,4 @@
 import copy
-import importlib.util
-import sys
 
 import pytest
 import yaml
@@ -15,7 +13,7 @@ from tddsim.domain import DEFAULT_MCS_TABLE, Role
 from tddsim.errors import ConfigError
 from tddsim.schedule import SlotCategory
 
-from conftest import SCENARIOS
+from conftest import perfbench_workloads
 
 
 def minimal_config(**overrides) -> dict:
@@ -161,6 +159,40 @@ def test_bf_run_and_trained_link_checks():
     assert "initiator_sector: out of range" in text
 
 
+def test_training_plans_must_fit_the_service_period():
+    # A 1,600 us SP holds 1,584 us of slots: an 18 x 22 measurement sweep of
+    # 4 us frames fills them exactly, an 18 x 23 one does not.
+    data = minimal_config(
+        sim={"sp_duration_us": 1600},
+        nodes=[
+            {"id": "ap", "role": "dn_ap", "position": [0.0, 0.0], "sectors": 18},
+            {"id": "sta", "role": "cn_sta", "position": [100.0, 0.0], "sectors": 22},
+            {"id": "wide", "role": "cn_sta", "position": [0.0, 100.0], "sectors": 23},
+        ],
+        beamforming={"runs": [
+            {"mode": "measurement", "initiator": "ap", "responders": ["sta"]},
+            {"mode": "measurement", "initiator": "ap", "responders": ["wide"]},
+        ]},
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.problems == [
+        "beamforming.runs[1]: service period window of 1584us cannot fit a 1656us training plan",
+    ]
+    data["beamforming"]["runs"].pop()
+    parse_config(data)
+
+
+@pytest.mark.parametrize("key", ["ssw_slot_us", "feedback_slot_us", "ack_slot_us", "announce_slot_us"])
+def test_training_slot_pitches_must_be_positive(key):
+    data = minimal_config(beamforming={
+        key: 0, "runs": [{"mode": "individual", "initiator": "ap", "responders": ["sta"]}],
+    })
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.problems == [f"beamforming.{key}: must be positive"]
+
+
 def test_periodic_report_must_reference_traffic():
     data = minimal_config(
         maintenance={
@@ -262,11 +294,8 @@ def test_serialization_is_stable_under_key_order():
 
 def _generated_configs() -> list[str]:
     """The benchmark's generated mesh_train and cbr_long scenarios, seeds 1, 2, 3 and 7."""
-    path = SCENARIOS.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [gen(seed) for gen in workloads.GENERATORS.values() for seed in (1, 2, 3, 7)]
+    generators = perfbench_workloads().GENERATORS
+    return [gen(seed) for gen in generators.values() for seed in (1, 2, 3, 7)]
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")

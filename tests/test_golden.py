@@ -3,13 +3,16 @@
 The digests in tests/golden/ are written only by tests/golden/regen.py.
 """
 
+import hashlib
 import json
 import re
 
 import pytest
 
+from tddsim.cli import main
 from tddsim.trace import KINDS
 
+from conftest import PERFBENCH, perfbench_workloads
 from golden.regen import DURATIONS_MS, GOLDEN_DIR, SCENARIOS, digests, run_scenario
 
 
@@ -47,3 +50,20 @@ def test_every_written_trace_kind_is_documented(golden_outputs):
         for line in out["trace"].splitlines()
     }
     assert written - set(KINDS) == set()
+
+
+def test_trained_mesh_matches_the_benchmark_golden(tmp_path, capsys):
+    # The benchmark's 18-AP mesh, trained in-sim by 36 runs of 32-sector
+    # sweeps in every mode, at the seed perfbench/golden.json pins.
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["mesh_train"]
+    config = tmp_path / "mesh_train.yaml"
+    config.write_text(perfbench_workloads().mesh_train_yaml(golden["seed"]))
+    trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.csv"
+    argv = ["run", "--config", str(config), "--trace", str(trace), "--metrics", str(metrics)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert {
+        "stdout": hashlib.sha256(stdout).hexdigest(),
+        "metrics": hashlib.sha256(metrics.read_bytes()).hexdigest(),
+        "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
+    } == {key: golden[key] for key in ("stdout", "metrics", "trace")}

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tddsim.errors import StructureError
 from tddsim.schedule import (
@@ -9,6 +10,7 @@ from tddsim.schedule import (
     TddSlotStructure,
     default_slot_structure,
     expand_sp,
+    sp_window,
     timeline,
     validate_structure,
 )
@@ -97,6 +99,39 @@ def test_expand_sp_rejections():
     ragged = ExtendedScheduleEntry(1, 0, 1601)
     with pytest.raises(StructureError):
         expand_sp(ragged, structure)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(1, 300)), min_size=1, max_size=5),
+)
+def test_sp_window_is_the_span_of_the_expanded_slots(start_us, n_intervals, spans):
+    # Slots in any order, overlapping or not, a guard or none.
+    slots = tuple(SlotSpec(offset, length, SlotCategory.DATA) for offset, length in spans)
+    interval_us = max(offset + length for offset, length in spans)
+    structure = TddSlotStructure(1, interval_us, slots)
+    entry = ExtendedScheduleEntry(1, start_us, n_intervals * interval_us)
+    expanded = expand_sp(entry, structure)
+    assert sp_window(entry, structure) == (
+        min(s.start_us for s in expanded), max(s.end_us for s in expanded)
+    )
+
+
+def test_sp_window_rejects_what_expand_sp_rejects():
+    structure = default_slot_structure(1)
+    for entry, error in (
+        (ExtendedScheduleEntry(1, 0, 1600, is_tdd=False), ValueError),
+        (ExtendedScheduleEntry(2, 0, 1600), ValueError),
+        (ExtendedScheduleEntry(1, 0, 1601), StructureError),
+    ):
+        for expand in (expand_sp, sp_window):
+            with pytest.raises(error) as raised:
+                expand(entry, structure)
+            assert type(raised.value) is error
+    with pytest.raises(ValueError, match="holds no slot"):
+        sp_window(ExtendedScheduleEntry(1, 0, 1600), TddSlotStructure(1, 1600, ()))
 
 
 def test_timeline_recurs_per_beacon_interval_and_counts_intervals():

@@ -12,7 +12,7 @@ from tddsim.cli import build_world, plan_scenario, prepare_scenario
 from tddsim.config import load_config
 from tddsim.engine import run_until
 from tddsim.errors import SimulationError
-from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, expand_sp
+from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import BOOL, KINDS, LIST, NUMBER, STRING, TraceRecorder
 
 from conftest import SCENARIOS, make_ap, make_node
@@ -246,6 +246,82 @@ def test_undeclared_kind_or_field_raises():
     assert trace.sorted_records() == [{"t": 1.0, "kind": "announce", "node": "ap", "seq": 0}]
 
 
+def test_emitted_rows_write_what_record_writes():
+    # The same records, once by keyword and once by position: equal lines,
+    # times rounded alike, and one insertion order across both paths.
+    by_keyword, by_position = TraceRecorder(), TraceRecorder()
+    rows = [(2.0004, "ap", 1, -71.25), (1, "sta", 0, 3.5), (2.0004, "sta", 7, float("nan"))]
+    for t, node, sector, snr in rows:
+        by_keyword.record(t, "frame_rx", node=node, sector=sector, snr_db=snr)
+        by_keyword.record(t, "announce", node=node)
+    emit_rx = by_position.emitter("frame_rx", node="", sector=0, snr_db=0.0)
+    emit_announce = by_position.emitter("announce", node="")
+    for t, node, sector, snr in rows:
+        emit_rx(t, node, sector, snr)
+        emit_announce(t, node)
+    assert by_position.to_jsonl() == by_keyword.to_jsonl()
+    assert [r["t"] for r in by_position.sorted_records()] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+
+def test_late_emitted_row_raises_like_a_late_record():
+    trace = TraceRecorder()
+    emit = trace.emitter("link_dead", link="ap-sta", last_rx=0.0)
+    emit(10.0, "ap-sta", 1.0)
+    trace.advance(10)
+    emit(10.0, "ap-sta", 2.0)  # at the watermark is still in order
+    with pytest.raises(SimulationError) as late_row:
+        emit(9.999, "ap-sta", 3.0)
+    with pytest.raises(SimulationError) as late_record:
+        trace.record(9.999, "link_dead", link="ap-sta", last_rx=3.0)
+    assert str(late_row.value) == str(late_record.value) == (
+        "trace record 'link_dead' at t=9.999 arrived after the trace was written up to t=10"
+    )
+    trace.close()
+    with pytest.raises(SimulationError):
+        emit(1e9, "ap-sta", 4.0)
+    assert [r["last_rx"] for r in trace.sorted_records()] == [1.0, 2.0]
+
+
+def test_emitter_checks_its_shape_at_registration():
+    trace = TraceRecorder()
+    with pytest.raises(SimulationError, match="'beacon' is not declared"):
+        trace.emitter("beacon", node="ap")
+    with pytest.raises(SimulationError, match="undeclared field 'colour'"):
+        trace.emitter("announce", node="ap", colour="red")
+    with pytest.raises(SimulationError, match="'node' is a int, declared string"):
+        trace.emitter("announce", node=7)
+    with pytest.raises(SimulationError, match="'sector' is a NoneType, declared number"):
+        trace.emitter("frame_tx", node="ap", sector=None)
+    # Nothing was registered or recorded above.
+    trace.emitter("announce", node="ap")(1.0, "ap")
+    assert trace.sorted_records() == [{"t": 1.0, "kind": "announce", "node": "ap", "seq": 0}]
+
+
+def test_disabled_recorder_emits_nothing():
+    written = []
+    trace = TraceRecorder(enabled=False, write=written.append)
+    emit = trace.emitter("announce", node="ap")
+    emit(1.0, "ap")
+    assert trace.buffered == 0
+    trace.close()
+    emit(0.0, "ap")  # nor checks the watermark
+    assert trace.buffered == 0 and written == [] and trace.to_jsonl() == ""
+
+
+def test_sweep_into_a_recorder_past_its_service_period_start_raises():
+    window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
+    ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
+    trace = TraceRecorder()
+    trace.advance(window[0] + 1)
+    with pytest.raises(SimulationError, match=f"arrived after the trace was written up to t={window[0] + 1}"):
+        run_beamforming(BfMode.INDIVIDUAL, ap, [sta], LinkBudgetConfig(), window, BeamformingConfig(), trace)
+    # At the start itself, the run goes ahead.
+    trace = TraceRecorder()
+    trace.advance(window[0])
+    run_beamforming(BfMode.INDIVIDUAL, ap, [sta], LinkBudgetConfig(), window, BeamformingConfig(), trace)
+    assert trace.iter_kind("bf_trained")
+
+
 def test_written_records_are_compact_untracked_tuples():
     # 20,000 records of atomic values hold no per-record object that the
     # garbage collector tracks (such as an object or a reference to one),
@@ -293,7 +369,7 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
         ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
         run_beamforming(
             mode, ap, [sta], LinkBudgetConfig(),
-            expand_sp(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            sp_window(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
             BeamformingConfig(), trace,
         )
     assert {r.get("slot_countdown") is None for r in trace.iter_kind("frame_tx")} == {True, False}

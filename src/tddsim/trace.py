@@ -2,16 +2,19 @@
 
 Every record kind and the fields it may carry are declared in `KINDS`. A
 record is kept as one flat tuple `(t, order, shape, *values)`: a shape is
-one kind with one list of present fields, numbered per recorder. Records
-reach the buffer through one path, a shape's emitter: `emitter(kind,
-**first)` registers the shape, checking its kind, its field names and the
-types of `first`'s values against `KINDS` (an undeclared kind or field, or
-a wrongly typed value, raises `SimulationError`), and returns
-`emit(t_us, *values)`, which appends one row with its values in `first`'s
-field order. A row is checked only against the watermark, not scanned for
-`None` or keyed by shape, so a hot loop such as the training sweep writes
-its rows through emitters. `record(t_us, kind, **fields)` is the keyword
-form: it drops `None` fields and keeps one emitter per shape it has seen.
+one kind with one list of present fields, numbered per recorder the first
+time it is seen, which is also when its kind, its field names and the
+types of its first values are checked against `KINDS`: an undeclared kind
+or field, or a wrongly typed value, raises `SimulationError`.
+
+Records arrive by keyword, `record(t_us, kind, **fields)`, which drops
+`None` fields and looks the shape up per record, or by position through a
+shape's emitter: `emitter(kind, **first)` registers the shape from
+`first`'s names and values and returns `emit(t_us, *values)`, which appends
+one row with its values in `first`'s field order and no `None` scan or
+shape lookup. A hot loop, such as the training sweep, writes through
+emitters. Both paths share one insertion order and raise the same
+`SimulationError` for a record stamped below the watermark.
 
 Records wait in a reorder buffer keyed by (time, insertion order). When the
 caller promises that no record earlier than a watermark can still arrive
@@ -170,13 +173,12 @@ class TraceRecorder:
         self.enabled = enabled
         self._write = write
         self._pending: list[Record] = []
-        self._order = itertools.count()  # insertion order, shared by every emitter
+        self._order = itertools.count()  # insertion order, shared by record and emitters
         self._stamp: tuple[Any, float] = (math.nan, math.nan)  # the last row's (t_us, t)
         self._next_seq = 0
         self._watermark: float = -math.inf
         self._records: list[Record] = []  # written records; seq is the index
         self._shape_ids: dict[tuple[str, ...], int] = {}  # (kind, *names) -> shape
-        self._emitters: dict[tuple[str, ...], Callable[..., None]] = {}  # record's, per shape
         self._shapes: list[tuple[str, tuple[str, ...]]] = []  # shape -> (kind, names)
         self._formatters: list[Callable[[dict, int, Record], str]] = []  # compiled on first write
         self._strings = _JsonStrings()
@@ -185,13 +187,16 @@ class TraceRecorder:
         """Record `kind` at `t_us` with `fields`, leaving out any that is None."""
         if not self.enabled:
             return
+        t = round(float(t_us), 3)
+        if t < self._watermark:
+            raise self._late(kind, t)
         if None in fields.values():
             fields = {key: value for key, value in fields.items() if value is not None}
         key = (kind, *fields)
-        emit = self._emitters.get(key)
-        if emit is None:
-            emit = self._emitters[key] = self.emitter(kind, **fields)
-        emit(t_us, *fields.values())
+        shape = self._shape_ids.get(key)
+        if shape is None:
+            shape = self._add_shape(kind, fields)
+        self._pending.append((t, next(self._order), shape, *fields.values()))
 
     def emitter(self, kind: str, **first: Any) -> Callable[..., None]:
         """The positional writer of one shape: `emit(t_us, *values)`.
@@ -215,13 +220,16 @@ class TraceRecorder:
                 self._stamp = (t_us, round(float(t_us), 3))
             t = self._stamp[1]
             if t < self._watermark:
-                raise SimulationError(
-                    f"trace record {kind!r} at t={t} arrived after the trace "
-                    f"was written up to t={self._watermark}"
-                )
+                raise self._late(kind, t)
             append((t, next(order), shape, *values))
 
         return emit
+
+    def _late(self, kind: str, t: float) -> SimulationError:
+        return SimulationError(
+            f"trace record {kind!r} at t={t} arrived after the trace "
+            f"was written up to t={self._watermark}"
+        )
 
     def _add_shape(self, kind: str, fields: dict[str, Any]) -> int:
         """The number of a shape, after checking it and its values against KINDS."""

@@ -308,18 +308,27 @@ def test_disabled_recorder_emits_nothing():
     assert trace.buffered == 0 and written == [] and trace.to_jsonl() == ""
 
 
-def test_sweep_into_a_recorder_past_its_service_period_start_raises():
+class SweepRowsOnly(TraceRecorder):
+    """Keeps only emitted rows: the training sweep's, without bf_start and
+    the feedback legs, which `record` writes."""
+
+    def record(self, t_us, kind, **fields):
+        pass
+
+
+@pytest.mark.parametrize("recorder", [TraceRecorder, SweepRowsOnly])
+def test_sweep_into_a_recorder_past_its_service_period_start_raises(recorder):
     window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
     ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
-    trace = TraceRecorder()
+    trace = recorder()
     trace.advance(window[0] + 1)
     with pytest.raises(SimulationError, match=f"arrived after the trace was written up to t={window[0] + 1}"):
         run_beamforming(BfMode.INDIVIDUAL, ap, [sta], LinkBudgetConfig(), window, BeamformingConfig(), trace)
     # At the start itself, the run goes ahead.
-    trace = TraceRecorder()
+    trace = recorder()
     trace.advance(window[0])
     run_beamforming(BfMode.INDIVIDUAL, ap, [sta], LinkBudgetConfig(), window, BeamformingConfig(), trace)
-    assert trace.iter_kind("bf_trained")
+    assert trace.iter_kind("frame_rx")
 
 
 def test_written_records_are_compact_untracked_tuples():

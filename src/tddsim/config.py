@@ -8,6 +8,7 @@ form that survives load -> serialize -> load unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Collection, Optional
 
@@ -587,8 +588,8 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"{path}.demand_bps: must be positive")
         if t.pattern not in _PATTERNS:
             errors.append(f"{path}.pattern: expected one of {', '.join(_PATTERNS)}")
-        if t.pattern == "cbr" and t.rate_bps <= 0:
-            errors.append(f"{path}.rate_bps: cbr traffic needs a positive rate")
+        if t.pattern == "cbr" and not 1 <= t.rate_bps < math.inf:
+            errors.append(f"{path}.rate_bps: cbr traffic needs a finite rate of at least 1 bit/s")
         if t.start_us < 0:
             errors.append(f"{path}.start_us: must be non-negative")
         flow = (t.link, t.direction)

@@ -22,7 +22,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -117,8 +116,8 @@ class TrafficSource:
     def __post_init__(self):
         if self.pattern not in ("saturated", "cbr", "none"):
             raise ValueError(f"unknown traffic pattern {self.pattern!r}")
-        if self.pattern == "cbr" and self.rate_bps <= 0:
-            raise ValueError("cbr traffic needs a positive rate")
+        if self.pattern == "cbr" and not 1 <= self.rate_bps < math.inf:
+            raise ValueError("cbr traffic needs a finite rate of at least 1 bit/s")
 
 
 @dataclass
@@ -251,11 +250,10 @@ def ticks_per_us(
     """
     data_bits = frame_sizes.data_total_bits
     frame_bits = (data_bits, frame_sizes.ack * 8, frame_sizes.measurement_report * 8)
-    spans = [(bits, e.phy_rate_bps) for bits in frame_bits for e in mcs_table]
-    spans += [(data_bits, s.rate_bps) for s in traffic.values() if s.pattern == "cbr"]
-    return math.lcm(10**6, *(
-        Fraction(bits * 10**6, int(rate)).denominator for bits, rate in spans
-    ))
+    spans = [(bits, int(e.phy_rate_bps)) for bits in frame_bits for e in mcs_table]
+    spans += [(data_bits, int(s.rate_bps)) for s in traffic.values() if s.pattern == "cbr"]
+    # rate / gcd is the denominator of bits * 10**6 / rate in lowest terms.
+    return math.lcm(10**6, *(rate // math.gcd(bits * 10**6, rate) for bits, rate in spans))
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +264,9 @@ class SlotRow:
     offset_us: int  # from the start of its interval
     basic: bool
     category: str
-    fields: dict  # the slot record's fields after `interval`
+    # The slot record's fields after `interval`, and their values.
+    names: tuple[str, ...]
+    values: tuple
     # (runtime, transmit window in ticks, interfered): the demanded
     # activations of the slot, for a BASIC slot the data link of each
     # reverse path, in the plan's order.
@@ -311,6 +311,10 @@ class World:
         self.epoch_us = epoch_us
         self.duration_us = duration_us
         self.trace = trace or null_recorder()
+        # The positional writers of data frame_tx and frame_rx rows, which
+        # `run_until` registers.
+        self.emit_data_tx: Optional[Callable[..., None]] = None
+        self.emit_data_rx: Optional[Callable[..., None]] = None
         self.queue = EventQueue()
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
@@ -390,7 +394,8 @@ class World:
             if actives:
                 fields["links"] = tuple(actives)
             rows.append(SlotRow(
-                index, spec.start_offset_us, basic, spec.category.value, fields, tuple(runtimes),
+                index, spec.start_offset_us, basic, spec.category.value,
+                tuple(fields), tuple(fields.values()), tuple(runtimes),
             ))
         rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
         return rows
@@ -425,12 +430,23 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     Slot boundaries and maintenance ticks come from a lazy timeline, not
     the heap. At equal ticks a slot boundary runs first, then a
     maintenance tick, then heap events in the order they were pushed.
+
+    The per-slot and per-fragment trace rows are written positionally,
+    through emitters registered here, once per run.
     """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
     queue = world.queue
     heap, pop = queue.heap, queue.pop
     t_end = t_end_us * world.tpu
+    world.emit_data_tx = world.trace.emitter(
+        "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
+        last_fragment=False, mcs=0,
+    )
+    world.emit_data_rx = world.trace.emitter(
+        "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
+        last_fragment=False, outcome="",
+    )
     _start_arrivals(world)
     for tick, handler, args in _timeline(world):
         if tick > t_end:
@@ -454,12 +470,19 @@ def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
         world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
         world.sp_duration_us,
     )
+    # Each row's emitter writes (slot_index, interval, *row.values).
+    rows = [
+        (row, world.trace.emitter(
+            "slot", slot_index=row.index, interval=0, **dict(zip(row.names, row.values)),
+        ))
+        for row in world.slot_rows
+    ]
 
     def slots():
         for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
-            for row in world.slot_rows:
+            for row, emit in rows:
                 start_us = base + row.offset_us
-                yield start_us * tpu, _on_slot_boundary, (start_us, interval, row)
+                yield start_us * tpu, _on_slot_boundary, (start_us, interval, row, emit)
 
     interval_us = world.structure.interval_duration_us
     ticks = (
@@ -478,9 +501,10 @@ def _start_arrivals(world: World) -> None:
 
 
 def _on_slot_boundary(
-    world: World, now: int, start_us: int, interval: int, row: SlotRow
+    world: World, now: int, start_us: int, interval: int, row: SlotRow,
+    emit: Callable[..., None],
 ) -> None:
-    world.trace.record(start_us, "slot", slot_index=row.index, interval=interval, **row.fields)
+    emit(start_us, row.index, interval, *row.values)
     if row.basic:
         due = world.report_due.get(start_us, ())
         for rt, window, interfered in row.runtimes:
@@ -552,13 +576,13 @@ def _on_data_tx(
     if mpdu.retried:
         rt.retx_units += frag
 
-    world.trace.record(
-        now / world.tpu, "frame_tx", node=rt.vertex.tx_node, frame="data",
-        link=rt.vertex_id, data_seq=mpdu.seq, bits=round(frag / world.units_per_bit, 3),
-        last_fragment=last, mcs=rt.mcs.mcs_index,
+    bits = round(frag / world.units_per_bit, 3)
+    world.emit_data_tx(
+        now / world.tpu, rt.vertex.tx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
+        rt.mcs.mcs_index,
     )
     world.used_air[category] += airtime
-    world.queue.push(end + rt.prop, _on_data_rx, (rt, mpdu, frag, last, ok))
+    world.queue.push(end + rt.prop, _on_data_rx, (rt, mpdu, frag, bits, last, ok))
     if end < window_end:
         world.queue.push(end, _on_data_tx, (rt, category, window_end))
     else:
@@ -616,16 +640,14 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
 
 
 def _on_data_rx(
-    world: World, now: int, rt: LinkRuntime, mpdu: Mpdu, frag: int, last: bool, ok: bool
+    world: World, now: int, rt: LinkRuntime, mpdu: Mpdu, frag: int, bits: float,
+    last: bool, ok: bool,
 ) -> None:
     if ok:
         rt.delivered_fragment_units += frag
-    world.trace.record(
-        now / world.tpu, "frame_rx", node=rt.vertex.rx_node, frame="data",
-        link=rt.vertex_id, data_seq=mpdu.seq,
-        bits=round(frag / world.units_per_bit, 3),
-        last_fragment=last,
-        outcome="decoded" if ok else "interfered",
+    world.emit_data_rx(
+        now / world.tpu, rt.vertex.rx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
+        "decoded" if ok else "interfered",
     )
     if last and not mpdu.corrupted:
         world.last_rx[(rt.vertex.rx_node, rt.vertex.tx_node)] = now

@@ -12,9 +12,11 @@ Records arrive by keyword, `record(t_us, kind, **fields)`, which drops
 shape's emitter: `emitter(kind, **first)` registers the shape from
 `first`'s names and values and returns `emit(t_us, *values)`, which appends
 one row with its values in `first`'s field order and no `None` scan or
-shape lookup. A hot loop, such as the training sweep, writes through
-emitters. Both paths share one insertion order and raise the same
-`SimulationError` for a record stamped below the watermark.
+shape lookup. The hot loops write through emitters: the training sweep's
+frames, and the engine's `slot` rows and data `frame_tx`/`frame_rx` rows;
+the rarer kinds go through `record`. Both paths share one insertion order
+and raise the same `SimulationError` for a record stamped below the
+watermark.
 
 Records wait in a reorder buffer keyed by (time, insertion order). When the
 caller promises that no record earlier than a watermark can still arrive

@@ -181,26 +181,33 @@ def test_failed_run_writes_no_trace_file(tmp_path, capsys):
 
 def test_late_trace_record_exits_4_and_keeps_the_old_trace(tmp_path, capsys, monkeypatch):
     # A handler that stamps a record two intervals behind the clock breaks
-    # the trace's order promise; the run stops instead of writing it.
+    # the trace's order promise; the run stops instead of writing it. So
+    # does a positional row: a tick that writes the trace out past the next
+    # slot boundary makes that boundary's `slot` row late.
     tick = engine._on_maintenance_tick
 
-    def late_tick(world, now):
+    def late_record(world, now):
         tick(world, now)
         lag = 2 * world.structure.interval_duration_us
         world.trace.record(now / world.tpu - lag, "announce", node="late")
 
-    monkeypatch.setattr(engine, "_on_maintenance_tick", late_tick)
+    def early_advance(world, now):
+        tick(world, now)
+        world.trace.advance(now / world.tpu + world.structure.interval_duration_us)
+
     trace_path = tmp_path / "trace.jsonl"
-    trace_path.write_text("earlier trace\n")
-    code = run_cli(
-        "run", "--config", str(SCENARIOS / "trickle.yaml"), "--duration-ms", "10",
-        "--trace", str(trace_path),
-    )
-    assert code == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("runtime violation: trace record 'announce'")
-    assert trace_path.read_text() == "earlier trace\n"
-    assert list(tmp_path.iterdir()) == [trace_path]
+    for late_tick, kind in ((late_record, "announce"), (early_advance, "slot")):
+        monkeypatch.setattr(engine, "_on_maintenance_tick", late_tick)
+        trace_path.write_text("earlier trace\n")
+        code = run_cli(
+            "run", "--config", str(SCENARIOS / "trickle.yaml"), "--duration-ms", "10",
+            "--trace", str(trace_path),
+        )
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime violation: trace record {kind!r}")
+        assert trace_path.read_text() == "earlier trace\n"
+        assert list(tmp_path.iterdir()) == [trace_path]
 
 
 def test_structure_error_during_run_exits_4(capsys, monkeypatch):
@@ -267,6 +274,21 @@ def test_training_plan_that_overflows_its_service_period_is_a_config_error(tmp_p
 
     monkeypatch.setattr(cli, "run_beamforming", no_training)
     for command in (["run", "--validate-only"], ["run"], ["bf"], ["validate"]):
+        assert run_cli(*command, "--config", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {problem}\n")
+
+
+@pytest.mark.parametrize("rate", ["0.5", ".nan", ".inf"])
+def test_cbr_rate_below_one_bit_per_second_is_a_config_error(rate, tmp_path, capsys):
+    # The engine counts CBR gaps in whole bits per second, so a rate that
+    # truncates to 0, or that no integer holds, is refused at validation.
+    text = (SCENARIOS / "trickle.yaml").read_text()
+    assert text.count("rate_bps: 1.0e+6") == 1
+    path = tmp_path / "rate.yaml"
+    path.write_text(text.replace("rate_bps: 1.0e+6", f"rate_bps: {rate}"))
+    problem = "traffic[0].rate_bps: cbr traffic needs a finite rate of at least 1 bit/s"
+    for command in (["validate"], ["run", "--duration-ms", "5"]):
         assert run_cli(*command, "--config", str(path)) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {problem}\n")

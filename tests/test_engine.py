@@ -1,16 +1,21 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from tddsim import channel, cli, schedule
+from tddsim import channel, cli, engine, schedule
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.config import parse_config
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
-from tddsim.domain import DEFAULT_MCS_TABLE, mcs_from_snr
+from tddsim.domain import DEFAULT_MCS_TABLE, McsEntry, mcs_from_snr
 from tddsim.engine import (
     EventQueue,
     MaintenanceSettings,
@@ -134,6 +139,42 @@ def test_cbr_gap_sets_the_tick_grid(rate_bps, tpu):
     assert metrics.conservation_ok()
 
 
+def fraction_ticks_per_us(mcs_table, frame_sizes, traffic):
+    """The tick rate of `ticks_per_us` as the lcm of `Fraction` denominators."""
+    data_bits = frame_sizes.data_total_bits
+    frame_bits = (data_bits, frame_sizes.ack * 8, frame_sizes.measurement_report * 8)
+    spans = [(bits, e.phy_rate_bps) for bits in frame_bits for e in mcs_table]
+    spans += [(data_bits, s.rate_bps) for s in traffic.values() if s.pattern == "cbr"]
+    return math.lcm(10**6, *(
+        Fraction(bits * 10**6, int(rate)).denominator for bits, rate in spans
+    ))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    mcs_rates=st.lists(st.integers(1, 10**11), max_size=4),
+    cbr_rates=st.lists(st.integers(1, 10**10) | st.floats(1, 1e10), max_size=3),
+    sizes=st.tuples(*(st.integers(1, 9000) for _ in range(4))),
+)
+def test_tick_rate_equals_the_fraction_reference(mcs_rates, cbr_rates, sizes):
+    frames = FrameSizes(*sizes)
+    for table in (DEFAULT_MCS_TABLE, [McsEntry(i, 0.0, r) for i, r in enumerate(mcs_rates)]):
+        for traffic in ({}, {f"l{i}": TrafficSource("cbr", rate_bps=r) for i, r in enumerate(cbr_rates)}):
+            for frame_sizes in (FrameSizes(), frames):
+                expected = fraction_ticks_per_us(table, frame_sizes, traffic)
+                assert ticks_per_us(table, frame_sizes, traffic) == expected
+
+
+def test_importing_the_cli_does_not_load_fractions():
+    src = str(pathlib.Path(engine.__file__).parents[1])  # the package under test
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, tddsim.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert "'tddsim.cli'" in loaded
+    assert "'fractions'" not in loaded
+
+
 def test_airtime_off_the_tick_grid_raises():
     # The grid is derived from the world's own rates, so only a rate changed
     # after construction can leave it; the engine then refuses to round.
@@ -177,8 +218,11 @@ def test_link_budget_is_evaluated_once_per_link(monkeypatch):
 def test_traffic_source_validation():
     with pytest.raises(ValueError):
         TrafficSource("burst")
-    with pytest.raises(ValueError):
-        TrafficSource("cbr", rate_bps=0.0)
+    # CBR gaps are counted in whole bits per second.
+    for rate_bps in (0.0, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="at least 1 bit/s"):
+            TrafficSource("cbr", rate_bps=rate_bps)
+    assert TrafficSource("cbr", rate_bps=1.0).rate_bps == 1.0
     assert TrafficSource("none").rate_bps == 0.0
 
 

@@ -117,21 +117,18 @@ def test_streamed_file_equals_the_in_memory_trace(name, duration_ms, tmp_path):
 
 def test_buffer_holds_at_most_two_intervals_at_a_flush():
     trace = TraceRecorder()
-    recorded = 0
     flushes = []  # (watermark, records so far, buffered before, buffered after)
-    record, advance = trace.record, trace.advance
-
-    def counting_record(t_us, kind, **fields):
-        nonlocal recorded
-        record(t_us, kind, **fields)
-        recorded += 1
+    advance = trace.advance
 
     def observed_advance(watermark_us):
+        # Every accepted record, by `record` or by an emitter, is either
+        # written, and numbered, or buffered.
         before = trace.buffered
+        recorded = trace._next_seq + before
         advance(watermark_us)
         flushes.append((watermark_us, recorded, before, trace.buffered))
 
-    trace.record, trace.advance = counting_record, observed_advance
+    trace.advance = observed_advance
     prep = run_scenario("saturated_dl", trace, duration_ms=32)
     interval = prep.structure.interval_duration_us
     times = [r["t"] for r in trace.sorted_records()]
@@ -371,9 +368,11 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
         real(trace, t_us, kind, **fields)
 
     monkeypatch.setattr(TraceRecorder, "record", record)
+    traces = []
     for name, duration_ms in (("tpc", None), ("reports", None), ("two_node_dl", 8)):
-        run_scenario(name, TraceRecorder(), duration_ms)
-    trace = TraceRecorder()
+        traces.append(TraceRecorder())
+        run_scenario(name, traces[-1], duration_ms)
+    traces.append(trace := TraceRecorder())
     for mode in BfMode:
         ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
         run_beamforming(
@@ -383,3 +382,9 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
         )
     assert {r.get("slot_countdown") is None for r in trace.iter_kind("frame_tx")} == {True, False}
     assert nones == []
+    # An emitter does not check its rows, so scan what was recorded: the
+    # engine's slot and data rows and the sweep's rows included.
+    recorded = [r for trace in traces for r in trace.sorted_records()]
+    assert {r["kind"] for r in recorded} >= {"slot", "frame_tx", "frame_rx", "bf_trained"}
+    assert {"data", "tdd_ssw"} <= {r["frame"] for r in recorded if "frame" in r}
+    assert [(r["kind"], name) for r in recorded for name, value in r.items() if value is None] == []

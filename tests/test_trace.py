@@ -372,7 +372,8 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
     for name, duration_ms in (("tpc", None), ("reports", None), ("two_node_dl", 8)):
         traces.append(TraceRecorder())
         run_scenario(name, traces[-1], duration_ms)
-    traces.append(trace := TraceRecorder())
+    trace = TraceRecorder()
+    traces.append(trace)
     for mode in BfMode:
         ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
         run_beamforming(
@@ -384,7 +385,7 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
     assert nones == []
     # An emitter does not check its rows, so scan what was recorded: the
     # engine's slot and data rows and the sweep's rows included.
-    recorded = [r for trace in traces for r in trace.sorted_records()]
+    recorded = [r for each in traces for r in each.sorted_records()]
     assert {r["kind"] for r in recorded} >= {"slot", "frame_tx", "frame_rx", "bf_trained"}
     assert {"data", "tdd_ssw"} <= {r["frame"] for r in recorded if "frame" in r}
     assert [(r["kind"], name) for r in recorded for name, value in r.items() if value is None] == []

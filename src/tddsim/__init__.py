@@ -57,11 +57,9 @@ from .errors import (
 )
 from .frames import FrameSizes
 from .maintenance import (
-    LinkState,
     PeriodicReportRequest,
     ReportSchedule,
     handle_periodic_report_request,
-    keepalive_check,
     tpc_update,
 )
 from .schedule import (
@@ -95,7 +93,6 @@ __all__ = [
     "GlobalSchedule",
     "InterferenceGraph",
     "LinkBudgetConfig",
-    "LinkState",
     "MaintenanceSettings",
     "McsEntry",
     "Metrics",
@@ -122,7 +119,6 @@ __all__ = [
     "default_slot_structure",
     "expand_sp",
     "handle_periodic_report_request",
-    "keepalive_check",
     "link_snr_db",
     "links_from_trained",
     "load_config",

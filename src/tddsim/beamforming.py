@@ -13,9 +13,8 @@ destined for the central controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkTable, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, NodeModel
@@ -28,24 +27,26 @@ class BfMode(Enum):
     MEASUREMENT = "measurement"
 
 
-@dataclass(frozen=True)
 class BeamformingConfig:
     """Slot pitches (microseconds) and decode threshold for a training run."""
 
-    ssw_slot_us: int = 4
-    feedback_slot_us: int = 4
-    ack_slot_us: int = 4
-    announce_slot_us: int = 8
-    decode_min_snr_db: float = DEFAULT_MCS_TABLE[0].min_snr_db
+    __slots__ = ("ssw_slot_us", "feedback_slot_us", "ack_slot_us", "announce_slot_us", "decode_min_snr_db")
 
-    def __post_init__(self):
+    def __init__(
+        self, ssw_slot_us: int = 4, feedback_slot_us: int = 4, ack_slot_us: int = 4,
+        announce_slot_us: int = 8, decode_min_snr_db: float = DEFAULT_MCS_TABLE[0].min_snr_db,
+    ):
+        self.ssw_slot_us = ssw_slot_us
+        self.feedback_slot_us = feedback_slot_us
+        self.ack_slot_us = ack_slot_us
+        self.announce_slot_us = announce_slot_us
+        self.decode_min_snr_db = decode_min_snr_db
         for name in ("ssw_slot_us", "feedback_slot_us", "ack_slot_us", "announce_slot_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class TrainedLink:
+class TrainedLink(NamedTuple):
     initiator_id: str
     responder_id: str
     initiator_sector: int
@@ -53,8 +54,7 @@ class TrainedLink:
     snr_db: float
 
 
-@dataclass(frozen=True)
-class BeamMeasurementReport:
+class BeamMeasurementReport(NamedTuple):
     """Per-responder sweep measurements addressed to the controller."""
 
     responder_id: str
@@ -66,8 +66,7 @@ class BeamMeasurementReport:
 # Deterministic slot plan of one training run.
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(NamedTuple):
     start_us: int
     n_tx_sectors: int
     repetitions: int
@@ -158,8 +157,7 @@ def fit_sweep_plan(
 # Driver: runs one full training exchange inside a service period window.
 
 
-@dataclass(frozen=True)
-class BeamformingResult:
+class BeamformingResult(NamedTuple):
     mode: BfMode
     trained_links: tuple[TrainedLink, ...]
     reports: tuple[BeamMeasurementReport, ...]

@@ -8,34 +8,39 @@ A per-link constant extra loss can be configured for what-if studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .domain import Codebook, NodeModel, bearing_deg, sector_gain_dbi
 
 SPEED_OF_LIGHT_M_PER_US = 299.792458
 
 
-@dataclass
 class LinkBudgetConfig:
-    carrier_hz: float = 60e9
-    bandwidth_hz: float = 2.16e9
-    noise_figure_db: float = 10.0
-    # Unintended power above noise_floor + this threshold marks two
-    # concurrent transmissions as conflicting.
-    interference_threshold_db: float = 0.0
-    # Optional per-link constant loss, keyed by unordered node-id pair.
-    extra_loss_db: dict[frozenset, float] = field(default_factory=dict)
+    __slots__ = (
+        "carrier_hz", "bandwidth_hz", "noise_figure_db", "interference_threshold_db", "extra_loss_db",
+    )
 
-    def __post_init__(self):
-        if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
+    def __init__(
+        self, carrier_hz: float = 60e9, bandwidth_hz: float = 2.16e9, noise_figure_db: float = 10.0,
+        interference_threshold_db: float = 0.0,
+        extra_loss_db: Optional[dict[frozenset, float]] = None,
+    ):
+        if carrier_hz <= 0 or bandwidth_hz <= 0:
             raise ValueError("carrier_hz and bandwidth_hz must be positive")
+        self.carrier_hz = carrier_hz
+        self.bandwidth_hz = bandwidth_hz
+        self.noise_figure_db = noise_figure_db
+        # Unintended power above noise_floor + this threshold marks two
+        # concurrent transmissions as conflicting.
+        self.interference_threshold_db = interference_threshold_db
+        # Optional per-link constant loss, keyed by unordered node-id pair.
+        self.extra_loss_db = {} if extra_loss_db is None else extra_loss_db
 
     def pair_loss_db(self, node_a: str, node_b: str) -> float:
         return self.extra_loss_db.get(frozenset((node_a, node_b)), 0.0)
 
 
-@dataclass(frozen=True)
-class LinkSample:
+class LinkSample(NamedTuple):
     tx_node: str
     rx_node: str
     tx_sector: int

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .beamforming import (
@@ -49,20 +48,25 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 
-@dataclass
 class Prepared:
     """Everything the planner and engine need, derived from one scenario."""
 
-    cfg: ScenarioConfig
-    nodes: dict
-    channel: object
-    structure: object
-    mcs_table: list
-    trained: list[TrainedLink] = field(default_factory=list)
-    reports: list[BeamMeasurementReport] = field(default_factory=list)
-    bf_results: list = field(default_factory=list)
-    bf_sweep_counts: dict = field(default_factory=dict)
-    epoch_us: int = 0
+    __slots__ = (
+        "cfg", "nodes", "channel", "structure", "mcs_table", "trained", "reports", "bf_results",
+        "bf_sweep_counts", "epoch_us",
+    )
+
+    def __init__(self, cfg: ScenarioConfig, nodes: dict, channel, structure, mcs_table: list):
+        self.cfg = cfg
+        self.nodes = nodes
+        self.channel = channel
+        self.structure = structure
+        self.mcs_table = mcs_table
+        self.trained: list[TrainedLink] = []
+        self.reports: list[BeamMeasurementReport] = []
+        self.bf_results = []
+        self.bf_sweep_counts = {}
+        self.epoch_us = 0
 
 
 def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None) -> Prepared:

@@ -9,7 +9,6 @@ form that survives load -> serialize -> load unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Collection, Optional
 
 import yaml
@@ -44,118 +43,122 @@ _PATTERNS = ("saturated", "cbr", "none")
 _BF_MODES = {m.value: m for m in BfMode}
 
 
-@dataclass
+# Each section's __init__ sets every field to its default: parsing takes the
+# field names and value types from vars(), and to_dict copies vars() in order.
+
+
 class SimSection:
-    duration_us: int = 300_000
-    seed: int = 1
-    beacon_interval_us: int = 300_000
-    sp_offset_us: int = 0
-    sp_duration_us: int = 25_600
-    dl_data_fraction: float = 0.75
+    def __init__(self):
+        self.duration_us = 300_000
+        self.seed = 1
+        self.beacon_interval_us = 300_000
+        self.sp_offset_us = 0
+        self.sp_duration_us = 25_600
+        self.dl_data_fraction = 0.75
 
 
-@dataclass
 class ChannelSection:
-    carrier_freq_hz: float = 60.0e9
-    bandwidth_hz: float = 2.16e9
-    noise_figure_db: float = 10.0
-    interference_threshold_db: float = 0.0
-    extra_loss_db: list = field(default_factory=list)  # {a, b, loss_db}
+    def __init__(self):
+        self.carrier_freq_hz = 60.0e9
+        self.bandwidth_hz = 2.16e9
+        self.noise_figure_db = 10.0
+        self.interference_threshold_db = 0.0
+        self.extra_loss_db = []  # {a, b, loss_db}
 
 
-@dataclass
 class SlotStructureSection:
-    allocation_id: int = 1
-    interval_us: int = 1600
-    slot_us: int = 66
-    n_slots: int = 24
-    basic_slots: list = field(default_factory=lambda: [0, 12])
+    def __init__(self):
+        self.allocation_id = 1
+        self.interval_us = 1600
+        self.slot_us = 66
+        self.n_slots = 24
+        self.basic_slots = [0, 12]
 
 
-@dataclass
 class NodeSection:
-    id: str = ""
-    role: str = "cn_sta"
-    position: list = field(default_factory=lambda: [0.0, 0.0])
-    sectors: int = 8
-    tx_power_dbm: float = 10.0
-    mainlobe_gain_dbi: float = 25.0
-    sidelobe_gain_dbi: float = -10.0
-    power_min_dbm: float = -10.0
-    power_max_dbm: float = 20.0
+    def __init__(self):
+        self.id = ""
+        self.role = "cn_sta"
+        self.position = [0.0, 0.0]
+        self.sectors = 8
+        self.tx_power_dbm = 10.0
+        self.mainlobe_gain_dbi = 25.0
+        self.sidelobe_gain_dbi = -10.0
+        self.power_min_dbm = -10.0
+        self.power_max_dbm = 20.0
 
 
-@dataclass
 class TrafficSection:
-    link: str = ""
-    direction: str = "downlink"
-    demand_bps: float = 0.0
-    pattern: str = "saturated"
-    rate_bps: float = 0.0
-    start_us: int = 0
+    def __init__(self):
+        self.link = ""
+        self.direction = "downlink"
+        self.demand_bps = 0.0
+        self.pattern = "saturated"
+        self.rate_bps = 0.0
+        self.start_us = 0
 
 
-@dataclass
 class BfRunSection:
-    mode: str = "individual"
-    initiator: str = ""
-    responders: list = field(default_factory=list)
+    def __init__(self):
+        self.mode = "individual"
+        self.initiator = ""
+        self.responders = []
 
 
-@dataclass
 class TrainedLinkSection:
-    initiator: str = ""
-    responder: str = ""
-    initiator_sector: int = 0
-    responder_sector: int = 0
+    def __init__(self):
+        self.initiator = ""
+        self.responder = ""
+        self.initiator_sector = 0
+        self.responder_sector = 0
 
 
-@dataclass
 class BeamformingSection:
-    ssw_slot_us: int = 4
-    feedback_slot_us: int = 4
-    ack_slot_us: int = 4
-    announce_slot_us: int = 8
-    runs: list = field(default_factory=list)
-    trained_links: list = field(default_factory=list)
+    def __init__(self):
+        self.ssw_slot_us = 4
+        self.feedback_slot_us = 4
+        self.ack_slot_us = 4
+        self.announce_slot_us = 8
+        self.runs = []
+        self.trained_links = []
 
 
-@dataclass
 class TpcSection:
-    enabled: bool = False
-    target_rsni_db: float = 20.0
-    max_step_db: float = 3.0
+    def __init__(self):
+        self.enabled = False
+        self.target_rsni_db = 20.0
+        self.max_step_db = 3.0
 
 
-@dataclass
 class ReportRequestSection:
-    link: str = ""
-    direction: str = "downlink"
-    start_us: int = 0
-    interval_us: int = 100_000
-    count: int = 1
+    def __init__(self):
+        self.link = ""
+        self.direction = "downlink"
+        self.start_us = 0
+        self.interval_us = 100_000
+        self.count = 1
 
 
-@dataclass
 class MaintenanceSection:
-    keepalive_timeout_us: int = 1_000_000
-    heartbeat_period_us: int = 25_600
-    tpc: TpcSection = field(default_factory=TpcSection)
-    periodic_reports: list = field(default_factory=list)
+    def __init__(self):
+        self.keepalive_timeout_us = 1_000_000
+        self.heartbeat_period_us = 25_600
+        self.tpc = TpcSection()
+        self.periodic_reports = []
 
 
-@dataclass
 class ScenarioConfig:
-    name: str = "scenario"
-    sim: SimSection = field(default_factory=SimSection)
-    channel: ChannelSection = field(default_factory=ChannelSection)
-    slot_structure: SlotStructureSection = field(default_factory=SlotStructureSection)
-    frames: FrameSizes = field(default_factory=FrameSizes)
-    mcs_table: list = field(default_factory=list)  # empty -> default table
-    nodes: list = field(default_factory=list)
-    traffic: list = field(default_factory=list)
-    beamforming: BeamformingSection = field(default_factory=BeamformingSection)
-    maintenance: MaintenanceSection = field(default_factory=MaintenanceSection)
+    def __init__(self):
+        self.name = "scenario"
+        self.sim = SimSection()
+        self.channel = ChannelSection()
+        self.slot_structure = SlotStructureSection()
+        self.frames = FrameSizes()
+        self.mcs_table = []  # empty -> default table
+        self.nodes = []
+        self.traffic = []
+        self.beamforming = BeamformingSection()
+        self.maintenance = MaintenanceSection()
 
     # -- builders into runtime objects ---------------------------------------
 
@@ -409,12 +412,14 @@ def parse_config(data: dict) -> ScenarioConfig:
         if key in channel_raw and key != "extra_loss_db":
             setattr(cfg.channel, key, _coerce("channel", key, channel_raw[key], template, errors))
     for i, entry in enumerate(channel_raw.get("extra_loss_db") or []):
+        path = f"channel.extra_loss_db[{i}]"
         if not isinstance(entry, dict) or set(entry) != {"a", "b", "loss_db"}:
-            errors.append(f"channel.extra_loss_db[{i}]: expected keys a, b, loss_db")
+            errors.append(f"{path}: expected keys a, b, loss_db")
         else:
-            cfg.channel.extra_loss_db.append(
-                {"a": str(entry["a"]), "b": str(entry["b"]), "loss_db": float(entry["loss_db"])}
-            )
+            cfg.channel.extra_loss_db.append({
+                "a": str(entry["a"]), "b": str(entry["b"]),
+                "loss_db": _coerce(path, "loss_db", entry["loss_db"], 0.0, errors),
+            })
 
     cfg.slot_structure = _fill("slot_structure", SlotStructureSection, data, errors)
 
@@ -435,14 +440,21 @@ def parse_config(data: dict) -> ScenarioConfig:
         errors.append("mcs_table: expected a list")
         raw_mcs = []
     for i, entry in enumerate(raw_mcs):
+        path = f"mcs_table[{i}]"
         if not isinstance(entry, dict) or set(entry) != {"mcs", "min_snr_db", "rate_bps"}:
-            errors.append(f"mcs_table[{i}]: expected keys mcs, min_snr_db, rate_bps")
-        else:
-            cfg.mcs_table.append({
-                "mcs": int(entry["mcs"]),
-                "min_snr_db": float(entry["min_snr_db"]),
-                "rate_bps": int(entry["rate_bps"]),
-            })
+            errors.append(f"{path}: expected keys mcs, min_snr_db, rate_bps")
+            continue
+        n_errors = len(errors)
+        # rate_bps's template passes the check below, so a rate of the wrong
+        # type is reported once.
+        row = {
+            key: _coerce(path, key, entry[key], template, errors)
+            for key, template in (("mcs", 0), ("min_snr_db", 0.0), ("rate_bps", 1))
+        }
+        if row["rate_bps"] < 1:
+            errors.append(f"{path}.rate_bps: must be at least 1")
+        if len(errors) == n_errors:  # a broken row would only add table-order errors
+            cfg.mcs_table.append(row)
 
     for i, item in enumerate(data.get("nodes") or []):
         cfg.nodes.append(_fill_item(f"nodes[{i}]", NodeSection, item, errors))

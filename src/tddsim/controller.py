@@ -12,8 +12,7 @@ direction-disjoint slot pools, validated by verify_global.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .beamforming import BeamMeasurementReport, TrainedLink
 from .channel import LinkBudgetConfig, LinkTable, link_snr_db
@@ -27,60 +26,63 @@ from .schedule import (
 )
 
 
-@dataclass(frozen=True)
 class DirectedLink:
-    """One activation direction of a trained AP-STA link."""
+    """One activation direction of a trained AP-STA link.
 
-    link_id: str
-    direction: Direction
-    ap_id: str
-    sta_id: str
-    tx_node: str
-    tx_sector: int
-    rx_node: str
-    rx_sector: int
-    snr_db: float
+    `vertex_id`, the `reverse_id` of the same link's other direction and the
+    `nodes` at its two ends are derived once, when it is built.
+    """
 
-    @property
-    def vertex_id(self) -> str:
-        return f"{self.link_id}:{self.direction.value}"
+    __slots__ = (
+        "link_id", "direction", "ap_id", "sta_id", "tx_node", "tx_sector", "rx_node", "rx_sector",
+        "snr_db", "vertex_id", "reverse_id", "nodes",
+    )
 
-    @property
-    def reverse_id(self) -> str:
-        """The vertex id of the same link's other direction."""
-        return f"{self.link_id}:{self.direction.reverse().value}"
+    def __init__(
+        self, link_id: str, direction: Direction, ap_id: str, sta_id: str,
+        tx_node: str, tx_sector: int, rx_node: str, rx_sector: int, snr_db: float,
+    ):
+        self.link_id = link_id
+        self.direction = direction
+        self.ap_id = ap_id
+        self.sta_id = sta_id
+        self.tx_node = tx_node
+        self.tx_sector = tx_sector
+        self.rx_node = rx_node
+        self.rx_sector = rx_sector
+        self.snr_db = snr_db
+        self.vertex_id = f"{link_id}:{direction.value}"
+        self.reverse_id = f"{link_id}:{direction.reverse().value}"
+        self.nodes = frozenset((tx_node, rx_node))
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset((self.tx_node, self.rx_node))
 
-
-@dataclass(frozen=True)
 class DemandSpec:
-    link_id: str
-    direction: Direction
-    demanded_rate_bps: float
+    __slots__ = ("link_id", "direction", "demanded_rate_bps")
 
-    def __post_init__(self):
-        if self.demanded_rate_bps < 0:
+    def __init__(self, link_id: str, direction: Direction, demanded_rate_bps: float):
+        if demanded_rate_bps < 0:
             raise ValueError("demanded rate must be non-negative")
+        self.link_id, self.direction, self.demanded_rate_bps = link_id, direction, demanded_rate_bps
 
 
-@dataclass(frozen=True)
 class InterferenceGraph:
-    vertices: tuple[DirectedLink, ...]
-    edges: frozenset[frozenset[str]]
-    # vertex-id pairs whose conflict test fell back to the channel model
-    model_derived_pairs: frozenset[tuple[str, str]] = frozenset()
+    """`model_derived_pairs`: vertex-id pairs whose conflict test fell back
+    to the channel model."""
 
-    def __post_init__(self):
-        ids = {v.vertex_id for v in self.vertices}
-        for edge in self.edges:
+    __slots__ = ("vertices", "edges", "model_derived_pairs")
+
+    def __init__(
+        self, vertices: tuple[DirectedLink, ...], edges: frozenset[frozenset[str]],
+        model_derived_pairs: frozenset[tuple[str, str]] = frozenset(),
+    ):
+        ids = {v.vertex_id for v in vertices}
+        for edge in edges:
             pair = tuple(edge)
             if len(pair) != 2:
                 raise ValueError(f"edge {pair} is not a two-vertex pair")
             if not set(pair) <= ids:
                 raise ValueError(f"edge {pair} references unknown vertices")
+        self.vertices, self.edges, self.model_derived_pairs = vertices, edges, model_derived_pairs
 
     def by_id(self) -> dict[str, DirectedLink]:
         return {v.vertex_id: v for v in self.vertices}
@@ -184,8 +186,7 @@ def build_interference_graph(
 # Slot assignment.
 
 
-@dataclass
-class GlobalSchedule:
+class GlobalSchedule(NamedTuple):
     """The slot map every AP follows: per slot index of the shared grid,
     its direction and the activations that transmit in it."""
 
@@ -195,16 +196,14 @@ class GlobalSchedule:
     slot_links: dict[int, tuple[str, ...]]  # slot index -> active vertex ids
 
 
-@dataclass(frozen=True)
-class StarvedLink:
+class StarvedLink(NamedTuple):
     link_id: str
     direction: Direction
     demanded_rate_bps: float
     reason: str
 
 
-@dataclass
-class AssignmentResult:
+class AssignmentResult(NamedTuple):
     schedule: GlobalSchedule
     granted_rate_bps: dict[str, float]  # vertex id -> granted rate
     starved: tuple[StarvedLink, ...]

@@ -9,9 +9,8 @@ transmit and receive (antenna reciprocity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class Role(Enum):
@@ -39,33 +38,33 @@ def bearing_deg(from_xy: tuple[float, float], to_xy: tuple[float, float]) -> flo
     return normalize_angle_deg(math.degrees(math.atan2(dy, dx)))
 
 
-@dataclass(frozen=True)
 class Sector:
-    index: int
-    boresight_deg: float
-    beamwidth_deg: float
-    mainlobe_gain_dbi: float
-    sidelobe_gain_dbi: float
+    __slots__ = ("index", "boresight_deg", "beamwidth_deg", "mainlobe_gain_dbi", "sidelobe_gain_dbi")
 
-    def __post_init__(self):
-        if self.beamwidth_deg <= 0:
-            raise ValueError(f"sector {self.index}: beamwidth must be positive")
-        if self.mainlobe_gain_dbi <= self.sidelobe_gain_dbi:
-            raise ValueError(
-                f"sector {self.index}: mainlobe gain must exceed sidelobe gain"
-            )
+    def __init__(
+        self, index: int, boresight_deg: float, beamwidth_deg: float,
+        mainlobe_gain_dbi: float, sidelobe_gain_dbi: float,
+    ):
+        if beamwidth_deg <= 0:
+            raise ValueError(f"sector {index}: beamwidth must be positive")
+        if mainlobe_gain_dbi <= sidelobe_gain_dbi:
+            raise ValueError(f"sector {index}: mainlobe gain must exceed sidelobe gain")
+        self.index = index
+        self.boresight_deg = boresight_deg
+        self.beamwidth_deg = beamwidth_deg
+        self.mainlobe_gain_dbi = mainlobe_gain_dbi
+        self.sidelobe_gain_dbi = sidelobe_gain_dbi
 
 
-@dataclass(frozen=True)
 class Codebook:
-    sectors: tuple[Sector, ...]
+    __slots__ = ("sectors",)
 
-    def __post_init__(self):
-        if not self.sectors:
+    def __init__(self, sectors: tuple[Sector, ...]):
+        if not sectors:
             raise ValueError("codebook needs at least one sector")
-        indices = [s.index for s in self.sectors]
-        if indices != list(range(len(self.sectors))):
+        if [s.index for s in sectors] != list(range(len(sectors))):
             raise ValueError("sector indices must be 0..n-1 with no gaps")
+        self.sectors = sectors
 
     def __len__(self) -> int:
         return len(self.sectors)
@@ -114,8 +113,7 @@ def sector_gain_dbi(codebook: Codebook, sector_index: int, angle_deg: float) -> 
     return sector.sidelobe_gain_dbi
 
 
-@dataclass(frozen=True)
-class McsEntry:
+class McsEntry(NamedTuple):
     mcs_index: int
     min_snr_db: float
     phy_rate_bps: int
@@ -156,37 +154,49 @@ def mcs_from_snr(table: Sequence[McsEntry], snr_db: float) -> Optional[McsEntry]
     return best
 
 
-@dataclass(frozen=True)
 class PowerLimits:
-    min_dbm: float = -10.0
-    max_dbm: float = 20.0
+    __slots__ = ("min_dbm", "max_dbm")
 
-    def __post_init__(self):
-        if self.min_dbm > self.max_dbm:
+    def __init__(self, min_dbm: float = -10.0, max_dbm: float = 20.0):
+        if min_dbm > max_dbm:
             raise ValueError("power limits: min exceeds max")
+        self.min_dbm, self.max_dbm = min_dbm, max_dbm
 
     def clamp(self, value_dbm: float) -> float:
         return min(self.max_dbm, max(self.min_dbm, value_dbm))
 
 
-@dataclass
 class NodeModel:
     """A DN sector (AP role) or client node (STA role)."""
 
-    node_id: str
-    role: Role
-    position: tuple[float, float]
-    codebook: Codebook
-    tx_power_dbm: float = 10.0
-    tdd_capable: bool = True
-    power_limits: PowerLimits = field(default_factory=PowerLimits)
+    __slots__ = (
+        "node_id", "role", "position", "codebook", "tx_power_dbm", "tdd_capable", "power_limits",
+    )
 
-    def __post_init__(self):
-        if not (self.power_limits.min_dbm <= self.tx_power_dbm <= self.power_limits.max_dbm):
+    def __init__(
+        self, node_id: str, role: Role, position: tuple[float, float], codebook: Codebook,
+        tx_power_dbm: float = 10.0, tdd_capable: bool = True,
+        power_limits: PowerLimits = PowerLimits(),
+    ):
+        if not (power_limits.min_dbm <= tx_power_dbm <= power_limits.max_dbm):
             raise ValueError(
-                f"node {self.node_id}: tx_power_dbm {self.tx_power_dbm} outside "
-                f"[{self.power_limits.min_dbm}, {self.power_limits.max_dbm}]"
+                f"node {node_id}: tx_power_dbm {tx_power_dbm} outside "
+                f"[{power_limits.min_dbm}, {power_limits.max_dbm}]"
             )
+        self.node_id = node_id
+        self.role = role
+        self.position = position
+        self.codebook = codebook
+        self.tx_power_dbm = tx_power_dbm
+        self.tdd_capable = tdd_capable
+        self.power_limits = power_limits
+
+    def copy(self) -> NodeModel:
+        """A node of its own with the same fields; the codebook is shared."""
+        return NodeModel(
+            self.node_id, self.role, self.position, self.codebook,
+            self.tx_power_dbm, self.tdd_capable, self.power_limits,
+        )
 
     @property
     def is_ap(self) -> bool:

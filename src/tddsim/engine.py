@@ -21,9 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkSample, LinkTable, propagation_delay_us
 from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
@@ -31,14 +30,7 @@ from .controller import AssignmentResult, DirectedLink
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .errors import SimulationError, StructureError
 from .frames import FrameSizes
-from .maintenance import (
-    LinkState,
-    ReportSchedule,
-    TpcFields,
-    emit_link_measurement_report,
-    keepalive_check,
-    tpc_update,
-)
+from .maintenance import ReportSchedule, TpcFields, emit_link_measurement_report, tpc_update
 from .schedule import (
     ExtendedScheduleEntry,
     SlotCategory,
@@ -94,33 +86,37 @@ def _whole_ticks(units: int, rate: int) -> int:
 # Traffic and per-link runtime state.
 
 
-@dataclass(slots=True)
 class Mpdu:
-    seq: int
-    size_bits: int
-    payload_bits: int
-    eligible: int  # tick
-    remaining: int  # bit units still to send
-    corrupted: bool = False
-    retried: bool = False
-    tx_complete: Optional[int] = None  # tick its last fragment ended
+    __slots__ = (
+        "seq", "size_bits", "payload_bits", "eligible", "remaining", "corrupted", "retried",
+        "tx_complete",
+    )
+
+    def __init__(self, seq: int, size_bits: int, payload_bits: int, eligible: int, remaining: int):
+        self.seq = seq
+        self.size_bits = size_bits
+        self.payload_bits = payload_bits
+        self.eligible = eligible  # tick
+        self.remaining = remaining  # bit units still to send
+        self.corrupted = False
+        self.retried = False
+        self.tx_complete: Optional[int] = None  # tick its last fragment ended
 
 
-@dataclass
 class TrafficSource:
-    # "none" keeps the link scheduled (for control traffic) without data.
-    pattern: str  # "saturated" | "cbr" | "none"
-    rate_bps: float = 0.0
-    start_us: int = 0
+    __slots__ = ("pattern", "rate_bps", "start_us")
 
-    def __post_init__(self):
-        if self.pattern not in ("saturated", "cbr", "none"):
-            raise ValueError(f"unknown traffic pattern {self.pattern!r}")
-        if self.pattern == "cbr" and not 1 <= self.rate_bps < math.inf:
+    def __init__(self, pattern: str, rate_bps: float = 0.0, start_us: int = 0):
+        # "none" keeps the link scheduled (for control traffic) without data.
+        if pattern not in ("saturated", "cbr", "none"):
+            raise ValueError(f"unknown traffic pattern {pattern!r}")
+        if pattern == "cbr" and not 1 <= rate_bps < math.inf:
             raise ValueError("cbr traffic needs a finite rate of at least 1 bit/s")
+        self.pattern = pattern  # "saturated" | "cbr" | "none"
+        self.rate_bps = rate_bps
+        self.start_us = start_us
 
 
-@dataclass
 class LinkRuntime:
     """Mutable simulation state of one directed, demanded link activation.
 
@@ -128,46 +124,55 @@ class LinkRuntime:
     World; whole-MPDU counters are plain bits.
     """
 
-    vertex: DirectedLink
-    mcs: McsEntry
-    prop: int  # ticks
-    source: Optional[TrafficSource]
-    size_bits: int
-    payload_bits: int
-    size_units: int
+    __slots__ = (
+        "vertex", "mcs", "prop", "source", "size_bits", "payload_bits", "size_units",
+        "vertex_id", "saturated", "next_arrival", "next_seq", "queue", "pending", "received",
+        "rx_since_ack", "control_queue", "dead", "active_until", "chained", "interfered_now",
+        "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
+        "delivered_payload_bits", "dropped_bits", "retx_units", "completed_mpdus",
+        "latency_samples_us", "ack_delay_samples_us", "snr_samples", "report_seq",
+    )
 
-    vertex_id: str = field(init=False)
-    saturated: bool = field(init=False)
-    next_arrival: int = -1  # tick of the next CBR arrival
-    next_seq: int = 0
-    queue: deque = field(default_factory=deque)
-    pending: dict = field(default_factory=dict)  # seq -> Mpdu awaiting ack
-    received: set = field(default_factory=set)  # decoded seqs at the receiver
-    rx_since_ack: list = field(default_factory=list)  # (seq, rx tick)
-    control_queue: deque = field(default_factory=deque)
-    dead: bool = False
+    def __init__(
+        self, vertex: DirectedLink, mcs: McsEntry, prop: int, source: Optional[TrafficSource],
+        size_bits: int, payload_bits: int, size_units: int,
+    ):
+        self.vertex = vertex
+        self.mcs = mcs
+        self.prop = prop  # ticks
+        self.source = source
+        self.size_bits = size_bits
+        self.payload_bits = payload_bits
+        self.size_units = size_units
 
-    # transmit window of the currently active slot, if any
-    active_until: int = 0
-    chained: bool = False
-    interfered_now: bool = False
+        self.vertex_id = vertex.vertex_id
+        self.saturated = source is not None and source.pattern == "saturated"
+        self.next_arrival = -1  # tick of the next CBR arrival
+        self.next_seq = 0
+        self.queue = deque()
+        self.pending = {}  # seq -> Mpdu awaiting ack
+        self.received = set()  # decoded seqs at the receiver
+        self.rx_since_ack = []  # (seq, rx tick)
+        self.control_queue = deque()
+        self.dead = False
 
-    # counters
-    offered_bits: int = 0
-    delivered_fragment_units: int = 0
-    delivered_mpdu_bits: int = 0
-    delivered_payload_bits: int = 0
-    dropped_bits: int = 0
-    retx_units: int = 0
-    completed_mpdus: int = 0
-    latency_samples_us: list = field(default_factory=list)
-    ack_delay_samples_us: list = field(default_factory=list)
-    snr_samples: list = field(default_factory=list)  # (t_us, snr_db)
-    report_seq: int = 0
+        # transmit window of the currently active slot, if any
+        self.active_until = 0
+        self.chained = False
+        self.interfered_now = False
 
-    def __post_init__(self):
-        self.vertex_id = self.vertex.vertex_id
-        self.saturated = self.source is not None and self.source.pattern == "saturated"
+        # counters
+        self.offered_bits = 0
+        self.delivered_fragment_units = 0
+        self.delivered_mpdu_bits = 0
+        self.delivered_payload_bits = 0
+        self.dropped_bits = 0
+        self.retx_units = 0
+        self.completed_mpdus = 0
+        self.latency_samples_us = []
+        self.ack_delay_samples_us = []
+        self.snr_samples = []  # (t_us, snr_db)
+        self.report_seq = 0
 
     def queued_bits(self) -> int:
         # An MPDU counts at full size until it is delivered or dropped, so a
@@ -179,21 +184,30 @@ class LinkRuntime:
         return backlog + pending_undelivered
 
 
-@dataclass
 class MaintenanceSettings:
-    keepalive_timeout_us: int = 1_000_000
-    heartbeat_period_us: int = 25600
-    tpc_enabled: bool = False
-    tpc_target_rsni_db: float = 20.0
-    tpc_max_step_db: float = 3.0
+    __slots__ = (
+        "keepalive_timeout_us", "heartbeat_period_us", "tpc_enabled", "tpc_target_rsni_db",
+        "tpc_max_step_db",
+    )
+
+    def __init__(
+        self, keepalive_timeout_us: int = 1_000_000, heartbeat_period_us: int = 25600,
+        tpc_enabled: bool = False, tpc_target_rsni_db: float = 20.0, tpc_max_step_db: float = 3.0,
+    ):
+        if keepalive_timeout_us <= 0:
+            raise ValueError("keep-alive timeout must be positive")
+        self.keepalive_timeout_us = keepalive_timeout_us
+        self.heartbeat_period_us = heartbeat_period_us
+        self.tpc_enabled = tpc_enabled
+        self.tpc_target_rsni_db = tpc_target_rsni_db
+        self.tpc_max_step_db = tpc_max_step_db
 
 
 # ---------------------------------------------------------------------------
 # Metrics.
 
 
-@dataclass
-class LinkMetrics:
+class LinkMetrics(NamedTuple):
     vertex_id: str
     offered_bits: float
     delivered_bits: float
@@ -212,8 +226,7 @@ class LinkMetrics:
         return max(self.latency_us) if self.latency_us else 0.0
 
 
-@dataclass
-class Metrics:
+class Metrics(NamedTuple):
     duration_us: int
     per_link: dict[str, LinkMetrics]
     slot_utilization: dict[str, float]  # category value -> used/usable
@@ -256,8 +269,7 @@ def ticks_per_us(
     return math.lcm(10**6, *(rate // math.gcd(bits * 10**6, rate) for bits, rate in spans))
 
 
-@dataclass(frozen=True, slots=True)
-class SlotRow:
+class SlotRow(NamedTuple):
     """What every boundary of one slot index reads, built once per World."""
 
     index: int
@@ -297,7 +309,7 @@ class World:
         bf_sweep_counts: Optional[dict[str, int]] = None,
     ):
         # Copies: transmit power control changes a node's power in this World only.
-        self.nodes = {nid: replace(node) for nid, node in nodes.items()}
+        self.nodes = {nid: node.copy() for nid, node in nodes.items()}
         self.links = LinkTable(channel_cfg)
         self.plan = plan
         self.graph_vertices = plan.graph.by_id()
@@ -772,8 +784,8 @@ def _on_maintenance_tick(world: World, now: int) -> None:
             # Broadcast heartbeats refresh every served STA's keep-alive.
             world.last_rx[(vertex.sta_id, vertex.ap_id)] = now
         last = world.last_rx.setdefault((vertex.sta_id, vertex.ap_id), now)
-        state = keepalive_check(last / world.tpu, t_us, settings.keepalive_timeout_us)
-        if state is LinkState.DEAD and not rt.dead:
+        # Dead only when strictly past the timeout; the boundary itself is alive.
+        if t_us - last / world.tpu > settings.keepalive_timeout_us and not rt.dead:
             rt.dead = True
             world.dead_links.add(vid)
             world.trace.record(

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FrameSizes:
+class FrameSizes(NamedTuple):
     """Frame sizes in bytes; data separates payload from MAC overhead."""
 
     data_payload: int = 1500

@@ -1,5 +1,5 @@
-"""Link maintenance: keep-alive tracking, unsolicited periodic link
-measurement, and transmit power control.
+"""Link maintenance: unsolicited periodic link measurement and transmit
+power control. The engine's maintenance tick checks keep-alives itself.
 
 Periodic link measurement is negotiated once by a request and then runs
 unsolicited on the agreed schedule; each emission is aligned to the start
@@ -9,10 +9,8 @@ of the covering transmit slot of the reporting node.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .channel import LinkSample
 from .domain import PowerLimits
@@ -26,31 +24,27 @@ DEFAULT_TPC_MAX_STEP_DB = 3.0
 # Periodic link measurement.
 
 
-@dataclass(frozen=True)
-class TpcFields:
+class TpcFields(NamedTuple):
     tx_power_dbm: float
     target_rsni_db: float
     max_step_db: float = DEFAULT_TPC_MAX_STEP_DB
 
 
-@dataclass(frozen=True)
 class PeriodicReportRequest:
-    start_time_us: int
-    interval_us: int
-    count: int
+    __slots__ = ("start_time_us", "interval_us", "count")
 
-    def __post_init__(self):
-        if self.interval_us <= 0:
+    def __init__(self, start_time_us: int, interval_us: int, count: int):
+        if interval_us <= 0:
             raise ValueError("report interval must be positive")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("report count must be at least 1")
+        self.start_time_us, self.interval_us, self.count = start_time_us, interval_us, count
 
     def nominal_times(self) -> tuple[int, ...]:
         return tuple(self.start_time_us + k * self.interval_us for k in range(self.count))
 
 
-@dataclass(frozen=True)
-class LinkMeasurementReport:
+class LinkMeasurementReport(NamedTuple):
     link_id: str
     rcpi_dbm: float
     rsni_db: float
@@ -58,8 +52,7 @@ class LinkMeasurementReport:
     sequence_number: int
 
 
-@dataclass(frozen=True)
-class ReportSchedule:
+class ReportSchedule(NamedTuple):
     """Outcome of a periodic report negotiation."""
 
     accepted: bool
@@ -109,22 +102,6 @@ def emit_link_measurement_report(
         tpc_fields=tpc_fields or TpcFields(tx_power_dbm=0.0, target_rsni_db=0.0),
         sequence_number=seq,
     )
-
-
-# ---------------------------------------------------------------------------
-# Keep-alive.
-
-
-class LinkState(Enum):
-    ALIVE = "alive"
-    DEAD = "dead"
-
-
-def keepalive_check(last_rx_us: float, now_us: float, timeout_us: float) -> LinkState:
-    """DEAD only when strictly past the timeout; the boundary itself is ALIVE."""
-    if timeout_us <= 0:
-        raise ValueError("keep-alive timeout must be positive")
-    return LinkState.DEAD if now_us - last_rx_us > timeout_us else LinkState.ALIVE
 
 
 # ---------------------------------------------------------------------------

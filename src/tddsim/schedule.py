@@ -10,9 +10,8 @@ All times are integer microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import StructureError
 
@@ -30,38 +29,37 @@ class Direction(Enum):
         return Direction.UPLINK if self is Direction.DOWNLINK else Direction.DOWNLINK
 
 
-@dataclass(frozen=True)
 class ExtendedScheduleEntry:
-    allocation_id: int
-    start_time_us: int
-    duration_us: int
-    is_tdd: bool = True
+    __slots__ = ("allocation_id", "start_time_us", "duration_us", "is_tdd")
 
-    def __post_init__(self):
-        if self.duration_us <= 0:
+    def __init__(
+        self, allocation_id: int, start_time_us: int, duration_us: int, is_tdd: bool = True
+    ):
+        if duration_us <= 0:
             raise ValueError("entry duration must be positive")
+        self.allocation_id = allocation_id
+        self.start_time_us = start_time_us
+        self.duration_us = duration_us
+        self.is_tdd = is_tdd
 
     @property
     def end_time_us(self) -> int:
         return self.start_time_us + self.duration_us
 
 
-@dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(NamedTuple):
     start_offset_us: int
     duration_us: int
     category: SlotCategory
 
 
-@dataclass(frozen=True)
-class TddSlotStructure:
+class TddSlotStructure(NamedTuple):
     allocation_id: int
     interval_duration_us: int
     slots: tuple[SlotSpec, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class AbsoluteSlot:
+class AbsoluteSlot(NamedTuple):
     """One concrete slot instance on the simulation timeline."""
 
     sp_allocation_id: int
@@ -92,8 +90,7 @@ def default_slot_structure(allocation_id: int = 0) -> TddSlotStructure:
     return TddSlotStructure(allocation_id=allocation_id, interval_duration_us=1600, slots=slots)
 
 
-@dataclass(frozen=True)
-class ScheduleViolation:
+class ScheduleViolation(NamedTuple):
     kind: str
     detail: str
 

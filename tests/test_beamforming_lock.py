@@ -11,7 +11,6 @@ record, field or insertion order at equal time fails here.
 import hashlib
 import json
 import math
-from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +25,7 @@ from tddsim.beamforming import (
     run_beamforming,
 )
 from tddsim.channel import LinkBudgetConfig, LinkTable
-from tddsim.domain import Role, uniform_codebook
+from tddsim.domain import NodeModel, Role, uniform_codebook
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
@@ -117,8 +116,8 @@ def sha256(text):
 def result_text(result):
     return json.dumps({
         "mode": result.mode.value,
-        "trained_links": [astuple(link) for link in result.trained_links],
-        "reports": [astuple(rep) for rep in result.reports],
+        "trained_links": [tuple(link) for link in result.trained_links],
+        "reports": [tuple(rep) for rep in result.reports],
         "end_us": result.end_us,
     }, sort_keys=True)
 
@@ -271,8 +270,7 @@ responder_legs = st.tuples(st.floats(1.0, 5.5).map(lambda e: 10.0 ** e), angles,
 
 
 def antenna_node(node_id, role, position, sectors, power, gains):
-    node = make_node(node_id, role=role, position=position, sectors=sectors, tx_power_dbm=power)
-    return replace(node, codebook=uniform_codebook(sectors, *gains))
+    return NodeModel(node_id, role, position, uniform_codebook(sectors, *gains), tx_power_dbm=power)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -294,6 +294,23 @@ def test_cbr_rate_below_one_bit_per_second_is_a_config_error(rate, tmp_path, cap
         assert (captured.out, captured.err) == ("", f"error: {problem}\n")
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("mcs_table: [{mcs: x, min_snr_db: 1, rate_bps: 100}]", "mcs_table[0].mcs: expected a number"),
+    (
+        "channel: {extra_loss_db: [{a: dn1, b: cn1, loss_db: lots}]}",
+        "channel.extra_loss_db[0].loss_db: expected a number",
+    ),
+    ("mcs_table: [{mcs: 0, min_snr_db: 1, rate_bps: .inf}]", "mcs_table[0].rate_bps: expected an integer"),
+], ids=["mcs", "loss_db", "rate_bps"])
+def test_list_entry_problem_is_a_path_qualified_config_error(line, problem, tmp_path, capsys):
+    path = tmp_path / "entry.yaml"
+    path.write_text((SCENARIOS / "two_node_dl.yaml").read_text() + line + "\n")
+    for command in (["validate"], ["run"]):
+        assert run_cli(*command, "--config", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {problem}\n")
+
+
 def test_run_rejects_bad_duration(capsys):
     path = str(SCENARIOS / "saturated_dl.yaml")
     assert run_cli("run", "--config", path, "--duration-ms", "-1") == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 import yaml
@@ -251,6 +252,28 @@ def test_type_coercion_errors():
         parse_config(data)
     assert "sim.duration_us: expected a number" in exc.value.problems
     assert "sim.seed: expected an integer" in exc.value.problems
+
+
+def test_list_entry_problems_are_all_collected():
+    data = minimal_config(
+        mcs_table=[
+            {"mcs": "x", "min_snr_db": 1.0, "rate_bps": 0},
+            {"mcs": 1, "min_snr_db": "lots", "rate_bps": math.nan},
+            {"mcs": 2.5, "min_snr_db": 3.0, "rate_bps": -4},
+        ],
+        channel={"extra_loss_db": [{"a": "ap", "b": "sta", "loss_db": "lots"}]},
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.problems == [
+        "channel.extra_loss_db[0].loss_db: expected a number",
+        "mcs_table[0].mcs: expected a number",
+        "mcs_table[0].rate_bps: must be at least 1",
+        "mcs_table[1].min_snr_db: expected a number",
+        "mcs_table[1].rate_bps: expected an integer",
+        "mcs_table[2].mcs: expected an integer",
+        "mcs_table[2].rate_bps: must be at least 1",
+    ]
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -347,8 +346,7 @@ def test_verify_global_flags_planted_conflicts():
     result = assign_slots(graph, demands, default_slot_structure(1))
     assert verify_global(result.schedule, graph) == []
     # Plant both conflicting links into one slot.
-    broken = replace(
-        result.schedule,
+    broken = result.schedule._replace(
         slot_links={**result.schedule.slot_links,
                     1: ("ap-sta:downlink", "ap-sta2:downlink")},
     )
@@ -356,16 +354,14 @@ def test_verify_global_flags_planted_conflicts():
     assert "interference-conflict" in kinds
     assert "tx-rx-overlap" not in kinds  # both transmit from the AP
     # Mixing directions in a slot is flagged even without interference.
-    mixed = replace(
-        result.schedule,
+    mixed = result.schedule._replace(
         slot_links={**result.schedule.slot_links,
                     2: ("ap-sta:downlink", "ap-sta2:uplink")},
     )
     kinds = {v.kind for v in verify_global(mixed, graph)}
     assert "duplex-mixing" in kinds
     assert "tx-rx-overlap" in kinds  # the AP would transmit and receive at once
-    unknown = replace(
-        result.schedule,
+    unknown = result.schedule._replace(
         slot_links={**result.schedule.slot_links, 3: ("ghost:downlink",)},
     )
     kinds = {v.kind for v in verify_global(unknown, graph)}
@@ -377,8 +373,7 @@ def test_verify_global_wants_reverse_basic_coverage():
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 1.0e9)]
     result = assign_slots(graph, demands, default_slot_structure(1))
     # Strip the BASIC slots from the slot map.
-    stripped = replace(
-        result.schedule,
+    stripped = result.schedule._replace(
         slot_directions={k: v for k, v in result.schedule.slot_directions.items() if k not in (0, 12)},
         slot_links={k: v for k, v in result.schedule.slot_links.items() if k not in (0, 12)},
     )

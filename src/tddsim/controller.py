@@ -62,7 +62,9 @@ class DemandSpec:
     def __init__(self, link_id: str, direction: Direction, demanded_rate_bps: float):
         if demanded_rate_bps < 0:
             raise ValueError("demanded rate must be non-negative")
-        self.link_id, self.direction, self.demanded_rate_bps = link_id, direction, demanded_rate_bps
+        self.link_id = link_id
+        self.direction = direction
+        self.demanded_rate_bps = demanded_rate_bps
 
 
 class InterferenceGraph:
@@ -82,7 +84,9 @@ class InterferenceGraph:
                 raise ValueError(f"edge {pair} is not a two-vertex pair")
             if not set(pair) <= ids:
                 raise ValueError(f"edge {pair} references unknown vertices")
-        self.vertices, self.edges, self.model_derived_pairs = vertices, edges, model_derived_pairs
+        self.vertices = vertices
+        self.edges = edges
+        self.model_derived_pairs = model_derived_pairs
 
     def by_id(self) -> dict[str, DirectedLink]:
         return {v.vertex_id: v for v in self.vertices}

@@ -160,7 +160,8 @@ class PowerLimits:
     def __init__(self, min_dbm: float = -10.0, max_dbm: float = 20.0):
         if min_dbm > max_dbm:
             raise ValueError("power limits: min exceeds max")
-        self.min_dbm, self.max_dbm = min_dbm, max_dbm
+        self.min_dbm = min_dbm
+        self.max_dbm = max_dbm
 
     def clamp(self, value_dbm: float) -> float:
         return min(self.max_dbm, max(self.min_dbm, value_dbm))

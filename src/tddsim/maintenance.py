@@ -38,7 +38,9 @@ class PeriodicReportRequest:
             raise ValueError("report interval must be positive")
         if count < 1:
             raise ValueError("report count must be at least 1")
-        self.start_time_us, self.interval_us, self.count = start_time_us, interval_us, count
+        self.start_time_us = start_time_us
+        self.interval_us = interval_us
+        self.count = count
 
     def nominal_times(self) -> tuple[int, ...]:
         return tuple(self.start_time_us + k * self.interval_us for k in range(self.count))

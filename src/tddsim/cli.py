@@ -37,6 +37,7 @@ from .controller import (
 )
 from .engine import World, collect_metrics, metrics_to_csv, run_until
 from .errors import ConfigError, ProtocolError, SimulationError, StructureError
+from .frames import FrameSizes
 from .maintenance import PeriodicReportRequest, ReportSchedule, handle_periodic_report_request
 from .schedule import AbsoluteSlot, Direction, SlotCategory, intervals, sp_window
 from .schedule import expand_sp  # noqa: F401  perfbench/layers.py hooks this name
@@ -202,7 +203,7 @@ def build_world(prep: Prepared, plan: AssignmentResult, trace: TraceRecorder) ->
     return World(
         prep.nodes, prep.channel, plan, prep.structure,
         traffic=cfg.traffic_sources(),
-        frame_sizes=cfg.frames,
+        frame_sizes=FrameSizes(**vars(cfg.frames)),
         mcs_table=prep.mcs_table,
         maintenance=cfg.maintenance_settings(),
         report_schedules=schedules,

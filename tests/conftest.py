@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tddsim.channel import LinkBudgetConfig
+from tddsim.config import ScenarioConfig, Section
 from tddsim.domain import NodeModel, PowerLimits, Role, uniform_codebook
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -17,6 +18,24 @@ def perfbench_workloads():
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def declared_sections() -> dict:
+    """Every declared section by path ("" for the top level, `nodes[]` for a
+    list's entries), as a freshly built instance."""
+    found = {}
+
+    def walk(path, section):
+        found[path] = section
+        for key, value in vars(section).items():
+            where = f"{path}.{key}" if path else key
+            if isinstance(value, Section):
+                walk(where, value)
+            elif key in section.ITEMS:
+                walk(f"{where}[]", section.ITEMS[key]())
+
+    walk("", ScenarioConfig())
+    return found
 
 
 def make_node(

@@ -22,7 +22,7 @@ from tddsim.engine import run_until
 from tddsim.errors import ConfigError, StructureError
 from tddsim.trace import TraceRecorder
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, declared_sections
 
 
 def run_cli(*argv):
@@ -309,6 +309,38 @@ def test_list_entry_problem_is_a_path_qualified_config_error(line, problem, tmp_
         assert run_cli(*command, "--config", str(path)) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {problem}\n")
+
+
+RECORD_LISTS = [path[:-2] for path in declared_sections() if path.endswith("[]")]
+
+
+@pytest.mark.parametrize("path", RECORD_LISTS)
+def test_a_scalar_for_a_list_of_records_is_a_config_error(path, tmp_path, capsys):
+    data = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
+    *sections, key = path.split(".")
+    holder = data
+    for section in sections:
+        holder = holder.setdefault(section, {})
+    holder[key] = 5
+    config = tmp_path / "scalar.yaml"
+    config.write_text(yaml.safe_dump(data))
+    assert run_cli("validate", "--config", str(config)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # Without nodes, the links and training runs also name unknown nodes.
+    assert captured.err.splitlines()[0] == f"error: {path}: expected a list"
+    assert path == "nodes" or captured.err == f"error: {path}: expected a list\n"
+
+
+def test_antenna_gains_are_checked_with_the_node_path(tmp_path, capsys):
+    text = (SCENARIOS / "two_node_dl.yaml").read_text()
+    config = tmp_path / "gains.yaml"
+    config.write_text(text.replace("sectors: 8}", "sectors: 8, sidelobe_gain_dbi: 30.0}", 1))
+    assert run_cli("validate", "--config", str(config)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: nodes[0]: mainlobe_gain_dbi must exceed sidelobe_gain_dbi\n",
+    )
 
 
 def test_run_rejects_bad_duration(capsys):

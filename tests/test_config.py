@@ -1,10 +1,17 @@
 import copy
 import math
+import re
 
 import pytest
 import yaml
 
 from tddsim.config import (
+    ANY_FLOAT,
+    AT_LEAST_1,
+    FRACTION,
+    NON_EMPTY,
+    NON_NEGATIVE,
+    POSITIVE,
     ScenarioConfig,
     load_config,
     parse_config,
@@ -14,7 +21,7 @@ from tddsim.domain import DEFAULT_MCS_TABLE, Role
 from tddsim.errors import ConfigError
 from tddsim.schedule import SlotCategory
 
-from conftest import perfbench_workloads
+from conftest import SCENARIOS, declared_sections, perfbench_workloads
 
 
 def minimal_config(**overrides) -> dict:
@@ -274,6 +281,135 @@ def test_list_entry_problems_are_all_collected():
         "mcs_table[2].mcs: expected an integer",
         "mcs_table[2].rate_bps: must be at least 1",
     ]
+
+
+def problems_of(data) -> list[str]:
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    return exc.value.problems
+
+
+@pytest.mark.parametrize("section, entry, problem", [
+    ("mcs_table", {"mcs": 3, "rate_bps": 100}, "mcs_table[0]: expected keys mcs, min_snr_db, rate_bps"),
+    ("mcs_table", {"mcs": 3, "min_snr_db": 1, "rate_bps": 100, "x": 1},
+     "mcs_table[0]: expected keys mcs, min_snr_db, rate_bps"),
+    ("mcs_table", 5, "mcs_table[0]: expected keys mcs, min_snr_db, rate_bps"),
+    ("channel", {"a": "ap", "loss_db": 3.0}, "channel.extra_loss_db[0]: expected keys a, b, loss_db"),
+])
+def test_mcs_rows_and_extra_losses_need_every_key(section, entry, problem):
+    value = [entry] if section == "mcs_table" else {"extra_loss_db": [entry]}
+    assert problems_of(minimal_config(**{section: value})) == [problem]
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    # Each would also fail a rule that relates it to another field, or the
+    # slot template's own check (one problem per slot of length 0).
+    ({"slot_structure": {"slot_us": 0}}, "slot_structure.slot_us: must be positive"),
+    ({"slot_structure": {"interval_us": 0}}, "slot_structure.interval_us: must be positive"),
+    ({"sim": {"sp_duration_us": 0, "sp_offset_us": 400000}}, "sim.sp_duration_us: must be positive"),
+])
+def test_a_field_outside_its_bound_is_its_only_problem(overrides, problem):
+    assert problems_of(minimal_config(**overrides)) == [problem]
+
+
+def test_a_traffic_entry_needs_a_demand():
+    data = minimal_config()
+    del data["traffic"][0]["demand_bps"]
+    assert problems_of(data) == ["traffic[0].demand_bps: must be positive"]
+
+
+NON_FINITE = [
+    ("channel", {"noise_figure_db": math.nan}, "channel.noise_figure_db"),
+    ("channel", {"noise_figure_db": math.inf}, "channel.noise_figure_db"),
+    ("channel", {"carrier_freq_hz": math.nan}, "channel.carrier_freq_hz"),
+    ("channel", {"extra_loss_db": [{"a": "ap", "b": "sta", "loss_db": math.nan}]},
+     "channel.extra_loss_db[0].loss_db"),
+    ("mcs_table", [{"mcs": 0, "min_snr_db": math.nan, "rate_bps": 385000000}], "mcs_table[0].min_snr_db"),
+    ("sim", {"dl_data_fraction": math.nan}, "sim.dl_data_fraction"),
+    ("maintenance", {"tpc": {"target_rsni_db": -math.inf}}, "maintenance.tpc.target_rsni_db"),
+]
+
+
+@pytest.mark.parametrize("section, value, path", NON_FINITE)
+def test_every_float_must_be_finite(section, value, path):
+    assert problems_of(minimal_config(**{section: value})) == [f"{path}: must be finite"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("demand_bps", math.inf), ("tx_power_dbm", math.nan), ("position", [0.0, math.inf]),
+])
+def test_node_and_traffic_floats_must_be_finite(key, value):
+    data = minimal_config()
+    records = "traffic" if key == "demand_bps" else "nodes"
+    data[records][0][key] = value
+    assert problems_of(data) == [f"{records}[0].{key}: must be finite"]
+
+
+def test_a_rate_that_no_pattern_reads_may_be_nan():
+    data = minimal_config()
+    data["traffic"][0]["rate_bps"] = math.nan
+    assert math.isnan(parse_config(data).traffic[0].rate_bps)
+
+
+@pytest.mark.parametrize("frames, problems", [
+    ({"data_payload": 0, "data_overhead": 0},
+     ["frames.data_payload: must be at least 1", "frames.data_overhead: must be at least 1"]),
+    ({"data_payload": -100}, ["frames.data_payload: must be at least 1"]),
+    ({"ack": -16}, ["frames.ack: must be at least 1"]),
+])
+def test_frame_sizes_must_be_at_least_one_byte(frames, problems, tmp_path):
+    text = (SCENARIOS / "two_node_dl.yaml").read_text()
+    path = tmp_path / "frames.yaml"
+    path.write_text(text + yaml.safe_dump({"frames": frames}))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert exc.value.problems == problems
+
+
+def test_extra_loss_must_name_known_nodes():
+    data = minimal_config(channel={"extra_loss_db": [
+        {"a": "ap", "b": "sta", "loss_db": 3.0}, {"a": "ghost", "b": "sta", "loss_db": 1.0},
+    ]})
+    assert problems_of(data) == ["channel.extra_loss_db[1].a: unknown node 'ghost'"]
+
+
+def test_mainlobe_gain_must_exceed_sidelobe_gain():
+    data = minimal_config()
+    data["nodes"][1].update(mainlobe_gain_dbi=5.0, sidelobe_gain_dbi=5.0)
+    assert problems_of(data) == ["nodes[1]: mainlobe_gain_dbi must exceed sidelobe_gain_dbi"]
+
+
+@pytest.mark.parametrize("section, value, problem", [
+    ("slot_structure", {"basic_slots": [[0], 0, 0]},
+     "slot_structure.basic_slots: index [0] out of range"),
+    ("beamforming", {"runs": [{"mode": "individual", "initiator": "ap", "responders": [{"x": 1}]}]},
+     "beamforming.runs[0].responders: unknown node {'x': 1}"),
+])
+def test_unhashable_list_entries_are_problems(section, value, problem):
+    assert problem in problems_of(minimal_config(**{section: value}))
+
+
+# How README's key table writes each bound.
+README_BOUNDS = {
+    "> 0": POSITIVE, "≥ 0": NON_NEGATIVE, "≥ 1": AT_LEAST_1, "between 0 and 1": FRACTION,
+    "non-empty": NON_EMPTY, "any float": ANY_FLOAT,
+}
+
+
+def test_readme_key_table_is_the_declared_schema():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    table = readme.split("| section | keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        section, keys = row.strip("| ").split(" | ")
+        path = "" if section == "top level" else section.strip("`")
+        documented[path] = re.findall(r"`([a-z_]+)`(?: \(([^)]*)\))?", keys)
+    declared = declared_sections()
+    assert list(documented) == list(declared)
+    for path, section in declared.items():
+        assert [key for key, _ in documented[path]] == list(vars(section)), path
+        bounds = {key: README_BOUNDS[bound] for key, bound in documented[path] if bound}
+        assert bounds == section.LIMITS, path
 
 
 def test_load_config_missing_file(tmp_path):

@@ -378,12 +378,9 @@ def _fill(path: str, obj: Section, raw: Any, errors: list) -> Optional[Section]:
             errors.append(f"{prefix}{key}: unknown {'field' if path else 'section'}")
     items, limits = obj.ITEMS, obj.LIMITS
     for key, default in fields.items():
-        if key in raw:
-            value = raw[key]
-        elif key in limits:
-            value = default  # a missing key reads as its default, which its bound may refuse
-        else:
+        if key not in raw and key not in limits:
             continue
+        value = raw.get(key, default)  # a missing key reads as its default, which its bound may refuse
         if key in items:
             if isinstance(value, list):
                 entry = items[key]
@@ -494,21 +491,23 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
             if node not in node_ids:
                 errors.append(f"channel.extra_loss_db[{i}].{end}: unknown node {node!r}")
 
-    def check_link(path: str, link: str) -> None:
+    def check_link(path: str, link: str) -> Optional[tuple[str, str]]:
         parts = link.split("-")
         if len(parts) != 2 or not all(parts):
             errors.append(f"{path}: expected the form <ap>-<sta>")
-            return
+            return None
         ap, sta = parts
         if ap not in node_ids:
             errors.append(f"{path}: unknown node {ap!r}")
-        elif sta not in node_ids:
+            return None
+        if sta not in node_ids:
             errors.append(f"{path}: unknown node {sta!r}")
-        else:
-            if roles.get(ap) != "dn_ap":
-                errors.append(f"{path}: {ap!r} is not an AP")
-            if roles.get(sta) == "dn_ap":
-                errors.append(f"{path}: {sta!r} must be a STA role")
+            return None
+        if roles.get(ap) != "dn_ap":
+            errors.append(f"{path}: {ap!r} is not an AP")
+        if roles.get(sta) == "dn_ap":
+            errors.append(f"{path}: {sta!r} must be a STA role")
+        return ap, sta
 
     seen_flows = set()
     traffic_flows = set()

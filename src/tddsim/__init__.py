@@ -49,12 +49,7 @@ from .engine import (
     metrics_to_csv,
     run_until,
 )
-from .errors import (
-    ConfigError,
-    ProtocolError,
-    SimulationError,
-    StructureError,
-)
+from .errors import ConfigError, SimulationError, StructureError
 from .frames import FrameSizes
 from .maintenance import (
     PeriodicReportRequest,
@@ -99,7 +94,6 @@ __all__ = [
     "NodeModel",
     "PeriodicReportRequest",
     "PowerLimits",
-    "ProtocolError",
     "ReportSchedule",
     "Role",
     "ScenarioConfig",

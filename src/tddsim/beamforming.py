@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkTable, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, NodeModel
-from .trace import TraceRecorder, null_recorder
+from .trace import TraceRecorder
 
 
 class BfMode(Enum):
@@ -81,12 +81,6 @@ class SweepPlan(NamedTuple):
     @property
     def sweep_end_us(self) -> int:
         return self.start_us + self.n_frames * self.cfg.ssw_slot_us
-
-    def ssw_time(self, frame_index: int) -> int:
-        return self.start_us + frame_index * self.cfg.ssw_slot_us
-
-    def tx_sector_of_frame(self, frame_index: int) -> int:
-        return frame_index // self.repetitions
 
     def _fb_pitch(self) -> int:
         return self.cfg.feedback_slot_us + self.cfg.ack_slot_us
@@ -183,7 +177,7 @@ def run_beamforming(
     transmit and their measurement reports are returned for the controller.
     """
     cfg = cfg or BeamformingConfig()
-    trace = trace or null_recorder()
+    trace = trace or TraceRecorder(enabled=False)
     if mode is BfMode.INDIVIDUAL and len(responders) != 1:
         raise ValueError("individual mode trains exactly one responder")
     if not responders:
@@ -226,7 +220,7 @@ def run_beamforming(
         tx, rx, snr = max(found, key=lambda s: (s[2], -s[0], -s[1]))
         t_fb = plan.feedback_time(tx, k)
         trace.record(t_fb, "frame_tx", node=rid, frame="tdd_ssw_feedback", sector=rx, best_tx_sector=tx)
-        fb_snr = link_snr_db(r, rx, initiator, tx, channel_cfg).snr_db
+        fb_snr = link_snr_db(r, rx, initiator, tx, channel_cfg)
         if fb_snr < threshold:
             continue
         trace.record(

@@ -8,7 +8,7 @@ A per-link constant extra loss can be configured for what-if studies.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .domain import Codebook, NodeModel, bearing_deg, sector_gain_dbi
 
@@ -38,16 +38,6 @@ class LinkBudgetConfig:
 
     def pair_loss_db(self, node_a: str, node_b: str) -> float:
         return self.extra_loss_db.get(frozenset((node_a, node_b)), 0.0)
-
-
-class LinkSample(NamedTuple):
-    tx_node: str
-    rx_node: str
-    tx_sector: int
-    rx_sector: int
-    snr_db: float
-    rcpi_dbm: float
-    rsni_db: float
 
 
 def path_loss_db(distance_m: float, carrier_hz: float) -> float:
@@ -126,35 +116,6 @@ class LinkTable:
     def snr_db(self, tx: NodeModel, tx_sector: int, rx: NodeModel, rx_sector: int) -> float:
         return self.power_dbm(tx, tx_sector, rx, rx_sector) - self.noise_floor_dbm
 
-    def sample(self, tx: NodeModel, tx_sector: int, rx: NodeModel, rx_sector: int) -> LinkSample:
-        """Full link-budget evaluation for one directed (sector, sector) link.
-
-        RSNI equals SNR under this deterministic model; RCPI is the received
-        power itself.
-        """
-        rcpi = self.power_dbm(tx, tx_sector, rx, rx_sector)
-        snr = rcpi - self.noise_floor_dbm
-        return LinkSample(
-            tx_node=tx.node_id,
-            rx_node=rx.node_id,
-            tx_sector=tx_sector,
-            rx_sector=rx_sector,
-            snr_db=snr,
-            rcpi_dbm=rcpi,
-            rsni_db=snr,
-        )
-
-
-def received_power_dbm(
-    tx: NodeModel,
-    tx_sector: int,
-    rx: NodeModel,
-    rx_sector: int,
-    cfg: LinkBudgetConfig,
-) -> float:
-    """Power of tx's signal at rx for the given sector pair, in dBm."""
-    return LinkTable(cfg).power_dbm(tx, tx_sector, rx, rx_sector)
-
 
 def link_snr_db(
     tx: NodeModel,
@@ -162,6 +123,6 @@ def link_snr_db(
     rx: NodeModel,
     rx_sector: int,
     cfg: LinkBudgetConfig,
-) -> LinkSample:
-    """Full link-budget evaluation for one directed (sector, sector) link."""
-    return LinkTable(cfg).sample(tx, tx_sector, rx, rx_sector)
+) -> float:
+    """SNR of one directed (sector, sector) link, in dB, from a one-off table."""
+    return LinkTable(cfg).snr_db(tx, tx_sector, rx, rx_sector)

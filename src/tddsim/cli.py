@@ -7,8 +7,9 @@ Subcommands:
   run       full pipeline: training, planning, then event simulation
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible plan
-(starved links), 4 runtime protocol violation (including a trace record
-stamped behind what was already written).
+(starved links), 4 runtime violation: a slot structure the run cannot
+follow or a broken engine invariant, such as a trace record stamped behind
+what was already written.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .controller import (
     build_interference_graph,
     verify_global,
 )
-from .engine import World, collect_metrics, metrics_to_csv, run_until
-from .errors import ConfigError, ProtocolError, SimulationError, StructureError
+from .engine import World, metrics_to_csv, run_until
+from .errors import ConfigError, SimulationError, StructureError
 from .frames import FrameSizes
 from .maintenance import PeriodicReportRequest, ReportSchedule, handle_periodic_report_request
-from .schedule import AbsoluteSlot, Direction, SlotCategory, intervals, sp_window
+from .schedule import Direction, SlotCategory, intervals, sp_window
 from .schedule import expand_sp  # noqa: F401  perfbench/layers.py hooks this name
 from .trace import TraceRecorder
 
@@ -95,7 +96,7 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
         snr = link_snr_db(
             prep.nodes[t.initiator], t.initiator_sector,
             prep.nodes[t.responder], t.responder_sector, prep.channel,
-        ).snr_db
+        )
         prep.trained.append(TrainedLink(
             initiator_id=t.initiator, responder_id=t.responder,
             initiator_sector=t.initiator_sector, responder_sector=t.responder_sector,
@@ -142,7 +143,6 @@ def plan_scenario(prep: Prepared) -> AssignmentResult:
     ]
     return assign_slots(
         graph, demands, prep.structure, prep.mcs_table,
-        sp_entry=prep.cfg.build_sp_entry(),
         dl_data_fraction=prep.cfg.sim.dl_data_fraction,
     )
 
@@ -153,9 +153,9 @@ def build_report_schedules(
     """Map each periodic report request onto the reporter's BASIC tx slots.
 
     The reporter is the data receiver, so its transmit opportunities are the
-    BASIC slots granted to the reverse-direction activation, among the slots
-    the engine runs. Rejected requests (no covering slot) are returned as
-    warnings, not errors.
+    `(start_us, end_us)` windows of the BASIC slots granted to the
+    reverse-direction activation, among the slots the engine runs. Rejected
+    requests (no covering slot) are returned as warnings, not errors.
     """
     cfg = prep.cfg
     schedules: dict[str, ReportSchedule] = {}
@@ -173,21 +173,16 @@ def build_report_schedules(
         vid = f"{r.link}:{r.direction}"
         rev = vertices[vid].reverse_id
         own = [
-            (index, spec) for index, spec in enumerate(prep.structure.slots)
+            (spec.start_offset_us, spec.start_offset_us + spec.duration_us)
+            for index, spec in enumerate(prep.structure.slots)
             if spec.category is SlotCategory.BASIC
             and rev in plan.schedule.slot_links.get(index, ())
         ]
-        tx_slots = [
-            AbsoluteSlot(
-                first_sp.allocation_id, interval, index,
-                base + spec.start_offset_us, spec.duration_us, spec.category,
-            )
-            for interval, base in runs for index, spec in own
-        ]
+        tx_windows = [(base + start, base + end) for _, base in runs for start, end in own]
         req = PeriodicReportRequest(
             start_time_us=r.start_us, interval_us=r.interval_us, count=r.count
         )
-        schedule = handle_periodic_report_request(req, tx_slots)
+        schedule = handle_periodic_report_request(req, tx_windows)
         if schedule.accepted:
             schedules[vid] = schedule
         else:
@@ -467,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     # Before ValueError, which StructureError subclasses.
-    except (ProtocolError, StructureError, SimulationError) as exc:
+    except (StructureError, SimulationError) as exc:
         print(f"runtime violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:

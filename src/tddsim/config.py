@@ -440,7 +440,9 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
     if not ss.basic_slots:
         errors.append("slot_structure.basic_slots: at least one BASIC slot is required")
     for idx in ss.basic_slots:
-        if not isinstance(idx, int) or not 0 <= idx < ss.n_slots:
+        if isinstance(idx, bool):
+            errors.append(f"slot_structure.basic_slots: index {idx} is not an integer")
+        elif not isinstance(idx, int) or not 0 <= idx < ss.n_slots:
             errors.append(f"slot_structure.basic_slots: index {idx} out of range")
     if _has_duplicates(ss.basic_slots):
         errors.append("slot_structure.basic_slots: duplicate indices")

@@ -12,14 +12,13 @@ direction-disjoint slot pools, validated by verify_global.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .beamforming import BeamMeasurementReport, TrainedLink
 from .channel import LinkBudgetConfig, LinkTable, link_snr_db
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .schedule import (
     Direction,
-    ExtendedScheduleEntry,
     ScheduleViolation,
     SlotCategory,
     TddSlotStructure,
@@ -112,8 +111,8 @@ def links_from_trained(
     ap_sector = trained.initiator_sector if initiator.is_ap else trained.responder_sector
     sta_sector = trained.responder_sector if initiator.is_ap else trained.initiator_sector
     link_id = f"{ap.node_id}-{sta.node_id}"
-    dl_snr = link_snr_db(ap, ap_sector, sta, sta_sector, channel_cfg).snr_db
-    ul_snr = link_snr_db(sta, sta_sector, ap, ap_sector, channel_cfg).snr_db
+    dl_snr = link_snr_db(ap, ap_sector, sta, sta_sector, channel_cfg)
+    ul_snr = link_snr_db(sta, sta_sector, ap, ap_sector, channel_cfg)
     dl = DirectedLink(
         link_id=link_id, direction=Direction.DOWNLINK, ap_id=ap.node_id, sta_id=sta.node_id,
         tx_node=ap.node_id, tx_sector=ap_sector,
@@ -195,7 +194,6 @@ class GlobalSchedule(NamedTuple):
     its direction and the activations that transmit in it."""
 
     structure: TddSlotStructure
-    entry: ExtendedScheduleEntry
     slot_directions: dict[int, Direction]
     slot_links: dict[int, tuple[str, ...]]  # slot index -> active vertex ids
 
@@ -230,7 +228,6 @@ def assign_slots(
     demands: Sequence[DemandSpec],
     structure_template: TddSlotStructure,
     mcs_table: Sequence[McsEntry] = DEFAULT_MCS_TABLE,
-    sp_entry: Optional[ExtendedScheduleEntry] = None,
     dl_data_fraction: float = DEFAULT_DL_DATA_FRACTION,
 ) -> AssignmentResult:
     """Greedy demand-sorted assignment of links to slot pools.
@@ -421,11 +418,6 @@ def assign_slots(
 
     schedule = GlobalSchedule(
         structure=structure_template,
-        entry=sp_entry or ExtendedScheduleEntry(
-            allocation_id=structure_template.allocation_id,
-            start_time_us=0,
-            duration_us=16 * interval_us,
-        ),
         slot_directions=slot_directions,
         slot_links=slot_links,
     )

@@ -24,20 +24,20 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .channel import LinkBudgetConfig, LinkSample, LinkTable, propagation_delay_us
+from .channel import LinkBudgetConfig, LinkTable, propagation_delay_us
 from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
 from .controller import AssignmentResult, DirectedLink
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .errors import SimulationError, StructureError
 from .frames import FrameSizes
-from .maintenance import ReportSchedule, TpcFields, emit_link_measurement_report, tpc_update
+from .maintenance import ReportSchedule, tpc_update
 from .schedule import (
     ExtendedScheduleEntry,
     SlotCategory,
     TddSlotStructure,
     intervals,
 )
-from .trace import TraceRecorder, null_recorder
+from .trace import TraceRecorder
 
 
 class EventQueue:
@@ -67,9 +67,6 @@ class EventQueue:
         entry = heapq.heappop(self.heap)
         self.now = entry[0]
         return entry
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
 
 
 def _whole_ticks(units: int, rate: int) -> int:
@@ -130,7 +127,7 @@ class LinkRuntime:
         "rx_since_ack", "control_queue", "dead", "active_until", "chained", "interfered_now",
         "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
         "delivered_payload_bits", "dropped_bits", "retx_units", "completed_mpdus",
-        "latency_samples_us", "ack_delay_samples_us", "snr_samples", "report_seq",
+        "latency_samples_us", "ack_delay_samples_us", "report_seq",
     )
 
     def __init__(
@@ -171,7 +168,6 @@ class LinkRuntime:
         self.completed_mpdus = 0
         self.latency_samples_us = []
         self.ack_delay_samples_us = []
-        self.snr_samples = []  # (t_us, snr_db)
         self.report_seq = 0
 
     def queued_bits(self) -> int:
@@ -219,7 +215,6 @@ class LinkMetrics(NamedTuple):
     completed_mpdus: int
     latency_us: list[float]
     ack_delay_us: list[float]
-    snr_db: list[tuple[float, float]]
 
     @property
     def max_latency_us(self) -> float:
@@ -322,7 +317,7 @@ class World:
         self.sp_duration_us = sp_duration_us
         self.epoch_us = epoch_us
         self.duration_us = duration_us
-        self.trace = trace or null_recorder()
+        self.trace = trace or TraceRecorder(enabled=False)
         # The positional writers of data frame_tx and frame_rx rows, which
         # `run_until` registers.
         self.emit_data_tx: Optional[Callable[..., None]] = None
@@ -411,25 +406,6 @@ class World:
             ))
         rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
         return rows
-
-    # -- live channel queries ------------------------------------------------
-
-    def link_sample(self, vertex: DirectedLink) -> LinkSample:
-        """The link budget of `vertex` at its transmitter's current power."""
-        return self.links.sample(
-            self.nodes[vertex.tx_node], vertex.tx_sector,
-            self.nodes[vertex.rx_node], vertex.rx_sector,
-        )
-
-    def current_snr_db(self, vertex: DirectedLink) -> float:
-        return self.links.snr_db(
-            self.nodes[vertex.tx_node], vertex.tx_sector,
-            self.nodes[vertex.rx_node], vertex.rx_sector,
-        )
-
-    def control_rate_bps(self, vertex_id: str) -> float:
-        entry = mcs_from_snr(self.mcs_table, self.current_snr_db(self.graph_vertices[vertex_id]))
-        return float(entry.phy_rate_bps) if entry else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +551,10 @@ def _on_data_tx(
     rate = int(rt.mcs.phy_rate_bps)
     frag = min(mpdu.remaining, (window_end - now) * rate)
     airtime = _whole_ticks(frag, rate)
-    ok = (not rt.interfered_now) and world.current_snr_db(rt.vertex) >= rt.mcs.min_snr_db
+    vertex = rt.vertex
+    ok = (not rt.interfered_now) and world.links.snr_db(
+        world.nodes[vertex.tx_node], vertex.tx_sector, world.nodes[vertex.rx_node], vertex.rx_sector,
+    ) >= rt.mcs.min_snr_db
     if not ok:
         mpdu.corrupted = True
     mpdu.remaining -= frag
@@ -590,7 +569,7 @@ def _on_data_tx(
 
     bits = round(frag / world.units_per_bit, 3)
     world.emit_data_tx(
-        now / world.tpu, rt.vertex.tx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
+        now / world.tpu, vertex.tx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
         rt.mcs.mcs_index,
     )
     world.used_air[category] += airtime
@@ -607,10 +586,14 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
         return
     what = rt.control_queue.popleft()
     vertex = rt.vertex
-    rate_bps = world.control_rate_bps(vertex.reverse_id)
-    if rate_bps <= 0:
+    reverse = world.graph_vertices[vertex.reverse_id]
+    nodes, links = world.nodes, world.links
+    entry = mcs_from_snr(world.mcs_table, links.snr_db(
+        nodes[reverse.tx_node], reverse.tx_sector, nodes[reverse.rx_node], reverse.rx_sector,
+    ))
+    if entry is None:
         return
-    rate = int(rate_bps)
+    rate = int(entry.phy_rate_bps)
     t_us = now / world.tpu
     ok = not rt.interfered_now
 
@@ -628,24 +611,22 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
             now + airtime + rt.prop, _on_block_ack_rx, (rt, covered, slot_start, ok)
         )
     else:
-        report = emit_link_measurement_report(
-            rt.vertex_id, world.link_sample(vertex), rt.report_seq,
-            TpcFields(
-                tx_power_dbm=world.nodes[vertex.tx_node].tx_power_dbm,
-                target_rsni_db=world.maintenance.tpc_target_rsni_db,
-                max_step_db=world.maintenance.tpc_max_step_db,
-            ),
+        # RCPI is the received power, and RSNI equals SNR under this
+        # deterministic model.
+        seq = rt.report_seq
+        rcpi = links.power_dbm(
+            nodes[vertex.tx_node], vertex.tx_sector, nodes[vertex.rx_node], vertex.rx_sector,
         )
+        rsni = rcpi - links.noise_floor_dbm
         rt.report_seq += 1
         airtime = _whole_ticks(
             world.frame_sizes.measurement_report * 8 * world.units_per_bit, rate
         )
         world.trace.record(
             t_us, "frame_tx", node=vertex.rx_node, frame="link_measurement_report",
-            link=rt.vertex_id, report_seq=report.sequence_number,
-            rcpi_dbm=round(report.rcpi_dbm, 3), rsni_db=round(report.rsni_db, 3),
+            link=rt.vertex_id, report_seq=seq, rcpi_dbm=round(rcpi, 3), rsni_db=round(rsni, 3),
         )
-        world.queue.push(now + airtime + rt.prop, _on_report_rx, (rt, report, ok))
+        world.queue.push(now + airtime + rt.prop, _on_report_rx, (rt, seq, rsni, ok))
     world.used_air[SlotCategory.BASIC.value] += airtime
     if rt.control_queue:
         world.queue.push(now + airtime, _on_control_tx, (rt, slot_start))
@@ -684,18 +665,17 @@ def _on_block_ack_rx(
         _process_block_ack(world, rt, set(covered), formed_at)
 
 
-def _on_report_rx(world: World, now: int, rt: LinkRuntime, report, ok: bool) -> None:
+def _on_report_rx(world: World, now: int, rt: LinkRuntime, seq: int, rsni: float, ok: bool) -> None:
     world.trace.record(
         now / world.tpu, "frame_rx", node=rt.vertex.tx_node,
         frame="link_measurement_report",
-        link=rt.vertex_id, report_seq=report.sequence_number,
+        link=rt.vertex_id, report_seq=seq,
         outcome="decoded" if ok else "interfered",
     )
     if ok:
         world.last_rx[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
-        rt.snr_samples.append((now / world.tpu, report.rsni_db))
         if world.maintenance.tpc_enabled:
-            _apply_tpc(world, rt, report, now)
+            _apply_tpc(world, rt, rsni, now)
 
 
 def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: int) -> None:
@@ -729,11 +709,11 @@ def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: i
                     rt.queue.appendleft(mpdu)
 
 
-def _apply_tpc(world: World, rt: LinkRuntime, report, now: int) -> None:
+def _apply_tpc(world: World, rt: LinkRuntime, rsni: float, now: int) -> None:
     tx_node = world.nodes[rt.vertex.tx_node]
     new_power = tpc_update(
         tx_node.tx_power_dbm,
-        report.rsni_db,
+        rsni,
         world.maintenance.tpc_target_rsni_db,
         tx_node.power_limits,
         world.maintenance.tpc_max_step_db,
@@ -742,7 +722,7 @@ def _apply_tpc(world: World, rt: LinkRuntime, report, now: int) -> None:
         tx_node.set_tx_power(new_power)
         world.trace.record(
             now / world.tpu, "tpc_update", node=tx_node.node_id, link=rt.vertex_id,
-            power_dbm=round(new_power, 3), measured_rsni_db=round(report.rsni_db, 3),
+            power_dbm=round(new_power, 3), measured_rsni_db=round(rsni, 3),
             target_rsni_db=world.maintenance.tpc_target_rsni_db,
         )
 
@@ -809,7 +789,6 @@ def collect_metrics(world: World) -> Metrics:
             completed_mpdus=rt.completed_mpdus,
             latency_us=list(rt.latency_samples_us),
             ack_delay_us=list(rt.ack_delay_samples_us),
-            snr_db=list(rt.snr_samples),
         )
     utilization = {}
     for category, usable in world.usable_air.items():

@@ -5,10 +5,6 @@ class StructureError(ValueError):
     """A slot structure or schedule element is internally inconsistent."""
 
 
-class ProtocolError(Exception):
-    """A node received an event its protocol state cannot accept."""
-
-
 class SimulationError(Exception):
     """Internal engine invariant broken (a bug, not a scenario problem)."""
 

@@ -12,22 +12,13 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
-from .channel import LinkSample
 from .domain import PowerLimits
-from .errors import ProtocolError
-from .schedule import AbsoluteSlot
 
 DEFAULT_TPC_MAX_STEP_DB = 3.0
 
 
 # ---------------------------------------------------------------------------
 # Periodic link measurement.
-
-
-class TpcFields(NamedTuple):
-    tx_power_dbm: float
-    target_rsni_db: float
-    max_step_db: float = DEFAULT_TPC_MAX_STEP_DB
 
 
 class PeriodicReportRequest:
@@ -46,14 +37,6 @@ class PeriodicReportRequest:
         return tuple(self.start_time_us + k * self.interval_us for k in range(self.count))
 
 
-class LinkMeasurementReport(NamedTuple):
-    link_id: str
-    rcpi_dbm: float
-    rsni_db: float
-    tpc_fields: TpcFields
-    sequence_number: int
-
-
 class ReportSchedule(NamedTuple):
     """Outcome of a periodic report negotiation."""
 
@@ -64,46 +47,28 @@ class ReportSchedule(NamedTuple):
 
 def handle_periodic_report_request(
     req: PeriodicReportRequest,
-    responder_tx_slots: Sequence[AbsoluteSlot],
+    responder_tx_windows: Sequence[tuple[int, int]],
 ) -> ReportSchedule:
     """Accept with slot-aligned emission times, or reject.
 
     Each nominal time start + k*interval maps to the start of the earliest
-    slot in responder_tx_slots that ends after it. The request is rejected
-    when any nominal time has no covering transmit slot.
+    `(start_us, end_us)` transmit window that ends after it. The request is
+    rejected when any nominal time has no covering transmit window.
     """
-    slots = sorted(responder_tx_slots, key=lambda s: s.start_us)
-    # The first slot, in start order, whose running maximum of ends passes
+    windows = sorted(responder_tx_windows)
+    # The first window, in start order, whose running maximum of ends passes
     # `nominal` is the first that itself ends after it.
-    ends = list(accumulate((s.end_us for s in slots), max))
+    ends = list(accumulate((end for _, end in windows), max))
     times = []
     for nominal in req.nominal_times():
         i = bisect_right(ends, nominal)
-        if i == len(slots):
+        if i == len(windows):
             return ReportSchedule(
                 accepted=False,
                 reason=f"no transmit slot covers report time {nominal}us",
             )
-        times.append(slots[i].start_us)
+        times.append(windows[i][0])
     return ReportSchedule(accepted=True, emission_times_us=tuple(times))
-
-
-def emit_link_measurement_report(
-    link_id: str,
-    sample: Optional[LinkSample],
-    seq: int,
-    tpc_fields: Optional[TpcFields] = None,
-) -> LinkMeasurementReport:
-    """Produce one unsolicited measurement report from the current link state."""
-    if sample is None:
-        raise ProtocolError(f"cannot emit measurement report on untrained link {link_id}")
-    return LinkMeasurementReport(
-        link_id=link_id,
-        rcpi_dbm=sample.rcpi_dbm,
-        rsni_db=sample.rsni_db,
-        tpc_fields=tpc_fields or TpcFields(tx_power_dbm=0.0, target_rsni_db=0.0),
-        sequence_number=seq,
-    )
 
 
 # ---------------------------------------------------------------------------

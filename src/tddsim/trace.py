@@ -320,7 +320,3 @@ class TraceRecorder:
 
 def _ignore(*_: Any) -> None:
     pass
-
-
-def null_recorder() -> TraceRecorder:
-    return TraceRecorder(enabled=False)

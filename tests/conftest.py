@@ -61,6 +61,16 @@ def make_ap(node_id: str, position=(0.0, 0.0), sectors: int = 8, **kwargs) -> No
     return make_node(node_id, role=Role.DN_AP, position=position, sectors=sectors, **kwargs)
 
 
+def ssw_time(plan, frame_index: int) -> int:
+    """Start of sweep frame `frame_index` of a `SweepPlan`: one frame per slot pitch."""
+    return plan.start_us + frame_index * plan.cfg.ssw_slot_us
+
+
+def tx_sector_of_frame(plan, frame_index: int) -> int:
+    """Transmit sector of sweep frame `frame_index`: `repetitions` frames per sector."""
+    return frame_index // plan.repetitions
+
+
 @pytest.fixture
 def channel_cfg() -> LinkBudgetConfig:
     return LinkBudgetConfig()

@@ -74,7 +74,7 @@ def brute_force_best_pair(initiator, responder, channel, threshold):
     best = None
     for tx in range(len(initiator.codebook)):
         for rx in range(len(responder.codebook)):
-            snr = link_snr_db(initiator, tx, responder, rx, channel).snr_db
+            snr = link_snr_db(initiator, tx, responder, rx, channel)
             if snr < threshold:
                 continue
             if best is None or snr > best[2] or (snr == best[2] and (tx, rx) < best[:2]):
@@ -249,7 +249,6 @@ def test_06_trickle_latency_matches_slot_wait_analysis():
     structure = default_slot_structure(1)
     plan = assign_slots(
         graph, [DemandSpec("ap-sta", Direction.DOWNLINK, 50e6)], structure,
-        sp_entry=ExtendedScheduleEntry(1, 0, 25_600),
     )
     duration = 102_400
     world = World(
@@ -402,8 +401,7 @@ def test_07_controller_schedules_verify_and_maximize_reuse():
             demands.append(DemandSpec("ap2-sta2", Direction.DOWNLINK, 4.2e9))
             traffic["ap2-sta2:downlink"] = TrafficSource("saturated")
         graph = build_interference_graph(nodes, trained, [], CHANNEL)
-        plan = assign_slots(graph, demands, structure,
-                            sp_entry=ExtendedScheduleEntry(1, 0, 25_600))
+        plan = assign_slots(graph, demands, structure)
         world = World(nodes, CHANNEL, plan, structure, traffic=traffic,
                       beacon_interval_us=25_600, sp_duration_us=25_600,
                       duration_us=25_600)

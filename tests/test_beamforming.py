@@ -12,7 +12,7 @@ from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
-from conftest import make_ap, make_node
+from conftest import make_ap, make_node, ssw_time, tx_sector_of_frame
 
 
 def window(duration_us=25600, start_us=0):
@@ -25,7 +25,7 @@ def brute_force_best_pair(initiator, responder, channel, threshold):
     best = None
     for tx in range(len(initiator.codebook)):
         for rx in range(len(responder.codebook)):
-            snr = link_snr_db(initiator, tx, responder, rx, channel).snr_db
+            snr = link_snr_db(initiator, tx, responder, rx, channel)
             if snr < threshold:
                 continue
             if best is None or snr > best[2] or (snr == best[2] and (tx, rx) < best[:2]):
@@ -42,10 +42,10 @@ def test_sweep_plan_timing_grid():
     # Default repetitions follow the widest responder codebook.
     assert plan.repetitions == 3
     assert plan.n_frames == 12
-    assert plan.ssw_time(0) == 1000
-    assert plan.ssw_time(11) == 1000 + 11 * 4
-    assert plan.tx_sector_of_frame(0) == 0
-    assert plan.tx_sector_of_frame(5) == 1
+    assert ssw_time(plan, 0) == 1000
+    assert ssw_time(plan, 11) == 1000 + 11 * 4
+    assert tx_sector_of_frame(plan, 0) == 0
+    assert tx_sector_of_frame(plan, 5) == 1
     assert plan.sweep_end_us == 1000 + 48
     # Feedback slots: one (feedback, ack) pair per (tx sector, responder).
     assert plan.feedback_time(0, 0) == plan.sweep_end_us

@@ -29,7 +29,7 @@ from tddsim.domain import NodeModel, Role, uniform_codebook
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
-from conftest import make_ap, make_node
+from conftest import make_ap, make_node, ssw_time, tx_sector_of_frame
 
 CHANNEL = LinkBudgetConfig()
 
@@ -194,7 +194,7 @@ def reference_run(mode, initiator, responders, channel_cfg, window, cfg, trace):
     best = {}
     last = plan.n_frames - 1
     for i in range(plan.n_frames):
-        t, tx = plan.ssw_time(i), plan.tx_sector_of_frame(i)
+        t, tx = ssw_time(plan, i), tx_sector_of_frame(plan, i)
         countdown = {} if plan.with_feedback else {"slot_countdown": last - i}
         trace.record(
             t, "frame_tx", node=ini_id, frame="tdd_ssw", sector=tx, frame_index=i,

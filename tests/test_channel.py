@@ -12,7 +12,6 @@ from tddsim.channel import (
     noise_floor_dbm,
     path_loss_db,
     propagation_delay_us,
-    received_power_dbm,
 )
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
 from tddsim.controller import build_interference_graph
@@ -63,11 +62,11 @@ def test_received_power_budget_composition():
     ap = make_ap("ap", position=(0.0, 0.0))
     sta = make_node("sta", position=(100.0, 0.0))
     # Boresight alignment: sector 0 at the AP, sector 4 (180 deg) at the STA.
-    p = received_power_dbm(ap, 0, sta, 4, cfg)
+    p = LinkTable(cfg).power_dbm(ap, 0, sta, 4)
     expected = 10.0 + 25.0 + 25.0 - path_loss_db(100.0, 60e9)
     assert p == pytest.approx(expected, abs=1e-9)
     # Misaligned receive sector drops one mainlobe-to-sidelobe step: 35 dB.
-    p_side = received_power_dbm(ap, 0, sta, 0, cfg)
+    p_side = LinkTable(cfg).power_dbm(ap, 0, sta, 0)
     assert p - p_side == pytest.approx(35.0, abs=1e-9)
 
 
@@ -76,7 +75,9 @@ def test_received_power_rejects_coincident_nodes():
     a = make_node("a", position=(1.0, 1.0))
     b = make_node("b", position=(1.0, 1.0))
     with pytest.raises(ValueError):
-        received_power_dbm(a, 0, b, 0, cfg)
+        LinkTable(cfg).power_dbm(a, 0, b, 0)
+    with pytest.raises(ValueError):
+        link_snr_db(a, 0, b, 0, cfg)
     # The table refuses the pair when it builds the entry, before any sector.
     with pytest.raises(ValueError, match="coincident"):
         LinkTable(cfg).entry(a, b)
@@ -90,9 +91,9 @@ def test_unknown_sector_index_raises_and_never_wraps(tx_sector, rx_sector):
     with pytest.raises(ValueError, match="unknown sector index"):
         table.power_dbm(ap, tx_sector, sta, rx_sector)
     with pytest.raises(ValueError, match="unknown sector index"):
-        received_power_dbm(ap, tx_sector, sta, rx_sector, LinkBudgetConfig())
+        link_snr_db(ap, tx_sector, sta, rx_sector, LinkBudgetConfig())
     # The failed query leaves the entry intact for valid sectors.
-    assert table.power_dbm(ap, 0, sta, 4) == received_power_dbm(ap, 0, sta, 4, LinkBudgetConfig())
+    assert table.power_dbm(ap, 0, sta, 4) == LinkTable(LinkBudgetConfig()).power_dbm(ap, 0, sta, 4)
 
 
 def test_extra_pair_loss_is_applied():
@@ -100,23 +101,23 @@ def test_extra_pair_loss_is_applied():
     ap = make_ap("ap")
     sta = make_node("sta", position=(100.0, 0.0))
     base = LinkBudgetConfig()
-    assert received_power_dbm(ap, 0, sta, 4, cfg) == pytest.approx(
-        received_power_dbm(ap, 0, sta, 4, base) - 7.5
+    assert LinkTable(cfg).power_dbm(ap, 0, sta, 4) == pytest.approx(
+        LinkTable(base).power_dbm(ap, 0, sta, 4) - 7.5
     )
+    assert link_snr_db(ap, 0, sta, 4, cfg) == pytest.approx(link_snr_db(ap, 0, sta, 4, base) - 7.5)
 
 
 def test_link_sample_fields_are_consistent():
     cfg = LinkBudgetConfig()
     ap = make_ap("ap")
     sta = make_node("sta", position=(100.0, 0.0))
-    sample = link_snr_db(ap, 0, sta, 4, cfg)
-    assert sample.tx_node == "ap" and sample.rx_node == "sta"
-    assert sample.rcpi_dbm == pytest.approx(received_power_dbm(ap, 0, sta, 4, cfg))
-    assert sample.snr_db == pytest.approx(sample.rcpi_dbm - noise_floor_dbm(cfg))
-    assert sample.rsni_db == sample.snr_db
+    table = LinkTable(cfg)
+    rcpi = table.power_dbm(ap, 0, sta, 4)
+    snr = link_snr_db(ap, 0, sta, 4, cfg)
+    assert snr == table.snr_db(ap, 0, sta, 4) == rcpi - noise_floor_dbm(cfg)
     # Frozen: 10 + 50 - 108.013 = -48.013 dBm received, 22.64 dB SNR.
-    assert sample.rcpi_dbm == pytest.approx(-48.0127, abs=1e-3)
-    assert sample.snr_db == pytest.approx(22.6419, abs=1e-3)
+    assert rcpi == pytest.approx(-48.0127, abs=1e-3)
+    assert snr == pytest.approx(22.6419, abs=1e-3)
 
 
 def interferes_in_graph(ap, tx_sector, victim, rx_sector, cfg):
@@ -160,7 +161,7 @@ def test_interferes_is_exactly_power_above_floor_plus_threshold():
     cfg = LinkBudgetConfig(interference_threshold_db=5.0)
     ap = make_ap("ap")
     victim = make_node("v", position=(100.0, 0.0))
-    p = received_power_dbm(ap, 0, victim, 4, cfg)
+    p = LinkTable(cfg).power_dbm(ap, 0, victim, 4)
     floor = noise_floor_dbm(cfg)
     assert interferes_in_graph(ap, 0, victim, 4, cfg) == (p > floor + 5.0)
     # Thresholds just under and just over the margin fall on either side.
@@ -208,4 +209,4 @@ def test_table_power_equals_the_budget_composed_directly(
         )
         assert table.power_dbm(tx, s_tx, rx, s_rx) == expected
         assert table.snr_db(tx, s_tx, rx, s_rx) == expected - noise_floor_dbm(cfg)
-        assert link_snr_db(tx, s_tx, rx, s_rx, cfg).rcpi_dbm == expected
+        assert link_snr_db(tx, s_tx, rx, s_rx, cfg) == expected - noise_floor_dbm(cfg)

@@ -229,6 +229,14 @@ def test_basic_slot_bounds():
     assert any("index 24 out of range" in p for p in exc.value.problems)
 
 
+@pytest.mark.parametrize("basic_slots", [[0, True], [12, False]])
+def test_boolean_basic_slot_is_not_an_index(basic_slots):
+    # `True == 1`, so a boolean would otherwise pass as slot 1 (or 0).
+    data = minimal_config(slot_structure={"basic_slots": basic_slots})
+    flag = basic_slots[1]
+    assert problems_of(data) == [f"slot_structure.basic_slots: index {flag} is not an integer"]
+
+
 def test_unknown_field_inside_section():
     data = minimal_config(sim={"duration_sec": 1})
     with pytest.raises(ConfigError) as exc:

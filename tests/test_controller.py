@@ -2,7 +2,7 @@
 import pytest
 
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
-from tddsim.channel import LinkBudgetConfig, noise_floor_dbm, received_power_dbm
+from tddsim.channel import LinkBudgetConfig, LinkTable, noise_floor_dbm
 from tddsim.controller import (
     AssignmentResult,
     DemandSpec,
@@ -103,8 +103,8 @@ def test_graph_edge_is_exactly_power_above_floor_plus_threshold():
                 if a.nodes & b.nodes:
                     continue
                 hits = [
-                    received_power_dbm(
-                        nodes[x.tx_node], x.tx_sector, nodes[y.rx_node], y.rx_sector, cfg
+                    LinkTable(cfg).power_dbm(
+                        nodes[x.tx_node], x.tx_sector, nodes[y.rx_node], y.rx_sector,
                     ) > floor + threshold
                     for x, y in ((a, b), (b, a))
                 ]

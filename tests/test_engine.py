@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tddsim import channel, cli, engine, schedule
+from tddsim import channel, cli, engine
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.config import parse_config
@@ -28,9 +28,7 @@ from tddsim.errors import SimulationError, StructureError
 from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
 from tddsim.schedule import (
-    AbsoluteSlot,
     Direction,
-    ExtendedScheduleEntry,
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
@@ -72,10 +70,7 @@ def build_world(
     trained = [TrainedLink("ap", "sta", 0, 4, 22.64), TrainedLink("ap2", "sta2", 0, 4, 22.64)]
     graph = build_interference_graph(nodes, trained, [], CHANNEL)
     demands = demands or [DemandSpec("ap-sta", Direction.DOWNLINK, 4.2e9)]
-    plan = assign_slots(
-        graph, demands, structure,
-        sp_entry=ExtendedScheduleEntry(1, 0, 25600),
-    )
+    plan = assign_slots(graph, demands, structure)
     if doctor:
         doctor(plan)
     return World(
@@ -107,7 +102,7 @@ def test_event_queue_orders_and_rejects_past():
         (5, ("b",)),
     ]
     assert all(handler is _handler for _, _, handler, _ in popped)
-    assert not q
+    assert not q.heap
     with pytest.raises(SimulationError):
         q.push(4, _handler, ("d",))
 
@@ -424,15 +419,19 @@ def test_report_emissions_ride_the_reverse_basic_slot():
     # The block ack opens the slot; the report follows immediately after.
     assert reports[0]["t"] == pytest.approx(1600 + ack_airtime, abs=1e-3)
     assert reports[1]["t"] == pytest.approx(8000 + ack_airtime, abs=1e-3)
+    assert [r["report_seq"] for r in reports] == [0, 1]
+    assert reports[0]["rcpi_dbm"] == pytest.approx(-48.013, abs=1e-3)
     assert reports[0]["rsni_db"] == pytest.approx(22.642, abs=1e-3)
-    samples = metrics.per_link[DL].snr_db
-    assert len(samples) == 2
-    assert samples[0][1] == pytest.approx(22.642, abs=1e-3)
+    received = [
+        r for r in trace.iter_kind("frame_rx") if r["frame"] == "link_measurement_report"
+    ]
+    assert [(r["report_seq"], r["outcome"]) for r in received] == [(0, "decoded"), (1, "decoded")]
+    assert metrics.conservation_ok()
 
 
 def test_tpc_walks_power_toward_target():
     trace = TraceRecorder()
-    snr0 = link_snr_db(make_ap("ap"), 0, make_node("sta", position=(100.0, 0.0)), 4, CHANNEL).snr_db
+    snr0 = link_snr_db(make_ap("ap"), 0, make_node("sta", position=(100.0, 0.0)), 4, CHANNEL)
     maintenance = MaintenanceSettings(
         tpc_enabled=True, tpc_target_rsni_db=snr0 - 9.0, tpc_max_step_db=3.0,
     )
@@ -449,16 +448,32 @@ def test_tpc_walks_power_toward_target():
     for later in updates[3:]:
         assert later == pytest.approx(1.0, abs=1e-6)
     assert world.nodes["ap"].tx_power_dbm == pytest.approx(1.0, abs=1e-6)
-    # Every budget the world reports is at the changed power.
+    # Every budget the world's table gives is at the changed power.
     for rt in world.runtimes.values():
         for vertex in (rt.vertex, world.graph_vertices[rt.vertex.reverse_id]):
-            fresh = link_snr_db(
-                world.nodes[vertex.tx_node], vertex.tx_sector,
-                world.nodes[vertex.rx_node], vertex.rx_sector, CHANNEL,
-            ).snr_db
-            assert world.current_snr_db(vertex) == fresh
-            entry = mcs_from_snr(world.mcs_table, fresh)
-            assert world.control_rate_bps(vertex.vertex_id) == entry.phy_rate_bps
+            tx, rx = world.nodes[vertex.tx_node], world.nodes[vertex.rx_node]
+            fresh = link_snr_db(tx, vertex.tx_sector, rx, vertex.rx_sector, CHANNEL)
+            assert world.links.snr_db(tx, vertex.tx_sector, rx, vertex.rx_sector) == fresh
+    # Reports go out at the MCS of the reverse path's current budget.
+    rt = world.runtimes[DL]
+    reverse = world.graph_vertices[rt.vertex.reverse_id]
+    entry = mcs_from_snr(world.mcs_table, link_snr_db(
+        world.nodes[reverse.tx_node], reverse.tx_sector,
+        world.nodes[reverse.rx_node], reverse.rx_sector, CHANNEL,
+    ))
+    flight_us = (
+        world.frame_sizes.measurement_report * 8 * 10**6 / entry.phy_rate_bps + rt.prop / world.tpu
+    )
+    sent = {
+        r["report_seq"]: r["t"]
+        for r in trace.iter_kind("frame_tx") if r["frame"] == "link_measurement_report"
+    }
+    received = [
+        r for r in trace.iter_kind("frame_rx") if r["frame"] == "link_measurement_report"
+    ]
+    assert len(received) == len(sent) == 6
+    for r in received:
+        assert r["t"] - sent[r["report_seq"]] == pytest.approx(flight_us, abs=2e-3)
 
 
 def test_keepalive_kills_silent_link():
@@ -592,13 +607,13 @@ def test_heap_does_not_grow_with_simulated_time():
 
 def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):
     built = []
+    handle = cli.handle_periodic_report_request
 
-    def counted(*args):
-        built.append(args)
-        return AbsoluteSlot(*args)
+    def counted(req, windows):
+        built.extend(windows)
+        return handle(req, windows)
 
-    monkeypatch.setattr(cli, "AbsoluteSlot", counted)
-    monkeypatch.setattr(schedule, "AbsoluteSlot", counted)
+    monkeypatch.setattr(cli, "handle_periodic_report_request", counted)
     cfg = sparse_cbr_config(320_000)
     prep = cli.prepare_scenario(cfg)
     plan = cli.plan_scenario(prep)

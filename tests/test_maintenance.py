@@ -3,18 +3,13 @@ from enum import Enum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tddsim.channel import LinkSample
 from tddsim.domain import PowerLimits
-from tddsim.errors import ProtocolError
 from tddsim.maintenance import (
     PeriodicReportRequest,
-    TpcFields,
-    emit_link_measurement_report,
     handle_periodic_report_request,
     tpc_update,
 )
 from tddsim.schedule import (
-    AbsoluteSlot,
     ExtendedScheduleEntry,
     SlotCategory,
     default_slot_structure,
@@ -22,11 +17,12 @@ from tddsim.schedule import (
 )
 
 
-def responder_tx_slots(duration_us=25600):
-    """The BASIC slots of one SP, all the STA's transmit opportunities."""
+def responder_tx_windows(duration_us=25600):
+    """The `(start, end)` of each BASIC slot of one SP, all the STA's
+    transmit opportunities."""
     entry = ExtendedScheduleEntry(1, 0, duration_us)
     slots = expand_sp(entry, default_slot_structure(1))
-    return [s for s in slots if s.category is SlotCategory.BASIC]
+    return [(s.start_us, s.end_us) for s in slots if s.category is SlotCategory.BASIC]
 
 
 def test_element_validation():
@@ -43,77 +39,62 @@ def test_report_request_nominal_times():
 
 def test_covering_slot_alignment():
     req = PeriodicReportRequest(start_time_us=10000, interval_us=100000, count=3)
-    slots = responder_tx_slots(duration_us=299200)
-    schedule = handle_periodic_report_request(req, slots)
+    windows = responder_tx_windows(duration_us=299200)
+    schedule = handle_periodic_report_request(req, windows)
     assert schedule.accepted
     assert len(schedule.emission_times_us) == 3
     # Each emission starts at the earliest tx slot that ends after the
     # nominal time, so it is never earlier than nominal minus one slot.
     for nominal, emitted in zip(req.nominal_times(), schedule.emission_times_us):
-        covering = next(s for s in sorted(slots, key=lambda s: s.start_us) if s.end_us > nominal)
-        assert emitted == covering.start_us
+        covering = next(start for start, end in sorted(windows) if end > nominal)
+        assert emitted == covering
     # Frozen walk on the two-BASIC grid: 10000 falls inside interval 6
     # (9600..11200) past its slot 0, and slot 12 starts at 10392 covering it.
     assert schedule.emission_times_us[0] == 10392
 
 
-def linear_scan(req, slots):
-    """The covering rule read literally: the first slot, in start order, that
-    ends after each nominal time."""
-    ordered = sorted(slots, key=lambda s: s.start_us)
+def linear_scan(req, windows):
+    """The covering rule read literally: the first window, in start order,
+    that ends after each nominal time."""
+    ordered = sorted(windows, key=lambda w: w[0])
     times = []
     for nominal in req.nominal_times():
-        covering = next((s for s in ordered if s.end_us > nominal), None)
+        covering = next((w for w in ordered if w[1] > nominal), None)
         if covering is None:
             return None
-        times.append(covering.start_us)
+        times.append(covering[0])
     return tuple(times)
 
 
 @st.composite
 def slots_and_requests(draw):
-    """Slots anywhere, overlapping, nested or tied, and a request among them."""
+    """Windows anywhere, overlapping, nested or tied, and a request among them."""
     spans = draw(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120)), max_size=12))
-    slots = [
-        AbsoluteSlot(1, 0, i, start, duration, SlotCategory.BASIC)
-        for i, (start, duration) in enumerate(spans)
-    ]
+    windows = [(start, start + duration) for start, duration in spans]
     req = PeriodicReportRequest(
         start_time_us=draw(st.integers(0, 500)),
         interval_us=draw(st.integers(1, 200)),
         count=draw(st.integers(1, 6)),
     )
-    return req, slots
+    return req, windows
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(slots_and_requests())
 def test_bisected_mapping_equals_the_linear_scan(case):
-    req, slots = case
-    schedule = handle_periodic_report_request(req, slots)
-    expected = linear_scan(req, slots)
+    req, windows = case
+    schedule = handle_periodic_report_request(req, windows)
+    expected = linear_scan(req, windows)
     assert schedule.accepted == (expected is not None)
     assert schedule.emission_times_us == (expected or ())
 
 
 def test_report_request_rejected_without_coverage():
     req = PeriodicReportRequest(start_time_us=30000, interval_us=1000, count=2)
-    schedule = handle_periodic_report_request(req, responder_tx_slots(duration_us=25600))
+    schedule = handle_periodic_report_request(req, responder_tx_windows(duration_us=25600))
     assert not schedule.accepted
     assert "no transmit slot" in schedule.reason
     assert schedule.emission_times_us == ()
-
-
-def test_emit_report_carries_link_state():
-    sample = LinkSample(tx_node="ap", rx_node="sta", tx_sector=0, rx_sector=4,
-                        rcpi_dbm=-48.0, rsni_db=22.6, snr_db=22.6)
-    tpc = TpcFields(tx_power_dbm=10.0, target_rsni_db=20.0)
-    report = emit_link_measurement_report("ap-sta", sample, seq=4, tpc_fields=tpc)
-    assert report.rcpi_dbm == -48.0 and report.rsni_db == 22.6
-    assert report.sequence_number == 4
-    assert report.tpc_fields.tx_power_dbm == 10.0
-    with pytest.raises(ProtocolError):
-        emit_link_measurement_report("ap-sta", None, seq=0)
 
 
 class LinkState(Enum):

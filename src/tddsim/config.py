@@ -11,7 +11,7 @@ survives load -> serialize -> load unchanged.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Collection, Optional
 
 import yaml
 
@@ -330,12 +330,15 @@ def _is_number(value: Any) -> bool:
 _EXPECTED = {bool: "expected a boolean", str: "expected a string", list: "expected a list"}
 
 
-def _coerce(path: str, value: Any, default: Any, limit: Optional[str], errors: list) -> Any:
+def _coerce(
+    path: str, value: Any, default: Any, limit: Optional[str], errors: list, replaced: set,
+) -> Any:
     """value read as the type of the field's default, and held to its limit.
 
     A value of the wrong type, or a float that is not finite, leaves the
-    default. A value outside its bound is kept, so that the cross-field rules
-    guard against it as they would against any other value.
+    default, and its path joins `replaced`, so that no cross-field rule
+    judges the default. A value outside its bound is kept, so that the
+    cross-field rules guard against it as they would against any other value.
     """
     problem = None
     kind = type(default)
@@ -352,17 +355,19 @@ def _coerce(path: str, value: Any, default: Any, limit: Optional[str], errors: l
             problem = "must be finite"
     if problem:
         errors.append(f"{path}: {problem}")
+        replaced.add(path)
         return default
     if limit in _REFUSES and _REFUSES[limit](value):
         errors.append(f"{path}: {limit}")
     return value
 
 
-def _fill(path: str, obj: Section, raw: Any, errors: list) -> Optional[Section]:
+def _fill(path: str, obj: Section, raw: Any, errors: list, replaced: set) -> Optional[Section]:
     """Set obj's fields from the parsed mapping raw, appending every problem.
 
     Returns obj, or None for a STRICT record with any problem. A missing or
-    null section or list of records keeps its default.
+    null section or list of records keeps its default; one of the wrong
+    type keeps it too, and its path joins `replaced`.
     """
     n_errors = len(errors)
     fields = vars(obj)
@@ -385,15 +390,19 @@ def _fill(path: str, obj: Section, raw: Any, errors: list) -> Optional[Section]:
             if isinstance(value, list):
                 entry = items[key]
                 default.extend([
-                    _fill(f"{prefix}{key}[{i}]", entry(), item, errors) for i, item in enumerate(value)
+                    _fill(f"{prefix}{key}[{i}]", entry(), item, errors, replaced)
+                    for i, item in enumerate(value)
                 ])
             elif value is not None:
                 errors.append(f"{prefix}{key}: expected a list")
+                replaced.add(prefix + key)
         elif isinstance(default, Section):
             if value is not None:
-                _fill(prefix + key, default, value, errors)
+                _fill(prefix + key, default, value, errors, replaced)
         else:
-            setattr(obj, key, _coerce(prefix + key, value, default, limits.get(key), errors))
+            setattr(obj, key, _coerce(
+                prefix + key, value, default, limits.get(key), errors, replaced,
+            ))
     return None if obj.STRICT and len(errors) > n_errors else obj
 
 
@@ -402,8 +411,9 @@ def parse_config(data: Any) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
     errors: list[str] = []
-    cfg = _fill("", ScenarioConfig(), data, errors)
-    errors.extend(validate_semantics(cfg))
+    replaced: set[str] = set()
+    cfg = _fill("", ScenarioConfig(), data, errors, replaced)
+    errors.extend(validate_semantics(cfg, replaced))
     # The slot template and the training plans are built only from a config
     # with no problem at all.
     if not errors:
@@ -421,31 +431,48 @@ def _has_duplicates(values: list) -> bool:
     return any(v in values[:i] for i, v in enumerate(values))
 
 
-def validate_semantics(cfg: ScenarioConfig) -> list[str]:
+def validate_semantics(cfg: ScenarioConfig, replaced: Collection[str] = ()) -> list[str]:
     """The rules that relate fields to one another; returns every problem found.
 
     _fill has checked each field's type and bound. A field outside its bound
     keeps its value, so the rules that divide by or count with one guard it.
+    A field of the wrong type kept its default instead; `replaced` holds its
+    path, and a rule that reads it is skipped, since it would judge the
+    default rather than the file.
     """
     errors: list[str] = []
+
+    def read(*paths: str) -> bool:
+        """Whether every field at `paths` holds the file's own value."""
+        return not any(path in replaced for path in paths)
+
     sim = cfg.sim
-    if sim.sp_duration_us > 0 and sim.sp_offset_us + sim.sp_duration_us > sim.beacon_interval_us:
+    if (
+        read("sim.sp_offset_us", "sim.sp_duration_us", "sim.beacon_interval_us")
+        and sim.sp_duration_us > 0
+        and sim.sp_offset_us + sim.sp_duration_us > sim.beacon_interval_us
+    ):
         errors.append("sim.sp_duration_us: service period does not fit the beacon interval")
 
     ss = cfg.slot_structure
-    if ss.interval_us > 0 and sim.sp_duration_us % ss.interval_us != 0:
+    shape = read("slot_structure.interval_us", "slot_structure.slot_us", "slot_structure.n_slots")
+    if (
+        read("sim.sp_duration_us", "slot_structure.interval_us")
+        and ss.interval_us > 0 and sim.sp_duration_us % ss.interval_us != 0
+    ):
         errors.append("sim.sp_duration_us: must be a whole number of TDD intervals")
-    if ss.interval_us > 0 and ss.slot_us > 0 and ss.n_slots * ss.slot_us > ss.interval_us:
+    if shape and ss.interval_us > 0 and ss.slot_us > 0 and ss.n_slots * ss.slot_us > ss.interval_us:
         errors.append("slot_structure.n_slots: slots overflow the TDD interval")
-    if not ss.basic_slots:
-        errors.append("slot_structure.basic_slots: at least one BASIC slot is required")
-    for idx in ss.basic_slots:
-        if isinstance(idx, bool):
-            errors.append(f"slot_structure.basic_slots: index {idx} is not an integer")
-        elif not isinstance(idx, int) or not 0 <= idx < ss.n_slots:
-            errors.append(f"slot_structure.basic_slots: index {idx} out of range")
-    if _has_duplicates(ss.basic_slots):
-        errors.append("slot_structure.basic_slots: duplicate indices")
+    if read("slot_structure.basic_slots"):
+        if not ss.basic_slots:
+            errors.append("slot_structure.basic_slots: at least one BASIC slot is required")
+        for idx in ss.basic_slots:
+            if isinstance(idx, bool):
+                errors.append(f"slot_structure.basic_slots: index {idx} is not an integer")
+            elif not isinstance(idx, int) or read("slot_structure.n_slots") and not 0 <= idx < ss.n_slots:
+                errors.append(f"slot_structure.basic_slots: index {idx} out of range")
+        if _has_duplicates(ss.basic_slots):
+            errors.append("slot_structure.basic_slots: duplicate indices")
 
     if cfg.mcs_table and None not in cfg.mcs_table:
         try:
@@ -453,24 +480,35 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
         except ValueError as exc:
             errors.append(f"mcs_table: {exc}")
 
+    # Nodes a rule may name: with `nodes` of the wrong type, any name is.
     node_ids = set()
+    named = (lambda node: node in node_ids) if read("nodes") else (lambda node: True)
     roles: dict[str, str] = {}
+    role_replaced = set()
+    sectors_of: dict[str, int] = {}
     positions: dict[str, tuple] = {}
     for i, n in enumerate(cfg.nodes):
         path = f"nodes[{i}]"
         if not n.id:
-            errors.append(f"{path}.id: must be non-empty")
+            if read(f"{path}.id"):
+                errors.append(f"{path}.id: must be non-empty")
             continue
         if "-" in n.id or ":" in n.id:
             errors.append(f"{path}.id: '-' and ':' are reserved separators")
         if n.id in node_ids:
             errors.append(f"{path}.id: duplicate node id {n.id!r}")
         node_ids.add(n.id)
-        if n.role not in _ROLES:
+        if not read(f"{path}.role"):
+            role_replaced.add(n.id)
+        elif n.role not in _ROLES:
             errors.append(f"{path}.role: unknown role {n.role!r}")
         else:
             roles[n.id] = n.role
-        if len(n.position) != 2 or not all(_is_number(v) for v in n.position):
+        if read(f"{path}.sectors"):
+            sectors_of[n.id] = n.sectors
+        if not read(f"{path}.position"):
+            pass
+        elif len(n.position) != 2 or not all(_is_number(v) for v in n.position):
             errors.append(f"{path}.position: expected [x, y] numbers")
         elif not all(map(math.isfinite, n.position)):
             errors.append(f"{path}.position: must be finite")
@@ -480,17 +518,21 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
                 if other_pos == pos:
                     errors.append(f"{path}.position: coincides with node {other!r}")
             positions[n.id] = pos
-        if n.mainlobe_gain_dbi <= n.sidelobe_gain_dbi:
+        gains = (f"{path}.mainlobe_gain_dbi", f"{path}.sidelobe_gain_dbi")
+        if read(*gains) and n.mainlobe_gain_dbi <= n.sidelobe_gain_dbi:
             errors.append(f"{path}: mainlobe_gain_dbi must exceed sidelobe_gain_dbi")
-        if n.power_min_dbm > n.power_max_dbm:
+        limits = (f"{path}.power_min_dbm", f"{path}.power_max_dbm")
+        if not read(*limits):
+            pass
+        elif n.power_min_dbm > n.power_max_dbm:
             errors.append(f"{path}: power_min_dbm exceeds power_max_dbm")
-        elif not n.power_min_dbm <= n.tx_power_dbm <= n.power_max_dbm:
+        elif read(f"{path}.tx_power_dbm") and not n.power_min_dbm <= n.tx_power_dbm <= n.power_max_dbm:
             errors.append(f"{path}.tx_power_dbm: outside [power_min_dbm, power_max_dbm]")
 
     for i, loss in enumerate(cfg.channel.extra_loss_db):
         for end in ("a", "b") if loss else ():
             node = getattr(loss, end)
-            if node not in node_ids:
+            if read(f"channel.extra_loss_db[{i}].{end}") and not named(node):
                 errors.append(f"channel.extra_loss_db[{i}].{end}: unknown node {node!r}")
 
     def check_link(path: str, link: str) -> Optional[tuple[str, str]]:
@@ -499,13 +541,13 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"{path}: expected the form <ap>-<sta>")
             return None
         ap, sta = parts
-        if ap not in node_ids:
+        if not named(ap):
             errors.append(f"{path}: unknown node {ap!r}")
             return None
-        if sta not in node_ids:
+        if not named(sta):
             errors.append(f"{path}: unknown node {sta!r}")
             return None
-        if roles.get(ap) != "dn_ap":
+        if read("nodes") and ap not in role_replaced and roles.get(ap) != "dn_ap":
             errors.append(f"{path}: {ap!r} is not an AP")
         if roles.get(sta) == "dn_ap":
             errors.append(f"{path}: {sta!r} must be a STA role")
@@ -513,15 +555,23 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
 
     seen_flows = set()
     traffic_flows = set()
+    flows_read = read("traffic")  # every traffic entry's flow is the file's
     for i, t in enumerate(cfg.traffic):
         path = f"traffic[{i}]"
-        check_link(f"{path}.link", t.link)
+        if read(f"{path}.link"):
+            check_link(f"{path}.link", t.link)
         if t.direction not in _DIRECTIONS:
             errors.append(f"{path}.direction: expected downlink or uplink")
         if t.pattern not in _PATTERNS:
             errors.append(f"{path}.pattern: expected one of {', '.join(_PATTERNS)}")
-        if t.pattern == "cbr" and not 1 <= t.rate_bps < math.inf:
+        if (
+            read(f"{path}.pattern", f"{path}.rate_bps")
+            and t.pattern == "cbr" and not 1 <= t.rate_bps < math.inf
+        ):
             errors.append(f"{path}.rate_bps: cbr traffic needs a finite rate of at least 1 bit/s")
+        if not read(f"{path}.link", f"{path}.direction"):
+            flows_read = False
+            continue
         flow = (t.link, t.direction)
         if flow in seen_flows:
             errors.append(f"{path}: duplicate traffic entry for {t.link} {t.direction}")
@@ -532,28 +582,34 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
         path = f"beamforming.runs[{i}]"
         if run.mode not in _BF_MODES:
             errors.append(f"{path}.mode: expected one of {', '.join(_BF_MODES)}")
-        if run.initiator not in node_ids:
+        if read(f"{path}.initiator") and not named(run.initiator):
             errors.append(f"{path}.initiator: unknown node {run.initiator!r}")
+        if not read(f"{path}.responders"):
+            continue
         if not run.responders:
             errors.append(f"{path}.responders: must be non-empty")
         for r in run.responders:
-            if not isinstance(r, str) or r not in node_ids:
+            if not isinstance(r, str) or not named(r):
                 errors.append(f"{path}.responders: unknown node {r!r}")
             if r == run.initiator:
                 errors.append(f"{path}.responders: initiator cannot respond to itself")
         if _has_duplicates(run.responders):
             errors.append(f"{path}.responders: duplicate responders")
-        if run.mode == "individual" and len(run.responders) != 1:
+        if read(f"{path}.mode") and run.mode == "individual" and len(run.responders) != 1:
             errors.append(f"{path}.responders: individual mode takes exactly one responder")
 
-    sectors_of = {n.id: n.sectors for n in cfg.nodes}
     for i, t in enumerate(cfg.beamforming.trained_links):
         path = f"beamforming.trained_links[{i}]"
         for who, sector in (("initiator", t.initiator_sector), ("responder", t.responder_sector)):
             node = getattr(t, who)
-            if node not in node_ids:
+            if not read(f"{path}.{who}"):
+                continue
+            if not named(node):
                 errors.append(f"{path}.{who}: unknown node {node!r}")
-            elif not 0 <= sector < sectors_of[node]:
+            elif (
+                read(f"{path}.{who}_sector") and node in sectors_of
+                and not 0 <= sector < sectors_of[node]
+            ):
                 errors.append(f"{path}.{who}_sector: out of range for {node!r}")
         if t.initiator in roles and t.responder in roles:
             ap_ends = [n for n in (t.initiator, t.responder) if roles[n] == "dn_ap"]
@@ -564,7 +620,10 @@ def validate_semantics(cfg: ScenarioConfig) -> list[str]:
         path = f"maintenance.periodic_reports[{i}]"
         if r.direction not in _DIRECTIONS:
             errors.append(f"{path}.direction: expected downlink or uplink")
-        if (r.link, r.direction) not in traffic_flows:
+        if (
+            flows_read and read(f"{path}.link", f"{path}.direction")
+            and (r.link, r.direction) not in traffic_flows
+        ):
             errors.append(f"{path}.link: no traffic entry for {r.link} {r.direction}")
     return errors
 

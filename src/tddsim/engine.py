@@ -14,6 +14,18 @@ window (slot duration minus propagation delay) completely and resumes the
 remainder in its next assigned slot. Receivers acknowledge with one delayed
 BlockAck transmitted exactly at the start of their earliest subsequent BASIC
 transmit slot; a missing sequence triggers at most one retransmission.
+
+A runtime's data fragments run as a burst (`_on_data`), not as heap events.
+Each fragment's transmission and reception still takes the place in the
+event order that a heap event of its own would take: a scheduling sequence
+number, taken from `EventQueue.seq` when that event would have been
+pushed. One heap entry per runtime with fragments in flight stands for
+the earliest of them; when it runs, the burst sends and receives fragments
+for as long as each comes before the next heap event and the next timeline
+tick, and then parks one entry at the fragment it stopped at. Nothing
+another handler reads therefore changes early, trace rows at equal times
+keep the order of the event loop, and the SNR check is read once per run of
+the burst instead of once per fragment.
 """
 
 from __future__ import annotations
@@ -39,20 +51,28 @@ from .schedule import (
 )
 from .trace import TraceRecorder
 
+DATA = SlotCategory.DATA.value
+
 
 class EventQueue:
     """Heap of (tick, seq, handler, args) entries; rejects past scheduling.
 
     The scheduling sequence breaks ties, so events at equal ticks run in
-    the order they were pushed. It holds frames in flight and CBR timers;
-    slot boundaries and maintenance ticks run from the lazy timeline of
-    `run_until` instead.
+    the order they were pushed. The heap holds control frames in flight,
+    CBR timers and one step per runtime with data fragments in flight; slot
+    boundaries and maintenance ticks run from the lazy timeline of
+    `run_until` instead. A data fragment's transmission or reception takes
+    its sequence number by advancing `seq` without entering the heap, and a
+    burst parks its step at one with `push_reserved`. `until` is the tick
+    of the timeline's next entry, which runs before heap events at its
+    tick: a burst stops before it.
     """
 
     def __init__(self):
         self.heap: list[tuple[int, int, Callable, tuple]] = []
-        self._seq = 0
+        self.seq = 0  # the scheduling sequence number of the next event
         self.now = 0
+        self.until = 0
 
     def push(self, tick: int, handler: Callable, args: tuple) -> None:
         if tick < self.now:
@@ -60,13 +80,19 @@ class EventQueue:
                 f"{handler.__name__} scheduled at tick {tick}, "
                 f"before the current tick {self.now}"
             )
-        heapq.heappush(self.heap, (tick, self._seq, handler, args))
-        self._seq += 1
+        heapq.heappush(self.heap, (tick, self.seq, handler, args))
+        self.seq += 1
 
     def pop(self) -> tuple[int, int, Callable, tuple]:
         entry = heapq.heappop(self.heap)
         self.now = entry[0]
         return entry
+
+    def push_reserved(self, tick: int, seq: int, handler: Callable, args: tuple) -> None:
+        """Push through `push` at `seq`, a number taken earlier from `seq`."""
+        resume, self.seq = self.seq, seq
+        self.push(tick, handler, args)
+        self.seq = resume
 
 
 def _whole_ticks(units: int, rate: int) -> int:
@@ -124,7 +150,8 @@ class LinkRuntime:
     __slots__ = (
         "vertex", "mcs", "prop", "source", "size_bits", "payload_bits", "size_units",
         "vertex_id", "saturated", "next_arrival", "next_seq", "queue", "pending", "received",
-        "rx_since_ack", "control_queue", "dead", "active_until", "chained", "interfered_now",
+        "rx_since_ack", "control_queue", "dead", "active_until", "interfered_now", "tx_tick",
+        "tx_seq", "tx_end", "in_flight", "steps",
         "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
         "delivered_payload_bits", "dropped_bits", "retx_units", "completed_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
@@ -148,15 +175,25 @@ class LinkRuntime:
         self.next_seq = 0
         self.queue = deque()
         self.pending = {}  # seq -> Mpdu awaiting ack
-        self.received = set()  # decoded seqs at the receiver
+        # Decoded seqs at the receiver that no ack round has settled: at
+        # most the pending ones, since an MPDU is received once.
+        self.received = set()
         self.rx_since_ack = []  # (seq, rx tick)
         self.control_queue = deque()
         self.dead = False
 
         # transmit window of the currently active slot, if any
         self.active_until = 0
-        self.chained = False
         self.interfered_now = False
+        # The burst: its next transmission (tick and sequence number; no
+        # sequence when none is due) inside the window ending at tx_end,
+        # fragments in flight as (rx tick, seq, mpdu, frag, bits, last, ok),
+        # and the sequence numbers of its steps on the heap.
+        self.tx_tick = 0
+        self.tx_seq: Optional[int] = None
+        self.tx_end = 0
+        self.in_flight = deque()
+        self.steps: set[int] = set()
 
         # counters
         self.offered_bits = 0
@@ -318,10 +355,9 @@ class World:
         self.epoch_us = epoch_us
         self.duration_us = duration_us
         self.trace = trace or TraceRecorder(enabled=False)
-        # The positional writers of data frame_tx and frame_rx rows, which
+        # The trace shapes of data frame_tx and frame_rx rows, which
         # `run_until` registers.
-        self.emit_data_tx: Optional[Callable[..., None]] = None
-        self.emit_data_rx: Optional[Callable[..., None]] = None
+        self.data_tx_shape = self.data_rx_shape = 0
         self.queue = EventQueue()
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
@@ -417,21 +453,25 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
 
     Slot boundaries and maintenance ticks come from a lazy timeline, not
     the heap. At equal ticks a slot boundary runs first, then a
-    maintenance tick, then heap events in the order they were pushed.
+    maintenance tick, then heap events and data fragments in the order
+    they were scheduled. While the heap events before a timeline entry
+    run, its tick is `queue.until`, where a burst stops. Nothing after
+    t_end runs, so a fragment received after it is never counted.
 
-    The per-slot and per-fragment trace rows are written positionally,
-    through emitters registered here, once per run.
+    The per-slot and per-fragment trace rows are written positionally:
+    slot rows through emitters, and each burst's fragment rows as one batch
+    of the shapes registered here, once per run.
     """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
     queue = world.queue
     heap, pop = queue.heap, queue.pop
     t_end = t_end_us * world.tpu
-    world.emit_data_tx = world.trace.emitter(
+    world.data_tx_shape = world.trace.shape(
         "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
         last_fragment=False, mcs=0,
     )
-    world.emit_data_rx = world.trace.emitter(
+    world.data_rx_shape = world.trace.shape(
         "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
         last_fragment=False, outcome="",
     )
@@ -439,11 +479,13 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     for tick, handler, args in _timeline(world):
         if tick > t_end:
             break
+        queue.until = tick
         while heap and heap[0][0] < tick:
             now, _, event, event_args = pop()
             event(world, now, *event_args)
         queue.now = tick
         handler(world, tick, *args)
+    queue.until = t_end + 1
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
         event(world, now, *event_args)
@@ -512,72 +554,151 @@ def _on_slot_boundary(
         rt.interfered_now = interfered
         rt.active_until = window_end = now + window
         world.usable_air[row.category] += window
-        # A chain that would find nothing to send is not started; an
-        # arrival on this very tick runs next and finds the chain started.
-        if not rt.chained and (rt.saturated or rt.queue or rt.next_arrival == now):
-            rt.chained = True
-            world.queue.push(now, _on_data_tx, (rt, row.category, window_end))
+        # A burst that would find nothing to send is not started; an
+        # arrival on this very tick runs next and finds it started.
+        if rt.tx_seq is None and (rt.saturated or rt.queue or rt.next_arrival == now):
+            _transmit(world, rt, now, window_end)
 
 
-def _head_mpdu(rt: LinkRuntime, now: int) -> Optional[Mpdu]:
-    if rt.queue:
-        head = rt.queue[0]
-        if head.eligible <= now:
-            return head
-        return None
-    if rt.saturated:
-        mpdu = Mpdu(
-            seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-            eligible=now, remaining=rt.size_units,
-        )
-        rt.next_seq += 1
-        rt.offered_bits += rt.size_bits
-        rt.queue.append(mpdu)
-        return mpdu
-    return None
+def _transmit(world: World, rt: LinkRuntime, now: int, window_end: int) -> None:
+    """Start `rt`'s transmissions at `now`, in its window ending at `window_end`.
 
-
-def _on_data_tx(
-    world: World, now: int, rt: LinkRuntime, category: str, window_end: int
-) -> None:
-    if now >= window_end:
-        rt.chained = False
-        return
-    mpdu = _head_mpdu(rt, now)
-    if mpdu is None:
-        rt.chained = False
-        return
-
-    rate = int(rt.mcs.phy_rate_bps)
-    frag = min(mpdu.remaining, (window_end - now) * rate)
-    airtime = _whole_ticks(frag, rate)
-    vertex = rt.vertex
-    ok = (not rt.interfered_now) and world.links.snr_db(
-        world.nodes[vertex.tx_node], vertex.tx_sector, world.nodes[vertex.rx_node], vertex.rx_sector,
-    ) >= rt.mcs.min_snr_db
-    if not ok:
-        mpdu.corrupted = True
-    mpdu.remaining -= frag
-    last = mpdu.remaining == 0
-    end = now + airtime
-    if last:
-        rt.queue.popleft()
-        mpdu.tx_complete = end
-        rt.pending[mpdu.seq] = mpdu
-    if mpdu.retried:
-        rt.retx_units += frag
-
-    bits = round(frag / world.units_per_bit, 3)
-    world.emit_data_tx(
-        now / world.tpu, vertex.tx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
-        rt.mcs.mcs_index,
-    )
-    world.used_air[category] += airtime
-    world.queue.push(end + rt.prop, _on_data_rx, (rt, mpdu, frag, bits, last, ok))
-    if end < window_end:
-        world.queue.push(end, _on_data_tx, (rt, category, window_end))
+    The first takes the next sequence number, as its event would, and gets
+    a burst step of its own unless a reception in flight comes first.
+    """
+    queue = world.queue
+    rt.tx_tick, rt.tx_seq, rt.tx_end = now, queue.seq, window_end
+    if not rt.in_flight or rt.in_flight[0][0] > now:
+        rt.steps.add(rt.tx_seq)
+        queue.push(now, _on_data, (rt, rt.tx_seq))  # at seq, the next number
     else:
-        rt.chained = False
+        queue.seq += 1
+
+
+def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
+    """Run `rt`'s burst from its step `step`: send and receive its data
+    fragments in event order while each comes before the heap's next event
+    and `queue.until`, then park a step at the next one.
+
+    A transmission fills the rest of its window, or sends the head MPDU's
+    remainder and schedules the next transmission at its end; the window
+    ends a burst, and so does an empty queue until `_on_arrival` resumes
+    it. A reception lands one propagation delay after its fragment ends.
+    Each takes the sequence number its event would have taken when it was
+    scheduled. The SNR check reads state that only heap events and
+    timeline entries change, so it is read once per call. A step whose
+    fragment has already run, because an earlier step was parked in front
+    of it, runs nothing.
+    """
+    steps = rt.steps
+    steps.discard(step)
+    queue = world.queue
+    heap, until, seq_next = queue.heap, queue.until, queue.seq
+    top_tick, top_seq = (heap[0][0], heap[0][1]) if heap else (until, 0)
+    bound = top_tick if top_tick < until else until  # a fragment before this tick runs
+
+    tpu, units_per_bit = world.tpu, world.units_per_bit
+    tx_shape, rx_shape = world.data_tx_shape, world.data_rx_shape
+    rows = []  # this call's trace rows, written as one batch
+    row = rows.append
+    vertex, vid, in_flight, backlog = rt.vertex, rt.vertex_id, rt.in_flight, rt.queue
+    tx_node, rx_node = vertex.tx_node, vertex.rx_node
+    received, rx_since_ack, last_rx = rt.received, rt.rx_since_ack, world.last_rx
+    rx_key, pending, prop = (rx_node, tx_node), rt.pending, rt.prop
+    rate, mcs_index = int(rt.mcs.phy_rate_bps), rt.mcs.mcs_index
+    # A whole MPDU's bits, as round(size_units / units_per_bit, 3) gives them.
+    size_units, full_bits = rt.size_units, float(rt.size_bits)
+    tx_tick, tx_seq, tx_end = rt.tx_tick, rt.tx_seq, rt.tx_end
+    ok = None
+    air = 0
+    while True:
+        if in_flight:
+            head = in_flight[0]
+            tick, seq = head[0], head[1]
+            receive = tx_seq is None or tick < tx_tick or (tick == tx_tick and seq < tx_seq)
+            if not receive:
+                tick, seq = tx_tick, tx_seq
+        elif tx_seq is not None:
+            tick, seq, receive = tx_tick, tx_seq, False
+        else:
+            seq = None
+            break
+        if not (tick < bound or (tick == top_tick < until and seq < top_seq)):
+            break
+
+        if receive:
+            _, _, mpdu, frag, bits, last, decoded = in_flight.popleft()
+            if decoded:
+                rt.delivered_fragment_units += frag
+            row((
+                tick / tpu, rx_shape, rx_node, "data", vid, mpdu.seq, bits, last,
+                "decoded" if decoded else "interfered",
+            ))
+            if last and not mpdu.corrupted:
+                last_rx[rx_key] = tick
+                if mpdu.seq not in received:
+                    received.add(mpdu.seq)
+                    rt.completed_mpdus += 1
+                    rt.delivered_mpdu_bits += mpdu.size_bits
+                    rt.delivered_payload_bits += mpdu.payload_bits
+                    rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
+                rx_since_ack.append((mpdu.seq, tick))
+            continue
+
+        if tick >= tx_end:
+            tx_seq = None
+            continue
+        if backlog:
+            mpdu = backlog[0]
+            if mpdu.eligible > tick:
+                tx_seq = None
+                continue
+        elif rt.saturated:
+            mpdu = Mpdu(rt.next_seq, rt.size_bits, rt.payload_bits, tick, size_units)
+            rt.next_seq += 1
+            rt.offered_bits += rt.size_bits
+            backlog.append(mpdu)
+        else:
+            tx_seq = None
+            continue
+        frag = mpdu.remaining
+        room = (tx_end - tick) * rate
+        if frag > room:
+            frag = room
+        airtime = _whole_ticks(frag, rate)
+        if ok is None:
+            ok = (not rt.interfered_now) and world.links.snr_db(
+                world.nodes[tx_node], vertex.tx_sector, world.nodes[rx_node], vertex.rx_sector,
+            ) >= rt.mcs.min_snr_db
+        if not ok:
+            mpdu.corrupted = True
+        mpdu.remaining -= frag
+        last = mpdu.remaining == 0
+        end = tick + airtime
+        if last:
+            backlog.popleft()
+            mpdu.tx_complete = end
+            pending[mpdu.seq] = mpdu
+        if mpdu.retried:
+            rt.retx_units += frag
+        bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
+        row((tick / tpu, tx_shape, tx_node, "data", vid, mpdu.seq, bits, last, mcs_index))
+        air += airtime
+        # The reception is scheduled first, then the next transmission.
+        in_flight.append((end + prop, seq_next, mpdu, frag, bits, last, ok))
+        seq_next += 1
+        if end < tx_end:
+            tx_tick, tx_seq = end, seq_next
+            seq_next += 1
+        else:
+            tx_seq = None
+    world.trace.extend(rows)
+    rt.tx_tick, rt.tx_seq = tx_tick, tx_seq
+    world.used_air[DATA] += air
+    queue.seq = seq_next
+    if seq is not None and seq not in steps:
+        steps.add(seq)
+        queue.push_reserved(tick, seq, _on_data, (rt, seq))
 
 
 def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> None:
@@ -632,27 +753,6 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
         world.queue.push(now + airtime, _on_control_tx, (rt, slot_start))
 
 
-def _on_data_rx(
-    world: World, now: int, rt: LinkRuntime, mpdu: Mpdu, frag: int, bits: float,
-    last: bool, ok: bool,
-) -> None:
-    if ok:
-        rt.delivered_fragment_units += frag
-    world.emit_data_rx(
-        now / world.tpu, rt.vertex.rx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
-        "decoded" if ok else "interfered",
-    )
-    if last and not mpdu.corrupted:
-        world.last_rx[(rt.vertex.rx_node, rt.vertex.tx_node)] = now
-        if mpdu.seq not in rt.received:
-            rt.received.add(mpdu.seq)
-            rt.completed_mpdus += 1
-            rt.delivered_mpdu_bits += mpdu.size_bits
-            rt.delivered_payload_bits += mpdu.payload_bits
-            rt.latency_samples_us.append((now - mpdu.eligible) / world.tpu)
-        rt.rx_since_ack.append((mpdu.seq, now))
-
-
 def _on_block_ack_rx(
     world: World, now: int, rt: LinkRuntime, covered: tuple, formed_at: int, ok: bool
 ) -> None:
@@ -683,30 +783,29 @@ def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: i
         mpdu = rt.pending[seq]
         if mpdu.tx_complete + rt.prop >= formed_at:
             continue  # completed after the ack was formed; next round decides
-        if seq in covered:
-            del rt.pending[seq]
+        del rt.pending[seq]
+        if seq in covered or seq in rt.received:
+            # Delivered (if the covering ack was lost, this round settles it).
+            # Its copy was received before the ack was formed, and only an
+            # MPDU that was not received is sent again, so nothing asks
+            # about seq any more.
+            rt.received.discard(seq)
+        elif mpdu.retried:
+            rt.dropped_bits += mpdu.size_bits
+            world.trace.record(
+                formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
+                link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
+            )
         else:
-            del rt.pending[seq]
-            if seq in rt.received:
-                # Delivered earlier but the covering ack was lost; the copy
-                # in flight resolves it, nothing is owed.
-                continue
-            if mpdu.retried:
-                rt.dropped_bits += mpdu.size_bits
-                world.trace.record(
-                    formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
-                    link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
-                )
+            mpdu.retried = True
+            mpdu.corrupted = False
+            mpdu.remaining = rt.size_units
+            mpdu.tx_complete = None
+            # Requeue behind a partially transmitted head, else at the front.
+            if rt.queue and rt.queue[0].remaining < rt.size_units:
+                rt.queue.insert(1, mpdu)
             else:
-                mpdu.retried = True
-                mpdu.corrupted = False
-                mpdu.remaining = rt.size_units
-                mpdu.tx_complete = None
-                # Requeue behind a partially transmitted head, else at the front.
-                if rt.queue and rt.queue[0].remaining < rt.size_units:
-                    rt.queue.insert(1, mpdu)
-                else:
-                    rt.queue.appendleft(mpdu)
+                rt.queue.appendleft(mpdu)
 
 
 def _apply_tpc(world: World, rt: LinkRuntime, rsni: float, now: int) -> None:
@@ -735,9 +834,8 @@ def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
     rt.next_seq += 1
     rt.offered_bits += rt.size_bits
     rt.queue.append(mpdu)
-    if not rt.dead and not rt.chained and now < rt.active_until:
-        rt.chained = True
-        world.queue.push(now, _on_data_tx, (rt, SlotCategory.DATA.value, rt.active_until))
+    if not rt.dead and rt.tx_seq is None and now < rt.active_until:
+        _transmit(world, rt, now, rt.active_until)
     # Next arrival: one MPDU every size/rate seconds.
     rt.next_arrival = now + _whole_ticks(rt.size_units, int(rt.source.rate_bps))
     world.queue.push(rt.next_arrival, _on_arrival, (rt,))

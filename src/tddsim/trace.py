@@ -12,11 +12,13 @@ Records arrive by keyword, `record(t_us, kind, **fields)`, which drops
 shape's emitter: `emitter(kind, **first)` registers the shape from
 `first`'s names and values and returns `emit(t_us, *values)`, which appends
 one row with its values in `first`'s field order and no `None` scan or
-shape lookup. The hot loops write through emitters: the training sweep's
-frames, and the engine's `slot` rows and data `frame_tx`/`frame_rx` rows;
-the rarer kinds go through `record`. Both paths share one insertion order
-and raise the same `SimulationError` for a record stamped below the
-watermark.
+shape lookup. `extend(rows)` appends a batch of such rows, each led by
+its time and the number `shape(kind, **first)` registered. The hot loops
+write through emitters or batches: the training sweep's frames, the
+engine's `slot` rows, and its data `frame_tx`/`frame_rx` rows, one batch
+per burst; the rarer kinds go through `record`. All paths share one
+insertion order and raise the same `SimulationError` for a record stamped
+below the watermark.
 
 Records wait in a reorder buffer keyed by (time, insertion order). When the
 caller promises that no record earlier than a watermark can still arrive
@@ -226,6 +228,22 @@ class TraceRecorder:
             append((t, next(order), shape, *values))
 
         return emit
+
+    def shape(self, kind: str, **first: Any) -> int:
+        """The number of the shape `emitter(kind, **first)` writes, for `extend`."""
+        return self._add_shape(kind, first)
+
+    def extend(self, rows: list[tuple]) -> None:
+        """Append `(t_us, shape, *values)` rows, as one emitter call per row
+        would; their times must not decrease, as the first is checked
+        against the watermark for all."""
+        if not self.enabled or not rows:
+            return
+        first = round(float(rows[0][0]), 3)
+        if first < self._watermark:
+            raise self._late(self._shapes[rows[0][1]][0], first)
+        order = self._order
+        self._pending += [(round(float(row[0]), 3), next(order)) + row[1:] for row in rows]
 
     def _late(self, kind: str, t: float) -> SimulationError:
         return SimulationError(

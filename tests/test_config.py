@@ -237,6 +237,19 @@ def test_boolean_basic_slot_is_not_an_index(basic_slots):
     assert problems_of(data) == [f"slot_structure.basic_slots: index {flag} is not an integer"]
 
 
+@pytest.mark.parametrize("node, problem", [
+    # The default position [0, 0] is where `ap` stands.
+    ({"position": "x"}, "nodes[1].position: expected a list"),
+    # The default power, 10 dBm, is above this node's maximum.
+    ({"tx_power_dbm": "x", "power_max_dbm": 5.0}, "nodes[1].tx_power_dbm: expected a number"),
+])
+def test_a_field_of_the_wrong_type_is_its_only_problem(node, problem):
+    # The field keeps its default, which no cross-field rule may judge.
+    data = minimal_config()
+    data["nodes"][1].update(node)
+    assert problems_of(data) == [problem]
+
+
 def test_unknown_field_inside_section():
     data = minimal_config(sim={"duration_sec": 1})
     with pytest.raises(ConfigError) as exc:

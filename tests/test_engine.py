@@ -36,7 +36,7 @@ from tddsim.schedule import (
 )
 from tddsim.trace import TraceRecorder
 
-from conftest import make_ap, make_node
+from conftest import SCENARIOS, make_ap, make_node
 
 CHANNEL = LinkBudgetConfig()
 MPDU_BITS = (1500 + 40) * 8
@@ -603,6 +603,45 @@ def test_heap_does_not_grow_with_simulated_time():
         peaks.append(world.queue.peak)
     # Frames in flight and one CBR timer per link, not a slot per event.
     assert peaks[0] == peaks[1] < 20
+
+
+class CountingQueue(EventQueue):
+    """An event queue that counts the events pushed onto its heap."""
+
+    pushes = 0
+
+    def push(self, tick, handler, args):
+        super().push(tick, handler, args)
+        self.pushes += 1
+
+
+def test_a_data_window_is_a_burst_not_an_event_pair_per_fragment():
+    # 20 intervals of 22 saturated DATA windows send 11,274 fragments; the
+    # per-fragment engine pushed 22,586 events for them.
+    cfg = parse_config(yaml.safe_load((SCENARIOS / "saturated_dl.yaml").read_text()))
+    cfg.sim.duration_us = 32_000
+    prep = cli.prepare_scenario(cfg)
+    trace = TraceRecorder()
+    world = cli.build_world(prep, cli.plan_scenario(prep), trace)
+    world.queue = CountingQueue()
+    metrics = run_until(world)
+    assert metrics.per_link["dn1-cn1:downlink"].completed_mpdus > 10_000
+    assert len(trace.iter_kind("frame_tx")) > 11_000
+    assert world.queue.pushes <= 2_259
+
+
+def test_received_set_does_not_grow_with_simulated_time():
+    # The receiver keeps only the decoded seqs no ack round has settled.
+    sizes = []
+    for duration_us in (25_600, 102_400):
+        world = build_world(duration_us=duration_us)
+        metrics = run_until(world)
+        rt = world.runtimes[DL]
+        assert metrics.per_link[DL].completed_mpdus > duration_us // 10
+        assert set(rt.received) <= set(rt.pending)
+        sizes.append(len(rt.received))
+    # At most one interval's MPDUs: 22 windows of 26 fragments.
+    assert 0 < sizes[0] == sizes[1] <= 22 * 26
 
 
 def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):

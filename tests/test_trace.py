@@ -260,6 +260,26 @@ def test_emitted_rows_write_what_record_writes():
     assert [r["t"] for r in by_position.sorted_records()] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
 
 
+def test_a_batch_of_rows_writes_what_its_emitters_write():
+    rows = [(1, "ap", 0, 3.5), (2.0004, "ap", 1, -71.25), (2.0004, "sta", 7, float("nan"))]
+    by_emitter, by_batch = TraceRecorder(), TraceRecorder()
+    emit_rx = by_emitter.emitter("frame_rx", node="", sector=0, snr_db=0.0)
+    emit_announce = by_emitter.emitter("announce", node="")
+    for t, node, sector, snr in rows:
+        emit_rx(t, node, sector, snr)
+        emit_announce(t, node)
+    rx = by_batch.shape("frame_rx", node="", sector=0, snr_db=0.0)
+    announce = by_batch.shape("announce", node="")
+    by_batch.extend([
+        row for t, node, sector, snr in rows for row in ((t, rx, node, sector, snr), (t, announce, node))
+    ])
+    assert by_batch.to_jsonl() == by_emitter.to_jsonl()
+    by_batch.advance(3)
+    with pytest.raises(SimulationError, match="'announce' at t=2.999 arrived after"):
+        by_batch.extend([(2.999, announce, "ap"), (4.0, announce, "ap")])
+    assert TraceRecorder(enabled=False).extend([(1.0, 0, "ap")]) is None
+
+
 def test_late_emitted_row_raises_like_a_late_record():
     trace = TraceRecorder()
     emit = trace.emitter("link_dead", link="ap-sta", last_rx=0.0)

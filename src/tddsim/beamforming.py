@@ -265,19 +265,25 @@ def _sweep(
     One frame per slot; each responder listens on the next receive sector of
     its codebook, round robin. A sample's SNR is `LinkTable.snr_db`'s sum,
     term by term in its order, from the link entry read once per responder.
+    The frames' trace rows are written as one batch, and not built at all
+    when the trace is disabled.
     """
     ini_id = initiator.node_id
     power, noise = initiator.tx_power_dbm, links.noise_floor_dbm
     last = plan.n_frames - 1
     countdown = not plan.with_feedback
-    emit_tx = trace.emitter(
-        "frame_tx", node=ini_id, frame="tdd_ssw", sector=0, frame_index=0,
-        end_of_training=False, **({"slot_countdown": last} if countdown else {}),
-    )
-    emit_rx = trace.emitter(
-        "frame_rx", node=ini_id, frame="tdd_ssw", sector=0, tx_sector=0,
-        snr_db=0.0, outcome="decoded",
-    )
+    traced = trace.enabled
+    if traced:
+        tx_shape = trace.shape(
+            "frame_tx", node=ini_id, frame="tdd_ssw", sector=0, frame_index=0,
+            end_of_training=False, **({"slot_countdown": last} if countdown else {}),
+        )
+        rx_shape = trace.shape(
+            "frame_rx", node=ini_id, frame="tdd_ssw", sector=0, tx_sector=0,
+            snr_db=0.0, outcome="decoded",
+        )
+    rows = []
+    row = rows.append
     legs = [
         (r.node_id, len(r.codebook), *links.entry(initiator, r), [])
         for r in responders
@@ -286,16 +292,22 @@ def _sweep(
     frame_times = range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)
     for i, t in enumerate(frame_times):
         tx = i // reps
-        if countdown:
-            emit_tx(t, ini_id, "tdd_ssw", tx, i, i == last, last - i)
-        else:
-            emit_tx(t, ini_id, "tdd_ssw", tx, i, i == last)
+        if traced:
+            t = float(t)  # whole microseconds, so already the trace time
+            if countdown:
+                row((t, tx_shape, ini_id, "tdd_ssw", tx, i, i == last, last - i))
+            else:
+                row((t, tx_shape, ini_id, "tdd_ssw", tx, i, i == last))
         for rid, n_rx, loss, tx_gain, rx_gain, found in legs:
             rx = i % n_rx
             snr = power + tx_gain[tx] + rx_gain[rx] - loss - noise
-            if snr >= threshold:
+            decoded = snr >= threshold
+            if decoded:
                 found.append((tx, rx, snr))
-                emit_rx(t, rid, "tdd_ssw", rx, tx, round(snr, 3), "decoded")
-            else:
-                emit_rx(t, rid, "tdd_ssw", rx, tx, round(snr, 3), "below_threshold")
+            if traced:
+                row((
+                    t, rx_shape, rid, "tdd_ssw", rx, tx, round(snr, 3),
+                    "decoded" if decoded else "below_threshold",
+                ))
+    trace.extend(rows)
     return [leg[-1] for leg in legs]

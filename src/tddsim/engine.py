@@ -588,7 +588,8 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     scheduled. The SNR check reads state that only heap events and
     timeline entries change, so it is read once per call. A step whose
     fragment has already run, because an earlier step was parked in front
-    of it, runs nothing.
+    of it, runs nothing. The burst's trace rows are written as one batch,
+    and not built when the trace is disabled.
     """
     steps = rt.steps
     steps.discard(step)
@@ -599,7 +600,8 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
 
     tpu, units_per_bit = world.tpu, world.units_per_bit
     tx_shape, rx_shape = world.data_tx_shape, world.data_rx_shape
-    rows = []  # this call's trace rows, written as one batch
+    traced = world.trace.enabled
+    rows = []  # this call's trace rows, at their trace times, written as one batch
     row = rows.append
     vertex, vid, in_flight, backlog = rt.vertex, rt.vertex_id, rt.in_flight, rt.queue
     tx_node, rx_node = vertex.tx_node, vertex.rx_node
@@ -630,10 +632,11 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
             _, _, mpdu, frag, bits, last, decoded = in_flight.popleft()
             if decoded:
                 rt.delivered_fragment_units += frag
-            row((
-                tick / tpu, rx_shape, rx_node, "data", vid, mpdu.seq, bits, last,
-                "decoded" if decoded else "interfered",
-            ))
+            if traced:
+                row((
+                    round(tick / tpu, 3), rx_shape, rx_node, "data", vid, mpdu.seq, bits, last,
+                    "decoded" if decoded else "interfered",
+                ))
             if last and not mpdu.corrupted:
                 last_rx[rx_key] = tick
                 if mpdu.seq not in received:
@@ -682,7 +685,8 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
         if mpdu.retried:
             rt.retx_units += frag
         bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
-        row((tick / tpu, tx_shape, tx_node, "data", vid, mpdu.seq, bits, last, mcs_index))
+        if traced:
+            row((round(tick / tpu, 3), tx_shape, tx_node, "data", vid, mpdu.seq, bits, last, mcs_index))
         air += airtime
         # The reception is scheduled first, then the next transmission.
         in_flight.append((end + prop, seq_next, mpdu, frag, bits, last, ok))

@@ -1,32 +1,36 @@
 """JSON-lines trace recording shared by the beamforming driver and engine.
 
 Every record kind and the fields it may carry are declared in `KINDS`. A
-record is kept as one flat tuple `(t, order, shape, *values)`: a shape is
-one kind with one list of present fields, numbered per recorder the first
-time it is seen, which is also when its kind, its field names and the
-types of its first values are checked against `KINDS`: an undeclared kind
-or field, or a wrongly typed value, raises `SimulationError`.
+record is kept as one flat tuple `(t, shape, *values)`, where `t` is the
+trace time `round(t_us, 3)`: a shape is one kind with one list of present
+fields, numbered per recorder the first time it is seen, which is also
+when its kind, its field names and the types of its first values are
+checked against `KINDS`: an undeclared kind or field, or a wrongly typed
+value, raises `SimulationError`.
 
 Records arrive by keyword, `record(t_us, kind, **fields)`, which drops
 `None` fields and looks the shape up per record, or by position through a
 shape's emitter: `emitter(kind, **first)` registers the shape from
 `first`'s names and values and returns `emit(t_us, *values)`, which appends
 one row with its values in `first`'s field order and no `None` scan or
-shape lookup. `extend(rows)` appends a batch of such rows, each led by
-its time and the number `shape(kind, **first)` registered. The hot loops
-write through emitters or batches: the training sweep's frames, the
-engine's `slot` rows, and its data `frame_tx`/`frame_rx` rows, one batch
-per burst; the rarer kinds go through `record`. All paths share one
-insertion order and raise the same `SimulationError` for a record stamped
-below the watermark.
+shape lookup. `extend(rows)` appends a batch of records in their final
+form, each led by its trace time and the number `shape(kind, **first)`
+registered, as they are. The hot loops write through emitters or batches:
+the engine's `slot` rows through emitters; the training sweep's frames,
+one batch per sweep, and the engine's data `frame_tx`/`frame_rx` rows, one
+batch per burst; the rarer kinds go through `record`. All paths append to
+one buffer and raise the same `SimulationError` for a record stamped below
+the watermark.
 
-Records wait in a reorder buffer keyed by (time, insertion order). When the
-caller promises that no record earlier than a watermark can still arrive
-(`advance`), the records below it are sorted, numbered with the next `seq`
-values and handed to the sink, so the written trace has strictly increasing
-(t, seq) keys even when a record is stamped behind the current time. The
-sink is either an in-memory list, which the queries read, or a writer,
-such as a text file, that the records stream to as the run proceeds.
+Records wait in a reorder buffer, in insertion order at equal times. When
+the caller promises that no record earlier than a watermark can still
+arrive (`advance`), the buffer is sorted by time, a stable sort that keeps
+that order, and the records below it are numbered with the next `seq`
+values and handed to the sink, so the written trace has strictly
+increasing (t, seq) keys even when a record is stamped behind the current
+time. The sink is either an in-memory list, which the queries read, or a
+writer, such as a text file, that the records stream to as the run
+proceeds.
 
 Lines are rendered by one formatter per shape, compiled once from `KINDS`,
 and equal what `json.JSONEncoder(sort_keys=True)` writes for the record's
@@ -36,11 +40,11 @@ dict.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from bisect import bisect_left
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from .errors import SimulationError
@@ -88,12 +92,14 @@ KINDS: dict[str, dict[str, str]] = {
 
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
-Record = tuple  # (t, order, shape, *values)
+Record = tuple  # (t, shape, *values), t being the trace time round(t_us, 3)
+
+_time = itemgetter(0)
 
 
 def _as_dict(kind: str, names: tuple[str, ...], seq: int, rec: Record) -> dict[str, Any]:
     out = {"t": rec[0], "kind": kind}
-    out.update(zip(names, rec[3:]))
+    out.update(zip(names, rec[2:]))
     for name in _list_fields(kind, names):
         if type(out[name]) is tuple:
             out[name] = list(out[name])
@@ -108,7 +114,8 @@ def _list_fields(kind: str, names: tuple[str, ...]) -> tuple[str, ...]:
 
 @functools.cache
 def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record], str]:
-    """The line writer of one shape: `(strings, seq, record) -> line`.
+    """The line writer of one shape: `(strings, seq, record) -> line`,
+    for a record `(t, shape, *values)` of this shape.
 
     `strings` maps each string, and each tuple, to its JSON encoding. Keys
     are sorted, and numbers are written with `repr`, as `json` writes them;
@@ -129,7 +136,7 @@ def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record
     body = ", ".join(f'"{key}": {values[key]}' for key in sorted(values))
     source = "\n".join((
         "def line(S, seq, rec):",
-        "    t, _, _, " + "".join(f"v{i}, " for i in range(len(names))) + "= rec",
+        "    t, _, " + "".join(f"v{i}, " for i in range(len(names))) + "= rec",
         "    if " + " or ".join(f"{v} - {v}" for v in numbers) + ":",  # NaN or ±inf
         "        return reference(seq, rec)",
         "    return f'{{" + body + "}}\\n'",
@@ -177,7 +184,6 @@ class TraceRecorder:
         self.enabled = enabled
         self._write = write
         self._pending: list[Record] = []
-        self._order = itertools.count()  # insertion order, shared by record and emitters
         self._stamp: tuple[Any, float] = (math.nan, math.nan)  # the last row's (t_us, t)
         self._next_seq = 0
         self._watermark: float = -math.inf
@@ -200,7 +206,7 @@ class TraceRecorder:
         shape = self._shape_ids.get(key)
         if shape is None:
             shape = self._add_shape(kind, fields)
-        self._pending.append((t, next(self._order), shape, *fields.values()))
+        self._pending.append((t, shape, *fields.values()))
 
     def emitter(self, kind: str, **first: Any) -> Callable[..., None]:
         """The positional writer of one shape: `emit(t_us, *values)`.
@@ -215,7 +221,7 @@ class TraceRecorder:
         if not self.enabled:
             return _ignore
         shape = self._add_shape(kind, first)
-        append, order = self._pending.append, self._order
+        append = self._pending.append
 
         def emit(t_us: float, *values: Any) -> None:
             # Rows stamped with the same time object, such as one frame's
@@ -225,25 +231,26 @@ class TraceRecorder:
             t = self._stamp[1]
             if t < self._watermark:
                 raise self._late(kind, t)
-            append((t, next(order), shape, *values))
+            append((t, shape, *values))
 
         return emit
 
     def shape(self, kind: str, **first: Any) -> int:
-        """The number of the shape `emitter(kind, **first)` writes, for `extend`."""
+        """The number of the shape `emitter(kind, **first)` writes, which
+        leads the values of this shape's rows in `extend`."""
         return self._add_shape(kind, first)
 
     def extend(self, rows: list[tuple]) -> None:
-        """Append `(t_us, shape, *values)` rows, as one emitter call per row
-        would; their times must not decrease, as the first is checked
-        against the watermark for all."""
+        """Append `(t, shape, *values)` rows as they are, in their final
+        form: `t` is already the trace time, `round(t_us, 3)`, so the rows
+        write what one emitter call per row would. Their times must not
+        decrease, as the first is checked against the watermark for all."""
         if not self.enabled or not rows:
             return
-        first = round(float(rows[0][0]), 3)
-        if first < self._watermark:
-            raise self._late(self._shapes[rows[0][1]][0], first)
-        order = self._order
-        self._pending += [(round(float(row[0]), 3), next(order)) + row[1:] for row in rows]
+        first = rows[0]
+        if first[0] < self._watermark:
+            raise self._late(self._shapes[first[1]][0], first[0])
+        self._pending += rows
 
     def _late(self, kind: str, t: float) -> SimulationError:
         return SimulationError(
@@ -278,9 +285,9 @@ class TraceRecorder:
         `SimulationError` instead of being written out of order.
         """
         pending = self._pending
-        pending.sort()  # insertion order is unique, so records are never compared
+        pending.sort(key=_time)  # stable, so equal times keep insertion order
         # At +inf every record is written, those stamped +inf too.
-        cut = bisect_left(pending, (watermark_us,)) if watermark_us < math.inf else len(pending)
+        cut = bisect_left(pending, watermark_us, key=_time) if watermark_us < math.inf else len(pending)
         ready = pending[:cut]
         del pending[:cut]
         if ready:
@@ -308,24 +315,24 @@ class TraceRecorder:
         formatters, shapes = self._formatters, self._shapes
         formatters += [_formatter(*shape) for shape in shapes[len(formatters):]]
         strings = self._strings
-        return "".join([formatters[rec[2]](strings, seq, rec) for seq, rec in numbered])
+        return "".join([formatters[rec[1]](strings, seq, rec) for seq, rec in numbered])
 
     def _ordered(self) -> Iterator[tuple[int, Record]]:
         """(seq, record) of written records, then buffered ones numbered as they will be."""
         yield from enumerate(self._records)
-        self._pending.sort()
+        self._pending.sort(key=_time)
         yield from enumerate(self._pending, self._next_seq)
 
     def sorted_records(self) -> list[dict[str, Any]]:
         shapes = self._shapes
-        return [_as_dict(*shapes[rec[2]], seq, rec) for seq, rec in self._ordered()]
+        return [_as_dict(*shapes[rec[1]], seq, rec) for seq, rec in self._ordered()]
 
     def iter_kind(self, kind: str) -> list[dict[str, Any]]:
         shapes = self._shapes
         of_kind = {i for i, (k, _) in enumerate(shapes) if k == kind}
         return [
-            _as_dict(kind, shapes[rec[2]][1], seq, rec)
-            for seq, rec in self._ordered() if rec[2] in of_kind
+            _as_dict(kind, shapes[rec[1]][1], seq, rec)
+            for seq, rec in self._ordered() if rec[1] in of_kind
         ]
 
     def to_jsonl(self) -> str:

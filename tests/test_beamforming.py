@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,3 +219,38 @@ def test_deterministic_trace_repeat():
         run_beamforming(BfMode.INDIVIDUAL, ini, [resp], channel, window(), BeamformingConfig(), t)
         traces.append(t.to_jsonl())
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("mode", list(BfMode))
+def test_a_disabled_trace_gives_the_traced_result_without_building_rows(mode):
+    ini = make_ap("ap", sectors=16)
+    responders = [
+        make_node(f"r{i}", position=(100.0 * (i + 1), 30.0 * i), sectors=16) for i in range(3)
+    ]
+    if mode is BfMode.INDIVIDUAL:
+        responders = responders[:1]
+
+    def run(trace):
+        tracemalloc.start()
+        try:
+            result = run_beamforming(
+                mode, ini, responders, LinkBudgetConfig(), window(), BeamformingConfig(), trace,
+            )
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(None)  # first-call allocations are not the sweep's
+    traced = TraceRecorder()
+    (plain, _), (disabled, disabled_peak), (recorded, traced_peak) = (
+        run(None), run(TraceRecorder(enabled=False)), run(traced),
+    )
+    assert plain == disabled == recorded
+    assert recorded.trained_links or recorded.reports
+    sweep_rows = [
+        r for kind in ("frame_tx", "frame_rx") for r in traced.iter_kind(kind) if r["frame"] == "tdd_ssw"
+    ]
+    assert len(sweep_rows) == recorded.sweep_frames * (1 + len(responders))
+    # The traced run holds its rows, about 70 kB here; the disabled one
+    # builds none, not even to drop them.
+    assert disabled_peak * 4 < traced_peak

@@ -270,14 +270,86 @@ def test_a_batch_of_rows_writes_what_its_emitters_write():
         emit_announce(t, node)
     rx = by_batch.shape("frame_rx", node="", sector=0, snr_db=0.0)
     announce = by_batch.shape("announce", node="")
+    # A batch row carries its trace time, round(t_us, 3), as the emitters write it.
+    trace_times = {1: 1.0, 2.0004: 2.0}
     by_batch.extend([
-        row for t, node, sector, snr in rows for row in ((t, rx, node, sector, snr), (t, announce, node))
+        row for t, node, sector, snr in rows
+        for row in ((trace_times[t], rx, node, sector, snr), (trace_times[t], announce, node))
     ])
     assert by_batch.to_jsonl() == by_emitter.to_jsonl()
     by_batch.advance(3)
     with pytest.raises(SimulationError, match="'announce' at t=2.999 arrived after"):
         by_batch.extend([(2.999, announce, "ap"), (4.0, announce, "ap")])
     assert TraceRecorder(enabled=False).extend([(1.0, 0, "ap")]) is None
+
+
+# Offsets above the watermark, in µs: many ties, some only after rounding.
+OFFSETS = [0, 0, 0.5, 1, 1, 1.0004, 2.5, 3]
+offsets = st.sampled_from(OFFSETS)
+operations = st.lists(
+    st.tuples(st.just("record"), offsets)
+    | st.tuples(st.just("emit"), offsets)
+    | st.tuples(st.just("extend"), st.lists(offsets, max_size=4))
+    | st.tuples(st.just("advance"), st.sampled_from([0, 0.5, 1, 2.5]))
+    | st.tuples(st.just("query"), offsets),
+    max_size=30,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operations)
+def test_written_order_is_time_then_insertion_order(ops):
+    # Records by keyword, by emitter and by batch, interleaved with cuts and
+    # mid-run queries, come out as a sort by (t, insertion index) does.
+    # Every time is at or above the watermark, and often behind the latest.
+    out = io.StringIO()
+    streamed, memory = TraceRecorder(write=out.write), TraceRecorder()
+    traces = (streamed, memory)
+    emits = [trace.emitter("link_dead", link="", last_rx=0.0) for trace in traces]
+    shapes = [trace.shape("frame_rx", node="", sector=0) for trace in traces]
+    inserted = []  # (t, insertion index, record dict without seq)
+    watermark = 0.0
+
+    def expected():
+        return [
+            {**rec, "seq": seq}
+            for seq, (_, _, rec) in enumerate(sorted(inserted, key=lambda r: r[:2]))
+        ]
+
+    for op, arg in ops:
+        n = len(inserted)
+        if op == "record":
+            t = round(watermark + arg, 3)
+            for trace in traces:
+                trace.record(watermark + arg, "announce", node=f"r{n}")
+            inserted.append((t, n, {"t": t, "kind": "announce", "node": f"r{n}"}))
+        elif op == "emit":
+            t = round(watermark + arg, 3)
+            for emit in emits:
+                emit(watermark + arg, f"e{n}", float(n))
+            inserted.append((t, n, {"t": t, "kind": "link_dead", "link": f"e{n}", "last_rx": float(n)}))
+        elif op == "extend":
+            times = sorted(round(watermark + d, 3) for d in arg)
+            for trace, shape in zip(traces, shapes):
+                trace.extend([(t, shape, f"b{n + i}", n + i) for i, t in enumerate(times)])
+            inserted += [
+                (t, n + i, {"t": t, "kind": "frame_rx", "node": f"b{n + i}", "sector": n + i})
+                for i, t in enumerate(times)
+            ]
+        elif op == "advance":
+            watermark += arg
+            for trace in traces:
+                trace.advance(watermark)
+        else:
+            assert memory.sorted_records() == expected()
+    for trace in traces:
+        trace.close()
+    records = expected()
+    reference = "".join(REFERENCE.encode(rec) + "\n" for rec in records)
+    assert out.getvalue() == memory.to_jsonl() == reference
+    assert memory.sorted_records() == records
+    for kind in ("announce", "link_dead", "frame_rx"):
+        assert memory.iter_kind(kind) == [rec for rec in records if rec["kind"] == kind]
 
 
 def test_late_emitted_row_raises_like_a_late_record():
@@ -323,6 +395,29 @@ def test_disabled_recorder_emits_nothing():
     trace.close()
     emit(0.0, "ap")  # nor checks the watermark
     assert trace.buffered == 0 and written == [] and trace.to_jsonl() == ""
+
+
+def test_a_disabled_recorder_is_handed_no_rows():
+    # The training sweep and the engine's bursts build no trace rows for a
+    # disabled recorder, rather than building them for `extend` to drop.
+    handed = []
+
+    class Handed(TraceRecorder):
+        def extend(self, rows):
+            handed.extend(rows)
+            super().extend(rows)
+
+    trace = Handed(enabled=False)
+    for mode in BfMode:
+        run_beamforming(
+            mode, make_ap("ap"), [make_node("sta", position=(100.0, 20.0))], LinkBudgetConfig(),
+            sp_window(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            BeamformingConfig(), trace,
+        )
+    run_scenario("saturated_dl", trace, duration_ms=4)
+    assert handed == []
+    run_scenario("saturated_dl", Handed(), duration_ms=4)
+    assert {row[3] for row in handed} == {"data"}  # a traced run hands its rows
 
 
 class SweepRowsOnly(TraceRecorder):
@@ -375,6 +470,33 @@ def test_written_records_are_compact_untracked_tuples():
     assert len(gc.get_objects()) - tracked < 2_000
     assert per_record < 300
     assert trace.buffered == 0 and len(trace.sorted_records()) == 20_001
+
+
+def test_a_record_holds_its_time_its_shape_and_its_values_only():
+    # Every record the program buffers or writes is (t, shape, *values):
+    # a per-record counter or field would show as a longer tuple.
+    trace = TraceRecorder()
+    ap = make_ap("ap")
+    stas = [make_node("sta0", position=(100.0, 0.0)), make_node("sta1", position=(100.0, 20.0))]
+    for mode in BfMode:
+        run_beamforming(
+            mode, ap, stas[:1] if mode is BfMode.INDIVIDUAL else stas, LinkBudgetConfig(),
+            sp_window(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            BeamformingConfig(), trace,
+        )
+    cfg = load_config(str(SCENARIOS / "saturated_dl.yaml"))
+    cfg.sim.duration_us = 4000
+    prep = prepare_scenario(cfg, trace)
+    run_until(build_world(prep, plan_scenario(prep), trace))
+    for records in (trace._records, trace._pending):  # written, then buffered
+        assert records
+        assert {len(rec) - 2 - len(trace._shapes[rec[1]][1]) for rec in records} == {0}
+    # Rows by keyword, by emitter and by batch: the sweep's and the bursts'.
+    every = trace._records + trace._pending
+    assert {"bf_start", "bf_trained", "slot"} <= {trace._shapes[rec[1]][0] for rec in every}
+    assert {"tdd_ssw", "data"} <= {
+        rec[3] for rec in every if trace._shapes[rec[1]][1][:2] == ("node", "frame")
+    }
 
 
 def test_no_call_site_passes_a_none_field(monkeypatch):

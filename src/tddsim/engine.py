@@ -308,8 +308,9 @@ class SlotRow(NamedTuple):
     offset_us: int  # from the start of its interval
     basic: bool
     category: str
-    # The slot record's fields after `interval`, and their values.
-    names: tuple[str, ...]
+    # The trace shape of the slot's rows, `(t, shape, index, interval,
+    # *values)`, and its fields' values after `interval`.
+    shape: int
     values: tuple
     # (runtime, transmit window in ticks, interfered): the demanded
     # activations of the slot, for a BASIC slot the data link of each
@@ -355,9 +356,15 @@ class World:
         self.epoch_us = epoch_us
         self.duration_us = duration_us
         self.trace = trace or TraceRecorder(enabled=False)
-        # The trace shapes of data frame_tx and frame_rx rows, which
-        # `run_until` registers.
-        self.data_tx_shape = self.data_rx_shape = 0
+        # The trace shapes of data frame_tx and frame_rx rows.
+        self.data_tx_shape = self.trace.shape(
+            "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
+            last_fragment=False, mcs=0,
+        )
+        self.data_rx_shape = self.trace.shape(
+            "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
+            last_fragment=False, outcome="",
+        )
         self.queue = EventQueue()
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
@@ -436,9 +443,10 @@ class World:
                 fields["direction"] = schedule.slot_directions[index].value
             if actives:
                 fields["links"] = tuple(actives)
+            shape = self.trace.shape("slot", slot_index=index, interval=0, **fields)
             rows.append(SlotRow(
-                index, spec.start_offset_us, basic, spec.category.value,
-                tuple(fields), tuple(fields.values()), tuple(runtimes),
+                index, spec.start_offset_us, basic, spec.category.value, shape,
+                tuple(fields.values()), tuple(runtimes),
             ))
         rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
         return rows
@@ -458,23 +466,15 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     run, its tick is `queue.until`, where a burst stops. Nothing after
     t_end runs, so a fragment received after it is never counted.
 
-    The per-slot and per-fragment trace rows are written positionally:
-    slot rows through emitters, and each burst's fragment rows as one batch
-    of the shapes registered here, once per run.
+    The per-slot and per-fragment trace rows are written in their final
+    form, in the shapes the World registered: each boundary's slot row, and
+    each burst's fragment rows as one batch.
     """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
     queue = world.queue
     heap, pop = queue.heap, queue.pop
     t_end = t_end_us * world.tpu
-    world.data_tx_shape = world.trace.shape(
-        "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
-        last_fragment=False, mcs=0,
-    )
-    world.data_rx_shape = world.trace.shape(
-        "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
-        last_fragment=False, outcome="",
-    )
     _start_arrivals(world)
     for tick, handler, args in _timeline(world):
         if tick > t_end:
@@ -500,19 +500,12 @@ def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
         world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
         world.sp_duration_us,
     )
-    # Each row's emitter writes (slot_index, interval, *row.values).
-    rows = [
-        (row, world.trace.emitter(
-            "slot", slot_index=row.index, interval=0, **dict(zip(row.names, row.values)),
-        ))
-        for row in world.slot_rows
-    ]
 
     def slots():
         for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
-            for row, emit in rows:
+            for row in world.slot_rows:
                 start_us = base + row.offset_us
-                yield start_us * tpu, _on_slot_boundary, (start_us, interval, row, emit)
+                yield start_us * tpu, _on_slot_boundary, (start_us, interval, row)
 
     interval_us = world.structure.interval_duration_us
     ticks = (
@@ -530,11 +523,10 @@ def _start_arrivals(world: World) -> None:
             world.queue.push(rt.next_arrival, _on_arrival, (rt,))
 
 
-def _on_slot_boundary(
-    world: World, now: int, start_us: int, interval: int, row: SlotRow,
-    emit: Callable[..., None],
-) -> None:
-    emit(start_us, row.index, interval, *row.values)
+def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row: SlotRow) -> None:
+    # start_us is whole, so float writes what round(start_us, 3) would.
+    if world.trace.enabled:
+        world.trace.extend([(float(start_us), row.shape, row.index, interval, *row.values)])
     if row.basic:
         due = world.report_due.get(start_us, ())
         for rt, window, interfered in row.runtimes:

@@ -8,19 +8,16 @@ when its kind, its field names and the types of its first values are
 checked against `KINDS`: an undeclared kind or field, or a wrongly typed
 value, raises `SimulationError`.
 
-Records arrive by keyword, `record(t_us, kind, **fields)`, which drops
-`None` fields and looks the shape up per record, or by position through a
-shape's emitter: `emitter(kind, **first)` registers the shape from
-`first`'s names and values and returns `emit(t_us, *values)`, which appends
-one row with its values in `first`'s field order and no `None` scan or
-shape lookup. `extend(rows)` appends a batch of records in their final
-form, each led by its trace time and the number `shape(kind, **first)`
-registered, as they are. The hot loops write through emitters or batches:
-the engine's `slot` rows through emitters; the training sweep's frames,
-one batch per sweep, and the engine's data `frame_tx`/`frame_rx` rows, one
-batch per burst; the rarer kinds go through `record`. All paths append to
-one buffer and raise the same `SimulationError` for a record stamped below
-the watermark.
+Records arrive in one of two ways. `record(t_us, kind, **fields)` takes a
+record by keyword, drops `None` fields and looks its shape up per record.
+`extend(rows)` appends a batch of rows in their final form, as they are:
+each is led by its trace time and the number `shape(kind, **first)`
+registered from `first`'s names and values, and holds its values in
+`first`'s field order. The hot loops write batches: the training sweep's
+frames, one batch per sweep, the engine's data `frame_tx`/`frame_rx` rows,
+one batch per burst, and its `slot` rows, one per boundary; the rarer kinds
+go through `record`. Both append to one buffer and raise the same
+`SimulationError` for a record stamped below the watermark.
 
 Records wait in a reorder buffer, in insertion order at equal times. When
 the caller promises that no record earlier than a watermark can still
@@ -184,7 +181,6 @@ class TraceRecorder:
         self.enabled = enabled
         self._write = write
         self._pending: list[Record] = []
-        self._stamp: tuple[Any, float] = (math.nan, math.nan)  # the last row's (t_us, t)
         self._next_seq = 0
         self._watermark: float = -math.inf
         self._records: list[Record] = []  # written records; seq is the index
@@ -208,43 +204,23 @@ class TraceRecorder:
             shape = self._add_shape(kind, fields)
         self._pending.append((t, shape, *fields.values()))
 
-    def emitter(self, kind: str, **first: Any) -> Callable[..., None]:
-        """The positional writer of one shape: `emit(t_us, *values)`.
+    def shape(self, kind: str, **first: Any) -> int:
+        """The number of the shape of `kind` with `first`'s fields, in that
+        order, which leads the values of this shape's rows in `extend`.
 
-        `first` names the shape's fields, in the order `emit` takes their
-        values, with a value of each field's type. They are checked against
+        `first` holds a value of each field's type. They are checked against
         KINDS here, as `record` checks a shape it sees for the first time;
         rows are not checked again, so each must hold one value of the
-        declared type per field. A row stamped below the watermark raises
-        `SimulationError`. A disabled recorder's emitter records nothing.
+        declared type per field.
         """
-        if not self.enabled:
-            return _ignore
-        shape = self._add_shape(kind, first)
-        append = self._pending.append
-
-        def emit(t_us: float, *values: Any) -> None:
-            # Rows stamped with the same time object, such as one frame's
-            # transmission and receptions, share one rounded time.
-            if t_us is not self._stamp[0]:
-                self._stamp = (t_us, round(float(t_us), 3))
-            t = self._stamp[1]
-            if t < self._watermark:
-                raise self._late(kind, t)
-            append((t, shape, *values))
-
-        return emit
-
-    def shape(self, kind: str, **first: Any) -> int:
-        """The number of the shape `emitter(kind, **first)` writes, which
-        leads the values of this shape's rows in `extend`."""
         return self._add_shape(kind, first)
 
     def extend(self, rows: list[tuple]) -> None:
         """Append `(t, shape, *values)` rows as they are, in their final
         form: `t` is already the trace time, `round(t_us, 3)`, so the rows
-        write what one emitter call per row would. Their times must not
-        decrease, as the first is checked against the watermark for all."""
+        write what `record` would for the same records. Their times must
+        not decrease, as the first is checked against the watermark for
+        all. A disabled recorder keeps nothing and checks nothing."""
         if not self.enabled or not rows:
             return
         first = rows[0]
@@ -341,7 +317,3 @@ class TraceRecorder:
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_jsonl())
-
-
-def _ignore(*_: Any) -> None:
-    pass

@@ -182,8 +182,8 @@ def test_failed_run_writes_no_trace_file(tmp_path, capsys):
 def test_late_trace_record_exits_4_and_keeps_the_old_trace(tmp_path, capsys, monkeypatch):
     # A handler that stamps a record two intervals behind the clock breaks
     # the trace's order promise; the run stops instead of writing it. So
-    # does a positional row: a tick that writes the trace out past the next
-    # slot boundary makes that boundary's `slot` row late.
+    # does a row appended through `extend`: a tick that writes the trace
+    # out past the next slot boundary makes that boundary's `slot` row late.
     tick = engine._on_maintenance_tick
 
     def late_record(world, now):

@@ -5,8 +5,11 @@ fragment took two heap events, one for its transmission and one for its
 reception. Its handlers below are copies of that engine's
 `_on_slot_boundary`, `_on_data_tx`, `_on_data_rx` and `_on_arrival`, and of
 `_on_block_ack_rx` and `_process_block_ack` with the receiver's `received`
-set never pruned. Everything else (control frames, reports, maintenance
-ticks, the timeline, metrics) is the engine's own.
+set never pruned. Its slot and data rows go through `emitter`, a copy of
+the recorder's per-row writer of that time, and its slot rows' fields are
+built from the plan as that engine built them. Everything else (control
+frames, reports, maintenance ticks, the timeline, metrics) is the engine's
+own.
 
 Both engines run the same scenarios and must write byte-identical traces,
 metrics CSV and stdout:
@@ -49,18 +52,49 @@ from conftest import make_ap, make_node
 # The reference engine.
 
 
+def emitter(trace, kind, **first):
+    """`emit(t_us, *values)`: one row per call of the shape `first`
+    registers, at the trace time `round(float(t_us), 3)`. A disabled
+    recorder's emitter records nothing."""
+    if not trace.enabled:
+        return lambda t_us, *values: None
+    shape = trace.shape(kind, **first)
+
+    def emit(t_us, *values):
+        trace.extend([(round(float(t_us), 3), shape, *values)])
+
+    return emit
+
+
+def slot_emitters(world):
+    """Per slot index, its row's emitter and its fields' values after
+    `interval`, as the plan gives them."""
+    schedule, emitters = world.plan.schedule, {}
+    for index, spec in enumerate(world.structure.slots):
+        fields = {"category": spec.category.value}
+        if index in schedule.slot_directions:
+            fields["direction"] = schedule.slot_directions[index].value
+        actives = schedule.slot_links.get(index, ())
+        if actives:
+            fields["links"] = tuple(actives)
+        emit = emitter(world.trace, "slot", slot_index=index, interval=0, **fields)
+        emitters[index] = (emit, tuple(fields.values()))
+    return emitters
+
+
 def reference_run_until(world, t_end_us=None):
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
     queue = world.queue
     heap, pop = queue.heap, queue.pop
     t_end = t_end_us * world.tpu
-    world.emit_data_tx = world.trace.emitter(
-        "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
+    world.emit_slot = slot_emitters(world)
+    world.emit_data_tx = emitter(
+        world.trace, "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
         last_fragment=False, mcs=0,
     )
-    world.emit_data_rx = world.trace.emitter(
-        "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
+    world.emit_data_rx = emitter(
+        world.trace, "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
         last_fragment=False, outcome="",
     )
     world.chained = set()  # runtimes with a transmit event pending
@@ -79,8 +113,9 @@ def reference_run_until(world, t_end_us=None):
     return engine.collect_metrics(world)
 
 
-def _on_slot_boundary(world, now, start_us, interval, row, emit):
-    emit(start_us, row.index, interval, *row.values)
+def _on_slot_boundary(world, now, start_us, interval, row):
+    emit, values = world.emit_slot[row.index]
+    emit(start_us, row.index, interval, *values)
     if row.basic:
         due = world.report_due.get(start_us, ())
         for rt, window, interfered in row.runtimes:

@@ -13,7 +13,10 @@ stdout:
 - CBR arrivals on BASIC slot starts, which are also maintenance ticks, with
   periodic reports and transmit power control;
 - a service period offset from the beacon and shorter than it, so slot
-  starts never meet maintenance ticks and some ticks fall between periods.
+  starts never meet maintenance ticks and some ticks fall between periods;
+- a reception stamped less than 0.5 ns before a slot start, which rounds
+  onto it and comes before the slot row, and a block ack sent at a BASIC
+  slot start, which comes after it.
 """
 
 import contextlib
@@ -87,6 +90,23 @@ maintenance:
   periodic_reports:
     - {{link: dn1-cn1, direction: downlink, start_us: 500, interval_us: 6400, count: 10}}
 """,
+    # One MPDU per interval leaves dn1 at 129 us, 63 us into DATA slot 1,
+    # and takes 12,320 / 4,620 = 2.666667 us at MCS 12. 99.8308885 m is a
+    # propagation delay of 333,000 ps, so the reception lands 1/3 ns before
+    # slot 2 starts at 132 us, inside slot 1's window, and its trace time
+    # rounds onto the slot's.
+    "rounded_ties_at_slot_starts": """\
+name: rounded_ties_at_slot_starts
+sim: {duration_us: 6400, seed: 1, beacon_interval_us: 25600, sp_offset_us: 0, sp_duration_us: 25600}
+nodes:
+  - {id: dn1, role: dn_ap, position: [0.0, 0.0], sectors: 8}
+  - {id: cn1, role: cn_sta, position: [99.8308885, 0.0], sectors: 8}
+beamforming:
+  trained_links:
+    - {initiator: dn1, responder: cn1, initiator_sector: 0, responder_sector: 4}
+traffic:
+  - {link: dn1-cn1, direction: downlink, demand_bps: 1.0e+9, pattern: cbr, rate_bps: 7.7e+6, start_us: 129}
+""",
 }
 
 # SHA-256 of (trace, metrics CSV, stdout).
@@ -105,6 +125,11 @@ DIGESTS = {
         "4221db4a8a90d30472a464c562b52565898ac47952421d440e6792f6fe10278f",
         "63b3094fa1af89dea71cca9ce5dcdc06f7919acd1821b49f9449562c6e8b8d96",
         "19ebbfd82ce6613a9f3c359fb111785aa4bbf78cb7f06574eac97bad9c60f05f",
+    ),
+    "rounded_ties_at_slot_starts": (
+        "c3bcb784f198757ab10f7b18651eab36185d969cee18add29c4bb5f2e7297f2b",
+        "a6706173a855690d778797711e7c3fd62b44c1e8f12012e20fd92e8016b732db",
+        "8b86d878465ad381e6e3f77835f16611d457fbc55774ab7225858eb51eea60e5",
     ),
 }
 
@@ -182,3 +207,21 @@ def test_service_period_runs_off_the_tick_grid(tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_pinned_digests(name, tmp_path):
     assert tuple(map(sha256, run_case(name, tmp_path))) == DIGESTS[name]
+
+
+def test_slot_rows_keep_their_place_among_rounded_ties(tmp_path):
+    records = parse(run_case("rounded_ties_at_slot_starts", tmp_path)[0])
+    slot_at = {r["t"]: r["seq"] for r in records if r["kind"] == "slot"}
+    # A reception processed before the boundary, whose time rounds onto the
+    # slot's, is written before the slot row: once per interval.
+    received = [
+        r for r in records
+        if r["kind"] == "frame_rx" and r["frame"] == "data" and r["t"] in slot_at
+    ]
+    assert [r["t"] for r in received] == [132.0 + k * 1600 for k in range(4)]
+    assert all(r["seq"] < slot_at[r["t"]] for r in received)
+    # The block ack formed at a BASIC slot start is written after its row.
+    acks = [r for r in records if r["kind"] == "frame_tx" and r["frame"] == "block_ack"]
+    basic = {r["t"] for r in records if r["kind"] == "slot" and r["category"] == "basic"}
+    assert [r["t"] for r in acks] == [1600.0 + k * 1600 for k in range(3)]
+    assert all(r["t"] in basic and r["seq"] > slot_at[r["t"]] for r in acks)

@@ -121,7 +121,7 @@ def test_buffer_holds_at_most_two_intervals_at_a_flush():
     advance = trace.advance
 
     def observed_advance(watermark_us):
-        # Every accepted record, by `record` or by an emitter, is either
+        # Every accepted record, by `record` or by `extend`, is either
         # written, and numbered, or buffered.
         before = trace.buffered
         recorded = trace._next_seq + before
@@ -243,43 +243,33 @@ def test_undeclared_kind_or_field_raises():
     assert trace.sorted_records() == [{"t": 1.0, "kind": "announce", "node": "ap", "seq": 0}]
 
 
-def test_emitted_rows_write_what_record_writes():
-    # The same records, once by keyword and once by position: equal lines,
-    # times rounded alike, and one insertion order across both paths.
-    by_keyword, by_position = TraceRecorder(), TraceRecorder()
+def test_batch_rows_write_what_record_writes():
+    # The same records, once by keyword and twice in batches (one per row
+    # and its announce, then one of them all): equal lines, times rounded
+    # alike, and one insertion order across the paths.
     rows = [(2.0004, "ap", 1, -71.25), (1, "sta", 0, 3.5), (2.0004, "sta", 7, float("nan"))]
+    by_keyword, by_pairs, by_one_batch = TraceRecorder(), TraceRecorder(), TraceRecorder()
     for t, node, sector, snr in rows:
         by_keyword.record(t, "frame_rx", node=node, sector=sector, snr_db=snr)
         by_keyword.record(t, "announce", node=node)
-    emit_rx = by_position.emitter("frame_rx", node="", sector=0, snr_db=0.0)
-    emit_announce = by_position.emitter("announce", node="")
-    for t, node, sector, snr in rows:
-        emit_rx(t, node, sector, snr)
-        emit_announce(t, node)
-    assert by_position.to_jsonl() == by_keyword.to_jsonl()
-    assert [r["t"] for r in by_position.sorted_records()] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
-
-
-def test_a_batch_of_rows_writes_what_its_emitters_write():
-    rows = [(1, "ap", 0, 3.5), (2.0004, "ap", 1, -71.25), (2.0004, "sta", 7, float("nan"))]
-    by_emitter, by_batch = TraceRecorder(), TraceRecorder()
-    emit_rx = by_emitter.emitter("frame_rx", node="", sector=0, snr_db=0.0)
-    emit_announce = by_emitter.emitter("announce", node="")
-    for t, node, sector, snr in rows:
-        emit_rx(t, node, sector, snr)
-        emit_announce(t, node)
-    rx = by_batch.shape("frame_rx", node="", sector=0, snr_db=0.0)
-    announce = by_batch.shape("announce", node="")
-    # A batch row carries its trace time, round(t_us, 3), as the emitters write it.
+    rx = by_pairs.shape("frame_rx", node="", sector=0, snr_db=0.0)
+    announce = by_pairs.shape("announce", node="")
+    assert (by_one_batch.shape("frame_rx", node="", sector=0, snr_db=0.0),
+            by_one_batch.shape("announce", node="")) == (rx, announce)
+    # A batch row carries its trace time, round(t_us, 3), as record writes it.
     trace_times = {1: 1.0, 2.0004: 2.0}
-    by_batch.extend([
-        row for t, node, sector, snr in rows
-        for row in ((trace_times[t], rx, node, sector, snr), (trace_times[t], announce, node))
-    ])
-    assert by_batch.to_jsonl() == by_emitter.to_jsonl()
-    by_batch.advance(3)
+    pairs = [
+        [(trace_times[t], rx, node, sector, snr), (trace_times[t], announce, node)]
+        for t, node, sector, snr in rows
+    ]
+    for pair in pairs:
+        by_pairs.extend(pair)
+    by_one_batch.extend(sorted((row for pair in pairs for row in pair), key=lambda row: row[0]))
+    assert by_pairs.to_jsonl() == by_one_batch.to_jsonl() == by_keyword.to_jsonl()
+    assert [r["t"] for r in by_pairs.sorted_records()] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+    by_pairs.advance(3)
     with pytest.raises(SimulationError, match="'announce' at t=2.999 arrived after"):
-        by_batch.extend([(2.999, announce, "ap"), (4.0, announce, "ap")])
+        by_pairs.extend([(2.999, announce, "ap"), (4.0, announce, "ap")])
     assert TraceRecorder(enabled=False).extend([(1.0, 0, "ap")]) is None
 
 
@@ -288,7 +278,7 @@ OFFSETS = [0, 0, 0.5, 1, 1, 1.0004, 2.5, 3]
 offsets = st.sampled_from(OFFSETS)
 operations = st.lists(
     st.tuples(st.just("record"), offsets)
-    | st.tuples(st.just("emit"), offsets)
+    | st.tuples(st.just("row"), offsets)
     | st.tuples(st.just("extend"), st.lists(offsets, max_size=4))
     | st.tuples(st.just("advance"), st.sampled_from([0, 0.5, 1, 2.5]))
     | st.tuples(st.just("query"), offsets),
@@ -299,13 +289,14 @@ operations = st.lists(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(operations)
 def test_written_order_is_time_then_insertion_order(ops):
-    # Records by keyword, by emitter and by batch, interleaved with cuts and
-    # mid-run queries, come out as a sort by (t, insertion index) does.
-    # Every time is at or above the watermark, and often behind the latest.
+    # Records by keyword, one-row batches of one shape and multi-row batches
+    # of another, interleaved with cuts and mid-run queries, come out as a
+    # sort by (t, insertion index) does. Every time is at or above the
+    # watermark, and often behind the latest.
     out = io.StringIO()
     streamed, memory = TraceRecorder(write=out.write), TraceRecorder()
     traces = (streamed, memory)
-    emits = [trace.emitter("link_dead", link="", last_rx=0.0) for trace in traces]
+    row_shapes = [trace.shape("link_dead", link="", last_rx=0.0) for trace in traces]
     shapes = [trace.shape("frame_rx", node="", sector=0) for trace in traces]
     inserted = []  # (t, insertion index, record dict without seq)
     watermark = 0.0
@@ -323,10 +314,10 @@ def test_written_order_is_time_then_insertion_order(ops):
             for trace in traces:
                 trace.record(watermark + arg, "announce", node=f"r{n}")
             inserted.append((t, n, {"t": t, "kind": "announce", "node": f"r{n}"}))
-        elif op == "emit":
+        elif op == "row":
             t = round(watermark + arg, 3)
-            for emit in emits:
-                emit(watermark + arg, f"e{n}", float(n))
+            for trace, shape in zip(traces, row_shapes):
+                trace.extend([(t, shape, f"e{n}", float(n))])
             inserted.append((t, n, {"t": t, "kind": "link_dead", "link": f"e{n}", "last_rx": float(n)}))
         elif op == "extend":
             times = sorted(round(watermark + d, 3) for d in arg)
@@ -352,54 +343,60 @@ def test_written_order_is_time_then_insertion_order(ops):
         assert memory.iter_kind(kind) == [rec for rec in records if rec["kind"] == kind]
 
 
-def test_late_emitted_row_raises_like_a_late_record():
+def test_late_batch_row_raises_like_a_late_record():
     trace = TraceRecorder()
-    emit = trace.emitter("link_dead", link="ap-sta", last_rx=0.0)
-    emit(10.0, "ap-sta", 1.0)
+    shape = trace.shape("link_dead", link="ap-sta", last_rx=0.0)
+    trace.extend([(10.0, shape, "ap-sta", 1.0)])
     trace.advance(10)
-    emit(10.0, "ap-sta", 2.0)  # at the watermark is still in order
+    trace.extend([(10.0, shape, "ap-sta", 2.0)])  # at the watermark is still in order
     with pytest.raises(SimulationError) as late_row:
-        emit(9.999, "ap-sta", 3.0)
+        trace.extend([(9.999, shape, "ap-sta", 3.0)])
     with pytest.raises(SimulationError) as late_record:
         trace.record(9.999, "link_dead", link="ap-sta", last_rx=3.0)
     assert str(late_row.value) == str(late_record.value) == (
         "trace record 'link_dead' at t=9.999 arrived after the trace was written up to t=10"
     )
     trace.close()
-    with pytest.raises(SimulationError):
-        emit(1e9, "ap-sta", 4.0)
+    with pytest.raises(SimulationError) as after_close:
+        trace.extend([(1e9, shape, "ap-sta", 4.0)])
+    with pytest.raises(SimulationError) as record_after_close:
+        trace.record(1e9, "link_dead", link="ap-sta", last_rx=4.0)
+    assert str(after_close.value) == str(record_after_close.value)
     assert [r["last_rx"] for r in trace.sorted_records()] == [1.0, 2.0]
 
 
-def test_emitter_checks_its_shape_at_registration():
+def test_shape_checks_its_fields_at_registration():
     trace = TraceRecorder()
     with pytest.raises(SimulationError, match="'beacon' is not declared"):
-        trace.emitter("beacon", node="ap")
+        trace.shape("beacon", node="ap")
     with pytest.raises(SimulationError, match="undeclared field 'colour'"):
-        trace.emitter("announce", node="ap", colour="red")
+        trace.shape("announce", node="ap", colour="red")
     with pytest.raises(SimulationError, match="'node' is a int, declared string"):
-        trace.emitter("announce", node=7)
+        trace.shape("announce", node=7)
     with pytest.raises(SimulationError, match="'sector' is a NoneType, declared number"):
-        trace.emitter("frame_tx", node="ap", sector=None)
+        trace.shape("frame_tx", node="ap", sector=None)
     # Nothing was registered or recorded above.
-    trace.emitter("announce", node="ap")(1.0, "ap")
+    shape = trace.shape("announce", node="ap")
+    assert shape == 0
+    trace.extend([(1.0, shape, "ap")])
     assert trace.sorted_records() == [{"t": 1.0, "kind": "announce", "node": "ap", "seq": 0}]
 
 
 def test_disabled_recorder_emits_nothing():
     written = []
     trace = TraceRecorder(enabled=False, write=written.append)
-    emit = trace.emitter("announce", node="ap")
-    emit(1.0, "ap")
+    shape = trace.shape("announce", node="ap")
+    trace.extend([(1.0, shape, "ap")])
     assert trace.buffered == 0
     trace.close()
-    emit(0.0, "ap")  # nor checks the watermark
+    trace.extend([(0.0, shape, "ap")])  # nor checks the watermark
     assert trace.buffered == 0 and written == [] and trace.to_jsonl() == ""
 
 
 def test_a_disabled_recorder_is_handed_no_rows():
-    # The training sweep and the engine's bursts build no trace rows for a
-    # disabled recorder, rather than building them for `extend` to drop.
+    # The training sweep, the engine's bursts and its slot boundaries build
+    # no trace rows for a disabled recorder, rather than building them for
+    # `extend` to drop.
     handed = []
 
     class Handed(TraceRecorder):
@@ -416,12 +413,16 @@ def test_a_disabled_recorder_is_handed_no_rows():
         )
     run_scenario("saturated_dl", trace, duration_ms=4)
     assert handed == []
-    run_scenario("saturated_dl", Handed(), duration_ms=4)
-    assert {row[3] for row in handed} == {"data"}  # a traced run hands its rows
+    traced = Handed()
+    run_scenario("saturated_dl", traced, duration_ms=4)
+    # A traced run hands its rows: the bursts' data frames and the slot rows.
+    kinds = [traced._shapes[row[1]][0] for row in handed]
+    assert set(kinds) == {"frame_tx", "frame_rx", "slot"}
+    assert {row[3] for row, kind in zip(handed, kinds) if kind != "slot"} == {"data"}
 
 
 class SweepRowsOnly(TraceRecorder):
-    """Keeps only emitted rows: the training sweep's, without bf_start and
+    """Keeps only batch rows: the training sweep's, without bf_start and
     the feedback legs, which `record` writes."""
 
     def record(self, t_us, kind, **fields):
@@ -491,7 +492,7 @@ def test_a_record_holds_its_time_its_shape_and_its_values_only():
     for records in (trace._records, trace._pending):  # written, then buffered
         assert records
         assert {len(rec) - 2 - len(trace._shapes[rec[1]][1]) for rec in records} == {0}
-    # Rows by keyword, by emitter and by batch: the sweep's and the bursts'.
+    # Rows by keyword and by batch: the sweep's, the bursts' and the slots'.
     every = trace._records + trace._pending
     assert {"bf_start", "bf_trained", "slot"} <= {trace._shapes[rec[1]][0] for rec in every}
     assert {"tdd_ssw", "data"} <= {
@@ -525,7 +526,7 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
         )
     assert {r.get("slot_countdown") is None for r in trace.iter_kind("frame_tx")} == {True, False}
     assert nones == []
-    # An emitter does not check its rows, so scan what was recorded: the
+    # `extend` does not check its rows, so scan what was recorded: the
     # engine's slot and data rows and the sweep's rows included.
     recorded = [r for each in traces for r in each.sorted_records()]
     assert {r["kind"] for r in recorded} >= {"slot", "frame_tx", "frame_rx", "bf_trained"}

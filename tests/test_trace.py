@@ -243,33 +243,46 @@ def test_undeclared_kind_or_field_raises():
     assert trace.sorted_records() == [{"t": 1.0, "kind": "announce", "node": "ap", "seq": 0}]
 
 
-def test_batch_rows_write_what_record_writes():
-    # The same records, once by keyword and twice in batches (one per row
-    # and its announce, then one of them all): equal lines, times rounded
-    # alike, and one insertion order across the paths.
+def emit_rows(trace, rows):
+    """Write each frame_rx row and its announce as a batch of their own."""
+    rx = trace.shape("frame_rx", node="", sector=0, snr_db=0.0)
+    announce = trace.shape("announce", node="")
+    # A batch row carries its trace time, round(float(t_us), 3), as record writes it.
+    for t, node, sector, snr in rows:
+        t = round(float(t), 3)
+        trace.extend([(t, rx, node, sector, snr), (t, announce, node)])
+    return rx, announce
+
+
+def test_emitted_rows_write_what_record_writes():
+    # The same records, once by keyword and once by position: equal lines,
+    # times rounded alike, and one insertion order across both paths.
+    by_keyword, by_position = TraceRecorder(), TraceRecorder()
     rows = [(2.0004, "ap", 1, -71.25), (1, "sta", 0, 3.5), (2.0004, "sta", 7, float("nan"))]
-    by_keyword, by_pairs, by_one_batch = TraceRecorder(), TraceRecorder(), TraceRecorder()
     for t, node, sector, snr in rows:
         by_keyword.record(t, "frame_rx", node=node, sector=sector, snr_db=snr)
         by_keyword.record(t, "announce", node=node)
-    rx = by_pairs.shape("frame_rx", node="", sector=0, snr_db=0.0)
-    announce = by_pairs.shape("announce", node="")
-    assert (by_one_batch.shape("frame_rx", node="", sector=0, snr_db=0.0),
-            by_one_batch.shape("announce", node="")) == (rx, announce)
-    # A batch row carries its trace time, round(t_us, 3), as record writes it.
+    emit_rows(by_position, rows)
+    assert by_position.to_jsonl() == by_keyword.to_jsonl()
+    assert [r["t"] for r in by_position.sorted_records()] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+
+def test_a_batch_of_rows_writes_what_its_emitters_write():
+    # One batch of all rows writes what the rows written pair by pair write.
+    rows = [(1, "ap", 0, 3.5), (2.0004, "ap", 1, -71.25), (2.0004, "sta", 7, float("nan"))]
+    by_emitter, by_batch = TraceRecorder(), TraceRecorder()
+    emit_rows(by_emitter, rows)
+    rx = by_batch.shape("frame_rx", node="", sector=0, snr_db=0.0)
+    announce = by_batch.shape("announce", node="")
     trace_times = {1: 1.0, 2.0004: 2.0}
-    pairs = [
-        [(trace_times[t], rx, node, sector, snr), (trace_times[t], announce, node)]
-        for t, node, sector, snr in rows
-    ]
-    for pair in pairs:
-        by_pairs.extend(pair)
-    by_one_batch.extend(sorted((row for pair in pairs for row in pair), key=lambda row: row[0]))
-    assert by_pairs.to_jsonl() == by_one_batch.to_jsonl() == by_keyword.to_jsonl()
-    assert [r["t"] for r in by_pairs.sorted_records()] == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
-    by_pairs.advance(3)
+    by_batch.extend([
+        row for t, node, sector, snr in rows
+        for row in ((trace_times[t], rx, node, sector, snr), (trace_times[t], announce, node))
+    ])
+    assert by_batch.to_jsonl() == by_emitter.to_jsonl()
+    by_batch.advance(3)
     with pytest.raises(SimulationError, match="'announce' at t=2.999 arrived after"):
-        by_pairs.extend([(2.999, announce, "ap"), (4.0, announce, "ap")])
+        by_batch.extend([(2.999, announce, "ap"), (4.0, announce, "ap")])
     assert TraceRecorder(enabled=False).extend([(1.0, 0, "ap")]) is None
 
 

@@ -154,8 +154,9 @@ def build_report_schedules(
 
     The reporter is the data receiver, so its transmit opportunities are the
     `(start_us, end_us)` windows of the BASIC slots granted to the
-    reverse-direction activation, among the slots the engine runs. Rejected
-    requests (no covering slot) are returned as warnings, not errors.
+    reverse-direction activation, among the slots the engine runs, streamed
+    in start order (a slot lies inside its interval). Rejected requests (no
+    covering slot) are returned as warnings, not errors.
     """
     cfg = prep.cfg
     schedules: dict[str, ReportSchedule] = {}
@@ -164,21 +165,19 @@ def build_report_schedules(
         return schedules, warnings
 
     first_sp = cfg.build_sp_entry(prep.epoch_us)
-    runs = list(intervals(
-        first_sp, prep.structure, cfg.sim.beacon_interval_us,
-        prep.epoch_us + cfg.sim.duration_us,
-    ))
+    t_end_us = prep.epoch_us + cfg.sim.duration_us
     vertices = plan.graph.by_id()
     for r in cfg.maintenance.periodic_reports:
         vid = f"{r.link}:{r.direction}"
         rev = vertices[vid].reverse_id
-        own = [
+        own = sorted(
             (spec.start_offset_us, spec.start_offset_us + spec.duration_us)
             for index, spec in enumerate(prep.structure.slots)
             if spec.category is SlotCategory.BASIC
             and rev in plan.schedule.slot_links.get(index, ())
-        ]
-        tx_windows = [(base + start, base + end) for _, base in runs for start, end in own]
+        )
+        runs = intervals(first_sp, prep.structure, cfg.sim.beacon_interval_us, t_end_us)
+        tx_windows = ((base + s, base + e) for _, base in runs for s, e in own)
         req = PeriodicReportRequest(
             start_time_us=r.start_us, interval_us=r.interval_us, count=r.count
         )

@@ -616,15 +616,19 @@ def validate_semantics(cfg: ScenarioConfig, replaced: Collection[str] = ()) -> l
             if len(ap_ends) != 1:
                 errors.append(f"{path}: exactly one endpoint must be an AP")
 
+    seen_reports = set()
     for i, r in enumerate(cfg.maintenance.periodic_reports):
         path = f"maintenance.periodic_reports[{i}]"
         if r.direction not in _DIRECTIONS:
             errors.append(f"{path}.direction: expected downlink or uplink")
-        if (
-            flows_read and read(f"{path}.link", f"{path}.direction")
-            and (r.link, r.direction) not in traffic_flows
-        ):
+        if not read(f"{path}.link", f"{path}.direction"):
+            continue
+        flow = (r.link, r.direction)
+        if flows_read and flow not in traffic_flows:
             errors.append(f"{path}.link: no traffic entry for {r.link} {r.direction}")
+        if flow in seen_reports:
+            errors.append(f"{path}: duplicate report request for {r.link} {r.direction}")
+        seen_reports.add(flow)
     return errors
 
 

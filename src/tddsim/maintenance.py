@@ -8,9 +8,7 @@ of the covering transmit slot of the reporting node.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .domain import PowerLimits
 
@@ -47,27 +45,31 @@ class ReportSchedule(NamedTuple):
 
 def handle_periodic_report_request(
     req: PeriodicReportRequest,
-    responder_tx_windows: Sequence[tuple[int, int]],
+    responder_tx_windows: Iterable[tuple[int, int]],
 ) -> ReportSchedule:
     """Accept with slot-aligned emission times, or reject.
 
-    Each nominal time start + k*interval maps to the start of the earliest
-    `(start_us, end_us)` transmit window that ends after it. The request is
-    rejected when any nominal time has no covering transmit window.
+    Each nominal time start + k*interval maps to the start of the first
+    `(start_us, end_us)` transmit window that ends after it, or the request
+    is rejected. The windows come in start order (`ValueError` otherwise) and
+    are read once, only as far as the last report needs.
     """
-    windows = sorted(responder_tx_windows)
-    # The first window, in start order, whose running maximum of ends passes
-    # `nominal` is the first that itself ends after it.
-    ends = list(accumulate((end for _, end in windows), max))
+    windows = iter(responder_tx_windows)
+    start = end = None
     times = []
     for nominal in req.nominal_times():
-        i = bisect_right(ends, nominal)
-        if i == len(windows):
-            return ReportSchedule(
-                accepted=False,
-                reason=f"no transmit slot covers report time {nominal}us",
-            )
-        times.append(windows[i][0])
+        # Nominal times increase, so a window that ends by one ends by all later.
+        while end is None or end <= nominal:
+            previous = start
+            start, end = next(windows, (None, None))
+            if start is None:
+                return ReportSchedule(
+                    accepted=False,
+                    reason=f"no transmit slot covers report time {nominal}us",
+                )
+            if previous is not None and start < previous:
+                raise ValueError("transmit windows must come in start order")
+        times.append(start)
     return ReportSchedule(accepted=True, emission_times_us=tuple(times))
 
 

@@ -215,6 +215,24 @@ def test_periodic_report_must_reference_traffic():
     assert any("no traffic entry for ap-sta uplink" in p for p in exc.value.problems)
 
 
+def test_duplicate_report_request_rejected():
+    # A second request for the same link and direction would replace the
+    # first one's schedule.
+    report = {"link": "ap-sta", "direction": "downlink", "start_us": 10000,
+              "interval_us": 100000, "count": 3}
+    data = minimal_config(
+        maintenance={"periodic_reports": [report, dict(report, start_us=15000, count=1)]},
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert exc.value.problems == [
+        "maintenance.periodic_reports[1]: duplicate report request for ap-sta downlink"
+    ]
+    data["maintenance"]["periodic_reports"][1]["direction"] = "uplink"
+    data["traffic"].append(dict(data["traffic"][0], direction="uplink"))
+    parse_config(data)
+
+
 def test_sp_must_hold_whole_intervals():
     data = minimal_config(sim={"sp_duration_us": 25000})
     with pytest.raises(ConfigError) as exc:

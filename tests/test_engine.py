@@ -552,9 +552,11 @@ def test_same_seed_worlds_are_byte_identical():
     assert traces[0] and traces[0] == traces[1]
 
 
-def sparse_cbr_config(duration_us):
+def sparse_cbr_config(duration_us, report_span_us=None):
     """Like the benchmark's cbr_long: three sparse CBR links on two APs,
-    periodic reports steering power, for the whole run."""
+    periodic reports steering power, for the whole run (or the first
+    `report_span_us` of it)."""
+    report_span_us = report_span_us or duration_us
     return parse_config(yaml.safe_load(f"""
 name: sparse_cbr
 sim: {{duration_us: {duration_us}, beacon_interval_us: 25600, sp_duration_us: 25600}}
@@ -576,8 +578,8 @@ traffic:
 maintenance:
   tpc: {{enabled: true, target_rsni_db: 30.0, max_step_db: 3.0}}
   periodic_reports:
-    - {{link: dn0-cn0, direction: downlink, start_us: 100, interval_us: 5000, count: {duration_us // 5000 - 1}}}
-    - {{link: dn1-cn2, direction: downlink, start_us: 7000, interval_us: 12000, count: {duration_us // 12000 - 1}}}
+    - {{link: dn0-cn0, direction: downlink, start_us: 100, interval_us: 5000, count: {report_span_us // 5000 - 1}}}
+    - {{link: dn1-cn2, direction: downlink, start_us: 7000, interval_us: 12000, count: {report_span_us // 12000 - 1}}}
 """))
 
 
@@ -645,28 +647,39 @@ def test_received_set_does_not_grow_with_simulated_time():
 
 
 def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):
-    built = []
+    # The windows are read as far as each request's last report, so the
+    # same requests read the same windows in a run four times as long.
+    read = []
     handle = cli.handle_periodic_report_request
 
     def counted(req, windows):
-        built.extend(windows)
-        return handle(req, windows)
+        def reading():
+            for window in windows:
+                read.append(window)
+                yield window
+        return handle(req, reading())
 
     monkeypatch.setattr(cli, "handle_periodic_report_request", counted)
-    cfg = sparse_cbr_config(320_000)
-    prep = cli.prepare_scenario(cfg)
-    plan = cli.plan_scenario(prep)
-    schedules, warnings = cli.build_report_schedules(prep, plan)
-    assert len(schedules) == 2 and not warnings
-    vertices = plan.graph.by_id()
-    reporters_basic = [
-        index
-        for r in cfg.maintenance.periodic_reports
-        for index in (0, 12)
-        if vertices[f"{r.link}:{r.direction}"].reverse_id in plan.schedule.slot_links[index]
-    ]
-    assert len(reporters_basic) == 2  # one BASIC slot per reverse path
-    assert len(built) == len(reporters_basic) * 320_000 // 1600
+    counts = []
+    for duration_us in (320_000, 1_280_000):
+        read.clear()
+        cfg = sparse_cbr_config(duration_us, report_span_us=320_000)
+        prep = cli.prepare_scenario(cfg)
+        plan = cli.plan_scenario(prep)
+        schedules, warnings = cli.build_report_schedules(prep, plan)
+        assert len(schedules) == 2 and not warnings
+        vertices = plan.graph.by_id()
+        reporters_basic = [
+            index
+            for r in cfg.maintenance.periodic_reports
+            for index in (0, 12)
+            if vertices[f"{r.link}:{r.direction}"].reverse_id in plan.schedule.slot_links[index]
+        ]
+        assert len(reporters_basic) == 2  # one BASIC slot per reverse path
+        counts.append(len(read))
+    assert counts[0] == counts[1]
+    # At most the reporters' BASIC slots of the first 320 ms.
+    assert 0 < counts[0] <= len(reporters_basic) * 320_000 // 1600
 
 
 def test_slot_outside_its_interval_is_refused():

@@ -1,4 +1,6 @@
+from bisect import bisect_right
 from enum import Enum
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,14 +8,18 @@ from hypothesis import given, settings, strategies as st
 from tddsim.domain import PowerLimits
 from tddsim.maintenance import (
     PeriodicReportRequest,
+    ReportSchedule,
     handle_periodic_report_request,
     tpc_update,
 )
 from tddsim.schedule import (
     ExtendedScheduleEntry,
     SlotCategory,
+    SlotSpec,
+    TddSlotStructure,
     default_slot_structure,
     expand_sp,
+    intervals,
 )
 
 
@@ -83,10 +89,97 @@ def slots_and_requests(draw):
 @given(slots_and_requests())
 def test_bisected_mapping_equals_the_linear_scan(case):
     req, windows = case
-    schedule = handle_periodic_report_request(req, windows)
+    schedule = handle_periodic_report_request(req, sorted(windows))
     expected = linear_scan(req, windows)
     assert schedule.accepted == (expected is not None)
     assert schedule.emission_times_us == (expected or ())
+
+
+def test_windows_out_of_start_order_are_refused():
+    req = PeriodicReportRequest(start_time_us=35, interval_us=10, count=1)
+    with pytest.raises(ValueError, match="start order"):
+        handle_periodic_report_request(req, [(0, 10), (20, 30), (15, 40)])
+    # Only the windows read are checked: the first report needs two.
+    early = PeriodicReportRequest(start_time_us=25, interval_us=10, count=1)
+    schedule = handle_periodic_report_request(early, [(0, 10), (20, 30), (15, 40)])
+    assert schedule.emission_times_us == (20,)
+
+
+def test_an_endless_window_stream_is_read_to_the_last_report():
+    read = []
+
+    def windows():
+        for k in count():
+            read.append(k)
+            yield 100 * k, 100 * k + 10
+
+    req = PeriodicReportRequest(start_time_us=5, interval_us=250, count=4)
+    schedule = handle_periodic_report_request(req, windows())
+    # Nominal 5, 255, 505, 755: windows 0, 3, 5 and 8 are the first to end after them.
+    assert schedule.emission_times_us == (0, 300, 500, 800)
+    assert read == list(range(9))
+
+
+def listed_and_bisected(req, first_sp, structure, beacon_interval_us, t_end_us, template):
+    """The mapping as it was: every window of the run listed and sorted, and
+    each nominal time bisected on the running maximum of their ends."""
+    runs = list(intervals(first_sp, structure, beacon_interval_us, t_end_us))
+    windows = sorted((base + s, base + e) for _, base in runs for s, e in template)
+    ends = list(accumulate((end for _, end in windows), max))
+    times = []
+    for nominal in req.nominal_times():
+        i = bisect_right(ends, nominal)
+        if i == len(windows):
+            return ReportSchedule(
+                accepted=False,
+                reason=f"no transmit slot covers report time {nominal}us",
+            )
+        times.append(windows[i][0])
+    return ReportSchedule(accepted=True, emission_times_us=tuple(times))
+
+
+@st.composite
+def report_grids(draw):
+    """An SP of 1-4 intervals at an offset, recurring after a beacon gap, a
+    run end anywhere (inside an interval too), 1-3 BASIC windows per
+    interval in any order, and a request over that span."""
+    interval_us = draw(st.integers(4, 60))
+    spans = draw(st.lists(st.tuples(st.integers(0, interval_us - 1), st.integers(1, interval_us)),
+                          min_size=1, max_size=3))
+    template = [(start, min(start + duration, interval_us)) for start, duration in spans]
+    sp_duration_us = interval_us * draw(st.integers(1, 4))
+    first_sp = ExtendedScheduleEntry(1, draw(st.integers(0, 200)), sp_duration_us)
+    beacon_interval_us = sp_duration_us + draw(st.integers(0, 100))
+    t_end_us = first_sp.start_time_us + draw(st.integers(0, 4 * beacon_interval_us))
+    req = PeriodicReportRequest(
+        start_time_us=draw(st.integers(0, t_end_us + 50)),
+        interval_us=draw(st.integers(1, 2 * beacon_interval_us)),
+        count=draw(st.integers(1, 6)),
+    )
+    return req, first_sp, interval_us, beacon_interval_us, t_end_us, template
+
+
+def test_stream_scan_equals_the_listed_and_bisected_mapping():
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(report_grids())
+    def check(case):
+        req, first_sp, interval_us, beacon_interval_us, t_end_us, template = case
+        slots = tuple(SlotSpec(s, e - s, SlotCategory.BASIC) for s, e in template)
+        structure = TddSlotStructure(1, interval_us, slots)
+        # The stream as `cli.build_report_schedules` builds it.
+        own = sorted(template)
+        runs = intervals(first_sp, structure, beacon_interval_us, t_end_us)
+        stream = ((base + s, base + e) for _, base in runs for s, e in own)
+        expected = listed_and_bisected(
+            req, first_sp, structure, beacon_interval_us, t_end_us, template
+        )
+        assert handle_periodic_report_request(req, stream) == expected
+        outcomes.add(expected.accepted)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_report_request_rejected_without_coverage():

@@ -266,7 +266,8 @@ def _sweep(
     its codebook, round robin. A sample's SNR is `LinkTable.snr_db`'s sum,
     term by term in its order, from the link entry read once per responder.
     The frames' trace rows are written as one batch, and not built at all
-    when the trace is disabled.
+    when the trace is disabled. A flat-top sector gives each leg few distinct
+    SNRs, so each nonzero SNR is rounded once per sweep, its rows sharing it.
     """
     ini_id = initiator.node_id
     power, noise = initiator.tx_power_dbm, links.noise_floor_dbm
@@ -284,6 +285,7 @@ def _sweep(
         )
     rows = []
     row = rows.append
+    rounded: dict[float, float] = {}
     legs = [
         (r.node_id, len(r.codebook), *links.entry(initiator, r), [])
         for r in responders
@@ -305,9 +307,10 @@ def _sweep(
             if decoded:
                 found.append((tx, rx, snr))
             if traced:
-                row((
-                    t, rx_shape, rid, "tdd_ssw", rx, tx, round(snr, 3),
-                    "decoded" if decoded else "below_threshold",
-                ))
+                # 0.0 == -0.0 as keys, but each rounds to itself: never cache zero.
+                shown = rounded.get(snr) if snr else round(snr, 3)
+                if shown is None:
+                    shown = rounded[snr] = round(snr, 3)
+                row((t, rx_shape, rid, "tdd_ssw", rx, tx, shown, "decoded" if decoded else "below_threshold"))
     trace.extend(rows)
     return [leg[-1] for leg in legs]

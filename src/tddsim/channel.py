@@ -60,6 +60,16 @@ def propagation_delay_us(a: NodeModel, b: NodeModel) -> float:
     return distance_m(a, b) / SPEED_OF_LIGHT_M_PER_US
 
 
+def link_geometry(tx: NodeModel, rx: NodeModel, cfg: LinkBudgetConfig) -> tuple[float, float, float]:
+    """`(loss dB, bearing tx->rx, bearing rx->tx)` of an ordered node pair, the
+    loss with the pair's extra loss; ValueError if the nodes are coincident."""
+    d = distance_m(tx, rx)
+    if d == 0.0:
+        raise ValueError(f"nodes {tx.node_id} and {rx.node_id} are coincident")
+    loss = path_loss_db(d, cfg.carrier_hz) + cfg.pair_loss_db(tx.node_id, rx.node_id)
+    return loss, bearing_deg(tx.position, rx.position), bearing_deg(rx.position, tx.position)
+
+
 class _SectorGains(dict):
     """Gain of each sector of a codebook toward one bearing, computed the
     first time the sector is asked for. An unknown sector index, negative
@@ -93,18 +103,13 @@ class LinkTable:
         self._entries: dict[tuple[str, str], tuple[float, _SectorGains, _SectorGains]] = {}
 
     def entry(self, tx: NodeModel, rx: NodeModel) -> tuple[float, _SectorGains, _SectorGains]:
+        """`link_geometry`'s loss, and each end's lazy gain map toward the other."""
         key = (tx.node_id, rx.node_id)
         found = self._entries.get(key)
         if found is None:
-            d = distance_m(tx, rx)
-            if d == 0.0:
-                raise ValueError(f"nodes {tx.node_id} and {rx.node_id} are coincident")
-            cfg = self.cfg
-            loss = path_loss_db(d, cfg.carrier_hz) + cfg.pair_loss_db(tx.node_id, rx.node_id)
+            loss, out, back = link_geometry(tx, rx, self.cfg)
             found = self._entries[key] = (
-                loss,
-                _SectorGains(tx.codebook, bearing_deg(tx.position, rx.position)),
-                _SectorGains(rx.codebook, bearing_deg(rx.position, tx.position)),
+                loss, _SectorGains(tx.codebook, out), _SectorGains(rx.codebook, back),
             )
         return found
 

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import groupby
 from typing import Callable, Iterator, Optional
 
 from .beamforming import (
@@ -156,7 +157,8 @@ def build_report_schedules(
     `(start_us, end_us)` windows of the BASIC slots granted to the
     reverse-direction activation, among the slots the engine runs, streamed
     in start order (a slot lies inside its interval). Rejected requests (no
-    covering slot) are returned as warnings, not errors.
+    covering slot) are returned as warnings, not errors, and so is each BASIC
+    slot that an accepted request gives more than one report.
     """
     cfg = prep.cfg
     schedules: dict[str, ReportSchedule] = {}
@@ -184,6 +186,11 @@ def build_report_schedules(
         schedule = handle_periodic_report_request(req, tx_windows)
         if schedule.accepted:
             schedules[vid] = schedule
+            # Emission times never decrease, so equal ones are adjacent.
+            for t, same in groupby(schedule.emission_times_us):
+                n = len(list(same))
+                if n > 1:
+                    warnings.append(f"report request for {vid}: {n} reports share the BASIC slot at {t} us")
         else:
             warnings.append(f"report request for {vid} rejected: {schedule.reason}")
     return schedules, warnings

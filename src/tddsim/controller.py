@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .beamforming import BeamMeasurementReport, TrainedLink
-from .channel import LinkBudgetConfig, LinkTable, link_snr_db
-from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
+from .channel import LinkBudgetConfig, link_geometry, link_snr_db, noise_floor_dbm
+from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr, sector_gain_dbi
 from .schedule import (
     Direction,
     ScheduleViolation,
@@ -136,8 +136,10 @@ def build_interference_graph(
 
     Cross-link received power comes from measurement reports when the
     (tx node, tx sector, rx node, rx sector) tuple was reported; otherwise
-    the channel model is queried directly and the pair is flagged as
-    model-derived.
+    it is priced from the channel model and the pair is flagged as
+    model-derived. A model price is `LinkTable.power_dbm`'s sum, term by
+    term in its order, over `link_geometry` (cached once per ordered node
+    pair) and the two ends' `sector_gain_dbi`; no link table is built.
     """
     vertices: list[DirectedLink] = []
     for trained in trained_links:
@@ -149,8 +151,8 @@ def build_interference_graph(
             key = (report.initiator_id, tx_sector, report.responder_id, rx_sector)
             reported[key] = snr
 
-    links = LinkTable(channel_cfg)
-    threshold = links.noise_floor_dbm + channel_cfg.interference_threshold_db
+    threshold = noise_floor_dbm(channel_cfg) + channel_cfg.interference_threshold_db
+    geometry: dict[tuple[str, str], tuple[float, float, float]] = {}
 
     edges: set[frozenset[str]] = set()
     model_derived: set[tuple[str, str]] = set()
@@ -161,9 +163,14 @@ def build_interference_graph(
         if key in reported:
             # Reported SNR is referenced to the same noise floor.
             return reported[key] > channel_cfg.interference_threshold_db, False
-        power = links.power_dbm(
-            nodes[tx.tx_node], tx.tx_sector, nodes[victim.rx_node], victim.rx_sector
-        )
+        src, dst = nodes[tx.tx_node], nodes[victim.rx_node]
+        pair = (tx.tx_node, victim.rx_node)
+        found = geometry.get(pair)
+        if found is None:
+            found = geometry[pair] = link_geometry(src, dst, channel_cfg)
+        loss, out, back = found
+        power = (src.tx_power_dbm + sector_gain_dbi(src.codebook, tx.tx_sector, out)
+                 + sector_gain_dbi(dst.codebook, victim.rx_sector, back) - loss)
         return power > threshold, True
 
     for i, a in enumerate(vertices):

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -6,10 +7,11 @@ import pytest
 from tddsim.beamforming import (
     BeamformingConfig,
     BfMode,
+    _sweep,
     make_sweep_plan,
     run_beamforming,
 )
-from tddsim.channel import LinkBudgetConfig, link_snr_db
+from tddsim.channel import LinkBudgetConfig, LinkTable, link_snr_db
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
@@ -254,3 +256,62 @@ def test_a_disabled_trace_gives_the_traced_result_without_building_rows(mode):
     # The traced run holds its rows, about 70 kB here; the disabled one
     # builds none, not even to drop them.
     assert disabled_peak * 4 < traced_peak
+
+
+def sweep_rx_rows(trace):
+    """The `tdd_ssw` `frame_rx` rows of a trace, as written."""
+    rows = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    return [r for r in rows if r["kind"] == "frame_rx" and r["frame"] == "tdd_ssw"]
+
+
+@pytest.mark.parametrize("mode", list(BfMode))
+def test_each_sweep_row_writes_its_own_sample_rounded(mode):
+    """A sweep rounds each distinct SNR once and shares it between rows, so a
+    row must still write exactly `round(snr, 3)` of its own sample."""
+    channel = LinkBudgetConfig(extra_loss_db={frozenset(("ap", "r1")): 0.0004})
+    ini = make_ap("ap", sectors=12, tx_power_dbm=9.9996)
+    responders = [
+        make_node("r0", position=(93.7, 41.3), sectors=6, tx_power_dbm=3.25),
+        make_node("r1", position=(-60.1, 88.9), sectors=12),
+        make_node("r2", position=(1.0e4, -3.0), sectors=5),
+    ]
+    if mode is BfMode.INDIVIDUAL:
+        responders = responders[:1]
+    by_id = {r.node_id: r for r in responders}
+    trace = TraceRecorder()
+    run_beamforming(mode, ini, responders, channel, window(), BeamformingConfig(), trace)
+    rows = sweep_rx_rows(trace)
+    plan = make_sweep_plan(mode, ini, responders, BeamformingConfig(), 0)
+    assert len(rows) == plan.n_frames * len(responders)
+    links = LinkTable(channel)
+    assert [repr(r["snr_db"]) for r in rows] == [
+        repr(round(links.snr_db(ini, r["tx_sector"], by_id[r["node"]], r["sector"]), 3))
+        for r in rows
+    ]
+    # Few distinct values over many rows: the sharing is exercised.
+    assert len({r["snr_db"] for r in rows}) * 10 < len(rows)
+
+
+class ZeroLinks:
+    """A link table whose sweep sums are exactly -0.0, 0.0 or 1.23456 dB.
+
+    With a -0.0 dBm initiator and no loss or noise, `-0.0 + -0.0 + g - 0.0
+    - 0.0` is -0.0 for a receive gain of -0.0 and 0.0 for a gain of 0.0.
+    """
+
+    noise_floor_dbm = 0.0
+    rx_gains = [-0.0, 0.0, 1.23456, 0.0, -0.0, 1.23456]
+
+    def entry(self, initiator, responder):
+        return 0.0, [-0.0] * len(initiator.codebook), self.rx_gains
+
+
+def test_sweep_writes_zero_and_negative_zero_as_round_does():
+    ini = make_ap("ap", sectors=2, tx_power_dbm=-0.0)
+    sta = make_node("sta", position=(100.0, 0.0), sectors=len(ZeroLinks.rx_gains))
+    plan = make_sweep_plan(BfMode.MEASUREMENT, ini, [sta], BeamformingConfig(), 0)
+    trace = TraceRecorder()
+    [found] = _sweep(plan, ini, [sta], ZeroLinks(), -1.0, trace)
+    written = [repr(r["snr_db"]) for r in sweep_rx_rows(trace)]
+    expected = [repr(round(snr, 3)) for _, _, snr in found]
+    assert written == expected == ["-0.0", "0.0", "1.235", "0.0", "-0.0", "1.235"] * 2

@@ -435,6 +435,29 @@ def test_report_emissions_fall_on_basic_slots_the_engine_runs(duration_ms, tmp_p
     assert err == "".join(f"{w}\n" for w in warnings)
 
 
+def test_reports_due_during_training_sharing_one_basic_slot_are_warned(tmp_path, capsys):
+    # One training run takes the first beacon interval (epoch 25,600 us), so
+    # all five nominal times fall before the reporter's first BASIC slot.
+    scenario = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
+    scenario["maintenance"] = {"periodic_reports": [
+        {"link": "dn1-cn1", "direction": "downlink", "start_us": 0, "interval_us": 1000, "count": 5},
+    ]}
+    path, trace_path = tmp_path / "reports.yaml", tmp_path / "trace.jsonl"
+    path.write_text(yaml.safe_dump(scenario))
+    assert run_cli(
+        "run", "--config", str(path), "--duration-ms", "2", "--trace", str(trace_path),
+    ) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "report request for dn1-cn1:downlink: 5 reports share the BASIC slot at 25600 us\n"
+    )
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    sent = [
+        r["t"] for r in records
+        if r["kind"] == "frame_tx" and r["frame"] == "link_measurement_report"
+    ]
+    assert len(sent) == 5 and all(25600 <= t < 25600 + 66 for t in sent)
+
+
 def test_report_request_past_the_last_whole_interval_is_rejected(capsys):
     # At 212 ms the slot covering the 210 ms report (211.2 ms) lies in a
     # partial final interval, which the engine does not run.

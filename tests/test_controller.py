@@ -1,6 +1,11 @@
 
-import pytest
+import math
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tddsim import channel
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
 from tddsim.channel import LinkBudgetConfig, LinkTable, noise_floor_dbm
 from tddsim.controller import (
@@ -12,6 +17,7 @@ from tddsim.controller import (
     links_from_trained,
     verify_global,
 )
+from tddsim.domain import NodeModel, Role, uniform_codebook
 from tddsim.schedule import Direction, default_slot_structure
 
 from conftest import make_ap, make_node
@@ -178,6 +184,173 @@ def test_reported_interference_creates_edge_model_would_miss():
     )
     graph = build_interference_graph(nodes, [t1, t2], [hot], CHANNEL)
     assert graph.conflicts("ap1-sta1:downlink", "ap2-sta2:downlink")
+
+
+def link_table_graph(nodes, trained_links, measurement_reports, channel_cfg):
+    """`(edges, model_derived_pairs)` of build_interference_graph as it was
+    first written: every model-derived cross pair priced through a
+    `LinkTable` entry."""
+    vertices = []
+    for trained in trained_links:
+        vertices.extend(links_from_trained(trained, nodes, channel_cfg))
+    reported = {}
+    for report in measurement_reports:
+        for tx_sector, rx_sector, snr in report.samples:
+            reported[(report.initiator_id, tx_sector, report.responder_id, rx_sector)] = snr
+    links = LinkTable(channel_cfg)
+    threshold = links.noise_floor_dbm + channel_cfg.interference_threshold_db
+
+    def victim_hit(tx, victim):
+        key = (tx.tx_node, tx.tx_sector, victim.rx_node, victim.rx_sector)
+        if key in reported:
+            return reported[key] > channel_cfg.interference_threshold_db, False
+        power = links.power_dbm(
+            nodes[tx.tx_node], tx.tx_sector, nodes[victim.rx_node], victim.rx_sector
+        )
+        return power > threshold, True
+
+    edges, model_derived = set(), set()
+    for i, a in enumerate(vertices):
+        for b in vertices[i + 1:]:
+            if a.nodes & b.nodes:
+                edges.add(frozenset((a.vertex_id, b.vertex_id)))
+                continue
+            hit_ab, model_ab = victim_hit(a, b)
+            hit_ba, model_ba = victim_hit(b, a)
+            if hit_ab or hit_ba:
+                edges.add(frozenset((a.vertex_id, b.vertex_id)))
+            if model_ab or model_ba:
+                model_derived.add((a.vertex_id, b.vertex_id))
+    return frozenset(edges), frozenset(model_derived)
+
+
+def threshold_at(cfg, power_dbm):
+    """An `interference_threshold_db` that puts noise floor + threshold at
+    exactly `power_dbm`, or None if no float near it does."""
+    floor = noise_floor_dbm(cfg)
+    guess = power_dbm - floor
+    for _ in range(8):
+        if floor + guess == power_dbm:
+            return guess
+        guess = math.nextafter(guess, math.inf if floor + guess < power_dbm else -math.inf)
+    return None
+
+
+# AP positions on a coarse grid (so two APs may coincide) or anywhere in a
+# 1 km square; fractional powers and gains make sums whose float rounding
+# depends on the order of their terms.
+coords = st.sampled_from([0.0, 30.0, 300.0]) | st.floats(-500.0, 500.0)
+powers = st.sampled_from([-10.0, 10.0, 20.0]) | st.floats(-10.0, 20.0)
+antennas = st.tuples(
+    st.integers(1, 16), powers, st.just((25.0, -10.0)) | st.tuples(st.floats(5.0, 30.0), st.floats(-20.0, 0.0)),
+)
+
+
+@st.composite
+def graph_cases(draw):
+    """Two to four AP-STA links, extra losses, reports on trained sector
+    pairs and a threshold, possibly one at a cross pair's exact power."""
+    nodes, trained = {}, []
+    for k in range(draw(st.integers(2, 4))):
+        ap_at = (draw(coords), draw(coords))
+        dist, angle = draw(st.floats(10.0, 300.0)), math.radians(draw(st.floats(0.0, 360.0)))
+        ends = [
+            (f"ap{k}", Role.DN_AP, ap_at, draw(antennas)),
+            (f"sta{k}", Role.CN_STA, (ap_at[0] + dist * math.cos(angle), ap_at[1] + dist * math.sin(angle)),
+             draw(antennas)),
+        ]
+        for node_id, role, at, (sectors, power, gains) in ends:
+            nodes[node_id] = NodeModel(node_id, role, at, uniform_codebook(sectors, *gains), tx_power_dbm=power)
+        trained.append(TrainedLink(
+            f"ap{k}", f"sta{k}",
+            draw(st.integers(0, len(nodes[f"ap{k}"].codebook) - 1)),
+            draw(st.integers(0, len(nodes[f"sta{k}"].codebook) - 1)), 0.0,
+        ))
+    ids = sorted(nodes)
+    sector = {t.initiator_id: t.initiator_sector for t in trained}
+    sector.update({t.responder_id: t.responder_sector for t in trained})
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    extra = {frozenset(p): draw(st.floats(0.0, 30.0)) for p in draw(st.lists(pairs, max_size=3))}
+    cfg = LinkBudgetConfig(
+        interference_threshold_db=draw(st.sampled_from([0.0, 5.0]) | st.floats(-20.0, 40.0)),
+        extra_loss_db=extra,
+    )
+    if draw(st.booleans()):
+        # ap0 transmitting into sta1's receiver, priced by the model.
+        power = LinkTable(cfg).power_dbm(nodes["ap0"], sector["ap0"], nodes["sta1"], sector["sta1"])
+        at = threshold_at(cfg, power)
+        if at is not None:
+            cfg.interference_threshold_db = at
+    reports = [
+        BeamMeasurementReport(rx, tx, (
+            (sector[tx], sector[rx], draw(st.just(cfg.interference_threshold_db) | st.floats(-30.0, 40.0))),
+            (len(nodes[tx].codebook), 0, 99.0),  # a sector pair no link uses
+        ))
+        for tx, rx in draw(st.lists(pairs, max_size=4, unique=True))
+        if (tx, rx) != ("ap0", "sta1")
+    ]
+    return nodes, trained, reports, cfg
+
+
+def test_graph_equals_the_link_table_oracle():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph_cases(), st.sampled_from(["ap0", "sta0", "ap1", "sta1"]), powers)
+    def check(case, changed, power):
+        nodes, trained, reports, cfg = case
+        # The same nodes before and after one node's power changes.
+        for _ in range(2):
+            try:
+                expected = link_table_graph(nodes, trained, reports, cfg)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=str(error)):
+                    build_interference_graph(nodes, trained, reports, cfg)
+                seen["coincident"] += 1
+                return
+            graph = build_interference_graph(nodes, trained, reports, cfg)
+            assert (graph.edges, graph.model_derived_pairs) == expected
+            nodes[changed].set_tx_power(power)
+        floor = noise_floor_dbm(cfg)
+        ap0, sta1 = trained[0], trained[1]
+        at = LinkTable(cfg).power_dbm(
+            nodes["ap0"], ap0.initiator_sector, nodes["sta1"], sta1.responder_sector,
+        ) == floor + cfg.interference_threshold_db
+        seen["power at threshold"] += at
+        seen["report at threshold"] += any(
+            s[2] == cfg.interference_threshold_db for r in reports for s in r.samples
+        )
+        seen["extra loss"] += bool(cfg.extra_loss_db)
+        seen["cross edge"] += any(len({v.split(":")[0] for v in e}) == 2 for e in expected[0])
+        seen["model-derived"] += bool(expected[1])
+
+    check()
+    assert set(seen) >= {
+        "power at threshold", "report at threshold", "extra loss", "cross edge", "model-derived",
+    }, seen
+    assert all(seen.values()), seen
+
+
+def test_graph_builds_without_link_table_entries(monkeypatch):
+    """Cross pairs are priced from geometry alone; only the trained links'
+    own SNRs (`links_from_trained`) may still read a link table."""
+    ap1, sta1, t1 = one_pair("1", sectors=4)
+    ap2, sta2, t2 = one_pair("2", origin=(0.0, 50.0), sectors=4)
+    ap3, sta3, t3 = one_pair("3", origin=(0.0, -300.0))
+    nodes = {n.node_id: n for n in (ap1, sta1, ap2, sta2, ap3, sta3)}
+    expected = build_interference_graph(nodes, [t1, t2, t3], [], CHANNEL)
+    own = {frozenset((t.initiator_id, t.responder_id)) for t in (t1, t2, t3)}
+    entry = LinkTable.entry
+
+    def own_links_only(self, tx, rx):
+        assert frozenset((tx.node_id, rx.node_id)) in own, f"cross pair {tx.node_id}->{rx.node_id} read"
+        return entry(self, tx, rx)
+
+    monkeypatch.setattr(channel.LinkTable, "entry", own_links_only)
+    graph = build_interference_graph(nodes, [t1, t2, t3], [], CHANNEL)
+    assert graph.model_derived_pairs
+    assert (graph.edges, graph.model_derived_pairs) == (expected.edges, expected.model_derived_pairs)
+    assert len(graph.edges) > 3  # cross edges as well as each link's own
 
 
 def test_graph_rejects_malformed_edges():

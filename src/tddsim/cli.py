@@ -7,9 +7,9 @@ Subcommands:
   run       full pipeline: training, planning, then event simulation
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible plan
-(starved links), 4 runtime violation: a slot structure the run cannot
-follow or a broken engine invariant, such as a trace record stamped behind
-what was already written.
+(starved links), 4 runtime violation: a fault after validation, such as a
+slot structure the run cannot follow, a broken engine invariant (a trace
+record stamped behind what was already written) or any other ValueError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .controller import (
     verify_global,
 )
 from .engine import World, metrics_to_csv, run_until
-from .errors import ConfigError, SimulationError, StructureError
+from .errors import ConfigError, SimulationError
 from .frames import FrameSizes
 from .maintenance import PeriodicReportRequest, ReportSchedule, handle_periodic_report_request
 from .schedule import Direction, SlotCategory, intervals, sp_window
@@ -467,13 +467,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    # Before ValueError, which StructureError subclasses.
-    except (StructureError, SimulationError) as exc:
+    except (ValueError, SimulationError) as exc:  # after validation, a program fault
         print(f"runtime violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -226,7 +226,16 @@ class AssignmentResult(NamedTuple):
 DEFAULT_DL_DATA_FRACTION = 0.75
 
 
-def _split_indices(indices: list[int], n_first: int) -> tuple[list[int], list[int]]:
+def _split_pool(
+    indices: list[int], first: list[str], second: list[str], first_share: float,
+) -> tuple[list[int], list[int]]:
+    """Split a slot pool between two directions, the first taking the leading
+    slots: `first_share` of them when both want slots, at least one each."""
+    n = len(indices)
+    if first and second:
+        n_first = max(1, min(n - 1, round(n * first_share)))
+    else:
+        n_first = n if first else 0
     return indices[:n_first], indices[n_first:]
 
 
@@ -243,13 +252,19 @@ def assign_slots(
     each slot hosts a pairwise non-conflicting set of same-direction
     activations. Every scheduled activation also receives one BASIC slot
     per interval for the reverse path, carrying its delayed acks and
-    control responses. Activations that cannot be granted any slot, and
-    demands on links that were never trained, are excluded from the
-    schedule and listed as starved.
+    control responses. Activations that cannot be granted any slot, whose
+    own or reverse path is below the lowest MCS, and demands on links that
+    were never trained, are excluded from the schedule and listed as starved.
     """
     by_id = graph.by_id()
     demand_by_vertex: dict[str, DemandSpec] = {}
     starved: list[StarvedLink] = []
+
+    def starve(demand: DemandSpec, reason: str) -> None:
+        starved.append(StarvedLink(
+            demand.link_id, demand.direction, demand.demanded_rate_bps, reason,
+        ))
+
     for demand in demands:
         if demand.demanded_rate_bps <= 0:
             continue
@@ -260,168 +275,95 @@ def assign_slots(
         ends = demand.link_id.split("-")
         if len(ends) != 2 or not all(ends):
             raise ValueError(f"demand link id {demand.link_id!r} is not of the form <ap>-<sta>")
-        starved.append(StarvedLink(
-            link_id=demand.link_id, direction=demand.direction,
-            demanded_rate_bps=demand.demanded_rate_bps, reason="link not trained",
-        ))
-
-    interval_us = structure_template.interval_duration_us
-    data_slots = [s for s in structure_template.slots if s.category is SlotCategory.DATA]
-    basic_slots = [s for s in structure_template.slots if s.category is SlotCategory.BASIC]
-    slot_index = {slot: i for i, slot in enumerate(structure_template.slots)}
-
-    def phy_rate(vid: str) -> float:
-        entry = mcs_from_snr(mcs_table, by_id[vid].snr_db)
-        return float(entry.phy_rate_bps) if entry else 0.0
+        starve(demand, "link not trained")
 
     # Deterministic priority: demanded rate descending, then vertex id.
     order = sorted(
         demand_by_vertex,
         key=lambda vid: (-demand_by_vertex[vid].demanded_rate_bps, vid),
     )
-    active = [vid for vid in order if phy_rate(vid) > 0.0]
-    unservable = [vid for vid in order if phy_rate(vid) <= 0.0]
+    phy_rate: dict[str, float] = {}  # servable vertex id -> its MCS rate
+    for vid in order:
+        entry = mcs_from_snr(mcs_table, by_id[vid].snr_db)
+        rate = float(entry.phy_rate_bps) if entry else 0.0
+        if rate <= 0.0:
+            starve(demand_by_vertex[vid], "link SNR below the lowest MCS threshold")
+        elif mcs_from_snr(mcs_table, by_id[by_id[vid].reverse_id].snr_db) is None:
+            starve(demand_by_vertex[vid], "reverse-path SNR below the lowest MCS threshold")
+        else:
+            phy_rate[vid] = rate
 
-    # Reverse-path BASIC slot requirement, grouped by the direction the
-    # responding node transmits in (DL data acks travel uplink, and vice versa).
-    basic_need: dict[Direction, list[str]] = {Direction.UPLINK: [], Direction.DOWNLINK: []}
-    for vid in active:
-        basic_need[by_id[vid].direction.reverse()].append(vid)
+    def by_direction(vids) -> tuple[list[str], list[str]]:
+        return tuple([v for v in vids if by_id[v].direction is d] for d in Direction)
 
-    n_basic = len(basic_slots)
-    if basic_need[Direction.UPLINK] and basic_need[Direction.DOWNLINK]:
-        n_ul_basic = max(1, min(n_basic - 1, round(n_basic / 2)))
-    elif basic_need[Direction.UPLINK]:
-        n_ul_basic = n_basic
-    else:
-        n_ul_basic = 0
-    basic_indices = sorted(slot_index[s] for s in basic_slots)
-    ul_basic, dl_basic = _split_indices(basic_indices, n_ul_basic)
-    basic_pool = {Direction.UPLINK: ul_basic, Direction.DOWNLINK: dl_basic}
+    slots = structure_template.slots
+    basic_indices = [i for i, s in enumerate(slots) if s.category is SlotCategory.BASIC]
+    data_indices = [i for i, s in enumerate(slots) if s.category is SlotCategory.DATA]
 
-    # BASIC packing: independent sets of reverse-path activations per slot.
-    basic_grant: dict[str, int] = {}  # data vertex id -> basic slot index
+    # BASIC packing: each activation's reverse path takes the first slot of
+    # the pool its acks travel in (DL data acks travel uplink, and vice
+    # versa) where it conflicts with no reverse path already placed.
+    dl_active, ul_active = by_direction(phy_rate)
+    basic_grant: dict[str, int] = {}  # data vertex id -> BASIC slot index
     basic_members: dict[int, list[str]] = {i: [] for i in basic_indices}
+    basic_pools = _split_pool(basic_indices, dl_active, ul_active, 0.5)
+    for pool, wants in zip(basic_pools, (dl_active, ul_active)):
+        for vid in wants:
+            reverse_id = by_id[vid].reverse_id
+            for idx in pool:
+                if not any(graph.conflicts(reverse_id, other) for other in basic_members[idx]):
+                    basic_members[idx].append(reverse_id)
+                    basic_grant[vid] = idx
+                    break
+    for vid in phy_rate:
+        if vid not in basic_grant:
+            starve(demand_by_vertex[vid], "no reverse-path BASIC slot available in the interval")
 
-    for direction in (Direction.UPLINK, Direction.DOWNLINK):
-        for vid in basic_need[direction]:
-            rev_id = by_id[vid].reverse_id
-            placed = False
-            for idx in basic_pool[direction]:
-                members = basic_members[idx]
-                if all(
-                    not graph.conflicts(rev_id, by_id[other].reverse_id)
-                    and rev_id != by_id[other].reverse_id
-                    for other in members
+    # DATA packing, furthest-behind activation first so mutually conflicting
+    # links with equal demand alternate slots instead of one starving.
+    schedulable = [vid for vid in phy_rate if vid in basic_grant]
+    wants_by_direction = by_direction(schedulable)
+    data_pools = _split_pool(data_indices, *wants_by_direction, dl_data_fraction)
+    granted: dict[str, float] = {vid: 0.0 for vid in schedulable}
+    data_members: dict[int, list[str]] = {}
+
+    def deficit(vid: str) -> tuple:
+        demanded = demand_by_vertex[vid].demanded_rate_bps
+        return granted[vid] / demanded, -demanded, vid
+
+    for pool, wants in zip(data_pools, wants_by_direction):
+        for idx in pool:
+            share = slots[idx].duration_us / structure_template.interval_duration_us
+            ranked = sorted(wants, key=deficit)
+            members = data_members[idx] = []
+            for vid in ranked:
+                if granted[vid] < demand_by_vertex[vid].demanded_rate_bps and not any(
+                    graph.conflicts(vid, other) for other in members
                 ):
                     members.append(vid)
-                    basic_grant[vid] = idx
-                    placed = True
-                    break
-            if not placed:
-                basic_grant[vid] = -1  # marks starvation below
-
-    for vid in unservable:
-        demand = demand_by_vertex[vid]
-        starved.append(StarvedLink(
-            link_id=demand.link_id, direction=demand.direction,
-            demanded_rate_bps=demand.demanded_rate_bps,
-            reason="link SNR below the lowest MCS threshold",
-        ))
-    schedulable = []
-    for vid in active:
-        if basic_grant.get(vid, -1) < 0:
-            demand = demand_by_vertex[vid]
-            starved.append(StarvedLink(
-                link_id=demand.link_id, direction=demand.direction,
-                demanded_rate_bps=demand.demanded_rate_bps,
-                reason="no reverse-path BASIC slot available in the interval",
-            ))
-        else:
-            schedulable.append(vid)
-
-    # DATA pool split between directions.
-    dl_wants = [v for v in schedulable if by_id[v].direction is Direction.DOWNLINK]
-    ul_wants = [v for v in schedulable if by_id[v].direction is Direction.UPLINK]
-    data_indices = sorted(slot_index[s] for s in data_slots)
-    if dl_wants and ul_wants:
-        n_dl = max(1, min(len(data_indices) - 1, round(len(data_indices) * dl_data_fraction)))
-    elif dl_wants:
-        n_dl = len(data_indices)
-    else:
-        n_dl = 0
-    dl_data, ul_data = _split_indices(data_indices, n_dl)
-    data_pool = {Direction.DOWNLINK: dl_data, Direction.UPLINK: ul_data}
-
-    slot_members: dict[int, list[str]] = {i: [] for i in data_indices}
-    duration_of = {slot_index[s]: s.duration_us for s in structure_template.slots}
-    granted: dict[str, float] = {vid: 0.0 for vid in schedulable}
-
-    def slot_rate(vid: str, idx: int) -> float:
-        return phy_rate(vid) * (duration_of[idx] / interval_us)
-
-    def deficit_order(vids: list[str]) -> list[str]:
-        # Fill the furthest-behind activation first so mutually conflicting
-        # links with equal demand alternate slots instead of one starving.
-        return sorted(
-            vids,
-            key=lambda v: (
-                granted[v] / demand_by_vertex[v].demanded_rate_bps,
-                -demand_by_vertex[v].demanded_rate_bps,
-                v,
-            ),
-        )
-
-    for direction in (Direction.DOWNLINK, Direction.UPLINK):
-        pool = data_pool[direction]
-        wants = [v for v in schedulable if by_id[v].direction is direction]
-        for idx in pool:
-            members = slot_members[idx]
-            # First pass: activations still short of their demand.
-            for vid in deficit_order(wants):
-                if granted[vid] >= demand_by_vertex[vid].demanded_rate_bps:
-                    continue
-                if vid in members:
-                    continue
-                if all(not graph.conflicts(vid, other) for other in members):
-                    members.append(vid)
-                    granted[vid] += slot_rate(vid, idx)
+                    granted[vid] += phy_rate[vid] * share
             # Work conservation: never leave a slot empty while a demanded
-            # activation could legally use it.
-            if not members:
-                for vid in deficit_order(wants):
-                    if all(not graph.conflicts(vid, other) for other in members):
-                        members.append(vid)
-                        granted[vid] += slot_rate(vid, idx)
-                        break
+            # activation could use it.
+            if not members and ranked:
+                members.append(ranked[0])
+                granted[ranked[0]] += phy_rate[ranked[0]] * share
 
-    for vid in schedulable:
-        if granted[vid] == 0.0:
-            demand = demand_by_vertex[vid]
-            starved.append(StarvedLink(
-                link_id=demand.link_id, direction=demand.direction,
-                demanded_rate_bps=demand.demanded_rate_bps,
-                reason="no DATA slot granted",
-            ))
-
-    scheduled = [vid for vid in schedulable if granted[vid] > 0.0]
-
-    # Materialize the slot map over the shared grid.
+    # Materialize the slot map over the shared grid. An activation granted
+    # nothing (it only held zero-length slots) starves and leaves the map.
     slot_directions: dict[int, Direction] = {}
     slot_links: dict[int, tuple[str, ...]] = {}
-
-    for direction in (Direction.DOWNLINK, Direction.UPLINK):
-        for idx in data_pool[direction]:
-            members = [v for v in slot_members[idx] if v in scheduled]
-            if not members:
-                continue
-            slot_directions[idx] = direction
+    for idx, members in data_members.items():
+        members = [v for v in members if granted[v] > 0.0]
+        if members:
+            slot_directions[idx] = by_id[members[0]].direction
             slot_links[idx] = tuple(sorted(members))
-    for vid in scheduled:
+    for vid in schedulable:
+        if granted[vid] == 0.0:
+            starve(demand_by_vertex[vid], "no DATA slot granted")
+            continue
         idx = basic_grant[vid]
-        v = by_id[vid]
-        slot_directions[idx] = v.direction.reverse()
-        slot_links[idx] = tuple(sorted(set(slot_links.get(idx, ())) | {v.reverse_id}))
+        slot_directions[idx] = by_id[vid].direction.reverse()
+        slot_links[idx] = tuple(sorted((*slot_links.get(idx, ()), by_id[vid].reverse_id)))
 
     schedule = GlobalSchedule(
         structure=structure_template,

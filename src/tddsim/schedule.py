@@ -183,10 +183,12 @@ def timeline(
     beacon_interval_us: int,
     t_end_us: int,
 ) -> Iterator[AbsoluteSlot]:
-    """Every slot of a run, in time order: each slot of each of `intervals()`."""
+    """Every slot of a run, in time order: each slot of each of `intervals()`,
+    in the order the slots start (slots that start together keep index order)."""
     allocation_id = first_sp.allocation_id
+    ordered = sorted(enumerate(structure.slots), key=lambda item: item[1].start_offset_us)
     for interval_index, base in intervals(first_sp, structure, beacon_interval_us, t_end_us):
-        for slot_index, spec in enumerate(structure.slots):
+        for slot_index, spec in ordered:
             yield AbsoluteSlot(
                 allocation_id, interval_index, slot_index,
                 base + spec.start_offset_us, spec.duration_us, spec.category,

@@ -222,6 +222,49 @@ def test_structure_error_during_run_exits_4(capsys, monkeypatch):
     assert capsys.readouterr().err == "runtime violation: slot timeline broke mid-run\n"
 
 
+def test_stray_value_error_during_run_exits_4(capsys, monkeypatch):
+    # Only a ConfigError is a configuration error; any other ValueError
+    # raised after validation is a program fault.
+    def broken_assign(*args, **kwargs):
+        raise ValueError("planner broke")
+
+    monkeypatch.setattr(cli, "assign_slots", broken_assign)
+    code = run_cli("run", "--config", str(SCENARIOS / "trickle.yaml"), "--duration-ms", "10")
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime violation: planner broke\n"
+
+
+REVERSE_BELOW_MCS0 = """\
+name: deaf_uplink
+sim: {duration_us: 20000, beacon_interval_us: 25600, sp_duration_us: 25600}
+nodes:
+  - {id: dn1, role: dn_ap, position: [0.0, 0.0], sectors: 8, tx_power_dbm: 20.0}
+  - {id: cn1, role: cn_sta, position: [1500.0, 0.0], sectors: 8, tx_power_dbm: -10.0}
+beamforming:
+  trained_links:
+    - {initiator: dn1, responder: cn1, initiator_sector: 0, responder_sector: 4}
+traffic:
+  - {link: dn1-cn1, direction: downlink, demand_bps: 1.0e+9, pattern: saturated}
+"""
+
+
+def test_link_whose_ack_path_is_below_mcs0_is_starved(tmp_path, capsys):
+    # The downlink decodes, but the uplink carrying its BlockAcks does not:
+    # scheduling it would queue data that is never acknowledged.
+    path = tmp_path / "deaf_uplink.yaml"
+    path.write_text(REVERSE_BELOW_MCS0)
+    starved = [{
+        "link_id": "dn1-cn1", "direction": "downlink", "demanded_rate_bps": 1e9,
+        "reason": "reverse-path SNR below the lowest MCS threshold",
+    }]
+    assert run_cli("plan", "--config", str(path)) == EXIT_INFEASIBLE
+    plan = json.loads(capsys.readouterr().out)
+    assert (plan["feasible"], plan["starved"], plan["violations"]) == (False, starved, [])
+    assert all(not slot["links"] for slot in plan["slots"])
+    assert run_cli("run", "--config", str(path)) == EXIT_INFEASIBLE
+    assert json.loads(capsys.readouterr().out) == {"error": "infeasible plan", "starved": starved}
+
+
 def test_run_writes_trace_and_metrics(tmp_path, capsys):
     path = str(SCENARIOS / "trickle.yaml")
     trace_path = tmp_path / "trace.jsonl"

@@ -1,6 +1,8 @@
 
 import math
+import random
 from collections import Counter
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,14 +13,21 @@ from tddsim.channel import LinkBudgetConfig, LinkTable, noise_floor_dbm
 from tddsim.controller import (
     AssignmentResult,
     DemandSpec,
+    DirectedLink,
+    GlobalSchedule,
     InterferenceGraph,
+    StarvedLink,
     assign_slots,
     build_interference_graph,
     links_from_trained,
     verify_global,
 )
-from tddsim.domain import NodeModel, Role, uniform_codebook
-from tddsim.schedule import Direction, default_slot_structure
+from tddsim.domain import (
+    DEFAULT_MCS_TABLE, McsEntry, NodeModel, Role, mcs_from_snr, uniform_codebook,
+)
+from tddsim.schedule import (
+    Direction, SlotCategory, SlotSpec, TddSlotStructure, default_slot_structure,
+)
 
 from conftest import make_ap, make_node
 
@@ -552,3 +561,337 @@ def test_verify_global_wants_reverse_basic_coverage():
     )
     kinds = {v.kind for v in verify_global(stripped, graph)}
     assert "missing-basic-slot" in kinds
+
+
+# ---------------------------------------------------------------------------
+# Oracle: slot assignment as it stood before its single-pass rewrite, copied
+# verbatim but for the names and the default fraction written out. The one
+# rule added since (a demand whose reverse path is below MCS 0 starves) is
+# taken out of both sides before they are compared.
+
+
+def _split_indices_before(indices: list[int], n_first: int) -> tuple[list[int], list[int]]:
+    return indices[:n_first], indices[n_first:]
+
+
+def assign_slots_before(
+    graph: InterferenceGraph,
+    demands: Sequence[DemandSpec],
+    structure_template: TddSlotStructure,
+    mcs_table: Sequence[McsEntry] = DEFAULT_MCS_TABLE,
+    dl_data_fraction: float = 0.75,
+) -> AssignmentResult:
+    """Greedy demand-sorted assignment of links to slot pools.
+
+    DATA slots split into disjoint DL and UL pools (DL-heavy by default);
+    each slot hosts a pairwise non-conflicting set of same-direction
+    activations. Every scheduled activation also receives one BASIC slot
+    per interval for the reverse path, carrying its delayed acks and
+    control responses. Activations that cannot be granted any slot, and
+    demands on links that were never trained, are excluded from the
+    schedule and listed as starved.
+    """
+    by_id = graph.by_id()
+    demand_by_vertex: dict[str, DemandSpec] = {}
+    starved: list[StarvedLink] = []
+    for demand in demands:
+        if demand.demanded_rate_bps <= 0:
+            continue
+        vid = f"{demand.link_id}:{demand.direction.value}"
+        if vid in by_id:
+            demand_by_vertex[vid] = demand
+            continue
+        ends = demand.link_id.split("-")
+        if len(ends) != 2 or not all(ends):
+            raise ValueError(f"demand link id {demand.link_id!r} is not of the form <ap>-<sta>")
+        starved.append(StarvedLink(
+            link_id=demand.link_id, direction=demand.direction,
+            demanded_rate_bps=demand.demanded_rate_bps, reason="link not trained",
+        ))
+
+    interval_us = structure_template.interval_duration_us
+    data_slots = [s for s in structure_template.slots if s.category is SlotCategory.DATA]
+    basic_slots = [s for s in structure_template.slots if s.category is SlotCategory.BASIC]
+    slot_index = {slot: i for i, slot in enumerate(structure_template.slots)}
+
+    def phy_rate(vid: str) -> float:
+        entry = mcs_from_snr(mcs_table, by_id[vid].snr_db)
+        return float(entry.phy_rate_bps) if entry else 0.0
+
+    # Deterministic priority: demanded rate descending, then vertex id.
+    order = sorted(
+        demand_by_vertex,
+        key=lambda vid: (-demand_by_vertex[vid].demanded_rate_bps, vid),
+    )
+    active = [vid for vid in order if phy_rate(vid) > 0.0]
+    unservable = [vid for vid in order if phy_rate(vid) <= 0.0]
+
+    # Reverse-path BASIC slot requirement, grouped by the direction the
+    # responding node transmits in (DL data acks travel uplink, and vice versa).
+    basic_need: dict[Direction, list[str]] = {Direction.UPLINK: [], Direction.DOWNLINK: []}
+    for vid in active:
+        basic_need[by_id[vid].direction.reverse()].append(vid)
+
+    n_basic = len(basic_slots)
+    if basic_need[Direction.UPLINK] and basic_need[Direction.DOWNLINK]:
+        n_ul_basic = max(1, min(n_basic - 1, round(n_basic / 2)))
+    elif basic_need[Direction.UPLINK]:
+        n_ul_basic = n_basic
+    else:
+        n_ul_basic = 0
+    basic_indices = sorted(slot_index[s] for s in basic_slots)
+    ul_basic, dl_basic = _split_indices_before(basic_indices, n_ul_basic)
+    basic_pool = {Direction.UPLINK: ul_basic, Direction.DOWNLINK: dl_basic}
+
+    # BASIC packing: independent sets of reverse-path activations per slot.
+    basic_grant: dict[str, int] = {}  # data vertex id -> basic slot index
+    basic_members: dict[int, list[str]] = {i: [] for i in basic_indices}
+
+    for direction in (Direction.UPLINK, Direction.DOWNLINK):
+        for vid in basic_need[direction]:
+            rev_id = by_id[vid].reverse_id
+            placed = False
+            for idx in basic_pool[direction]:
+                members = basic_members[idx]
+                if all(
+                    not graph.conflicts(rev_id, by_id[other].reverse_id)
+                    and rev_id != by_id[other].reverse_id
+                    for other in members
+                ):
+                    members.append(vid)
+                    basic_grant[vid] = idx
+                    placed = True
+                    break
+            if not placed:
+                basic_grant[vid] = -1  # marks starvation below
+
+    for vid in unservable:
+        demand = demand_by_vertex[vid]
+        starved.append(StarvedLink(
+            link_id=demand.link_id, direction=demand.direction,
+            demanded_rate_bps=demand.demanded_rate_bps,
+            reason="link SNR below the lowest MCS threshold",
+        ))
+    schedulable = []
+    for vid in active:
+        if basic_grant.get(vid, -1) < 0:
+            demand = demand_by_vertex[vid]
+            starved.append(StarvedLink(
+                link_id=demand.link_id, direction=demand.direction,
+                demanded_rate_bps=demand.demanded_rate_bps,
+                reason="no reverse-path BASIC slot available in the interval",
+            ))
+        else:
+            schedulable.append(vid)
+
+    # DATA pool split between directions.
+    dl_wants = [v for v in schedulable if by_id[v].direction is Direction.DOWNLINK]
+    ul_wants = [v for v in schedulable if by_id[v].direction is Direction.UPLINK]
+    data_indices = sorted(slot_index[s] for s in data_slots)
+    if dl_wants and ul_wants:
+        n_dl = max(1, min(len(data_indices) - 1, round(len(data_indices) * dl_data_fraction)))
+    elif dl_wants:
+        n_dl = len(data_indices)
+    else:
+        n_dl = 0
+    dl_data, ul_data = _split_indices_before(data_indices, n_dl)
+    data_pool = {Direction.DOWNLINK: dl_data, Direction.UPLINK: ul_data}
+
+    slot_members: dict[int, list[str]] = {i: [] for i in data_indices}
+    duration_of = {slot_index[s]: s.duration_us for s in structure_template.slots}
+    granted: dict[str, float] = {vid: 0.0 for vid in schedulable}
+
+    def slot_rate(vid: str, idx: int) -> float:
+        return phy_rate(vid) * (duration_of[idx] / interval_us)
+
+    def deficit_order(vids: list[str]) -> list[str]:
+        # Fill the furthest-behind activation first so mutually conflicting
+        # links with equal demand alternate slots instead of one starving.
+        return sorted(
+            vids,
+            key=lambda v: (
+                granted[v] / demand_by_vertex[v].demanded_rate_bps,
+                -demand_by_vertex[v].demanded_rate_bps,
+                v,
+            ),
+        )
+
+    for direction in (Direction.DOWNLINK, Direction.UPLINK):
+        pool = data_pool[direction]
+        wants = [v for v in schedulable if by_id[v].direction is direction]
+        for idx in pool:
+            members = slot_members[idx]
+            # First pass: activations still short of their demand.
+            for vid in deficit_order(wants):
+                if granted[vid] >= demand_by_vertex[vid].demanded_rate_bps:
+                    continue
+                if vid in members:
+                    continue
+                if all(not graph.conflicts(vid, other) for other in members):
+                    members.append(vid)
+                    granted[vid] += slot_rate(vid, idx)
+            # Work conservation: never leave a slot empty while a demanded
+            # activation could legally use it.
+            if not members:
+                for vid in deficit_order(wants):
+                    if all(not graph.conflicts(vid, other) for other in members):
+                        members.append(vid)
+                        granted[vid] += slot_rate(vid, idx)
+                        break
+
+    for vid in schedulable:
+        if granted[vid] == 0.0:
+            demand = demand_by_vertex[vid]
+            starved.append(StarvedLink(
+                link_id=demand.link_id, direction=demand.direction,
+                demanded_rate_bps=demand.demanded_rate_bps,
+                reason="no DATA slot granted",
+            ))
+
+    scheduled = [vid for vid in schedulable if granted[vid] > 0.0]
+
+    # Materialize the slot map over the shared grid.
+    slot_directions: dict[int, Direction] = {}
+    slot_links: dict[int, tuple[str, ...]] = {}
+
+    for direction in (Direction.DOWNLINK, Direction.UPLINK):
+        for idx in data_pool[direction]:
+            members = [v for v in slot_members[idx] if v in scheduled]
+            if not members:
+                continue
+            slot_directions[idx] = direction
+            slot_links[idx] = tuple(sorted(members))
+    for vid in scheduled:
+        idx = basic_grant[vid]
+        v = by_id[vid]
+        slot_directions[idx] = v.direction.reverse()
+        slot_links[idx] = tuple(sorted(set(slot_links.get(idx, ())) | {v.reverse_id}))
+
+    schedule = GlobalSchedule(
+        structure=structure_template,
+        slot_directions=slot_directions,
+        slot_links=slot_links,
+    )
+    return AssignmentResult(
+        schedule=schedule,
+        granted_rate_bps=granted,
+        starved=tuple(starved),
+        graph=graph,
+    )
+
+
+REVERSE_BELOW_MCS0 = "reverse-path SNR below the lowest MCS threshold"
+
+
+def assignment_case(rng: random.Random):
+    """A planner input: 1-4 APs with 1-3 STAs each, per-direction SNRs
+    around the MCS thresholds, an edge between every two activations that
+    share a node (as `build_interference_graph` makes) plus random cross
+    edges; zero, duplicate and untrained demands; 1-10 slots, 0-3 of them
+    BASIC, some of zero length; one of four DL shares of the DATA slots."""
+    def either(choices, draw_other):
+        return rng.choice(choices) if rng.random() < 0.5 else draw_other()
+
+    vertices = []
+    for k in range(rng.randint(1, 4)):
+        for j in range(rng.randint(1, 3)):
+            ap, sta = f"ap{k}", f"sta{k}x{j}"
+            dl_snr, ul_snr = (either((-5.0, 0.5, 1.0, 3.0, 18.0), lambda: rng.uniform(-5.0, 25.0))
+                              for _ in range(2))
+            vertices += [
+                DirectedLink(f"{ap}-{sta}", Direction.DOWNLINK, ap, sta, ap, 0, sta, 0, dl_snr),
+                DirectedLink(f"{ap}-{sta}", Direction.UPLINK, ap, sta, sta, 0, ap, 0, ul_snr),
+            ]
+    ids = [v.vertex_id for v in vertices]
+    edges = {
+        frozenset((a.vertex_id, b.vertex_id))
+        for i, a in enumerate(vertices) for b in vertices[i + 1:] if a.nodes & b.nodes
+    }
+    edges |= {frozenset(rng.sample(ids, 2)) for _ in range(rng.randint(0, 12))}
+    graph = InterferenceGraph(tuple(vertices), frozenset(edges))
+
+    links = sorted({v.link_id for v in vertices}) + ["ap9-sta9x0"]  # the last is untrained
+    demands = [
+        DemandSpec(
+            rng.choice(links), rng.choice(list(Direction)),
+            either((0.0, 1e8, 5e8, 1e9, 4.2e9), lambda: rng.uniform(1.0, 5e9)),
+        )
+        for _ in range(rng.randint(0, 10))
+    ]
+
+    n = rng.randint(1, 10)
+    basic = set(rng.sample(range(n), rng.randint(0, min(3, n))))
+    durations = [either((0, 33, 66), lambda: rng.randint(1, 400)) for _ in range(n)]
+    # A 1 us gap after each slot keeps zero-length slots distinct.
+    offsets = [sum(durations[:i]) + i for i in range(n)]
+    slots = tuple(
+        SlotSpec(offsets[i], durations[i], SlotCategory.BASIC if i in basic else SlotCategory.DATA)
+        for i in range(n)
+    )
+    structure = TddSlotStructure(1, offsets[-1] + durations[-1] + rng.randint(1, 200), slots)
+    return graph, demands, structure, rng.choice((0.25, 0.5, 0.75, 1.0))
+
+
+# Hypothesis picks the seeds; a seed is cheaper to draw than each value.
+assignment_cases = st.integers(0, 2**32 - 1).map(lambda seed: assignment_case(random.Random(seed)))
+
+
+def test_assign_slots_matches_the_planner_before_its_rewrite():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=800, deadline=None, database=None)
+    @given(assignment_cases)
+    def check(case):
+        graph, demands, structure, fraction = case
+        by_id = graph.by_id()
+
+        def reverse_below_mcs0(d):
+            v = by_id.get(f"{d.link_id}:{d.direction.value}")
+            return (
+                v is not None and mcs_from_snr(DEFAULT_MCS_TABLE, v.snr_db) is not None
+                and mcs_from_snr(DEFAULT_MCS_TABLE, by_id[v.reverse_id].snr_db) is None
+            )
+
+        kept = [d for d in demands if not reverse_below_mcs0(d)]
+        expected = assign_slots_before(graph, kept, structure, dl_data_fraction=fraction)
+        result = assign_slots(graph, demands, structure, dl_data_fraction=fraction)
+        assert result.schedule == expected.schedule
+        assert list(result.granted_rate_bps.items()) == list(expected.granted_rate_bps.items())
+        starved = [s for s in result.starved if s.reason != REVERSE_BELOW_MCS0]
+        assert starved == list(expected.starved)
+        seen.update(s.reason for s in result.starved)
+        seen["scheduled"] += bool(result.schedule.slot_links)
+        seen["both directions"] += len(set(result.schedule.slot_directions.values())) == 2
+        seen["zero-length slot"] += any(
+            s.duration_us == 0 and i in result.schedule.slot_links
+            for i, s in enumerate(structure.slots)
+        )
+
+    check()
+    assert set(seen) >= {
+        "link not trained", "link SNR below the lowest MCS threshold", REVERSE_BELOW_MCS0,
+        "no reverse-path BASIC slot available in the interval", "no DATA slot granted",
+        "scheduled", "both directions", "zero-length slot",
+    }, seen
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(assignment_cases)
+def test_assigned_plans_verify_clean(case):
+    graph, demands, structure, fraction = case
+    plan = assign_slots(graph, demands, structure, dl_data_fraction=fraction)
+    assert verify_global(plan.schedule, plan.graph) == []
+
+
+def test_assign_slots_starves_a_link_whose_reverse_path_is_below_mcs0():
+    ap = make_ap("ap", tx_power_dbm=20.0)
+    sta = make_node("sta", position=(1500.0, 0.0), tx_power_dbm=-10.0)
+    trained = TrainedLink("ap", "sta", 0, 4, 0.0)
+    graph = build_interference_graph({"ap": ap, "sta": sta}, [trained], [], CHANNEL)
+    by_id = graph.by_id()
+    assert mcs_from_snr(DEFAULT_MCS_TABLE, by_id["ap-sta:downlink"].snr_db) is not None
+    assert mcs_from_snr(DEFAULT_MCS_TABLE, by_id["ap-sta:uplink"].snr_db) is None
+    demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 1e9)]
+    result = assign_slots(graph, demands, default_slot_structure(1))
+    assert result.starved == (StarvedLink("ap-sta", Direction.DOWNLINK, 1e9, REVERSE_BELOW_MCS0),)
+    assert result.schedule.slot_links == {} and result.granted_rate_bps == {}

@@ -134,6 +134,44 @@ def test_sp_window_rejects_what_expand_sp_rejects():
         sp_window(ExtendedScheduleEntry(1, 0, 1600), TddSlotStructure(1, 1600, ()))
 
 
+def test_expand_sp_yields_slots_in_start_order():
+    structure = TddSlotStructure(1, 300, (
+        SlotSpec(200, 100, SlotCategory.BASIC),
+        SlotSpec(0, 100, SlotCategory.DATA),
+        SlotSpec(100, 100, SlotCategory.DATA),
+    ))
+    assert validate_structure(structure) == []
+    slots = expand_sp(ExtendedScheduleEntry(1, 0, 600), structure)
+    assert [(s.start_us, s.slot_index) for s in slots] == [
+        (0, 1), (100, 2), (200, 0), (300, 1), (400, 2), (500, 0),
+    ]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 50), st.integers(1, 100)), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+    st.integers(1, 3),
+)
+def test_timeline_starts_never_decrease(gaps_and_lengths, rnd, n_intervals):
+    # A valid structure (its first slot BASIC) listed in any index order.
+    slots, end = [], 0
+    for gap, length in gaps_and_lengths:
+        category = SlotCategory.DATA if slots else SlotCategory.BASIC
+        slots.append(SlotSpec(end + gap, length, category))
+        end += gap + length
+    rnd.shuffle(slots)
+    structure = TddSlotStructure(1, end, tuple(slots))
+    assert validate_structure(structure) == []
+    sp = ExtendedScheduleEntry(1, 0, n_intervals * end)
+    once = expand_sp(sp, structure)
+    twice = list(timeline(sp, structure, 2 * sp.duration_us, 4 * sp.duration_us))
+    assert len(twice) == 2 * len(once) == 2 * n_intervals * len(slots)
+    for run in (once, twice):
+        starts = [s.start_us for s in run]
+        assert starts == sorted(starts)
+
+
 def test_timeline_recurs_per_beacon_interval_and_counts_intervals():
     # Two 3.2 ms SPs per 10 ms beacon interval offset by 1 ms, run to 22 ms:
     # SPs start at 1000, 11000 and 21000; the third has no whole interval.

@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkTable, propagation_delay_us
@@ -149,9 +148,9 @@ class LinkRuntime:
 
     __slots__ = (
         "vertex", "mcs", "prop", "source", "size_bits", "payload_bits", "size_units",
-        "vertex_id", "saturated", "next_arrival", "next_seq", "queue", "pending", "received",
-        "rx_since_ack", "control_queue", "dead", "active_until", "interfered_now", "tx_tick",
-        "tx_seq", "tx_end", "in_flight", "steps",
+        "vertex_id", "tx_shape", "rx_shape", "saturated", "next_arrival", "next_seq", "queue",
+        "pending", "received", "rx_since_ack", "control_queue", "dead", "active_until",
+        "interfered_now", "tx_tick", "tx_seq", "tx_end", "in_flight", "steps",
         "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
         "delivered_payload_bits", "dropped_bits", "retx_units", "completed_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
@@ -159,7 +158,7 @@ class LinkRuntime:
 
     def __init__(
         self, vertex: DirectedLink, mcs: McsEntry, prop: int, source: Optional[TrafficSource],
-        size_bits: int, payload_bits: int, size_units: int,
+        size_bits: int, payload_bits: int, size_units: int, shapes: tuple[int, int],
     ):
         self.vertex = vertex
         self.mcs = mcs
@@ -170,6 +169,8 @@ class LinkRuntime:
         self.size_units = size_units
 
         self.vertex_id = vertex.vertex_id
+        # The trace shapes of its data frame_tx and frame_rx rows.
+        self.tx_shape, self.rx_shape = shapes
         self.saturated = source is not None and source.pattern == "saturated"
         self.next_arrival = -1  # tick of the next CBR arrival
         self.next_seq = 0
@@ -308,10 +309,9 @@ class SlotRow(NamedTuple):
     offset_us: int  # from the start of its interval
     basic: bool
     category: str
-    # The trace shape of the slot's rows, `(t, shape, index, interval,
-    # *values)`, and its fields' values after `interval`.
+    # The trace shape of the slot's rows, `(t, shape, interval)`: every
+    # other field is fixed per slot index.
     shape: int
-    values: tuple
     # (runtime, transmit window in ticks, interfered): the demanded
     # activations of the slot, for a BASIC slot the data link of each
     # reverse path, in the plan's order.
@@ -356,15 +356,9 @@ class World:
         self.epoch_us = epoch_us
         self.duration_us = duration_us
         self.trace = trace or TraceRecorder(enabled=False)
-        # The trace shapes of data frame_tx and frame_rx rows.
-        self.data_tx_shape = self.trace.shape(
-            "frame_tx", node="", frame="data", link="", data_seq=0, bits=0.0,
-            last_fragment=False, mcs=0,
-        )
-        self.data_rx_shape = self.trace.shape(
-            "frame_rx", node="", frame="data", link="", data_seq=0, bits=0.0,
-            last_fragment=False, outcome="",
-        )
+        # Slot rows of the boundaries since the last heap event or
+        # maintenance tick, appended to the trace before either runs.
+        self.slot_batch: list[tuple[float, int, int]] = []
         self.queue = EventQueue()
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
@@ -382,6 +376,19 @@ class World:
             prop_ps = round(
                 propagation_delay_us(nodes[vertex.tx_node], nodes[vertex.rx_node]) * 10**6
             )
+            # A data row carries (data_seq, bits, last_fragment) and, when
+            # received, the outcome; the rest is fixed per runtime.
+            shapes = (
+                self.trace.shape(
+                    "frame_tx",
+                    {"node": vertex.tx_node, "frame": "data", "link": vid, "mcs": entry.mcs_index},
+                    data_seq=0, bits=0.0, last_fragment=False,
+                ),
+                self.trace.shape(
+                    "frame_rx", {"node": vertex.rx_node, "frame": "data", "link": vid},
+                    data_seq=0, bits=0.0, last_fragment=False, outcome="",
+                ),
+            )
             self.runtimes[vid] = LinkRuntime(
                 vertex=vertex,
                 mcs=entry,
@@ -390,6 +397,7 @@ class World:
                 size_bits=self.frame_sizes.data_total_bits,
                 payload_bits=self.frame_sizes.data_payload * 8,
                 size_units=self.frame_sizes.data_total_bits * self.units_per_bit,
+                shapes=shapes,
             )
 
         # Per-link measurement reporting: emission time -> vertex ids due.
@@ -438,15 +446,14 @@ class World:
                     rt = self.runtimes.get(vid)
                 if rt is not None:
                     runtimes.append((rt, duration - rt.prop, vid in interfered))
-            fields = {"category": spec.category.value}
+            fixed = {"slot_index": index, "category": spec.category.value}
             if index in schedule.slot_directions:
-                fields["direction"] = schedule.slot_directions[index].value
+                fixed["direction"] = schedule.slot_directions[index].value
             if actives:
-                fields["links"] = tuple(actives)
-            shape = self.trace.shape("slot", slot_index=index, interval=0, **fields)
+                fixed["links"] = tuple(actives)
             rows.append(SlotRow(
-                index, spec.start_offset_us, basic, spec.category.value, shape,
-                tuple(fields.values()), tuple(runtimes),
+                index, spec.start_offset_us, basic, spec.category.value,
+                self.trace.shape("slot", fixed, interval=0), tuple(runtimes),
             ))
         rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
         return rows
@@ -459,16 +466,20 @@ class World:
 def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     """Process events through t_end (default: the configured duration).
 
-    Slot boundaries and maintenance ticks come from a lazy timeline, not
-    the heap. At equal ticks a slot boundary runs first, then a
-    maintenance tick, then heap events and data fragments in the order
-    they were scheduled. While the heap events before a timeline entry
-    run, its tick is `queue.until`, where a burst stops. Nothing after
-    t_end runs, so a fragment received after it is never counted.
+    Slot boundaries and maintenance ticks come from `_timeline`, not the
+    heap. At equal ticks a slot boundary runs first, then a maintenance
+    tick, then heap events and data fragments in the order they were
+    scheduled. While the heap events before a timeline entry run, its tick
+    is `queue.until`, where a burst stops. Nothing after t_end runs, so a
+    fragment received after it is never counted.
 
     The per-slot and per-fragment trace rows are written in their final
-    form, in the shapes the World registered: each boundary's slot row, and
-    each burst's fragment rows as one batch.
+    form, in the shapes the World registered. Neither a slot boundary nor
+    the start of a burst records anything, so the slot rows of a stretch
+    of boundaries wait in `world.slot_batch` and are appended as one batch
+    before the next heap event, the next maintenance tick or the end of
+    the run: where each would have been appended alone. A burst's
+    fragment rows are appended as one batch too.
     """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
@@ -479,12 +490,15 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     for tick, handler, args in _timeline(world):
         if tick > t_end:
             break
-        queue.until = tick
-        while heap and heap[0][0] < tick:
-            now, _, event, event_args = pop()
-            event(world, now, *event_args)
+        if heap and heap[0][0] < tick:
+            _append_slot_rows(world)
+            queue.until = tick
+            while heap and heap[0][0] < tick:
+                now, _, event, event_args = pop()
+                event(world, now, *event_args)
         queue.now = tick
         handler(world, tick, *args)
+    _append_slot_rows(world)
     queue.until = t_end + 1
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
@@ -493,26 +507,37 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
 
 
 def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
-    """(tick, handler, args) of every slot boundary and maintenance tick, in order."""
-    tpu = world.tpu
+    """(tick, handler, args) of every slot boundary and maintenance tick, in order.
+
+    Slot boundaries come interval by interval from `intervals`, and
+    maintenance ticks every TDD interval from the epoch through the end of
+    the run, on or off the slots' grid; a tick at a slot's start comes
+    after its boundary.
+    """
+    tpu, rows = world.tpu, world.slot_rows
     t_end = world.epoch_us + world.duration_us
+    interval_us = world.structure.interval_duration_us
     first_sp = ExtendedScheduleEntry(
         world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
         world.sp_duration_us,
     )
+    tick_us = world.epoch_us  # of the next maintenance tick
+    for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
+        for row in rows:
+            start_us = base + row.offset_us
+            while tick_us < start_us:
+                yield tick_us * tpu, _on_maintenance_tick, ()
+                tick_us += interval_us
+            yield start_us * tpu, _on_slot_boundary, (start_us, interval, row)
+    while tick_us <= t_end:
+        yield tick_us * tpu, _on_maintenance_tick, ()
+        tick_us += interval_us
 
-    def slots():
-        for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
-            for row in world.slot_rows:
-                start_us = base + row.offset_us
-                yield start_us * tpu, _on_slot_boundary, (start_us, interval, row)
 
-    interval_us = world.structure.interval_duration_us
-    ticks = (
-        (t * tpu, _on_maintenance_tick, ())
-        for t in range(world.epoch_us, t_end + 1, interval_us)
-    )
-    return heapq.merge(slots(), ticks, key=itemgetter(0))  # stable: slots first
+def _append_slot_rows(world: World) -> None:
+    if world.slot_batch:
+        world.trace.extend(world.slot_batch)
+        world.slot_batch.clear()
 
 
 def _start_arrivals(world: World) -> None:
@@ -526,7 +551,7 @@ def _start_arrivals(world: World) -> None:
 def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row: SlotRow) -> None:
     # start_us is whole, so float writes what round(start_us, 3) would.
     if world.trace.enabled:
-        world.trace.extend([(float(start_us), row.shape, row.index, interval, *row.values)])
+        world.slot_batch.append((float(start_us), row.shape, interval))
     if row.basic:
         due = world.report_due.get(start_us, ())
         for rt, window, interfered in row.runtimes:
@@ -540,16 +565,19 @@ def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row:
                 world.usable_air[row.category] += window
                 world.queue.push(now, _on_control_tx, (rt, now))
         return
+    air = 0
     for rt, window, interfered in row.runtimes:
         if rt.dead:
             continue
         rt.interfered_now = interfered
         rt.active_until = window_end = now + window
-        world.usable_air[row.category] += window
+        air += window
         # A burst that would find nothing to send is not started; an
         # arrival on this very tick runs next and finds it started.
         if rt.tx_seq is None and (rt.saturated or rt.queue or rt.next_arrival == now):
             _transmit(world, rt, now, window_end)
+    if air:
+        world.usable_air[row.category] += air
 
 
 def _transmit(world: World, rt: LinkRuntime, now: int, window_end: int) -> None:
@@ -591,15 +619,15 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     bound = top_tick if top_tick < until else until  # a fragment before this tick runs
 
     tpu, units_per_bit = world.tpu, world.units_per_bit
-    tx_shape, rx_shape = world.data_tx_shape, world.data_rx_shape
+    tx_shape, rx_shape = rt.tx_shape, rt.rx_shape
     traced = world.trace.enabled
     rows = []  # this call's trace rows, at their trace times, written as one batch
     row = rows.append
-    vertex, vid, in_flight, backlog = rt.vertex, rt.vertex_id, rt.in_flight, rt.queue
+    vertex, in_flight, backlog = rt.vertex, rt.in_flight, rt.queue
     tx_node, rx_node = vertex.tx_node, vertex.rx_node
     received, rx_since_ack, last_rx = rt.received, rt.rx_since_ack, world.last_rx
     rx_key, pending, prop = (rx_node, tx_node), rt.pending, rt.prop
-    rate, mcs_index = int(rt.mcs.phy_rate_bps), rt.mcs.mcs_index
+    rate = int(rt.mcs.phy_rate_bps)
     # A whole MPDU's bits, as round(size_units / units_per_bit, 3) gives them.
     size_units, full_bits = rt.size_units, float(rt.size_bits)
     tx_tick, tx_seq, tx_end = rt.tx_tick, rt.tx_seq, rt.tx_end
@@ -626,7 +654,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 rt.delivered_fragment_units += frag
             if traced:
                 row((
-                    round(tick / tpu, 3), rx_shape, rx_node, "data", vid, mpdu.seq, bits, last,
+                    round(tick / tpu, 3), rx_shape, mpdu.seq, bits, last,
                     "decoded" if decoded else "interfered",
                 ))
             if last and not mpdu.corrupted:
@@ -678,7 +706,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
             rt.retx_units += frag
         bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
         if traced:
-            row((round(tick / tpu, 3), tx_shape, tx_node, "data", vid, mpdu.seq, bits, last, mcs_index))
+            row((round(tick / tpu, 3), tx_shape, mpdu.seq, bits, last))
         air += airtime
         # The reception is scheduled first, then the next transmission.
         in_flight.append((end + prop, seq_next, mpdu, frag, bits, last, ok))
@@ -843,6 +871,7 @@ def _on_maintenance_tick(world: World, now: int) -> None:
     # Every record still to come is stamped at most one slot behind `now`
     # (a frame_drop carries the BASIC slot its ack was formed in), so all
     # records a whole interval back are final.
+    _append_slot_rows(world)
     world.trace.advance(t_us - world.structure.interval_duration_us)
     heartbeat_due = (t_us - world.epoch_us) % settings.heartbeat_period_us == 0
     ticked_aps = set()

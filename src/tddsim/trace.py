@@ -2,22 +2,27 @@
 
 Every record kind and the fields it may carry are declared in `KINDS`. A
 record is kept as one flat tuple `(t, shape, *values)`, where `t` is the
-trace time `round(t_us, 3)`: a shape is one kind with one list of present
-fields, numbered per recorder the first time it is seen, which is also
-when its kind, its field names and the types of its first values are
-checked against `KINDS`: an undeclared kind or field, or a wrongly typed
-value, raises `SimulationError`.
+trace time `round(t_us, 3)`: a shape is one kind with one list of fields
+its records carry and, for `shape`'s rows, the values of any fixed fields
+that all its records share. It is numbered per recorder when it is first
+seen, or for fixed fields when `shape` is called, which is also when its
+kind, its field names and the types of its values are checked against
+`KINDS`: an undeclared kind or field, or a wrongly typed value, raises
+`SimulationError`.
 
 Records arrive in one of two ways. `record(t_us, kind, **fields)` takes a
 record by keyword, drops `None` fields and looks its shape up per record.
 `extend(rows)` appends a batch of rows in their final form, as they are:
-each is led by its trace time and the number `shape(kind, **first)`
-registered from `first`'s names and values, and holds its values in
-`first`'s field order. The hot loops write batches: the training sweep's
-frames, one batch per sweep, the engine's data `frame_tx`/`frame_rx` rows,
-one batch per burst, and its `slot` rows, one per boundary; the rarer kinds
-go through `record`. Both append to one buffer and raise the same
-`SimulationError` for a record stamped below the watermark.
+each is led by its trace time and the number `shape(kind, fixed,
+**first)` registered from `first`'s names and values, and holds its values
+in `first`'s field order; the fields in `fixed` are not in the row. The
+hot loops write batches: the training sweep's frames, one batch per sweep,
+the engine's data `frame_tx`/`frame_rx` rows, one batch per burst, with
+node, frame, link and (sent) MCS fixed per runtime, and its `slot` rows, one
+batch per stretch of boundaries between other records, with all but
+`interval` fixed per slot index; the rarer kinds go through `record`. Both
+append to one buffer and raise the same `SimulationError` for a record
+stamped below the watermark.
 
 Records wait in a reorder buffer, in insertion order at equal times. When
 the caller promises that no record earlier than a watermark can still
@@ -29,9 +34,11 @@ time. The sink is either an in-memory list, which the queries read, or a
 writer, such as a text file, that the records stream to as the run
 proceeds.
 
-Lines are rendered by one formatter per shape, compiled once from `KINDS`,
-and equal what `json.JSONEncoder(sort_keys=True)` writes for the record's
-dict.
+Lines are rendered by one writer per shape, with the JSON of its fixed
+values built in; the writers of one field layout share one formatter,
+compiled once from `KINDS`. Every line equals what
+`json.JSONEncoder(sort_keys=True)` writes for the record's dict, the fixed
+fields included, as the queries return it.
 """
 
 from __future__ import annotations
@@ -90,16 +97,28 @@ KINDS: dict[str, dict[str, str]] = {
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 Record = tuple  # (t, shape, *values), t being the trace time round(t_us, 3)
+# kind, the names of the fields a row carries, in row order, and the fixed
+# fields' values.
+Shape = tuple[str, tuple[str, ...], dict[str, Any]]
 
 _time = itemgetter(0)
 
 
-def _as_dict(kind: str, names: tuple[str, ...], seq: int, rec: Record) -> dict[str, Any]:
-    out = {"t": rec[0], "kind": kind}
+def _list_json(value: list | tuple) -> str:
+    """What the JSON encoder writes for a list or tuple; one of exact ints
+    only (no bool) is joined without it."""
+    for item in value:
+        if item.__class__ is not int:
+            return _ENCODER.encode(value)
+    return "[" + ", ".join(map(str, value)) + "]"
+
+
+def _as_dict(shape: Shape, seq: int, rec: Record) -> dict[str, Any]:
+    kind, names, fixed = shape
+    out = {"t": rec[0], "kind": kind, **fixed}
     out.update(zip(names, rec[2:]))
-    for name in _list_fields(kind, names):
-        if type(out[name]) is tuple:
-            out[name] = list(out[name])
+    for name in _list_fields(kind, (*fixed, *names)):
+        out[name] = list(out[name])  # a list of its own, never a tuple
     out["seq"] = seq
     return out
 
@@ -110,43 +129,68 @@ def _list_fields(kind: str, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 @functools.cache
-def _formatter(kind: str, names: tuple[str, ...]) -> Callable[[dict, int, Record], str]:
-    """The line writer of one shape: `(strings, seq, record) -> line`,
-    for a record `(t, shape, *values)` of this shape.
+def _formatter(kind: str, names: tuple[str, ...], fixed: tuple[str, ...]) -> Callable[..., Callable]:
+    """The line writers of one field layout: `kind` with the fields `names`
+    that its rows carry, in row order, and the fields `fixed` that every
+    row of one shape shares.
 
+    `make(reference, *fixed_json)` returns the writer of one shape of the
+    layout, `(strings, seq, record) -> line` for a record `(t, shape,
+    *values)`, with the JSON of its fixed values, in `fixed`'s order, baked
+    into the line. So a layout is compiled once, whatever its fixed values.
     `strings` maps each string, and each tuple, to its JSON encoding. Keys
     are sorted, and numbers are written with `repr`, as `json` writes them;
-    a record holding NaN or an infinity is handed to the JSON encoder
-    instead. A list is encoded each time it is written.
+    a record carrying NaN or an infinity is handed to `reference(seq,
+    record)` instead. A list is encoded each time it is written.
     """
     declared = KINDS[kind]
-    values = {"kind": encode_basestring_ascii(kind), "seq": "{seq}", "t": "{t!r}"}
+    carried = {"seq": "{seq}", "t": "{t!r}"}
     numbers = ["t"]
     for i, name in enumerate(names):
         v = f"v{i}"
-        values[name] = {
+        carried[name] = {
             STRING: f"{{S[{v}]}}", NUMBER: f"{{{v}!r}}", BOOL: f"{{B[{v}]}}",
             LIST: f"{{S[{v}] if {v}.__class__ is tuple else L({v})}}",
         }[declared[name]]
         if declared[name] == NUMBER:
             numbers.append(v)
-    body = ", ".join(f'"{key}": {values[key]}' for key in sorted(values))
+    constant = {"kind": repr(encode_basestring_ascii(kind))}
+    constant.update((name, f"F{i}") for i, name in enumerate(fixed))
+    # The text before each carried value, fixed values and all, is joined
+    # once per shape, into P0, P1, ...
+    texts, body, text = [], [], ["'{'"]
+    for n, key in enumerate(sorted([*carried, *constant])):
+        text.append(repr(f'{", " if n else ""}"{key}": '))
+        if key in constant:
+            text.append(constant[key])
+        else:
+            body.append(f"{{P{len(texts)}}}{carried[key]}")
+            texts.append(" + ".join(text))
+            text = []
+    texts.append(" + ".join([*text, repr("}\n")]))
     source = "\n".join((
-        "def line(S, seq, rec):",
-        "    t, _, " + "".join(f"v{i}, " for i in range(len(names))) + "= rec",
-        "    if " + " or ".join(f"{v} - {v}" for v in numbers) + ":",  # NaN or ±inf
-        "        return reference(seq, rec)",
-        "    return f'{{" + body + "}}\\n'",
+        "def make(reference, " + "".join(f"F{i}, " for i in range(len(fixed))) + "):",
+        *(f"    P{j} = {expr}" for j, expr in enumerate(texts)),
+        "    def line(S, seq, rec):",
+        "        t, _, " + "".join(f"v{i}, " for i in range(len(names))) + "= rec",
+        "        if " + " or ".join(f"{v} - {v}" for v in numbers) + ":",  # NaN or ±inf
+        "            return reference(seq, rec)",
+        "        return f'" + "".join(body) + f"{{P{len(body)}}}'",
+        "    return line",
     ))
-    namespace = {
-        "B": ("false", "true"),
-        "L": _ENCODER.encode,
-        "reference": lambda seq, rec: _ENCODER.encode(_as_dict(kind, names, seq, rec)) + "\n",
-    }
+    namespace = {"B": ("false", "true"), "L": _list_json}
     # Named after this file, so that a profile counts the formatters' time
     # as this module's.
     exec(compile(source, f"{__file__} (line formatter: {kind})", "exec"), namespace)
-    return namespace["line"]
+    return namespace["make"]
+
+
+def _line_writer(shape: Shape) -> Callable[[dict, int, Record], str]:
+    kind, names, fixed = shape
+    return _formatter(kind, names, tuple(fixed))(
+        lambda seq, rec: _ENCODER.encode(_as_dict(shape, seq, rec)) + "\n",
+        *map(_ENCODER.encode, fixed.values()),
+    )
 
 
 class _JsonStrings(dict):
@@ -162,7 +206,7 @@ class _JsonStrings(dict):
         if value.__class__ is str:
             self[value] = encoded = encode_basestring_ascii(value)
         else:
-            encoded = _ENCODER.encode(value)
+            encoded = _list_json(value)
             if all(item.__class__ is str for item in value):
                 self[value] = encoded
         return encoded
@@ -184,8 +228,8 @@ class TraceRecorder:
         self._next_seq = 0
         self._watermark: float = -math.inf
         self._records: list[Record] = []  # written records; seq is the index
-        self._shape_ids: dict[tuple[str, ...], int] = {}  # (kind, *names) -> shape
-        self._shapes: list[tuple[str, tuple[str, ...]]] = []  # shape -> (kind, names)
+        self._shape_ids: dict[tuple[str, ...], int] = {}  # (kind, *names) -> shape without fixed fields
+        self._shapes: list[Shape] = []  # shape -> (kind, names, fixed)
         self._formatters: list[Callable[[dict, int, Record], str]] = []  # compiled on first write
         self._strings = _JsonStrings()
 
@@ -204,16 +248,20 @@ class TraceRecorder:
             shape = self._add_shape(kind, fields)
         self._pending.append((t, shape, *fields.values()))
 
-    def shape(self, kind: str, **first: Any) -> int:
+    def shape(self, kind: str, fixed: Optional[dict[str, Any]] = None, /, **first: Any) -> int:
         """The number of the shape of `kind` with `first`'s fields, in that
         order, which leads the values of this shape's rows in `extend`.
 
-        `first` holds a value of each field's type. They are checked against
-        KINDS here, as `record` checks a shape it sees for the first time;
-        rows are not checked again, so each must hold one value of the
-        declared type per field.
+        `first` holds a value of each field's type. `fixed` holds the value
+        of each field that is the same on every row of this shape: a row
+        carries only `first`'s fields, and each record has the fixed ones
+        too, written, read and queried as if the row carried them; each call
+        with fixed fields registers a new shape. The values are checked
+        against KINDS here, as `record` checks a shape it sees for the first
+        time; rows are not checked again, so each must hold one value of
+        the declared type per field of `first`.
         """
-        return self._add_shape(kind, first)
+        return self._add_shape(kind, first, fixed)
 
     def extend(self, rows: list[tuple]) -> None:
         """Append `(t, shape, *values)` rows as they are, in their final
@@ -234,12 +282,22 @@ class TraceRecorder:
             f"was written up to t={self._watermark}"
         )
 
-    def _add_shape(self, kind: str, fields: dict[str, Any]) -> int:
-        """The number of a shape, after checking it and its values against KINDS."""
+    def _add_shape(self, kind: str, fields: dict[str, Any], fixed: Optional[dict[str, Any]] = None) -> int:
+        """The number of a shape, after checking it and its values against KINDS.
+
+        A shape without fixed fields is shared by every record of its kind
+        and field names; one with fixed fields is new on each call.
+        """
+        key = (kind, *fields)
+        if not fixed:
+            shape = self._shape_ids.get(key)
+            if shape is not None:
+                return shape
         declared = KINDS.get(kind)
         if declared is None:
             raise SimulationError(f"trace record kind {kind!r} is not declared in trace.KINDS")
-        for name, value in fields.items():
+        fixed = fixed or {}
+        for name, value in (*fixed.items(), *fields.items()):
             if name not in declared:
                 raise SimulationError(f"trace record {kind!r} has undeclared field {name!r}")
             if type(value) not in _ACCEPTS[declared[name]]:
@@ -247,11 +305,12 @@ class TraceRecorder:
                     f"trace record {kind!r} field {name!r} is a {type(value).__name__}, "
                     f"declared {declared[name]}"
                 )
-        key = (kind, *fields)
-        shape = self._shape_ids.get(key)
-        if shape is None:
-            self._shape_ids[key] = shape = len(self._shapes)
-            self._shapes.append((kind, key[1:]))
+            if name in fixed and name in fields:
+                raise SimulationError(f"trace record {kind!r} field {name!r} is both fixed and carried")
+        shape = len(self._shapes)
+        if not fixed:
+            self._shape_ids[key] = shape
+        self._shapes.append((kind, tuple(fields), fixed))
         return shape
 
     def advance(self, watermark_us: float) -> None:
@@ -289,7 +348,7 @@ class TraceRecorder:
 
     def _lines(self, numbered: Iterator[tuple[int, Record]]) -> str:
         formatters, shapes = self._formatters, self._shapes
-        formatters += [_formatter(*shape) for shape in shapes[len(formatters):]]
+        formatters += [_line_writer(shape) for shape in shapes[len(formatters):]]
         strings = self._strings
         return "".join([formatters[rec[1]](strings, seq, rec) for seq, rec in numbered])
 
@@ -301,13 +360,13 @@ class TraceRecorder:
 
     def sorted_records(self) -> list[dict[str, Any]]:
         shapes = self._shapes
-        return [_as_dict(*shapes[rec[1]], seq, rec) for seq, rec in self._ordered()]
+        return [_as_dict(shapes[rec[1]], seq, rec) for seq, rec in self._ordered()]
 
     def iter_kind(self, kind: str) -> list[dict[str, Any]]:
         shapes = self._shapes
-        of_kind = {i for i, (k, _) in enumerate(shapes) if k == kind}
+        of_kind = {i for i, shape in enumerate(shapes) if shape[0] == kind}
         return [
-            _as_dict(kind, shapes[rec[1]][1], seq, rec)
+            _as_dict(shapes[rec[1]], seq, rec)
             for seq, rec in self._ordered() if rec[1] in of_kind
         ]
 

@@ -1,15 +1,19 @@
+import heapq
 import math
 import os
 import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from tddsim import channel, cli, engine
+from tddsim import trace as trace_module
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.config import parse_config
@@ -29,10 +33,12 @@ from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
 from tddsim.schedule import (
     Direction,
+    ExtendedScheduleEntry,
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
     default_slot_structure,
+    intervals,
 )
 from tddsim.trace import TraceRecorder
 
@@ -689,3 +695,76 @@ def test_slot_outside_its_interval_is_refused():
     structure = TddSlotStructure(1, 1600, slots + (SlotSpec(1590, 66, SlotCategory.BASIC),))
     with pytest.raises(StructureError, match="slot 23 .* exceeds interval 1600"):
         build_world(structure=structure)
+
+
+def merged_timeline(world):
+    """`engine._timeline` as it was built on `heapq.merge`: every slot start
+    of every interval, merged with a maintenance tick per interval from the
+    epoch through the end, slots first at equal ticks."""
+    tpu = world.tpu
+    t_end = world.epoch_us + world.duration_us
+    first_sp = ExtendedScheduleEntry(
+        world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
+        world.sp_duration_us,
+    )
+
+    def slots():
+        for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
+            for row in world.slot_rows:
+                start_us = base + row.offset_us
+                yield start_us * tpu, engine._on_slot_boundary, (start_us, interval, row)
+
+    interval_us = world.structure.interval_duration_us
+    ticks = (
+        (t * tpu, engine._on_maintenance_tick, ())
+        for t in range(world.epoch_us, t_end + 1, interval_us)
+    )
+    return heapq.merge(slots(), ticks, key=itemgetter(0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    interval_us=st.sampled_from([1600, 1000, 7]),
+    offsets=st.lists(st.integers(0, 999), min_size=1, max_size=5),
+    per_sp=st.integers(1, 4),
+    # 0: service periods back to back; others off the interval grid.
+    beacon_gap_us=st.sampled_from([0, 1, 333, 1600, 4321]),
+    sp_offset_us=st.integers(0, 5000),
+    epoch_us=st.sampled_from([0, 777]),
+    duration_us=st.integers(1, 40_000),
+    tpu=st.sampled_from([1, 3]),
+)
+def test_timeline_is_the_merge_of_slot_starts_and_ticks(
+    interval_us, offsets, per_sp, beacon_gap_us, sp_offset_us, epoch_us, duration_us, tpu,
+):
+    # Service periods off the tick grid, gaps between them, several
+    # intervals each, and runs that end inside an interval.
+    slots = tuple(SlotSpec(o % interval_us, 1, SlotCategory.DATA) for o in offsets)
+    structure = TddSlotStructure(1, interval_us, slots)
+    world = SimpleNamespace(
+        tpu=tpu, epoch_us=epoch_us, duration_us=duration_us, structure=structure,
+        sp_offset_us=sp_offset_us, sp_duration_us=per_sp * interval_us,
+        beacon_interval_us=per_sp * interval_us + beacon_gap_us,
+        # In start order; slots that start together keep index order.
+        slot_rows=sorted(
+            (SimpleNamespace(index=i, offset_us=spec.start_offset_us) for i, spec in enumerate(slots)),
+            key=lambda row: row.offset_us,
+        ),
+    )
+    assert list(engine._timeline(world)) == list(merged_timeline(world))
+
+
+def test_line_formatters_are_compiled_per_field_layout_not_per_slot():
+    # Each of the 24 slot indices has a shape of its own, with its fixed
+    # fields written into its line writer, but the shapes of one field
+    # layout share one compiled formatter.
+    trace_module._formatter.cache_clear()
+    trace = TraceRecorder()
+    run_until(build_world(duration_us=3200, trace=trace))
+    trace.to_jsonl()
+    slot_shapes = [shape for shape in trace._shapes if shape[0] == "slot"]
+    assert len(slot_shapes) == 24
+    slot_layouts = {(names, tuple(fixed)) for _, names, fixed in slot_shapes}
+    assert len(slot_layouts) <= 4  # with and without direction and links
+    layouts = {(kind, names, tuple(fixed)) for kind, names, fixed in trace._shapes}
+    assert trace_module._formatter.cache_info().misses == len(layouts)

@@ -13,6 +13,7 @@ from tddsim.config import load_config
 from tddsim.engine import run_until
 from tddsim.errors import SimulationError
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
+from tddsim import trace as trace_module
 from tddsim.trace import BOOL, KINDS, LIST, NUMBER, STRING, TraceRecorder
 
 from conftest import SCENARIOS, make_ap, make_node
@@ -26,6 +27,12 @@ def run_scenario(name, trace, duration_ms=None):
     run_until(build_world(prep, plan_scenario(prep), trace))
     trace.close()
     return prep
+
+
+def row_fields(trace, row):
+    """Every field of a `(t, shape, *values)` row: its shape's fixed ones too."""
+    _, names, fixed = trace._shapes[row[1]]
+    return {**fixed, **dict(zip(names, row[2:]))}
 
 
 def whole_run_recorder():
@@ -203,6 +210,74 @@ def test_every_shape_writes_what_the_json_encoder_writes(recs):
     assert all(type(v) is not tuple for rec in memory.sorted_records() for v in rec.values())
 
 
+# A value of each type, as `shape` takes for a field that rows carry.
+EXAMPLES = {STRING: "", NUMBER: 0, BOOL: False, LIST: ()}
+TIMES = st.sampled_from([0.0, -0.0, 1e-07, 1e16, float("-inf"), float("inf")]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def fixed_field_rows(draw):
+    """(kind, fixed values of each shape, carried names, rows): one field
+    layout of `kind` split at random into fixed and carried fields, one or
+    two shapes of it, and rows `(shape number, t, carried values)`."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    declared = KINDS[kind]
+    names = draw(st.permutations(sorted(declared)))
+    n_fixed = draw(st.integers(0, len(names)))
+    n_carried = draw(st.integers(0, len(names) - n_fixed))
+    fixed_names, carried = names[:n_fixed], names[n_fixed:n_fixed + n_carried]
+    fixed = draw(st.lists(
+        st.fixed_dictionaries({name: VALUES[declared[name]] for name in fixed_names}),
+        min_size=1, max_size=2,
+    ))
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(fixed) - 1), TIMES,
+            st.fixed_dictionaries({name: VALUES[declared[name]] for name in carried}),
+        ),
+        min_size=1, max_size=4,
+    ))
+    return kind, fixed, carried, rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fixed_field_rows())
+def test_fixed_field_shapes_write_what_the_json_encoder_writes(case):
+    # Fixed strings holding braces, quotes, backslashes or non-ASCII text,
+    # tuples and lists, -0.0, and NaN or an infinity, fixed or carried
+    # (carried, the encoder writes the line): each line is the encoder's
+    # for the record's dict, and the queries return the fixed fields too.
+    kind, fixed, carried, rows = case
+    out = io.StringIO()
+    streamed, memory = TraceRecorder(write=out.write), TraceRecorder()
+    for trace in (streamed, memory):
+        shapes = [
+            trace.shape(kind, values, **{name: EXAMPLES[KINDS[kind][name]] for name in carried})
+            for values in fixed
+        ]
+        trace.extend([
+            (round(t, 3), shapes[i], *(values[name] for name in carried)) for i, t, values in rows
+        ])
+        trace.close()
+    expected = sorted(
+        ({"t": round(t, 3), "kind": kind, **fixed[i], **values} for i, t, values in rows),
+        key=lambda rec: rec["t"],  # stable: equal times keep insertion order
+    )
+    expected = [REFERENCE.encode({**rec, "seq": seq}) for seq, rec in enumerate(expected)]
+    assert out.getvalue() == memory.to_jsonl() == "".join(line + "\n" for line in expected)
+    for queried in (memory.sorted_records(), memory.iter_kind(kind)):
+        assert [REFERENCE.encode(rec) for rec in queried] == expected
+        assert all(type(v) is not tuple for rec in queried for v in rec.values())
+
+
+@pytest.mark.parametrize("value", [
+    [], (), [0], (7,), [-1, 2**64 + 1, -(2**70), 10**30], [1, True], [True, False], [0, False],
+    [1, 2.0], [1.5], [-0.0], [1, float("nan")], [float("inf")], ["a", 1],
+])
+def test_integer_lists_write_what_json_dumps_writes(value):
+    assert trace_module._list_json(value) == json.dumps(value)
+
+
 def test_close_writes_a_record_stamped_plus_infinity():
     out = io.StringIO()
     streamed, memory = TraceRecorder(write=out.write), TraceRecorder()
@@ -218,15 +293,18 @@ def test_close_writes_a_record_stamped_plus_infinity():
 
 
 def test_equal_tuples_that_write_differently_are_not_shared():
-    # (1,) == (1.0,) == (True,), so only tuples of strings are encoded once.
+    # (1,) == (1.0,) == (True,), so only tuples of strings are encoded once,
+    # carried or fixed.
     out = io.StringIO()
     trace = TraceRecorder(write=out.write)
-    for value in ((1,), (1.0,), (True,), ("a",), ("a",)):
+    values = ((1,), (1.0,), (True,), ("a",), ("a",))
+    for value in values:
         trace.record(0.0, "announce", elements=value)
+    trace.extend([(0.0, trace.shape("announce", {"elements": value})) for value in values])
     trace.close()
     assert out.getvalue() == "".join(
         f'{{"elements": {elements}, "kind": "announce", "seq": {seq}, "t": 0.0}}\n'
-        for seq, elements in enumerate(("[1]", "[1.0]", "[true]", '["a"]', '["a"]'))
+        for seq, elements in enumerate(2 * ("[1]", "[1.0]", "[true]", '["a"]', '["a"]'))
     )
 
 
@@ -388,6 +466,13 @@ def test_shape_checks_its_fields_at_registration():
         trace.shape("announce", node=7)
     with pytest.raises(SimulationError, match="'sector' is a NoneType, declared number"):
         trace.shape("frame_tx", node="ap", sector=None)
+    # Fixed fields are checked alike, and a field is fixed or carried.
+    with pytest.raises(SimulationError, match="'node' is a int, declared string"):
+        trace.shape("announce", {"node": 7})
+    with pytest.raises(SimulationError, match="undeclared field 'colour'"):
+        trace.shape("announce", {"colour": "red"}, node="ap")
+    with pytest.raises(SimulationError, match="field 'node' is both fixed and carried"):
+        trace.shape("announce", {"node": "ap"}, node="ap")
     # Nothing was registered or recorded above.
     shape = trace.shape("announce", node="ap")
     assert shape == 0
@@ -431,7 +516,7 @@ def test_a_disabled_recorder_is_handed_no_rows():
     # A traced run hands its rows: the bursts' data frames and the slot rows.
     kinds = [traced._shapes[row[1]][0] for row in handed]
     assert set(kinds) == {"frame_tx", "frame_rx", "slot"}
-    assert {row[3] for row, kind in zip(handed, kinds) if kind != "slot"} == {"data"}
+    assert {row_fields(traced, row)["frame"] for row, kind in zip(handed, kinds) if kind != "slot"} == {"data"}
 
 
 class SweepRowsOnly(TraceRecorder):
@@ -508,9 +593,7 @@ def test_a_record_holds_its_time_its_shape_and_its_values_only():
     # Rows by keyword and by batch: the sweep's, the bursts' and the slots'.
     every = trace._records + trace._pending
     assert {"bf_start", "bf_trained", "slot"} <= {trace._shapes[rec[1]][0] for rec in every}
-    assert {"tdd_ssw", "data"} <= {
-        rec[3] for rec in every if trace._shapes[rec[1]][1][:2] == ("node", "frame")
-    }
+    assert {"tdd_ssw", "data"} <= {row_fields(trace, rec).get("frame") for rec in every}
 
 
 def test_no_call_site_passes_a_none_field(monkeypatch):

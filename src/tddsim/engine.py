@@ -26,6 +26,13 @@ tick, and then parks one entry at the fragment it stopped at. Nothing
 another handler reads therefore changes early, trace rows at equal times
 keep the order of the event loop, and the SNR check is read once per run of
 the burst instead of once per fragment.
+
+A saturated link's fresh MPDUs that fit whole in the window are sent as one
+run (`Run`): their transmit ticks, receive ticks and sequence numbers are an
+arithmetic progression of one whole-MPDU airtime, fixed per runtime and
+checked when the World is built, so a run is sent in one step, its
+receptions wait in flight as one entry, and its MPDUs await their ack as
+one `pending` entry. Partial fragments, retries and CBR MPDUs go one by one.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import repeat
+from operator import itemgetter, sub, truediv
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkTable, propagation_delay_us
@@ -50,7 +59,7 @@ from .schedule import (
 )
 from .trace import TraceRecorder
 
-DATA = SlotCategory.DATA.value
+BASIC, DATA = SlotCategory.BASIC.value, SlotCategory.DATA.value
 
 
 class EventQueue:
@@ -125,6 +134,21 @@ class Mpdu:
         self.tx_complete: Optional[int] = None  # tick its last fragment ended
 
 
+class Run:
+    """`count` whole MPDUs from data seq `seq`, sent back to back in one
+    burst and awaiting their ack as one `pending` entry: the first ended at
+    tick `tx_complete`, and each next one ends one whole-MPDU airtime
+    later. `corrupted` holds for all or none."""
+
+    __slots__ = ("seq", "count", "tx_complete", "corrupted")
+
+    def __init__(self, seq: int, count: int, tx_complete: int, corrupted: bool):
+        self.seq = seq
+        self.count = count
+        self.tx_complete = tx_complete
+        self.corrupted = corrupted
+
+
 class TrafficSource:
     __slots__ = ("pattern", "rate_bps", "start_us")
 
@@ -148,9 +172,10 @@ class LinkRuntime:
 
     __slots__ = (
         "vertex", "mcs", "prop", "source", "size_bits", "payload_bits", "size_units",
-        "vertex_id", "tx_shape", "rx_shape", "saturated", "next_arrival", "next_seq", "queue",
-        "pending", "received", "rx_since_ack", "control_queue", "dead", "active_until",
-        "interfered_now", "tx_tick", "tx_seq", "tx_end", "in_flight", "steps",
+        "airtime", "vertex_id", "tx_shape", "rx_shape", "whole_tx_shape", "whole_rx_shapes",
+        "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending", "received",
+        "rx_since_ack", "control_queue", "dead", "reverse_power", "reverse_mcs",
+        "active_until", "interfered_now", "tx_tick", "tx_seq", "tx_end", "in_flight", "steps",
         "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
         "delivered_payload_bits", "dropped_bits", "retx_units", "completed_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
@@ -158,7 +183,7 @@ class LinkRuntime:
 
     def __init__(
         self, vertex: DirectedLink, mcs: McsEntry, prop: int, source: Optional[TrafficSource],
-        size_bits: int, payload_bits: int, size_units: int, shapes: tuple[int, int],
+        size_bits: int, payload_bits: int, size_units: int, shapes: tuple[int, ...],
     ):
         self.vertex = vertex
         self.mcs = mcs
@@ -167,29 +192,41 @@ class LinkRuntime:
         self.size_bits = size_bits
         self.payload_bits = payload_bits
         self.size_units = size_units
+        self.airtime = _whole_ticks(size_units, int(mcs.phy_rate_bps))  # of a whole MPDU
 
         self.vertex_id = vertex.vertex_id
-        # The trace shapes of its data frame_tx and frame_rx rows.
-        self.tx_shape, self.rx_shape = shapes
+        # The trace shapes of its data frame_tx and frame_rx rows, of a
+        # whole MPDU's rows, `(t, shape, data_seq)`, sent and received
+        # (interfered, decoded), and of its block ack's, `(t, shape, covered)`.
+        (self.tx_shape, self.rx_shape, self.whole_tx_shape, *self.whole_rx_shapes,
+         self.ack_shape) = shapes
         self.saturated = source is not None and source.pattern == "saturated"
         self.next_arrival = -1  # tick of the next CBR arrival
         self.next_seq = 0
         self.queue = deque()
-        self.pending = {}  # seq -> Mpdu awaiting ack
-        # Decoded seqs at the receiver that no ack round has settled: at
-        # most the pending ones, since an MPDU is received once.
+        self.pending = {}  # seq -> Mpdu, or first seq -> Run, awaiting ack
+        # Decoded seqs of single MPDUs at the receiver that no ack round has
+        # settled: at most the pending ones, since an MPDU is received once.
+        # A run is never sent again, so its `corrupted` says all this does.
         self.received = set()
         self.rx_since_ack = []  # (seq, rx tick)
         self.control_queue = deque()
         self.dead = False
+        # The reverse path's MCS, read again only when its transmitter's
+        # power has changed since (the link table's entry is geometry).
+        self.reverse_power: Optional[float] = None
+        self.reverse_mcs: Optional[McsEntry] = None
 
         # transmit window of the currently active slot, if any
         self.active_until = 0
         self.interfered_now = False
         # The burst: its next transmission (tick and sequence number; no
         # sequence when none is due) inside the window ending at tx_end,
-        # fragments in flight as (rx tick, seq, mpdu, frag, bits, last, ok),
-        # and the sequence numbers of its steps on the heap.
+        # receptions in flight, and the sequence numbers of its steps on the
+        # heap. A fragment is in flight as (rx tick, seq, mpdu, frag, bits,
+        # last, ok); the receptions of a run still to come as one entry,
+        # (rx tick, seq, data seq, count, ok) of the first, each next one a
+        # whole-MPDU airtime, two sequence numbers and one data seq later.
         self.tx_tick = 0
         self.tx_seq: Optional[int] = None
         self.tx_end = 0
@@ -213,7 +250,8 @@ class LinkRuntime:
         # partially transmitted head still owes its whole frame here.
         backlog = sum(m.size_bits for m in self.queue)
         pending_undelivered = sum(
-            m.size_bits for m in self.pending.values() if m.corrupted
+            self.size_bits * m.count if m.__class__ is Run else m.size_bits
+            for m in self.pending.values() if m.corrupted
         )
         return backlog + pending_undelivered
 
@@ -363,6 +401,8 @@ class World:
         self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
+        # rate -> (block ack, measurement report) airtime in ticks
+        self.control_airtimes: dict[int, tuple[int, int]] = {}
 
         self.runtimes: dict[str, LinkRuntime] = {}
         for vid, source in traffic.items():
@@ -377,16 +417,21 @@ class World:
                 propagation_delay_us(nodes[vertex.tx_node], nodes[vertex.rx_node]) * 10**6
             )
             # A data row carries (data_seq, bits, last_fragment) and, when
-            # received, the outcome; the rest is fixed per runtime.
+            # received, the outcome; the rest is fixed per runtime. A whole
+            # MPDU's row carries only its data_seq.
+            sent = {"node": vertex.tx_node, "frame": "data", "link": vid, "mcs": entry.mcs_index}
+            got = {"node": vertex.rx_node, "frame": "data", "link": vid}
+            whole = {"bits": float(self.frame_sizes.data_total_bits), "last_fragment": True}
+            shape = self.trace.shape
             shapes = (
-                self.trace.shape(
-                    "frame_tx",
-                    {"node": vertex.tx_node, "frame": "data", "link": vid, "mcs": entry.mcs_index},
-                    data_seq=0, bits=0.0, last_fragment=False,
-                ),
-                self.trace.shape(
-                    "frame_rx", {"node": vertex.rx_node, "frame": "data", "link": vid},
-                    data_seq=0, bits=0.0, last_fragment=False, outcome="",
+                shape("frame_tx", sent, data_seq=0, bits=0.0, last_fragment=False),
+                shape("frame_rx", got, data_seq=0, bits=0.0, last_fragment=False, outcome=""),
+                shape("frame_tx", {**sent, **whole}, data_seq=0),
+                shape("frame_rx", {**got, **whole, "outcome": "interfered"}, data_seq=0),
+                shape("frame_rx", {**got, **whole, "outcome": "decoded"}, data_seq=0),
+                shape(
+                    "frame_tx", {"node": vertex.rx_node, "frame": "block_ack", "link": vid},
+                    covered=(),
                 ),
             )
             self.runtimes[vid] = LinkRuntime(
@@ -595,6 +640,15 @@ def _transmit(world: World, rt: LinkRuntime, now: int, window_end: int) -> None:
         queue.seq += 1
 
 
+def _before(tick: int, seq: int, step: int, limit: int, limit_seq: int) -> int:
+    """How many of the events at (tick + i * step, seq + 2 * i), i = 0, 1,
+    ..., come before the event at (limit, limit_seq) in event order."""
+    count = max(0, -((tick - limit) // step))  # those at a tick before `limit`
+    if tick + count * step == limit and seq + 2 * count < limit_seq:
+        count += 1
+    return count
+
+
 def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     """Run `rt`'s burst from its step `step`: send and receive its data
     fragments in event order while each comes before the heap's next event
@@ -608,15 +662,30 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     scheduled. The SNR check reads state that only heap events and
     timeline entries change, so it is read once per call. A step whose
     fragment has already run, because an earlier step was parked in front
-    of it, runs nothing. The burst's trace rows are written as one batch,
-    and not built when the trace is disabled.
+    of it, runs nothing.
+
+    A saturated link with nothing queued sends, in one step, the run of
+    fresh MPDUs that fit whole before the window's end and the bound: MPDU
+    i is sent at `t0 + i*A` and received at `t0 + (i+1)*A + prop`, with
+    sequence numbers `n + 2i - 1` and `n + 2i` as the loop would give them
+    one by one. Nothing but the trace rows orders its transmissions against
+    receptions, so the run's own state changes at once, and its rows wait
+    in `sent`: each is written when the first reception after it is. Its
+    receptions stay in flight as one entry, of which a step receives at
+    once the prefix that comes before the bound and the next transmission.
+    The burst's trace rows are written as one batch, in event order, and
+    not built when the trace is disabled.
     """
     steps = rt.steps
     steps.discard(step)
     queue = world.queue
     heap, until, seq_next = queue.heap, queue.until, queue.seq
-    top_tick, top_seq = (heap[0][0], heap[0][1]) if heap else (until, 0)
-    bound = top_tick if top_tick < until else until  # a fragment before this tick runs
+    # An event runs here if it comes before (bound, bound_seq): the heap's
+    # next event, or the timeline's, which runs first at its tick.
+    if heap and heap[0][0] < until:
+        bound, bound_seq = heap[0][0], heap[0][1]
+    else:
+        bound, bound_seq = until, -1
 
     tpu, units_per_bit = world.tpu, world.units_per_bit
     tx_shape, rx_shape = rt.tx_shape, rt.rx_shape
@@ -629,8 +698,11 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     rx_key, pending, prop = (rx_node, tx_node), rt.pending, rt.prop
     rate = int(rt.mcs.phy_rate_bps)
     # A whole MPDU's bits, as round(size_units / units_per_bit, 3) gives them.
-    size_units, full_bits = rt.size_units, float(rt.size_bits)
+    size_units, full_bits, whole = rt.size_units, float(rt.size_bits), rt.airtime
     tx_tick, tx_seq, tx_end = rt.tx_tick, rt.tx_seq, rt.tx_end
+    # The rows of this call's run, sent from tick sent_t0; the first
+    # `written` of its `n_sent` are in `rows`.
+    sent, sent_t0, written, n_sent = (), 0, 0, 0
     ok = None
     air = 0
     while True:
@@ -645,10 +717,50 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
         else:
             seq = None
             break
-        if not (tick < bound or (tick == top_tick < until and seq < top_seq)):
+        if not (tick < bound or (tick == bound and seq < bound_seq)):
             break
 
         if receive:
+            if written < n_sent:  # the run's rows sent before this reception
+                upto = min(n_sent, -((sent_t0 - tick) // whole))
+                rows += sent[written:upto]
+                written = upto
+            if len(head) == 5:  # a run's receptions
+                _, _, first, count, decoded = head
+                got = min(count, _before(tick, seq, whole, bound, bound_seq))
+                if tx_seq is not None:
+                    got = min(got, _before(tick, seq, whole, tx_tick, tx_seq))
+                ticks = range(tick, tick + got * whole, whole)
+                if decoded:
+                    rt.delivered_fragment_units += got * size_units
+                    last_rx[rx_key] = ticks[-1]
+                    rt.completed_mpdus += got
+                    rt.delivered_mpdu_bits += got * rt.size_bits
+                    rt.delivered_payload_bits += got * rt.payload_bits
+                    # Each was sent when it became eligible, A + prop before.
+                    rt.latency_samples_us += repeat((whole + prop) / tpu, got)
+                    rx_since_ack += zip(range(first, first + got), ticks)
+                if traced:
+                    got_rows = list(zip(
+                        map(round, map(truediv, ticks, repeat(tpu)), repeat(3)),
+                        repeat(rt.whole_rx_shapes[decoded]), range(first, first + got),
+                    ))
+                    # Both progressions step by A, so one of the run's rows
+                    # falls between each two receptions until they run out.
+                    between = min(n_sent - written, got - 1)
+                    if between > 0:
+                        mixed = [None] * (2 * between + 1)
+                        mixed[::2] = got_rows[:between + 1]
+                        mixed[1::2] = sent[written:written + between]
+                        rows += mixed
+                        del got_rows[:between + 1]
+                        written += between
+                    rows += got_rows
+                if got == count:
+                    in_flight.popleft()
+                else:
+                    in_flight[0] = (tick + got * whole, seq + 2 * got, first + got, count - got, decoded)
+                continue
             _, _, mpdu, frag, bits, last, decoded = in_flight.popleft()
             if decoded:
                 rt.delivered_fragment_units += frag
@@ -671,28 +783,59 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
         if tick >= tx_end:
             tx_seq = None
             continue
+        if written < n_sent:
+            rows += sent[written:]
+            written = n_sent
         if backlog:
             mpdu = backlog[0]
             if mpdu.eligible > tick:
                 tx_seq = None
                 continue
         elif rt.saturated:
+            mpdu = None  # a fresh one
+        else:
+            tx_seq = None
+            continue
+        if ok is None:
+            ok = (not rt.interfered_now) and world.links.snr_db(
+                world.nodes[tx_node], vertex.tx_sector, world.nodes[rx_node], vertex.rx_sector,
+            ) >= rt.mcs.min_snr_db
+        if mpdu is None:
+            # A run: as many whole MPDUs as end in the window and start
+            # before the bound (its numbers are all newer than bound_seq),
+            # if that is two or more. One cut short by a heap event, such
+            # as another burst's step in the same window, goes as a fragment.
+            if tick + whole < bound and tick + 2 * whole <= tx_end:
+                count = min((tx_end - tick) // whole, -((tick - bound) // whole))
+                first = rt.next_seq
+                rt.next_seq += count
+                rt.offered_bits += count * rt.size_bits
+                end = tick + count * whole
+                pending[first] = Run(first, count, tick + whole, not ok)
+                air += end - tick
+                in_flight.append((tick + whole + prop, seq_next, first, count, ok))
+                if traced:
+                    sent = list(zip(
+                        map(round, map(truediv, range(tick, end, whole), repeat(tpu)), repeat(3)),
+                        repeat(rt.whole_tx_shape), range(first, first + count),
+                    ))
+                    sent_t0, written, n_sent = tick, 0, count
+                seq_next += 2 * count - 1
+                if end < tx_end:
+                    tx_tick, tx_seq = end, seq_next
+                    seq_next += 1
+                else:
+                    tx_seq = None
+                continue
             mpdu = Mpdu(rt.next_seq, rt.size_bits, rt.payload_bits, tick, size_units)
             rt.next_seq += 1
             rt.offered_bits += rt.size_bits
             backlog.append(mpdu)
-        else:
-            tx_seq = None
-            continue
         frag = mpdu.remaining
         room = (tx_end - tick) * rate
         if frag > room:
             frag = room
         airtime = _whole_ticks(frag, rate)
-        if ok is None:
-            ok = (not rt.interfered_now) and world.links.snr_db(
-                world.nodes[tx_node], vertex.tx_sector, world.nodes[rx_node], vertex.rx_sector,
-            ) >= rt.mcs.min_snr_db
         if not ok:
             mpdu.corrupted = True
         mpdu.remaining -= frag
@@ -716,6 +859,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
             seq_next += 1
         else:
             tx_seq = None
+    rows += sent[written:]
     world.trace.extend(rows)
     rt.tx_tick, rt.tx_seq = tx_tick, tx_seq
     world.used_air[DATA] += air
@@ -731,48 +875,57 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
         return
     what = rt.control_queue.popleft()
     vertex = rt.vertex
+    nodes = world.nodes
     reverse = world.graph_vertices[vertex.reverse_id]
-    nodes, links = world.nodes, world.links
-    entry = mcs_from_snr(world.mcs_table, links.snr_db(
-        nodes[reverse.tx_node], reverse.tx_sector, nodes[reverse.rx_node], reverse.rx_sector,
-    ))
-    if entry is None:
+    power = nodes[reverse.tx_node].tx_power_dbm
+    if power != rt.reverse_power:
+        rt.reverse_power = power
+        rt.reverse_mcs = mcs_from_snr(world.mcs_table, world.links.snr_db(
+            nodes[reverse.tx_node], reverse.tx_sector, nodes[reverse.rx_node], reverse.rx_sector,
+        ))
+    if rt.reverse_mcs is None:
         return
-    rate = int(entry.phy_rate_bps)
-    t_us = now / world.tpu
+    rate = int(rt.reverse_mcs.phy_rate_bps)
+    airtimes = world.control_airtimes.get(rate)
+    if airtimes is None:
+        sizes, units_per_bit = world.frame_sizes, world.units_per_bit
+        airtimes = world.control_airtimes[rate] = (
+            _whole_ticks(sizes.ack * 8 * units_per_bit, rate),
+            _whole_ticks(sizes.measurement_report * 8 * units_per_bit, rate),
+        )
+    tpu = world.tpu
     ok = not rt.interfered_now
 
     if what == "block_ack":
-        covered = tuple(seq for seq, _ in rt.rx_since_ack)
-        for _, rx_t in rt.rx_since_ack:
-            rt.ack_delay_samples_us.append((now - rx_t) / world.tpu)
-        rt.rx_since_ack.clear()
-        airtime = _whole_ticks(world.frame_sizes.ack * 8 * world.units_per_bit, rate)
-        world.trace.record(
-            t_us, "frame_tx", node=vertex.rx_node, frame="block_ack",
-            link=rt.vertex_id, covered=list(covered),
+        rx_since_ack = rt.rx_since_ack
+        covered = tuple(map(itemgetter(0), rx_since_ack))
+        rt.ack_delay_samples_us += map(
+            truediv, map(sub, repeat(now), map(itemgetter(1), rx_since_ack)), repeat(tpu),
         )
+        rx_since_ack.clear()
+        airtime = airtimes[0]
+        if world.trace.enabled:
+            world.trace.extend([(round(now / tpu, 3), rt.ack_shape, covered)])
         world.queue.push(
             now + airtime + rt.prop, _on_block_ack_rx, (rt, covered, slot_start, ok)
         )
     else:
         # RCPI is the received power, and RSNI equals SNR under this
         # deterministic model.
+        links = world.links
         seq = rt.report_seq
         rcpi = links.power_dbm(
             nodes[vertex.tx_node], vertex.tx_sector, nodes[vertex.rx_node], vertex.rx_sector,
         )
         rsni = rcpi - links.noise_floor_dbm
         rt.report_seq += 1
-        airtime = _whole_ticks(
-            world.frame_sizes.measurement_report * 8 * world.units_per_bit, rate
-        )
+        airtime = airtimes[1]
         world.trace.record(
-            t_us, "frame_tx", node=vertex.rx_node, frame="link_measurement_report",
+            now / tpu, "frame_tx", node=vertex.rx_node, frame="link_measurement_report",
             link=rt.vertex_id, report_seq=seq, rcpi_dbm=round(rcpi, 3), rsni_db=round(rsni, 3),
         )
         world.queue.push(now + airtime + rt.prop, _on_report_rx, (rt, seq, rsni, ok))
-    world.used_air[SlotCategory.BASIC.value] += airtime
+    world.used_air[BASIC] += airtime
     if rt.control_queue:
         world.queue.push(now + airtime, _on_control_tx, (rt, slot_start))
 
@@ -803,33 +956,58 @@ def _on_report_rx(world: World, now: int, rt: LinkRuntime, seq: int, rsni: float
 
 
 def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: int) -> None:
-    for seq in sorted(rt.pending):
-        mpdu = rt.pending[seq]
-        if mpdu.tx_complete + rt.prop >= formed_at:
+    pending, prop = rt.pending, rt.prop
+    for seq in sorted(pending):
+        entry = pending[seq]
+        if entry.tx_complete + prop >= formed_at:
             continue  # completed after the ack was formed; next round decides
-        del rt.pending[seq]
+        if entry.__class__ is Run:
+            # Its MPDUs that completed before the ack was formed, each one
+            # airtime after the one before. Decoded, they are delivered;
+            # else none was received, and each is sent again.
+            whole = rt.airtime
+            done = min(entry.count, -((entry.tx_complete + prop - formed_at) // whole))
+            if entry.corrupted:
+                for i in range(done):  # each became eligible when it was sent
+                    _retry(rt, Mpdu(
+                        seq=entry.seq + i, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
+                        eligible=entry.tx_complete + (i - 1) * whole, remaining=rt.size_units,
+                    ))
+            del pending[seq]
+            if done < entry.count:  # the rest, keyed apart from the MPDUs sent again
+                entry.seq += done
+                entry.count -= done
+                entry.tx_complete += done * whole
+                pending[entry.seq] = entry
+            continue
+        del pending[seq]
         if seq in covered or seq in rt.received:
             # Delivered (if the covering ack was lost, this round settles it).
             # Its copy was received before the ack was formed, and only an
             # MPDU that was not received is sent again, so nothing asks
             # about seq any more.
             rt.received.discard(seq)
-        elif mpdu.retried:
-            rt.dropped_bits += mpdu.size_bits
+        elif entry.retried:
+            rt.dropped_bits += entry.size_bits
             world.trace.record(
                 formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
                 link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
             )
         else:
-            mpdu.retried = True
-            mpdu.corrupted = False
-            mpdu.remaining = rt.size_units
-            mpdu.tx_complete = None
-            # Requeue behind a partially transmitted head, else at the front.
-            if rt.queue and rt.queue[0].remaining < rt.size_units:
-                rt.queue.insert(1, mpdu)
-            else:
-                rt.queue.appendleft(mpdu)
+            _retry(rt, entry)
+
+
+def _retry(rt: LinkRuntime, mpdu: Mpdu) -> None:
+    """Queue `mpdu` for its one retransmission."""
+    mpdu.retried = True
+    mpdu.corrupted = False
+    mpdu.remaining = rt.size_units
+    mpdu.tx_complete = None
+    # Requeue behind a partially transmitted head, else at the front.
+    if rt.queue and rt.queue[0].remaining < rt.size_units:
+        rt.queue.insert(1, mpdu)
+    else:
+        rt.queue.appendleft(mpdu)
 
 
 def _apply_tpc(world: World, rt: LinkRuntime, rsni: float, now: int) -> None:

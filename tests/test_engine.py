@@ -1,9 +1,11 @@
 import heapq
+import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from operator import itemgetter
 from types import SimpleNamespace
@@ -201,6 +203,14 @@ def test_airtime_off_the_tick_grid_raises():
     rt.mcs = rt.mcs._replace(phy_rate_bps=4_620_000_007)
     with pytest.raises(SimulationError, match="whole number of ticks"):
         run_until(world)
+
+
+def test_whole_mpdu_airtime_off_the_tick_grid_is_refused_when_the_world_is_built(monkeypatch):
+    # 12,320 bits at 4.62 Gbit/s take 2.6667 us, a whole number of ticks on
+    # no grid of one tick per picosecond: the World refuses to be built.
+    monkeypatch.setattr(engine, "ticks_per_us", lambda *args: 10**6)
+    with pytest.raises(SimulationError, match="whole number of ticks"):
+        build_world()
 
 
 def test_cbr_gap_off_the_tick_grid_raises():
@@ -636,6 +646,56 @@ def test_a_data_window_is_a_burst_not_an_event_pair_per_fragment():
     assert metrics.per_link["dn1-cn1:downlink"].completed_mpdus > 10_000
     assert len(trace.iter_kind("frame_tx")) > 11_000
     assert world.queue.pushes <= 2_259
+
+
+def saturated_dl_world(trace, duration_us):
+    cfg = parse_config(yaml.safe_load((SCENARIOS / "saturated_dl.yaml").read_text()))
+    cfg.sim.duration_us = duration_us
+    prep = cli.prepare_scenario(cfg)
+    return cli.build_world(prep, cli.plan_scenario(prep), trace)
+
+
+def test_a_disabled_trace_gives_the_traced_result_without_building_rows():
+    def run(trace):
+        world = saturated_dl_world(trace, 9600)
+        tracemalloc.start()
+        try:
+            return run_until(world), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(TraceRecorder(enabled=False))  # first-call allocations are not the bursts'
+    (disabled, disabled_peak), (traced, traced_peak) = (
+        run(TraceRecorder(enabled=False)), run(TraceRecorder()),
+    )
+    assert disabled == traced
+    assert disabled.per_link["dn1-cn1:downlink"].completed_mpdus > 3000
+    # The traced run holds about 7,000 rows; the disabled one builds none,
+    # not even to drop them.
+    assert disabled_peak * 4 < traced_peak
+
+
+def test_whole_mpdu_rows_read_back_with_every_field():
+    # A run's rows carry only their data_seq, and the queries return the
+    # fields their shape fixes too, as the written lines hold them.
+    trace = TraceRecorder()
+    world = build_world(trace=trace, duration_us=3200)
+    run_until(world)
+    trace.close()
+    records = trace.sorted_records()
+    assert records == [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    rt = world.runtimes[DL]
+    whole_shapes = {rt.whole_tx_shape, *rt.whole_rx_shapes}
+    runs = {seq for seq, rec in enumerate(trace._records) if rec[1] in whole_shapes}
+    assert len(runs) > 2000
+    tx_fields = {"t", "kind", "seq", "node", "frame", "link", "mcs", "data_seq", "bits", "last_fragment"}
+    for kind, fields in (("frame_tx", tx_fields), ("frame_rx", tx_fields - {"mcs"} | {"outcome"})):
+        rows = [r for r in trace.iter_kind(kind) if r["seq"] in runs]
+        assert rows and all(r.keys() == fields for r in rows)
+        assert {(r["bits"], r["last_fragment"], r.get("outcome", "decoded")) for r in rows} == {
+            (float(MPDU_BITS), True, "decoded"),
+        }
+        assert rows == [records[r["seq"]] for r in rows]
 
 
 def test_received_set_does_not_grow_with_simulated_time():

@@ -20,21 +20,31 @@ metrics CSV and stdout:
   maintenance-tick grid, and runs cut in the middle of a DATA window;
 - hand-built plans whose activations interfere, so that fragments are
   lost, MPDUs are retried and dropped, acks are lost, and block acks and
-  reports land inside DATA windows.
+  reports land inside DATA windows;
+- long links at MCS 12, whose propagation delay is within 0.5 ns below one
+  whole-MPDU airtime, so that a run's receptions and transmissions share
+  trace times, or longer than it: generated scenarios, whose every metric
+  sample must match too, with CBR arrivals inside runs, transmit power
+  control on both directions and runs cut by `run_until`, and hand-built
+  plans whose interfered runs are retried and dropped and whose block acks
+  and reports land inside runs.
 """
 
 import contextlib
 import io
+import json
+import re
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tddsim import cli, engine
 from tddsim.beamforming import TrainedLink
-from tddsim.channel import LinkBudgetConfig
+from tddsim.channel import SPEED_OF_LIGHT_M_PER_US, LinkBudgetConfig, LinkTable
 from tddsim.config import parse_config
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
+from tddsim.domain import NodeModel, Role, uniform_codebook
 from tddsim.engine import MaintenanceSettings, TrafficSource, World, metrics_to_csv
 from tddsim.maintenance import ReportSchedule
 from tddsim.schedule import (
@@ -500,3 +510,213 @@ def test_the_hand_built_plans_retry_drop_and_steer_power():
     assert '"frame": "block_ack", "kind": "frame_rx", "link": "ap-sta:downlink", "node": "ap", ' \
         '"outcome": "interfered"' in traces["lost_acks"]
     assert '"kind": "tpc_update"' in traces["late_basic_reports_steer_power_inside_data_windows"]
+
+
+# ---------------------------------------------------------------------------
+# Runs of whole MPDUs on long links.
+
+# At MCS 12 one MPDU takes 12,320 bits / 4,620 bits per us = 2.666667 us,
+# which light covers in 799.4466 m: a link a little shorter receives each
+# MPDU within 0.5 ns before the transmission two MPDUs later, and both
+# round to one trace time.
+MPDU_BITS = (1500 + 40) * 8
+WHOLE_MPDU_M = MPDU_BITS / 4620 * SPEED_OF_LIGHT_M_PER_US
+HALF_NS_M = 0.5e-3 * SPEED_OF_LIGHT_M_PER_US
+
+long_distance = st.one_of(
+    st.just(799.3866),  # propagation 2.666467 us
+    st.floats(WHOLE_MPDU_M - HALF_NS_M, WHOLE_MPDU_M),
+    st.sampled_from([WHOLE_MPDU_M + 0.01, 1000.0, 1599.3, 2700.0]),
+)
+
+long_scenario = st.fixed_dictionaries({
+    "distance_m": long_distance,
+    # The pair's uplink too, whose reports steer the power that the
+    # downlink's block acks are sent at.
+    "uplink": st.sampled_from([None, "saturated", "cbr"]),
+    # A second pair, 2 km away, sharing the DATA slots.
+    "second": st.sampled_from([None, "saturated", "cbr"]),
+    "rate_bps": st.sampled_from([ONE_PER_INTERVAL_BPS, 3.0e7, 2.5e8]),
+    "start_us": st.sampled_from([0, 101, 1234]),
+    "reports": st.sampled_from([None, "downlink", "uplink"]),
+    # Large steps take a node to its lowest power, and its links below MCS 12.
+    "max_step_db": st.sampled_from([3.0, 12.0]),
+    "cut": st.sampled_from([None, 3, 17, 40]),
+    "cut_interval": st.integers(0, 2),
+})
+
+
+def long_scenario_yaml(s) -> str:
+    """dn1-cn1 `distance_m` long with 40 dBi sectors at 20 dBm, at MCS 12
+    out to 4 km, carrying a saturated downlink."""
+    node = "  - {{id: {}, role: {}, position: [{!r}, {!r}], sectors: 8, " \
+        "mainlobe_gain_dbi: 40.0, tx_power_dbm: 20.0}}"
+    nodes = [node.format("dn1", "dn_ap", 0.0, 0.0), node.format("cn1", "cn_sta", s["distance_m"], 0.0)]
+    trained = ["    - {initiator: dn1, responder: cn1, initiator_sector: 0, responder_sector: 4}"]
+
+    def flow(link, direction, pattern):
+        extra = f", rate_bps: {s['rate_bps']!r}" if pattern == "cbr" else ""
+        return (
+            f"  - {{link: {link}, direction: {direction}, demand_bps: 1.0e+9, "
+            f"pattern: {pattern}{extra}, start_us: {s['start_us']}}}"
+        )
+
+    traffic = [flow("dn1-cn1", "downlink", "saturated")]
+    if s["uplink"]:
+        traffic.append(flow("dn1-cn1", "uplink", s["uplink"]))
+    if s["second"]:
+        nodes += [node.format("dn2", "dn_ap", 0.0, 2000.0), node.format("cn2", "cn_sta", 100.0, 2000.0)]
+        trained.append("    - {initiator: dn2, responder: cn2, initiator_sector: 0, responder_sector: 4}")
+        traffic.append(flow("dn2-cn2", "downlink", s["second"]))
+    lines = [
+        "name: long_link",
+        "sim: {duration_us: 6400, seed: 1, beacon_interval_us: 25600, sp_offset_us: 0, "
+        "sp_duration_us: 25600}",
+        "nodes:", *nodes,
+        "beamforming:", "  trained_links:", *trained,
+        "traffic:", *traffic,
+    ]
+    if s["reports"] and (s["reports"] == "downlink" or s["uplink"]):
+        lines += [
+            "maintenance:",
+            f"  tpc: {{enabled: true, target_rsni_db: 10.0, max_step_db: {s['max_step_db']!r}}}",
+            "  periodic_reports:",
+            f"    - {{link: dn1-cn1, direction: {s['reports']}, start_us: 0, interval_us: 800, count: 8}}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def long_outputs(text, t_end_us, run_until):
+    """(trace, every metric, its samples included) of the scenario's world
+    run through t_end_us, or to its end."""
+    prep = cli.prepare_scenario(parse_config(yaml.safe_load(text)))
+    trace = TraceRecorder()
+    world = cli.build_world(prep, cli.plan_scenario(prep), trace)
+    metrics = run_until(world, t_end_us)
+    trace.close()
+    return trace.to_jsonl(), metrics
+
+
+# Reports on the uplink take cn1 to its lowest power, which its downlink's
+# block acks are then sent at, at a lower MCS.
+STEERED_ACKS = dict(
+    distance_m=799.3866, uplink="cbr", second=None, rate_bps=2.5e8, start_us=0,
+    reports="uplink", max_step_db=12.0, cut=None, cut_interval=0,
+)
+
+
+@example(s=STEERED_ACKS)
+@example(s={**STEERED_ACKS, "distance_m": 2700.0, "uplink": "saturated", "cut": 40})
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(s=long_scenario)
+def test_generated_long_links_match_the_reference(s):
+    text = long_scenario_yaml(s)
+    # Into the sixth DATA slot of an interval, inside its run.
+    t_end_us = None if s["cut"] is None else 1600 * s["cut_interval"] + 5 * 66 + s["cut"]
+    ours = long_outputs(text, t_end_us, engine.run_until)
+    assert '"bits": 12320.0' in ours[0]
+    assert ours == long_outputs(text, t_end_us, reference_run_until)
+
+
+def test_steered_acks_change_their_mcs():
+    # The reverse path's MCS is read again after its transmitter's power
+    # changed: the downlink's block acks reach the AP later.
+    trace, _ = long_outputs(long_scenario_yaml(STEERED_ACKS), None, engine.run_until)
+    rows = [json.loads(line) for line in trace.splitlines()]
+    assert any(r["kind"] == "tpc_update" and r["node"] == "cn1" for r in rows)
+    sent = [r["t"] for r in rows if r["kind"] == "frame_tx" and r["frame"] == "block_ack"
+            and r["link"] == "dn1-cn1:downlink"]
+    got = [r["t"] for r in rows if r["kind"] == "frame_rx" and r["frame"] == "block_ack"
+           and r["link"] == "dn1-cn1:downlink"]
+    assert len({round(b - a, 3) for a, b in zip(sent, got)}) > 1
+
+
+def long_link_world(*, link_m, traffic, doctor, structure=None, maintenance=None, report_schedules=None):
+    """`doctored_world`'s two conflicting pairs, `link_m` long, with 40 dBi
+    sectors at 20 dBm, so that both links run at MCS 12."""
+    codebook = uniform_codebook(8, 40.0)
+    nodes = {node_id: NodeModel(node_id, role, position, codebook, 20.0) for node_id, role, position in (
+        ("ap", Role.DN_AP, (0.0, 0.0)), ("sta", Role.CN_STA, (link_m, 0.0)),
+        ("ap2", Role.DN_AP, (0.0, 30.0)), ("sta2", Role.CN_STA, (link_m, 30.0)),
+    )}
+    table = LinkTable(CHANNEL)
+    trained = [
+        TrainedLink(ap, sta, 0, 4, table.snr_db(nodes[ap], 0, nodes[sta], 4))
+        for ap, sta in (("ap", "sta"), ("ap2", "sta2"))
+    ]
+    structure = structure or default_slot_structure(1)
+    graph = build_interference_graph(nodes, trained, [], CHANNEL)
+    demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 4.2e9),
+               DemandSpec("ap2-sta2", Direction.DOWNLINK, 1e8)]
+    plan = assign_slots(graph, demands, structure)
+    doctor(plan)
+    return World(
+        nodes, CHANNEL, plan, structure, traffic={
+            vid: TrafficSource(pattern, rate_bps=rate) for vid, (pattern, rate) in traffic.items()
+        },
+        maintenance=maintenance, report_schedules=report_schedules, beacon_interval_us=25600,
+        sp_duration_us=25600, duration_us=9600, trace=TraceRecorder(),
+    )
+
+
+# LATE_BASIC with its BASIC slot inside DATA slot 15 (990-1056 us): block
+# acks are formed while that slot's run is in the air, and settle only the
+# MPDUs received before.
+MID_BASIC = LATE_BASIC._replace(
+    slots=LATE_BASIC.slots[:-1] + (SlotSpec(1033, 1, SlotCategory.BASIC),),
+)
+
+LONG_CASES = {
+    "dirty_runs_retry_and_drop": dict(
+        traffic={DL: ("saturated", 0.0), DL2: ("cbr", 3.0e7)}, doctor=dirty_all_but_slot_13,
+    ),
+    "late_basic_acks_and_reports_inside_runs": dict(
+        traffic={DL: ("saturated", 0.0), DL2: ("saturated", 0.0)}, structure=LATE_BASIC,
+        doctor=share_data_slots((5, 6)),
+        maintenance=MaintenanceSettings(
+            tpc_enabled=True, tpc_target_rsni_db=10.0, tpc_max_step_db=3.0,
+        ),
+        report_schedules={DL: ReportSchedule(True, tuple(1599 + 1600 * k for k in range(5)))},
+    ),
+    "mid_window_acks_settle_part_of_a_run": dict(
+        traffic={DL: ("saturated", 0.0)}, structure=MID_BASIC,
+        doctor=share_data_slots((1, 15)),
+    ),
+}
+
+
+def run_long_case(name, link_m, run_until, t_end_us):
+    world = long_link_world(link_m=link_m, **LONG_CASES[name])
+    metrics = run_until(world, t_end_us)
+    world.trace.close()
+    return world.trace.to_jsonl(), metrics
+
+
+@pytest.mark.parametrize("t_end_us", [None, 4800 + 66 * 7 + 20])
+@pytest.mark.parametrize("link_m", [799.3866, 1000.0])
+@pytest.mark.parametrize("name", sorted(LONG_CASES))
+def test_long_interfered_plans_match_the_reference(name, link_m, t_end_us):
+    ours = run_long_case(name, link_m, engine.run_until, t_end_us)
+    assert ours == run_long_case(name, link_m, reference_run_until, t_end_us)
+    # Whole MPDUs were lost.
+    assert re.search(
+        r'"bits": 12320\.0, "data_seq": \d+, "frame": "data", "kind": "frame_rx", '
+        r'"last_fragment": true, "link": "ap-sta:downlink", "node": "sta", "outcome": "interfered"',
+        ours[0],
+    )
+
+
+def test_long_plans_retry_and_drop_runs_and_land_control_frames_inside_them():
+    trace, _ = run_long_case("dirty_runs_retry_and_drop", 799.3866, engine.run_until, None)
+    assert '"kind": "frame_drop"' in trace
+    world = long_link_world(link_m=799.3866, **LONG_CASES["late_basic_acks_and_reports_inside_runs"])
+    engine.run_until(world)
+    rows = world.trace.sorted_records()
+    # Block acks and reports are received between two MPDUs of one run.
+    whole = sorted(
+        r["t"] for r in rows
+        if r["kind"] == "frame_tx" and r["frame"] == "data" and r["link"] == DL and r["bits"] == MPDU_BITS
+    )
+    control_rx = [r["t"] for r in rows if r["kind"] == "frame_rx" and r["frame"] != "data"]
+    assert any(a < t < b < a + 2.7 for t in control_rx for a, b in zip(whole, whole[1:]))
+    assert any(r["kind"] == "tpc_update" for r in rows)

@@ -513,10 +513,13 @@ def test_a_disabled_recorder_is_handed_no_rows():
     assert handed == []
     traced = Handed()
     run_scenario("saturated_dl", traced, duration_ms=4)
-    # A traced run hands its rows: the bursts' data frames and the slot rows.
+    # A traced run hands its rows: the bursts' data frames, the block acks'
+    # frame_tx rows and the slot rows.
     kinds = [traced._shapes[row[1]][0] for row in handed]
     assert set(kinds) == {"frame_tx", "frame_rx", "slot"}
-    assert {row_fields(traced, row)["frame"] for row, kind in zip(handed, kinds) if kind != "slot"} == {"data"}
+    assert {row_fields(traced, row)["frame"] for row, kind in zip(handed, kinds) if kind != "slot"} == {
+        "data", "block_ack",
+    }
 
 
 class SweepRowsOnly(TraceRecorder):

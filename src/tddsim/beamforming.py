@@ -14,6 +14,8 @@ destined for the central controller.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain, repeat
+from math import copysign
 from typing import NamedTuple, Optional, Sequence
 
 from .channel import LinkBudgetConfig, LinkTable, link_snr_db
@@ -265,16 +267,24 @@ def _sweep(
     One frame per slot; each responder listens on the next receive sector of
     its codebook, round robin. A sample's SNR is `LinkTable.snr_db`'s sum,
     term by term in its order, from the link entry read once per responder.
-    The frames' trace rows are written as one batch, and not built at all
-    when the trace is disabled. A flat-top sector gives each leg few distinct
-    SNRs, so each nonzero SNR is rounded once per sweep, its rows sharing it.
+
+    A block is one transmit sector's `repetitions` frames. A responder's
+    samples in a block depend only on that sector's gain and on the receive
+    sector the block starts on, so each leg computes each distinct block
+    once: its receive sectors, its decoded samples and, when the trace is
+    enabled, its rounded SNRs and outcomes, which every block equal to it
+    shares. A flat-top sector gives a leg few distinct SNRs, so each nonzero
+    SNR is rounded once per sweep. The frames' trace rows are assembled
+    column by column, the initiator's row and then each responder's per
+    frame, and written as one batch; with the trace disabled they are not
+    built at all.
     """
     ini_id = initiator.node_id
     power, noise = initiator.tx_power_dbm, links.noise_floor_dbm
-    last = plan.n_frames - 1
-    countdown = not plan.with_feedback
+    n_tx, reps, last = plan.n_tx_sectors, plan.repetitions, plan.n_frames - 1
     traced = trace.enabled
     if traced:
+        countdown = not plan.with_feedback
         tx_shape = trace.shape(
             "frame_tx", node=ini_id, frame="tdd_ssw", sector=0, frame_index=0,
             end_of_training=False, **({"slot_countdown": last} if countdown else {}),
@@ -283,34 +293,54 @@ def _sweep(
             "frame_rx", node=ini_id, frame="tdd_ssw", sector=0, tx_sector=0,
             snr_db=0.0, outcome="decoded",
         )
-    rows = []
-    row = rows.append
+        # Whole microseconds, so already the trace times.
+        times = list(map(float, range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)))
+        txs = [tx for tx in range(n_tx) for _ in range(reps)]
+        ssw = repeat("tdd_ssw")
+        legs_rows = []
     rounded: dict[float, float] = {}
-    legs = [
-        (r.node_id, len(r.codebook), *links.entry(initiator, r), [])
-        for r in responders
-    ]
-    reps = plan.repetitions
-    frame_times = range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)
-    for i, t in enumerate(frame_times):
-        tx = i // reps
+    samples = []
+    for r in responders:
+        loss, tx_gain, rx_gain = links.entry(initiator, r)
+        n_rx = len(r.codebook)
+        blocks: dict[tuple[float, float, int], tuple] = {}
+        leg_blocks = []
+        found: list[tuple[int, int, float]] = []
+        for tx in range(n_tx):
+            g, phase = tx_gain[tx], tx * reps % n_rx
+            # 0.0 == -0.0 as keys, but their sums may differ in sign.
+            key = (g, copysign(1.0, g), phase)
+            block = blocks.get(key)
+            if block is None:
+                rxs = [(phase + j) % n_rx for j in range(reps)]
+                base = power + g
+                snrs = [base + rx_gain[k] - loss - noise for k in rxs]
+                hits = [(k, snr) for k, snr in zip(rxs, snrs) if snr >= threshold]
+                shown = outcomes = None
+                if traced:
+                    shown = []
+                    for snr in snrs:
+                        # 0.0 == -0.0 as keys, but each rounds to itself: never cache zero.
+                        value = rounded.get(snr) if snr else round(snr, 3)
+                        if value is None:
+                            value = rounded[snr] = round(snr, 3)
+                        shown.append(value)
+                    outcomes = ["decoded" if snr >= threshold else "below_threshold" for snr in snrs]
+                block = blocks[key] = (hits, rxs, shown, outcomes)
+            found += [(tx, k, snr) for k, snr in block[0]]
+            leg_blocks.append(block)
+        samples.append(found)
         if traced:
-            t = float(t)  # whole microseconds, so already the trace time
-            if countdown:
-                row((t, tx_shape, ini_id, "tdd_ssw", tx, i, i == last, last - i))
-            else:
-                row((t, tx_shape, ini_id, "tdd_ssw", tx, i, i == last))
-        for rid, n_rx, loss, tx_gain, rx_gain, found in legs:
-            rx = i % n_rx
-            snr = power + tx_gain[tx] + rx_gain[rx] - loss - noise
-            decoded = snr >= threshold
-            if decoded:
-                found.append((tx, rx, snr))
-            if traced:
-                # 0.0 == -0.0 as keys, but each rounds to itself: never cache zero.
-                shown = rounded.get(snr) if snr else round(snr, 3)
-                if shown is None:
-                    shown = rounded[snr] = round(snr, 3)
-                row((t, rx_shape, rid, "tdd_ssw", rx, tx, shown, "decoded" if decoded else "below_threshold"))
-    trace.extend(rows)
-    return [leg[-1] for leg in legs]
+            legs_rows.append(zip(
+                times, repeat(rx_shape), repeat(r.node_id), ssw,
+                chain.from_iterable(b[1] for b in leg_blocks), txs,
+                chain.from_iterable(b[2] for b in leg_blocks),
+                chain.from_iterable(b[3] for b in leg_blocks),
+            ))
+    if traced:
+        tx_rows = zip(
+            times, repeat(tx_shape), repeat(ini_id), ssw, txs, range(plan.n_frames),
+            chain(repeat(False, last), (True,)), *((range(last, -1, -1),) if countdown else ()),
+        )
+        trace.extend(list(chain.from_iterable(zip(tx_rows, *legs_rows))))
+    return samples

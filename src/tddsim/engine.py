@@ -542,7 +542,11 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
                 now, _, event, event_args = pop()
                 event(world, now, *event_args)
         queue.now = tick
-        handler(world, tick, *args)
+        if args:  # a slot boundary's (start_us, interval, row); a star call is slower
+            start_us, interval, row = args
+            handler(world, tick, start_us, interval, row)
+        else:
+            handler(world, tick)
     _append_slot_rows(world)
     queue.until = t_end + 1
     while heap and heap[0][0] <= t_end:

@@ -11,10 +11,13 @@ record, field or insertion order at equal time fails here.
 import hashlib
 import json
 import math
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tddsim import beamforming, channel
 from tddsim.beamforming import (
     BeamformingConfig,
     BeamformingResult,
@@ -25,7 +28,7 @@ from tddsim.beamforming import (
     run_beamforming,
 )
 from tddsim.channel import LinkBudgetConfig, LinkTable
-from tddsim.domain import NodeModel, Role, uniform_codebook
+from tddsim.domain import Codebook, NodeModel, Role, Sector, normalize_angle_deg
 from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
 from tddsim.trace import TraceRecorder
 
@@ -260,47 +263,142 @@ def reference_run(mode, initiator, responders, channel_cfg, window, cfg, trace):
 # Bearings on the sector boundaries of 1-16 sector codebooks give tied
 # samples; distances beyond about 10 km leave responders undecodable.
 # Fractional powers and antenna gains make sums whose float rounding
-# depends on the order of their terms.
+# depends on the order of their terms. A codebook's sectors take their
+# (main, side) gains from a list in turn, so a leg can hear the initiator's
+# transmit sectors at many different gains: many distinct sweep blocks.
 UNIFORM = (25.0, -10.0)  # make_node's antenna gains, dBi
 angles = st.sampled_from([0.0, 11.25, 22.5, 45.0, 67.5, 90.0, 180.0, 202.5]) | st.floats(0.0, 360.0)
 powers = st.sampled_from([-10.0, 10.0, 20.0]) | st.floats(-10.0, 20.0)
-gains = st.just(UNIFORM) | st.tuples(st.floats(5.0, 30.0), st.floats(-20.0, 0.0))
-antennas = st.tuples(st.integers(1, 16), powers, gains)  # (sectors, tx power, (main, side))
+gain_pairs = st.just(UNIFORM) | st.tuples(st.floats(5.0, 30.0), st.floats(-20.0, 0.0))
+gains = st.lists(gain_pairs, min_size=1, max_size=6).map(tuple)
+antennas = st.tuples(st.integers(1, 16), powers, gains)  # (sectors, tx power, per-sector (main, side))
 responder_legs = st.tuples(st.floats(1.0, 5.5).map(lambda e: 10.0 ** e), angles, antennas)
+
+# Stand-in link budgets whose sums are exactly -0.0, 0.0 or a few other
+# values, as test_beamforming's ZeroLinks makes them: every node transmits
+# at the same signed zero, there is no loss or noise, and sector k of the
+# n-th node (the initiator first) gains pattern[n][k % len(pattern[n])].
+# Transmit gains -0.0 and 0.0 equal as keys but give sums of either sign.
+SIGNED = (-0.0, 0.0, 1.23456, -2.5)
+signed_links = st.tuples(
+    st.sampled_from([-0.0, 0.0]),
+    st.lists(st.lists(st.sampled_from(SIGNED), min_size=1, max_size=6), min_size=5, max_size=5),
+)
+# The decode threshold at the SNR of the sample (responder, tx sector, rx
+# sector), each index taken modulo its range; None keeps the default.
+threshold_samples = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 15))
 
 
 def antenna_node(node_id, role, position, sectors, power, gains):
-    return NodeModel(node_id, role, position, uniform_codebook(sectors, *gains), tx_power_dbm=power)
+    codebook = Codebook(tuple(
+        Sector(i, normalize_angle_deg(i * 360.0 / sectors), 360.0 / sectors, *gains[i % len(gains)])
+        for i in range(sectors)
+    ))
+    return NodeModel(node_id, role, position, codebook, tx_power_dbm=power)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    st.sampled_from(list(BfMode)),
-    antennas,
-    st.lists(responder_legs, min_size=1, max_size=4),
-)
-# r1 ties its receive sectors 3 and 0 at its best sample, for transmit
-# sector 3, whose block of 5 frames starts on r1's sector 3: the first of
-# the tied samples in frame order is not the lowest (tx, rx).
-@example(
-    BfMode.GROUP, (8, 10.0, UNIFORM),
-    [(100.0, 0.0, (5, 10.0, UNIFORM)), (100.0, 135.0, (4, 10.0, UNIFORM))],
-)
-def test_sweep_equals_the_per_sample_reference(mode, ini, legs):
-    if mode is BfMode.INDIVIDUAL:
-        legs = legs[:1]
-    initiator = antenna_node("ap", Role.DN_AP, (0.0, 0.0), *ini)
-    responders = [
-        antenna_node(f"r{k}", Role.CN_STA, polar(dist, angle), *antenna)
-        for k, (dist, angle, antenna) in enumerate(legs)
-    ]
-    window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
-    runs = []
-    for run in (run_beamforming, reference_run):
-        trace = TraceRecorder()
-        result = run(mode, initiator, responders, CHANNEL, window, BeamformingConfig(), trace)
-        runs.append((result, result_text(result), trace.to_jsonl()))
-    (got, got_text, got_trace), (want, want_text, want_trace) = runs
-    assert got_text == want_text
-    assert got_trace == want_trace
-    assert got == want
+def signed_table(pattern, nodes):
+    """A LinkTable class whose entries carry `signed_links`' gains."""
+    gains = {
+        node.node_id: [row[k % len(row)] for k in range(len(node.codebook))]
+        for node, row in zip(nodes, pattern)
+    }
+
+    class SignedTable(LinkTable):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.noise_floor_dbm = 0.0
+
+        def entry(self, tx, rx):
+            return 0.0, gains[tx.node_id], gains[rx.node_id]
+
+    return SignedTable
+
+
+def test_sweep_equals_the_per_sample_reference():
+    """run_beamforming, traced and with a disabled recorder, equals
+    `reference_run` on generated sweeps, and each case that can tell a
+    sweep computed once per distinct block from one computed per sample
+    occurs: many distinct blocks, a receive phase that shifts from block to
+    block, transmit gains of -0.0 and 0.0, both zeros written, and a
+    threshold equal to a sample."""
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(BfMode)),
+        antennas,
+        st.lists(responder_legs, min_size=1, max_size=4),
+        st.none() | signed_links,
+        threshold_samples,
+    )
+    # r1 ties its receive sectors 3 and 0 at its best sample, for transmit
+    # sector 3, whose block of 5 frames starts on r1's sector 3: the first
+    # of the tied samples in frame order is not the lowest (tx, rx).
+    @example(
+        BfMode.GROUP, (8, 10.0, (UNIFORM,)),
+        [(100.0, 0.0, (5, 10.0, (UNIFORM,))), (100.0, 135.0, (4, 10.0, (UNIFORM,)))],
+        None, None,
+    )
+    # Transmit sectors 0 and 1 reach r0 at -0.0 and 0.0 dBi, on blocks that
+    # start on the same receive sector; the threshold is sample (0, 0)'s -0.0.
+    @example(
+        BfMode.MEASUREMENT, (2, 10.0, (UNIFORM,)), [(100.0, 0.0, (3, 10.0, (UNIFORM,)))],
+        (-0.0, [[-0.0, 0.0], [-0.0, 0.0, 1.23456], [0.0], [0.0], [0.0]]), (0, 0, 0),
+    )
+    def check(mode, ini, legs, signed, threshold_at):
+        if mode is BfMode.INDIVIDUAL:
+            legs = legs[:1]
+        if signed is not None:
+            power = signed[0]
+            ini = (ini[0], power, ini[2])
+            legs = [(dist, angle, (n, power, g)) for dist, angle, (n, _, g) in legs]
+        initiator = antenna_node("ap", Role.DN_AP, (0.0, 0.0), *ini)
+        responders = [
+            antenna_node(f"r{k}", Role.CN_STA, polar(dist, angle), *antenna)
+            for k, (dist, angle, antenna) in enumerate(legs)
+        ]
+        table = LinkTable if signed is None else signed_table(signed[1], [initiator, *responders])
+        cfg = BeamformingConfig()
+        if threshold_at is not None:
+            k, tx, rx = threshold_at
+            r = responders[k % len(responders)]
+            cfg = BeamformingConfig(decode_min_snr_db=table(CHANNEL).snr_db(
+                initiator, tx % len(initiator.codebook), r, rx % len(r.codebook),
+            ))
+        window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (beamforming, channel, sys.modules[__name__]):
+                patch.setattr(module, "LinkTable", table)
+            for run, trace in (
+                (run_beamforming, TraceRecorder()),
+                (run_beamforming, TraceRecorder(enabled=False)),
+                (reference_run, TraceRecorder()),
+            ):
+                result = run(mode, initiator, responders, CHANNEL, window, cfg, trace)
+                runs.append((result, result_text(result), trace))
+        (got, got_text, got_trace), (off, off_text, _), (want, want_text, want_trace) = runs
+        assert got_text == off_text == want_text
+        assert got_trace.to_jsonl() == want_trace.to_jsonl()
+        assert got == off == want
+
+        reps = max(len(r.codebook) for r in responders)
+        links = table(CHANNEL)
+        tx_gains = [
+            [repr(links.entry(initiator, r)[1][tx]) for tx in range(len(initiator.codebook))]
+            for r in responders
+        ]
+        written = {repr(r["snr_db"]) for r in records(want_trace, "frame_rx", "tdd_ssw")}
+        seen["many distinct blocks"] += any(len(set(g)) > 2 for g in tx_gains)
+        seen["phase shift"] += any(reps % len(r.codebook) for r in responders)
+        seen["transmit gains -0.0 and 0.0"] += any({"-0.0", "0.0"} <= set(g) for g in tx_gains)
+        seen["written -0.0 and 0.0"] += {"-0.0", "0.0"} <= written
+        seen["threshold at a sample"] += threshold_at is not None
+
+    check()
+    assert set(seen) >= {
+        "many distinct blocks", "phase shift", "transmit gains -0.0 and 0.0",
+        "written -0.0 and 0.0", "threshold at a sample",
+    }, seen
+    assert all(seen.values()), seen

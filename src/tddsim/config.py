@@ -259,13 +259,20 @@ class ScenarioConfig(Section):
     # -- builders into runtime objects ---------------------------------------
 
     def build_nodes(self) -> dict[str, NodeModel]:
-        out = {}
+        """A new NodeModel per node entry. Nodes with the same antenna share
+        one read-only Codebook, built once per call."""
+        out, codebooks = {}, {}
         for n in self.nodes:
+            antenna = (n.sectors, n.mainlobe_gain_dbi, n.sidelobe_gain_dbi)
+            # Keyed by repr, so that -0.0 and 0.0 keep codebooks of their own.
+            key = repr(antenna)
+            if key not in codebooks:
+                codebooks[key] = uniform_codebook(*antenna)
             out[n.id] = NodeModel(
                 node_id=n.id,
                 role=_ROLES[n.role],
                 position=(float(n.position[0]), float(n.position[1])),
-                codebook=uniform_codebook(n.sectors, n.mainlobe_gain_dbi, n.sidelobe_gain_dbi),
+                codebook=codebooks[key],
                 tx_power_dbm=n.tx_power_dbm,
                 power_limits=PowerLimits(min_dbm=n.power_min_dbm, max_dbm=n.power_max_dbm),
             )

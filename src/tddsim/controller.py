@@ -138,8 +138,10 @@ def build_interference_graph(
     (tx node, tx sector, rx node, rx sector) tuple was reported; otherwise
     it is priced from the channel model and the pair is flagged as
     model-derived. A model price is `LinkTable.power_dbm`'s sum, term by
-    term in its order, over `link_geometry` (cached once per ordered node
-    pair) and the two ends' `sector_gain_dbi`; no link table is built.
+    term in its order, and no link table is built: `link_geometry` runs
+    once per unordered node pair (the reverse order swaps the two bearings)
+    and `sector_gain_dbi` once per (node, sector, peer), which by
+    reciprocity serves a node's sector both transmitting and receiving.
     """
     vertices: list[DirectedLink] = []
     for trained in trained_links:
@@ -152,38 +154,53 @@ def build_interference_graph(
             reported[key] = snr
 
     threshold = noise_floor_dbm(channel_cfg) + channel_cfg.interference_threshold_db
-    geometry: dict[tuple[str, str], tuple[float, float, float]] = {}
+    # node id -> peer id -> (loss, bearing to the peer, bearing back).
+    geometry: dict[str, dict[str, tuple[float, float, float]]] = {}
+    ends: dict[tuple[str, int], tuple] = {}
+
+    def end(node_id: str, sector: int) -> tuple:
+        """The one record of an antenna end, shared by the vertices that send
+        and receive on it: (node id, sector, gain toward each peer, the
+        node's geometry, node)."""
+        return ends.setdefault((node_id, sector), (
+            node_id, sector, {}, geometry.setdefault(node_id, {}), nodes[node_id],
+        ))
+
+    def victim_hit(tx: tuple, rx: tuple) -> tuple[bool, bool]:
+        """(conflict, used_channel_model) for end tx interfering at end rx."""
+        tx_id, tx_sector, tx_gains, tx_geometry, tx_node = tx
+        rx_id, rx_sector, rx_gains, rx_geometry, rx_node = rx
+        snr = reported.get((tx_id, tx_sector, rx_id, rx_sector))
+        if snr is not None:
+            # Reported SNR is referenced to the same noise floor.
+            return snr > channel_cfg.interference_threshold_db, False
+        if rx_id not in tx_geometry:
+            loss, out, back = tx_geometry[rx_id] = link_geometry(tx_node, rx_node, channel_cfg)
+            rx_geometry[tx_id] = loss, back, out
+        loss, out, back = tx_geometry[rx_id]
+        if rx_id not in tx_gains:
+            tx_gains[rx_id] = sector_gain_dbi(tx_node.codebook, tx_sector, out)
+        if tx_id not in rx_gains:
+            rx_gains[tx_id] = sector_gain_dbi(rx_node.codebook, rx_sector, back)
+        return tx_node.tx_power_dbm + tx_gains[rx_id] + rx_gains[tx_id] - loss > threshold, True
 
     edges: set[frozenset[str]] = set()
     model_derived: set[tuple[str, str]] = set()
-
-    def victim_hit(tx: DirectedLink, victim: DirectedLink) -> tuple[bool, bool]:
-        """(conflict, used_channel_model) for tx interfering at victim's receiver."""
-        key = (tx.tx_node, tx.tx_sector, victim.rx_node, victim.rx_sector)
-        if key in reported:
-            # Reported SNR is referenced to the same noise floor.
-            return reported[key] > channel_cfg.interference_threshold_db, False
-        src, dst = nodes[tx.tx_node], nodes[victim.rx_node]
-        pair = (tx.tx_node, victim.rx_node)
-        found = geometry.get(pair)
-        if found is None:
-            found = geometry[pair] = link_geometry(src, dst, channel_cfg)
-        loss, out, back = found
-        power = (src.tx_power_dbm + sector_gain_dbi(src.codebook, tx.tx_sector, out)
-                 + sector_gain_dbi(dst.codebook, victim.rx_sector, back) - loss)
-        return power > threshold, True
-
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1:]:
-            if a.nodes & b.nodes:
-                edges.add(frozenset((a.vertex_id, b.vertex_id)))
+    rows = [
+        (v.vertex_id, v.tx_node, v.rx_node, end(v.tx_node, v.tx_sector), end(v.rx_node, v.rx_sector))
+        for v in vertices
+    ]
+    for i, (a, a_tx, a_rx, a_send, a_receive) in enumerate(rows):
+        for b, b_tx, b_rx, b_send, b_receive in rows[i + 1:]:
+            if a_tx == b_tx or a_tx == b_rx or a_rx == b_tx or a_rx == b_rx:
+                edges.add(frozenset((a, b)))
                 continue
-            hit_ab, model_ab = victim_hit(a, b)
-            hit_ba, model_ba = victim_hit(b, a)
+            hit_ab, model_ab = victim_hit(a_send, b_receive)
+            hit_ba, model_ba = victim_hit(b_send, a_receive)
             if hit_ab or hit_ba:
-                edges.add(frozenset((a.vertex_id, b.vertex_id)))
+                edges.add(frozenset((a, b)))
             if model_ab or model_ba:
-                model_derived.add((a.vertex_id, b.vertex_id))
+                model_derived.add((a, b))
 
     return InterferenceGraph(
         vertices=tuple(vertices),

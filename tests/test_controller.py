@@ -2,6 +2,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 from typing import Sequence
 
 import pytest
@@ -257,24 +258,33 @@ antennas = st.tuples(
 
 @st.composite
 def graph_cases(draw):
-    """Two to four AP-STA links, extra losses, reports on trained sector
-    pairs and a threshold, possibly one at a cross pair's exact power."""
+    """Two to four AP-STA links, the last AP possibly serving a second STA,
+    extra losses, reports on trained sector pairs and a threshold, possibly
+    one at a cross pair's exact power. A node may take an earlier node's
+    codebook object, as nodes built from one config share one per antenna."""
     nodes, trained = {}, []
-    for k in range(draw(st.integers(2, 4))):
+    n_links = draw(st.integers(2, 4))
+    for k in range(n_links):
         ap_at = (draw(coords), draw(coords))
-        dist, angle = draw(st.floats(10.0, 300.0)), math.radians(draw(st.floats(0.0, 360.0)))
-        ends = [
-            (f"ap{k}", Role.DN_AP, ap_at, draw(antennas)),
-            (f"sta{k}", Role.CN_STA, (ap_at[0] + dist * math.cos(angle), ap_at[1] + dist * math.sin(angle)),
-             draw(antennas)),
-        ]
+        stas = [f"sta{k}", f"sta{k}b"] if k == n_links - 1 and draw(st.booleans()) else [f"sta{k}"]
+        ends = [(f"ap{k}", Role.DN_AP, ap_at, draw(antennas))]
+        for sta in stas:
+            dist, angle = draw(st.floats(10.0, 300.0)), math.radians(draw(st.floats(0.0, 360.0)))
+            ends.append((
+                sta, Role.CN_STA, (ap_at[0] + dist * math.cos(angle), ap_at[1] + dist * math.sin(angle)),
+                draw(antennas),
+            ))
         for node_id, role, at, (sectors, power, gains) in ends:
-            nodes[node_id] = NodeModel(node_id, role, at, uniform_codebook(sectors, *gains), tx_power_dbm=power)
-        trained.append(TrainedLink(
-            f"ap{k}", f"sta{k}",
-            draw(st.integers(0, len(nodes[f"ap{k}"].codebook) - 1)),
-            draw(st.integers(0, len(nodes[f"sta{k}"].codebook) - 1)), 0.0,
-        ))
+            shared = draw(st.none() | st.sampled_from(sorted(nodes))) if nodes else None
+            codebook = nodes[shared].codebook if shared else uniform_codebook(sectors, *gains)
+            nodes[node_id] = NodeModel(node_id, role, at, codebook, tx_power_dbm=power)
+        ap_sector = draw(st.integers(0, len(nodes[f"ap{k}"].codebook) - 1))
+        for sta in stas:
+            trained.append(TrainedLink(
+                f"ap{k}", sta, ap_sector, draw(st.integers(0, len(nodes[sta].codebook) - 1)), 0.0,
+            ))
+            # The second link keeps the AP's sector or trains another.
+            ap_sector = draw(st.just(ap_sector) | st.integers(0, len(nodes[f"ap{k}"].codebook) - 1))
     ids = sorted(nodes)
     sector = {t.initiator_id: t.initiator_sector for t in trained}
     sector.update({t.responder_id: t.responder_sector for t in trained})
@@ -332,12 +342,66 @@ def test_graph_equals_the_link_table_oracle():
         seen["extra loss"] += bool(cfg.extra_loss_db)
         seen["cross edge"] += any(len({v.split(":")[0] for v in e}) == 2 for e in expected[0])
         seen["model-derived"] += bool(expected[1])
+        seen["shared codebook"] += len({id(n.codebook) for n in nodes.values()}) < len(nodes)
+        seen["AP with two STAs"] += len({t.initiator_id for t in trained}) < len(trained)
+        reported = {(r.initiator_id, tx, r.responder_id, rx) for r in reports for tx, rx, _ in r.samples}
+
+        def covered(tx, victim):
+            return (tx.tx_node, tx.tx_sector, victim.rx_node, victim.rx_sector) in reported
+
+        seen["one-direction report"] += any(
+            covered(a, b) != covered(b, a)
+            for a, b in combinations(graph.vertices, 2) if not a.nodes & b.nodes
+        )
 
     check()
     assert set(seen) >= {
         "power at threshold", "report at threshold", "extra loss", "cross edge", "model-derived",
+        "shared codebook", "AP with two STAs", "one-direction report",
     }, seen
     assert all(seen.values()), seen
+
+
+def test_graph_equals_the_oracle_at_each_model_power():
+    """A threshold at each cross pair's exact model power, and at the float
+    below it, lets that power alone decide its edge, so a price off by one
+    rounding step changes an edge. Each AP serves two STAs on sectors of
+    their own, and the links come in shuffled order, so that some gains are
+    priced from a node pair's geometry cached in the other order (the
+    random cases above reach such edges rarely)."""
+    rng = random.Random(3)
+
+    def node(node_id, role, at):
+        codebook = uniform_codebook(rng.randint(2, 12), rng.uniform(5.0, 30.0), rng.uniform(-20.0, 0.0))
+        nodes[node_id] = NodeModel(node_id, role, at, codebook, tx_power_dbm=rng.uniform(-10.0, 20.0))
+        return rng.randrange(len(codebook))
+
+    checked = 0
+    for _ in range(10):
+        nodes, trained = {}, []
+        for k in range(2):
+            ap_at = (rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0))
+            node(f"ap{k}", Role.DN_AP, ap_at)
+            for j in range(2):
+                angle = rng.uniform(0.0, 2 * math.pi)
+                sta_at = (ap_at[0] + 100.0 * math.cos(angle), ap_at[1] + 100.0 * math.sin(angle))
+                sta_sector = node(f"sta{k}{j}", Role.CN_STA, sta_at)
+                ap_sector = rng.randrange(len(nodes[f"ap{k}"].codebook))
+                trained.append(TrainedLink(f"ap{k}", f"sta{k}{j}", ap_sector, sta_sector, 0.0))
+        rng.shuffle(trained)
+        vertices = [v for t in trained for v in links_from_trained(t, nodes, CHANNEL)]
+        powers = {
+            LinkTable(CHANNEL).power_dbm(nodes[a.tx_node], a.tx_sector, nodes[b.rx_node], b.rx_sector)
+            for a, b in combinations(vertices, 2) if not a.nodes & b.nodes for a, b in ((a, b), (b, a))
+        }
+        for power in powers:
+            for at in (threshold_at(CHANNEL, power), threshold_at(CHANNEL, math.nextafter(power, -math.inf))):
+                if at is not None:
+                    cfg = LinkBudgetConfig(interference_threshold_db=at)
+                    graph = build_interference_graph(nodes, trained, [], cfg)
+                    assert (graph.edges, graph.model_derived_pairs) == link_table_graph(nodes, trained, [], cfg)
+                    checked += 1
+    assert checked > 400
 
 
 def test_graph_builds_without_link_table_entries(monkeypatch):

@@ -60,13 +60,10 @@ from .maintenance import (
 from .schedule import (
     AbsoluteSlot,
     Direction,
-    ExtendedScheduleEntry,
     SlotCategory,
     TddSlotStructure,
-    default_slot_structure,
     expand_sp,
     sp_window,
-    timeline,
 )
 from .trace import TraceRecorder
 
@@ -83,7 +80,6 @@ __all__ = [
     "DemandSpec",
     "DirectedLink",
     "Direction",
-    "ExtendedScheduleEntry",
     "FrameSizes",
     "GlobalSchedule",
     "InterferenceGraph",
@@ -110,7 +106,6 @@ __all__ = [
     "assign_slots",
     "build_interference_graph",
     "collect_metrics",
-    "default_slot_structure",
     "expand_sp",
     "handle_periodic_report_request",
     "link_snr_db",
@@ -124,7 +119,6 @@ __all__ = [
     "mcs_from_snr",
     "serialize_config",
     "sp_window",
-    "timeline",
     "tpc_update",
     "uniform_codebook",
     "verify_global",

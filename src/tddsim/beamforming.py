@@ -18,7 +18,8 @@ from itertools import chain, repeat
 from math import copysign
 from typing import NamedTuple, Optional, Sequence
 
-from .channel import LinkBudgetConfig, LinkTable, link_snr_db
+from .channel import LinkBudgetConfig, LinkTable
+from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
 from .domain import DEFAULT_MCS_TABLE, NodeModel
 from .trace import TraceRecorder
 
@@ -187,9 +188,6 @@ def run_beamforming(
     ids = [r.node_id for r in responders]
     if len(set(ids)) != len(ids):
         raise ValueError("responder ids must be distinct")
-    for node in [initiator, *responders]:
-        if not node.tdd_capable:
-            raise ValueError(f"node {node.node_id} cannot participate in TDD training")
 
     plan = fit_sweep_plan(mode, initiator, responders, cfg, window)
     ini_id = initiator.node_id
@@ -222,7 +220,7 @@ def run_beamforming(
         tx, rx, snr = max(found, key=lambda s: (s[2], -s[0], -s[1]))
         t_fb = plan.feedback_time(tx, k)
         trace.record(t_fb, "frame_tx", node=rid, frame="tdd_ssw_feedback", sector=rx, best_tx_sector=tx)
-        fb_snr = link_snr_db(r, rx, initiator, tx, channel_cfg)
+        fb_snr = links.snr_db(r, rx, initiator, tx)
         if fb_snr < threshold:
             continue
         trace.record(

@@ -89,10 +89,13 @@ class _SectorGains(dict):
 
 class LinkTable:
     """Link budgets between nodes, one entry per ordered (tx, rx) node pair,
-    built on first use.
+    both orders of a pair built together on first use.
 
     An entry is what geometry fixes: `(loss, tx_gain, rx_gain)`, the loss and
-    each end's gain per sector toward the other. Transmit power is read from
+    each end's gain per sector toward the other. One `link_geometry` call
+    serves both orders exactly: the distance ignores sign, it gives both
+    bearings, and the extra loss is keyed by the unordered pair; so the two
+    orders share one loss and each end's gain map. Transmit power is read from
     the transmitting node on every query, so a power change never makes an
     entry stale. Node ids key the table, so one table serves one set of nodes.
     """
@@ -108,9 +111,9 @@ class LinkTable:
         found = self._entries.get(key)
         if found is None:
             loss, out, back = link_geometry(tx, rx, self.cfg)
-            found = self._entries[key] = (
-                loss, _SectorGains(tx.codebook, out), _SectorGains(rx.codebook, back),
-            )
+            tx_gain, rx_gain = _SectorGains(tx.codebook, out), _SectorGains(rx.codebook, back)
+            found = self._entries[key] = (loss, tx_gain, rx_gain)
+            self._entries[rx.node_id, tx.node_id] = (loss, rx_gain, tx_gain)
         return found
 
     def power_dbm(self, tx: NodeModel, tx_sector: int, rx: NodeModel, rx_sector: int) -> float:

@@ -29,7 +29,8 @@ from .beamforming import (
     TrainedLink,
     run_beamforming,
 )
-from .channel import link_snr_db
+from .channel import LinkTable
+from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
 from .config import ScenarioConfig, load_config, serialize_config
 from .controller import (
     AssignmentResult,
@@ -89,15 +90,16 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
         mcs_table=cfg.build_mcs_table(),
     )
     seen_pairs = set()
+    links = LinkTable(prep.channel)
 
     for t in cfg.beamforming.trained_links:
         pair = frozenset((t.initiator, t.responder))
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)
-        snr = link_snr_db(
+        snr = links.snr_db(
             prep.nodes[t.initiator], t.initiator_sector,
-            prep.nodes[t.responder], t.responder_sector, prep.channel,
+            prep.nodes[t.responder], t.responder_sector,
         )
         prep.trained.append(TrainedLink(
             initiator_id=t.initiator, responder_id=t.responder,
@@ -107,7 +109,8 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
 
     bf_cfg = cfg.build_bf_config()
     for k, run in enumerate(cfg.beamforming.runs):
-        window = sp_window(cfg.build_sp_entry(k * cfg.sim.beacon_interval_us), prep.structure)
+        sp_start_us = k * cfg.sim.beacon_interval_us + cfg.sim.sp_offset_us
+        window = sp_window(prep.structure, sp_start_us, cfg.sim.sp_duration_us)
         result = run_beamforming(
             BfMode(run.mode), prep.nodes[run.initiator],
             [prep.nodes[r] for r in run.responders], prep.channel,
@@ -167,7 +170,6 @@ def build_report_schedules(
     if not cfg.maintenance.periodic_reports:
         return schedules, warnings
 
-    first_sp = cfg.build_sp_entry(prep.epoch_us)
     t_end_us = prep.epoch_us + cfg.sim.duration_us
     vertices = plan.graph.by_id()
     for r in cfg.maintenance.periodic_reports:
@@ -179,7 +181,10 @@ def build_report_schedules(
             if spec.category is SlotCategory.BASIC
             and rev in plan.schedule.slot_links.get(index, ())
         )
-        runs = intervals(first_sp, prep.structure, cfg.sim.beacon_interval_us, t_end_us)
+        runs = intervals(
+            prep.structure, prep.epoch_us + cfg.sim.sp_offset_us, cfg.sim.sp_duration_us,
+            cfg.sim.beacon_interval_us, t_end_us,
+        )
         tx_windows = ((base + s, base + e) for _, base in runs for s, e in own)
         req = PeriodicReportRequest(
             start_time_us=r.start_us, interval_us=r.interval_us, count=r.count

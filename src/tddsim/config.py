@@ -31,7 +31,6 @@ from .errors import ConfigError
 from .frames import FrameSizes
 from .schedule import (
     Direction,
-    ExtendedScheduleEntry,
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
@@ -295,12 +294,6 @@ class ScenarioConfig(Section):
             for i in range(s.n_slots)
         )
         return TddSlotStructure(s.allocation_id, s.interval_us, slots)
-
-    def build_sp_entry(self, start_time_us: int = 0) -> ExtendedScheduleEntry:
-        sim = self.sim
-        return ExtendedScheduleEntry(
-            self.slot_structure.allocation_id, start_time_us + sim.sp_offset_us, sim.sp_duration_us
-        )
 
     def build_mcs_table(self) -> list[McsEntry]:
         if not self.mcs_table:
@@ -646,7 +639,7 @@ def _training_overflows(cfg: ScenarioConfig) -> list[str]:
     after the last, so the first one's window stands for all.
     """
     errors = []
-    window = sp_window(cfg.build_sp_entry(), cfg.build_structure())
+    window = sp_window(cfg.build_structure(), cfg.sim.sp_offset_us, cfg.sim.sp_duration_us)
     nodes, bf_cfg = cfg.build_nodes(), cfg.build_bf_config()
     for i, run in enumerate(cfg.beamforming.runs):
         try:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .beamforming import BeamMeasurementReport, TrainedLink
-from .channel import LinkBudgetConfig, link_geometry, link_snr_db, noise_floor_dbm
+from .channel import LinkBudgetConfig, LinkTable, link_geometry, noise_floor_dbm
+from .channel import link_snr_db  # noqa: F401  perfbench/layers.py hooks this name
 from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr, sector_gain_dbi
 from .schedule import (
     Direction,
@@ -103,7 +104,7 @@ def links_from_trained(
 
     Antenna reciprocity: each node reuses its trained sector in both
     directions. Per-direction SNR is evaluated from the channel model, so
-    asymmetric transmit powers are reflected.
+    asymmetric transmit powers are reflected; one link table prices both.
     """
     initiator = nodes[trained.initiator_id]
     responder = nodes[trained.responder_id]
@@ -111,8 +112,9 @@ def links_from_trained(
     ap_sector = trained.initiator_sector if initiator.is_ap else trained.responder_sector
     sta_sector = trained.responder_sector if initiator.is_ap else trained.initiator_sector
     link_id = f"{ap.node_id}-{sta.node_id}"
-    dl_snr = link_snr_db(ap, ap_sector, sta, sta_sector, channel_cfg)
-    ul_snr = link_snr_db(sta, sta_sector, ap, ap_sector, channel_cfg)
+    links = LinkTable(channel_cfg)
+    dl_snr = links.snr_db(ap, ap_sector, sta, sta_sector)
+    ul_snr = links.snr_db(sta, sta_sector, ap, ap_sector)
     dl = DirectedLink(
         link_id=link_id, direction=Direction.DOWNLINK, ap_id=ap.node_id, sta_id=sta.node_id,
         tx_node=ap.node_id, tx_sector=ap_sector,

@@ -171,13 +171,12 @@ class NodeModel:
     """A DN sector (AP role) or client node (STA role)."""
 
     __slots__ = (
-        "node_id", "role", "position", "codebook", "tx_power_dbm", "tdd_capable", "power_limits",
+        "node_id", "role", "position", "codebook", "tx_power_dbm", "power_limits",
     )
 
     def __init__(
         self, node_id: str, role: Role, position: tuple[float, float], codebook: Codebook,
-        tx_power_dbm: float = 10.0, tdd_capable: bool = True,
-        power_limits: PowerLimits = PowerLimits(),
+        tx_power_dbm: float = 10.0, power_limits: PowerLimits = PowerLimits(),
     ):
         if not (power_limits.min_dbm <= tx_power_dbm <= power_limits.max_dbm):
             raise ValueError(
@@ -189,14 +188,13 @@ class NodeModel:
         self.position = position
         self.codebook = codebook
         self.tx_power_dbm = tx_power_dbm
-        self.tdd_capable = tdd_capable
         self.power_limits = power_limits
 
     def copy(self) -> NodeModel:
         """A node of its own with the same fields; the codebook is shared."""
         return NodeModel(
             self.node_id, self.role, self.position, self.codebook,
-            self.tx_power_dbm, self.tdd_capable, self.power_limits,
+            self.tx_power_dbm, self.power_limits,
         )
 
     @property

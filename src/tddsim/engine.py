@@ -51,12 +51,7 @@ from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .errors import SimulationError, StructureError
 from .frames import FrameSizes
 from .maintenance import ReportSchedule, tpc_update
-from .schedule import (
-    ExtendedScheduleEntry,
-    SlotCategory,
-    TddSlotStructure,
-    intervals,
-)
+from .schedule import SlotCategory, TddSlotStructure, intervals
 from .trace import TraceRecorder
 
 BASIC, DATA = SlotCategory.BASIC.value, SlotCategory.DATA.value
@@ -566,12 +561,12 @@ def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
     tpu, rows = world.tpu, world.slot_rows
     t_end = world.epoch_us + world.duration_us
     interval_us = world.structure.interval_duration_us
-    first_sp = ExtendedScheduleEntry(
-        world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
-        world.sp_duration_us,
+    runs = intervals(
+        world.structure, world.epoch_us + world.sp_offset_us, world.sp_duration_us,
+        world.beacon_interval_us, t_end,
     )
     tick_us = world.epoch_us  # of the next maintenance tick
-    for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
+    for interval, base in runs:
         for row in rows:
             start_us = base + row.offset_us
             while tick_us < start_us:

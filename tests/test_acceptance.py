@@ -16,6 +16,7 @@ from fractions import Fraction
 from tddsim.beamforming import BeamformingConfig, BfMode, TrainedLink, run_beamforming
 from tddsim.channel import LinkBudgetConfig, link_snr_db
 from tddsim.cli import main
+from tddsim.config import ScenarioConfig
 from tddsim.controller import (
     DemandSpec,
     assign_slots,
@@ -27,9 +28,7 @@ from tddsim.engine import TrafficSource, World, run_until
 from tddsim.maintenance import tpc_update
 from tddsim.schedule import (
     Direction,
-    ExtendedScheduleEntry,
     SlotCategory,
-    default_slot_structure,
     expand_sp,
     sp_window,
 )
@@ -62,11 +61,11 @@ def verdict(label, failures, detail=""):
 
 
 def sp_slots():
-    return expand_sp(ExtendedScheduleEntry(1, 0, 25_600), default_slot_structure(1))
+    return expand_sp(ScenarioConfig().build_structure(), 0, 25_600)
 
 
 def training_window():
-    return sp_window(ExtendedScheduleEntry(1, 0, 25_600), default_slot_structure(1))
+    return sp_window(ScenarioConfig().build_structure(), 0, 25_600)
 
 
 def brute_force_best_pair(initiator, responder, channel, threshold):
@@ -246,7 +245,7 @@ def test_06_trickle_latency_matches_slot_wait_analysis():
     sta = make_node("sta", position=(100.0, 0.0))
     nodes = {"ap": ap, "sta": sta}
     graph = build_interference_graph(nodes, [TrainedLink("ap", "sta", 0, 4, 22.64)], [], CHANNEL)
-    structure = default_slot_structure(1)
+    structure = ScenarioConfig().build_structure()
     plan = assign_slots(
         graph, [DemandSpec("ap-sta", Direction.DOWNLINK, 50e6)], structure,
     )
@@ -341,7 +340,7 @@ def _fuzz_topology(rng):
 def test_07_controller_schedules_verify_and_maximize_reuse():
     failures, need = checker()
     rng = random.Random(424242)
-    structure = default_slot_structure(1)
+    structure = ScenarioConfig().build_structure()
     data_idx = [i for i, s in enumerate(structure.slots) if s.category is SlotCategory.DATA]
     verified = 0
     enumerated = 0

@@ -12,15 +12,15 @@ from tddsim.beamforming import (
     run_beamforming,
 )
 from tddsim.channel import LinkBudgetConfig, LinkTable, link_snr_db
-from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
+from tddsim.config import ScenarioConfig
+from tddsim.schedule import sp_window
 from tddsim.trace import TraceRecorder
 
 from conftest import make_ap, make_node, ssw_time, tx_sector_of_frame
 
 
 def window(duration_us=25600, start_us=0):
-    entry = ExtendedScheduleEntry(1, start_us, duration_us)
-    return sp_window(entry, default_slot_structure(1))
+    return sp_window(ScenarioConfig().build_structure(), start_us, duration_us)
 
 
 def brute_force_best_pair(initiator, responder, channel, threshold):
@@ -192,9 +192,6 @@ def test_run_validation_errors():
         run_beamforming(BfMode.GROUP, ini, [], channel, window())
     with pytest.raises(ValueError):
         run_beamforming(BfMode.GROUP, ini, [r1, r1], channel, window())
-    legacy = make_node("old", position=(50.0, 0.0), tdd_capable=False)
-    with pytest.raises(ValueError):
-        run_beamforming(BfMode.INDIVIDUAL, ini, [legacy], channel, window())
     with pytest.raises(ValueError):
         run_beamforming(BfMode.GROUP, ini, [r1], channel, (0, 0))
 

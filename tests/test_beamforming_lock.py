@@ -28,8 +28,9 @@ from tddsim.beamforming import (
     run_beamforming,
 )
 from tddsim.channel import LinkBudgetConfig, LinkTable
+from tddsim.config import ScenarioConfig
 from tddsim.domain import Codebook, NodeModel, Role, Sector, normalize_angle_deg
-from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
+from tddsim.schedule import sp_window
 from tddsim.trace import TraceRecorder
 
 from conftest import make_ap, make_node, ssw_time, tx_sector_of_frame
@@ -103,11 +104,10 @@ DIGESTS = {
 
 def run_case(name):
     mode, initiator, responders = CASES[name]()
-    entry = ExtendedScheduleEntry(1, 25600, 25600)
     trace = TraceRecorder()
     result = run_beamforming(
         mode, initiator, responders, CHANNEL,
-        sp_window(entry, default_slot_structure(1)), BeamformingConfig(), trace,
+        sp_window(ScenarioConfig().build_structure(), 25600, 25600), BeamformingConfig(), trace,
     )
     return result, trace
 
@@ -366,7 +366,7 @@ def test_sweep_equals_the_per_sample_reference():
             cfg = BeamformingConfig(decode_min_snr_db=table(CHANNEL).snr_db(
                 initiator, tx % len(initiator.codebook), r, rx % len(r.codebook),
             ))
-        window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
+        window = sp_window(ScenarioConfig().build_structure(), 25600, 25600)
         runs = []
         with pytest.MonkeyPatch.context() as patch:
             for module in (beamforming, channel, sys.modules[__name__]):

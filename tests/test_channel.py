@@ -187,7 +187,8 @@ def test_table_power_equals_the_budget_composed_directly(
     tx_xy, rx_xy, tx_sectors, rx_sectors, data, powers, extra_loss
 ):
     """The table returns, bit for bit, the budget built from its parts, and
-    keeps doing so as the transmit power changes under it."""
+    keeps doing so as the transmit power changes under it. The reverse
+    order, which the forward query filled, is exact too."""
     if tx_xy == rx_xy:
         tx_xy = (tx_xy[0] + 1.0, tx_xy[1])
     tx = make_ap("tx", position=tx_xy, sectors=tx_sectors)
@@ -210,3 +211,10 @@ def test_table_power_equals_the_budget_composed_directly(
         assert table.power_dbm(tx, s_tx, rx, s_rx) == expected
         assert table.snr_db(tx, s_tx, rx, s_rx) == expected - noise_floor_dbm(cfg)
         assert link_snr_db(tx, s_tx, rx, s_rx, cfg) == expected - noise_floor_dbm(cfg)
+        reverse_d = math.hypot(tx_xy[0] - rx_xy[0], tx_xy[1] - rx_xy[1])
+        assert table.power_dbm(rx, s_rx, tx, s_tx) == (
+            rx.tx_power_dbm
+            + sector_gain_dbi(rx.codebook, s_rx, bearing_deg(rx.position, tx.position))
+            + sector_gain_dbi(tx.codebook, s_tx, bearing_deg(tx.position, rx.position))
+            - (path_loss_db(reverse_d, cfg.carrier_hz) + (extra_loss or 0.0))
+        )

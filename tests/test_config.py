@@ -64,8 +64,7 @@ def test_builders_produce_runtime_objects():
     assert len(structure.slots) == 24
     assert structure.slots[0].category is SlotCategory.BASIC
     assert structure.slots[1].category is SlotCategory.DATA
-    entry = cfg.build_sp_entry()
-    assert entry.start_time_us == 0 and entry.duration_us == 25600
+    assert (cfg.sim.sp_offset_us, cfg.sim.sp_duration_us) == (0, 25600)
     assert cfg.build_mcs_table() == list(DEFAULT_MCS_TABLE)
     sources = cfg.traffic_sources()
     assert set(sources) == {"ap-sta:downlink"}

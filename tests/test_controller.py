@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tddsim import channel
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
 from tddsim.channel import LinkBudgetConfig, LinkTable, noise_floor_dbm
+from tddsim.config import ScenarioConfig
 from tddsim.controller import (
     AssignmentResult,
     DemandSpec,
@@ -27,7 +28,7 @@ from tddsim.domain import (
     DEFAULT_MCS_TABLE, McsEntry, NodeModel, Role, mcs_from_snr, uniform_codebook,
 )
 from tddsim.schedule import (
-    Direction, SlotCategory, SlotSpec, TddSlotStructure, default_slot_structure,
+    Direction, SlotCategory, SlotSpec, TddSlotStructure,
 )
 
 from conftest import make_ap, make_node
@@ -443,7 +444,7 @@ def single_link_graph():
 def test_assign_slots_single_downlink():
     graph = single_link_graph()
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 4.2e9)]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     assert not result.infeasible
     # All 22 DATA slots go downlink; capacity tops out just under demand.
     assert result.granted_rate_bps["ap-sta:downlink"] == pytest.approx(22 * SLOT_RATE)
@@ -466,7 +467,7 @@ def test_assign_slots_directional_split():
         DemandSpec("ap-sta", Direction.DOWNLINK, 4.2e9),
         DemandSpec("ap-sta", Direction.UPLINK, 4.2e9),
     ]
-    result = assign_slots(graph, demands, default_slot_structure(1), dl_data_fraction=0.75)
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure(), dl_data_fraction=0.75)
     dl = result.granted_rate_bps["ap-sta:downlink"]
     ul = result.granted_rate_bps["ap-sta:uplink"]
     n_dl = round(dl / SLOT_RATE)
@@ -493,7 +494,7 @@ def test_assign_slots_two_sta_fair_split():
         DemandSpec("ap-sta1", Direction.DOWNLINK, 2.0e9),
         DemandSpec("ap-sta2", Direction.DOWNLINK, 2.0e9),
     ]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     g1 = result.granted_rate_bps["ap-sta1:downlink"]
     g2 = result.granted_rate_bps["ap-sta2:downlink"]
     # Conflicting equal demands alternate slots: an exact 11/11 split.
@@ -513,7 +514,7 @@ def test_spatial_reuse_shares_slots():
         DemandSpec("ap1-sta1", Direction.DOWNLINK, 4.2e9),
         DemandSpec("ap2-sta2", Direction.DOWNLINK, 4.2e9),
     ]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     # Non-conflicting links ride the same slots: full rate for both.
     assert result.granted_rate_bps["ap1-sta1:downlink"] == pytest.approx(22 * SLOT_RATE)
     assert result.granted_rate_bps["ap2-sta2:downlink"] == pytest.approx(22 * SLOT_RATE)
@@ -530,7 +531,7 @@ def test_assign_slots_starves_sub_mcs_link():
     trained = TrainedLink("ap", "sta", 0, 4, -17.0)
     graph = build_interference_graph({"ap": ap, "sta": sta}, [trained], [], CHANNEL)
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 1e9)]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     assert result.infeasible
     assert result.starved[0].reason == "link SNR below the lowest MCS threshold"
     assert result.granted_rate_bps.get("ap-sta:downlink", 0.0) == 0.0
@@ -553,7 +554,7 @@ def test_assign_slots_starves_third_basic_claimant():
     demands = [
         DemandSpec(f"ap-{s.node_id}", Direction.DOWNLINK, 1.0e9) for s in stas
     ]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     # Three reverse uplink activations all share the AP, but the interval
     # holds only two BASIC slots: the last claimant starves.
     assert result.infeasible
@@ -568,13 +569,13 @@ def test_assign_slots_rejects_unknown_demand():
     graph = single_link_graph()
     with pytest.raises(ValueError):
         assign_slots(graph, [DemandSpec("ghost", Direction.DOWNLINK, 1e9)],
-                     default_slot_structure(1))
+                     ScenarioConfig().build_structure())
 
 
 def test_zero_demand_is_ignored():
     graph = single_link_graph()
     result = assign_slots(graph, [DemandSpec("ap-sta", Direction.DOWNLINK, 0.0)],
-                          default_slot_structure(1))
+                          ScenarioConfig().build_structure())
     assert not result.infeasible
     assert result.schedule.slot_links == {}
 
@@ -589,7 +590,7 @@ def test_verify_global_flags_planted_conflicts():
         DemandSpec("ap-sta", Direction.DOWNLINK, 1.0e9),
         DemandSpec("ap-sta2", Direction.DOWNLINK, 1.0e9),
     ]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     assert verify_global(result.schedule, graph) == []
     # Plant both conflicting links into one slot.
     broken = result.schedule._replace(
@@ -617,7 +618,7 @@ def test_verify_global_flags_planted_conflicts():
 def test_verify_global_wants_reverse_basic_coverage():
     graph = single_link_graph()
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 1.0e9)]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     # Strip the BASIC slots from the slot map.
     stripped = result.schedule._replace(
         slot_directions={k: v for k, v in result.schedule.slot_directions.items() if k not in (0, 12)},
@@ -956,6 +957,6 @@ def test_assign_slots_starves_a_link_whose_reverse_path_is_below_mcs0():
     assert mcs_from_snr(DEFAULT_MCS_TABLE, by_id["ap-sta:downlink"].snr_db) is not None
     assert mcs_from_snr(DEFAULT_MCS_TABLE, by_id["ap-sta:uplink"].snr_db) is None
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 1e9)]
-    result = assign_slots(graph, demands, default_slot_structure(1))
+    result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     assert result.starved == (StarvedLink("ap-sta", Direction.DOWNLINK, 1e9, REVERSE_BELOW_MCS0),)
     assert result.schedule.slot_links == {} and result.granted_rate_bps == {}

@@ -130,4 +130,3 @@ def test_node_roles_and_defaults():
     ap = make_node("a", role=Role.DN_AP)
     sta = make_node("b", role=Role.CN_STA, position=(1.0, 0.0))
     assert ap.is_ap and not sta.is_ap
-    assert ap.tdd_capable

@@ -18,7 +18,7 @@ from tddsim import channel, cli, engine
 from tddsim import trace as trace_module
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import LinkBudgetConfig, link_snr_db
-from tddsim.config import parse_config
+from tddsim.config import ScenarioConfig, parse_config
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
 from tddsim.domain import DEFAULT_MCS_TABLE, McsEntry, mcs_from_snr
 from tddsim.engine import (
@@ -35,11 +35,9 @@ from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
 from tddsim.schedule import (
     Direction,
-    ExtendedScheduleEntry,
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
-    default_slot_structure,
     intervals,
 )
 from tddsim.trace import TraceRecorder
@@ -69,7 +67,7 @@ def build_world(
     """One AP-STA pair `link_m` apart, with a parallel pair 30 m away whose
     activations conflict with it in the graph, for slot-doctoring
     experiments."""
-    structure = structure or default_slot_structure(1)
+    structure = structure or ScenarioConfig().build_structure()
     ap = make_ap("ap")
     sta = make_node("sta", position=(link_m, 0.0))
     ap2 = make_ap("ap2", position=(0.0, 30.0))
@@ -221,7 +219,8 @@ def test_cbr_gap_off_the_tick_grid_raises():
 
 
 def test_link_budget_is_evaluated_once_per_link(monkeypatch):
-    # Each link-table entry computes its path loss once, when it is built.
+    # Each node pair's link-table entries compute their path loss once, when
+    # the first of its two orders is asked for.
     builds = []
     real = channel.path_loss_db
     monkeypatch.setattr(
@@ -238,9 +237,9 @@ def test_link_budget_is_evaluated_once_per_link(monkeypatch):
         metrics = run_until(world)
         assert metrics.per_link[DL].completed_mpdus > 0
         assert bool(trace.iter_kind("tpc_update")) == tpc
-        # One entry for the data direction, one for the ack path; power
-        # changes are read through them.
-        assert len(builds) == 2
+        # One geometry for the data direction and the ack path; power
+        # changes are read through their entries.
+        assert len(builds) == 1
 
 
 def test_traffic_source_validation():
@@ -763,13 +762,13 @@ def merged_timeline(world):
     epoch through the end, slots first at equal ticks."""
     tpu = world.tpu
     t_end = world.epoch_us + world.duration_us
-    first_sp = ExtendedScheduleEntry(
-        world.structure.allocation_id, world.epoch_us + world.sp_offset_us,
-        world.sp_duration_us,
-    )
+    sp_start_us = world.epoch_us + world.sp_offset_us
 
     def slots():
-        for interval, base in intervals(first_sp, world.structure, world.beacon_interval_us, t_end):
+        runs = intervals(
+            world.structure, sp_start_us, world.sp_duration_us, world.beacon_interval_us, t_end
+        )
+        for interval, base in runs:
             for row in world.slot_rows:
                 start_us = base + row.offset_us
                 yield start_us * tpu, engine._on_slot_boundary, (start_us, interval, row)

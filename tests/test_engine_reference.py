@@ -42,7 +42,7 @@ from hypothesis import example, given, settings, strategies as st
 from tddsim import cli, engine
 from tddsim.beamforming import TrainedLink
 from tddsim.channel import SPEED_OF_LIGHT_M_PER_US, LinkBudgetConfig, LinkTable
-from tddsim.config import parse_config
+from tddsim.config import ScenarioConfig, parse_config
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
 from tddsim.domain import NodeModel, Role, uniform_codebook
 from tddsim.engine import MaintenanceSettings, TrafficSource, World, metrics_to_csv
@@ -52,7 +52,6 @@ from tddsim.schedule import (
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
-    default_slot_structure,
 )
 from tddsim.trace import TraceRecorder
 
@@ -410,7 +409,7 @@ def doctored_world(
 ):
     """Two AP-STA pairs 30 m apart, whose activations conflict, on a plan
     `doctor` edits, as in test_engine."""
-    structure = structure or default_slot_structure(1)
+    structure = structure or ScenarioConfig().build_structure()
     nodes = {n.node_id: n for n in (
         make_ap("ap"), make_node("sta", position=(link_m, 0.0)),
         make_ap("ap2", position=(0.0, 30.0)), make_node("sta2", position=(link_m, 30.0)),
@@ -644,7 +643,7 @@ def long_link_world(*, link_m, traffic, doctor, structure=None, maintenance=None
         TrainedLink(ap, sta, 0, 4, table.snr_db(nodes[ap], 0, nodes[sta], 4))
         for ap, sta in (("ap", "sta"), ("ap2", "sta2"))
     ]
-    structure = structure or default_slot_structure(1)
+    structure = structure or ScenarioConfig().build_structure()
     graph = build_interference_graph(nodes, trained, [], CHANNEL)
     demands = [DemandSpec("ap-sta", Direction.DOWNLINK, 4.2e9),
                DemandSpec("ap2-sta2", Direction.DOWNLINK, 1e8)]

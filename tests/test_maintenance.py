@@ -5,6 +5,7 @@ from itertools import accumulate, count
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tddsim.config import ScenarioConfig
 from tddsim.domain import PowerLimits
 from tddsim.maintenance import (
     PeriodicReportRequest,
@@ -13,11 +14,9 @@ from tddsim.maintenance import (
     tpc_update,
 )
 from tddsim.schedule import (
-    ExtendedScheduleEntry,
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
-    default_slot_structure,
     expand_sp,
     intervals,
 )
@@ -26,8 +25,7 @@ from tddsim.schedule import (
 def responder_tx_windows(duration_us=25600):
     """The `(start, end)` of each BASIC slot of one SP, all the STA's
     transmit opportunities."""
-    entry = ExtendedScheduleEntry(1, 0, duration_us)
-    slots = expand_sp(entry, default_slot_structure(1))
+    slots = expand_sp(ScenarioConfig().build_structure(), 0, duration_us)
     return [(s.start_us, s.end_us) for s in slots if s.category is SlotCategory.BASIC]
 
 
@@ -120,10 +118,10 @@ def test_an_endless_window_stream_is_read_to_the_last_report():
     assert read == list(range(9))
 
 
-def listed_and_bisected(req, first_sp, structure, beacon_interval_us, t_end_us, template):
+def listed_and_bisected(req, sp, structure, beacon_interval_us, t_end_us, template):
     """The mapping as it was: every window of the run listed and sorted, and
     each nominal time bisected on the running maximum of their ends."""
-    runs = list(intervals(first_sp, structure, beacon_interval_us, t_end_us))
+    runs = list(intervals(structure, *sp, beacon_interval_us, t_end_us))
     windows = sorted((base + s, base + e) for _, base in runs for s, e in template)
     ends = list(accumulate((end for _, end in windows), max))
     times = []
@@ -148,15 +146,15 @@ def report_grids(draw):
                           min_size=1, max_size=3))
     template = [(start, min(start + duration, interval_us)) for start, duration in spans]
     sp_duration_us = interval_us * draw(st.integers(1, 4))
-    first_sp = ExtendedScheduleEntry(1, draw(st.integers(0, 200)), sp_duration_us)
+    sp_start_us = draw(st.integers(0, 200))
     beacon_interval_us = sp_duration_us + draw(st.integers(0, 100))
-    t_end_us = first_sp.start_time_us + draw(st.integers(0, 4 * beacon_interval_us))
+    t_end_us = sp_start_us + draw(st.integers(0, 4 * beacon_interval_us))
     req = PeriodicReportRequest(
         start_time_us=draw(st.integers(0, t_end_us + 50)),
         interval_us=draw(st.integers(1, 2 * beacon_interval_us)),
         count=draw(st.integers(1, 6)),
     )
-    return req, first_sp, interval_us, beacon_interval_us, t_end_us, template
+    return req, (sp_start_us, sp_duration_us), interval_us, beacon_interval_us, t_end_us, template
 
 
 def test_stream_scan_equals_the_listed_and_bisected_mapping():
@@ -165,15 +163,15 @@ def test_stream_scan_equals_the_listed_and_bisected_mapping():
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(report_grids())
     def check(case):
-        req, first_sp, interval_us, beacon_interval_us, t_end_us, template = case
+        req, sp, interval_us, beacon_interval_us, t_end_us, template = case
         slots = tuple(SlotSpec(s, e - s, SlotCategory.BASIC) for s, e in template)
         structure = TddSlotStructure(1, interval_us, slots)
         # The stream as `cli.build_report_schedules` builds it.
         own = sorted(template)
-        runs = intervals(first_sp, structure, beacon_interval_us, t_end_us)
+        runs = intervals(structure, *sp, beacon_interval_us, t_end_us)
         stream = ((base + s, base + e) for _, base in runs for s, e in own)
         expected = listed_and_bisected(
-            req, first_sp, structure, beacon_interval_us, t_end_us, template
+            req, sp, structure, beacon_interval_us, t_end_us, template
         )
         assert handle_periodic_report_request(req, stream) == expected
         outcomes.add(expected.accepted)

@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import pathlib
 import re
 import sys
 
@@ -44,3 +46,48 @@ def test_every_name_the_benchmark_hooks_resolves():
     assert [target for target in targets if layers._resolve(*target) is None] == []
     # The record hook reads `enabled` to pass disabled recorders through.
     assert TraceRecorder(enabled=False).enabled is False
+
+
+HOOK_MARKER = "perfbench/layers.py hooks this name"
+
+
+def hooked_names() -> set[tuple[str, str]]:
+    """`(module, module-level name)` of every target `perfbench/layers.py`
+    hooks, read from the hooks its `Tracer.install` makes, with none made."""
+    tracer = perfbench_layers().Tracer()
+    hooked = set()
+    tracer._patch = lambda module, path, make, metrics: hooked.add((module, path.split(".")[0]))
+    tracer.install()
+    return hooked
+
+
+def test_hook_only_imports_carry_the_marker_and_no_other_does():
+    """An import kept only for a benchmark hook says so, and no other
+    import does: each marked name is hooked in its module and unused there
+    otherwise, and each hooked name its module does not otherwise use or
+    define is imported with the marker."""
+    hooked = hooked_names()
+    problems = []
+    for path in sorted(pathlib.Path(tddsim.__file__).parent.glob("*.py")):
+        module = f"tddsim.{path.stem}"
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        marked = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                HOOK_MARKER in line for line in lines[node.lineno - 1:node.end_lineno]
+            ):
+                marked.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        defined = {
+            node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        for name in sorted(marked):
+            if (module, name) not in hooked:
+                problems.append(f"{module}.{name}: marked, but layers.py does not hook it there")
+            elif name in used:
+                problems.append(f"{module}.{name}: marked, but the module uses it")
+        for hooked_module, name in sorted(hooked):
+            if hooked_module == module and name not in used | defined | marked:
+                problems.append(f"{module}.{name}: hooked and otherwise unused, but not marked")
+    assert problems == []

@@ -1,19 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tddsim.config import ScenarioConfig
 from tddsim.errors import StructureError
 from tddsim.schedule import (
     Direction,
-    ExtendedScheduleEntry,
     SlotCategory,
     SlotSpec,
     TddSlotStructure,
-    default_slot_structure,
     expand_sp,
+    intervals,
     sp_window,
-    timeline,
     validate_structure,
 )
+
+DEFAULT = ScenarioConfig().build_structure()
 
 
 def test_direction_reverse():
@@ -22,8 +23,8 @@ def test_direction_reverse():
 
 
 def test_default_structure_shape():
-    s = default_slot_structure(allocation_id=7)
-    assert s.allocation_id == 7
+    s = DEFAULT
+    assert s.allocation_id == 1
     assert s.interval_duration_us == 1600
     assert len(s.slots) == 24
     assert all(spec.duration_us == 66 for spec in s.slots)
@@ -64,13 +65,12 @@ def test_validate_structure_rejections():
 
 
 def test_expand_sp_full_service_period():
-    entry = ExtendedScheduleEntry(allocation_id=1, start_time_us=0, duration_us=25600)
-    structure = default_slot_structure(1)
-    slots = expand_sp(entry, structure)
+    slots = expand_sp(DEFAULT, 0, 25600)
     # 16 intervals of 24 slots each.
     assert len(slots) == 384
     assert slots[0].start_us == 0
     assert slots[0].category is SlotCategory.BASIC
+    assert slots[0].sp_allocation_id == 1
     assert slots[1].start_us == 66 and slots[1].category is SlotCategory.DATA
     # Interval boundaries land every 1600 us regardless of the slot gap.
     assert slots[24].start_us == 1600 and slots[24].interval_index == 1
@@ -81,24 +81,10 @@ def test_expand_sp_full_service_period():
 
 
 def test_expand_sp_offset_entry():
-    entry = ExtendedScheduleEntry(allocation_id=1, start_time_us=5000, duration_us=3200)
-    slots = expand_sp(entry, default_slot_structure(1))
+    slots = expand_sp(DEFAULT, 5000, 3200)
     assert len(slots) == 48
     assert slots[0].start_us == 5000
     assert slots[24].start_us == 6600
-
-
-def test_expand_sp_rejections():
-    structure = default_slot_structure(1)
-    non_tdd = ExtendedScheduleEntry(1, 0, 1600, is_tdd=False)
-    with pytest.raises(ValueError):
-        expand_sp(non_tdd, structure)
-    wrong_alloc = ExtendedScheduleEntry(2, 0, 1600)
-    with pytest.raises(ValueError):
-        expand_sp(wrong_alloc, structure)
-    ragged = ExtendedScheduleEntry(1, 0, 1601)
-    with pytest.raises(StructureError):
-        expand_sp(ragged, structure)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -112,26 +98,26 @@ def test_sp_window_is_the_span_of_the_expanded_slots(start_us, n_intervals, span
     slots = tuple(SlotSpec(offset, length, SlotCategory.DATA) for offset, length in spans)
     interval_us = max(offset + length for offset, length in spans)
     structure = TddSlotStructure(1, interval_us, slots)
-    entry = ExtendedScheduleEntry(1, start_us, n_intervals * interval_us)
-    expanded = expand_sp(entry, structure)
-    assert sp_window(entry, structure) == (
+    expanded = expand_sp(structure, start_us, n_intervals * interval_us)
+    assert sp_window(structure, start_us, n_intervals * interval_us) == (
         min(s.start_us for s in expanded), max(s.end_us for s in expanded)
     )
 
 
-def test_sp_window_rejects_what_expand_sp_rejects():
-    structure = default_slot_structure(1)
-    for entry, error in (
-        (ExtendedScheduleEntry(1, 0, 1600, is_tdd=False), ValueError),
-        (ExtendedScheduleEntry(2, 0, 1600), ValueError),
-        (ExtendedScheduleEntry(1, 0, 1601), StructureError),
-    ):
-        for expand in (expand_sp, sp_window):
-            with pytest.raises(error) as raised:
-                expand(entry, structure)
-            assert type(raised.value) is error
+@pytest.mark.parametrize("duration_us", [0, -1600, 1601])
+@pytest.mark.parametrize("expand", [
+    lambda duration_us: next(intervals(DEFAULT, 0, duration_us, 25600, 25600)),
+    lambda duration_us: sp_window(DEFAULT, 0, duration_us),
+    lambda duration_us: expand_sp(DEFAULT, 0, duration_us),
+], ids=["intervals", "sp_window", "expand_sp"])
+def test_sp_must_be_a_positive_whole_number_of_intervals(expand, duration_us):
+    with pytest.raises(StructureError, match="not a positive multiple of interval 1600"):
+        expand(duration_us)
+
+
+def test_sp_window_rejects_a_structure_without_slots():
     with pytest.raises(ValueError, match="holds no slot"):
-        sp_window(ExtendedScheduleEntry(1, 0, 1600), TddSlotStructure(1, 1600, ()))
+        sp_window(TddSlotStructure(1, 1600, ()), 0, 1600)
 
 
 def test_expand_sp_yields_slots_in_start_order():
@@ -141,7 +127,7 @@ def test_expand_sp_yields_slots_in_start_order():
         SlotSpec(100, 100, SlotCategory.DATA),
     ))
     assert validate_structure(structure) == []
-    slots = expand_sp(ExtendedScheduleEntry(1, 0, 600), structure)
+    slots = expand_sp(structure, 0, 600)
     assert [(s.start_us, s.slot_index) for s in slots] == [
         (0, 1), (100, 2), (200, 0), (300, 1), (400, 2), (500, 0),
     ]
@@ -153,7 +139,7 @@ def test_expand_sp_yields_slots_in_start_order():
     st.randoms(use_true_random=False),
     st.integers(1, 3),
 )
-def test_timeline_starts_never_decrease(gaps_and_lengths, rnd, n_intervals):
+def test_expand_sp_starts_never_decrease(gaps_and_lengths, rnd, n_intervals):
     # A valid structure (its first slot BASIC) listed in any index order.
     slots, end = [], 0
     for gap, length in gaps_and_lengths:
@@ -163,35 +149,28 @@ def test_timeline_starts_never_decrease(gaps_and_lengths, rnd, n_intervals):
     rnd.shuffle(slots)
     structure = TddSlotStructure(1, end, tuple(slots))
     assert validate_structure(structure) == []
-    sp = ExtendedScheduleEntry(1, 0, n_intervals * end)
-    once = expand_sp(sp, structure)
-    twice = list(timeline(sp, structure, 2 * sp.duration_us, 4 * sp.duration_us))
-    assert len(twice) == 2 * len(once) == 2 * n_intervals * len(slots)
-    for run in (once, twice):
-        starts = [s.start_us for s in run]
-        assert starts == sorted(starts)
+    expanded = expand_sp(structure, 0, n_intervals * end)
+    assert len(expanded) == n_intervals * len(slots)
+    starts = [s.start_us for s in expanded]
+    assert starts == sorted(starts)
 
 
-def test_timeline_recurs_per_beacon_interval_and_counts_intervals():
-    # Two 3.2 ms SPs per 10 ms beacon interval offset by 1 ms, run to 22 ms:
-    # SPs start at 1000, 11000 and 21000; the third has no whole interval.
-    first_sp = ExtendedScheduleEntry(allocation_id=1, start_time_us=1000, duration_us=3200)
-    slots = list(timeline(first_sp, default_slot_structure(1), 10_000, 22_000))
-    assert len(slots) == 4 * 24
-    assert [s.start_us for s in slots if s.slot_index == 0] == [1000, 2600, 11000, 12600]
-    assert [s.interval_index for s in slots[::24]] == [0, 1, 2, 3]
-    assert slots[-1].end_us == 12600 + 1584
+def test_intervals_recur_per_beacon_interval_and_count_intervals():
+    # Two 1.6 ms intervals per 10 ms beacon interval offset by 1 ms, run to
+    # 22 ms: SPs start at 1000, 11000 and 21000; the third has no whole interval.
+    assert list(intervals(DEFAULT, 1000, 3200, 10_000, 22_000)) == [
+        (0, 1000), (1, 2600), (2, 11000), (3, 12600),
+    ]
 
 
-def test_timeline_runs_only_whole_intervals():
-    first_sp = ExtendedScheduleEntry(allocation_id=1, start_time_us=0, duration_us=25600)
-    structure = default_slot_structure(1)
+def test_intervals_run_only_whole_intervals():
     # 3199 us holds one whole interval; the second would end at 3200.
-    assert len(list(timeline(first_sp, structure, 25600, 3199))) == 24
-    assert len(list(timeline(first_sp, structure, 25600, 3200))) == 48
-    assert list(timeline(first_sp, structure, 25600, 1599)) == []
-    # The single-SP case is expand_sp.
-    assert list(timeline(first_sp, structure, 25600, 25600)) == expand_sp(first_sp, structure)
-    assert len(list(timeline(first_sp, structure, 25600, 51200))) == 2 * 384
-    with pytest.raises(ValueError):
-        next(timeline(first_sp, structure, 1600, 25600))
+    assert list(intervals(DEFAULT, 0, 25600, 25600, 3199)) == [(0, 0)]
+    assert list(intervals(DEFAULT, 0, 25600, 25600, 3200)) == [(0, 0), (1, 1600)]
+    assert list(intervals(DEFAULT, 0, 25600, 25600, 1599)) == []
+    # One SP is expand_sp's intervals.
+    one_sp = list(intervals(DEFAULT, 0, 25600, 25600, 25600))
+    assert one_sp == [(s.interval_index, s.start_us) for s in expand_sp(DEFAULT, 0, 25600)[::24]]
+    assert len(list(intervals(DEFAULT, 0, 25600, 25600, 51200))) == 2 * 16
+    with pytest.raises(ValueError, match="does not fit in the beacon interval"):
+        next(intervals(DEFAULT, 0, 25600, 1600, 25600))

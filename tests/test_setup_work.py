@@ -7,6 +7,9 @@ seed 1 (18 APs, 36 STAs), where timing on a shared host could not tell.
 - `build_interference_graph` calls `link_geometry` once per unordered node
   pair and `sector_gain_dbi` once per (node, sector, peer) that a
   model-priced cross pair needs.
+- A link table prices both orders of a node pair from one `link_geometry`
+  call: a training run makes one per responder, its feedback leg none, and
+  `links_from_trained` one per trained link.
 """
 
 from collections import Counter
@@ -14,12 +17,15 @@ from itertools import combinations
 
 import pytest
 
-from tddsim import config, controller
+from tddsim import channel, config, controller
+from tddsim.beamforming import BfMode, run_beamforming
+from tddsim.channel import LinkBudgetConfig
 from tddsim.cli import prepare_scenario
-from tddsim.config import load_config, parse_config
-from tddsim.controller import build_interference_graph
+from tddsim.config import ScenarioConfig, load_config, parse_config
+from tddsim.controller import build_interference_graph, links_from_trained
+from tddsim.schedule import sp_window
 
-from conftest import perfbench_workloads
+from conftest import make_ap, make_node, perfbench_workloads
 
 
 @pytest.fixture
@@ -93,3 +99,35 @@ def test_graph_prices_each_node_pair_and_each_gain_once(monkeypatch, mesh_train)
     assert sum(gains.values()) == len(sending | receiving)
     # Reciprocity: a node's trained sector toward one peer serves both roles.
     assert sending & receiving
+
+
+def pair_of(tx, rx, cfg):
+    return frozenset((tx.node_id, rx.node_id))
+
+
+@pytest.mark.parametrize("mode,n_responders", [
+    (BfMode.INDIVIDUAL, 1), (BfMode.GROUP, 3), (BfMode.MEASUREMENT, 3),
+])
+def test_training_prices_each_responder_from_one_geometry(monkeypatch, mode, n_responders):
+    ap = make_ap("ap", sectors=8)
+    responders = [make_node(f"sta{i}", position=(100.0, 40.0 * i)) for i in range(n_responders)]
+    geometry = counted(monkeypatch, channel, "link_geometry", pair_of)
+    result = run_beamforming(
+        mode, ap, responders, LinkBudgetConfig(),
+        sp_window(ScenarioConfig().build_structure(), 0, 25600),
+    )
+    # The feedback leg, when there is one, ran for every responder.
+    assert len(result.trained_links) == (0 if mode is BfMode.MEASUREMENT else n_responders)
+    assert geometry == {frozenset(("ap", r.node_id)): 1 for r in responders}
+
+
+def test_set_up_prices_each_training_responder_and_trained_link_once(monkeypatch, mesh_train):
+    cfg = load_config(mesh_train)
+    geometry = counted(monkeypatch, channel, "link_geometry", pair_of)
+    prep = prepare_scenario(cfg)
+    assert sum(geometry.values()) == sum(len(run.responders) for run in cfg.beamforming.runs)
+
+    geometry.clear()
+    for link in prep.trained:
+        links_from_trained(link, prep.nodes, prep.channel)
+    assert geometry == {frozenset((t.initiator_id, t.responder_id)): 1 for t in prep.trained}

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from tddsim.beamforming import BeamformingConfig, BfMode, run_beamforming
 from tddsim.channel import LinkBudgetConfig
 from tddsim.cli import build_world, plan_scenario, prepare_scenario
-from tddsim.config import load_config
+from tddsim.config import ScenarioConfig, load_config
 from tddsim.engine import run_until
 from tddsim.errors import SimulationError
-from tddsim.schedule import ExtendedScheduleEntry, default_slot_structure, sp_window
+from tddsim.schedule import sp_window
 from tddsim import trace as trace_module
 from tddsim.trace import BOOL, KINDS, LIST, NUMBER, STRING, TraceRecorder
 
@@ -506,7 +506,7 @@ def test_a_disabled_recorder_is_handed_no_rows():
     for mode in BfMode:
         run_beamforming(
             mode, make_ap("ap"), [make_node("sta", position=(100.0, 20.0))], LinkBudgetConfig(),
-            sp_window(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            sp_window(ScenarioConfig().build_structure(), 0, 25600),
             BeamformingConfig(), trace,
         )
     run_scenario("saturated_dl", trace, duration_ms=4)
@@ -532,7 +532,7 @@ class SweepRowsOnly(TraceRecorder):
 
 @pytest.mark.parametrize("recorder", [TraceRecorder, SweepRowsOnly])
 def test_sweep_into_a_recorder_past_its_service_period_start_raises(recorder):
-    window = sp_window(ExtendedScheduleEntry(1, 25600, 25600), default_slot_structure(1))
+    window = sp_window(ScenarioConfig().build_structure(), 25600, 25600)
     ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
     trace = recorder()
     trace.advance(window[0] + 1)
@@ -583,7 +583,7 @@ def test_a_record_holds_its_time_its_shape_and_its_values_only():
     for mode in BfMode:
         run_beamforming(
             mode, ap, stas[:1] if mode is BfMode.INDIVIDUAL else stas, LinkBudgetConfig(),
-            sp_window(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            sp_window(ScenarioConfig().build_structure(), 0, 25600),
             BeamformingConfig(), trace,
         )
     cfg = load_config(str(SCENARIOS / "saturated_dl.yaml"))
@@ -620,7 +620,7 @@ def test_no_call_site_passes_a_none_field(monkeypatch):
         ap, sta = make_ap("ap"), make_node("sta", position=(100.0, 20.0))
         run_beamforming(
             mode, ap, [sta], LinkBudgetConfig(),
-            sp_window(ExtendedScheduleEntry(1, 0, 25600), default_slot_structure(1)),
+            sp_window(ScenarioConfig().build_structure(), 0, 25600),
             BeamformingConfig(), trace,
         )
     assert {r.get("slot_countdown") is None for r in trace.iter_kind("frame_tx")} == {True, False}

@@ -170,11 +170,14 @@ def run_beamforming(
     window: tuple[int, int],
     cfg: Optional[BeamformingConfig] = None,
     trace: Optional[TraceRecorder] = None,
+    links: Optional[LinkTable] = None,
 ) -> BeamformingResult:
     """Execute one deterministic training run and return its outcome.
 
     `window` is the service period's `(first slot start, last slot end)`,
     as `schedule.sp_window` gives it; the plan starts at the first slot.
+    `links`, a `LinkTable` of `channel_cfg` over these nodes, lets runs
+    share link entries; by default the run builds a table of its own.
     Individual mode takes exactly one responder; group mode any positive
     number. Measurement mode performs the sweep only: responders never
     transmit and their measurement reports are returned for the controller.
@@ -192,7 +195,8 @@ def run_beamforming(
     plan = fit_sweep_plan(mode, initiator, responders, cfg, window)
     ini_id = initiator.node_id
     threshold = cfg.decode_min_snr_db
-    links = LinkTable(channel_cfg)
+    if links is None:
+        links = LinkTable(channel_cfg)
 
     trace.record(
         plan.start_us, "bf_start", mode=mode.value, initiator=ini_id,
@@ -270,37 +274,54 @@ def _sweep(
     samples in a block depend only on that sector's gain and on the receive
     sector the block starts on, so each leg computes each distinct block
     once: its receive sectors, its decoded samples and, when the trace is
-    enabled, its rounded SNRs and outcomes, which every block equal to it
+    enabled, its rounded SNRs and row shapes, which every block equal to it
     shares. A flat-top sector gives a leg few distinct SNRs, so each nonzero
-    SNR is rounded once per sweep. The frames' trace rows are assembled
-    column by column, the initiator's row and then each responder's per
-    frame, and written as one batch; with the trace disabled they are not
-    built at all.
+    SNR is rounded once per sweep.
+
+    A row carries only what varies from frame to frame. The initiator's two
+    `frame_tx` shapes fix `node`, `frame` and `end_of_training` (True on
+    the last frame only), so its rows are `(t, shape, sector, frame_index[,
+    slot_countdown])`; each responder's two `frame_rx` shapes fix `node`,
+    `frame` and `outcome`, so its rows are `(t, shape, sector, tx_sector,
+    snr_db)`. The rows fill one preallocated batch column by column, the
+    initiator's row and then each responder's per frame, and are written
+    at once; with the trace disabled they are not built at all.
     """
     ini_id = initiator.node_id
     power, noise = initiator.tx_power_dbm, links.noise_floor_dbm
-    n_tx, reps, last = plan.n_tx_sectors, plan.repetitions, plan.n_frames - 1
+    n_tx, reps, n_frames = plan.n_tx_sectors, plan.repetitions, plan.n_frames
+    last, stride = n_frames - 1, 1 + len(responders)
     traced = trace.enabled
     if traced:
-        countdown = not plan.with_feedback
-        tx_shape = trace.shape(
-            "frame_tx", node=ini_id, frame="tdd_ssw", sector=0, frame_index=0,
-            end_of_training=False, **({"slot_countdown": last} if countdown else {}),
-        )
-        rx_shape = trace.shape(
-            "frame_rx", node=ini_id, frame="tdd_ssw", sector=0, tx_sector=0,
-            snr_db=0.0, outcome="decoded",
+        countdown = {} if plan.with_feedback else {"slot_countdown": last}
+        going, ending = (
+            trace.shape(
+                "frame_tx", {"node": ini_id, "frame": "tdd_ssw", "end_of_training": end},
+                sector=0, frame_index=0, **countdown,
+            )
+            for end in (False, True)
         )
         # Whole microseconds, so already the trace times.
         times = list(map(float, range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)))
-        txs = [tx for tx in range(n_tx) for _ in range(reps)]
-        ssw = repeat("tdd_ssw")
-        legs_rows = []
+        txs = list(chain.from_iterable(map(repeat, range(n_tx), repeat(reps, n_tx))))
+        rows: list = [None] * (n_frames * stride)
+        rows[::stride] = zip(
+            times, chain(repeat(going, last), (ending,)), txs, range(n_frames),
+            *((range(last, -1, -1),) if countdown else ()),
+        )
     rounded: dict[float, float] = {}
     samples = []
-    for r in responders:
+    for leg, r in enumerate(responders, 1):
         loss, tx_gain, rx_gain = links.entry(initiator, r)
         n_rx = len(r.codebook)
+        if traced:
+            decoded, below = (
+                trace.shape(
+                    "frame_rx", {"node": r.node_id, "frame": "tdd_ssw", "outcome": outcome},
+                    sector=0, tx_sector=0, snr_db=0.0,
+                )
+                for outcome in ("decoded", "below_threshold")
+            )
         blocks: dict[tuple[float, float, int], tuple] = {}
         leg_blocks = []
         found: list[tuple[int, int, float]] = []
@@ -314,7 +335,7 @@ def _sweep(
                 base = power + g
                 snrs = [base + rx_gain[k] - loss - noise for k in rxs]
                 hits = [(k, snr) for k, snr in zip(rxs, snrs) if snr >= threshold]
-                shown = outcomes = None
+                shown = shapes = None
                 if traced:
                     shown = []
                     for snr in snrs:
@@ -323,22 +344,17 @@ def _sweep(
                         if value is None:
                             value = rounded[snr] = round(snr, 3)
                         shown.append(value)
-                    outcomes = ["decoded" if snr >= threshold else "below_threshold" for snr in snrs]
-                block = blocks[key] = (hits, rxs, shown, outcomes)
+                    shapes = [decoded if snr >= threshold else below for snr in snrs]
+                block = blocks[key] = (hits, rxs, shown, shapes)
             found += [(tx, k, snr) for k, snr in block[0]]
             leg_blocks.append(block)
         samples.append(found)
         if traced:
-            legs_rows.append(zip(
-                times, repeat(rx_shape), repeat(r.node_id), ssw,
+            rows[leg::stride] = zip(
+                times, chain.from_iterable(b[3] for b in leg_blocks),
                 chain.from_iterable(b[1] for b in leg_blocks), txs,
                 chain.from_iterable(b[2] for b in leg_blocks),
-                chain.from_iterable(b[3] for b in leg_blocks),
-            ))
+            )
     if traced:
-        tx_rows = zip(
-            times, repeat(tx_shape), repeat(ini_id), ssw, txs, range(plan.n_frames),
-            chain(repeat(False, last), (True,)), *((range(last, -1, -1),) if countdown else ()),
-        )
-        trace.extend(list(chain.from_iterable(zip(tx_rows, *legs_rows))))
+        trace.extend(rows)
     return samples

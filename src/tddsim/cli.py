@@ -80,7 +80,8 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
     Each beamforming run occupies the service period of its own beacon
     interval, so data traffic starts after the last one, and each run's trace
     records are written once it ends. Pre-trained links from the config are
-    taken as-is with channel-model SNR.
+    taken as-is with channel-model SNR. One link table prices them and every
+    run, so each node pair's geometry is computed once.
     """
     prep = Prepared(
         cfg=cfg,
@@ -114,7 +115,7 @@ def prepare_scenario(cfg: ScenarioConfig, trace: Optional[TraceRecorder] = None)
         result = run_beamforming(
             BfMode(run.mode), prep.nodes[run.initiator],
             [prep.nodes[r] for r in run.responders], prep.channel,
-            window, bf_cfg, trace,
+            window, bf_cfg, trace, links,
         )
         prep.bf_results.append(result)
         if trace is not None:

@@ -320,8 +320,9 @@ def test_sweep_equals_the_per_sample_reference():
     `reference_run` on generated sweeps, and each case that can tell a
     sweep computed once per distinct block from one computed per sample
     occurs: many distinct blocks, a receive phase that shifts from block to
-    block, transmit gains of -0.0 and 0.0, both zeros written, and a
-    threshold equal to a sample."""
+    block, transmit gains of -0.0 and 0.0, both zeros written, a threshold
+    equal to a sample, and a sweep whose samples are decoded and below the
+    threshold. The queries return the reference's records too."""
     seen = Counter()
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -381,6 +382,10 @@ def test_sweep_equals_the_per_sample_reference():
         (got, got_text, got_trace), (off, off_text, _), (want, want_text, want_trace) = runs
         assert got_text == off_text == want_text
         assert got_trace.to_jsonl() == want_trace.to_jsonl()
+        # The queries read the sweep shapes' fixed fields back as the
+        # reference's keyword records carried them.
+        assert got_trace.sorted_records() == want_trace.sorted_records()
+        assert got_trace.iter_kind("frame_rx") == want_trace.iter_kind("frame_rx")
         assert got == off == want
 
         reps = max(len(r.codebook) for r in responders)
@@ -389,16 +394,18 @@ def test_sweep_equals_the_per_sample_reference():
             [repr(links.entry(initiator, r)[1][tx]) for tx in range(len(initiator.codebook))]
             for r in responders
         ]
-        written = {repr(r["snr_db"]) for r in records(want_trace, "frame_rx", "tdd_ssw")}
+        heard = records(want_trace, "frame_rx", "tdd_ssw")
+        written = {repr(r["snr_db"]) for r in heard}
         seen["many distinct blocks"] += any(len(set(g)) > 2 for g in tx_gains)
         seen["phase shift"] += any(reps % len(r.codebook) for r in responders)
         seen["transmit gains -0.0 and 0.0"] += any({"-0.0", "0.0"} <= set(g) for g in tx_gains)
         seen["written -0.0 and 0.0"] += {"-0.0", "0.0"} <= written
         seen["threshold at a sample"] += threshold_at is not None
+        seen["decoded and below threshold"] += {r["outcome"] for r in heard} == {"decoded", "below_threshold"}
 
     check()
     assert set(seen) >= {
         "many distinct blocks", "phase shift", "transmit gains -0.0 and 0.0",
-        "written -0.0 and 0.0", "threshold at a sample",
+        "written -0.0 and 0.0", "threshold at a sample", "decoded and below threshold",
     }, seen
     assert all(seen.values()), seen

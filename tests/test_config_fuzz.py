@@ -1,6 +1,7 @@
-"""Configuration fuzzing: a committed scenario with one value mutated is
-either accepted, or refused with every problem on its own line, led by the
-path of the field it is about. `validate` never fails with a traceback.
+"""Configuration fuzzing: a committed scenario with one value mutated or
+deleted is either accepted, or refused with every problem on its own line,
+led by the path of the field it is about. `validate` never fails with a
+traceback.
 """
 
 import contextlib
@@ -43,11 +44,13 @@ def value_paths(node, prefix=()):
 
 def mutations(doc) -> list[tuple]:
     """(path, how) for every single-value mutation of doc: a replacement
-    value, "negate" for a number, or "unknown key" added to a mapping."""
+    value, "negate" for a number, "unknown key" added to a mapping, or
+    "delete" of a mapping key or list entry."""
     found = [((), "unknown key")]
     for path in value_paths(doc):
         value = lookup(doc, path)
         found += [(path, replacement) for replacement in REPLACEMENTS]
+        found.append((path, "delete"))
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             found.append((path, "negate"))
         if isinstance(value, dict):
@@ -66,7 +69,9 @@ def mutate(doc, path, how):
         lookup(doc, path)["no_such_key"] = 1
         return
     holder = lookup(doc, path[:-1])
-    if how == "negate":
+    if how == "delete":
+        del holder[path[-1]]
+    elif how == "negate":
         holder[path[-1]] = -holder[path[-1]] or -1
     else:
         holder[path[-1]] = copy.deepcopy(how)

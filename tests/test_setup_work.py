@@ -9,7 +9,9 @@ seed 1 (18 APs, 36 STAs), where timing on a shared host could not tell.
   model-priced cross pair needs.
 - A link table prices both orders of a node pair from one `link_geometry`
   call: a training run makes one per responder, its feedback leg none, and
-  `links_from_trained` one per trained link.
+  `links_from_trained` one per trained link. `prepare_scenario` shares one
+  table among its runs, so each distinct node pair is priced once.
+- A traced sweep's rows carry only what varies from frame to frame.
 """
 
 from collections import Counter
@@ -24,6 +26,7 @@ from tddsim.cli import prepare_scenario
 from tddsim.config import ScenarioConfig, load_config, parse_config
 from tddsim.controller import build_interference_graph, links_from_trained
 from tddsim.schedule import sp_window
+from tddsim.trace import TraceRecorder
 
 from conftest import make_ap, make_node, perfbench_workloads
 
@@ -125,9 +128,30 @@ def test_set_up_prices_each_training_responder_and_trained_link_once(monkeypatch
     cfg = load_config(mesh_train)
     geometry = counted(monkeypatch, channel, "link_geometry", pair_of)
     prep = prepare_scenario(cfg)
-    assert sum(geometry.values()) == sum(len(run.responders) for run in cfg.beamforming.runs)
+    trained = {frozenset((run.initiator, r)) for run in cfg.beamforming.runs for r in run.responders}
+    assert len(trained) < sum(len(run.responders) for run in cfg.beamforming.runs)
+    assert geometry == {pair: 1 for pair in trained}
 
     geometry.clear()
     for link in prep.trained:
         links_from_trained(link, prep.nodes, prep.channel)
     assert geometry == {frozenset((t.initiator_id, t.responder_id)): 1 for t in prep.trained}
+
+
+def test_sweep_rows_carry_only_what_varies_per_frame(mesh_train):
+    """Node, frame, and outcome or end of training are fixed in the sweep's
+    shapes, so a sector-sweep row holds at most three values after `(t,
+    shape)`; set-up's rows hold 463,164 values, `t` and shape included."""
+    trace = TraceRecorder()
+    prepare_scenario(load_config(mesh_train), trace)
+    rows = trace._records + trace._pending
+    ssw = 0
+    for row in rows:
+        _, names, fixed = trace._shapes[row[1]]
+        values = dict(fixed, **dict(zip(names, row[2:])))
+        if values.get("frame") == "tdd_ssw":
+            ssw += 1
+            assert len(row) - 2 <= 3, (names, fixed)
+    assert ssw == 98_304
+    assert len(rows) == 98_688
+    assert sum(map(len, rows)) == 463_164

@@ -1112,8 +1112,8 @@ def metrics_to_csv(metrics: Metrics) -> str:
     for vid in sorted(metrics.per_link):
         link = metrics.per_link[vid]
         goodput = metrics.goodput_bps(vid) / 1e6
-        mean_ack = (
-            sum(link.ack_delay_us) / len(link.ack_delay_us)
+        mean_ack = (  # fsum is exact; sum() is compensated only from Python 3.12
+            math.fsum(link.ack_delay_us) / len(link.ack_delay_us)
             if link.ack_delay_us else 0.0
         )
         rows.append(

@@ -39,7 +39,8 @@ Lines are rendered by one writer per shape, with the JSON of its fixed
 values built in; the writers of one field layout share one formatter,
 compiled once from `KINDS`. Every line equals what
 `json.JSONEncoder(sort_keys=True)` writes for the record's dict, the fixed
-fields included, as the queries return it.
+fields included. It is a record's one rendering: the queries parse the
+lines that a trace file would hold.
 """
 
 from __future__ import annotations
@@ -114,21 +115,6 @@ def _list_json(value: list | tuple) -> str:
     return "[" + ", ".join(map(str, value)) + "]"
 
 
-def _as_dict(shape: Shape, seq: int, rec: Record) -> dict[str, Any]:
-    kind, names, fixed = shape
-    out = {"t": rec[0], "kind": kind, **fixed}
-    out.update(zip(names, rec[2:]))
-    for name in _list_fields(kind, (*fixed, *names)):
-        out[name] = list(out[name])  # a list of its own, never a tuple
-    out["seq"] = seq
-    return out
-
-
-@functools.cache
-def _list_fields(kind: str, names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(name for name in names if KINDS[kind][name] == LIST)
-
-
 @functools.cache
 def _formatter(kind: str, names: tuple[str, ...], fixed: tuple[str, ...]) -> Callable[..., Callable]:
     """The line writers of one field layout: `kind` with the fields `names`
@@ -142,7 +128,8 @@ def _formatter(kind: str, names: tuple[str, ...], fixed: tuple[str, ...]) -> Cal
     `strings` maps each string, and each tuple, to its JSON encoding. Keys
     are sorted, and numbers are written with `repr`, as `json` writes them;
     a record carrying NaN or an infinity is handed to `reference(seq,
-    record)` instead. A list is encoded each time it is written.
+    record)` instead, the encoder's line for the record's dict. A list is
+    encoded each time it is written.
     """
     declared = KINDS[kind]
     carried = {"seq": "{seq}", "t": "{t!r}"}
@@ -189,7 +176,9 @@ def _formatter(kind: str, names: tuple[str, ...], fixed: tuple[str, ...]) -> Cal
 def _line_writer(shape: Shape) -> Callable[[dict, int, Record], str]:
     kind, names, fixed = shape
     return _formatter(kind, names, tuple(fixed))(
-        lambda seq, rec: _ENCODER.encode(_as_dict(shape, seq, rec)) + "\n",
+        lambda seq, rec: _ENCODER.encode(
+            {"t": rec[0], "kind": kind, **fixed, **dict(zip(names, rec[2:])), "seq": seq}
+        ) + "\n",
         *map(_ENCODER.encode, fixed.values()),
     )
 
@@ -219,7 +208,9 @@ class TraceRecorder:
     Without `write`, written records are kept and `sorted_records`,
     `iter_kind` and `to_jsonl` see the whole trace. With it, they are passed
     to `write` as JSON lines, such as a text file's `write`, and not kept;
-    `close` writes the rest.
+    `close` writes the rest. A query returns `json.loads` of each line that
+    `to_jsonl` would write: keys in sorted order, lists for tuples, and NaN
+    and the infinities as freshly parsed floats.
     """
 
     def __init__(self, enabled: bool = True, write: Optional[Callable[[str], Any]] = None):
@@ -360,16 +351,12 @@ class TraceRecorder:
         yield from enumerate(self._pending, self._next_seq)
 
     def sorted_records(self) -> list[dict[str, Any]]:
-        shapes = self._shapes
-        return [_as_dict(shapes[rec[1]], seq, rec) for seq, rec in self._ordered()]
+        return [json.loads(line) for line in self.to_jsonl().splitlines()]
 
     def iter_kind(self, kind: str) -> list[dict[str, Any]]:
-        shapes = self._shapes
-        of_kind = {i for i, shape in enumerate(shapes) if shape[0] == kind}
-        return [
-            _as_dict(shapes[rec[1]], seq, rec)
-            for seq, rec in self._ordered() if rec[1] in of_kind
-        ]
+        of_kind = {i for i, shape in enumerate(self._shapes) if shape[0] == kind}
+        lines = self._lines((seq, rec) for seq, rec in self._ordered() if rec[1] in of_kind)
+        return [json.loads(line) for line in lines.splitlines()]
 
     def to_jsonl(self) -> str:
         return self._lines(self._ordered())

@@ -557,6 +557,17 @@ def test_metrics_csv_shape():
     assert len(lines[1].split(",")) == 10
 
 
+def test_mean_ack_delay_is_exact_on_every_python():
+    # Six delays of 0.0015 µs: a plain float sum rounds to 0.001 before
+    # Python 3.12 and to 0.002 from 3.12 on; the exact mean writes 0.002.
+    link = engine.LinkMetrics(
+        "ap-sta:downlink", 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0, [], [0.0015] * 6,
+    )
+    metrics = engine.Metrics(1, {link.vertex_id: link}, {}, {})
+    row = metrics_to_csv(metrics).splitlines()[1]
+    assert row.split(",")[-1] == "0.002"
+
+
 def test_same_seed_worlds_are_byte_identical():
     traces = []
     for _ in range(2):

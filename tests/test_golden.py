@@ -32,15 +32,29 @@ def test_outputs_match_golden(name, golden_outputs):
     assert digests(golden_outputs[name]) == expected
 
 
+def readme_kind_list() -> str:
+    """README's list of trace record kinds, from its Outputs section."""
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    outputs = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    return outputs.split("Record kinds:\n", 1)[1].split("\n- ", 1)[0]
+
+
+def documented_outcomes() -> set[str]:
+    """The `frame_rx` outcome values README lists."""
+    values = readme_kind_list().split("carries an `outcome`, one of:\n", 1)[1]
+    return set(re.findall(r"^    - `([a-z_]+)`:", values, re.M))
+
+
+def written_outcomes(trace: str) -> set[str]:
+    return set(re.findall(r'"outcome": "([^"]*)"', trace))
+
+
 def test_every_written_trace_kind_is_documented(golden_outputs):
     # README's list of record kinds is the declared table, and every kind
     # the scenarios write is declared.
-    readme = (SCENARIOS.parent / "README.md").read_text()
-    outputs = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
-    kind_list = outputs.split("Record kinds:\n", 1)[1].split("\n- ", 1)[0]
     documented = {
         kind
-        for heads in re.findall(r"^  - ((?:`[a-z_]+`/?)+):", kind_list, re.M)
+        for heads in re.findall(r"^  - ((?:`[a-z_]+`/?)+):", readme_kind_list(), re.M)
         for kind in re.findall(r"`([a-z_]+)`", heads)
     }
     assert documented == set(KINDS)
@@ -50,6 +64,12 @@ def test_every_written_trace_kind_is_documented(golden_outputs):
         for line in out["trace"].splitlines()
     }
     assert written - set(KINDS) == set()
+
+
+def test_every_written_frame_outcome_is_documented(golden_outputs):
+    written = set().union(*(written_outcomes(out["trace"].decode()) for out in golden_outputs.values()))
+    assert {"decoded", "below_threshold"} <= written
+    assert written - documented_outcomes() == set()
 
 
 def test_trained_mesh_matches_the_benchmark_golden(tmp_path, capsys):
@@ -67,3 +87,5 @@ def test_trained_mesh_matches_the_benchmark_golden(tmp_path, capsys):
         "metrics": hashlib.sha256(metrics.read_bytes()).hexdigest(),
         "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
     } == {key: golden[key] for key in ("stdout", "metrics", "trace")}
+    # Every frame_rx outcome its sweeps and data write is documented too.
+    assert written_outcomes(trace.read_text()) - documented_outcomes() == set()

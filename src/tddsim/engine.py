@@ -30,9 +30,14 @@ the burst instead of once per fragment.
 A saturated link's fresh MPDUs that fit whole in the window are sent as one
 run (`Run`): their transmit ticks, receive ticks and sequence numbers are an
 arithmetic progression of one whole-MPDU airtime, fixed per runtime and
-checked when the World is built, so a run is sent in one step, its
-receptions wait in flight as one entry, and its MPDUs await their ack as
-one `pending` entry. Partial fragments, retries and CBR MPDUs go one by one.
+checked when the World is built, so a run is sent in one step and its
+receptions wait in flight as one entry. Partial fragments, retries and CBR
+MPDUs go one by one.
+
+The transmitter settles each ack round from its own record. An MPDU's
+copy is decoded exactly when none of its fragments was sent interfered or
+below the MCS threshold (`corrupted`), so only the lost MPDUs and lost runs
+wait in `pending`, for the ack round that sends them again or drops them.
 """
 
 from __future__ import annotations
@@ -113,35 +118,29 @@ def _whole_ticks(units: int, rate: int) -> int:
 
 
 class Mpdu:
-    __slots__ = (
-        "seq", "size_bits", "payload_bits", "eligible", "remaining", "corrupted", "retried",
-        "tx_complete",
-    )
+    __slots__ = ("seq", "eligible", "remaining", "corrupted", "retried", "tx_complete")
 
-    def __init__(self, seq: int, size_bits: int, payload_bits: int, eligible: int, remaining: int):
+    def __init__(self, seq: int, eligible: int, remaining: int):
         self.seq = seq
-        self.size_bits = size_bits
-        self.payload_bits = payload_bits
         self.eligible = eligible  # tick
         self.remaining = remaining  # bit units still to send
         self.corrupted = False
         self.retried = False
-        self.tx_complete: Optional[int] = None  # tick its last fragment ended
+        self.tx_complete: Optional[int] = None  # tick its last fragment ended, if lost
 
 
 class Run:
-    """`count` whole MPDUs from data seq `seq`, sent back to back in one
-    burst and awaiting their ack as one `pending` entry: the first ended at
-    tick `tx_complete`, and each next one ends one whole-MPDU airtime
-    later. `corrupted` holds for all or none."""
+    """`count` lost whole MPDUs from data seq `seq`, sent back to back in
+    one burst and awaiting their ack round as one `pending` entry: the
+    first ended at tick `tx_complete`, and each next one ends one
+    whole-MPDU airtime later."""
 
-    __slots__ = ("seq", "count", "tx_complete", "corrupted")
+    __slots__ = ("seq", "count", "tx_complete")
 
-    def __init__(self, seq: int, count: int, tx_complete: int, corrupted: bool):
+    def __init__(self, seq: int, count: int, tx_complete: int):
         self.seq = seq
         self.count = count
         self.tx_complete = tx_complete
-        self.corrupted = corrupted
 
 
 class TrafficSource:
@@ -168,7 +167,7 @@ class LinkRuntime:
     __slots__ = (
         "vertex", "mcs", "prop", "source", "size_bits", "payload_bits", "size_units",
         "airtime", "vertex_id", "tx_shape", "rx_shape", "whole_tx_shape", "whole_rx_shapes",
-        "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending", "received",
+        "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending",
         "rx_since_ack", "control_queue", "dead", "reverse_power", "reverse_mcs",
         "active_until", "interfered_now", "tx_tick", "tx_seq", "tx_end", "in_flight", "steps",
         "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
@@ -199,11 +198,7 @@ class LinkRuntime:
         self.next_arrival = -1  # tick of the next CBR arrival
         self.next_seq = 0
         self.queue = deque()
-        self.pending = {}  # seq -> Mpdu, or first seq -> Run, awaiting ack
-        # Decoded seqs of single MPDUs at the receiver that no ack round has
-        # settled: at most the pending ones, since an MPDU is received once.
-        # A run is never sent again, so its `corrupted` says all this does.
-        self.received = set()
+        self.pending = {}  # lost: seq -> Mpdu, or first seq -> Run, awaiting an ack round
         self.rx_since_ack = []  # (seq, rx tick)
         self.control_queue = deque()
         self.dead = False
@@ -243,12 +238,8 @@ class LinkRuntime:
     def queued_bits(self) -> int:
         # An MPDU counts at full size until it is delivered or dropped, so a
         # partially transmitted head still owes its whole frame here.
-        backlog = sum(m.size_bits for m in self.queue)
-        pending_undelivered = sum(
-            self.size_bits * m.count if m.__class__ is Run else m.size_bits
-            for m in self.pending.values() if m.corrupted
-        )
-        return backlog + pending_undelivered
+        lost = sum(m.count if m.__class__ is Run else 1 for m in self.pending.values())
+        return (len(self.queue) + lost) * self.size_bits
 
 
 class MaintenanceSettings:
@@ -451,7 +442,6 @@ class World:
 
         # keep-alive bookkeeping: (rx_node, tx_node) -> last decoded frame tick
         self.last_rx: dict[tuple[str, str], int] = {}
-        self.dead_links: set[str] = set()
 
         self.slot_rows = self._slot_rows()
 
@@ -693,7 +683,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     row = rows.append
     vertex, in_flight, backlog = rt.vertex, rt.in_flight, rt.queue
     tx_node, rx_node = vertex.tx_node, vertex.rx_node
-    received, rx_since_ack, last_rx = rt.received, rt.rx_since_ack, world.last_rx
+    rx_since_ack, last_rx = rt.rx_since_ack, world.last_rx
     rx_key, pending, prop = (rx_node, tx_node), rt.pending, rt.prop
     rate = int(rt.mcs.phy_rate_bps)
     # A whole MPDU's bits, as round(size_units / units_per_bit, 3) gives them.
@@ -770,12 +760,10 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 ))
             if last and not mpdu.corrupted:
                 last_rx[rx_key] = tick
-                if mpdu.seq not in received:
-                    received.add(mpdu.seq)
-                    rt.completed_mpdus += 1
-                    rt.delivered_mpdu_bits += mpdu.size_bits
-                    rt.delivered_payload_bits += mpdu.payload_bits
-                    rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
+                rt.completed_mpdus += 1
+                rt.delivered_mpdu_bits += rt.size_bits
+                rt.delivered_payload_bits += rt.payload_bits
+                rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
                 rx_since_ack.append((mpdu.seq, tick))
             continue
 
@@ -810,7 +798,8 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 rt.next_seq += count
                 rt.offered_bits += count * rt.size_bits
                 end = tick + count * whole
-                pending[first] = Run(first, count, tick + whole, not ok)
+                if not ok:
+                    pending[first] = Run(first, count, tick + whole)
                 air += end - tick
                 in_flight.append((tick + whole + prop, seq_next, first, count, ok))
                 if traced:
@@ -826,7 +815,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 else:
                     tx_seq = None
                 continue
-            mpdu = Mpdu(rt.next_seq, rt.size_bits, rt.payload_bits, tick, size_units)
+            mpdu = Mpdu(rt.next_seq, tick, size_units)
             rt.next_seq += 1
             rt.offered_bits += rt.size_bits
             backlog.append(mpdu)
@@ -842,8 +831,9 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
         end = tick + airtime
         if last:
             backlog.popleft()
-            mpdu.tx_complete = end
-            pending[mpdu.seq] = mpdu
+            if mpdu.corrupted:
+                mpdu.tx_complete = end
+                pending[mpdu.seq] = mpdu
         if mpdu.retried:
             rt.retx_units += frag
         bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
@@ -897,17 +887,15 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
 
     if what == "block_ack":
         rx_since_ack = rt.rx_since_ack
-        covered = tuple(map(itemgetter(0), rx_since_ack))
         rt.ack_delay_samples_us += map(
             truediv, map(sub, repeat(now), map(itemgetter(1), rx_since_ack)), repeat(tpu),
         )
+        if world.trace.enabled:
+            covered = tuple(map(itemgetter(0), rx_since_ack))
+            world.trace.extend([(round(now / tpu, 3), rt.ack_shape, covered)])
         rx_since_ack.clear()
         airtime = airtimes[0]
-        if world.trace.enabled:
-            world.trace.extend([(round(now / tpu, 3), rt.ack_shape, covered)])
-        world.queue.push(
-            now + airtime + rt.prop, _on_block_ack_rx, (rt, covered, slot_start, ok)
-        )
+        world.queue.push(now + airtime + rt.prop, _on_block_ack_rx, (rt, slot_start, ok))
     else:
         # RCPI is the received power, and RSNI equals SNR under this
         # deterministic model.
@@ -929,16 +917,14 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
         world.queue.push(now + airtime, _on_control_tx, (rt, slot_start))
 
 
-def _on_block_ack_rx(
-    world: World, now: int, rt: LinkRuntime, covered: tuple, formed_at: int, ok: bool
-) -> None:
+def _on_block_ack_rx(world: World, now: int, rt: LinkRuntime, formed_at: int, ok: bool) -> None:
     world.trace.record(
         now / world.tpu, "frame_rx", node=rt.vertex.tx_node, frame="block_ack",
         link=rt.vertex_id, outcome="decoded" if ok else "interfered",
     )
     if ok:
         world.last_rx[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
-        _process_block_ack(world, rt, set(covered), formed_at)
+        _process_block_ack(world, rt, formed_at)
 
 
 def _on_report_rx(world: World, now: int, rt: LinkRuntime, seq: int, rsni: float, ok: bool) -> None:
@@ -954,40 +940,30 @@ def _on_report_rx(world: World, now: int, rt: LinkRuntime, seq: int, rsni: float
             _apply_tpc(world, rt, rsni, now)
 
 
-def _process_block_ack(world: World, rt: LinkRuntime, covered: set, formed_at: int) -> None:
+def _process_block_ack(world: World, rt: LinkRuntime, formed_at: int) -> None:
+    """Settle the lost MPDUs whose last fragment reached the receiver
+    before the ack was formed: each is sent again, or dropped if it was
+    sent again already. The rest wait for the next round."""
     pending, prop = rt.pending, rt.prop
     for seq in sorted(pending):
         entry = pending[seq]
         if entry.tx_complete + prop >= formed_at:
             continue  # completed after the ack was formed; next round decides
+        del pending[seq]
         if entry.__class__ is Run:
             # Its MPDUs that completed before the ack was formed, each one
-            # airtime after the one before. Decoded, they are delivered;
-            # else none was received, and each is sent again.
+            # airtime after the one before, are each sent again.
             whole = rt.airtime
             done = min(entry.count, -((entry.tx_complete + prop - formed_at) // whole))
-            if entry.corrupted:
-                for i in range(done):  # each became eligible when it was sent
-                    _retry(rt, Mpdu(
-                        seq=entry.seq + i, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-                        eligible=entry.tx_complete + (i - 1) * whole, remaining=rt.size_units,
-                    ))
-            del pending[seq]
+            for i in range(done):  # each became eligible when it was sent
+                _retry(rt, Mpdu(entry.seq + i, entry.tx_complete + (i - 1) * whole, rt.size_units))
             if done < entry.count:  # the rest, keyed apart from the MPDUs sent again
                 entry.seq += done
                 entry.count -= done
                 entry.tx_complete += done * whole
                 pending[entry.seq] = entry
-            continue
-        del pending[seq]
-        if seq in covered or seq in rt.received:
-            # Delivered (if the covering ack was lost, this round settles it).
-            # Its copy was received before the ack was formed, and only an
-            # MPDU that was not received is sent again, so nothing asks
-            # about seq any more.
-            rt.received.discard(seq)
         elif entry.retried:
-            rt.dropped_bits += entry.size_bits
+            rt.dropped_bits += rt.size_bits
             world.trace.record(
                 formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
                 link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
@@ -1001,7 +977,6 @@ def _retry(rt: LinkRuntime, mpdu: Mpdu) -> None:
     mpdu.retried = True
     mpdu.corrupted = False
     mpdu.remaining = rt.size_units
-    mpdu.tx_complete = None
     # Requeue behind a partially transmitted head, else at the front.
     if rt.queue and rt.queue[0].remaining < rt.size_units:
         rt.queue.insert(1, mpdu)
@@ -1028,10 +1003,7 @@ def _apply_tpc(world: World, rt: LinkRuntime, rsni: float, now: int) -> None:
 
 
 def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
-    mpdu = Mpdu(
-        seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-        eligible=now, remaining=rt.size_units,
-    )
+    mpdu = Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
     rt.next_seq += 1
     rt.offered_bits += rt.size_bits
     rt.queue.append(mpdu)
@@ -1067,7 +1039,6 @@ def _on_maintenance_tick(world: World, now: int) -> None:
         # Dead only when strictly past the timeout; the boundary itself is alive.
         if t_us - last / world.tpu > settings.keepalive_timeout_us and not rt.dead:
             rt.dead = True
-            world.dead_links.add(vid)
             world.trace.record(
                 t_us, "link_dead", link=vid, node=vertex.sta_id,
                 last_rx=round(last / world.tpu, 3),

@@ -504,7 +504,7 @@ def test_keepalive_kills_silent_link():
         trace=trace,
     )
     metrics = run_until(world)
-    assert world.dead_links == {DL}
+    assert {vid for vid, rt in world.runtimes.items() if rt.dead} == {DL}
     dead = trace.iter_kind("link_dead")
     assert len(dead) == 1
     # The last refresh is the t=0 heartbeat; death lands on the first
@@ -540,7 +540,7 @@ def test_heartbeats_keep_idle_link_alive():
     )
     world = build_world(traffic={DL: TrafficSource("none")}, maintenance=maintenance)
     run_until(world)
-    assert world.dead_links == set()
+    assert {vid for vid, rt in world.runtimes.items() if rt.dead} == set()
 
 
 def test_metrics_csv_shape():
@@ -708,18 +708,32 @@ def test_whole_mpdu_rows_read_back_with_every_field():
         assert rows == [records[r["seq"]] for r in rows]
 
 
-def test_received_set_does_not_grow_with_simulated_time():
-    # The receiver keeps only the decoded seqs no ack round has settled.
-    sizes = []
+def test_pending_holds_only_lost_mpdus():
+    # A clean saturated run leaves nothing for an ack round to settle.
     for duration_us in (25_600, 102_400):
         world = build_world(duration_us=duration_us)
         metrics = run_until(world)
-        rt = world.runtimes[DL]
         assert metrics.per_link[DL].completed_mpdus > duration_us // 10
-        assert set(rt.received) <= set(rt.pending)
-        sizes.append(len(rt.received))
-    # At most one interval's MPDUs: 22 windows of 26 fragments.
-    assert 0 < sizes[0] == sizes[1] <= 22 * 26
+        assert world.runtimes[DL].pending == {}
+    # With all DATA slots but one interfered, each MPDU left pending, alone
+    # or in a run, had a fragment of its latest copy received interfered,
+    # and the queue counts each at full size.
+    trace = TraceRecorder()
+    world = build_world(doctor=dirty_all_but_slot_13, trace=trace)
+    metrics = run_until(world)
+    rt = world.runtimes[DL]
+    copies = {}  # data seq -> the outcomes of each copy's fragments
+    for r in trace.iter_kind("frame_rx"):
+        if r["frame"] == "data":
+            copy = copies.setdefault(r["data_seq"], [[]])
+            copy[-1].append(r["outcome"])
+            if r["last_fragment"]:
+                copy.append([])
+    lost = [seq for first, entry in rt.pending.items()
+            for seq in range(first, first + getattr(entry, "count", 1))]
+    assert any(isinstance(entry, engine.Run) for entry in rt.pending.values())
+    assert lost and all("interfered" in copies[seq][-2] for seq in lost)
+    assert metrics.per_link[DL].queued_bits == (len(rt.queue) + len(lost)) * MPDU_BITS
 
 
 def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):

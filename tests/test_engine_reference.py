@@ -5,11 +5,12 @@ fragment took two heap events, one for its transmission and one for its
 reception. Its handlers below are copies of that engine's
 `_on_slot_boundary`, `_on_data_tx`, `_on_data_rx` and `_on_arrival`, and of
 `_on_block_ack_rx` and `_process_block_ack` with the receiver's `received`
-set never pruned. Its slot and data rows go through `emitter`, a copy of
-the recorder's per-row writer of that time, and its slot rows' fields are
-built from the plan as that engine built them. Everything else (control
-frames, reports, maintenance ticks, the timeline, metrics) is the engine's
-own.
+set never pruned, kept on the world, and every MPDU sent kept in `pending`
+until an ack round settles it. Its slot and data rows go through
+`emitter`, a copy of the recorder's per-row writer of that time, and its
+slot rows' fields are built from the plan as that engine built them.
+Everything else (control frames, reports, maintenance ticks, the timeline,
+metrics) is the engine's own.
 
 Both engines run the same scenarios and must write byte-identical traces,
 metrics CSV and stdout:
@@ -107,6 +108,7 @@ def reference_run_until(world, t_end_us=None):
         last_fragment=False, outcome="",
     )
     world.chained = set()  # runtimes with a transmit event pending
+    world.received = {vid: set() for vid in world.runtimes}  # decoded seqs per link
     engine._start_arrivals(world)
     for tick, handler, args in engine._timeline(world):
         if tick > t_end:
@@ -119,6 +121,8 @@ def reference_run_until(world, t_end_us=None):
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
         REFERENCE.get(event, event)(world, now, *event_args)
+    for rt in world.runtimes.values():  # the engine's `pending` holds only the lost ones
+        rt.pending = {seq: mpdu for seq, mpdu in rt.pending.items() if mpdu.corrupted}
     return engine.collect_metrics(world)
 
 
@@ -156,10 +160,7 @@ def _head_mpdu(rt, now):
             return head
         return None
     if rt.saturated:
-        mpdu = engine.Mpdu(
-            seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-            eligible=now, remaining=rt.size_units,
-        )
+        mpdu = engine.Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
         rt.next_seq += 1
         rt.offered_bits += rt.size_bits
         rt.queue.append(mpdu)
@@ -217,58 +218,53 @@ def _on_data_rx(world, now, rt, mpdu, frag, bits, last, ok):
     )
     if last and not mpdu.corrupted:
         world.last_rx[(rt.vertex.rx_node, rt.vertex.tx_node)] = now
-        if mpdu.seq not in rt.received:
-            rt.received.add(mpdu.seq)
+        received = world.received[rt.vertex_id]
+        if mpdu.seq not in received:
+            received.add(mpdu.seq)
             rt.completed_mpdus += 1
-            rt.delivered_mpdu_bits += mpdu.size_bits
-            rt.delivered_payload_bits += mpdu.payload_bits
+            rt.delivered_mpdu_bits += rt.size_bits
+            rt.delivered_payload_bits += rt.payload_bits
             rt.latency_samples_us.append((now - mpdu.eligible) / world.tpu)
         rt.rx_since_ack.append((mpdu.seq, now))
 
 
-def _on_block_ack_rx(world, now, rt, covered, formed_at, ok):
+def _on_block_ack_rx(world, now, rt, formed_at, ok):
     world.trace.record(
         now / world.tpu, "frame_rx", node=rt.vertex.tx_node, frame="block_ack",
         link=rt.vertex_id, outcome="decoded" if ok else "interfered",
     )
     if ok:
         world.last_rx[(rt.vertex.tx_node, rt.vertex.rx_node)] = now
-        _process_block_ack(world, rt, set(covered), formed_at)
+        _process_block_ack(world, rt, formed_at)
 
 
-def _process_block_ack(world, rt, covered, formed_at):
+def _process_block_ack(world, rt, formed_at):
     for seq in sorted(rt.pending):
         mpdu = rt.pending[seq]
         if mpdu.tx_complete + rt.prop >= formed_at:
             continue
-        if seq in covered:
-            del rt.pending[seq]
+        del rt.pending[seq]
+        if seq in world.received[rt.vertex_id]:
+            continue
+        if mpdu.retried:
+            rt.dropped_bits += rt.size_bits
+            world.trace.record(
+                formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
+                link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
+            )
         else:
-            del rt.pending[seq]
-            if seq in rt.received:
-                continue
-            if mpdu.retried:
-                rt.dropped_bits += mpdu.size_bits
-                world.trace.record(
-                    formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
-                    link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
-                )
+            mpdu.retried = True
+            mpdu.corrupted = False
+            mpdu.remaining = rt.size_units
+            mpdu.tx_complete = None
+            if rt.queue and rt.queue[0].remaining < rt.size_units:
+                rt.queue.insert(1, mpdu)
             else:
-                mpdu.retried = True
-                mpdu.corrupted = False
-                mpdu.remaining = rt.size_units
-                mpdu.tx_complete = None
-                if rt.queue and rt.queue[0].remaining < rt.size_units:
-                    rt.queue.insert(1, mpdu)
-                else:
-                    rt.queue.appendleft(mpdu)
+                rt.queue.appendleft(mpdu)
 
 
 def _on_arrival(world, now, rt):
-    mpdu = engine.Mpdu(
-        seq=rt.next_seq, size_bits=rt.size_bits, payload_bits=rt.payload_bits,
-        eligible=now, remaining=rt.size_units,
-    )
+    mpdu = engine.Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
     rt.next_seq += 1
     rt.offered_bits += rt.size_bits
     rt.queue.append(mpdu)

@@ -221,7 +221,6 @@ def build_world(prep: Prepared, plan: AssignmentResult, trace: TraceRecorder) ->
         epoch_us=prep.epoch_us,
         duration_us=cfg.sim.duration_us,
         trace=trace,
-        bf_sweep_counts=prep.bf_sweep_counts,
     )
 
 
@@ -310,7 +309,7 @@ def _run_payload(prep: Prepared, metrics) -> dict:
         "duration_us": metrics.duration_us,
         "per_link": per_link,
         "slot_utilization": {k: round(v, 6) for k, v in metrics.slot_utilization.items()},
-        "bf_sweep_counts": dict(sorted(metrics.bf_sweep_counts.items())),
+        "bf_sweep_counts": dict(sorted(prep.bf_sweep_counts.items())),
     }
 
 

@@ -302,7 +302,10 @@ class ScenarioConfig(Section):
 
     def build_bf_config(self) -> BeamformingConfig:
         b = self.beamforming
-        return BeamformingConfig(b.ssw_slot_us, b.feedback_slot_us, b.ack_slot_us, b.announce_slot_us)
+        return BeamformingConfig(
+            b.ssw_slot_us, b.feedback_slot_us, b.ack_slot_us, b.announce_slot_us,
+            decode_min_snr_db=self.build_mcs_table()[0].min_snr_db,
+        )
 
     def maintenance_settings(self) -> MaintenanceSettings:
         m = self.maintenance

@@ -38,6 +38,10 @@ The transmitter settles each ack round from its own record. An MPDU's
 copy is decoded exactly when none of its fragments was sent interfered or
 below the MCS threshold (`corrupted`), so only the lost MPDUs and lost runs
 wait in `pending`, for the ack round that sends them again or drops them.
+
+Each link counts whole MPDUs, not bits: `collect_metrics` turns the counts
+into bits once, at the World's frame sizes, and offered = delivered +
+dropped + queued (`queued_mpdus`) holds exactly wherever `run_until` stops.
 """
 
 from __future__ import annotations
@@ -161,30 +165,27 @@ class LinkRuntime:
     """Mutable simulation state of one directed, demanded link activation.
 
     Times are ticks and fragment bit counts are bit units of the owning
-    World; whole-MPDU counters are plain bits.
+    World; whole MPDUs are counted, not their bits.
     """
 
     __slots__ = (
-        "vertex", "mcs", "prop", "source", "size_bits", "payload_bits", "size_units",
+        "vertex", "mcs", "prop", "source", "size_units",
         "airtime", "vertex_id", "tx_shape", "rx_shape", "whole_tx_shape", "whole_rx_shapes",
         "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending",
         "rx_since_ack", "control_queue", "dead", "reverse_power", "reverse_mcs",
-        "active_until", "interfered_now", "tx_tick", "tx_seq", "tx_end", "in_flight", "steps",
-        "offered_bits", "delivered_fragment_units", "delivered_mpdu_bits",
-        "delivered_payload_bits", "dropped_bits", "retx_units", "completed_mpdus",
+        "active_until", "interfered_now", "tx_tick", "tx_seq", "in_flight", "steps",
+        "delivered_fragment_units", "retx_units", "completed_mpdus", "dropped_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
     )
 
     def __init__(
         self, vertex: DirectedLink, mcs: McsEntry, prop: int, source: Optional[TrafficSource],
-        size_bits: int, payload_bits: int, size_units: int, shapes: tuple[int, ...],
+        size_units: int, shapes: tuple[int, ...],
     ):
         self.vertex = vertex
         self.mcs = mcs
         self.prop = prop  # ticks
         self.source = source
-        self.size_bits = size_bits
-        self.payload_bits = payload_bits
         self.size_units = size_units
         self.airtime = _whole_ticks(size_units, int(mcs.phy_rate_bps))  # of a whole MPDU
 
@@ -196,7 +197,7 @@ class LinkRuntime:
          self.ack_shape) = shapes
         self.saturated = source is not None and source.pattern == "saturated"
         self.next_arrival = -1  # tick of the next CBR arrival
-        self.next_seq = 0
+        self.next_seq = 0  # MPDUs offered
         self.queue = deque()
         self.pending = {}  # lost: seq -> Mpdu, or first seq -> Run, awaiting an ack round
         self.rx_since_ack = []  # (seq, rx tick)
@@ -211,7 +212,7 @@ class LinkRuntime:
         self.active_until = 0
         self.interfered_now = False
         # The burst: its next transmission (tick and sequence number; no
-        # sequence when none is due) inside the window ending at tx_end,
+        # sequence when none is due) inside the window ending at active_until,
         # receptions in flight, and the sequence numbers of its steps on the
         # heap. A fragment is in flight as (rx tick, seq, mpdu, frag, bits,
         # last, ok); the receptions of a run still to come as one entry,
@@ -219,27 +220,29 @@ class LinkRuntime:
         # whole-MPDU airtime, two sequence numbers and one data seq later.
         self.tx_tick = 0
         self.tx_seq: Optional[int] = None
-        self.tx_end = 0
         self.in_flight = deque()
         self.steps: set[int] = set()
 
-        # counters
-        self.offered_bits = 0
+        # counters: fragment bit units and whole MPDUs (`next_seq` counts those offered)
         self.delivered_fragment_units = 0
-        self.delivered_mpdu_bits = 0
-        self.delivered_payload_bits = 0
-        self.dropped_bits = 0
         self.retx_units = 0
         self.completed_mpdus = 0
+        self.dropped_mpdus = 0
         self.latency_samples_us = []
         self.ack_delay_samples_us = []
         self.report_seq = 0
 
-    def queued_bits(self) -> int:
-        # An MPDU counts at full size until it is delivered or dropped, so a
-        # partially transmitted head still owes its whole frame here.
+    def queued_mpdus(self) -> int:
+        """MPDUs neither delivered nor dropped: queued (a partly sent head
+        too), lost and awaiting an ack round, or clean and in flight."""
         lost = sum(m.count if m.__class__ is Run else 1 for m in self.pending.values())
-        return (len(self.queue) + lost) * self.size_bits
+        flying = 0
+        for entry in self.in_flight:  # a lost one is in `pending` already
+            if len(entry) == 5:
+                flying += entry[3] if entry[4] else 0
+            elif entry[5] and not entry[2].corrupted:
+                flying += 1
+        return len(self.queue) + lost + flying
 
 
 class MaintenanceSettings:
@@ -287,20 +290,17 @@ class Metrics(NamedTuple):
     duration_us: int
     per_link: dict[str, LinkMetrics]
     slot_utilization: dict[str, float]  # category value -> used/usable
-    bf_sweep_counts: dict[str, int]
 
     def goodput_bps(self, vertex_id: str) -> float:
         link = self.per_link[vertex_id]
         return link.delivered_payload_bits / (self.duration_us * 1e-6)
 
-    def conservation_ok(self, tol_bits: float = 1e-6) -> bool:
-        for link in self.per_link.values():
-            balance = (
-                link.delivered_mpdu_bits + link.dropped_bits + link.queued_bits
-            )
-            if abs(link.offered_bits - balance) > tol_bits:
-                return False
-        return True
+    def conservation_ok(self) -> bool:
+        """Offered bits = delivered + dropped + queued, exactly: all whole MPDUs."""
+        return all(
+            link.offered_bits == link.delivered_mpdu_bits + link.dropped_bits + link.queued_bits
+            for link in self.per_link.values()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,6 @@ class World:
         epoch_us: int = 0,
         duration_us: int = 300_000,
         trace: Optional[TraceRecorder] = None,
-        bf_sweep_counts: Optional[dict[str, int]] = None,
     ):
         # Copies: transmit power control changes a node's power in this World only.
         self.nodes = {nid: node.copy() for nid, node in nodes.items()}
@@ -384,7 +383,6 @@ class World:
         # maintenance tick, appended to the trace before either runs.
         self.slot_batch: list[tuple[float, int, int]] = []
         self.queue = EventQueue()
-        self.bf_sweep_counts = dict(bf_sweep_counts or {})
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
         # rate -> (block ack, measurement report) airtime in ticks
@@ -425,8 +423,6 @@ class World:
                 mcs=entry,
                 prop=prop_ps * (self.tpu // 10**6),
                 source=source,
-                size_bits=self.frame_sizes.data_total_bits,
-                payload_bits=self.frame_sizes.data_payload * 8,
                 size_units=self.frame_sizes.data_total_bits * self.units_per_bit,
                 shapes=shapes,
             )
@@ -604,24 +600,24 @@ def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row:
         if rt.dead:
             continue
         rt.interfered_now = interfered
-        rt.active_until = window_end = now + window
+        rt.active_until = now + window
         air += window
         # A burst that would find nothing to send is not started; an
         # arrival on this very tick runs next and finds it started.
         if rt.tx_seq is None and (rt.saturated or rt.queue or rt.next_arrival == now):
-            _transmit(world, rt, now, window_end)
+            _transmit(world, rt, now)
     if air:
         world.usable_air[row.category] += air
 
 
-def _transmit(world: World, rt: LinkRuntime, now: int, window_end: int) -> None:
-    """Start `rt`'s transmissions at `now`, in its window ending at `window_end`.
+def _transmit(world: World, rt: LinkRuntime, now: int) -> None:
+    """Start `rt`'s transmissions at `now`, in its window ending at `active_until`.
 
     The first takes the next sequence number, as its event would, and gets
     a burst step of its own unless a reception in flight comes first.
     """
     queue = world.queue
-    rt.tx_tick, rt.tx_seq, rt.tx_end = now, queue.seq, window_end
+    rt.tx_tick, rt.tx_seq = now, queue.seq
     if not rt.in_flight or rt.in_flight[0][0] > now:
         rt.steps.add(rt.tx_seq)
         queue.push(now, _on_data, (rt, rt.tx_seq))  # at seq, the next number
@@ -687,8 +683,8 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
     rx_key, pending, prop = (rx_node, tx_node), rt.pending, rt.prop
     rate = int(rt.mcs.phy_rate_bps)
     # A whole MPDU's bits, as round(size_units / units_per_bit, 3) gives them.
-    size_units, full_bits, whole = rt.size_units, float(rt.size_bits), rt.airtime
-    tx_tick, tx_seq, tx_end = rt.tx_tick, rt.tx_seq, rt.tx_end
+    size_units, full_bits, whole = rt.size_units, float(world.frame_sizes.data_total_bits), rt.airtime
+    tx_tick, tx_seq, tx_end = rt.tx_tick, rt.tx_seq, rt.active_until
     # The rows of this call's run, sent from tick sent_t0; the first
     # `written` of its `n_sent` are in `rows`.
     sent, sent_t0, written, n_sent = (), 0, 0, 0
@@ -724,8 +720,6 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                     rt.delivered_fragment_units += got * size_units
                     last_rx[rx_key] = ticks[-1]
                     rt.completed_mpdus += got
-                    rt.delivered_mpdu_bits += got * rt.size_bits
-                    rt.delivered_payload_bits += got * rt.payload_bits
                     # Each was sent when it became eligible, A + prop before.
                     rt.latency_samples_us += repeat((whole + prop) / tpu, got)
                     rx_since_ack += zip(range(first, first + got), ticks)
@@ -761,8 +755,6 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
             if last and not mpdu.corrupted:
                 last_rx[rx_key] = tick
                 rt.completed_mpdus += 1
-                rt.delivered_mpdu_bits += rt.size_bits
-                rt.delivered_payload_bits += rt.payload_bits
                 rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
                 rx_since_ack.append((mpdu.seq, tick))
             continue
@@ -796,7 +788,6 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 count = min((tx_end - tick) // whole, -((tick - bound) // whole))
                 first = rt.next_seq
                 rt.next_seq += count
-                rt.offered_bits += count * rt.size_bits
                 end = tick + count * whole
                 if not ok:
                     pending[first] = Run(first, count, tick + whole)
@@ -817,7 +808,6 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 continue
             mpdu = Mpdu(rt.next_seq, tick, size_units)
             rt.next_seq += 1
-            rt.offered_bits += rt.size_bits
             backlog.append(mpdu)
         frag = mpdu.remaining
         room = (tx_end - tick) * rate
@@ -963,7 +953,7 @@ def _process_block_ack(world: World, rt: LinkRuntime, formed_at: int) -> None:
                 entry.tx_complete += done * whole
                 pending[entry.seq] = entry
         elif entry.retried:
-            rt.dropped_bits += rt.size_bits
+            rt.dropped_mpdus += 1
             world.trace.record(
                 formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
                 link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
@@ -1005,10 +995,9 @@ def _apply_tpc(world: World, rt: LinkRuntime, rsni: float, now: int) -> None:
 def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
     mpdu = Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
     rt.next_seq += 1
-    rt.offered_bits += rt.size_bits
     rt.queue.append(mpdu)
     if not rt.dead and rt.tx_seq is None and now < rt.active_until:
-        _transmit(world, rt, now, rt.active_until)
+        _transmit(world, rt, now)
     # Next arrival: one MPDU every size/rate seconds.
     rt.next_arrival = now + _whole_ticks(rt.size_units, int(rt.source.rate_bps))
     world.queue.push(rt.next_arrival, _on_arrival, (rt,))
@@ -1046,16 +1035,17 @@ def _on_maintenance_tick(world: World, now: int) -> None:
 
 
 def collect_metrics(world: World) -> Metrics:
+    mpdu_bits, payload_bits = world.frame_sizes.data_total_bits, world.frame_sizes.data_payload * 8
     per_link: dict[str, LinkMetrics] = {}
     for vid, rt in world.runtimes.items():
         per_link[vid] = LinkMetrics(
             vertex_id=vid,
-            offered_bits=float(rt.offered_bits),
+            offered_bits=float(rt.next_seq * mpdu_bits),
             delivered_bits=rt.delivered_fragment_units / world.units_per_bit,
-            delivered_mpdu_bits=rt.delivered_mpdu_bits,
-            delivered_payload_bits=rt.delivered_payload_bits,
-            dropped_bits=rt.dropped_bits,
-            queued_bits=float(rt.queued_bits()),
+            delivered_mpdu_bits=rt.completed_mpdus * mpdu_bits,
+            delivered_payload_bits=rt.completed_mpdus * payload_bits,
+            dropped_bits=rt.dropped_mpdus * mpdu_bits,
+            queued_bits=float(rt.queued_mpdus() * mpdu_bits),
             retx_bits=rt.retx_units / world.units_per_bit,
             completed_mpdus=rt.completed_mpdus,
             latency_us=list(rt.latency_samples_us),
@@ -1065,12 +1055,7 @@ def collect_metrics(world: World) -> Metrics:
     for category, usable in world.usable_air.items():
         used = world.used_air[category]
         utilization[category] = used / usable if usable else 0.0
-    return Metrics(
-        duration_us=world.duration_us,
-        per_link=per_link,
-        slot_utilization=utilization,
-        bf_sweep_counts=dict(world.bf_sweep_counts),
-    )
+    return Metrics(duration_us=world.duration_us, per_link=per_link, slot_utilization=utilization)
 
 
 def metrics_to_csv(metrics: Metrics) -> str:

@@ -125,10 +125,10 @@ def _formatter(kind: str, names: tuple[str, ...], fixed: tuple[str, ...]) -> Cal
     layout, `(strings, seq, record) -> line` for a record `(t, shape,
     *values)`, with the JSON of its fixed values, in `fixed`'s order, baked
     into the line. So a layout is compiled once, whatever its fixed values.
-    `strings` maps each string, and each tuple, to its JSON encoding. Keys
-    are sorted, and numbers are written with `repr`, as `json` writes them;
-    a record carrying NaN or an infinity is handed to `reference(seq,
-    record)` instead, the encoder's line for the record's dict. A list is
+    `strings` maps each string to its JSON encoding. Keys are sorted, and
+    numbers are written with `repr`, as `json` writes them; a record
+    carrying NaN or an infinity is handed to `reference(seq, record)`
+    instead, the encoder's line for the record's dict. A list or tuple is
     encoded each time it is written.
     """
     declared = KINDS[kind]
@@ -138,7 +138,7 @@ def _formatter(kind: str, names: tuple[str, ...], fixed: tuple[str, ...]) -> Cal
         v = f"v{i}"
         carried[name] = {
             STRING: f"{{S[{v}]}}", NUMBER: f"{{{v}!r}}", BOOL: f"{{B[{v}]}}",
-            LIST: f"{{S[{v}] if {v}.__class__ is tuple else L({v})}}",
+            LIST: f"{{L({v})}}",
         }[declared[name]]
         if declared[name] == NUMBER:
             numbers.append(v)
@@ -184,21 +184,10 @@ def _line_writer(shape: Shape) -> Callable[[dict, int, Record], str]:
 
 
 class _JsonStrings(dict):
-    """The JSON encoding of every string, and every tuple of strings, written
-    so far, each encoded once.
+    """The JSON encoding of every string written so far, each encoded once."""
 
-    Any other tuple is encoded each time: one that holds a number could
-    equal another that writes differently, such as `(1,)` and `(1.0,)`. A
-    tuple of strings equals only a tuple of the same strings.
-    """
-
-    def __missing__(self, value: str | tuple) -> str:
-        if value.__class__ is str:
-            self[value] = encoded = encode_basestring_ascii(value)
-        else:
-            encoded = _list_json(value)
-            if all(item.__class__ is str for item in value):
-                self[value] = encoded
+    def __missing__(self, value: str) -> str:
+        self[value] = encoded = encode_basestring_ascii(value)
         return encoded
 
 

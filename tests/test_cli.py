@@ -82,6 +82,20 @@ def test_bf_reports_trained_pair(capsys):
     assert payload["sweep_frames"] == {"dn1": 64}
 
 
+@pytest.mark.parametrize("lowest_db, trained", [(22.0, 1), (25.0, 0)])
+def test_training_decodes_at_the_scenarios_lowest_mcs(tmp_path, capsys, lowest_db, trained):
+    # The pair's best sweep frame arrives at 22.642 dB: a table whose MCS 0
+    # needs more trains no link, where the built-in table's 1.0 dB would.
+    scenario = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
+    scenario["mcs_table"] = [{"mcs": 0, "min_snr_db": lowest_db, "rate_bps": 385_000_000}]
+    path = tmp_path / "high_mcs0.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    assert run_cli("bf", "--config", str(path)) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["runs"][0]["trained_links"]) == trained
+    assert payload["sweep_frames"] == {"dn1": 64}
+
+
 def test_plan_feasible_scenario(capsys):
     path = str(SCENARIOS / "saturated_dl.yaml")
     assert run_cli("plan", "--config", path) == EXIT_OK

@@ -563,7 +563,7 @@ def test_mean_ack_delay_is_exact_on_every_python():
     link = engine.LinkMetrics(
         "ap-sta:downlink", 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0, [], [0.0015] * 6,
     )
-    metrics = engine.Metrics(1, {link.vertex_id: link}, {}, {})
+    metrics = engine.Metrics(1, {link.vertex_id: link}, {})
     row = metrics_to_csv(metrics).splitlines()[1]
     assert row.split(",")[-1] == "0.002"
 
@@ -734,6 +734,65 @@ def test_pending_holds_only_lost_mpdus():
     assert any(isinstance(entry, engine.Run) for entry in rt.pending.values())
     assert lost and all("interfered" in copies[seq][-2] for seq in lost)
     assert metrics.per_link[DL].queued_bits == (len(rt.queue) + len(lost)) * MPDU_BITS
+
+
+def scenario_world(name):
+    prep = cli.prepare_scenario(parse_config(yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text())))
+    return cli.build_world(prep, cli.plan_scenario(prep), TraceRecorder(enabled=False))
+
+
+# name -> (a new World, cut times in us). trickle's MPDUs arrive 12,320 us
+# apart and are in the air for a few microseconds about 66 us later.
+CUT_CASES = {
+    "saturated_dl": (lambda: scenario_world("saturated_dl"), st.integers(0, 6400)),
+    "one_ap_two_sta": (lambda: scenario_world("one_ap_two_sta"), st.integers(0, 6400)),
+    "trickle": (
+        lambda: scenario_world("trickle"),
+        st.builds(lambda k, us: 12_320 * k + us, st.integers(0, 2), st.integers(0, 80)),
+    ),
+    "dirty_saturated": (lambda: build_world(doctor=dirty_all_but_slot_13), st.integers(0, 6400)),
+    "dirty_cbr": (
+        lambda: build_world(
+            doctor=dirty_all_but_slot_13, traffic={DL: TrafficSource("cbr", rate_bps=2.5e8)},
+        ),
+        st.integers(0, 6400),
+    ),
+}
+
+
+def assert_balanced_at(world, cut_us):
+    """Run `world` through `cut_us`; each link's bits balance exactly, and
+    they are its MPDU counts at the World's frame sizes."""
+    metrics = run_until(world, cut_us)
+    assert metrics.conservation_ok()
+    mpdu_bits, payload_bits = world.frame_sizes.data_total_bits, world.frame_sizes.data_payload * 8
+    for vid, link in metrics.per_link.items():
+        rt = world.runtimes[vid]
+        assert link.offered_bits == rt.next_seq * mpdu_bits
+        assert link.delivered_mpdu_bits == rt.completed_mpdus * mpdu_bits
+        assert link.delivered_payload_bits == rt.completed_mpdus * payload_bits
+        assert link.dropped_bits == rt.dropped_mpdus * mpdu_bits
+        assert link.queued_bits == rt.queued_mpdus() * mpdu_bits
+    return metrics
+
+
+@pytest.mark.parametrize("case", sorted(CUT_CASES))
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_bits_are_conserved_wherever_a_run_is_cut(case, data):
+    build, cuts = CUT_CASES[case]
+    assert_balanced_at(build(), data.draw(cuts, label="cut_us"))
+
+
+@pytest.mark.parametrize("cut_us", [347, 1970])
+def test_a_clean_mpdu_in_flight_at_the_cut_is_still_queued(cut_us):
+    # Inside a DATA window the run's latest MPDU is in the air: neither
+    # delivered nor lost, it is the one MPDU counted as queued.
+    world = scenario_world("saturated_dl")
+    metrics = assert_balanced_at(world, cut_us)
+    rt = world.runtimes["dn1-cn1:downlink"]
+    assert rt.in_flight and not rt.pending and not rt.queue
+    assert metrics.per_link["dn1-cn1:downlink"].queued_bits == MPDU_BITS
 
 
 def test_report_scheduling_builds_only_the_reporters_basic_slots(monkeypatch):

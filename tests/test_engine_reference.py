@@ -121,8 +121,14 @@ def reference_run_until(world, t_end_us=None):
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
         REFERENCE.get(event, event)(world, now, *event_args)
-    for rt in world.runtimes.values():  # the engine's `pending` holds only the lost ones
-        rt.pending = {seq: mpdu for seq, mpdu in rt.pending.items() if mpdu.corrupted}
+    # The engine's `pending` holds only the lost ones; it counts the clean
+    # ones still in flight from its `in_flight`, which this engine leaves empty.
+    for vid, rt in world.runtimes.items():
+        received = world.received[vid]
+        rt.pending = {
+            seq: mpdu for seq, mpdu in rt.pending.items()
+            if mpdu.corrupted or seq not in received
+        }
     return engine.collect_metrics(world)
 
 
@@ -162,7 +168,6 @@ def _head_mpdu(rt, now):
     if rt.saturated:
         mpdu = engine.Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
         rt.next_seq += 1
-        rt.offered_bits += rt.size_bits
         rt.queue.append(mpdu)
         return mpdu
     return None
@@ -222,8 +227,6 @@ def _on_data_rx(world, now, rt, mpdu, frag, bits, last, ok):
         if mpdu.seq not in received:
             received.add(mpdu.seq)
             rt.completed_mpdus += 1
-            rt.delivered_mpdu_bits += rt.size_bits
-            rt.delivered_payload_bits += rt.payload_bits
             rt.latency_samples_us.append((now - mpdu.eligible) / world.tpu)
         rt.rx_since_ack.append((mpdu.seq, now))
 
@@ -247,7 +250,7 @@ def _process_block_ack(world, rt, formed_at):
         if seq in world.received[rt.vertex_id]:
             continue
         if mpdu.retried:
-            rt.dropped_bits += rt.size_bits
+            rt.dropped_mpdus += 1
             world.trace.record(
                 formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
                 link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
@@ -266,7 +269,6 @@ def _process_block_ack(world, rt, formed_at):
 def _on_arrival(world, now, rt):
     mpdu = engine.Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
     rt.next_seq += 1
-    rt.offered_bits += rt.size_bits
     rt.queue.append(mpdu)
     if not rt.dead and rt not in world.chained and now < rt.active_until:
         world.chained.add(rt)

@@ -28,7 +28,7 @@ keep the order of the event loop, and the SNR check is read once per run of
 the burst instead of once per fragment.
 
 A saturated link's fresh MPDUs that fit whole in the window are sent as one
-run (`Run`): their transmit ticks, receive ticks and sequence numbers are an
+run: their transmit ticks, receive ticks and sequence numbers are an
 arithmetic progression of one whole-MPDU airtime, fixed per runtime and
 checked when the World is built, so a run is sent in one step and its
 receptions wait in flight as one entry. Partial fragments, retries and CBR
@@ -36,8 +36,9 @@ MPDUs go one by one.
 
 The transmitter settles each ack round from its own record. An MPDU's
 copy is decoded exactly when none of its fragments was sent interfered or
-below the MCS threshold (`corrupted`), so only the lost MPDUs and lost runs
-wait in `pending`, for the ack round that sends them again or drops them.
+below the MCS threshold (`corrupted`), so only lost MPDUs wait in `pending`,
+one `Lost` record per lost fragmented MPDU or lost run, for the ack round that
+sends them again or drops them.
 
 Each link counts whole MPDUs, not bits: `collect_metrics` turns the counts
 into bits once, at the World's frame sizes, and offered = delivered +
@@ -122,29 +123,30 @@ def _whole_ticks(units: int, rate: int) -> int:
 
 
 class Mpdu:
-    __slots__ = ("seq", "eligible", "remaining", "corrupted", "retried", "tx_complete")
+    __slots__ = ("seq", "eligible", "remaining", "corrupted", "retried")
 
-    def __init__(self, seq: int, eligible: int, remaining: int):
+    def __init__(self, seq: int, eligible: int, remaining: int, retried: bool = False):
         self.seq = seq
         self.eligible = eligible  # tick
         self.remaining = remaining  # bit units still to send
         self.corrupted = False
-        self.retried = False
-        self.tx_complete: Optional[int] = None  # tick its last fragment ended, if lost
+        self.retried = retried  # a retransmission, the MPDU's last copy
 
 
-class Run:
-    """`count` lost whole MPDUs from data seq `seq`, sent back to back in
-    one burst and awaiting their ack round as one `pending` entry: the
-    first ended at tick `tx_complete`, and each next one ends one
-    whole-MPDU airtime later."""
+class Lost:
+    """`count` lost MPDUs from data seq `seq` awaiting an ack round: a lost
+    MPDU sent in fragments, or a run lost in one step. The first became
+    eligible at tick `eligible` and its last fragment ended at `tx_complete`;
+    each next one is one whole-MPDU airtime later in both."""
 
-    __slots__ = ("seq", "count", "tx_complete")
+    __slots__ = ("seq", "count", "eligible", "tx_complete", "retried")
 
-    def __init__(self, seq: int, count: int, tx_complete: int):
+    def __init__(self, seq: int, count: int, eligible: int, tx_complete: int, retried: bool):
         self.seq = seq
         self.count = count
+        self.eligible = eligible
         self.tx_complete = tx_complete
+        self.retried = retried
 
 
 class TrafficSource:
@@ -199,7 +201,7 @@ class LinkRuntime:
         self.next_arrival = -1  # tick of the next CBR arrival
         self.next_seq = 0  # MPDUs offered
         self.queue = deque()
-        self.pending = {}  # lost: seq -> Mpdu, or first seq -> Run, awaiting an ack round
+        self.pending = {}  # first seq -> Lost: lost MPDUs awaiting an ack round
         self.rx_since_ack = []  # (seq, rx tick)
         self.control_queue = deque()
         self.dead = False
@@ -235,7 +237,7 @@ class LinkRuntime:
     def queued_mpdus(self) -> int:
         """MPDUs neither delivered nor dropped: queued (a partly sent head
         too), lost and awaiting an ack round, or clean and in flight."""
-        lost = sum(m.count if m.__class__ is Run else 1 for m in self.pending.values())
+        lost = sum(entry.count for entry in self.pending.values())
         flying = 0
         for entry in self.in_flight:  # a lost one is in `pending` already
             if len(entry) == 5:
@@ -287,13 +289,13 @@ class LinkMetrics(NamedTuple):
 
 
 class Metrics(NamedTuple):
-    duration_us: int
+    duration_us: int  # the span that was run, from the epoch
     per_link: dict[str, LinkMetrics]
     slot_utilization: dict[str, float]  # category value -> used/usable
 
     def goodput_bps(self, vertex_id: str) -> float:
-        link = self.per_link[vertex_id]
-        return link.delivered_payload_bits / (self.duration_us * 1e-6)
+        link = self.per_link[vertex_id]  # over the span that was run; 0.0 over none
+        return link.delivered_payload_bits / (self.duration_us * 1e-6) if self.duration_us else 0.0
 
     def conservation_ok(self) -> bool:
         """Offered bits = delivered + dropped + queued, exactly: all whole MPDUs."""
@@ -533,7 +535,7 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
         event(world, now, *event_args)
-    return collect_metrics(world)
+    return collect_metrics(world, t_end_us)
 
 
 def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
@@ -790,7 +792,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
                 rt.next_seq += count
                 end = tick + count * whole
                 if not ok:
-                    pending[first] = Run(first, count, tick + whole)
+                    pending[first] = Lost(first, count, tick, tick + whole, False)
                 air += end - tick
                 in_flight.append((tick + whole + prop, seq_next, first, count, ok))
                 if traced:
@@ -822,8 +824,7 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
         if last:
             backlog.popleft()
             if mpdu.corrupted:
-                mpdu.tx_complete = end
-                pending[mpdu.seq] = mpdu
+                pending[mpdu.seq] = Lost(mpdu.seq, 1, mpdu.eligible, end, mpdu.retried)
         if mpdu.retried:
             rt.retx_units += frag
         bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
@@ -931,47 +932,35 @@ def _on_report_rx(world: World, now: int, rt: LinkRuntime, seq: int, rsni: float
 
 
 def _process_block_ack(world: World, rt: LinkRuntime, formed_at: int) -> None:
-    """Settle the lost MPDUs whose last fragment reached the receiver
-    before the ack was formed: each is sent again, or dropped if it was
-    sent again already. The rest wait for the next round."""
-    pending, prop = rt.pending, rt.prop
+    """Settle each `Lost` record, in seq order, by one rule: of its MPDUs,
+    each whose last fragment reached the receiver before the ack was formed
+    is dropped if it was sent again already, else queued afresh behind a
+    partly sent head, else at the front. The rest wait, keyed by the first."""
+    pending, prop, whole, size, queue = rt.pending, rt.prop, rt.airtime, rt.size_units, rt.queue
     for seq in sorted(pending):
         entry = pending[seq]
-        if entry.tx_complete + prop >= formed_at:
+        done = min(entry.count, -((entry.tx_complete + prop - formed_at) // whole))
+        if done <= 0:
             continue  # completed after the ack was formed; next round decides
         del pending[seq]
-        if entry.__class__ is Run:
-            # Its MPDUs that completed before the ack was formed, each one
-            # airtime after the one before, are each sent again.
-            whole = rt.airtime
-            done = min(entry.count, -((entry.tx_complete + prop - formed_at) // whole))
-            for i in range(done):  # each became eligible when it was sent
-                _retry(rt, Mpdu(entry.seq + i, entry.tx_complete + (i - 1) * whole, rt.size_units))
-            if done < entry.count:  # the rest, keyed apart from the MPDUs sent again
-                entry.seq += done
-                entry.count -= done
-                entry.tx_complete += done * whole
-                pending[entry.seq] = entry
-        elif entry.retried:
-            rt.dropped_mpdus += 1
-            world.trace.record(
-                formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
-                link=rt.vertex_id, data_seq=seq, reason="retry exhausted",
+        for i in range(done):
+            if entry.retried:
+                rt.dropped_mpdus += 1
+                world.trace.record(
+                    formed_at / world.tpu, "frame_drop", node=rt.vertex.tx_node,
+                    link=rt.vertex_id, data_seq=seq + i, reason="retry exhausted",
+                )
+                continue
+            mpdu = Mpdu(seq + i, entry.eligible + i * whole, size, retried=True)
+            if queue and queue[0].remaining < size:
+                queue.insert(1, mpdu)
+            else:
+                queue.appendleft(mpdu)
+        if done < entry.count:
+            pending[seq + done] = Lost(
+                seq + done, entry.count - done, entry.eligible + done * whole,
+                entry.tx_complete + done * whole, entry.retried,
             )
-        else:
-            _retry(rt, entry)
-
-
-def _retry(rt: LinkRuntime, mpdu: Mpdu) -> None:
-    """Queue `mpdu` for its one retransmission."""
-    mpdu.retried = True
-    mpdu.corrupted = False
-    mpdu.remaining = rt.size_units
-    # Requeue behind a partially transmitted head, else at the front.
-    if rt.queue and rt.queue[0].remaining < rt.size_units:
-        rt.queue.insert(1, mpdu)
-    else:
-        rt.queue.appendleft(mpdu)
 
 
 def _apply_tpc(world: World, rt: LinkRuntime, rsni: float, now: int) -> None:
@@ -1034,7 +1023,8 @@ def _on_maintenance_tick(world: World, now: int) -> None:
             )
 
 
-def collect_metrics(world: World) -> Metrics:
+def collect_metrics(world: World, t_end_us: Optional[int] = None) -> Metrics:
+    """Metrics through `t_end_us` (default: the configured end), over the span from the epoch."""
     mpdu_bits, payload_bits = world.frame_sizes.data_total_bits, world.frame_sizes.data_payload * 8
     per_link: dict[str, LinkMetrics] = {}
     for vid, rt in world.runtimes.items():
@@ -1055,7 +1045,8 @@ def collect_metrics(world: World) -> Metrics:
     for category, usable in world.usable_air.items():
         used = world.used_air[category]
         utilization[category] = used / usable if usable else 0.0
-    return Metrics(duration_us=world.duration_us, per_link=per_link, slot_utilization=utilization)
+    span = world.duration_us if t_end_us is None else max(0, t_end_us - world.epoch_us)
+    return Metrics(duration_us=span, per_link=per_link, slot_utilization=utilization)
 
 
 def metrics_to_csv(metrics: Metrics) -> str:

@@ -557,6 +557,26 @@ def test_metrics_csv_shape():
     assert len(lines[1].split(",")) == 10
 
 
+def test_goodput_is_over_the_span_that_was_run():
+    # Cut at 1,970 us, saturated_dl has delivered 655 MPDUs of 12,000
+    # payload bits, over 1,970 us and not over its configured 300 ms.
+    vid = "dn1-cn1:downlink"
+    cut = run_until(scenario_world("saturated_dl"), 1970)
+    assert (cut.duration_us, cut.per_link[vid].delivered_payload_bits) == (1970, 7_860_000)
+    assert cut.goodput_bps(vid) == 7_860_000 / (1970 * 1e-6)
+    assert metrics_to_csv(cut).splitlines()[1].split(",")[7] == "3989.848"
+    full = run_until(scenario_world("saturated_dl"))
+    assert full.duration_us == 300_000
+    assert metrics_to_csv(full).splitlines()[1].split(",")[7] == "4052.240"
+    # A trained scenario cut at its epoch, or before it, has run no time.
+    world = scenario_world("two_node_dl")
+    assert world.epoch_us > 0
+    for metrics in (run_until(world, world.epoch_us), run_until(scenario_world("two_node_dl"), 0)):
+        assert metrics.duration_us == 0
+        assert metrics.goodput_bps(vid) == 0.0
+        assert metrics_to_csv(metrics).splitlines()[1].split(",")[7] == "0.000"
+
+
 def test_mean_ack_delay_is_exact_on_every_python():
     # Six delays of 0.0015 µs: a plain float sum rounds to 0.001 before
     # Python 3.12 and to 0.002 from 3.12 on; the exact mean writes 0.002.
@@ -730,8 +750,8 @@ def test_pending_holds_only_lost_mpdus():
             if r["last_fragment"]:
                 copy.append([])
     lost = [seq for first, entry in rt.pending.items()
-            for seq in range(first, first + getattr(entry, "count", 1))]
-    assert any(isinstance(entry, engine.Run) for entry in rt.pending.values())
+            for seq in range(first, first + entry.count)]
+    assert any(entry.count > 1 for entry in rt.pending.values())
     assert lost and all("interfered" in copies[seq][-2] for seq in lost)
     assert metrics.per_link[DL].queued_bits == (len(rt.queue) + len(lost)) * MPDU_BITS
 

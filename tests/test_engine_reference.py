@@ -62,6 +62,13 @@ from conftest import make_ap, make_node
 # The reference engine.
 
 
+class Mpdu(engine.Mpdu):
+    """An MPDU that stays in `pending` from its last fragment's end at
+    `tx_complete` until an ack round settles it."""
+
+    __slots__ = ("tx_complete",)
+
+
 def emitter(trace, kind, **first):
     """`emit(t_us, *values)`: one row per call of the shape `first`
     registers, at the trace time `round(float(t_us), 3)`. A disabled
@@ -121,15 +128,17 @@ def reference_run_until(world, t_end_us=None):
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
         REFERENCE.get(event, event)(world, now, *event_args)
-    # The engine's `pending` holds only the lost ones; it counts the clean
-    # ones still in flight from its `in_flight`, which this engine leaves empty.
+    # The engine's `pending` holds only the lost ones, one `Lost` record
+    # each here; it counts the clean ones still in flight from its
+    # `in_flight`, which this engine leaves empty.
     for vid, rt in world.runtimes.items():
         received = world.received[vid]
         rt.pending = {
-            seq: mpdu for seq, mpdu in rt.pending.items()
+            seq: engine.Lost(seq, 1, mpdu.eligible, mpdu.tx_complete, mpdu.retried)
+            for seq, mpdu in rt.pending.items()
             if mpdu.corrupted or seq not in received
         }
-    return engine.collect_metrics(world)
+    return engine.collect_metrics(world, t_end_us)
 
 
 def _on_slot_boundary(world, now, start_us, interval, row):
@@ -166,7 +175,7 @@ def _head_mpdu(rt, now):
             return head
         return None
     if rt.saturated:
-        mpdu = engine.Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
+        mpdu = Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
         rt.next_seq += 1
         rt.queue.append(mpdu)
         return mpdu
@@ -267,7 +276,7 @@ def _process_block_ack(world, rt, formed_at):
 
 
 def _on_arrival(world, now, rt):
-    mpdu = engine.Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
+    mpdu = Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
     rt.next_seq += 1
     rt.queue.append(mpdu)
     if not rt.dead and rt not in world.chained and now < rt.active_until:

@@ -30,23 +30,35 @@ engine; only the values it is compared with come from `tddsim run`.
 It does not apply to CBR traffic, to a link that shares a slot with one it
 conflicts with, or to a run in which power control or keep-alive changes
 what a link can send; the scenarios below have none of these.
+
+A training run's full sweep hears every pair of the initiator's and the
+responder's codebooks. So a responder is trained exactly when the
+strongest pair by `LinkTable.snr_db`, of equal ones the lowest `(tx, rx)`,
+is at or above the scenario's lowest MCS threshold and the feedback sent
+back on that pair is too; it is trained on that pair at that SNR. A
+measurement run trains nobody, and each responder reports every pair at or
+above the threshold.
 """
 
 import csv
 import json
+import math
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 import pytest
+import yaml
 
-from tddsim.channel import propagation_delay_us
+from tddsim.beamforming import TrainedLink
+from tddsim.channel import LinkTable, propagation_delay_us
 from tddsim.cli import main, plan_scenario, prepare_scenario
-from tddsim.config import load_config
+from tddsim.config import load_config, parse_config
 from tddsim.domain import mcs_from_snr
 from tddsim.frames import FrameSizes
 from tddsim.schedule import SlotCategory, intervals
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, perfbench_workloads
 
 
 class Expected(NamedTuple):
@@ -145,3 +157,81 @@ def test_saturated_link_delivers_its_windows_at_its_rate(
         max_ack_delay = Fraction(str(summary[vid]["max_ack_delay_us"]))
         assert link.ack_gap_us - link.airtime_us - link.delay_us < max_ack_delay, vid
         assert max_ack_delay <= link.ack_gap_us, vid
+
+
+# ---------------------------------------------------------------------------
+# Beamforming: who is trained, on which pair.
+
+# The STA at bearing 22.5 degrees, on the edge between the AP's sectors 0
+# and 1, and so between its own sectors 4 and 5: four pairs tie.
+TIED = f"""\
+name: tied_sectors
+sim: {{duration_us: 25600, seed: 1, beacon_interval_us: 25600, sp_offset_us: 0, sp_duration_us: 25600}}
+nodes:
+  - {{id: dn1, role: dn_ap, position: [0.0, 0.0], sectors: 8}}
+  - {{id: cn1, role: cn_sta, position: [100.0, {100 * math.tan(math.radians(22.5))!r}], sectors: 8}}
+beamforming:
+  runs:
+    - {{mode: individual, initiator: dn1, responders: [cn1]}}
+traffic:
+  - {{link: dn1-cn1, direction: downlink, demand_bps: 1.0e+9, pattern: saturated}}
+"""
+
+
+def pair_snrs(links, initiator, responder) -> dict[tuple[int, int], float]:
+    """`LinkTable.snr_db` of every (tx, rx) pair of the codebook product, in (tx, rx) order."""
+    return {
+        (tx, rx): links.snr_db(initiator, tx, responder, rx)
+        for tx, rx in product(range(len(initiator.codebook)), range(len(responder.codebook)))
+    }
+
+
+def check_training(cfg) -> int:
+    """Check every training run of `cfg` against the oracle; returns the
+    legs (run, responder) checked."""
+    prep = prepare_scenario(cfg)
+    links = LinkTable(prep.channel)
+    threshold = min(entry.min_snr_db for entry in prep.mcs_table)
+    legs = 0
+    for run, result in zip(cfg.beamforming.runs, prep.bf_results, strict=True):
+        initiator = prep.nodes[run.initiator]
+        trained, reports = {}, {}
+        for rid in run.responders:
+            legs += 1
+            responder = prep.nodes[rid]
+            snrs = pair_snrs(links, initiator, responder)
+            if run.mode == "measurement":
+                heard = {(tx, rx, snr) for (tx, rx), snr in snrs.items() if snr >= threshold}
+                if heard:
+                    reports[rid] = heard
+                continue
+            (tx, rx), snr = max(snrs.items(), key=lambda pair: pair[1])  # the first of equals
+            if snr >= threshold and links.snr_db(responder, rx, initiator, tx) >= threshold:
+                trained[rid] = TrainedLink(run.initiator, rid, tx, rx, snr)
+        assert {link.responder_id: link for link in result.trained_links} == trained
+        assert {report.responder_id: set(report.samples) for report in result.reports} == reports
+    return legs
+
+
+# name -> (the scenario's text, training legs)
+TRAINING_CASES = {
+    "two_node_dl": (lambda: (SCENARIOS / "two_node_dl.yaml").read_text(), 1),
+    "mesh_train_seed_1": (lambda: perfbench_workloads().mesh_train_yaml(1), 60),
+    "tied_sectors": (lambda: TIED, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_CASES))
+def test_training_picks_the_strongest_pair_of_the_codebooks(name):
+    text, legs = TRAINING_CASES[name]
+    assert check_training(parse_config(yaml.safe_load(text()))) == legs
+
+
+def test_tied_pairs_train_the_lowest():
+    cfg = parse_config(yaml.safe_load(TIED))
+    prep = prepare_scenario(cfg)
+    snrs = pair_snrs(LinkTable(prep.channel), prep.nodes["dn1"], prep.nodes["cn1"])
+    top = max(snrs.values())
+    assert [pair for pair, snr in snrs.items() if snr == top] == [(0, 4), (0, 5), (1, 4), (1, 5)]
+    (link,) = prep.bf_results[0].trained_links
+    assert (link.initiator_sector, link.responder_sector, link.snr_db) == (0, 4, top)

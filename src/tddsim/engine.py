@@ -10,10 +10,11 @@ division. Ticks and bit units become microseconds and bits only where values
 leave the engine: the trace, the per-MPDU samples and the metrics.
 
 Data MPDUs fragment across slot boundaries: a transmitter fills its usable
-window (slot duration minus propagation delay) completely and resumes the
-remainder in its next assigned slot. Receivers acknowledge with one delayed
-BlockAck transmitted exactly at the start of their earliest subsequent BASIC
-transmit slot; a missing sequence triggers at most one retransmission.
+window (slot duration minus propagation delay, never below zero) completely
+and resumes the remainder in its next assigned slot. Receivers acknowledge
+with one delayed BlockAck transmitted exactly at the start of their earliest
+subsequent BASIC transmit slot; a missing sequence triggers at most one
+retransmission.
 
 A runtime's data fragments run as a burst (`_on_data`), not as heap events.
 Each fragment's transmission and reception still takes the place in the
@@ -381,9 +382,6 @@ class World:
         self.epoch_us = epoch_us
         self.duration_us = duration_us
         self.trace = trace or TraceRecorder(enabled=False)
-        # Slot rows of the boundaries since the last heap event or
-        # maintenance tick, appended to the trace before either runs.
-        self.slot_batch: list[tuple[float, int, int]] = []
         self.queue = EventQueue()
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
@@ -473,7 +471,7 @@ class World:
                 else:
                     rt = self.runtimes.get(vid)
                 if rt is not None:
-                    runtimes.append((rt, duration - rt.prop, vid in interfered))
+                    runtimes.append((rt, max(0, duration - rt.prop), vid in interfered))
             fixed = {"slot_index": index, "category": spec.category.value}
             if index in schedule.slot_directions:
                 fixed["direction"] = schedule.slot_directions[index].value
@@ -502,12 +500,9 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     fragment received after it is never counted.
 
     The per-slot and per-fragment trace rows are written in their final
-    form, in the shapes the World registered. Neither a slot boundary nor
-    the start of a burst records anything, so the slot rows of a stretch
-    of boundaries wait in `world.slot_batch` and are appended as one batch
-    before the next heap event, the next maintenance tick or the end of
-    the run: where each would have been appended alone. A burst's
-    fragment rows are appended as one batch too.
+    form, in the shapes the World registered. Each slot row goes to the
+    recorder as its boundary runs; a burst's fragment rows are appended
+    as one batch.
     """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
@@ -519,7 +514,6 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
         if tick > t_end:
             break
         if heap and heap[0][0] < tick:
-            _append_slot_rows(world)
             queue.until = tick
             while heap and heap[0][0] < tick:
                 now, _, event, event_args = pop()
@@ -530,7 +524,6 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
             handler(world, tick, start_us, interval, row)
         else:
             handler(world, tick)
-    _append_slot_rows(world)
     queue.until = t_end + 1
     while heap and heap[0][0] <= t_end:
         now, _, event, event_args = pop()
@@ -566,12 +559,6 @@ def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
         tick_us += interval_us
 
 
-def _append_slot_rows(world: World) -> None:
-    if world.slot_batch:
-        world.trace.extend(world.slot_batch)
-        world.slot_batch.clear()
-
-
 def _start_arrivals(world: World) -> None:
     for rt in world.runtimes.values():
         if rt.source and rt.source.pattern == "cbr":
@@ -583,7 +570,7 @@ def _start_arrivals(world: World) -> None:
 def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row: SlotRow) -> None:
     # start_us is whole, so float writes what round(start_us, 3) would.
     if world.trace.enabled:
-        world.slot_batch.append((float(start_us), row.shape, interval))
+        world.trace.extend([(float(start_us), row.shape, interval)])
     if row.basic:
         due = world.report_due.get(start_us, ())
         for rt, window, interfered in row.runtimes:
@@ -769,9 +756,6 @@ def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
             written = n_sent
         if backlog:
             mpdu = backlog[0]
-            if mpdu.eligible > tick:
-                tx_seq = None
-                continue
         elif rt.saturated:
             mpdu = None  # a fresh one
         else:
@@ -998,7 +982,6 @@ def _on_maintenance_tick(world: World, now: int) -> None:
     # Every record still to come is stamped at most one slot behind `now`
     # (a frame_drop carries the BASIC slot its ack was formed in), so all
     # records a whole interval back are final.
-    _append_slot_rows(world)
     world.trace.advance(t_us - world.structure.interval_duration_us)
     heartbeat_due = (t_us - world.epoch_us) % settings.heartbeat_period_us == 0
     ticked_aps = set()

@@ -20,10 +20,10 @@ hot loops write batches: the training sweep's frames, one batch per sweep,
 with node, frame and end of training (transmit) or outcome (receive)
 fixed per leg, the engine's data `frame_tx`/`frame_rx` rows, one batch per
 burst, with node, frame, link and (sent) MCS fixed per runtime, and its
-`slot` rows, one batch per stretch of boundaries between other records,
-with all but `interval` fixed per slot index; the rarer kinds go through
-`record`. Both append to one buffer and raise the same `SimulationError`
-for a record stamped below the watermark.
+`slot` rows, one row as each boundary runs, with all but `interval` fixed
+per slot index; the rarer kinds go through `record`. Both append to one
+buffer and raise the same `SimulationError` for a record stamped below the
+watermark.
 
 Records wait in a reorder buffer, in insertion order at equal times. When
 the caller promises that no record earlier than a watermark can still

@@ -577,6 +577,53 @@ def test_goodput_is_over_the_span_that_was_run():
         assert metrics_to_csv(metrics).splitlines()[1].split(",")[7] == "0.000"
 
 
+def short_slots_scenario(slot_us, stations) -> dict:
+    """Saturated downlinks from dn1 to `stations`, (id, position, (AP
+    sector, STA sector)) each, in 24 slots of `slot_us`, for 16 ms."""
+    return {
+        "name": "short_slots",
+        "sim": {"duration_us": 16000, "beacon_interval_us": 25600, "sp_duration_us": 25600},
+        "slot_structure": {"interval_us": 1600, "slot_us": slot_us, "n_slots": 24, "basic_slots": [0, 12]},
+        "nodes": [
+            {"id": "dn1", "role": "dn_ap", "position": [0.0, 0.0], "sectors": 8},
+            *({"id": sid, "role": "cn_sta", "position": list(xy), "sectors": 8} for sid, xy, _ in stations),
+        ],
+        "beamforming": {"trained_links": [
+            {"initiator": "dn1", "responder": sid, "initiator_sector": ap, "responder_sector": sta}
+            for sid, _, (ap, sta) in stations
+        ]},
+        "traffic": [
+            {"link": f"dn1-{sid}", "direction": "downlink", "demand_bps": 1.0e9, "pattern": "saturated"}
+            for sid, _, _ in stations
+        ],
+    }
+
+
+# name -> (slot_us, stations)
+SHORT_SLOT_CASES = {
+    # cn2's 2.335 µs delay exceeds the 2 µs slot; cn1's 0.334 µs does not.
+    "near_and_far": (2, [("cn1", (100.0, 0.0), (0, 4)), ("cn2", (0.0, 700.0), (2, 6))]),
+    # 1.001 µs of delay in a 1 µs slot: no link has any usable air.
+    "all_far": (1, [("cn1", (300.0, 0.0), (0, 4))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_SLOT_CASES))
+def test_a_slot_shorter_than_the_delay_has_no_usable_air(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(short_slots_scenario(*SHORT_SLOT_CASES[name])))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    summary = json.loads(out)
+    assert all(0.0 <= used <= 1.0 for used in summary["slot_utilization"].values()), summary
+    if name == "near_and_far":
+        # The near link fills its windows; the far one is planned but never sends.
+        assert summary["slot_utilization"]["data"] == 1.0
+        per_link = summary["per_link"]
+        assert [per_link[f"dn1-{sid}:downlink"]["completed_mpdus"] for sid in ("cn1", "cn2")] == [31, 0]
+
+
 def test_mean_ack_delay_is_exact_on_every_python():
     # Six delays of 0.0015 µs: a plain float sum rounds to 0.001 before
     # Python 3.12 and to 0.002 from 3.12 on; the exact mean writes 0.002.

@@ -38,6 +38,17 @@ is at or above the scenario's lowest MCS threshold and the feedback sent
 back on that pair is too; it is trained on that pair at that SNR. A
 measurement run trains nobody, and each responder reports every pair at or
 above the threshold.
+
+Link maintenance follows from the trace itself. Walked in order from the
+configured powers, each link measurement report carries the data link's
+RCPI and RSNI at the powers then in force, and each decoded report steps
+its transmitter's power by the RSNI's error from the target, the step
+capped at `max_step_db` and the power clamped to the node's limits; a
+`tpc_update` follows the report exactly when the power changes. A STA
+that hears nothing but its AP's heartbeats, one at the epoch and one every
+heartbeat period on the maintenance-tick grid, dies at the first tick
+strictly past the timeout after the last one, and one that heartbeats alone
+keep within its timeout never dies.
 """
 
 import csv
@@ -45,18 +56,21 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 import pytest
 import yaml
 
 from tddsim.beamforming import TrainedLink
-from tddsim.channel import LinkTable, propagation_delay_us
-from tddsim.cli import main, plan_scenario, prepare_scenario
+from tddsim.channel import LinkTable, link_geometry, noise_floor_dbm, propagation_delay_us
+from tddsim.cli import build_world, main, plan_scenario, prepare_scenario
 from tddsim.config import load_config, parse_config
-from tddsim.domain import mcs_from_snr
+from tddsim.domain import mcs_from_snr, sector_gain_dbi
+from tddsim.engine import run_until
 from tddsim.frames import FrameSizes
 from tddsim.schedule import SlotCategory, intervals
+from tddsim.trace import TraceRecorder
 
 from conftest import SCENARIOS, perfbench_workloads
 
@@ -235,3 +249,161 @@ def test_tied_pairs_train_the_lowest():
     assert [pair for pair, snr in snrs.items() if snr == top] == [(0, 4), (0, 5), (1, 4), (1, 5)]
     (link,) = prep.bf_results[0].trained_links
     assert (link.initiator_sector, link.responder_sector, link.snr_db) == (0, 4, top)
+
+
+# ---------------------------------------------------------------------------
+# Link maintenance: transmit power control and keep-alive.
+
+
+def traced_run(cfg):
+    """`tddsim run` of `cfg` in process, into an in-memory trace: (prep, plan, trace)."""
+    trace = TraceRecorder()
+    prep = prepare_scenario(cfg, trace)
+    plan = plan_scenario(prep)
+    run_until(build_world(prep, plan, trace))
+    trace.close()
+    return prep, plan, trace
+
+
+def check_power_control(cfg) -> list[dict]:
+    """Walk a traced run of `cfg` against the TPC oracle; returns its
+    `tpc_update` rows, each checked."""
+    prep, plan, trace = traced_run(cfg)
+    vertices, nodes, tpc = plan.graph.by_id(), prep.nodes, cfg.maintenance.tpc
+    floor = noise_floor_dbm(prep.channel)
+    power = {nid: node.tx_power_dbm for nid, node in nodes.items()}
+    rsni_sent = {}  # (link, report_seq) -> the RSNI its report carries
+    due = None  # the tpc_update that the row before calls for
+    updates = []
+    # The kinds it reads, in trace order: `seq` counts every record.
+    kinds = ("frame_tx", "frame_rx", "tpc_update")
+    for rec in sorted((rec for kind in kinds for rec in trace.iter_kind(kind)), key=itemgetter("seq")):
+        if due is not None:
+            assert {key: rec.get(key) for key in due} == due, rec
+            updates.append(rec)
+            due = None
+            continue
+        assert rec["kind"] != "tpc_update", rec
+        if rec.get("frame") != "link_measurement_report":
+            continue
+        vid = rec["link"]
+        vertex = vertices[vid]
+        if rec["kind"] == "frame_tx":
+            tx, rx = nodes[vertex.tx_node], nodes[vertex.rx_node]
+            loss, out, back = link_geometry(tx, rx, prep.channel)
+            # In `LinkTable.power_dbm`'s term order, so the sums are equal.
+            rcpi = (
+                power[tx.node_id] + sector_gain_dbi(tx.codebook, vertex.tx_sector, out)
+                + sector_gain_dbi(rx.codebook, vertex.rx_sector, back) - loss
+            )
+            rsni = rsni_sent[vid, rec["report_seq"]] = rcpi - floor
+            assert (rec["rcpi_dbm"], rec["rsni_db"]) == (round(rcpi, 3), round(rsni, 3)), rec
+        elif rec["outcome"] == "decoded" and tpc.enabled:
+            rsni = rsni_sent[vid, rec["report_seq"]]
+            limits = nodes[vertex.tx_node].power_limits
+            step = max(-tpc.max_step_db, min(tpc.max_step_db, rsni - tpc.target_rsni_db))
+            new = min(limits.max_dbm, max(limits.min_dbm, power[vertex.tx_node] - step))
+            if new != power[vertex.tx_node]:
+                power[vertex.tx_node] = new
+                due = {
+                    "t": rec["t"], "seq": rec["seq"] + 1, "kind": "tpc_update",
+                    "node": vertex.tx_node, "link": vid, "power_dbm": round(new, 3),
+                    "measured_rsni_db": round(rsni, 3), "target_rsni_db": tpc.target_rsni_db,
+                }
+    assert due is None
+    return updates
+
+
+def tpc_data() -> dict:
+    return yaml.safe_load((SCENARIOS / "tpc.yaml").read_text())
+
+
+def lossy_tpc_data() -> dict:
+    """tpc.yaml saturated, with twice the reports, steered toward an RSNI
+    far below its MCS: the data link loses frames and power hits its floor."""
+    data = tpc_data()
+    data["traffic"][0]["pattern"] = "saturated"
+    data["maintenance"]["tpc"]["target_rsni_db"] = 2.0
+    data["maintenance"]["periodic_reports"][0]["count"] = 12
+    return data
+
+
+# name -> (the scenario as data, the `tpc_update` rows it writes)
+TPC_CASES = {
+    "tpc": (tpc_data, 6),
+    "cbr_long_seed_1": (lambda: yaml.safe_load(perfbench_workloads().cbr_long_yaml(1)), 5),
+    "tpc_lossy": (lossy_tpc_data, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TPC_CASES))
+def test_power_control_follows_each_report(name):
+    data, n_updates = TPC_CASES[name]
+    updates = check_power_control(parse_config(data()))
+    assert len(updates) == n_updates
+    if name == "tpc":
+        # Within rounding of the target from the fourth report on, each
+        # report still moves the power by a few ulps and writes an update.
+        assert [(u["power_dbm"], u["measured_rsni_db"]) for u in updates[3:]] == [(1.0, 13.642)] * 3
+    if name == "tpc_lossy":
+        # Six whole 3 dB steps down from 10 dBm, then the floor.
+        assert [u["power_dbm"] for u in updates] == [7.0, 4.0, 1.0, -2.0, -5.0, -8.0, -10.0]
+
+
+def heartbeat_deaths(cfg, prep, plan) -> list[dict]:
+    """The `link_dead` rows of a run whose STAs hear nothing but heartbeats:
+    each runtime's STA, refreshed at the epoch and on every maintenance tick
+    a whole heartbeat period after it, dies at the first tick strictly past
+    the timeout after the last heartbeat."""
+    m = cfg.maintenance
+    epoch_us = prep.epoch_us
+    last = epoch_us
+    ticks = range(epoch_us, epoch_us + cfg.sim.duration_us + 1, prep.structure.interval_duration_us)
+    for t_us in ticks:
+        if (t_us - epoch_us) % m.heartbeat_period_us == 0:
+            last = t_us
+        if t_us - last > m.keepalive_timeout_us:
+            vertices = plan.graph.by_id()
+            return [
+                {"t": float(t_us), "kind": "link_dead", "link": vid,
+                 "node": vertices[vid].sta_id, "last_rx": float(last)}
+                for vid in (f"{t.link}:{t.direction}" for t in cfg.traffic)
+            ]
+    return []
+
+
+@pytest.mark.parametrize("timeout_us, dead_at_us", [(3000, 3200), (3200, 4800)])
+def test_a_sta_that_hears_only_heartbeats_dies_past_its_timeout(timeout_us, dead_at_us):
+    # tpc.yaml sends its STA no data and no block ack, so only the
+    # heartbeat at the epoch refreshes it.
+    data = tpc_data()
+    data["maintenance"].update(heartbeat_period_us=1_000_000, keepalive_timeout_us=timeout_us)
+    cfg = parse_config(data)
+    prep, plan, trace = traced_run(cfg)
+    expected = heartbeat_deaths(cfg, prep, plan)
+    assert [(row["t"], row["last_rx"]) for row in expected] == [(dead_at_us, 0.0)]
+    assert [{key: row[key] for key in expected[0]} for row in trace.iter_kind("link_dead")] == expected
+
+
+# name -> the scenario as data
+KEEPALIVE_CASES = {
+    **{
+        path.stem: lambda path=path: yaml.safe_load(path.read_text())
+        for path in SCENARIOS.glob("*.yaml")
+    },
+    "mesh_train_seed_1": lambda: yaml.safe_load(perfbench_workloads().mesh_train_yaml(1)),
+    "cbr_long_seed_1": lambda: yaml.safe_load(perfbench_workloads().cbr_long_yaml(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEEPALIVE_CASES))
+def test_heartbeats_alone_keep_every_sta_alive(name):
+    cfg = parse_config(KEEPALIVE_CASES[name]())
+    prep = prepare_scenario(cfg)
+    plan = plan_scenario(prep)
+    assert heartbeat_deaths(cfg, prep, plan) == []
+    world = build_world(prep, plan, TraceRecorder(enabled=False))
+    run_until(world)
+    # A runtime is marked dead exactly where its `link_dead` row is written,
+    # so an untraced run shows it at half the cost of a traced one.
+    assert [vid for vid, rt in world.runtimes.items() if rt.dead] == []

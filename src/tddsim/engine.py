@@ -1,6 +1,7 @@
 """Deterministic discrete-event core.
 
-Events are ordered by (tick, scheduling sequence) on an exact integer clock.
+Events are ordered by tick, on an exact integer clock, and at equal ticks
+by the rule below.
 Each World fixes `tpu` ticks per microsecond once: the least common multiple
 of the picosecond grid that propagation delays are quantized to and the
 denominators of every frame airtime at every MCS rate and of every CBR gap.
@@ -17,19 +18,19 @@ subsequent BASIC transmit slot; a missing sequence triggers at most one
 retransmission.
 
 A runtime's data fragments run as a burst (`_on_data`), not as heap events.
-Each fragment's transmission and reception still takes the place in the
-event order that a heap event of its own would take: a scheduling sequence
-number, taken from `EventQueue.seq` when that event would have been
-pushed. One heap entry per runtime with fragments in flight stands for
-the earliest of them; when it runs, the burst sends and receives fragments
-for as long as each comes before the next heap event and the next timeline
-tick, and then parks one entry at the fragment it stopped at. Nothing
-another handler reads therefore changes early, trace rows at equal times
-keep the order of the event loop, and the SNR check is read once per run of
-the burst instead of once per fragment.
+A DATA slot boundary, or a CBR arrival into an open window, starts a burst
+and numbers it from a per-World counter. Events at equal ticks run in one
+order: the slot boundary, the maintenance tick, data receptions, the heap's
+events in the order they were scheduled, and data transmissions; data
+events of different links go in the order that their bursts started. So a
+burst runs up to the heap's next event and the timeline's next entry alone:
+links share nothing that a fragment changes, and within a link only the
+trace rows order transmissions against receptions. The bursts that run up
+to one bound write their rows merged in that order, as one batch, and the
+SNR check is read once per run of a burst instead of once per fragment.
 
 A saturated link's fresh MPDUs that fit whole in the window are sent as one
-run: their transmit ticks, receive ticks and sequence numbers are an
+run: their transmit ticks, receive ticks and data sequence numbers are an
 arithmetic progression of one whole-MPDU airtime, fixed per runtime and
 checked when the World is built, so a run is sent in one step and its
 receptions wait in flight as one entry. Partial fragments, retries and CBR
@@ -72,21 +73,16 @@ class EventQueue:
     """Heap of (tick, seq, handler, args) entries; rejects past scheduling.
 
     The scheduling sequence breaks ties, so events at equal ticks run in
-    the order they were pushed. The heap holds control frames in flight,
-    CBR timers and one step per runtime with data fragments in flight; slot
-    boundaries and maintenance ticks run from the lazy timeline of
-    `run_until` instead. A data fragment's transmission or reception takes
-    its sequence number by advancing `seq` without entering the heap, and a
-    burst parks its step at one with `push_reserved`. `until` is the tick
-    of the timeline's next entry, which runs before heap events at its
-    tick: a burst stops before it.
+    the order they were pushed. The heap holds control frames in flight and
+    CBR timers only: slot boundaries and maintenance ticks run from the lazy
+    timeline of `run_until`, and data fragments as bursts, which run up to
+    the heap's next event.
     """
 
     def __init__(self):
         self.heap: list[tuple[int, int, Callable, tuple]] = []
         self.seq = 0  # the scheduling sequence number of the next event
         self.now = 0
-        self.until = 0
 
     def push(self, tick: int, handler: Callable, args: tuple) -> None:
         if tick < self.now:
@@ -101,12 +97,6 @@ class EventQueue:
         entry = heapq.heappop(self.heap)
         self.now = entry[0]
         return entry
-
-    def push_reserved(self, tick: int, seq: int, handler: Callable, args: tuple) -> None:
-        """Push through `push` at `seq`, a number taken earlier from `seq`."""
-        resume, self.seq = self.seq, seq
-        self.push(tick, handler, args)
-        self.seq = resume
 
 
 def _whole_ticks(units: int, rate: int) -> int:
@@ -176,7 +166,7 @@ class LinkRuntime:
         "airtime", "vertex_id", "tx_shape", "rx_shape", "whole_tx_shape", "whole_rx_shapes",
         "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending",
         "rx_since_ack", "control_queue", "dead", "reverse_power", "reverse_mcs",
-        "active_until", "interfered_now", "tx_tick", "tx_seq", "in_flight", "steps",
+        "active_until", "interfered_now", "burst", "tx_tick", "in_flight",
         "delivered_fragment_units", "retx_units", "completed_mpdus", "dropped_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
     )
@@ -214,17 +204,16 @@ class LinkRuntime:
         # transmit window of the currently active slot, if any
         self.active_until = 0
         self.interfered_now = False
-        # The burst: its next transmission (tick and sequence number; no
-        # sequence when none is due) inside the window ending at active_until,
-        # receptions in flight, and the sequence numbers of its steps on the
-        # heap. A fragment is in flight as (rx tick, seq, mpdu, frag, bits,
+        # The burst: its number, its next transmission's tick (None when
+        # none is due) inside the window ending at active_until, and the
+        # receptions in flight, each with the number of the burst that sent
+        # it. A fragment is in flight as (rx tick, burst, mpdu, frag, bits,
         # last, ok); the receptions of a run still to come as one entry,
-        # (rx tick, seq, data seq, count, ok) of the first, each next one a
-        # whole-MPDU airtime, two sequence numbers and one data seq later.
-        self.tx_tick = 0
-        self.tx_seq: Optional[int] = None
+        # (rx tick, burst, data seq, count, ok) of the first, each next one a
+        # whole-MPDU airtime and one data seq later.
+        self.burst = 0
+        self.tx_tick: Optional[int] = None
         self.in_flight = deque()
-        self.steps: set[int] = set()
 
         # counters: fragment bit units and whole MPDUs (`next_seq` counts those offered)
         self.delivered_fragment_units = 0
@@ -383,6 +372,10 @@ class World:
         self.duration_us = duration_us
         self.trace = trace or TraceRecorder(enabled=False)
         self.queue = EventQueue()
+        # Runtimes with a transmission due or receptions in flight, and the
+        # number of bursts started so far.
+        self.bursts: list[LinkRuntime] = []
+        self.bursts_started = 0
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
         # rate -> (block ack, measurement report) airtime in ticks
@@ -494,41 +487,49 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
 
     Slot boundaries and maintenance ticks come from `_timeline`, not the
     heap. At equal ticks a slot boundary runs first, then a maintenance
-    tick, then heap events and data fragments in the order they were
-    scheduled. While the heap events before a timeline entry run, its tick
-    is `queue.until`, where a burst stops. Nothing after t_end runs, so a
+    tick, then data receptions, then heap events in the order they were
+    scheduled, then data transmissions; data events of different links in
+    the order that their bursts started. Nothing after t_end runs, so a
     fragment received after it is never counted.
 
     The per-slot and per-fragment trace rows are written in their final
     form, in the shapes the World registered. Each slot row goes to the
-    recorder as its boundary runs; a burst's fragment rows are appended
-    as one batch.
+    recorder as its boundary runs; the bursts' fragment rows up to each
+    heap event or timeline entry as one batch.
     """
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
     queue = world.queue
-    heap, pop = queue.heap, queue.pop
+    heap = queue.heap
     t_end = t_end_us * world.tpu
     _start_arrivals(world)
     for tick, handler, args in _timeline(world):
         if tick > t_end:
             break
-        if heap and heap[0][0] < tick:
-            queue.until = tick
-            while heap and heap[0][0] < tick:
-                now, _, event, event_args = pop()
-                event(world, now, *event_args)
+        if world.bursts or heap and heap[0][0] < tick:
+            _advance(world, tick)
         queue.now = tick
         if args:  # a slot boundary's (start_us, interval, row); a star call is slower
             start_us, interval, row = args
             handler(world, tick, start_us, interval, row)
         else:
             handler(world, tick)
-    queue.until = t_end + 1
-    while heap and heap[0][0] <= t_end:
-        now, _, event, event_args = pop()
-        event(world, now, *event_args)
+    _advance(world, t_end + 1)
     return collect_metrics(world, t_end_us)
+
+
+def _advance(world: World, until: int) -> None:
+    """Run the heap's events and the bursts' data events at ticks before `until`."""
+    heap, pop = world.queue.heap, world.queue.pop
+    while heap and heap[0][0] < until:
+        tick = heap[0][0]
+        if world.bursts:  # the receptions at `tick` run before its heap events
+            _run_bursts(world, tick, tick + 1)
+        while heap and heap[0][0] == tick:
+            now, _, event, event_args = pop()
+            event(world, now, *event_args)
+    if world.bursts:
+        _run_bursts(world, until, until)
 
 
 def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
@@ -592,245 +593,161 @@ def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row:
         rt.active_until = now + window
         air += window
         # A burst that would find nothing to send is not started; an
-        # arrival on this very tick runs next and finds it started.
-        if rt.tx_seq is None and (rt.saturated or rt.queue or rt.next_arrival == now):
+        # arrival on this very tick runs before its first transmission.
+        if window and rt.tx_tick is None and (rt.saturated or rt.queue or rt.next_arrival == now):
             _transmit(world, rt, now)
     if air:
         world.usable_air[row.category] += air
 
 
 def _transmit(world: World, rt: LinkRuntime, now: int) -> None:
-    """Start `rt`'s transmissions at `now`, in its window ending at `active_until`.
-
-    The first takes the next sequence number, as its event would, and gets
-    a burst step of its own unless a reception in flight comes first.
-    """
-    queue = world.queue
-    rt.tx_tick, rt.tx_seq = now, queue.seq
-    if not rt.in_flight or rt.in_flight[0][0] > now:
-        rt.steps.add(rt.tx_seq)
-        queue.push(now, _on_data, (rt, rt.tx_seq))  # at seq, the next number
-    else:
-        queue.seq += 1
+    """Start a burst of `rt` at `now`, in its window ending at `active_until`."""
+    rt.burst, rt.tx_tick = world.bursts_started, now
+    world.bursts_started += 1
+    if rt not in world.bursts:
+        world.bursts.append(rt)
 
 
-def _before(tick: int, seq: int, step: int, limit: int, limit_seq: int) -> int:
-    """How many of the events at (tick + i * step, seq + 2 * i), i = 0, 1,
-    ..., come before the event at (limit, limit_seq) in event order."""
-    count = max(0, -((tick - limit) // step))  # those at a tick before `limit`
-    if tick + count * step == limit and seq + 2 * count < limit_seq:
-        count += 1
-    return count
+def _run_bursts(world: World, until: int, rx_until: int) -> None:
+    """Run each burst's transmissions at ticks before `until` and its
+    receptions at ticks before `rx_until`, and write their trace rows as
+    one batch, sorted by their places in event order."""
+    traced = world.trace.enabled
+    keys, rows = ([], []) if traced else (None, None)
+    for rt in world.bursts:
+        tick, in_flight = rt.tx_tick, rt.in_flight
+        if (tick is not None and tick < until) or (in_flight and in_flight[0][0] < rx_until):
+            _on_data(world, rt, until, rx_until, keys, rows)
+    world.bursts = [rt for rt in world.bursts if rt.tx_tick is not None or rt.in_flight]
+    if rows:
+        world.trace.extend(list(map(itemgetter(1), sorted(zip(keys, rows), key=itemgetter(0)))))
 
 
-def _on_data(world: World, now: int, rt: LinkRuntime, step: int) -> None:
-    """Run `rt`'s burst from its step `step`: send and receive its data
-    fragments in event order while each comes before the heap's next event
-    and `queue.until`, then park a step at the next one.
+def _on_data(
+    world: World, rt: LinkRuntime, until: int, rx_until: int,
+    keys: Optional[list], rows: Optional[list],
+) -> None:
+    """Run `rt`'s burst: send its data fragments at ticks before `until`,
+    then receive those in flight at ticks before `rx_until`. Each trace row
+    goes to `rows` and its place in event order to `keys`: twice the tick,
+    plus one for a transmission, then the number of the burst that sent it.
+    Neither is built when the trace is disabled.
 
     A transmission fills the rest of its window, or sends the head MPDU's
     remainder and schedules the next transmission at its end; the window
-    ends a burst, and so does an empty queue until `_on_arrival` resumes
-    it. A reception lands one propagation delay after its fragment ends.
-    Each takes the sequence number its event would have taken when it was
-    scheduled. The SNR check reads state that only heap events and
-    timeline entries change, so it is read once per call. A step whose
-    fragment has already run, because an earlier step was parked in front
-    of it, runs nothing.
+    ends a burst, and so does an empty queue until `_on_arrival` starts
+    another. A reception lands one propagation delay after its fragment
+    ends. Receptions change nothing that a transmission reads, so the
+    transmissions go first. The SNR check reads state that only heap events
+    and timeline entries change, so it is read once per call.
 
-    A saturated link with nothing queued sends, in one step, the run of
-    fresh MPDUs that fit whole before the window's end and the bound: MPDU
-    i is sent at `t0 + i*A` and received at `t0 + (i+1)*A + prop`, with
-    sequence numbers `n + 2i - 1` and `n + 2i` as the loop would give them
-    one by one. Nothing but the trace rows orders its transmissions against
-    receptions, so the run's own state changes at once, and its rows wait
-    in `sent`: each is written when the first reception after it is. Its
-    receptions stay in flight as one entry, of which a step receives at
-    once the prefix that comes before the bound and the next transmission.
-    The burst's trace rows are written as one batch, in event order, and
-    not built when the trace is disabled.
+    A saturated link with nothing queued sends the fresh MPDUs that fit
+    whole in the window and start before `until` as one run: MPDU i is sent
+    at `t0 + i*A` and received at `t0 + (i+1)*A + prop`. Its state changes
+    at once, and its receptions stay in flight as one entry, of which a
+    call receives the prefix before `rx_until`.
     """
-    steps = rt.steps
-    steps.discard(step)
-    queue = world.queue
-    heap, until, seq_next = queue.heap, queue.until, queue.seq
-    # An event runs here if it comes before (bound, bound_seq): the heap's
-    # next event, or the timeline's, which runs first at its tick.
-    if heap and heap[0][0] < until:
-        bound, bound_seq = heap[0][0], heap[0][1]
-    else:
-        bound, bound_seq = until, -1
-
-    tpu, units_per_bit = world.tpu, world.units_per_bit
-    tx_shape, rx_shape = rt.tx_shape, rt.rx_shape
-    traced = world.trace.enabled
-    rows = []  # this call's trace rows, at their trace times, written as one batch
-    row = rows.append
-    vertex, in_flight, backlog = rt.vertex, rt.in_flight, rt.queue
-    tx_node, rx_node = vertex.tx_node, vertex.rx_node
-    rx_since_ack, last_rx = rt.rx_since_ack, world.last_rx
-    rx_key, pending, prop = (rx_node, tx_node), rt.pending, rt.prop
-    rate = int(rt.mcs.phy_rate_bps)
-    # A whole MPDU's bits, as round(size_units / units_per_bit, 3) gives them.
-    size_units, full_bits, whole = rt.size_units, float(world.frame_sizes.data_total_bits), rt.airtime
-    tx_tick, tx_seq, tx_end = rt.tx_tick, rt.tx_seq, rt.active_until
-    # The rows of this call's run, sent from tick sent_t0; the first
-    # `written` of its `n_sent` are in `rows`.
-    sent, sent_t0, written, n_sent = (), 0, 0, 0
-    ok = None
-    air = 0
-    while True:
-        if in_flight:
-            head = in_flight[0]
-            tick, seq = head[0], head[1]
-            receive = tx_seq is None or tick < tx_tick or (tick == tx_tick and seq < tx_seq)
-            if not receive:
-                tick, seq = tx_tick, tx_seq
-        elif tx_seq is not None:
-            tick, seq, receive = tx_tick, tx_seq, False
-        else:
-            seq = None
-            break
-        if not (tick < bound or (tick == bound and seq < bound_seq)):
-            break
-
-        if receive:
-            if written < n_sent:  # the run's rows sent before this reception
-                upto = min(n_sent, -((sent_t0 - tick) // whole))
-                rows += sent[written:upto]
-                written = upto
-            if len(head) == 5:  # a run's receptions
-                _, _, first, count, decoded = head
-                got = min(count, _before(tick, seq, whole, bound, bound_seq))
-                if tx_seq is not None:
-                    got = min(got, _before(tick, seq, whole, tx_tick, tx_seq))
-                ticks = range(tick, tick + got * whole, whole)
-                if decoded:
-                    rt.delivered_fragment_units += got * size_units
-                    last_rx[rx_key] = ticks[-1]
-                    rt.completed_mpdus += got
-                    # Each was sent when it became eligible, A + prop before.
-                    rt.latency_samples_us += repeat((whole + prop) / tpu, got)
-                    rx_since_ack += zip(range(first, first + got), ticks)
-                if traced:
-                    got_rows = list(zip(
-                        map(round, map(truediv, ticks, repeat(tpu)), repeat(3)),
-                        repeat(rt.whole_rx_shapes[decoded]), range(first, first + got),
-                    ))
-                    # Both progressions step by A, so one of the run's rows
-                    # falls between each two receptions until they run out.
-                    between = min(n_sent - written, got - 1)
-                    if between > 0:
-                        mixed = [None] * (2 * between + 1)
-                        mixed[::2] = got_rows[:between + 1]
-                        mixed[1::2] = sent[written:written + between]
-                        rows += mixed
-                        del got_rows[:between + 1]
-                        written += between
-                    rows += got_rows
-                if got == count:
-                    in_flight.popleft()
-                else:
-                    in_flight[0] = (tick + got * whole, seq + 2 * got, first + got, count - got, decoded)
-                continue
-            _, _, mpdu, frag, bits, last, decoded = in_flight.popleft()
-            if decoded:
-                rt.delivered_fragment_units += frag
-            if traced:
-                row((
-                    round(tick / tpu, 3), rx_shape, mpdu.seq, bits, last,
-                    "decoded" if decoded else "interfered",
-                ))
-            if last and not mpdu.corrupted:
-                last_rx[rx_key] = tick
-                rt.completed_mpdus += 1
-                rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
-                rx_since_ack.append((mpdu.seq, tick))
-            continue
-
-        if tick >= tx_end:
-            tx_seq = None
-            continue
-        if written < n_sent:
-            rows += sent[written:]
-            written = n_sent
-        if backlog:
-            mpdu = backlog[0]
-        elif rt.saturated:
-            mpdu = None  # a fresh one
-        else:
-            tx_seq = None
-            continue
-        if ok is None:
-            ok = (not rt.interfered_now) and world.links.snr_db(
-                world.nodes[tx_node], vertex.tx_sector, world.nodes[rx_node], vertex.rx_sector,
-            ) >= rt.mcs.min_snr_db
-        if mpdu is None:
-            # A run: as many whole MPDUs as end in the window and start
-            # before the bound (its numbers are all newer than bound_seq),
-            # if that is two or more. One cut short by a heap event, such
-            # as another burst's step in the same window, goes as a fragment.
-            if tick + whole < bound and tick + 2 * whole <= tx_end:
-                count = min((tx_end - tick) // whole, -((tick - bound) // whole))
+    tpu, traced = world.tpu, rows is not None
+    vertex, in_flight, prop, whole = rt.vertex, rt.in_flight, rt.prop, rt.airtime
+    tx_node, rx_node, size_units, tick = vertex.tx_node, vertex.rx_node, rt.size_units, rt.tx_tick
+    if tick is not None and tick < until:
+        backlog, pending = rt.queue, rt.pending
+        units_per_bit, full_bits = world.units_per_bit, float(world.frame_sizes.data_total_bits)
+        rate, burst, tx_end = int(rt.mcs.phy_rate_bps), rt.burst, rt.active_until
+        ok = (not rt.interfered_now) and world.links.snr_db(
+            world.nodes[tx_node], vertex.tx_sector, world.nodes[rx_node], vertex.rx_sector,
+        ) >= rt.mcs.min_snr_db
+        air = 0
+        while tick < until:
+            if not backlog and rt.saturated and tick + whole <= tx_end:
+                count = min((tx_end - tick) // whole, -((tick - until) // whole))
                 first = rt.next_seq
                 rt.next_seq += count
                 end = tick + count * whole
                 if not ok:
                     pending[first] = Lost(first, count, tick, tick + whole, False)
-                air += end - tick
-                in_flight.append((tick + whole + prop, seq_next, first, count, ok))
+                in_flight.append((tick + whole + prop, burst, first, count, ok))
                 if traced:
-                    sent = list(zip(
+                    rows += zip(
                         map(round, map(truediv, range(tick, end, whole), repeat(tpu)), repeat(3)),
                         repeat(rt.whole_tx_shape), range(first, first + count),
-                    ))
-                    sent_t0, written, n_sent = tick, 0, count
-                seq_next += 2 * count - 1
-                if end < tx_end:
-                    tx_tick, tx_seq = end, seq_next
-                    seq_next += 1
+                    )
+                    keys += zip(range(2 * tick + 1, 2 * end, 2 * whole), repeat(burst))
+            else:
+                if backlog:
+                    mpdu = backlog[0]
+                elif rt.saturated:
+                    mpdu = Mpdu(rt.next_seq, tick, size_units)
+                    rt.next_seq += 1
+                    backlog.append(mpdu)
                 else:
-                    tx_seq = None
-                continue
-            mpdu = Mpdu(rt.next_seq, tick, size_units)
-            rt.next_seq += 1
-            backlog.append(mpdu)
-        frag = mpdu.remaining
-        room = (tx_end - tick) * rate
-        if frag > room:
-            frag = room
-        airtime = _whole_ticks(frag, rate)
-        if not ok:
-            mpdu.corrupted = True
-        mpdu.remaining -= frag
-        last = mpdu.remaining == 0
-        end = tick + airtime
-        if last:
-            backlog.popleft()
-            if mpdu.corrupted:
-                pending[mpdu.seq] = Lost(mpdu.seq, 1, mpdu.eligible, end, mpdu.retried)
-        if mpdu.retried:
-            rt.retx_units += frag
-        bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
+                    tick = None
+                    break
+                frag = min(mpdu.remaining, (tx_end - tick) * rate)
+                end = tick + _whole_ticks(frag, rate)
+                if not ok:
+                    mpdu.corrupted = True
+                mpdu.remaining -= frag
+                last = mpdu.remaining == 0
+                if last:
+                    backlog.popleft()
+                    if mpdu.corrupted:
+                        pending[mpdu.seq] = Lost(mpdu.seq, 1, mpdu.eligible, end, mpdu.retried)
+                if mpdu.retried:
+                    rt.retx_units += frag
+                bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
+                in_flight.append((end + prop, burst, mpdu, frag, bits, last, ok))
+                if traced:
+                    rows.append((round(tick / tpu, 3), rt.tx_shape, mpdu.seq, bits, last))
+                    keys.append((2 * tick + 1, burst))
+            air += end - tick
+            if end >= tx_end:
+                tick = None
+                break
+            tick = end
+        rt.tx_tick = tick
+        world.used_air[DATA] += air
+
+    rx_key, last_rx, rx_since_ack = (rx_node, tx_node), world.last_rx, rt.rx_since_ack
+    while in_flight and in_flight[0][0] < rx_until:
+        head = in_flight[0]
+        tick = head[0]
+        if len(head) == 5:  # a run's receptions
+            _, burst, first, count, decoded = head
+            got = min(count, -((tick - rx_until) // whole))
+            ticks = range(tick, tick + got * whole, whole)
+            if decoded:
+                rt.delivered_fragment_units += got * size_units
+                last_rx[rx_key] = ticks[-1]
+                rt.completed_mpdus += got
+                # Each was sent when it became eligible, A + prop before.
+                rt.latency_samples_us += repeat((whole + prop) / tpu, got)
+                rx_since_ack += zip(range(first, first + got), ticks)
+            if traced:
+                rows += zip(
+                    map(round, map(truediv, ticks, repeat(tpu)), repeat(3)),
+                    repeat(rt.whole_rx_shapes[decoded]), range(first, first + got),
+                )
+                keys += zip(range(2 * tick, 2 * ticks.stop, 2 * whole), repeat(burst))
+            if got == count:
+                in_flight.popleft()
+            else:
+                in_flight[0] = (ticks.stop, burst, first + got, count - got, decoded)
+            continue
+        _, burst, mpdu, frag, bits, last, decoded = in_flight.popleft()
+        if decoded:
+            rt.delivered_fragment_units += frag
         if traced:
-            row((round(tick / tpu, 3), tx_shape, mpdu.seq, bits, last))
-        air += airtime
-        # The reception is scheduled first, then the next transmission.
-        in_flight.append((end + prop, seq_next, mpdu, frag, bits, last, ok))
-        seq_next += 1
-        if end < tx_end:
-            tx_tick, tx_seq = end, seq_next
-            seq_next += 1
-        else:
-            tx_seq = None
-    rows += sent[written:]
-    world.trace.extend(rows)
-    rt.tx_tick, rt.tx_seq = tx_tick, tx_seq
-    world.used_air[DATA] += air
-    queue.seq = seq_next
-    if seq is not None and seq not in steps:
-        steps.add(seq)
-        queue.push_reserved(tick, seq, _on_data, (rt, seq))
+            rows.append((
+                round(tick / tpu, 3), rt.rx_shape, mpdu.seq, bits, last,
+                "decoded" if decoded else "interfered",
+            ))
+            keys.append((2 * tick, burst))
+        if last and not mpdu.corrupted:
+            last_rx[rx_key] = tick
+            rt.completed_mpdus += 1
+            rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
+            rx_since_ack.append((mpdu.seq, tick))
 
 
 def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> None:
@@ -969,7 +886,7 @@ def _on_arrival(world: World, now: int, rt: LinkRuntime) -> None:
     mpdu = Mpdu(seq=rt.next_seq, eligible=now, remaining=rt.size_units)
     rt.next_seq += 1
     rt.queue.append(mpdu)
-    if not rt.dead and rt.tx_seq is None and now < rt.active_until:
+    if not rt.dead and rt.tx_tick is None and now < rt.active_until:
         _transmit(world, rt, now)
     # Next arrival: one MPDU every size/rate seconds.
     rt.next_arrival = now + _whole_ticks(rt.size_units, int(rt.source.rate_bps))

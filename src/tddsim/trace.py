@@ -18,12 +18,12 @@ each is led by its trace time and the number `shape(kind, fixed,
 in `first`'s field order; the fields in `fixed` are not in the row. The
 hot loops write batches: the training sweep's frames, one batch per sweep,
 with node, frame and end of training (transmit) or outcome (receive)
-fixed per leg, the engine's data `frame_tx`/`frame_rx` rows, one batch per
-burst, with node, frame, link and (sent) MCS fixed per runtime, and its
-`slot` rows, one row as each boundary runs, with all but `interval` fixed
-per slot index; the rarer kinds go through `record`. Both append to one
-buffer and raise the same `SimulationError` for a record stamped below the
-watermark.
+fixed per leg, the engine's data `frame_tx`/`frame_rx` rows, one batch up
+to each heap event or timeline entry, with node, frame, link and (sent)
+MCS fixed per runtime, and its `slot` rows, one row as each boundary runs,
+with all but `interval` fixed per slot index; the rarer kinds go through
+`record`. Both append to one buffer and raise the same `SimulationError`
+for a record stamped below the watermark.
 
 Records wait in a reorder buffer, in insertion order at equal times. When
 the caller promises that no record earlier than a watermark can still

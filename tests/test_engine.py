@@ -725,6 +725,24 @@ def test_a_data_window_is_a_burst_not_an_event_pair_per_fragment():
     assert world.queue.pushes <= 2_259
 
 
+def test_links_sharing_a_data_window_each_send_it_in_about_one_call(monkeypatch):
+    # spatial_reuse's two saturated downlinks share every DATA window. A
+    # burst runs up to the next heap event or timeline entry whatever the
+    # other link does, so each link's window takes one `_on_data` call, and
+    # a few more where a heap event falls inside it. When each burst
+    # bounded the other, every call sent one fragment: 144,316 calls.
+    calls = []
+    on_data = engine._on_data
+    monkeypatch.setattr(engine, "_on_data", lambda *args: calls.append(1) or on_data(*args))
+    world = scenario_world("spatial_reuse")
+    metrics = run_until(world)
+    intervals = world.duration_us // world.structure.interval_duration_us
+    windows = intervals * sum(len(row.runtimes) for row in world.slot_rows if not row.basic)
+    assert windows == 64 * 22 * 2
+    assert all(link.completed_mpdus > 20_000 for link in metrics.per_link.values())
+    assert windows <= len(calls) <= 2 * windows
+
+
 def saturated_dl_world(trace, duration_us):
     cfg = parse_config(yaml.safe_load((SCENARIOS / "saturated_dl.yaml").read_text()))
     cfg.sim.duration_us = duration_us

@@ -12,6 +12,17 @@ slot rows' fields are built from the plan as that engine built them.
 Everything else (control frames, reports, maintenance ticks, the timeline,
 metrics) is the engine's own.
 
+Its heap orders events at equal ticks by one key, `place`, where that
+engine took the order they were scheduled in: data receptions first, then
+every other heap event in scheduling order, then data transmissions, and
+data events of different links in the order that their bursts started. A
+burst is one chain of transmissions, numbered from a per-world counter when
+`_on_slot_boundary` or `_on_arrival` starts it; each data event carries its
+burst's number. Slot boundaries and maintenance ticks run before all of
+them, from the timeline. It is the rule that the burst engine states, and
+applied here event by event, it checks that running each burst up to the
+next heap event or timeline entry alone gives the same outputs.
+
 Both engines run the same scenarios and must write byte-identical traces,
 metrics CSV and stdout:
 
@@ -28,10 +39,12 @@ metrics CSV and stdout:
   sample must match too, with CBR arrivals inside runs, transmit power
   control on both directions and runs cut by `run_until`, and hand-built
   plans whose interfered runs are retried and dropped and whose block acks
-  and reports land inside runs.
+  and reports land inside runs, one of them on the tick where a run would
+  send its next MPDU.
 """
 
 import contextlib
+import heapq
 import io
 import json
 import re
@@ -47,6 +60,7 @@ from tddsim.config import ScenarioConfig, parse_config
 from tddsim.controller import DemandSpec, assign_slots, build_interference_graph
 from tddsim.domain import NodeModel, Role, uniform_codebook
 from tddsim.engine import MaintenanceSettings, TrafficSource, World, metrics_to_csv
+from tddsim.frames import FrameSizes
 from tddsim.maintenance import ReportSchedule
 from tddsim.schedule import (
     Direction,
@@ -99,10 +113,39 @@ def slot_emitters(world):
     return emitters
 
 
+def place(handler, args, seq):
+    """Where an event runs among the events at its tick: data receptions,
+    then every other event in the order it was scheduled (`seq`), then data
+    transmissions; data events of different links in the order that their
+    bursts started, the number each carries last in `args`."""
+    if handler is _on_data_rx:
+        return 0, args[-1]
+    if handler is _on_data_tx:
+        return 2, args[-1]
+    return 1, seq
+
+
+class PlacedQueue(engine.EventQueue):
+    """An event queue whose events at equal ticks run in `place` order."""
+
+    def push(self, tick, handler, args):
+        assert tick >= self.now
+        heapq.heappush(self.heap, (tick, place(handler, args, self.seq), handler, args))
+        self.seq += 1
+
+
+def start_burst(world, rt, window_end):
+    """Schedule `rt`'s first transmission of a window at the current tick,
+    under the next burst number."""
+    world.chained.add(rt)
+    world.queue.push(world.queue.now, _on_data_tx, (rt, window_end, world.bursts_started))
+    world.bursts_started += 1
+
+
 def reference_run_until(world, t_end_us=None):
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
-    queue = world.queue
+    queue = world.queue = PlacedQueue()
     heap, pop = queue.heap, queue.pop
     t_end = t_end_us * world.tpu
     world.emit_slot = slot_emitters(world)
@@ -115,6 +158,7 @@ def reference_run_until(world, t_end_us=None):
         last_fragment=False, outcome="",
     )
     world.chained = set()  # runtimes with a transmit event pending
+    world.bursts_started = 0
     world.received = {vid: set() for vid in world.runtimes}  # decoded seqs per link
     engine._start_arrivals(world)
     for tick, handler, args in engine._timeline(world):
@@ -161,11 +205,10 @@ def _on_slot_boundary(world, now, start_us, interval, row):
         if rt.dead:
             continue
         rt.interfered_now = interfered
-        rt.active_until = window_end = now + window
+        rt.active_until = now + window
         world.usable_air[row.category] += window
         if rt not in world.chained and (rt.saturated or rt.queue or rt.next_arrival == now):
-            world.chained.add(rt)
-            world.queue.push(now, _on_data_tx, (rt, row.category, window_end))
+            start_burst(world, rt, rt.active_until)
 
 
 def _head_mpdu(rt, now):
@@ -182,7 +225,7 @@ def _head_mpdu(rt, now):
     return None
 
 
-def _on_data_tx(world, now, rt, category, window_end):
+def _on_data_tx(world, now, rt, window_end, burst):
     if now >= window_end:
         world.chained.discard(rt)
         return
@@ -215,15 +258,15 @@ def _on_data_tx(world, now, rt, category, window_end):
         now / world.tpu, vertex.tx_node, "data", rt.vertex_id, mpdu.seq, bits, last,
         rt.mcs.mcs_index,
     )
-    world.used_air[category] += airtime
-    world.queue.push(end + rt.prop, _on_data_rx, (rt, mpdu, frag, bits, last, ok))
+    world.used_air[SlotCategory.DATA.value] += airtime
+    world.queue.push(end + rt.prop, _on_data_rx, (rt, mpdu, frag, bits, last, ok, burst))
     if end < window_end:
-        world.queue.push(end, _on_data_tx, (rt, category, window_end))
+        world.queue.push(end, _on_data_tx, (rt, window_end, burst))
     else:
         world.chained.discard(rt)
 
 
-def _on_data_rx(world, now, rt, mpdu, frag, bits, last, ok):
+def _on_data_rx(world, now, rt, mpdu, frag, bits, last, ok, burst):
     if ok:
         rt.delivered_fragment_units += frag
     world.emit_data_rx(
@@ -280,8 +323,7 @@ def _on_arrival(world, now, rt):
     rt.next_seq += 1
     rt.queue.append(mpdu)
     if not rt.dead and rt not in world.chained and now < rt.active_until:
-        world.chained.add(rt)
-        world.queue.push(now, _on_data_tx, (rt, SlotCategory.DATA.value, rt.active_until))
+        start_burst(world, rt, rt.active_until)
     rt.next_arrival = now + engine._whole_ticks(rt.size_units, int(rt.source.rate_bps))
     world.queue.push(rt.next_arrival, _on_arrival, (rt,))
 
@@ -387,6 +429,39 @@ def cut_outputs(text, t_end_us, run_until):
     return trace.to_jsonl(), metrics_to_csv(metrics)
 
 
+def flow_spec(distance_m, direction, pattern, rate_bps=ONE_PER_INTERVAL_BPS, start_us=0):
+    return dict(
+        distance_m=distance_m, direction=direction, pattern=pattern, rate_bps=rate_bps,
+        start_us=start_us,
+    )
+
+
+# Scenarios whose trace rows at equal times come out in another order when
+# data events go in the order that they were scheduled, and not in the
+# order that their bursts started: receptions of links whose last fragments
+# left at different ticks land on one slot start.
+SATURATED_PAIR = dict(
+    links=[flow_spec(100.0, "downlink", "saturated"), flow_spec(37.5, "downlink", "saturated")],
+    sp=(0, 25600), duration_us=6400, reports=False, cut=None, cut_interval=0,
+)
+
+
+@example(s=SATURATED_PAIR)
+@example(s=dict(
+    links=[
+        flow_spec(400.0, "downlink", "saturated", 1.0e9, 101),
+        flow_spec(400.0, "downlink", "cbr", 2.0e7, 101),
+    ],
+    sp=(700, 12800), duration_us=9600, reports=True, cut=None, cut_interval=2,
+))
+@example(s=dict(
+    links=[
+        flow_spec(37.5, "uplink", "cbr", 1.0e9),
+        flow_spec(100.0, "uplink", "saturated", 2.5e8, 766),
+        flow_spec(100.0, "downlink", "saturated", start_us=792),
+    ],
+    sp=(700, 12800), duration_us=6400, reports=False, cut=17, cut_interval=1,
+))
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(s=scenario)
 def test_generated_scenarios_match_the_reference(s, tmp_path_factory):
@@ -613,6 +688,16 @@ STEERED_ACKS = dict(
 
 @example(s=STEERED_ACKS)
 @example(s={**STEERED_ACKS, "distance_m": 2700.0, "uplink": "saturated", "cut": 40})
+# Two where the order of the bursts' starts and the order of scheduling
+# differ, as in the scenarios above.
+@example(s=dict(
+    distance_m=799.3866, uplink="saturated", second="saturated", rate_bps=ONE_PER_INTERVAL_BPS,
+    start_us=1234, reports="uplink", max_step_db=3.0, cut=40, cut_interval=2,
+))
+@example(s=dict(
+    distance_m=799.4393176635376, uplink="cbr", second="saturated", rate_bps=3.0e7,
+    start_us=1234, reports=None, max_step_db=3.0, cut=None, cut_interval=1,
+))
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(s=long_scenario)
 def test_generated_long_links_match_the_reference(s):
@@ -637,7 +722,10 @@ def test_steered_acks_change_their_mcs():
     assert len({round(b - a, 3) for a, b in zip(sent, got)}) > 1
 
 
-def long_link_world(*, link_m, traffic, doctor, structure=None, maintenance=None, report_schedules=None):
+def long_link_world(
+    *, link_m, traffic, doctor, structure=None, maintenance=None, report_schedules=None,
+    frame_sizes=None,
+):
     """`doctored_world`'s two conflicting pairs, `link_m` long, with 40 dBi
     sectors at 20 dBm, so that both links run at MCS 12."""
     codebook = uniform_codebook(8, 40.0)
@@ -660,8 +748,8 @@ def long_link_world(*, link_m, traffic, doctor, structure=None, maintenance=None
         nodes, CHANNEL, plan, structure, traffic={
             vid: TrafficSource(pattern, rate_bps=rate) for vid, (pattern, rate) in traffic.items()
         },
-        maintenance=maintenance, report_schedules=report_schedules, beacon_interval_us=25600,
-        sp_duration_us=25600, duration_us=9600, trace=TraceRecorder(),
+        frame_sizes=frame_sizes, maintenance=maintenance, report_schedules=report_schedules,
+        beacon_interval_us=25600, sp_duration_us=25600, duration_us=9600, trace=TraceRecorder(),
     )
 
 
@@ -710,6 +798,35 @@ def test_long_interfered_plans_match_the_reference(name, link_m, t_end_us):
         r'"last_fragment": true, "link": "ap-sta:downlink", "node": "sta", "outcome": "interfered"',
         ours[0],
     )
+
+
+# 65 us DATA slots less 1 us of delay at 299.792458 m hold 24 whole MPDUs,
+# so each window is one run from its start. A block ack 8 us long at MCS
+# 12, formed in the BASIC slot at 1599 us, is received exactly when the next
+# interval's run starts its fourth MPDU.
+WHOLE_WINDOWS = TddSlotStructure(1, 1600, tuple(
+    SlotSpec(i * 65, 65, SlotCategory.DATA) for i in range(24)
+) + (SlotSpec(1599, 1, SlotCategory.BASIC),))
+
+
+def test_a_block_ack_received_where_a_run_sends_goes_first():
+    def outputs(run_until):
+        world = long_link_world(
+            link_m=299.792458, traffic={DL: ("saturated", 0.0)}, doctor=dirty_all_but_slot_13,
+            structure=WHOLE_WINDOWS, frame_sizes=FrameSizes(ack=4620),
+        )
+        metrics = run_until(world)
+        world.trace.close()
+        return world.trace.to_jsonl(), metrics
+
+    ours = outputs(engine.run_until)
+    assert ours == outputs(reference_run_until)
+    rows = [json.loads(line) for line in ours[0].splitlines()]
+    acks = [r["t"] for r in rows if r["kind"] == "frame_rx" and r["frame"] == "block_ack"]
+    sent = {r["t"]: r["data_seq"] for r in rows if r["kind"] == "frame_tx" and r["frame"] == "data"}
+    assert acks[:2] == [1608.0, 3208.0]
+    # The run stops there: the retry that the ack queued goes before it resumes.
+    assert all(sent[t] < sent[t - 8] for t in acks[:2])
 
 
 def test_long_plans_retry_and_drop_runs_and_land_control_frames_inside_them():

@@ -1,11 +1,12 @@
 """Outputs of runs whose events tie on one tick match pinned digests.
 
 Events that fall on the same tick run in a fixed order: slot boundaries,
-then maintenance ticks, then frames and CBR timers in the order they were
-scheduled. The order shows in the trace, whose records at equal `t` keep
-their insertion order. Each case makes one kind of tie happen, asserts
-that it does, and pins the SHA-256 of the run's trace, metrics CSV and
-stdout:
+then maintenance ticks, then data receptions, then control frames and CBR
+timers in the order they were scheduled, then data transmissions; data
+frames of different links in the order that their bursts started. The
+order shows in the trace, whose records at equal `t` keep their insertion
+order. Each case makes one kind of tie happen, asserts that it does, and
+pins the SHA-256 of the run's trace, metrics CSV and stdout:
 
 - a CBR link whose arrivals land exactly on the starts of DATA slots that
   it shares with a saturated link (and a second CBR link whose arrivals

@@ -209,7 +209,7 @@ def build_world(prep: Prepared, plan: AssignmentResult, trace: TraceRecorder) ->
         print(w, file=sys.stderr)
     cfg = prep.cfg
     return World(
-        prep.nodes, prep.channel, plan, prep.structure,
+        prep.nodes, prep.channel, plan,
         traffic=cfg.traffic_sources(),
         frame_sizes=FrameSizes(**vars(cfg.frames)),
         mcs_table=prep.mcs_table,

@@ -29,17 +29,19 @@ trace rows order transmissions against receptions. The bursts that run up
 to one bound write their rows merged in that order, as one batch, and the
 SNR check is read once per run of a burst instead of once per fragment.
 
-A saturated link's fresh MPDUs that fit whole in the window are sent as one
-run: their transmit ticks, receive ticks and data sequence numbers are an
-arithmetic progression of one whole-MPDU airtime, fixed per runtime and
-checked when the World is built, so a run is sent in one step and its
-receptions wait in flight as one entry. Partial fragments, retries and CBR
-MPDUs go one by one.
+Each data send waits in flight as one record. A saturated link's fresh
+MPDUs that fit whole in the window are sent as one run: their transmit
+ticks, receive ticks and data sequence numbers are an arithmetic
+progression of one whole-MPDU airtime, fixed per runtime and checked when
+the World is built, so a run is one send. Else the queue's head (a retry,
+a CBR MPDU, or a fresh MPDU that does not fit whole) sends what fits of it,
+a send of one. Whether a send's MPDUs complete cleanly, and their latency,
+are fixed when an MPDU's last fragment is sent, so no record holds an MPDU.
 
 The transmitter settles each ack round from its own record. An MPDU's
 copy is decoded exactly when none of its fragments was sent interfered or
 below the MCS threshold (`corrupted`), so only lost MPDUs wait in `pending`,
-one `Lost` record per lost fragmented MPDU or lost run, for the ack round that
+one `Lost` record per lost MPDU sent alone or lost run, for the ack round that
 sends them again or drops them.
 
 Each link counts whole MPDUs, not bits: `collect_metrics` turns the counts
@@ -63,7 +65,7 @@ from .domain import DEFAULT_MCS_TABLE, McsEntry, NodeModel, mcs_from_snr
 from .errors import SimulationError, StructureError
 from .frames import FrameSizes
 from .maintenance import ReportSchedule, tpc_update
-from .schedule import SlotCategory, TddSlotStructure, intervals
+from .schedule import SlotCategory, intervals
 from .trace import TraceRecorder
 
 BASIC, DATA = SlotCategory.BASIC.value, SlotCategory.DATA.value
@@ -126,7 +128,7 @@ class Mpdu:
 
 class Lost:
     """`count` lost MPDUs from data seq `seq` awaiting an ack round: a lost
-    MPDU sent in fragments, or a run lost in one step. The first became
+    MPDU sent alone, whole or in fragments, or a run lost in one step. The first became
     eligible at tick `eligible` and its last fragment ended at `tx_complete`;
     each next one is one whole-MPDU airtime later in both."""
 
@@ -183,8 +185,8 @@ class LinkRuntime:
         self.airtime = _whole_ticks(size_units, int(mcs.phy_rate_bps))  # of a whole MPDU
 
         self.vertex_id = vertex.vertex_id
-        # The trace shapes of its data frame_tx and frame_rx rows, of a
-        # whole MPDU's rows, `(t, shape, data_seq)`, sent and received
+        # The trace shapes of its fragments' frame_tx and frame_rx rows, of
+        # every whole MPDU's rows, `(t, shape, data_seq)`, sent and received
         # (interfered, decoded), and of its block ack's, `(t, shape, covered)`.
         (self.tx_shape, self.rx_shape, self.whole_tx_shape, *self.whole_rx_shapes,
          self.ack_shape) = shapes
@@ -205,12 +207,9 @@ class LinkRuntime:
         self.active_until = 0
         self.interfered_now = False
         # The burst: its number, its next transmission's tick (None when
-        # none is due) inside the window ending at active_until, and the
-        # receptions in flight, each with the number of the burst that sent
-        # it. A fragment is in flight as (rx tick, burst, mpdu, frag, bits,
-        # last, ok); the receptions of a run still to come as one entry,
-        # (rx tick, burst, data seq, count, ok) of the first, each next one a
-        # whole-MPDU airtime and one data seq later.
+        # none is due) inside the window ending at active_until, and one
+        # record per send in flight (see `_on_data`), with the number of the
+        # burst that sent it.
         self.burst = 0
         self.tx_tick: Optional[int] = None
         self.in_flight = deque()
@@ -226,15 +225,10 @@ class LinkRuntime:
 
     def queued_mpdus(self) -> int:
         """MPDUs neither delivered nor dropped: queued (a partly sent head
-        too), lost and awaiting an ack round, or clean and in flight."""
+        too), lost and awaiting an ack round, or in flight to settle."""
         lost = sum(entry.count for entry in self.pending.values())
-        flying = 0
-        for entry in self.in_flight:  # a lost one is in `pending` already
-            if len(entry) == 5:
-                flying += entry[3] if entry[4] else 0
-            elif entry[5] and not entry[2].corrupted:
-                flying += 1
-        return len(self.queue) + lost + flying
+        # A record that settles counts its MPDUs; a lost one is in `pending`.
+        return len(self.queue) + lost + sum(entry[3] for entry in self.in_flight if entry[7])
 
 
 class MaintenanceSettings:
@@ -342,7 +336,6 @@ class World:
         nodes: dict[str, NodeModel],
         channel_cfg: LinkBudgetConfig,
         plan: AssignmentResult,
-        structure: TddSlotStructure,
         *,
         traffic: dict[str, TrafficSource],
         frame_sizes: Optional[FrameSizes] = None,
@@ -361,7 +354,7 @@ class World:
         self.links = LinkTable(channel_cfg)
         self.plan = plan
         self.graph_vertices = plan.graph.by_id()
-        self.structure = structure
+        self.structure = plan.schedule.structure  # the slot grid the plan was built on
         self.frame_sizes = frame_sizes or FrameSizes()
         self.mcs_table = list(mcs_table)
         self.maintenance = maintenance or MaintenanceSettings()
@@ -376,6 +369,7 @@ class World:
         # number of bursts started so far.
         self.bursts: list[LinkRuntime] = []
         self.bursts_started = 0
+        self.ran = False  # a World runs once: its state starts at the epoch
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
         # rate -> (block ack, measurement report) airtime in ticks
@@ -483,7 +477,7 @@ class World:
 
 
 def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
-    """Process events through t_end (default: the configured duration).
+    """Process events through t_end (default: the configured duration), once per World.
 
     Slot boundaries and maintenance ticks come from `_timeline`, not the
     heap. At equal ticks a slot boundary runs first, then a maintenance
@@ -492,11 +486,14 @@ def run_until(world: World, t_end_us: Optional[int] = None) -> Metrics:
     the order that their bursts started. Nothing after t_end runs, so a
     fragment received after it is never counted.
 
-    The per-slot and per-fragment trace rows are written in their final
-    form, in the shapes the World registered. Each slot row goes to the
-    recorder as its boundary runs; the bursts' fragment rows up to each
-    heap event or timeline entry as one batch.
+    The per-slot and data trace rows are written in their final form, in
+    the shapes the World registered. Each slot row goes to the recorder as
+    its boundary runs; the bursts' data rows up to each heap event or
+    timeline entry as one batch.
     """
+    if world.ran:
+        raise SimulationError("this World has already run; build a new World to run again")
+    world.ran = True
     if t_end_us is None:
         t_end_us = world.epoch_us + world.duration_us
     queue = world.queue
@@ -611,95 +608,93 @@ def _transmit(world: World, rt: LinkRuntime, now: int) -> None:
 def _run_bursts(world: World, until: int, rx_until: int) -> None:
     """Run each burst's transmissions at ticks before `until` and its
     receptions at ticks before `rx_until`, and write their trace rows as
-    one batch, sorted by their places in event order."""
-    traced = world.trace.enabled
-    keys, rows = ([], []) if traced else (None, None)
+    one batch, sorted by their places in event order (stable)."""
+    batch = [] if world.trace.enabled else None
     for rt in world.bursts:
         tick, in_flight = rt.tx_tick, rt.in_flight
         if (tick is not None and tick < until) or (in_flight and in_flight[0][0] < rx_until):
-            _on_data(world, rt, until, rx_until, keys, rows)
+            _on_data(world, rt, until, rx_until, batch)
     world.bursts = [rt for rt in world.bursts if rt.tx_tick is not None or rt.in_flight]
-    if rows:
-        world.trace.extend(list(map(itemgetter(1), sorted(zip(keys, rows), key=itemgetter(0)))))
+    if batch:
+        batch.sort(key=itemgetter(0))
+        world.trace.extend(list(map(itemgetter(1), batch)))
+
+
+def _whole_rows(ticks: range, rx: int, burst: int, tpu: int, shape: int, seq: int) -> Iterator:
+    """`(key, row)` of whole MPDUs sent (`rx` 0) or received (`rx` 1) at `ticks`, from `seq`."""
+    keys = zip(range(2 * ticks.start + 1 - rx, 2 * ticks.stop, 2 * ticks.step), repeat(burst))
+    times = map(round, map(truediv, ticks, repeat(tpu)), repeat(3))
+    return zip(keys, zip(times, repeat(shape), range(seq, seq + len(ticks))))
 
 
 def _on_data(
-    world: World, rt: LinkRuntime, until: int, rx_until: int,
-    keys: Optional[list], rows: Optional[list],
+    world: World, rt: LinkRuntime, until: int, rx_until: int, batch: Optional[list],
 ) -> None:
-    """Run `rt`'s burst: send its data fragments at ticks before `until`,
-    then receive those in flight at ticks before `rx_until`. Each trace row
-    goes to `rows` and its place in event order to `keys`: twice the tick,
-    plus one for a transmission, then the number of the burst that sent it.
-    Neither is built when the trace is disabled.
+    """Run `rt`'s burst: send its data at ticks before `until`, then receive
+    what is in flight at ticks before `rx_until`. Each trace row goes to
+    `batch` (None when the trace is disabled) as `(key, row)`, the key its
+    place in event order: twice the tick, plus one for a transmission, then
+    the number of the burst that sent it.
 
-    A transmission fills the rest of its window, or sends the head MPDU's
-    remainder and schedules the next transmission at its end; the window
-    ends a burst, and so does an empty queue until `_on_arrival` starts
-    another. A reception lands one propagation delay after its fragment
-    ends. Receptions change nothing that a transmission reads, so the
-    transmissions go first. The SNR check reads state that only heap events
-    and timeline entries change, so it is read once per call.
-
-    A saturated link with nothing queued sends the fresh MPDUs that fit
-    whole in the window and start before `until` as one run: MPDU i is sent
-    at `t0 + i*A` and received at `t0 + (i+1)*A + prop`. Its state changes
-    at once, and its receptions stay in flight as one entry, of which a
-    call receives the prefix before `rx_until`.
+    Each send is one in-flight record, `(rx tick, burst, data seq, count,
+    units, last, decoded, settles, wait)`: `count` MPDUs of `units` bit
+    units each, received from `rx tick` one whole-MPDU airtime `A` apart.
+    Whether they complete cleanly (`settles`) and their latency from
+    eligibility (`wait`) are fixed when an MPDU's last fragment is sent. A
+    saturated link with nothing queued sends the fresh MPDUs that fit whole
+    in the window and start before `until` as one record: MPDU i is sent at
+    `t0 + i*A` and received at `t0 + (i+1)*A + prop`. Else the queue's head
+    (on a saturated link with nothing queued, a fresh MPDU) sends what fits
+    of it as a record of one. The window ends a burst, and so does an empty
+    queue until `_on_arrival` starts another. Receptions change nothing that
+    a transmission reads, so transmissions go first, and the SNR check, which
+    only heap events and timeline entries change, is read once. A call
+    receives the prefix of each record before `rx_until`.
     """
-    tpu, traced = world.tpu, rows is not None
+    tpu, traced, units_per_bit = world.tpu, batch is not None, world.units_per_bit
     vertex, in_flight, prop, whole = rt.vertex, rt.in_flight, rt.prop, rt.airtime
     tx_node, rx_node, size_units, tick = vertex.tx_node, vertex.rx_node, rt.size_units, rt.tx_tick
     if tick is not None and tick < until:
-        backlog, pending = rt.queue, rt.pending
-        units_per_bit, full_bits = world.units_per_bit, float(world.frame_sizes.data_total_bits)
-        rate, burst, tx_end = int(rt.mcs.phy_rate_bps), rt.burst, rt.active_until
+        backlog, pending, burst, tx_end = rt.queue, rt.pending, rt.burst, rt.active_until
+        rate = int(rt.mcs.phy_rate_bps)
         ok = (not rt.interfered_now) and world.links.snr_db(
             world.nodes[tx_node], vertex.tx_sector, world.nodes[rx_node], vertex.rx_sector,
         ) >= rt.mcs.min_snr_db
         air = 0
         while tick < until:
-            if not backlog and rt.saturated and tick + whole <= tx_end:
-                count = min((tx_end - tick) // whole, -((tick - until) // whole))
-                first = rt.next_seq
-                rt.next_seq += count
-                end = tick + count * whole
-                if not ok:
-                    pending[first] = Lost(first, count, tick, tick + whole, False)
-                in_flight.append((tick + whole + prop, burst, first, count, ok))
-                if traced:
-                    rows += zip(
-                        map(round, map(truediv, range(tick, end, whole), repeat(tpu)), repeat(3)),
-                        repeat(rt.whole_tx_shape), range(first, first + count),
-                    )
-                    keys += zip(range(2 * tick + 1, 2 * end, 2 * whole), repeat(burst))
-            else:
-                if backlog:
-                    mpdu = backlog[0]
-                elif rt.saturated:
-                    mpdu = Mpdu(rt.next_seq, tick, size_units)
+            if backlog or not rt.saturated or tick + whole > tx_end:
+                if not backlog:
+                    if not rt.saturated:
+                        tick = None
+                        break
+                    backlog.append(Mpdu(rt.next_seq, tick, size_units))
                     rt.next_seq += 1
-                    backlog.append(mpdu)
-                else:
-                    tick = None
-                    break
-                frag = min(mpdu.remaining, (tx_end - tick) * rate)
-                end = tick + _whole_ticks(frag, rate)
-                if not ok:
-                    mpdu.corrupted = True
-                mpdu.remaining -= frag
+                mpdu = backlog[0]
+                units = min(mpdu.remaining, (tx_end - tick) * rate)
+                end = tick + _whole_ticks(units, rate)
+                mpdu.corrupted = mpdu.corrupted or not ok
+                mpdu.remaining -= units
                 last = mpdu.remaining == 0
                 if last:
                     backlog.popleft()
-                    if mpdu.corrupted:
-                        pending[mpdu.seq] = Lost(mpdu.seq, 1, mpdu.eligible, end, mpdu.retried)
-                if mpdu.retried:
-                    rt.retx_units += frag
-                bits = full_bits if frag == size_units else round(frag / units_per_bit, 3)
-                in_flight.append((end + prop, burst, mpdu, frag, bits, last, ok))
-                if traced:
-                    rows.append((round(tick / tpu, 3), rt.tx_shape, mpdu.seq, bits, last))
-                    keys.append((2 * tick + 1, burst))
+                seq, count, rx, retried = mpdu.seq, 1, end + prop, mpdu.retried
+                rt.retx_units += units if retried else 0
+                settles, wait = last and not mpdu.corrupted, rx - mpdu.eligible
+            else:
+                count = min((tx_end - tick) // whole, -((tick - until) // whole))
+                seq, end, rx = rt.next_seq, tick + count * whole, tick + whole + prop
+                rt.next_seq += count
+                units, last, settles, wait, retried = size_units, True, ok, whole + prop, False
+            in_flight.append((rx, burst, seq, count, units, last, ok, settles, wait))
+            if last and not settles:
+                pending[seq] = Lost(seq, count, rx - wait, rx - prop, retried)
+            if traced and count > 1:
+                batch += _whole_rows(range(tick, end, whole), 0, burst, tpu, rt.whole_tx_shape, seq)
+            elif traced:  # one row: a whole MPDU's fixes its bits
+                t = round(tick / tpu, 3)
+                row = (t, rt.whole_tx_shape, seq) if units == size_units else (
+                    t, rt.tx_shape, seq, round(units / units_per_bit, 3), last)
+                batch.append(((2 * tick + 1, burst), row))
             air += end - tick
             if end >= tx_end:
                 tick = None
@@ -710,44 +705,33 @@ def _on_data(
 
     rx_key, last_rx, rx_since_ack = (rx_node, tx_node), world.last_rx, rt.rx_since_ack
     while in_flight and in_flight[0][0] < rx_until:
-        head = in_flight[0]
-        tick = head[0]
-        if len(head) == 5:  # a run's receptions
-            _, burst, first, count, decoded = head
-            got = min(count, -((tick - rx_until) // whole))
-            ticks = range(tick, tick + got * whole, whole)
-            if decoded:
-                rt.delivered_fragment_units += got * size_units
-                last_rx[rx_key] = ticks[-1]
-                rt.completed_mpdus += got
-                # Each was sent when it became eligible, A + prop before.
-                rt.latency_samples_us += repeat((whole + prop) / tpu, got)
-                rx_since_ack += zip(range(first, first + got), ticks)
-            if traced:
-                rows += zip(
-                    map(round, map(truediv, ticks, repeat(tpu)), repeat(3)),
-                    repeat(rt.whole_rx_shapes[decoded]), range(first, first + got),
-                )
-                keys += zip(range(2 * tick, 2 * ticks.stop, 2 * whole), repeat(burst))
-            if got == count:
-                in_flight.popleft()
-            else:
-                in_flight[0] = (ticks.stop, burst, first + got, count - got, decoded)
-            continue
-        _, burst, mpdu, frag, bits, last, decoded = in_flight.popleft()
+        tick, burst, seq, count, units, last, decoded, settles, wait = in_flight[0]
+        got = min(count, -((tick - rx_until) // whole))
+        stop = tick + got * whole
+        if got == count:
+            in_flight.popleft()
+        else:
+            in_flight[0] = (stop, burst, seq + got, count - got, units, last, decoded, settles, wait)
         if decoded:
-            rt.delivered_fragment_units += frag
-        if traced:
-            rows.append((
-                round(tick / tpu, 3), rt.rx_shape, mpdu.seq, bits, last,
-                "decoded" if decoded else "interfered",
-            ))
-            keys.append((2 * tick, burst))
-        if last and not mpdu.corrupted:
-            last_rx[rx_key] = tick
-            rt.completed_mpdus += 1
-            rt.latency_samples_us.append((tick - mpdu.eligible) / tpu)
-            rx_since_ack.append((mpdu.seq, tick))
+            rt.delivered_fragment_units += got * units
+        if settles:
+            last_rx[rx_key] = stop - whole
+            rt.completed_mpdus += got
+            if got == 1:  # as below, without building ranges for one
+                rt.latency_samples_us.append(wait / tpu)
+                rx_since_ack.append((seq, tick))
+            else:
+                rt.latency_samples_us += repeat(wait / tpu, got)
+                rx_since_ack += zip(range(seq, seq + got), range(tick, stop, whole))
+        if traced and got > 1:
+            shape = rt.whole_rx_shapes[decoded]
+            batch += _whole_rows(range(tick, stop, whole), 1, burst, tpu, shape, seq)
+        elif traced:
+            t = round(tick / tpu, 3)
+            row = (t, rt.whole_rx_shapes[decoded], seq) if units == size_units else (
+                t, rt.rx_shape, seq, round(units / units_per_bit, 3), last,
+                "decoded" if decoded else "interfered")
+            batch.append(((2 * tick, burst), row))
 
 
 def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> None:

@@ -251,7 +251,7 @@ def test_06_trickle_latency_matches_slot_wait_analysis():
     )
     duration = 102_400
     world = World(
-        nodes, CHANNEL, plan, structure,
+        nodes, CHANNEL, plan,
         traffic={"ap-sta:downlink": TrafficSource("cbr", rate_bps=1e6)},
         beacon_interval_us=25_600, sp_duration_us=25_600, duration_us=duration,
     )
@@ -401,7 +401,7 @@ def test_07_controller_schedules_verify_and_maximize_reuse():
             traffic["ap2-sta2:downlink"] = TrafficSource("saturated")
         graph = build_interference_graph(nodes, trained, [], CHANNEL)
         plan = assign_slots(graph, demands, structure)
-        world = World(nodes, CHANNEL, plan, structure, traffic=traffic,
+        world = World(nodes, CHANNEL, plan, traffic=traffic,
                       beacon_interval_us=25_600, sp_duration_us=25_600,
                       duration_us=25_600)
         metrics = run_until(world)

@@ -1,4 +1,5 @@
 import heapq
+import inspect
 import json
 import math
 import os
@@ -80,7 +81,7 @@ def build_world(
     if doctor:
         doctor(plan)
     return World(
-        nodes, CHANNEL, plan, structure,
+        nodes, CHANNEL, plan,
         traffic=traffic or {DL: TrafficSource("saturated")},
         maintenance=maintenance,
         report_schedules=report_schedules,
@@ -770,27 +771,59 @@ def test_a_disabled_trace_gives_the_traced_result_without_building_rows():
     assert disabled_peak * 4 < traced_peak
 
 
-def test_whole_mpdu_rows_read_back_with_every_field():
-    # A run's rows carry only their data_seq, and the queries return the
-    # fields their shape fixes too, as the written lines hold them.
+# name -> (build_world arguments, data outcomes). Saturated windows send
+# runs, CBR MPDUs go whole one at a time, and the dirty world retries whole
+# MPDUs.
+WHOLE_CASES = {
+    "saturated": ({}, {"decoded"}),
+    "cbr": ({"traffic": {DL: TrafficSource("cbr", rate_bps=2.5e8)}}, {"decoded"}),
+    "retries": ({"doctor": dirty_all_but_slot_13, "duration_us": 6400}, {"decoded", "interfered"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_CASES))
+def test_whole_mpdu_rows_read_back_with_every_field(case):
+    # Every whole MPDU's rows carry only their data_seq, and the queries
+    # return the fields their shape fixes too, as the written lines hold them.
+    kwargs, outcomes = WHOLE_CASES[case]
     trace = TraceRecorder()
-    world = build_world(trace=trace, duration_us=3200)
+    world = build_world(trace=trace, **{"duration_us": 3200, **kwargs})
     run_until(world)
     trace.close()
     records = trace.sorted_records()
     assert records == [json.loads(line) for line in trace.to_jsonl().splitlines()]
     rt = world.runtimes[DL]
     whole_shapes = {rt.whole_tx_shape, *rt.whole_rx_shapes}
-    runs = {seq for seq, rec in enumerate(trace._records) if rec[1] in whole_shapes}
-    assert len(runs) > 2000
+    wholes = {seq for seq, rec in enumerate(trace._records) if rec[1] in whole_shapes}
+    assert len(wholes) > {"saturated": 2000, "cbr": 100, "retries": 4000}[case]
     tx_fields = {"t", "kind", "seq", "node", "frame", "link", "mcs", "data_seq", "bits", "last_fragment"}
     for kind, fields in (("frame_tx", tx_fields), ("frame_rx", tx_fields - {"mcs"} | {"outcome"})):
-        rows = [r for r in trace.iter_kind(kind) if r["seq"] in runs]
+        data = [r for r in trace.iter_kind(kind) if r["frame"] == "data"]
+        rows = [r for r in data if r["seq"] in wholes]
+        # Each row of a whole MPDU is in a whole MPDU's shape, and only those.
+        assert rows == [r for r in data if r["bits"] == MPDU_BITS]
         assert rows and all(r.keys() == fields for r in rows)
-        assert {(r["bits"], r["last_fragment"], r.get("outcome", "decoded")) for r in rows} == {
-            (float(MPDU_BITS), True, "decoded"),
-        }
+        assert {(r["bits"], r["last_fragment"]) for r in rows} == {(float(MPDU_BITS), True)}
+        assert {r.get("outcome", "decoded") for r in rows} == (outcomes if "outcome" in fields else {"decoded"})
         assert rows == [records[r["seq"]] for r in rows]
+    sent = [r["data_seq"] for r in trace.iter_kind("frame_tx") if r["seq"] in wholes]
+    assert (len(set(sent)) < len(sent)) == (case == "retries")  # whole retries
+
+
+def test_a_world_runs_once():
+    # A second call would walk the timeline again from the epoch, over the
+    # state the first left behind.
+    world = scenario_world("saturated_dl")
+    run_until(world, 12_800)
+    with pytest.raises(SimulationError, match="already run"):
+        run_until(world)
+
+
+def test_a_world_takes_its_slot_grid_from_its_plan():
+    structure = ScenarioConfig().build_structure()
+    world = build_world(structure=structure)
+    assert world.structure is structure is world.plan.schedule.structure
+    assert "structure" not in inspect.signature(World).parameters
 
 
 def test_pending_holds_only_lost_mpdus():

@@ -504,7 +504,7 @@ def doctored_world(
     if doctor:
         doctor(plan)
     return World(
-        nodes, CHANNEL, plan, structure, traffic=traffic, maintenance=maintenance,
+        nodes, CHANNEL, plan, traffic=traffic, maintenance=maintenance,
         report_schedules=report_schedules, beacon_interval_us=25600,
         sp_duration_us=25600, duration_us=duration_us, trace=TraceRecorder(),
     )
@@ -745,7 +745,7 @@ def long_link_world(
     plan = assign_slots(graph, demands, structure)
     doctor(plan)
     return World(
-        nodes, CHANNEL, plan, structure, traffic={
+        nodes, CHANNEL, plan, traffic={
             vid: TrafficSource(pattern, rate_bps=rate) for vid, (pattern, rate) in traffic.items()
         },
         frame_sizes=frame_sizes, maintenance=maintenance, report_schedules=report_schedules,

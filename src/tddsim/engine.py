@@ -167,8 +167,7 @@ class LinkRuntime:
         "vertex", "mcs", "prop", "source", "size_units",
         "airtime", "vertex_id", "tx_shape", "rx_shape", "whole_tx_shape", "whole_rx_shapes",
         "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending",
-        "rx_since_ack", "control_queue", "dead", "reverse_power", "reverse_mcs",
-        "active_until", "interfered_now", "burst", "tx_tick", "in_flight",
+        "rx_since_ack", "dead", "active_until", "interfered_now", "burst", "tx_tick", "in_flight",
         "delivered_fragment_units", "retx_units", "completed_mpdus", "dropped_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
     )
@@ -196,14 +195,9 @@ class LinkRuntime:
         self.queue = deque()
         self.pending = {}  # first seq -> Lost: lost MPDUs awaiting an ack round
         self.rx_since_ack = []  # (seq, rx tick)
-        self.control_queue = deque()
         self.dead = False
-        # The reverse path's MCS, read again only when its transmitter's
-        # power has changed since (the link table's entry is geometry).
-        self.reverse_power: Optional[float] = None
-        self.reverse_mcs: Optional[McsEntry] = None
 
-        # transmit window of the currently active slot, if any
+        # transmit window of the current DATA slot, if any, and its interference
         self.active_until = 0
         self.interfered_now = False
         # The burst: its number, its next transmission's tick (None when
@@ -372,8 +366,6 @@ class World:
         self.ran = False  # a World runs once: its state starts at the epoch
         self.tpu = ticks_per_us(self.mcs_table, self.frame_sizes, traffic)
         self.units_per_bit = 10**6 * self.tpu
-        # rate -> (block ack, measurement report) airtime in ticks
-        self.control_airtimes: dict[int, tuple[int, int]] = {}
 
         self.runtimes: dict[str, LinkRuntime] = {}
         for vid, source in traffic.items():
@@ -574,13 +566,11 @@ def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row:
         for rt, window, interfered in row.runtimes:
             if rt.dead:
                 continue
-            controls = ["block_ack"] if rt.rx_since_ack else []
-            controls += ["report"] * due.count(rt.vertex_id)
+            controls = ("block_ack",) * bool(rt.rx_since_ack)
+            controls += ("report",) * due.count(rt.vertex_id)
             if controls:
-                rt.control_queue.extend(controls)
-                rt.interfered_now = interfered
                 world.usable_air[row.category] += window
-                world.queue.push(now, _on_control_tx, (rt, now))
+                world.queue.push(now, _on_control_tx, (rt, now, controls, not interfered))
         return
     air = 0
     for rt, window, interfered in row.runtimes:
@@ -734,34 +724,25 @@ def _on_data(
             batch.append(((2 * tick, burst), row))
 
 
-def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> None:
-    """Send one BlockAck or measurement report on the reverse path."""
-    if not rt.control_queue:
-        return
-    what = rt.control_queue.popleft()
-    vertex = rt.vertex
-    nodes = world.nodes
+def _on_control_tx(
+    world: World, now: int, rt: LinkRuntime, slot_start: int, controls: tuple[str, ...], ok: bool,
+) -> None:
+    """Send a BASIC slot's control frames, each "block_ack" or "report", on
+    the reverse path: the first now, the rest one airtime later each. `ok`
+    is whether the slot is free of interference. The path's MCS is read
+    from the link table as each frame is sent; where it has none, neither
+    that frame nor any after it in the slot is sent."""
+    vertex, nodes, links = rt.vertex, world.nodes, world.links
     reverse = world.graph_vertices[vertex.reverse_id]
-    power = nodes[reverse.tx_node].tx_power_dbm
-    if power != rt.reverse_power:
-        rt.reverse_power = power
-        rt.reverse_mcs = mcs_from_snr(world.mcs_table, world.links.snr_db(
-            nodes[reverse.tx_node], reverse.tx_sector, nodes[reverse.rx_node], reverse.rx_sector,
-        ))
-    if rt.reverse_mcs is None:
+    mcs = mcs_from_snr(world.mcs_table, links.snr_db(
+        nodes[reverse.tx_node], reverse.tx_sector, nodes[reverse.rx_node], reverse.rx_sector,
+    ))
+    if mcs is None:
         return
-    rate = int(rt.reverse_mcs.phy_rate_bps)
-    airtimes = world.control_airtimes.get(rate)
-    if airtimes is None:
-        sizes, units_per_bit = world.frame_sizes, world.units_per_bit
-        airtimes = world.control_airtimes[rate] = (
-            _whole_ticks(sizes.ack * 8 * units_per_bit, rate),
-            _whole_ticks(sizes.measurement_report * 8 * units_per_bit, rate),
-        )
-    tpu = world.tpu
-    ok = not rt.interfered_now
-
-    if what == "block_ack":
+    tpu, sizes, ack = world.tpu, world.frame_sizes, controls[0] == "block_ack"
+    octets = sizes.ack if ack else sizes.measurement_report
+    airtime = _whole_ticks(octets * 8 * world.units_per_bit, int(mcs.phy_rate_bps))
+    if ack:
         rx_since_ack = rt.rx_since_ack
         rt.ack_delay_samples_us += map(
             truediv, map(sub, repeat(now), map(itemgetter(1), rx_since_ack)), repeat(tpu),
@@ -770,27 +751,24 @@ def _on_control_tx(world: World, now: int, rt: LinkRuntime, slot_start: int) -> 
             covered = tuple(map(itemgetter(0), rx_since_ack))
             world.trace.extend([(round(now / tpu, 3), rt.ack_shape, covered)])
         rx_since_ack.clear()
-        airtime = airtimes[0]
         world.queue.push(now + airtime + rt.prop, _on_block_ack_rx, (rt, slot_start, ok))
     else:
         # RCPI is the received power, and RSNI equals SNR under this
         # deterministic model.
-        links = world.links
         seq = rt.report_seq
         rcpi = links.power_dbm(
             nodes[vertex.tx_node], vertex.tx_sector, nodes[vertex.rx_node], vertex.rx_sector,
         )
         rsni = rcpi - links.noise_floor_dbm
         rt.report_seq += 1
-        airtime = airtimes[1]
         world.trace.record(
             now / tpu, "frame_tx", node=vertex.rx_node, frame="link_measurement_report",
             link=rt.vertex_id, report_seq=seq, rcpi_dbm=round(rcpi, 3), rsni_db=round(rsni, 3),
         )
         world.queue.push(now + airtime + rt.prop, _on_report_rx, (rt, seq, rsni, ok))
     world.used_air[BASIC] += airtime
-    if rt.control_queue:
-        world.queue.push(now + airtime, _on_control_tx, (rt, slot_start))
+    if len(controls) > 1:
+        world.queue.push(now + airtime, _on_control_tx, (rt, slot_start, controls[1:], ok))
 
 
 def _on_block_ack_rx(world: World, now: int, rt: LinkRuntime, formed_at: int, ok: bool) -> None:

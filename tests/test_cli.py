@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -451,9 +453,10 @@ def test_reused_prep_replays_like_a_fresh_one():
 
 def test_module_entry_point_runs():
     path = str(SCENARIOS / "two_node_dl.yaml")
+    src = str(pathlib.Path(engine.__file__).parents[1])  # the package under test
     proc = subprocess.run(
         [sys.executable, "-m", "tddsim", "validate", "--config", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

@@ -422,10 +422,19 @@ def test_frame_drop_formed_before_a_maintenance_tick_is_still_written():
     assert metrics.conservation_ok()
 
 
-def test_report_emissions_ride_the_reverse_basic_slot():
+def interfered_reverse_basic_slot(plan):
+    # Slot 0 is the downlink's only BASIC slot; its uplink now shares it with
+    # the parallel pair's, and the two conflict.
+    plan.schedule.slot_links[0] = ("ap-sta:uplink", "ap2-sta2:uplink")
+
+
+@pytest.mark.parametrize("doctor, outcome", [
+    (None, "decoded"), (interfered_reverse_basic_slot, "interfered"),
+], ids=["clear", "interfered"])
+def test_report_emissions_ride_the_reverse_basic_slot(doctor, outcome):
     trace = TraceRecorder()
     schedules = {DL: ReportSchedule(accepted=True, emission_times_us=(1600, 8000))}
-    world = build_world(report_schedules=schedules, trace=trace)
+    world = build_world(report_schedules=schedules, trace=trace, doctor=doctor)
     metrics = run_until(world)
     reports = [
         r for r in trace.iter_kind("frame_tx") if r["frame"] == "link_measurement_report"
@@ -441,8 +450,38 @@ def test_report_emissions_ride_the_reverse_basic_slot():
     received = [
         r for r in trace.iter_kind("frame_rx") if r["frame"] == "link_measurement_report"
     ]
-    assert [(r["report_seq"], r["outcome"]) for r in received] == [(0, "decoded"), (1, "decoded")]
+    assert [(r["report_seq"], r["outcome"]) for r in received] == [(0, outcome), (1, outcome)]
+    # Every control frame of the slot reads its interference, the block ack
+    # that opens it and the report that follows alike.
+    control = [r for r in trace.iter_kind("frame_rx") if r["frame"] != "data"]
+    assert len(control) > len(received) and all(r["t"] % 1600 < 66 for r in control)
+    assert {r["outcome"] for r in control} == {outcome}
     assert metrics.conservation_ok()
+
+
+def test_a_control_frame_goes_only_in_the_slot_it_was_due(monkeypatch):
+    """A BASIC slot whose reverse path has no MCS sends none of its control
+    frames, and none of them is sent in a later slot."""
+    trace = TraceRecorder()
+    schedules = {DL: ReportSchedule(accepted=True, emission_times_us=(1600, 8000))}
+    world = build_world(report_schedules=schedules, trace=trace, link_m=300.0)
+    tick = engine._on_maintenance_tick
+    powers = {1600: -10.0, 3200: 10.0}  # the STA's, set by the tick at each time
+
+    def fading_tick(world, now):
+        tick(world, now)
+        if now // world.tpu in powers:
+            world.nodes["sta"].set_tx_power(powers[now // world.tpu])
+
+    monkeypatch.setattr(engine, "_on_maintenance_tick", fading_tick)
+    run_until(world)
+    sent = [r for r in trace.iter_kind("frame_tx") if r["frame"] != "data"]
+    reports = [r for r in sent if r["frame"] == "link_measurement_report"]
+    assert [(r["report_seq"], r["t"] // 1600) for r in reports] == [(0, 5)]
+    # The maintenance tick runs after the slot boundary and before its
+    # control frames, so the slot at 1600 finds the uplink below MCS 0.
+    assert not [r for r in sent if 1600 <= r["t"] < 1666]
+    assert [r["t"] for r in sent if 3200 <= r["t"] < 3266] == [3200.0]
 
 
 def test_tpc_walks_power_toward_target():

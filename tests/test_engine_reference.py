@@ -193,13 +193,11 @@ def _on_slot_boundary(world, now, start_us, interval, row):
         for rt, window, interfered in row.runtimes:
             if rt.dead:
                 continue
-            controls = ["block_ack"] if rt.rx_since_ack else []
-            controls += ["report"] * due.count(rt.vertex_id)
+            controls = ("block_ack",) * bool(rt.rx_since_ack)
+            controls += ("report",) * due.count(rt.vertex_id)
             if controls:
-                rt.control_queue.extend(controls)
-                rt.interfered_now = interfered
                 world.usable_air[row.category] += window
-                world.queue.push(now, engine._on_control_tx, (rt, now))
+                world.queue.push(now, engine._on_control_tx, (rt, now, controls, not interfered))
         return
     for rt, window, interfered in row.runtimes:
         if rt.dead:

@@ -2,12 +2,9 @@
 generated ones is pinned by digest.
 
 `tddsim plan` prints only the slot map that assignment draws from the graph,
-so a graph change that assignment happens to absorb, and any change to
-`model_derived_pairs`, which no output shows, would pass `test_plan_lock`.
-These digests cover the vertex ids in order, the sorted edges and the
-sorted model-derived pairs that `build_interference_graph` returns. They
-were taken from the builder before it cached geometry and gains per
-unordered node pair.
+so a graph change that assignment happens to absorb would pass
+`test_plan_lock`. These digests cover the vertex ids in order and the sorted
+edges that `build_interference_graph` returns.
 """
 
 import hashlib
@@ -24,20 +21,19 @@ from conftest import SCENARIOS, perfbench_workloads
 # name -> sha256 of the graph's canonical JSON; committed scenarios at seed
 # 1, generated ones as the benchmark writes them for that generator seed.
 # Five scenarios share one single-link graph; the three mesh seeds plan
-# alike but train different graphs (72 vertices, 110-116 edges, 2,448
-# model-derived pairs each).
+# alike but train different graphs (72 vertices and 110-116 edges each).
 DIGESTS = {
-    "one_ap_two_sta": "41d114418db5839b53f34f5bc9a5d10557372efd0ee0e4801191d01653e3e636",
-    "reports": "84e2432b7cb1fe602a5be0988af8797a5441e9c8721c8eee7092ffd102e9dc3c",
-    "saturated_dl": "84e2432b7cb1fe602a5be0988af8797a5441e9c8721c8eee7092ffd102e9dc3c",
-    "spatial_reuse": "6d8384a66763b5a6aabc3eba5ed73782c01e6533ee293f139b8299f57c59af44",
-    "tpc": "84e2432b7cb1fe602a5be0988af8797a5441e9c8721c8eee7092ffd102e9dc3c",
-    "trickle": "84e2432b7cb1fe602a5be0988af8797a5441e9c8721c8eee7092ffd102e9dc3c",
-    "two_node_dl": "84e2432b7cb1fe602a5be0988af8797a5441e9c8721c8eee7092ffd102e9dc3c",
-    "mesh_train-1": "571c10069ee598d5b0396d9828dfdd19de6db8fe37aa89f3b43d736533556f52",
-    "mesh_train-2": "1d98b9007ee1fabd5b7df081ca3e66b8b6a385a3af0586d10d82c7b90ba1ce4c",
-    "mesh_train-3": "d29fbf96ffd4f8d0bdac1a1ceb0488925631eeb733991bae5260ff17d4902421",
-    "cbr_long-1": "c8ca3138db93612e1fab44842d6a733dcb78781710155f9ec98cc84e1424fef0",
+    "one_ap_two_sta": "457d7481db2478ac8fb882d143d8acf01f9351baaa573343130b4166f451cbea",
+    "reports": "7fa03f548d246978fee130e1abe2d878cbd4c49d06faea8af8bcf686418cd296",
+    "saturated_dl": "7fa03f548d246978fee130e1abe2d878cbd4c49d06faea8af8bcf686418cd296",
+    "spatial_reuse": "5a9aca83229094c5aabe08c51f47a93c304fe0fc537b6a08e8a867f620af41db",
+    "tpc": "7fa03f548d246978fee130e1abe2d878cbd4c49d06faea8af8bcf686418cd296",
+    "trickle": "7fa03f548d246978fee130e1abe2d878cbd4c49d06faea8af8bcf686418cd296",
+    "two_node_dl": "7fa03f548d246978fee130e1abe2d878cbd4c49d06faea8af8bcf686418cd296",
+    "mesh_train-1": "e5bc5836a36f45983916ae2651b742cfde1a2cb1a72ad6d4c0b1adfbf42f2853",
+    "mesh_train-2": "b4132f372e389b0614e4f758b6d7b8526dd045e5c5d32288c74c9ce6ce783706",
+    "mesh_train-3": "b7548039643326514715e836630495e47d4ab1156f7f3fbf9e726c98b8350d68",
+    "cbr_long-1": "c8c1e2722439ee9634877b4fab50cda40312180082b0deb833876fb4f73e367c",
 }
 
 
@@ -45,7 +41,6 @@ def graph_digest(graph) -> str:
     canonical = {
         "vertices": [v.vertex_id for v in graph.vertices],
         "edges": sorted(sorted(edge) for edge in graph.edges),
-        "model_derived_pairs": sorted(graph.model_derived_pairs),
     }
     return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()
 

@@ -3,9 +3,9 @@ conflict-free, direction-separated slot assignment across all APs.
 
 Links enter as trained sector pairs. Each link contributes two directed
 activations (downlink and uplink) as graph vertices; an edge joins two
-activations that cannot share a slot, either because simultaneous operation
-raises the unintended received power at a victim receiver above
-noise_floor + threshold, or because the activations share a node. Slot
+activations that cannot share a slot: they share a node, or together they
+raise the unintended power at a victim receiver, as reported or else as the
+channel model prices it, above noise_floor + threshold. Slot
 assignment is a greedy demand-sorted packing of independent sets into
 direction-disjoint slot pools, validated by verify_global.
 """
@@ -68,15 +68,11 @@ class DemandSpec:
 
 
 class InterferenceGraph:
-    """`model_derived_pairs`: vertex-id pairs whose conflict test fell back
-    to the channel model."""
+    """Directed link activations and the pairs of them that cannot share a slot."""
 
-    __slots__ = ("vertices", "edges", "model_derived_pairs")
+    __slots__ = ("vertices", "edges")
 
-    def __init__(
-        self, vertices: tuple[DirectedLink, ...], edges: frozenset[frozenset[str]],
-        model_derived_pairs: frozenset[tuple[str, str]] = frozenset(),
-    ):
+    def __init__(self, vertices: tuple[DirectedLink, ...], edges: frozenset[frozenset[str]]):
         ids = {v.vertex_id for v in vertices}
         for edge in edges:
             pair = tuple(edge)
@@ -86,7 +82,6 @@ class InterferenceGraph:
                 raise ValueError(f"edge {pair} references unknown vertices")
         self.vertices = vertices
         self.edges = edges
-        self.model_derived_pairs = model_derived_pairs
 
     def by_id(self) -> dict[str, DirectedLink]:
         return {v.vertex_id: v for v in self.vertices}
@@ -137,12 +132,11 @@ def build_interference_graph(
     """Build the conflict graph over directed link activations.
 
     Cross-link received power comes from measurement reports when the
-    (tx node, tx sector, rx node, rx sector) tuple was reported; otherwise
-    it is priced from the channel model and the pair is flagged as
-    model-derived. A model price is `LinkTable.power_dbm`'s sum, term by
-    term in its order, and no link table is built: `link_geometry` runs
-    once per unordered node pair (the reverse order swaps the two bearings)
-    and `sector_gain_dbi` once per (node, sector, peer), which by
+    (tx node, tx sector, rx node, rx sector) tuple was reported and from the
+    channel model otherwise. A model price is `LinkTable.power_dbm`'s sum,
+    term by term in its order, and no link table is built: `link_geometry`
+    runs once per unordered node pair (the reverse order swaps the two
+    bearings) and `sector_gain_dbi` once per (node, sector, peer), which by
     reciprocity serves a node's sector both transmitting and receiving.
     """
     vertices: list[DirectedLink] = []
@@ -168,14 +162,14 @@ def build_interference_graph(
             node_id, sector, {}, geometry.setdefault(node_id, {}), nodes[node_id],
         ))
 
-    def victim_hit(tx: tuple, rx: tuple) -> tuple[bool, bool]:
-        """(conflict, used_channel_model) for end tx interfering at end rx."""
+    def victim_hit(tx: tuple, rx: tuple) -> bool:
+        """Whether end tx interferes at end rx above the threshold."""
         tx_id, tx_sector, tx_gains, tx_geometry, tx_node = tx
         rx_id, rx_sector, rx_gains, rx_geometry, rx_node = rx
         snr = reported.get((tx_id, tx_sector, rx_id, rx_sector))
         if snr is not None:
             # Reported SNR is referenced to the same noise floor.
-            return snr > channel_cfg.interference_threshold_db, False
+            return snr > channel_cfg.interference_threshold_db
         if rx_id not in tx_geometry:
             loss, out, back = tx_geometry[rx_id] = link_geometry(tx_node, rx_node, channel_cfg)
             rx_geometry[tx_id] = loss, back, out
@@ -184,10 +178,9 @@ def build_interference_graph(
             tx_gains[rx_id] = sector_gain_dbi(tx_node.codebook, tx_sector, out)
         if tx_id not in rx_gains:
             rx_gains[tx_id] = sector_gain_dbi(rx_node.codebook, rx_sector, back)
-        return tx_node.tx_power_dbm + tx_gains[rx_id] + rx_gains[tx_id] - loss > threshold, True
+        return tx_node.tx_power_dbm + tx_gains[rx_id] + rx_gains[tx_id] - loss > threshold
 
     edges: set[frozenset[str]] = set()
-    model_derived: set[tuple[str, str]] = set()
     rows = [
         (v.vertex_id, v.tx_node, v.rx_node, end(v.tx_node, v.tx_sector), end(v.rx_node, v.rx_sector))
         for v in vertices
@@ -197,18 +190,13 @@ def build_interference_graph(
             if a_tx == b_tx or a_tx == b_rx or a_rx == b_tx or a_rx == b_rx:
                 edges.add(frozenset((a, b)))
                 continue
-            hit_ab, model_ab = victim_hit(a_send, b_receive)
-            hit_ba, model_ba = victim_hit(b_send, a_receive)
+            # Price both directions: coincident nodes raise in link_geometry.
+            hit_ab = victim_hit(a_send, b_receive)
+            hit_ba = victim_hit(b_send, a_receive)
             if hit_ab or hit_ba:
                 edges.add(frozenset((a, b)))
-            if model_ab or model_ba:
-                model_derived.add((a, b))
 
-    return InterferenceGraph(
-        vertices=tuple(vertices),
-        edges=frozenset(edges),
-        model_derived_pairs=frozenset(model_derived),
-    )
+    return InterferenceGraph(vertices=tuple(vertices), edges=frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -74,20 +74,16 @@ def uniform_codebook(
     n_sectors: int,
     mainlobe_gain_dbi: float = 25.0,
     sidelobe_gain_dbi: float = -10.0,
-    beamwidth_deg: Optional[float] = None,
 ) -> Codebook:
-    """Ring of `n_sectors` sectors with evenly spaced boresights.
-
-    Default beamwidth 360/n gives gap-free azimuth coverage.
-    """
+    """Ring of `n_sectors` sectors with evenly spaced boresights, each
+    360/n wide, so together they cover every azimuth without a gap."""
     if n_sectors < 1:
         raise ValueError("n_sectors must be >= 1")
-    width = 360.0 / n_sectors if beamwidth_deg is None else beamwidth_deg
     sectors = tuple(
         Sector(
             index=i,
             boresight_deg=normalize_angle_deg(i * 360.0 / n_sectors),
-            beamwidth_deg=width,
+            beamwidth_deg=360.0 / n_sectors,
             mainlobe_gain_dbi=mainlobe_gain_dbi,
             sidelobe_gain_dbi=sidelobe_gain_dbi,
         )

@@ -168,12 +168,12 @@ class LinkRuntime:
         "airtime", "vertex_id", "tx_shape", "rx_shape", "whole_tx_shape", "whole_rx_shapes",
         "ack_shape", "saturated", "next_arrival", "next_seq", "queue", "pending",
         "rx_since_ack", "dead", "active_until", "interfered_now", "burst", "tx_tick", "in_flight",
-        "delivered_fragment_units", "retx_units", "completed_mpdus", "dropped_mpdus",
+        "delivered_fragment_units", "completed_mpdus", "dropped_mpdus",
         "latency_samples_us", "ack_delay_samples_us", "report_seq",
     )
 
     def __init__(
-        self, vertex: DirectedLink, mcs: McsEntry, prop: int, source: Optional[TrafficSource],
+        self, vertex: DirectedLink, mcs: McsEntry, prop: int, source: TrafficSource,
         size_units: int, shapes: tuple[int, ...],
     ):
         self.vertex = vertex
@@ -189,7 +189,7 @@ class LinkRuntime:
         # (interfered, decoded), and of its block ack's, `(t, shape, covered)`.
         (self.tx_shape, self.rx_shape, self.whole_tx_shape, *self.whole_rx_shapes,
          self.ack_shape) = shapes
-        self.saturated = source is not None and source.pattern == "saturated"
+        self.saturated = source.pattern == "saturated"
         self.next_arrival = -1  # tick of the next CBR arrival
         self.next_seq = 0  # MPDUs offered
         self.queue = deque()
@@ -210,7 +210,6 @@ class LinkRuntime:
 
         # counters: fragment bit units and whole MPDUs (`next_seq` counts those offered)
         self.delivered_fragment_units = 0
-        self.retx_units = 0
         self.completed_mpdus = 0
         self.dropped_mpdus = 0
         self.latency_samples_us = []
@@ -256,7 +255,6 @@ class LinkMetrics(NamedTuple):
     delivered_payload_bits: int
     dropped_bits: int
     queued_bits: float
-    retx_bits: float
     completed_mpdus: int
     latency_us: list[float]
     ack_delay_us: list[float]
@@ -551,7 +549,7 @@ def _timeline(world: World) -> Iterator[tuple[int, Callable, tuple]]:
 
 def _start_arrivals(world: World) -> None:
     for rt in world.runtimes.values():
-        if rt.source and rt.source.pattern == "cbr":
+        if rt.source.pattern == "cbr":
             first = max(world.epoch_us + rt.source.start_us, world.epoch_us)
             rt.next_arrival = first * world.tpu
             world.queue.push(rt.next_arrival, _on_arrival, (rt,))
@@ -668,7 +666,6 @@ def _on_data(
                 if last:
                     backlog.popleft()
                 seq, count, rx, retried = mpdu.seq, 1, end + prop, mpdu.retried
-                rt.retx_units += units if retried else 0
                 settles, wait = last and not mpdu.corrupted, rx - mpdu.eligible
             else:
                 count = min((tx_end - tick) // whole, -((tick - until) // whole))
@@ -898,7 +895,6 @@ def collect_metrics(world: World, t_end_us: Optional[int] = None) -> Metrics:
             delivered_payload_bits=rt.completed_mpdus * payload_bits,
             dropped_bits=rt.dropped_mpdus * mpdu_bits,
             queued_bits=float(rt.queued_mpdus() * mpdu_bits),
-            retx_bits=rt.retx_units / world.units_per_bit,
             completed_mpdus=rt.completed_mpdus,
             latency_us=list(rt.latency_samples_us),
             ack_delay_us=list(rt.ack_delay_samples_us),

@@ -139,9 +139,7 @@ def interferes_in_graph(ap, tx_sector, victim, rx_sector, cfg):
         responder_id="partner", initiator_id="vap", samples=((0, 0, -60.0),),
     )
     graph = build_interference_graph(nodes, trained, [quiet], cfg)
-    a, b = f"{ap.node_id}-partner:downlink", f"vap-{victim.node_id}:downlink"
-    assert (a, b) in graph.model_derived_pairs
-    return graph.conflicts(a, b)
+    return graph.conflicts(f"{ap.node_id}-partner:downlink", f"vap-{victim.node_id}:downlink")
 
 
 def test_interferes_threshold_semantics():

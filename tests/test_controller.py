@@ -8,7 +8,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tddsim import channel
+from tddsim import channel, controller
 from tddsim.beamforming import BeamMeasurementReport, TrainedLink
 from tddsim.channel import LinkBudgetConfig, LinkTable, noise_floor_dbm
 from tddsim.config import ScenarioConfig
@@ -135,10 +135,25 @@ def test_graph_edge_is_exactly_power_above_floor_plus_threshold():
     assert frozenset({"ap1-sta1:downlink", "ap3-sta3:downlink"}) not in edges_at[0.0]
 
 
-def test_graph_isolated_pairs_have_no_cross_edges():
+def geometry_calls(monkeypatch) -> list:
+    """Count the graph builder's channel-model geometry lookups: one entry
+    per `controller.link_geometry` call."""
+    calls = []
+    real = controller.link_geometry
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(controller, "link_geometry", counting)
+    return calls
+
+
+def test_graph_isolated_pairs_have_no_cross_edges(monkeypatch):
     ap1, sta1, t1 = one_pair("1")
     ap2, sta2, t2 = one_pair("2", origin=(0.0, 2000.0))
     nodes = {n.node_id: n for n in (ap1, sta1, ap2, sta2)}
+    calls = geometry_calls(monkeypatch)
     graph = build_interference_graph(nodes, [t1, t2], [], CHANNEL)
     # Only the within-link downlink/uplink edges survive 2 km of separation.
     assert graph.edges == frozenset({
@@ -146,7 +161,7 @@ def test_graph_isolated_pairs_have_no_cross_edges():
         frozenset({"ap2-sta2:downlink", "ap2-sta2:uplink"}),
     })
     # Cross-pair conflict checks fell back to the channel model.
-    assert graph.model_derived_pairs
+    assert len(calls) > 0
 
 
 def test_graph_close_pairs_conflict_via_model():
@@ -159,7 +174,7 @@ def test_graph_close_pairs_conflict_via_model():
     assert graph.conflicts("ap1-sta1:downlink", "ap2-sta2:downlink")
 
 
-def test_measurement_reports_override_the_model():
+def test_measurement_reports_override_the_model(monkeypatch):
     # Same close geometry, but reports swear every cross path is quiet.
     ap1, sta1, t1 = one_pair("1", sectors=4)
     ap2, sta2, t2 = one_pair("2", origin=(0.0, 50.0), sectors=4)
@@ -177,13 +192,17 @@ def test_measurement_reports_override_the_model():
             reports.append(BeamMeasurementReport(
                 responder_id=rx, initiator_id=tx, samples=samples,
             ))
+    # Every cross check is answered by a report: the model is never asked.
+    def unreachable(*args):
+        raise AssertionError("the channel model priced a reported pair")
+
+    monkeypatch.setattr(controller, "link_geometry", unreachable)
+    monkeypatch.setattr(controller, "sector_gain_dbi", unreachable)
     graph = build_interference_graph(nodes, [t1, t2], reports, CHANNEL)
     assert graph.edges == frozenset({
         frozenset({"ap1-sta1:downlink", "ap1-sta1:uplink"}),
         frozenset({"ap2-sta2:downlink", "ap2-sta2:uplink"}),
     })
-    # Every cross check was answered by a report, none by the model.
-    assert graph.model_derived_pairs == frozenset()
 
 
 def test_reported_interference_creates_edge_model_would_miss():
@@ -198,9 +217,9 @@ def test_reported_interference_creates_edge_model_would_miss():
 
 
 def link_table_graph(nodes, trained_links, measurement_reports, channel_cfg):
-    """`(edges, model_derived_pairs)` of build_interference_graph as it was
-    first written: every model-derived cross pair priced through a
-    `LinkTable` entry."""
+    """`(edges, model-derived pairs)`: the edges of build_interference_graph
+    as it was first written, every cross pair without a report priced
+    through a `LinkTable` entry, and the pairs whose check used the model."""
     vertices = []
     for trained in trained_links:
         vertices.extend(links_from_trained(trained, nodes, channel_cfg))
@@ -329,7 +348,7 @@ def test_graph_equals_the_link_table_oracle():
                 seen["coincident"] += 1
                 return
             graph = build_interference_graph(nodes, trained, reports, cfg)
-            assert (graph.edges, graph.model_derived_pairs) == expected
+            assert graph.edges == expected[0]
             nodes[changed].set_tx_power(power)
         floor = noise_floor_dbm(cfg)
         ap0, sta1 = trained[0], trained[1]
@@ -400,7 +419,7 @@ def test_graph_equals_the_oracle_at_each_model_power():
                 if at is not None:
                     cfg = LinkBudgetConfig(interference_threshold_db=at)
                     graph = build_interference_graph(nodes, trained, [], cfg)
-                    assert (graph.edges, graph.model_derived_pairs) == link_table_graph(nodes, trained, [], cfg)
+                    assert graph.edges == link_table_graph(nodes, trained, [], cfg)[0]
                     checked += 1
     assert checked > 400
 
@@ -421,9 +440,10 @@ def test_graph_builds_without_link_table_entries(monkeypatch):
         return entry(self, tx, rx)
 
     monkeypatch.setattr(channel.LinkTable, "entry", own_links_only)
+    calls = geometry_calls(monkeypatch)
     graph = build_interference_graph(nodes, [t1, t2, t3], [], CHANNEL)
-    assert graph.model_derived_pairs
-    assert (graph.edges, graph.model_derived_pairs) == (expected.edges, expected.model_derived_pairs)
+    assert len(calls) > 0
+    assert graph.edges == expected.edges
     assert len(graph.edges) > 3  # cross edges as well as each link's own
 
 

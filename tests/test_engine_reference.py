@@ -248,8 +248,6 @@ def _on_data_tx(world, now, rt, window_end, burst):
         rt.queue.popleft()
         mpdu.tx_complete = end
         rt.pending[mpdu.seq] = mpdu
-    if mpdu.retried:
-        rt.retx_units += frag
 
     bits = round(frag / world.units_per_bit, 3)
     world.emit_data_tx(

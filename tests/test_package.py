@@ -91,3 +91,38 @@ def test_hook_only_imports_carry_the_marker_and_no_other_does():
             if hooked_module == module and name not in used | defined | marked:
                 problems.append(f"{module}.{name}: hooked and otherwise unused, but not marked")
     assert problems == []
+
+
+# Fields no code in `src/tddsim` reads, each with why it stays.
+UNREAD_FIELDS = {
+    # `perfbench/layers.py` hooks `tddsim.cli.expand_sp`, which builds every
+    # AbsoluteSlot; these go with the benchmark's hook on it.
+    "AbsoluteSlot.sp_allocation_id": "built by the benchmark-hooked expand_sp",
+    "AbsoluteSlot.interval_index": "built by the benchmark-hooked expand_sp",
+    "AbsoluteSlot.slot_index": "built by the benchmark-hooked expand_sp",
+}
+
+
+def test_every_declared_field_is_read():
+    """Every `__slots__` entry and annotated class field in `src/tddsim` is
+    read as an attribute somewhere there: a field that nothing reads is
+    state computed for no one."""
+    trees = [ast.parse(path.read_text()) for path in
+             sorted(pathlib.Path(tddsim.__file__).parent.glob("*.py"))]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    declared = set()
+    for tree in trees:
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    declared.add(f"{cls.name}.{stmt.target.id}")
+                elif isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    declared.update(f"{cls.name}.{name}" for name in ast.literal_eval(stmt.value))
+    unread = {field for field in declared if field.split(".")[1] not in read}
+    assert sorted(unread - UNREAD_FIELDS.keys()) == []
+    assert sorted(UNREAD_FIELDS.keys() - unread) == []

@@ -241,14 +241,14 @@ def _starved_payload(plan: AssignmentResult) -> list[dict]:
 
 
 def _plan_payload(prep: Prepared, plan: AssignmentResult) -> dict:
-    slots = []
+    slots, by_id = [], plan.graph.by_id()
     for spec_index, spec in enumerate(prep.structure.slots):
-        direction = plan.schedule.slot_directions.get(spec_index)
+        links = plan.schedule.slot_links.get(spec_index, ())
         slots.append({
             "index": spec_index,
             "category": spec.category.value,
-            "direction": direction.value if direction else None,
-            "links": list(plan.schedule.slot_links.get(spec_index, ())),
+            "direction": by_id[links[0]].direction.value if links else None,
+            "links": list(links),
         })
     violations = verify_global(plan.schedule, plan.graph, prep.mcs_table)
     return {

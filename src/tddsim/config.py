@@ -35,7 +35,6 @@ from .schedule import (
     SlotSpec,
     TddSlotStructure,
     sp_window,
-    validate_structure,
 )
 
 _ROLES = {role.value: role for role in Role}
@@ -417,11 +416,10 @@ def parse_config(data: Any) -> ScenarioConfig:
     replaced: set[str] = set()
     cfg = _fill("", ScenarioConfig(), data, errors, replaced)
     errors.extend(validate_semantics(cfg, replaced))
-    # The slot template and the training plans are built only from a config
-    # with no problem at all.
-    if not errors:
-        violations = validate_structure(cfg.build_structure())
-        errors = [f"slot_structure: {v.kind}: {v.detail}" for v in violations]
+    # The bounds and rules above are the slot grid's one check: slot i
+    # starts at i * slot_us and lasts slot_us, so they leave every slot
+    # positive, inside the interval and clear of the next, at least one BASIC.
+    # The training plans are built only from a config with no problem at all.
     if not errors and cfg.beamforming.runs:
         errors = _training_overflows(cfg)
     if errors:

@@ -29,20 +29,19 @@ from .schedule import (
 class DirectedLink:
     """One activation direction of a trained AP-STA link.
 
-    `vertex_id`, the `reverse_id` of the same link's other direction and the
-    `nodes` at its two ends are derived once, when it is built.
+    `vertex_id` and the `reverse_id` of the same link's other direction are
+    derived once, when it is built.
     """
 
     __slots__ = (
-        "link_id", "direction", "ap_id", "sta_id", "tx_node", "tx_sector", "rx_node", "rx_sector",
-        "snr_db", "vertex_id", "reverse_id", "nodes",
+        "direction", "ap_id", "sta_id", "tx_node", "tx_sector", "rx_node", "rx_sector",
+        "snr_db", "vertex_id", "reverse_id",
     )
 
     def __init__(
         self, link_id: str, direction: Direction, ap_id: str, sta_id: str,
         tx_node: str, tx_sector: int, rx_node: str, rx_sector: int, snr_db: float,
     ):
-        self.link_id = link_id
         self.direction = direction
         self.ap_id = ap_id
         self.sta_id = sta_id
@@ -53,7 +52,6 @@ class DirectedLink:
         self.snr_db = snr_db
         self.vertex_id = f"{link_id}:{direction.value}"
         self.reverse_id = f"{link_id}:{direction.reverse().value}"
-        self.nodes = frozenset((tx_node, rx_node))
 
 
 class DemandSpec:
@@ -205,10 +203,10 @@ def build_interference_graph(
 
 class GlobalSchedule(NamedTuple):
     """The slot map every AP follows: per slot index of the shared grid,
-    its direction and the activations that transmit in it."""
+    the activations that transmit in it. They all send in one direction,
+    which is the slot's."""
 
     structure: TddSlotStructure
-    slot_directions: dict[int, Direction]
     slot_links: dict[int, tuple[str, ...]]  # slot index -> active vertex ids
 
 
@@ -357,28 +355,20 @@ def assign_slots(
 
     # Materialize the slot map over the shared grid. An activation granted
     # nothing (it only held zero-length slots) starves and leaves the map.
-    slot_directions: dict[int, Direction] = {}
     slot_links: dict[int, tuple[str, ...]] = {}
     for idx, members in data_members.items():
         members = [v for v in members if granted[v] > 0.0]
         if members:
-            slot_directions[idx] = by_id[members[0]].direction
             slot_links[idx] = tuple(sorted(members))
     for vid in schedulable:
         if granted[vid] == 0.0:
             starve(demand_by_vertex[vid], "no DATA slot granted")
             continue
         idx = basic_grant[vid]
-        slot_directions[idx] = by_id[vid].direction.reverse()
         slot_links[idx] = tuple(sorted((*slot_links.get(idx, ()), by_id[vid].reverse_id)))
 
-    schedule = GlobalSchedule(
-        structure=structure_template,
-        slot_directions=slot_directions,
-        slot_links=slot_links,
-    )
     return AssignmentResult(
-        schedule=schedule,
+        schedule=GlobalSchedule(structure=structure_template, slot_links=slot_links),
         granted_rate_bps=granted,
         starved=tuple(starved),
         graph=graph,
@@ -390,7 +380,11 @@ def verify_global(
     graph: InterferenceGraph,
     mcs_table: Sequence[McsEntry] = DEFAULT_MCS_TABLE,
 ) -> list[ScheduleViolation]:
-    """Check the global slot map against the conflict rules; empty means ok."""
+    """Check the global slot map against the conflict rules; empty means ok.
+
+    A slot's direction is that of its links, so a slot whose links send in
+    both directions is the one way the map can mix them.
+    """
     violations: list[ScheduleViolation] = []
     by_id = graph.by_id()
 
@@ -405,11 +399,6 @@ def verify_global(
         if len(directions) > 1:
             violations.append(ScheduleViolation(
                 kind="duplex-mixing", detail=f"slot {idx} mixes downlink and uplink"
-            ))
-        if idx in schedule.slot_directions and directions - {schedule.slot_directions[idx]}:
-            violations.append(ScheduleViolation(
-                kind="duplex-mixing",
-                detail=f"slot {idx} direction disagrees with the global slot map",
             ))
         for i, a in enumerate(links):
             for b in links[i + 1:]:

@@ -127,15 +127,15 @@ class Mpdu:
 
 
 class Lost:
-    """`count` lost MPDUs from data seq `seq` awaiting an ack round: a lost
-    MPDU sent alone, whole or in fragments, or a run lost in one step. The first became
-    eligible at tick `eligible` and its last fragment ended at `tx_complete`;
-    each next one is one whole-MPDU airtime later in both."""
+    """`count` lost MPDUs awaiting an ack round, from the data seq that keys
+    the record in `pending`: a lost MPDU sent alone, whole or in fragments, or
+    a run lost in one step. The first became eligible at tick `eligible` and
+    its last fragment ended at `tx_complete`; each next one is one whole-MPDU
+    airtime later in both."""
 
-    __slots__ = ("seq", "count", "eligible", "tx_complete", "retried")
+    __slots__ = ("count", "eligible", "tx_complete", "retried")
 
-    def __init__(self, seq: int, count: int, eligible: int, tx_complete: int, retried: bool):
-        self.seq = seq
+    def __init__(self, count: int, eligible: int, tx_complete: int, retried: bool):
         self.count = count
         self.eligible = eligible
         self.tx_complete = tx_complete
@@ -248,7 +248,6 @@ class MaintenanceSettings:
 
 
 class LinkMetrics(NamedTuple):
-    vertex_id: str
     offered_bits: float
     delivered_bits: float
     delivered_mpdu_bits: int
@@ -307,10 +306,8 @@ def ticks_per_us(
 class SlotRow(NamedTuple):
     """What every boundary of one slot index reads, built once per World."""
 
-    index: int
     offset_us: int  # from the start of its interval
     basic: bool
-    category: str
     # The trace shape of the slot's rows, `(t, shape, interval)`: every
     # other field is fixed per slot index.
     shape: int
@@ -450,12 +447,11 @@ class World:
                 if rt is not None:
                     runtimes.append((rt, max(0, duration - rt.prop), vid in interfered))
             fixed = {"slot_index": index, "category": spec.category.value}
-            if index in schedule.slot_directions:
-                fixed["direction"] = schedule.slot_directions[index].value
-            if actives:
+            if actives:  # one direction per slot, so any link's is the slot's
+                fixed["direction"] = self.graph_vertices[actives[0]].direction.value
                 fixed["links"] = tuple(actives)
             rows.append(SlotRow(
-                index, spec.start_offset_us, basic, spec.category.value,
+                spec.start_offset_us, basic,
                 self.trace.shape("slot", fixed, interval=0), tuple(runtimes),
             ))
         rows.sort(key=lambda row: row.offset_us)  # stable: equal starts keep index order
@@ -567,7 +563,7 @@ def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row:
             controls = ("block_ack",) * bool(rt.rx_since_ack)
             controls += ("report",) * due.count(rt.vertex_id)
             if controls:
-                world.usable_air[row.category] += window
+                world.usable_air[BASIC] += window
                 world.queue.push(now, _on_control_tx, (rt, now, controls, not interfered))
         return
     air = 0
@@ -582,7 +578,7 @@ def _on_slot_boundary(world: World, now: int, start_us: int, interval: int, row:
         if window and rt.tx_tick is None and (rt.saturated or rt.queue or rt.next_arrival == now):
             _transmit(world, rt, now)
     if air:
-        world.usable_air[row.category] += air
+        world.usable_air[DATA] += air
 
 
 def _transmit(world: World, rt: LinkRuntime, now: int) -> None:
@@ -674,7 +670,7 @@ def _on_data(
                 units, last, settles, wait, retried = size_units, True, ok, whole + prop, False
             in_flight.append((rx, burst, seq, count, units, last, ok, settles, wait))
             if last and not settles:
-                pending[seq] = Lost(seq, count, rx - wait, rx - prop, retried)
+                pending[seq] = Lost(count, rx - wait, rx - prop, retried)
             if traced and count > 1:
                 batch += _whole_rows(range(tick, end, whole), 0, burst, tpu, rt.whole_tx_shape, seq)
             elif traced:  # one row: a whole MPDU's fixes its bits
@@ -818,7 +814,7 @@ def _process_block_ack(world: World, rt: LinkRuntime, formed_at: int) -> None:
                 queue.appendleft(mpdu)
         if done < entry.count:
             pending[seq + done] = Lost(
-                seq + done, entry.count - done, entry.eligible + done * whole,
+                entry.count - done, entry.eligible + done * whole,
                 entry.tx_complete + done * whole, entry.retried,
             )
 
@@ -888,7 +884,6 @@ def collect_metrics(world: World, t_end_us: Optional[int] = None) -> Metrics:
     per_link: dict[str, LinkMetrics] = {}
     for vid, rt in world.runtimes.items():
         per_link[vid] = LinkMetrics(
-            vertex_id=vid,
             offered_bits=float(rt.next_seq * mpdu_bits),
             delivered_bits=rt.delivered_fragment_units / world.units_per_bit,
             delivered_mpdu_bits=rt.completed_mpdus * mpdu_bits,

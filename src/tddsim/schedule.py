@@ -66,42 +66,6 @@ class ScheduleViolation(NamedTuple):
     detail: str
 
 
-def validate_structure(structure: TddSlotStructure) -> list[ScheduleViolation]:
-    violations = []
-    if structure.interval_duration_us <= 0:
-        violations.append(ScheduleViolation("bad-interval", "interval duration must be positive"))
-        return violations
-    ordered = sorted(structure.slots, key=lambda s: s.start_offset_us)
-    for i, slot in enumerate(ordered):
-        if slot.duration_us <= 0:
-            violations.append(
-                ScheduleViolation("bad-slot-duration", f"slot at offset {slot.start_offset_us} has duration {slot.duration_us}")
-            )
-            continue
-        if slot.start_offset_us < 0 or slot.start_offset_us + slot.duration_us > structure.interval_duration_us:
-            violations.append(
-                ScheduleViolation(
-                    "slot-outside-interval",
-                    f"slot at offset {slot.start_offset_us} (+{slot.duration_us}) exceeds interval "
-                    f"{structure.interval_duration_us}",
-                )
-            )
-        if i + 1 < len(ordered):
-            nxt = ordered[i + 1]
-            if slot.start_offset_us + slot.duration_us > nxt.start_offset_us:
-                violations.append(
-                    ScheduleViolation(
-                        "overlapping-slots",
-                        f"slots at offsets {slot.start_offset_us} and {nxt.start_offset_us} overlap",
-                    )
-                )
-    if not any(s.category is SlotCategory.BASIC for s in structure.slots):
-        violations.append(
-            ScheduleViolation("no-basic-slot", "structure holds no BASIC slot; delayed acks have nowhere to go")
-        )
-    return violations
-
-
 def _intervals_per_sp(structure: TddSlotStructure, sp_duration_us: int) -> int:
     """How many TDD intervals an SP of `sp_duration_us` holds; StructureError
     unless that is a positive whole number."""

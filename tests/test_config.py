@@ -1,9 +1,11 @@
 import copy
 import math
 import re
+from collections import Counter
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from tddsim.config import (
     ANY_FLOAT,
@@ -19,7 +21,7 @@ from tddsim.config import (
 )
 from tddsim.domain import DEFAULT_MCS_TABLE, Role
 from tddsim.errors import ConfigError
-from tddsim.schedule import SlotCategory
+from tddsim.schedule import SlotCategory, sp_window
 
 from conftest import SCENARIOS, declared_sections, perfbench_workloads
 
@@ -340,14 +342,64 @@ def test_mcs_rows_and_extra_losses_need_every_key(section, entry, problem):
 
 
 @pytest.mark.parametrize("overrides, problem", [
-    # Each would also fail a rule that relates it to another field, or the
-    # slot template's own check (one problem per slot of length 0).
+    # Each of these would also break a rule that relates it to another
+    # field, or (slot_us 0) leave every slot of the grid empty.
     ({"slot_structure": {"slot_us": 0}}, "slot_structure.slot_us: must be positive"),
     ({"slot_structure": {"interval_us": 0}}, "slot_structure.interval_us: must be positive"),
     ({"sim": {"sp_duration_us": 0, "sp_offset_us": 400000}}, "sim.sp_duration_us: must be positive"),
+    # The slot grid's rules: nothing checks the grid built from a config again.
+    ({"slot_structure": {"n_slots": 25}}, "slot_structure.n_slots: slots overflow the TDD interval"),
+    ({"slot_structure": {"basic_slots": []}},
+     "slot_structure.basic_slots: at least one BASIC slot is required"),
 ])
 def test_a_field_outside_its_bound_is_its_only_problem(overrides, problem):
     assert problems_of(minimal_config(**overrides)) == [problem]
+
+
+def test_every_accepted_slot_grid_is_sound():
+    """A config that parses builds a grid of positive slots, each ending
+    by the next one's start and the last by the interval's end, at least
+    one of them BASIC, and an SP of whole intervals."""
+    seen = Counter()
+
+    # Each value is drawn near the edge of the rules that judge it.
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        slot_us=st.integers(-1, 100),
+        n_slots=st.integers(0, 30),
+        slack_us=st.integers(-2, 3),  # of the interval after the last slot
+        sp_intervals=st.integers(1, 16),
+        sp_skew_us=st.sampled_from([0, 0, 0, 0, 1, -1]),
+        draw=st.data(),
+    )
+    def check(slot_us, n_slots, slack_us, sp_intervals, sp_skew_us, draw):
+        interval_us = n_slots * slot_us + slack_us
+        # At least one index, but for one draw in four.
+        basic_slots = draw.draw(st.sampled_from([1, 1, 1, 0]).flatmap(
+            lambda least: st.lists(st.integers(-1, n_slots), min_size=least, max_size=3)))
+        data = minimal_config(
+            slot_structure={"interval_us": interval_us, "slot_us": slot_us,
+                            "n_slots": n_slots, "basic_slots": basic_slots},
+            sim={"sp_duration_us": sp_intervals * interval_us + sp_skew_us},
+        )
+        try:
+            cfg = parse_config(data)
+        except ConfigError:
+            seen["refused"] += 1
+            seen["no BASIC"] += not basic_slots
+            return
+        seen["accepted"] += 1
+        structure = cfg.build_structure()
+        slots = structure.slots
+        assert slots and all(s.start_offset_us >= 0 and s.duration_us > 0 for s in slots)
+        ends = [s.start_offset_us + s.duration_us for s in slots]
+        assert all(end <= s.start_offset_us for end, s in zip(ends, slots[1:]))
+        assert ends[-1] <= structure.interval_duration_us
+        assert any(s.category is SlotCategory.BASIC for s in slots)
+        sp_window(structure, cfg.sim.sp_offset_us, cfg.sim.sp_duration_us)
+
+    check()
+    assert seen["accepted"] >= 30 and seen["refused"] >= 30 and seen["no BASIC"] >= 5, seen
 
 
 def test_a_traffic_entry_needs_a_demand():

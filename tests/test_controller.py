@@ -37,6 +37,15 @@ CHANNEL = LinkBudgetConfig()
 SLOT_RATE = 66 / 1600 * 4.62e9  # one 66 us slot of MCS12 per 1.6 ms interval
 
 
+def share_a_node(a: DirectedLink, b: DirectedLink) -> bool:
+    return bool({a.tx_node, a.rx_node} & {b.tx_node, b.rx_node})
+
+
+def slot_direction(result: AssignmentResult, idx: int) -> Direction:
+    """The direction of slot `idx` of `result`'s slot map: that of its links."""
+    return result.graph.by_id()[result.schedule.slot_links[idx][0]].direction
+
+
 def one_pair(suffix="", origin=(0.0, 0.0), sectors=8):
     """AP at origin, STA 100 m east; boresight sectors 0 and n/2."""
     ox, oy = origin
@@ -53,7 +62,7 @@ def test_links_from_trained_role_resolution():
     ap, sta, trained = one_pair()
     nodes = {n.node_id: n for n in (ap, sta)}
     dl, ul = links_from_trained(trained, nodes, CHANNEL)
-    assert dl.link_id == ul.link_id == "ap-sta"
+    assert ul.vertex_id == dl.reverse_id == "ap-sta:uplink"
     assert dl.direction is Direction.DOWNLINK and ul.direction is Direction.UPLINK
     assert dl.tx_node == "ap" and dl.rx_node == "sta"
     assert ul.tx_node == "sta" and ul.rx_node == "ap"
@@ -117,7 +126,7 @@ def test_graph_edge_is_exactly_power_above_floor_plus_threshold():
         graph = build_interference_graph(nodes, [t1, t2, t3], [], cfg)
         for i, a in enumerate(graph.vertices):
             for b in graph.vertices[i + 1:]:
-                if a.nodes & b.nodes:
+                if share_a_node(a, b):
                     continue
                 hits = [
                     LinkTable(cfg).power_dbm(
@@ -242,7 +251,7 @@ def link_table_graph(nodes, trained_links, measurement_reports, channel_cfg):
     edges, model_derived = set(), set()
     for i, a in enumerate(vertices):
         for b in vertices[i + 1:]:
-            if a.nodes & b.nodes:
+            if share_a_node(a, b):
                 edges.add(frozenset((a.vertex_id, b.vertex_id)))
                 continue
             hit_ab, model_ab = victim_hit(a, b)
@@ -371,7 +380,7 @@ def test_graph_equals_the_link_table_oracle():
 
         seen["one-direction report"] += any(
             covered(a, b) != covered(b, a)
-            for a, b in combinations(graph.vertices, 2) if not a.nodes & b.nodes
+            for a, b in combinations(graph.vertices, 2) if not share_a_node(a, b)
         )
 
     check()
@@ -412,7 +421,7 @@ def test_graph_equals_the_oracle_at_each_model_power():
         vertices = [v for t in trained for v in links_from_trained(t, nodes, CHANNEL)]
         powers = {
             LinkTable(CHANNEL).power_dbm(nodes[a.tx_node], a.tx_sector, nodes[b.rx_node], b.rx_sector)
-            for a, b in combinations(vertices, 2) if not a.nodes & b.nodes for a, b in ((a, b), (b, a))
+            for a, b in combinations(vertices, 2) if not share_a_node(a, b) for a, b in ((a, b), (b, a))
         }
         for power in powers:
             for at in (threshold_at(CHANNEL, power), threshold_at(CHANNEL, math.nextafter(power, -math.inf))):
@@ -470,11 +479,11 @@ def test_assign_slots_single_downlink():
     assert result.granted_rate_bps["ap-sta:downlink"] == pytest.approx(22 * SLOT_RATE)
     assert result.granted_rate_bps["ap-sta:downlink"] == pytest.approx(4.19265e9)
     data_slots = [i for i, links in result.schedule.slot_links.items()
-                  if result.schedule.slot_directions[i] is Direction.DOWNLINK]
+                  if slot_direction(result, i) is Direction.DOWNLINK]
     assert sorted(data_slots) == [i for i in range(1, 24) if i != 12]
     # One reverse-path BASIC slot carries the uplink acks.
     assert result.schedule.slot_links[0] == ("ap-sta:uplink",)
-    assert result.schedule.slot_directions[0] is Direction.UPLINK
+    assert slot_direction(result, 0) is Direction.UPLINK
     # The second BASIC slot stays unassigned.
     assert 12 not in result.schedule.slot_links
     assert len(result.schedule.slot_links) == 23
@@ -495,8 +504,8 @@ def test_assign_slots_directional_split():
     assert n_dl + n_ul == 22
     assert n_dl == round(22 * 0.75)
     # Each direction holds a BASIC slot for the other's acks.
-    assert result.schedule.slot_directions[0] is Direction.UPLINK
-    assert result.schedule.slot_directions[12] is Direction.DOWNLINK
+    assert slot_direction(result, 0) is Direction.UPLINK
+    assert slot_direction(result, 12) is Direction.DOWNLINK
     assert verify_global(result.schedule, graph) == []
 
 
@@ -538,8 +547,7 @@ def test_spatial_reuse_shares_slots():
     # Non-conflicting links ride the same slots: full rate for both.
     assert result.granted_rate_bps["ap1-sta1:downlink"] == pytest.approx(22 * SLOT_RATE)
     assert result.granted_rate_bps["ap2-sta2:downlink"] == pytest.approx(22 * SLOT_RATE)
-    data_slots = [i for i, d in result.schedule.slot_directions.items()
-                  if i not in (0, 12)]
+    data_slots = [i for i in result.schedule.slot_links if i not in (0, 12)]
     for idx in data_slots:
         assert len(result.schedule.slot_links[idx]) == 2
     assert verify_global(result.schedule, graph) == []
@@ -641,7 +649,6 @@ def test_verify_global_wants_reverse_basic_coverage():
     result = assign_slots(graph, demands, ScenarioConfig().build_structure())
     # Strip the BASIC slots from the slot map.
     stripped = result.schedule._replace(
-        slot_directions={k: v for k, v in result.schedule.slot_directions.items() if k not in (0, 12)},
         slot_links={k: v for k, v in result.schedule.slot_links.items() if k not in (0, 12)},
     )
     kinds = {v.kind for v in verify_global(stripped, graph)}
@@ -652,7 +659,9 @@ def test_verify_global_wants_reverse_basic_coverage():
 # Oracle: slot assignment as it stood before its single-pass rewrite, copied
 # verbatim but for the names and the default fraction written out. The one
 # rule added since (a demand whose reverse path is below MCS 0 starves) is
-# taken out of both sides before they are compared.
+# taken out of both sides before they are compared. The slot map no longer
+# holds each slot's direction, so the oracle returns its own beside its
+# result, and each must be the direction of the slot's links.
 
 
 def _split_indices_before(indices: list[int], n_first: int) -> tuple[list[int], list[int]]:
@@ -665,7 +674,7 @@ def assign_slots_before(
     structure_template: TddSlotStructure,
     mcs_table: Sequence[McsEntry] = DEFAULT_MCS_TABLE,
     dl_data_fraction: float = 0.75,
-) -> AssignmentResult:
+) -> tuple[AssignmentResult, dict[int, Direction]]:
     """Greedy demand-sorted assignment of links to slot pools.
 
     DATA slots split into disjoint DL and UL pools (DL-heavy by default);
@@ -836,7 +845,7 @@ def assign_slots_before(
     scheduled = [vid for vid in schedulable if granted[vid] > 0.0]
 
     # Materialize the slot map over the shared grid.
-    slot_directions: dict[int, Direction] = {}
+    directions: dict[int, Direction] = {}
     slot_links: dict[int, tuple[str, ...]] = {}
 
     for direction in (Direction.DOWNLINK, Direction.UPLINK):
@@ -844,17 +853,16 @@ def assign_slots_before(
             members = [v for v in slot_members[idx] if v in scheduled]
             if not members:
                 continue
-            slot_directions[idx] = direction
+            directions[idx] = direction
             slot_links[idx] = tuple(sorted(members))
     for vid in scheduled:
         idx = basic_grant[vid]
         v = by_id[vid]
-        slot_directions[idx] = v.direction.reverse()
+        directions[idx] = v.direction.reverse()
         slot_links[idx] = tuple(sorted(set(slot_links.get(idx, ())) | {v.reverse_id}))
 
     schedule = GlobalSchedule(
         structure=structure_template,
-        slot_directions=slot_directions,
         slot_links=slot_links,
     )
     return AssignmentResult(
@@ -862,7 +870,7 @@ def assign_slots_before(
         granted_rate_bps=granted,
         starved=tuple(starved),
         graph=graph,
-    )
+    ), directions
 
 
 REVERSE_BELOW_MCS0 = "reverse-path SNR below the lowest MCS threshold"
@@ -890,12 +898,12 @@ def assignment_case(rng: random.Random):
     ids = [v.vertex_id for v in vertices]
     edges = {
         frozenset((a.vertex_id, b.vertex_id))
-        for i, a in enumerate(vertices) for b in vertices[i + 1:] if a.nodes & b.nodes
+        for i, a in enumerate(vertices) for b in vertices[i + 1:] if share_a_node(a, b)
     }
     edges |= {frozenset(rng.sample(ids, 2)) for _ in range(rng.randint(0, 12))}
     graph = InterferenceGraph(tuple(vertices), frozenset(edges))
 
-    links = sorted({v.link_id for v in vertices}) + ["ap9-sta9x0"]  # the last is untrained
+    links = sorted({f"{v.ap_id}-{v.sta_id}" for v in vertices}) + ["ap9-sta9x0"]  # the last is untrained
     demands = [
         DemandSpec(
             rng.choice(links), rng.choice(list(Direction)),
@@ -938,15 +946,19 @@ def test_assign_slots_matches_the_planner_before_its_rewrite():
             )
 
         kept = [d for d in demands if not reverse_below_mcs0(d)]
-        expected = assign_slots_before(graph, kept, structure, dl_data_fraction=fraction)
+        expected, directions = assign_slots_before(graph, kept, structure, dl_data_fraction=fraction)
         result = assign_slots(graph, demands, structure, dl_data_fraction=fraction)
         assert result.schedule == expected.schedule
+        assert {
+            idx: {by_id[v].direction for v in links}
+            for idx, links in result.schedule.slot_links.items()
+        } == {idx: {direction} for idx, direction in directions.items()}
         assert list(result.granted_rate_bps.items()) == list(expected.granted_rate_bps.items())
         starved = [s for s in result.starved if s.reason != REVERSE_BELOW_MCS0]
         assert starved == list(expected.starved)
         seen.update(s.reason for s in result.starved)
         seen["scheduled"] += bool(result.schedule.slot_links)
-        seen["both directions"] += len(set(result.schedule.slot_directions.values())) == 2
+        seen["both directions"] += len(set(directions.values())) == 2
         seen["zero-length slot"] += any(
             s.duration_us == 0 and i in result.schedule.slot_links
             for i, s in enumerate(structure.slots)

@@ -674,10 +674,8 @@ def test_a_slot_shorter_than_the_delay_has_no_usable_air(name, tmp_path, capsys)
 def test_mean_ack_delay_is_exact_on_every_python():
     # Six delays of 0.0015 µs: a plain float sum rounds to 0.001 before
     # Python 3.12 and to 0.002 from 3.12 on; the exact mean writes 0.002.
-    link = engine.LinkMetrics(
-        "ap-sta:downlink", 0.0, 0.0, 0, 0, 0, 0.0, 0, [], [0.0015] * 6,
-    )
-    metrics = engine.Metrics(1, {link.vertex_id: link}, {})
+    link = engine.LinkMetrics(0.0, 0.0, 0, 0, 0, 0.0, 0, [], [0.0015] * 6)
+    metrics = engine.Metrics(1, {"ap-sta:downlink": link}, {})
     row = metrics_to_csv(metrics).splitlines()[1]
     assert row.split(",")[-1] == "0.002"
 
@@ -1054,7 +1052,7 @@ def test_timeline_is_the_merge_of_slot_starts_and_ticks(
         beacon_interval_us=per_sp * interval_us + beacon_gap_us,
         # In start order; slots that start together keep index order.
         slot_rows=sorted(
-            (SimpleNamespace(index=i, offset_us=spec.start_offset_us) for i, spec in enumerate(slots)),
+            (SimpleNamespace(offset_us=spec.start_offset_us) for spec in slots),
             key=lambda row: row.offset_us,
         ),
     )

@@ -98,18 +98,23 @@ def emitter(trace, kind, **first):
 
 
 def slot_emitters(world):
-    """Per slot index, its row's emitter and its fields' values after
-    `interval`, as the plan gives them."""
-    schedule, emitters = world.plan.schedule, {}
-    for index, spec in enumerate(world.structure.slots):
+    """Per slot row of the world, by its shape number, the row's emitter and
+    its fields' values after `slot_index` and `interval`, as the plan gives
+    them: a slot's direction is that of its links."""
+    schedule, by_id, emitters = world.plan.schedule, world.plan.graph.by_id(), {}
+    slots = world.structure.slots
+    # The rows are in the order the slots start; equal starts keep index order.
+    order = sorted(range(len(slots)), key=lambda index: slots[index].start_offset_us)
+    for row, index in zip(world.slot_rows, order, strict=True):
+        spec = slots[index]
+        assert row.offset_us == spec.start_offset_us
         fields = {"category": spec.category.value}
-        if index in schedule.slot_directions:
-            fields["direction"] = schedule.slot_directions[index].value
         actives = schedule.slot_links.get(index, ())
         if actives:
+            fields["direction"] = by_id[actives[0]].direction.value
             fields["links"] = tuple(actives)
         emit = emitter(world.trace, "slot", slot_index=index, interval=0, **fields)
-        emitters[index] = (emit, tuple(fields.values()))
+        emitters[row.shape] = (emit, index, tuple(fields.values()))
     return emitters
 
 
@@ -178,7 +183,7 @@ def reference_run_until(world, t_end_us=None):
     for vid, rt in world.runtimes.items():
         received = world.received[vid]
         rt.pending = {
-            seq: engine.Lost(seq, 1, mpdu.eligible, mpdu.tx_complete, mpdu.retried)
+            seq: engine.Lost(1, mpdu.eligible, mpdu.tx_complete, mpdu.retried)
             for seq, mpdu in rt.pending.items()
             if mpdu.corrupted or seq not in received
         }
@@ -186,8 +191,8 @@ def reference_run_until(world, t_end_us=None):
 
 
 def _on_slot_boundary(world, now, start_us, interval, row):
-    emit, values = world.emit_slot[row.index]
-    emit(start_us, row.index, interval, *values)
+    emit, index, values = world.emit_slot[row.shape]
+    emit(start_us, index, interval, *values)
     if row.basic:
         due = world.report_due.get(start_us, ())
         for rt, window, interfered in row.runtimes:
@@ -196,7 +201,7 @@ def _on_slot_boundary(world, now, start_us, interval, row):
             controls = ("block_ack",) * bool(rt.rx_since_ack)
             controls += ("report",) * due.count(rt.vertex_id)
             if controls:
-                world.usable_air[row.category] += window
+                world.usable_air[engine.BASIC] += window
                 world.queue.push(now, engine._on_control_tx, (rt, now, controls, not interfered))
         return
     for rt, window, interfered in row.runtimes:
@@ -204,7 +209,7 @@ def _on_slot_boundary(world, now, start_us, interval, row):
             continue
         rt.interfered_now = interfered
         rt.active_until = now + window
-        world.usable_air[row.category] += window
+        world.usable_air[engine.DATA] += window
         if rt not in world.chained and (rt.saturated or rt.queue or rt.next_arrival == now):
             start_burst(world, rt, rt.active_until)
 

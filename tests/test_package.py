@@ -4,10 +4,14 @@ import pathlib
 import re
 import sys
 
+import yaml
+
 import tddsim
+from tddsim.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from tddsim.engine import run_until
 from tddsim.trace import TraceRecorder
 
-from conftest import PERFBENCH
+from conftest import PERFBENCH, SCENARIOS
 
 
 def test_every_exported_name_resolves():
@@ -126,3 +130,117 @@ def test_every_declared_field_is_read():
     unread = {field for field in declared if field.split(".")[1] not in read}
     assert sorted(unread - UNREAD_FIELDS.keys()) == []
     assert sorted(UNREAD_FIELDS.keys() - unread) == []
+
+
+# Fields that no code in `src/tddsim` reads in the runs of
+# `test_every_declared_field_is_read_in_a_run`, each with why it stays.
+UNREAD_IN_A_RUN = {
+    **{
+        f"AbsoluteSlot.{name}": "built by the benchmark-hooked expand_sp, which nothing else calls"
+        for name in ("sp_allocation_id", "interval_index", "slot_index", "start_us",
+                     "duration_us", "category")
+    },
+    "TddSlotStructure.allocation_id": "read by the benchmark-hooked expand_sp only",
+    "ScheduleViolation.kind": "read when a plan fails verify_global, which no plan of assign_slots does",
+    "ScheduleViolation.detail": "read when a plan fails verify_global, which no plan of assign_slots does",
+}
+
+# Saturated links spend the rest of a run repeating its first service
+# period's work; these run for their first 26 ms.
+CUT_TO_26_MS = {"one_ap_two_sta", "saturated_dl", "spatial_reuse", "two_node_dl"}
+
+SRC = str(pathlib.Path(tddsim.__file__).parent)
+
+
+class CountingField:
+    """A stand-in for a class's field descriptor that, on the first read
+    made from a frame in `src/tddsim`, notes the field and puts the original
+    descriptor back; every access goes to the original."""
+
+    def __init__(self, owner: type, name: str, read: set):
+        self.owner, self.name, self.read = owner, name, read
+        self.original = owner.__dict__[name]
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and sys._getframe(1).f_code.co_filename.startswith(SRC):
+            self.read.add(f"{self.owner.__name__}.{self.name}")
+            setattr(self.owner, self.name, self.original)
+        return self.original.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.original.__set__(obj, value)
+
+    def __delete__(self, obj):
+        self.original.__delete__(obj)
+
+
+def field_descriptors() -> list[tuple[type, str]]:
+    """`(class, field)` of each `__slots__` entry and NamedTuple field of
+    every class defined in `src/tddsim`."""
+    found = []
+    for path in sorted(pathlib.Path(SRC).glob("*.py")):
+        module = importlib.import_module(f"tddsim.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                names = [*cls.__dict__.get("__slots__", ()), *cls.__dict__.get("_fields", ())]
+                found += [(cls, name) for name in names]
+    return found
+
+
+def test_every_declared_field_is_read_in_a_run(monkeypatch, tmp_path, capsys):
+    """The run-time side of `test_every_declared_field_is_read`, which
+    counts a field as read when any class's field of that name is read.
+    Each field descriptor counts the reads made from `src/tddsim` while the
+    product runs: every scenario through `validate`, `bf`, `plan` and `run
+    --trace --metrics`, a hand-built world whose slots are interfered, an
+    infeasible plan, a rejected report request and a measurement-mode
+    training run."""
+    from test_engine import build_world, dirty_all_but_slot_13
+
+    read = set()
+    declared = field_descriptors()
+    for cls, name in declared:
+        monkeypatch.setattr(cls, name, CountingField(cls, name, read))
+
+    def cli(*argv, code=EXIT_OK):
+        assert main(list(argv)) == code, argv
+        return capsys.readouterr()
+
+    def variant(edit):
+        """two_node_dl.yaml as `edit` changes it."""
+        doc = yaml.safe_load((SCENARIOS / "two_node_dl.yaml").read_text())
+        edit(doc)
+        path = tmp_path / f"{edit.__name__}.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return str(path)
+
+    outputs = ["--trace", str(tmp_path / "trace.jsonl"), "--metrics", str(tmp_path / "metrics.csv")]
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        for command in ("validate", "bf", "plan"):
+            cli(command, "--config", str(path))
+        cut = ["--duration-ms", "26"] if path.stem in CUT_TO_26_MS else []
+        cli("run", "--config", str(path), *outputs, *cut)
+
+    run_until(build_world(doctor=dirty_all_but_slot_13, trace=TraceRecorder()))
+
+    def untrainable(doc):  # 5 km apart: training trains no link
+        next(n for n in doc["nodes"] if n["id"] == "cn1")["position"] = [5000.0, 0.0]
+
+    infeasible = variant(untrainable)
+    cli("plan", "--config", infeasible, code=EXIT_INFEASIBLE)
+    cli("run", "--config", infeasible, code=EXIT_INFEASIBLE)
+    # No whole interval covers the 210 ms report's slot at 211 ms.
+    run = cli("run", "--config", str(SCENARIOS / "reports.yaml"), "--duration-ms", "211")
+    assert "rejected" in run.err
+
+    def measure_first(doc):
+        runs = doc["beamforming"]["runs"]
+        runs.insert(0, dict(runs[0], mode="measurement"))
+
+    measured = variant(measure_first)
+    assert '"samples": 1' in cli("bf", "--config", measured).out
+    cli("plan", "--config", measured)
+
+    unread = {f"{cls.__name__}.{name}" for cls, name in declared} - read
+    assert sorted(unread - UNREAD_IN_A_RUN.keys()) == []
+    assert sorted(UNREAD_IN_A_RUN.keys() - unread) == []

@@ -91,7 +91,7 @@ def test_graph_prices_each_node_pair_and_each_gain_once(monkeypatch, mesh_train)
     reported = {(r.initiator_id, tx, r.responder_id, rx) for r in prep.reports for tx, rx, _ in r.samples}
     node_pairs, sending, receiving = set(), set(), set()  # (node, sector, peer) by role
     for a, b in combinations(graph.vertices, 2):
-        if a.nodes & b.nodes:
+        if {a.tx_node, a.rx_node} & {b.tx_node, b.rx_node}:
             continue
         for tx, victim in ((a, b), (b, a)):
             if (tx.tx_node, tx.tx_sector, victim.rx_node, victim.rx_sector) not in reported:

@@ -14,7 +14,7 @@ destined for the central controller.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from math import copysign
 from typing import NamedTuple, Optional, Sequence
 
@@ -283,14 +283,16 @@ def _sweep(
     the last frame only), so its rows are `(t, shape, sector, frame_index[,
     slot_countdown])`; each responder's two `frame_rx` shapes fix `node`,
     `frame` and `outcome`, so its rows are `(t, shape, sector, tx_sector,
-    snr_db)`. The rows fill one preallocated batch column by column, the
-    initiator's row and then each responder's per frame, and are written
-    at once; with the trace disabled they are not built at all.
+    snr_db)`. The initiator's column and each responder's are zipped and
+    flattened with itertools into one lazy batch, the initiator's row and
+    then each responder's per frame: an in-memory trace builds the rows
+    only when it is read, a written one at once, and with the trace
+    disabled they are not built at all.
     """
     ini_id = initiator.node_id
     power, noise = initiator.tx_power_dbm, links.noise_floor_dbm
     n_tx, reps, n_frames = plan.n_tx_sectors, plan.repetitions, plan.n_frames
-    last, stride = n_frames - 1, 1 + len(responders)
+    last = n_frames - 1
     traced = trace.enabled
     if traced:
         countdown = {} if plan.with_feedback else {"slot_countdown": last}
@@ -301,14 +303,19 @@ def _sweep(
             )
             for end in (False, True)
         )
-        # Whole microseconds, so already the trace times.
-        times = list(map(float, range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)))
-        txs = list(chain.from_iterable(map(repeat, range(n_tx), repeat(reps, n_tx))))
-        rows: list = [None] * (n_frames * stride)
-        rows[::stride] = zip(
-            times, chain(repeat(going, last), (ending,)), txs, range(n_frames),
-            *((range(last, -1, -1),) if countdown else ()),
+        # Whole microseconds, so already the trace times: one float per
+        # frame, which each column's row of the frame shares.
+        times = tee(
+            map(float, range(plan.start_us, plan.sweep_end_us, plan.cfg.ssw_slot_us)), 1 + len(responders),
         )
+
+        def txs():
+            return chain.from_iterable(map(repeat, range(n_tx), repeat(reps, n_tx)))
+
+        columns = [zip(
+            times[0], chain(repeat(going, last), (ending,)), txs(), range(n_frames),
+            *((range(last, -1, -1),) if countdown else ()),
+        )]
     rounded: dict[float, float] = {}
     samples = []
     for leg, r in enumerate(responders, 1):
@@ -350,11 +357,11 @@ def _sweep(
             leg_blocks.append(block)
         samples.append(found)
         if traced:
-            rows[leg::stride] = zip(
-                times, chain.from_iterable(b[3] for b in leg_blocks),
-                chain.from_iterable(b[1] for b in leg_blocks), txs,
+            columns.append(zip(
+                times[leg], chain.from_iterable(b[3] for b in leg_blocks),
+                chain.from_iterable(b[1] for b in leg_blocks), txs(),
                 chain.from_iterable(b[2] for b in leg_blocks),
-            )
+            ))
     if traced:
-        trace.extend(rows)
+        trace.extend(chain.from_iterable(zip(*columns)))
     return samples

@@ -15,14 +15,15 @@ record by keyword, drops `None` fields and looks its shape up per record.
 `extend(rows)` appends a batch of rows in their final form, as they are:
 each is led by its trace time and the number `shape(kind, fixed,
 **first)` registered from `first`'s names and values, and holds its values
-in `first`'s field order; the fields in `fixed` are not in the row. The
-hot loops write batches: the training sweep's frames, one batch per sweep,
-with node, frame and end of training (transmit) or outcome (receive)
-fixed per leg, the engine's data `frame_tx`/`frame_rx` rows, one batch up
-to each heap event or timeline entry, with node, frame, link and (sent)
-MCS fixed per runtime, and its `slot` rows, one row as each boundary runs,
-with all but `interval` fixed per slot index; the rarer kinds go through
-`record`. Both append to one buffer and raise the same `SimulationError`
+in `first`'s field order; the fields in `fixed` are not in the row. A
+batch is a list, or an iterator that an in-memory trace builds only when
+it is read. The hot loops write batches: the training sweep's frames, one
+lazy batch per sweep, with node, frame and end of training (transmit) or
+outcome (receive) fixed per leg, the engine's data `frame_tx`/`frame_rx`
+rows, one batch up to each heap event or timeline entry, with node, frame,
+link and (sent) MCS fixed per runtime, and its `slot` rows, one row as
+each boundary runs, with all but `interval` fixed per slot index; the
+rarer kinds go through `record`. Both append to one buffer and raise the same `SimulationError`
 for a record stamped below the watermark.
 
 Records wait in a reorder buffer, in insertion order at equal times. When
@@ -31,9 +32,13 @@ arrive (`advance`), the buffer is sorted by time, a stable sort that keeps
 that order, and the records below it are numbered with the next `seq`
 values and handed to the sink, so the written trace has strictly
 increasing (t, seq) keys even when a record is stamped behind the current
-time. The sink is either an in-memory list, which the queries read, or a
-writer, such as a text file, that the records stream to as the run
-proceeds.
+time. The sink is either a writer, such as a text file, that the records
+stream to as the run proceeds, or an in-memory list, which the queries
+read. An in-memory trace is sorted and numbered when it is first read, not
+at each `advance`, and a batch handed to `extend` as an iterator is built
+only then: a record below the watermark is refused when it arrives, so one
+stable sort of every record in arrival order gives the order and `seq`
+numbers of sorting at each watermark.
 
 Lines are rendered by one writer per shape, with the JSON of its fixed
 values built in; the writers of one field layout share one formatter,
@@ -194,18 +199,23 @@ class _JsonStrings(dict):
 class TraceRecorder:
     """A reorder buffer in front of an in-memory list or a JSONL writer.
 
-    Without `write`, written records are kept and `sorted_records`,
-    `iter_kind` and `to_jsonl` see the whole trace. With it, they are passed
-    to `write` as JSON lines, such as a text file's `write`, and not kept;
-    `close` writes the rest. A query returns `json.loads` of each line that
-    `to_jsonl` would write: keys in sorted order, lists for tuples, and NaN
-    and the infinities as freshly parsed floats.
+    Without `write`, records are kept and `sorted_records`, `iter_kind` and
+    `to_jsonl` see the whole trace. It is sorted and numbered when first
+    read: `advance` only raises the watermark, and a lazy batch stays
+    unbuilt until a query or `buffered` reads the recorder. With `write`,
+    records are passed to it as JSON lines at each `advance`, such as to a
+    text file's `write`, and not kept; `close` writes the rest. A query
+    returns `json.loads` of each line that `to_jsonl` would write: keys in
+    sorted order, lists for tuples, and NaN and the infinities as freshly
+    parsed floats.
     """
 
     def __init__(self, enabled: bool = True, write: Optional[Callable[[str], Any]] = None):
         self.enabled = enabled
         self._write = write
         self._pending: list[Record] = []
+        # In memory, (place in _pending, rest of a lazy batch) to build when read.
+        self._lazy: list[tuple[int, Iterator[Record]]] = []
         self._next_seq = 0
         self._watermark: float = -math.inf
         self._records: list[Record] = []  # written records; seq is the index
@@ -244,18 +254,35 @@ class TraceRecorder:
         """
         return self._add_shape(kind, first, fixed)
 
-    def extend(self, rows: list[tuple]) -> None:
+    def extend(self, rows: list[tuple] | Iterator[tuple]) -> None:
         """Append `(t, shape, *values)` rows as they are, in their final
         form: `t` is already the trace time, `round(t_us, 3)`, so the rows
         write what `record` would for the same records. Their times must
         not decrease, as the first is checked against the watermark for
-        all. A disabled recorder keeps nothing and checks nothing."""
-        if not self.enabled or not rows:
+        all. `rows` is a list or an iterator; an in-memory recorder takes
+        an iterator's first row now and the rest when it is read. A
+        disabled recorder keeps nothing and checks nothing."""
+        if not self.enabled:
             return
-        first = rows[0]
+        if rows.__class__ is list:
+            if not rows:
+                return
+            first, rest = rows[0], None
+        else:
+            rest = iter(rows)
+            first = next(rest, None)
+            if first is None:
+                return
         if first[0] < self._watermark:
             raise self._late(self._shapes[first[1]][0], first[0])
-        self._pending += rows
+        if rest is None:
+            self._pending += rows
+        else:
+            self._pending.append(first)
+            if self._write is None:
+                self._lazy.append((len(self._pending), rest))
+            else:
+                self._pending += rest
 
     def _late(self, kind: str, t: float) -> SimulationError:
         return SimulationError(
@@ -295,24 +322,48 @@ class TraceRecorder:
         return shape
 
     def advance(self, watermark_us: float) -> None:
-        """Write every buffered record with t below `watermark_us`, or all at +inf.
+        """Write every buffered record with t below `watermark_us`, or all at
+        +inf; in memory, when the trace is next read.
 
         A record stamped below the watermark afterwards raises
         `SimulationError` instead of being written out of order.
         """
+        self._watermark = max(self._watermark, watermark_us)
+        if self._write is not None:
+            ready = self._take_ready()
+            if ready:
+                self._write(self._lines(enumerate(ready, self._next_seq)))
+                self._next_seq += len(ready)
+
+    def _take_ready(self) -> list[Record]:
+        """Sort the buffer and take out the records below the watermark, all at +inf."""
         pending = self._pending
         pending.sort(key=_time)  # stable, so equal times keep insertion order
+        watermark = self._watermark
         # At +inf every record is written, those stamped +inf too.
-        cut = bisect_left(pending, watermark_us, key=_time) if watermark_us < math.inf else len(pending)
+        cut = bisect_left(pending, watermark, key=_time) if watermark < math.inf else len(pending)
         ready = pending[:cut]
         del pending[:cut]
-        if ready:
-            if self._write is None:
-                self._records += ready
-            else:
-                self._write(self._lines(enumerate(ready, self._next_seq)))
+        return ready
+
+    def _settle(self) -> None:
+        """Bring the trace up to date for reading: in memory, build the lazy
+        batches in their places and keep the records below the watermark;
+        with a writer, sort the buffer."""
+        if self._write is not None:
+            self._pending.sort(key=_time)
+            return
+        if self._lazy:
+            pending, built, start = self._pending, [], 0
+            for end, rest in self._lazy:
+                built += pending[start:end]
+                built += rest
+                start = end
+            built += pending[start:]
+            self._pending, self._lazy = built, []
+        ready = self._take_ready()
+        self._records += ready
         self._next_seq += len(ready)
-        self._watermark = max(self._watermark, watermark_us)
 
     def close(self) -> None:
         """Write the rest of the buffer; no record may follow."""
@@ -325,6 +376,7 @@ class TraceRecorder:
     @property
     def buffered(self) -> int:
         """How many records wait in the reorder buffer."""
+        self._settle()
         return len(self._pending)
 
     def _lines(self, numbered: Iterator[tuple[int, Record]]) -> str:
@@ -335,8 +387,8 @@ class TraceRecorder:
 
     def _ordered(self) -> Iterator[tuple[int, Record]]:
         """(seq, record) of written records, then buffered ones numbered as they will be."""
+        self._settle()
         yield from enumerate(self._records)
-        self._pending.sort(key=_time)
         yield from enumerate(self._pending, self._next_seq)
 
     def sorted_records(self) -> list[dict[str, Any]]:

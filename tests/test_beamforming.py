@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import random
 import tracemalloc
@@ -230,6 +232,7 @@ def test_a_disabled_trace_gives_the_traced_result_without_building_rows(mode):
         responders = responders[:1]
 
     def run(trace):
+        gc.collect()  # also empties the free lists, whose reuse tracemalloc cannot see
         tracemalloc.start()
         try:
             result = run_beamforming(
@@ -240,7 +243,10 @@ def test_a_disabled_trace_gives_the_traced_result_without_building_rows(mode):
             tracemalloc.stop()
 
     run(None)  # first-call allocations are not the sweep's
-    traced = TraceRecorder()
+    # A recorder with a writer builds the rows at once (an in-memory one
+    # would build them only when read); nothing is written before `advance`.
+    written = io.StringIO()
+    traced = TraceRecorder(write=written.write)
     (plain, _), (disabled, disabled_peak), (recorded, traced_peak) = (
         run(None), run(TraceRecorder(enabled=False)), run(traced),
     )
@@ -250,6 +256,7 @@ def test_a_disabled_trace_gives_the_traced_result_without_building_rows(mode):
         r for kind in ("frame_tx", "frame_rx") for r in traced.iter_kind(kind) if r["frame"] == "tdd_ssw"
     ]
     assert len(sweep_rows) == recorded.sweep_frames * (1 + len(responders))
+    assert written.getvalue() == ""
     # The traced run holds its rows, about 70 kB here; the disabled one
     # builds none, not even to drop them.
     assert disabled_peak * 4 < traced_peak

@@ -12,14 +12,20 @@ seed 1 (18 APs, 36 STAs), where timing on a shared host could not tell.
   `links_from_trained` one per trained link. `prepare_scenario` shares one
   table among its runs, so each distinct node pair is priced once.
 - A traced sweep's rows carry only what varies from frame to frame.
+- An in-memory trace builds the sweep's rows only when it is read, and
+  then reads as the trace file of a traced run.
 """
 
+import gc
+import hashlib
+import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from tddsim import channel, config, controller
+from tddsim import channel, cli, config, controller
 from tddsim.beamforming import BfMode, run_beamforming
 from tddsim.channel import LinkBudgetConfig
 from tddsim.cli import prepare_scenario
@@ -28,7 +34,7 @@ from tddsim.controller import build_interference_graph, links_from_trained
 from tddsim.schedule import sp_window
 from tddsim.trace import TraceRecorder
 
-from conftest import make_ap, make_node, perfbench_workloads
+from conftest import PERFBENCH, make_ap, make_node, perfbench_workloads
 
 
 @pytest.fixture
@@ -144,6 +150,7 @@ def test_sweep_rows_carry_only_what_varies_per_frame(mesh_train):
     shape)`; set-up's rows hold 463,164 values, `t` and shape included."""
     trace = TraceRecorder()
     prepare_scenario(load_config(mesh_train), trace)
+    trace.buffered  # read, so the in-memory trace builds its rows
     rows = trace._records + trace._pending
     ssw = 0
     for row in rows:
@@ -155,3 +162,49 @@ def test_sweep_rows_carry_only_what_varies_per_frame(mesh_train):
     assert ssw == 98_304
     assert len(rows) == 98_688
     assert sum(map(len, rows)) == 463_164
+
+
+def test_set_up_into_memory_builds_the_sweep_rows_only_when_read(mesh_train):
+    def peaks(trace):
+        """tracemalloc's peak after set-up into `trace`, then after a read."""
+        cfg = load_config(mesh_train)
+        gc.collect()  # also empties the free lists, whose reuse tracemalloc cannot see
+        tracemalloc.start()
+        try:
+            prepare_scenario(cfg, trace)
+            unread = tracemalloc.get_traced_memory()[1]
+            trace.buffered  # the first read
+            return unread, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    prepare_scenario(load_config(mesh_train))  # first-call allocations are not set-up's
+    disabled, _ = peaks(TraceRecorder(enabled=False))
+    unread, read = peaks(TraceRecorder())
+    # Reading builds the 98,688 rows, about 10 MiB over the disabled
+    # recorder's peak; until then the in-memory one adds under a tenth of that.
+    assert (unread - disabled) * 10 < read - disabled
+
+
+def test_an_untraced_run_reads_back_the_trace_file_of_a_traced_one(
+    monkeypatch, mesh_train, tmp_path, capsys,
+):
+    """The in-memory trace of an untraced `run` is the file that `--trace`
+    writes, and the benchmark's golden trace of mesh_train seed 1."""
+    recorders = []
+    new_trace = cli._new_trace
+
+    def kept(*args):
+        recorders.append(new_trace(*args))
+        return recorders[-1]
+
+    monkeypatch.setattr(cli, "_new_trace", kept)
+    metrics, written = str(tmp_path / "metrics.csv"), tmp_path / "trace.jsonl"
+    assert cli.main(["run", "--config", mesh_train, "--metrics", metrics]) == cli.EXIT_OK
+    assert cli.main(["run", "--config", mesh_train, "--metrics", metrics, "--trace", str(written)]) == cli.EXIT_OK
+    capsys.readouterr()
+    memory = recorders[0].to_jsonl()
+    assert memory == written.read_text()
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["mesh_train"]
+    assert golden["seed"] == 1
+    assert hashlib.sha256(memory.encode()).hexdigest() == golden["trace"]

@@ -99,6 +99,89 @@ def test_queries_mid_run_number_buffered_records_without_writing_them():
     assert [r["t"] for r in trace.iter_kind("slot")] == [1.0, 2.0]
 
 
+def counted_rows(shape, times, built):
+    """A lazy batch of `link_dead` rows at `times`, noting in `built` each
+    time whose row has been built."""
+    for t in times:
+        built.append(t)
+        yield (t, shape, f"at {t}")
+
+
+@pytest.mark.parametrize("written", [False, True])
+def test_a_late_lazy_batch_is_refused_when_it_arrives(written):
+    out = io.StringIO()
+    trace = TraceRecorder(write=out.write if written else None)
+    trace.record(5.0, "announce", node="ap")
+    trace.advance(5)
+    built = []
+    shape = trace.shape("link_dead", {"node": "ap"}, link="")
+    with pytest.raises(SimulationError, match="record 'link_dead' at t=4.0 arrived"):
+        trace.extend(counted_rows(shape, [4.0, 6.0], built))
+    assert built == [4.0]  # its first row, and only that, was taken to check it
+    # Nothing of the batch is kept, and reading raises nothing.
+    assert [r["kind"] for r in trace.sorted_records()] == ["announce"]
+    trace.close()
+    assert [r["kind"] for r in trace.sorted_records()] == ([] if written else ["announce"])
+
+
+def test_an_in_memory_trace_builds_a_lazy_batch_when_first_read():
+    out = io.StringIO()
+    memory, streamed = TraceRecorder(), TraceRecorder(write=out.write)
+    built = {memory: [], streamed: []}
+    for trace in (memory, streamed):
+        shape = trace.shape("link_dead", {"node": "ap"}, link="")
+        trace.extend(counted_rows(shape, [1.0, 2.0, 3.0], built[trace]))
+        trace.advance(2.5)
+    assert built == {memory: [1.0], streamed: [1.0, 2.0, 3.0]}
+    assert memory.buffered == streamed.buffered == 1
+    assert built[memory] == [1.0, 2.0, 3.0]
+    streamed.close()
+    assert memory.to_jsonl() == out.getvalue()
+
+
+# Half-microsecond times, so that records often tie.
+TICKS = st.integers(0, 12).map(lambda n: n / 2)
+ARRIVALS = st.lists(st.one_of(
+    st.tuples(st.just("record"), TICKS),
+    st.tuples(st.just("batch"), st.lists(TICKS, min_size=1, max_size=4).map(sorted), st.booleans()),
+    st.tuples(st.just("advance"), TICKS),
+    st.tuples(st.just("read")),
+), max_size=30)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ARRIVALS)
+def test_an_in_memory_trace_read_mid_run_numbers_records_as_a_written_one(arrivals):
+    """Records, list and lazy batches, watermarks and reads in any order: an
+    in-memory trace, sorted when read, and a written one, sorted at each
+    `advance`, refuse the same records and give the same lines."""
+    out = io.StringIO()
+    memory, streamed = TraceRecorder(), TraceRecorder(write=out.write)
+    for n, (what, *args) in enumerate(arrivals):
+        refused = []
+        for trace in (memory, streamed):
+            try:
+                if what == "record":
+                    trace.record(args[0], "link_dead", link=f"record {n}")
+                elif what == "batch":
+                    times, lazy = args
+                    shape = trace.shape("link_dead", {"node": f"batch {n}"}, link="")
+                    rows = [(t, shape, f"row {i}") for i, t in enumerate(times)]
+                    trace.extend(iter(rows) if lazy else rows)
+                elif what == "advance":
+                    trace.advance(args[0])
+                refused.append(None)
+            except SimulationError as error:
+                refused.append(str(error))
+        assert refused[0] == refused[1]
+        if what == "read":
+            assert memory.buffered == streamed.buffered
+            assert memory.to_jsonl() == out.getvalue() + streamed.to_jsonl()
+    memory.close()
+    streamed.close()
+    assert memory.to_jsonl() == out.getvalue()
+
+
 def test_disabled_recorder_keeps_nothing():
     trace = TraceRecorder(enabled=False)
     trace.record(1.0, "announce")
@@ -590,6 +673,7 @@ def test_a_record_holds_its_time_its_shape_and_its_values_only():
     cfg.sim.duration_us = 4000
     prep = prepare_scenario(cfg, trace)
     run_until(build_world(prep, plan_scenario(prep), trace))
+    assert trace.buffered  # read, so an in-memory trace is sorted and numbered
     for records in (trace._records, trace._pending):  # written, then buffered
         assert records
         assert {len(rec) - 2 - len(trace._shapes[rec[1]][1]) for rec in records} == {0}
